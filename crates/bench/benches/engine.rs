@@ -102,7 +102,6 @@ criterion_group!(
     benches,
     bench_engine,
     bugdoc_bench::perf::bench_hot_paths,
-    bugdoc_bench::perf::bench_bounded_cache,
     bugdoc_bench::perf::bench_persistence,
     bugdoc_bench::perf::bench_ddt_end_to_end
 );

@@ -11,12 +11,13 @@ use bugdoc_core::{
     Comparator, Conjunction, EvalResult, Instance, Outcome, ParamSpace, Predicate, ProvenanceStore,
     Value,
 };
-use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, MemoryBudget, Pipeline};
+use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, Pipeline};
 use bugdoc_synth::{CauseScenario, SynthConfig, SyntheticPipeline};
 use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// The perf space: 50 × 50 × 4 = 10 000 configurations, mixing ordinal and
@@ -83,12 +84,12 @@ pub fn random_conjunctions(space: &ParamSpace, n: usize, seed: u64) -> Vec<Conju
 /// * `perf/evaluate_cold_32` — 32 fresh evaluations through a new executor;
 /// * `perf/cache_hit_10k` — one cache-hit `evaluate` against a 10k-run history;
 /// * `perf/batch_dispatch_128/5` — a 128-instance batch at the paper's 5 workers;
-/// * `perf/concurrent_cache_hits_5w` — 5 threads × 200 cache-hit evaluations
-///   (reported per evaluation), the lock-contention probe;
+/// * `perf/concurrent_cache_hits_5w` — 5 threads × 200 provenance-hit
+///   evaluations per round (reported per evaluation), the probe of
+///   contended hits on the store's read lock; the threads start once, so
+///   thread start-up is not in the figure;
 /// * `perf/satisfied_by_1k` — support counts for 1 000 candidate conjunctions
 ///   over the 10k-run log (reported per conjunction);
-/// * `perf/satisfied_by_many_8x1k` — the same conjunctions through the
-///   batched `support_many` entry point, 8 per call (per conjunction);
 /// * `perf/bounds_query_1k` — the admissible `support_bounds` estimate for
 ///   the same 1 000 conjunctions (per conjunction); this is the cheap
 ///   bounds-before-exact gate, so its figure should sit well below
@@ -199,10 +200,12 @@ pub fn bench_hot_paths(c: &mut Criterion) {
         }
     });
 
-    // Contention probe: 5 worker threads each issue 200 cache-hit
-    // evaluations against the shared executor; the reported time is per
-    // evaluation (wall time / 1000), so serialization across workers shows
-    // up directly.
+    // Contention probe: 5 worker threads, started once, each issue 200
+    // provenance-hit evaluations per round against the shared executor. One
+    // barrier, waited on twice per round, releases the round and collects
+    // it, so a timed iteration is one round with no thread start-up in it;
+    // the reported time is per evaluation (round time / 1000), so
+    // serialization on the store's read lock shows up directly.
     const CONTENTION_THREADS: usize = 5;
     const CONTENTION_OPS: usize = 200;
     group.bench_function("concurrent_cache_hits_5w", {
@@ -213,27 +216,35 @@ pub fn bench_hot_paths(c: &mut Criterion) {
         );
         let probes = probes.clone();
         move |b| {
-            b.iter(|| {
-                std::thread::scope(|s| {
-                    for t in 0..CONTENTION_THREADS {
-                        let exec = &exec;
-                        let probes = &probes;
-                        s.spawn(move || {
-                            for k in 0..CONTENTION_OPS {
-                                let probe = &probes[(t * 31 + k) % probes.len()];
-                                exec.evaluate(probe).unwrap();
-                            }
-                        });
-                    }
+            let round = Barrier::new(CONTENTION_THREADS + 1);
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                for t in 0..CONTENTION_THREADS {
+                    let (exec, probes, round, stop) = (&exec, &probes, &round, &stop);
+                    s.spawn(move || loop {
+                        round.wait(); // start
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        for k in 0..CONTENTION_OPS {
+                            let probe = &probes[(t * 31 + k) % probes.len()];
+                            exec.evaluate(probe).unwrap();
+                        }
+                        round.wait(); // done
+                    });
+                }
+                b.iter(|| {
+                    round.wait();
+                    round.wait();
                 });
-            })
+                stop.store(true, Ordering::SeqCst);
+                round.wait();
+            });
         }
     });
 
     let prov = provenance_10k(&space);
     let conjunctions = random_conjunctions(&space, 1_000, 17);
-    let prov_many = prov.clone();
-    let batches: Vec<Vec<Conjunction>> = conjunctions.chunks(8).map(<[_]>::to_vec).collect();
     group.bench_function("satisfied_by_1k", move |b| {
         b.iter(|| {
             let mut acc = (0usize, 0usize);
@@ -241,23 +252,6 @@ pub fn bench_hot_paths(c: &mut Criterion) {
                 let (f, s) = prov.support(c);
                 acc.0 += f;
                 acc.1 += s;
-            }
-            acc
-        })
-    });
-
-    // The same 1k conjunctions through the batched entry point, 8 per
-    // `support_many` call — the shape a DDT split evaluation presents
-    // (reported per conjunction, like satisfied_by_1k). The win over the
-    // one-at-a-time figure is the amortized per-epoch block walk.
-    group.bench_function("satisfied_by_many_8x1k", move |b| {
-        b.iter(|| {
-            let mut acc = (0usize, 0usize);
-            for batch in &batches {
-                for (f, s) in prov_many.support_many(batch) {
-                    acc.0 += f;
-                    acc.1 += s;
-                }
             }
             acc
         })
@@ -293,73 +287,6 @@ pub fn bench_hot_paths(c: &mut Criterion) {
         b.iter(|| bugdoc_core::kernels::and_popcount(&ka, &kb))
     });
     group.finish();
-}
-
-/// Registers the memory-bounded cache scenarios on `c` and returns the
-/// measured hit rates:
-///
-/// * `perf/cache_hit_budget_100|50|25` — one `evaluate` against the 10k-run
-///   history while sweeping the whole working set, with the CLOCK cache
-///   budgeted at 100%/50%/25% of it (ns/op; misses re-derive from the
-///   provenance log, so the delta over `cache_hit_10k` is the price of
-///   eviction, not of re-execution);
-/// * the returned `(id, percent)` pairs are the shard-cache hit rates of
-///   each scenario (`perf/cache_hit_rate_pct_*`), for the headless runner to
-///   emit alongside the timings.
-pub fn bench_bounded_cache(c: &mut Criterion) -> Vec<(String, f64)> {
-    let space = perf_space();
-    let all = perf_instances(&space);
-    // A skewed access schedule — 60% of probes from a 1 000-instance hot
-    // set, 40% uniform over all 10 000 (footprint ≈ the full working set) —
-    // the locality real diagnosis loops exhibit. (A pure cyclic sweep is
-    // CLOCK's adversarial case: it evicts exactly what the sweep needs next
-    // and measures nothing but misses; a footprint smaller than the budget
-    // measures nothing but hits.)
-    let schedule: Vec<usize> = {
-        let mut rng = StdRng::seed_from_u64(23);
-        (0..32_768)
-            .map(|_| {
-                if rng.gen_range(0..100) < 60 {
-                    rng.gen_range(0..1_000usize) * 7 % all.len() // hot set
-                } else {
-                    rng.gen_range(0..all.len())
-                }
-            })
-            .collect()
-    };
-    let mut rates = Vec::new();
-    let mut group = c.benchmark_group("perf");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(600))
-        .warm_up_time(Duration::from_millis(200));
-    for (pct, budget) in [(100usize, 10_000usize), (50, 5_000), (25, 2_500)] {
-        let exec = Executor::with_provenance(
-            perf_pipeline(&space),
-            ExecutorConfig {
-                workers: 5,
-                budget: None,
-                memory: MemoryBudget::Entries(budget),
-                ..Default::default()
-            },
-            provenance_10k(&space),
-        );
-        let mut k = 0usize;
-        group.bench_function(format!("cache_hit_budget_{pct}"), |b| {
-            b.iter(|| {
-                k = (k + 1) % schedule.len();
-                exec.evaluate(&all[schedule[k]]).unwrap()
-            })
-        });
-        let stats = exec.stats();
-        let total = stats.cache_hits.max(1);
-        rates.push((
-            format!("perf/cache_hit_rate_pct_{pct}"),
-            100.0 * (total - stats.log_rederivations) as f64 / total as f64,
-        ));
-    }
-    group.finish();
-    rates
 }
 
 /// Registers the telemetry-overhead probe on `c`:
@@ -469,14 +396,10 @@ pub fn bench_persistence(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Registers the end-to-end DDT benchmarks on `c`:
+/// Registers the end-to-end DDT benchmark on `c`:
 ///
 /// * `perf/ddt_find_one` — the algorithm-level integral over all the hot
-///   paths above, under the default executor config (bounds pruning on by
-///   default since PR 7);
-/// * `perf/ddt_find_one_pruned` — the same scenario with bounds pruning
-///   *explicitly* enabled, so the pruned path stays pinned and comparable
-///   even if the default ever flips.
+///   paths above, under the default executor config (bounds pruning on).
 pub fn bench_ddt_end_to_end(c: &mut Criterion) {
     let pipe = Arc::new(SyntheticPipeline::generate(
         &SynthConfig {
@@ -492,9 +415,8 @@ pub fn bench_ddt_end_to_end(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(200));
-    let run_ddt = {
-        let pipe = pipe.clone();
-        move |bounds: bool| {
+    group.bench_function("ddt_find_one", move |b| {
+        b.iter(|| {
             let seeds = pipe.seed_history(2, 6, 7);
             let mut prov = ProvenanceStore::new(Pipeline::space(pipe.as_ref()).clone());
             for (inst, eval) in &seeds {
@@ -505,19 +427,13 @@ pub fn bench_ddt_end_to_end(c: &mut Criterion) {
                 ExecutorConfig {
                     workers: 4,
                     budget: None,
-                    bounds,
                     ..Default::default()
                 },
                 prov,
             );
             debugging_decision_trees(&exec, &DdtConfig::default())
-        }
-    };
-    group.bench_function("ddt_find_one", {
-        let run_ddt = run_ddt.clone();
-        move |b| b.iter(|| run_ddt(ExecutorConfig::default().bounds))
+        })
     });
-    group.bench_function("ddt_find_one_pruned", move |b| b.iter(|| run_ddt(true)));
     group.finish();
 }
 

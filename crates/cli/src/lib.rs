@@ -116,7 +116,6 @@ The spec file declares parameters, the command template, and the evaluation:
   eval stdout_le 0.15      # or: exit_code | stdout_ge <t>
   workers 5
   budget 200
-  cache_entries 4096       # or: cache_bytes <n> — bound the result cache
   persist_dir .bugdoc      # durable provenance: killed runs warm-start here
   snapshot_every 512       # recovery snapshot cadence (with persist_dir)
   bounds off               # disable bound-guided pruning (default: on)
@@ -239,7 +238,6 @@ pub fn executor_factory() -> Box<bugdoc_serve::ExecutorFactory> {
             ExecutorConfig {
                 workers: spec.workers,
                 budget: spec.budget,
-                memory: spec.memory,
                 persist: spec.persist.clone(),
                 bounds: spec.bounds,
             },
@@ -314,14 +312,13 @@ pub fn run(request: Request) -> Result<String, String> {
             );
             // With `persist_dir` set this is the warm-start path: history
             // already in the directory is recovered and seeds the executor
-            // (recovered runs are cache hits, exactly like --provenance
+            // (recovered runs are provenance hits, exactly like --provenance
             // seeds), and every new execution is teed to the WAL.
             let exec = Executor::try_with_provenance(
                 Arc::new(pipeline) as Arc<dyn Pipeline>,
                 ExecutorConfig {
                     workers: spec.workers,
                     budget: spec.budget,
-                    memory: spec.memory,
                     persist: spec.persist.clone(),
                     bounds: spec.bounds,
                 },
@@ -338,19 +335,6 @@ pub fn run(request: Request) -> Result<String, String> {
                 "instances executed: {} new, {} answered from provenance",
                 stats.new_executions, stats.cache_hits
             );
-            // Memory-bounded runs are observable without a debugger: report
-            // what the CLOCK cache evicted and how often the provenance log
-            // had to re-derive an answer.
-            if spec.memory != bugdoc_engine::MemoryBudget::Unbounded
-                || stats.evictions > 0
-                || stats.log_rederivations > 0
-            {
-                let _ = writeln!(
-                    out,
-                    "result cache: {} evictions, {} log re-derivations",
-                    stats.evictions, stats.log_rederivations
-                );
-            }
             // Bound-guided pruning is exact-preserving, so the only visible
             // trace of it working is this line: how much search the
             // admissible bounds decided without an exact scan.
@@ -392,7 +376,7 @@ pub fn run(request: Request) -> Result<String, String> {
             }
             if metrics {
                 // Rendered after the diagnosis so the histograms carry this
-                // run's store and re-derivation latencies.
+                // run's store latencies.
                 let _ = writeln!(out, "\n# telemetry (this process)");
                 out.push_str(&bugdoc_telemetry::render());
                 // Same scrape-time bridge the daemon uses: the executor's

@@ -21,9 +21,6 @@
 //!   parameter is also exported as `BUGDOC_<NAME>`.
 //! * `eval exit_code` | `eval stdout_ge <t>` | `eval stdout_le <t>`.
 //! * `workers <n>` (default 5), `budget <n>` (default unbounded).
-//! * `cache_entries <n>` | `cache_bytes <n>` — bound the executor's
-//!   in-memory result cache (default unbounded); evicted results are
-//!   re-derived from the provenance log, never re-executed.
 //! * `persist_dir <path>` — durable provenance: every execution is teed to
 //!   a checksummed write-ahead log in this directory, and a rerun *warm
 //!   starts* from whatever the directory already holds (a killed run
@@ -37,7 +34,7 @@
 //!   differential runs.
 
 use bugdoc_core::{ParamSpace, Value};
-use bugdoc_engine::{CommandEval, MemoryBudget, PersistConfig};
+use bugdoc_engine::{CommandEval, PersistConfig};
 use std::fmt;
 use std::sync::Arc;
 
@@ -54,8 +51,6 @@ pub struct Spec {
     pub workers: usize,
     /// Optional new-instance budget.
     pub budget: Option<usize>,
-    /// Bound on the executor's in-memory result cache.
-    pub memory: MemoryBudget,
     /// Durable provenance (`persist_dir` / `snapshot_every`), if requested.
     pub persist: Option<PersistConfig>,
     /// Bound-guided pruning of provenance queries (`bounds on|off`,
@@ -135,7 +130,6 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
     let mut eval: Option<CommandEval> = None;
     let mut workers = 5usize;
     let mut budget: Option<usize> = None;
-    let mut memory = MemoryBudget::Unbounded;
     let mut persist_dir: Option<String> = None;
     let mut snapshot_every: Option<u64> = None;
     let mut bounds = true;
@@ -226,22 +220,6 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
                         .ok_or_else(|| err(line_no, "budget needs an integer"))?,
                 );
             }
-            "cache_entries" => {
-                memory = MemoryBudget::Entries(
-                    rest.first()
-                        .and_then(|t| t.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| err(line_no, "cache_entries needs a positive integer"))?,
-                );
-            }
-            "cache_bytes" => {
-                memory = MemoryBudget::Bytes(
-                    rest.first()
-                        .and_then(|t| t.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| err(line_no, "cache_bytes needs a positive integer"))?,
-                );
-            }
             "persist_dir" => {
                 if rest.is_empty() {
                     return Err(err(line_no, "persist_dir needs a path"));
@@ -301,7 +279,6 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
         eval,
         workers,
         budget,
-        memory,
         persist,
         bounds,
     })
@@ -344,22 +321,18 @@ budget 50
         assert_eq!(spec.workers, 5);
         assert_eq!(spec.budget, None);
         assert_eq!(spec.eval, CommandEval::ExitCode);
-        assert_eq!(spec.memory, MemoryBudget::Unbounded);
     }
 
+    /// The executor keeps no result cache of its own, so the keywords that
+    /// once bounded it are unknown: a spec that still carries one fails on
+    /// that line instead of silently running without the bound.
     #[test]
     fn memory_budget_keywords() {
         let base = "param a boolean\ncommand prog\neval exit_code\n";
-        let spec = parse_spec(&format!("{base}cache_entries 128\n")).unwrap();
-        assert_eq!(spec.memory, MemoryBudget::Entries(128));
-        let spec = parse_spec(&format!("{base}cache_bytes 65536\n")).unwrap();
-        assert_eq!(spec.memory, MemoryBudget::Bytes(65536));
-        // The last directive wins, matching the other scalar keywords.
-        let spec = parse_spec(&format!("{base}cache_entries 8\ncache_bytes 512\n")).unwrap();
-        assert_eq!(spec.memory, MemoryBudget::Bytes(512));
-        for bad in ["cache_entries 0\n", "cache_entries\n", "cache_bytes x\n"] {
-            let e = parse_spec(&format!("{base}{bad}")).unwrap_err();
-            assert!(e.message.contains("positive integer"), "{bad:?}: {e}");
+        for removed in ["cache_entries 128\n", "cache_bytes 65536\n"] {
+            let e = parse_spec(&format!("{base}{removed}")).unwrap_err();
+            assert_eq!(e.line, 4, "{removed:?}: {e}");
+            assert!(e.message.contains("unknown keyword"), "{removed:?}: {e}");
         }
     }
 

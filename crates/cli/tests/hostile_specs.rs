@@ -146,35 +146,11 @@ const CASES: &[(&str, &str, &str, usize)] = &[
         "needs an integer",
         4,
     ),
-    // cache_entries / cache_bytes
+    // the removed result-cache bound
     (
-        "cache_entries_missing_value",
-        "param x boolean\ncommand p\neval exit_code\ncache_entries\n",
-        "positive integer",
-        4,
-    ),
-    (
-        "cache_entries_zero",
-        "param x boolean\ncommand p\neval exit_code\ncache_entries 0\n",
-        "positive integer",
-        4,
-    ),
-    (
-        "cache_entries_non_numeric",
-        "param x boolean\ncommand p\neval exit_code\ncache_entries big\n",
-        "positive integer",
-        4,
-    ),
-    (
-        "cache_bytes_missing_value",
-        "param x boolean\ncommand p\neval exit_code\ncache_bytes\n",
-        "positive integer",
-        4,
-    ),
-    (
-        "cache_bytes_overflowing",
-        "param x boolean\ncommand p\neval exit_code\ncache_bytes 99999999999999999999999999\n",
-        "positive integer",
+        "cache_keyword_removed",
+        "param x boolean\ncommand p\neval exit_code\ncache_entries 4096\n",
+        "unknown keyword",
         4,
     ),
     // persist_dir / snapshot_every

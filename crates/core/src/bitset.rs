@@ -153,13 +153,6 @@ impl RunSet {
         }
     }
 
-    /// Mutable view of the backing words (see [`words`](Self::words)).
-    /// Internal: the epoch query paths write per-epoch accumulator results
-    /// straight into their disjoint word ranges.
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Iterates set members in increasing order.
     pub fn ones(&self) -> Ones<'_> {
         Ones {

@@ -4,8 +4,8 @@
 //! The std `RandomState`/SipHash default is DoS-resistant but costs ~10x more
 //! per small key; provenance keys are short `u32` sequences derived from
 //! trusted in-process data, so the cheap multiply-xor hash is the right
-//! trade. Exposed publicly so the engine's sharded read cache can share the
-//! same hashing.
+//! trade. Exposed publicly so every dense-key consumer shares the same
+//! hashing.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -69,9 +69,9 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`]; plug into `HashMap::with_hasher`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// One-shot FxHash of a dense instance key (used for shard selection and the
-/// provenance key index; consumers verify key bytes on fingerprint matches,
-/// so hash quality affects probing cost only, never correctness).
+/// One-shot FxHash of a dense instance key (used by the provenance key
+/// index; consumers verify key bytes on fingerprint matches, so hash
+/// quality affects probing cost only, never correctness).
 #[inline]
 pub fn hash_dense_key(key: &[u32]) -> u64 {
     let mut h = FxHasher::default();

@@ -45,7 +45,6 @@ pub use outcome::{EvalResult, Outcome};
 pub use param::{Domain, DomainKind, InstanceIter, ParamDef, ParamId, ParamSpace, ParamSpaceBuilder};
 pub use predicate::{Comparator, Predicate, PredicateDisplay};
 pub use provenance::{
-    EpochSummary, ProvenanceStore, Run, SupportBounds, TsvError, DEFAULT_EPOCH_RUNS,
-    DEFAULT_PARALLEL_MIN_EPOCHS,
+    ProvenanceStore, Run, SupportBounds, TsvError, DEFAULT_EPOCH_RUNS, DEFAULT_PARALLEL_MIN_EPOCHS,
 };
 pub use value::{Value, F64};

@@ -163,9 +163,9 @@ impl Domain {
     /// Ordinal domains stay sorted (a middle insertion re-indexes the tail).
     ///
     /// **Freeze invariant:** domain indices are the currency of the dense
-    /// instance encoding — cached [`Instance::dense_key`]s, the provenance
-    /// store's value bitsets, and the executor's read cache all assume they
-    /// never change. Grow a domain only *before* building instances, stores,
+    /// instance encoding — cached [`Instance::dense_key`]s and the
+    /// provenance store's key index and value bitsets all assume they never
+    /// change. Grow a domain only *before* building instances, stores,
     /// or executors against its space (spaces shared via `Arc` are immutable
     /// anyway; this only concerns pre-`build` mutation through
     /// [`ParamDef::domain_mut`]).

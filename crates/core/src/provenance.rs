@@ -23,7 +23,7 @@
 //!   `u32`s — no `Value` hashing, no instance cloning.
 //! * **Epoch-segmented (parameter, value) run bitsets** — the run log is cut
 //!   into fixed-size *epochs* of [`ProvenanceStore::epoch_runs`] runs. Each
-//!   live epoch owns one flat block of bit words, with value `(p, v)`'s row
+//!   epoch owns one flat block of bit words, with value `(p, v)`'s row
 //!   at `block[(offsets[p] + v) * epoch_words ..]`. The *in-progress* epoch
 //!   stores raw rows (run `r` sets one bit per parameter); when an epoch
 //!   fills, freezing converts its rows in place to **cumulative prefix-ORs**
@@ -33,25 +33,15 @@
 //!   range `[lo, hi]` reads out as `prefix[hi] & !prefix[lo-1]` (just
 //!   `prefix[hi]` when `lo = 0`): 1–4 row reads per predicate regardless of
 //!   domain size. A conjunction ANDs those unions across its predicates via
-//!   the fused [`kernels`] — so [`support`](ProvenanceStore::support),
-//!   [`satisfying_runs`](ProvenanceStore::satisfying_runs), and
+//!   the fused [`kernels`] — so [`support`](ProvenanceStore::support) and
 //!   [`succeeding_superset_exists`](ProvenanceStore::succeeding_superset_exists)
 //!   are word-parallel bit operations over the log instead of per-run
 //!   predicate interpretation, and an epoch whose accumulator goes empty is
-//!   skipped wholesale.
-//! * **Epoch compaction** — [`compact`](ProvenanceStore::compact) (or the
-//!   automatic bound set by
-//!   [`set_index_bound`](ProvenanceStore::set_index_bound)) retires old full
-//!   epochs: their bit blocks are folded into an [`EpochSummary`] of
-//!   per-value and per-outcome *counts*, reclaiming the index memory that
-//!   otherwise grows without bound. Queries stay **exact** after compaction:
-//!   a retired epoch is answered by scanning its dense-key rows in the
-//!   `by_key` arena (which is kept — it is what makes `lookup` exact), with
-//!   the summary counts used to skip epochs that cannot contain a match.
+//!   skipped wholesale. Every full epoch keeps its block for the life of
+//!   the store.
 //! * **Overflow list** — instances whose values fall outside their declared
 //!   domains (possible via the unchecked [`Instance::new`]) cannot be
-//!   encoded; they are tracked in `overflow` (plus the `overflow_bits` set,
-//!   so arena scans skip their zero-filled rows) and handled by the original
+//!   encoded; they are tracked in `overflow` and handled by the original
 //!   interpretive path, so the fast index never changes observable
 //!   semantics.
 
@@ -243,10 +233,10 @@ pub const DEFAULT_EPOCH_RUNS: usize = 1024;
 /// scan itself, so small logs always take the sequential path.
 pub const DEFAULT_PARALLEL_MIN_EPOCHS: usize = 8;
 
-/// Observability counters for the epoch query paths, updated by `support`,
-/// `support_many`, `satisfying_runs`, and `succeeding_superset_exists`
-/// (atomics, so `&self` queries can count and worker threads can share
-/// them). Cloning a store snapshots the current values.
+/// Observability counters for the epoch query paths, updated by `support`
+/// and `succeeding_superset_exists` (atomics, so `&self` queries can count
+/// and worker threads can share them). Cloning a store snapshots the
+/// current values.
 #[derive(Debug, Default)]
 struct QueryStats {
     /// Indexed queries that took the parallel fan-out path.
@@ -323,8 +313,8 @@ impl SupportBounds {
 /// `≤ v`), so any predicate's per-epoch satisfying-run count is an
 /// adjacent-difference per allowed range — the integer twin of the frozen
 /// block's adjacent-prefix popcount difference. Built at freeze time from
-/// the incrementally maintained current-epoch counts and kept through
-/// retirement (4 bytes per value, negligible next to the arena).
+/// the incrementally maintained current-epoch counts (4 bytes per value,
+/// negligible next to the arena).
 #[derive(Debug, Clone)]
 struct EpochCounts {
     /// Failing runs in the epoch (overflow runs included).
@@ -393,21 +383,12 @@ impl Ranges {
 }
 
 /// One predicate of a conjunction, resolved against the store's index
-/// layout: its flat-index base, its allowed values as contiguous ranges,
-/// and (when some epoch is retired) a bitmap of those values for arena
-/// scans. In a frozen (prefix-encoded) block a range `[lo, hi]` is the term
+/// layout: its flat-index base and its allowed values as contiguous ranges.
+/// In a frozen (prefix-encoded) block a range `[lo, hi]` is the term
 /// `prefix[hi] & !prefix[lo-1]` (just `prefix[hi]` when `lo = 0`); in the
-/// raw current block it is an OR over rows `lo..=hi`.
+/// raw current block it is an OR over rows `lo..=hi`; in an epoch's count
+/// table it is an adjacent difference.
 struct PredPlan {
-    base: usize,
-    param: usize,
-    ranges: Ranges,
-    mask: Vec<u64>,
-}
-
-/// A predicate resolved for the bounds layer only: its flat-index base and
-/// its allowed-value ranges. No bit masks — bounds never scan words.
-struct BoundPlan {
     base: usize,
     ranges: Ranges,
 }
@@ -426,37 +407,6 @@ struct TermScratch<'s> {
 #[inline]
 fn words_from(words: &[u64], at: usize) -> &[u64] {
     words.get(at..).unwrap_or(&[])
-}
-
-/// The `len`-word window of `words` at `at`, clamped at both ends — an
-/// epoch's slice of an outcome bitset, which may be short or absent because
-/// outcome sets stop growing at the last run of their kind.
-#[inline]
-fn epoch_window(words: &[u64], at: usize, len: usize) -> &[u64] {
-    let tail = words_from(words, at);
-    tail.get(..len).unwrap_or(tail)
-}
-
-/// The summary a retired epoch's bit block is folded into: exact run counts,
-/// enough to prune queries that cannot match the epoch, while the epoch's
-/// per-run bits are answered from the dense-key arena.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochSummary {
-    /// Failing runs in the epoch.
-    pub failing: u32,
-    /// Succeeding runs in the epoch.
-    pub succeeding: u32,
-    /// Per-(parameter, value) run counts, in the store's `offsets` layout.
-    value_counts: Box<[u32]>,
-}
-
-impl EpochSummary {
-    /// Runs in the epoch assigning domain value `value_idx` to parameter `p`
-    /// (indexed as `offsets[p] + value_idx`; see [`ProvenanceStore`]).
-    // lint: allow(W003, reason = "documented caller contract: flat_value_idx is offsets[p] + value_idx for the space this summary was built over, and a panic on a bad index is the intended API response", scope = "block")
-    pub fn value_count(&self, flat_value_idx: usize) -> u32 {
-        self.value_counts[flat_value_idx]
-    }
 }
 
 /// One recorded execution.
@@ -497,18 +447,15 @@ pub struct ProvenanceStore {
     epoch_words: usize,
     /// Value-bit blocks of *completed* epochs (`total_values * epoch_words`
     /// words each, prefix-OR encoded — see the module docs — and frozen from
-    /// `current` when the epoch fills); `None` once the epoch is retired by
-    /// compaction.
-    blocks: Vec<Option<Box<[u64]>>>,
-    /// Summary counts of retired epochs (`None` while the block is live).
-    summaries: Vec<Option<EpochSummary>>,
+    /// `current` when the epoch fills).
+    blocks: Vec<Box<[u64]>>,
     /// The in-progress epoch's *raw* value rows, one flat pre-zeroed block
     /// in the same `(offsets[p] + v) * epoch_words` layout as a frozen
     /// block: recording a run is one `|=` per parameter, and freezing is a
     /// move plus the in-place prefix conversion.
     current: Vec<u64>,
-    /// Integer count tables of every *full* epoch (frozen or retired), in
-    /// epoch order — the bounds layer's only input for full epochs.
+    /// Integer count tables of every *full* epoch, in epoch order — the
+    /// bounds layer's only input for full epochs.
     epoch_counts: Vec<EpochCounts>,
     /// Per-(parameter, value) run counts of the in-progress epoch,
     /// maintained incrementally by `record` (one increment per parameter) so
@@ -525,9 +472,6 @@ pub struct ProvenanceStore {
     /// carried as a counter so the record hot path never divides by the
     /// (runtime-chosen, not necessarily power-of-two) epoch size.
     tail_runs: usize,
-    /// When set, `record` retires all but the newest this-many full epochs
-    /// as soon as a new epoch opens.
-    max_live_epochs: Option<usize>,
     /// Runs that failed.
     fail_bits: RunSet,
     /// Runs that succeeded.
@@ -536,9 +480,6 @@ pub struct ProvenanceStore {
     /// values); they are absent from `by_key`/the value index and served by
     /// the interpretive fallback paths.
     overflow: Vec<u32>,
-    /// Same runs as `overflow`, as a set — arena scans over retired epochs
-    /// use it to skip the zero-filled rows.
-    overflow_bits: RunSet,
     /// Worker threads indexed queries may fan full epochs out across
     /// (1 = always sequential; see [`set_query_workers`](Self::set_query_workers)).
     query_workers: usize,
@@ -558,8 +499,8 @@ impl ProvenanceStore {
 
     /// An empty history whose value index is segmented into epochs of
     /// `epoch_runs` runs. `epoch_runs` must be a non-zero multiple of 64
-    /// (epochs are word-aligned). Small epochs make compaction kick in
-    /// earlier at the price of more per-epoch bookkeeping.
+    /// (epochs are word-aligned). Small epochs freeze sooner at the price
+    /// of more per-epoch bookkeeping.
     pub fn with_epoch_size(space: Arc<ParamSpace>, epoch_runs: usize) -> Self {
         assert!(
             epoch_runs > 0 && epoch_runs % 64 == 0,
@@ -581,18 +522,15 @@ impl ProvenanceStore {
             epoch_runs,
             epoch_words: epoch_runs / 64,
             blocks: Vec::new(),
-            summaries: Vec::new(),
             current: vec![0u64; total as usize * (epoch_runs / 64)],
             epoch_counts: Vec::new(),
             current_counts: vec![0u32; total as usize],
             tail_counts: (0, 0, 0),
             bounds_enabled: true,
             tail_runs: 0,
-            max_live_epochs: None,
             fail_bits: RunSet::new(),
             succeed_bits: RunSet::new(),
             overflow: Vec::new(),
-            overflow_bits: RunSet::new(),
             query_workers: 1,
             parallel_min_epochs: DEFAULT_PARALLEL_MIN_EPOCHS,
             query_stats: QueryStats::default(),
@@ -600,9 +538,8 @@ impl ProvenanceStore {
     }
 
     /// Sets how many worker threads indexed queries (`support`,
-    /// `support_many`, `satisfying_runs`, `succeeding_superset_exists`) may
-    /// fan frozen/retired epochs out across. Values ≤ 1 keep every query
-    /// sequential. Parallelism only engages on logs with at least the
+    /// `succeeding_superset_exists`) may fan frozen epochs out across.
+    /// Values ≤ 1 keep every query sequential. Parallelism only engages on logs with at least the
     /// [parallel epoch threshold](Self::set_parallel_epoch_threshold) of
     /// full epochs — small logs never pay thread overhead — and results are
     /// bit-identical to the sequential path: epochs are disjoint word
@@ -661,7 +598,7 @@ impl ProvenanceStore {
         )
     }
 
-    /// True when a query over `full` frozen/retired epochs should fan out.
+    /// True when a query over `full` frozen epochs should fan out.
     #[inline]
     fn use_parallel(&self, full_epochs: usize) -> bool {
         self.query_workers > 1 && full_epochs >= self.parallel_min_epochs
@@ -685,8 +622,8 @@ impl ProvenanceStore {
     /// Freezes the just-completed epoch: moves the flat `current` block out
     /// (a fresh zeroed block replaces it), converts each parameter's raw
     /// value rows to cumulative prefix-ORs in place (row `v` |= row `v-1`,
-    /// ascending — the frozen-block query encoding), and applies the
-    /// auto-compaction bound if one is set. Called exactly when
+    /// ascending — the frozen-block query encoding), and folds the epoch's
+    /// per-value counts into its count table. Called exactly when
     /// `runs.len()` reaches an epoch boundary.
     // lint: allow(W003, reason = "block is allocated as total_values * epoch_words and cum as total_values, and every index is (base + v) with v < domain.len() in offsets layout, so all slices exist by construction", scope = "block")
     fn freeze_current_epoch(&mut self) {
@@ -701,8 +638,7 @@ impl ProvenanceStore {
                 kernels::or_into(&mut tail[..w], &head[at - w..]);
             }
         }
-        self.blocks.push(Some(block));
-        self.summaries.push(None);
+        self.blocks.push(block);
         // Fold the incrementally maintained per-value counts into the
         // epoch's cumulative count table (prefix-sum per parameter — the
         // integer twin of the prefix-OR conversion above) and reset them
@@ -723,9 +659,6 @@ impl ProvenanceStore {
             indexed,
             cum,
         });
-        if let Some(keep) = self.max_live_epochs {
-            self.compact(keep);
-        }
     }
 
     /// Run index of an unencodable instance, by value equality.
@@ -809,55 +742,30 @@ impl ProvenanceStore {
     }
 
     /// Resolves each predicate of a non-empty conjunction once against the
-    /// index layout. The per-domain value bitmaps only serve the arena-scan
-    /// path, so they are built only when some epoch is actually retired.
-    // lint: allow(W001, reason = "single-bit set-up of a per-predicate value mask during query planning, O(allowed values) once per query -- not a bulk word-granularity scan over run bitsets", scope = "block")
-    // lint: allow(W003, reason = "mask is sized domain.len().div_ceil(64) right above and vi < domain.len(); offsets holds one entry per parameter of the space the predicate is drawn from", scope = "block")
+    /// index layout — the plan the exact scans and the bounds layer share.
+    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the predicate is drawn from", scope = "block")
     fn plan_predicates(&self, cause: &Conjunction) -> Vec<PredPlan> {
-        let any_retired = self.summaries.iter().any(Option::is_some);
         cause
             .predicates()
             .iter()
-            .map(|pred| {
-                let domain = self.space.domain(pred.param);
-                let ranges = Self::pred_ranges(pred, domain);
-                let mut mask = if any_retired {
-                    vec![0u64; domain.len().div_ceil(64)]
-                } else {
-                    Vec::new()
-                };
-                if any_retired {
-                    for &(lo, hi) in ranges.as_slice() {
-                        for vi in lo as usize..=hi as usize {
-                            mask[vi / 64] |= 1u64 << (vi % 64);
-                        }
-                    }
-                }
-                PredPlan {
-                    base: self.offsets[pred.param.index()] as usize,
-                    param: pred.param.index(),
-                    ranges,
-                    mask,
-                }
+            .map(|pred| PredPlan {
+                base: self.offsets[pred.param.index()] as usize,
+                ranges: Self::pred_ranges(pred, self.space.domain(pred.param)),
             })
             .collect()
     }
 
     /// Computes full epoch `e`'s satisfying-run words into `acc`
     /// (`acc.len() == epoch_words`; `scratch` is reusable scratch for the
-    /// per-predicate term slices). A frozen epoch is an AND-of-unions over
-    /// its prefix-encoded block via the fused term [`kernels`] — each
-    /// predicate costs 1–4 row reads, however many values it allows; a
-    /// retired epoch is a dense-key arena scan against the predicate value
-    /// masks, after a summary-count check that skips epochs which cannot
-    /// match. On return `acc` always holds the exact epoch words (all zero
-    /// when the epoch has no match); the return value is `false` iff no run
-    /// in the epoch satisfies.
+    /// per-predicate term slices): an AND-of-unions over its prefix-encoded
+    /// block via the fused term [`kernels`] — each predicate costs 1–4 row
+    /// reads, however many values it allows. On return `acc` always holds
+    /// the exact epoch words (all zero when the epoch has no match); the
+    /// return value is `false` iff no run in the epoch satisfies.
     ///
     /// Epochs are disjoint word ranges of the run log, so callers — serial
     /// or fanned out across threads — merge results deterministically.
-    // lint: allow(W001, reason = "per-run single-bit insert on the retired-epoch arena-scan path; the bulk word work is delegated to the fused kernels above it", scope = "block")
-    // lint: allow(W003, reason = "frozen-block rows are (base + value) * epoch_words slices of a block allocated at that exact size; the expect is the freeze/retire invariant that a None block always has a Some summary; arena keys index masks sized to their own domain", scope = "block")
+    // lint: allow(W003, reason = "e < blocks.len() at every call site, and frozen-block rows are (base + value) * epoch_words slices of a block allocated at that exact size", scope = "block")
     fn epoch_acc_into<'s>(
         &'s self,
         e: usize,
@@ -867,68 +775,31 @@ impl ProvenanceStore {
     ) -> bool {
         let w = self.epoch_words;
         debug_assert_eq!(acc.len(), w);
-        match &self.blocks[e] {
-            Some(words) => {
-                for (pi, p) in preds.iter().enumerate() {
-                    scratch.full.clear();
-                    scratch.diff.clear();
-                    for &(lo, hi) in p.ranges.as_slice() {
-                        let hi_row = (p.base + hi as usize) * w;
-                        if lo == 0 {
-                            scratch.full.push(&words[hi_row..hi_row + w]);
-                        } else {
-                            let lo_row = (p.base + lo as usize - 1) * w;
-                            scratch
-                                .diff
-                                .push((&words[hi_row..hi_row + w], &words[lo_row..lo_row + w]));
-                        }
-                    }
-                    if pi == 0 {
-                        kernels::or_terms_into(acc, &scratch.full, &scratch.diff);
-                    } else {
-                        kernels::and_terms_into(acc, &scratch.full, &scratch.diff);
-                    }
-                    if kernels::is_zero(acc) {
-                        return false;
-                    }
+        let words = &self.blocks[e];
+        for (pi, p) in preds.iter().enumerate() {
+            scratch.full.clear();
+            scratch.diff.clear();
+            for &(lo, hi) in p.ranges.as_slice() {
+                let hi_row = (p.base + hi as usize) * w;
+                if lo == 0 {
+                    scratch.full.push(&words[hi_row..hi_row + w]);
+                } else {
+                    let lo_row = (p.base + lo as usize - 1) * w;
+                    scratch
+                        .diff
+                        .push((&words[hi_row..hi_row + w], &words[lo_row..lo_row + w]));
                 }
-                true
             }
-            None => {
-                acc.fill(0);
-                let summary = self.summaries[e].as_ref().expect("retired epoch has a summary");
-                // A predicate none of whose allowed values occur in the
-                // epoch rules the whole epoch out.
-                if preds.iter().any(|p| {
-                    p.ranges
-                        .as_slice()
-                        .iter()
-                        .flat_map(|&(lo, hi)| lo as usize..=hi as usize)
-                        .all(|vi| summary.value_counts[p.base + vi] == 0)
-                }) {
-                    return false;
-                }
-                let start = e * self.epoch_runs;
-                let end = start + self.epoch_runs;
-                let mut any = false;
-                'rows: for r in start..end {
-                    if self.overflow_bits.contains(r) {
-                        continue;
-                    }
-                    let key = self.by_key.row(r);
-                    for p in preds {
-                        let vi = key[p.param] as usize;
-                        if p.mask[vi / 64] >> (vi % 64) & 1 == 0 {
-                            continue 'rows;
-                        }
-                    }
-                    let in_epoch = r - start;
-                    acc[in_epoch / 64] |= 1u64 << (in_epoch % 64);
-                    any = true;
-                }
-                any
+            if pi == 0 {
+                kernels::or_terms_into(acc, &scratch.full, &scratch.diff);
+            } else {
+                kernels::and_terms_into(acc, &scratch.full, &scratch.diff);
+            }
+            if kernels::is_zero(acc) {
+                return false;
             }
         }
+        true
     }
 
     /// The in-progress epoch's satisfying-run words, into `acc`
@@ -980,67 +851,6 @@ impl ProvenanceStore {
             .map(|ci| (ci * per).min(full)..((ci + 1) * per).min(full))
             .filter(|r| !r.is_empty())
             .collect()
-    }
-
-    /// The set of runs satisfying `cause`, as a bitset over run indices.
-    ///
-    /// Live epochs are answered by word-parallel AND-of-ORs over their bit
-    /// blocks; retired epochs by scanning their dense-key arena rows against
-    /// per-predicate allowed-value masks (after a summary-count check that
-    /// skips epochs which cannot match). Both paths are exact. Above the
-    /// parallel threshold, full epochs are fanned out across the query
-    /// workers — each worker writes its epochs' disjoint word ranges of the
-    /// result, so the merged set is bit-identical to the sequential scan.
-    // lint: allow(W003, reason = "the result set is grown to runs.len().div_ceil(64) words up front, so the full*w epoch window, the current-epoch word window, and overflow run indices are all in bounds", scope = "block")
-    fn satisfying_set(&self, cause: &Conjunction) -> RunSet {
-        if cause.is_empty() {
-            return RunSet::full(self.runs.len());
-        }
-        let preds = self.plan_predicates(cause);
-        let w = self.epoch_words;
-        let full = self.blocks.len();
-        let parallel = self.use_parallel(full);
-        self.note_query(full, parallel);
-        let mut set = RunSet::new();
-        set.grow_words(self.runs.len().div_ceil(64));
-        if parallel {
-            let per = full.div_ceil(self.query_workers);
-            let words = set.words_mut();
-            std::thread::scope(|scope| {
-                for (ci, chunk) in words[..full * w].chunks_mut(per * w).enumerate() {
-                    let preds = &preds;
-                    scope.spawn(move || {
-                        let mut scratch = TermScratch::default();
-                        for (j, acc) in chunk.chunks_mut(w).enumerate() {
-                            self.epoch_acc_into(ci * per + j, preds, &mut scratch, acc);
-                        }
-                    });
-                }
-            });
-        } else {
-            let mut scratch = TermScratch::default();
-            let words = set.words_mut();
-            for (e, acc) in words[..full * w].chunks_mut(w).enumerate() {
-                self.epoch_acc_into(e, &preds, &mut scratch, acc);
-            }
-        }
-        // The in-progress epoch, swept only to the filled word count.
-        let cur_base = full * self.epoch_runs;
-        let used = (self.runs.len() - cur_base).div_ceil(64);
-        if used > 0 {
-            let mut acc = vec![0u64; used];
-            if self.current_acc_into(&preds, &mut acc) {
-                let at = cur_base / 64;
-                set.words_mut()[at..at + used].copy_from_slice(&acc);
-            }
-        }
-        // Unencodable runs never appear in the value index; interpret them.
-        for &i in &self.overflow {
-            if cause.satisfied_by(&self.runs[i as usize].instance) {
-                set.insert(i as usize);
-            }
-        }
-        set
     }
 
     /// A history pre-seeded with given runs (the paper's "previously run
@@ -1106,7 +916,6 @@ impl ProvenanceStore {
             let idx = self.runs.len();
             self.by_key.push_overflow_row(idx as u32);
             self.overflow.push(idx as u32);
-            self.overflow_bits.insert(idx);
             return self.finish_record(instance, eval);
         }
         {
@@ -1190,99 +999,6 @@ impl ProvenanceStore {
     /// Runs per epoch of the segmented value index.
     pub fn epoch_runs(&self) -> usize {
         self.epoch_runs
-    }
-
-    /// Number of epochs the log spans (including the in-progress one).
-    pub fn num_epochs(&self) -> usize {
-        self.blocks.len() + usize::from(self.runs.len() % self.epoch_runs != 0)
-    }
-
-    /// Epochs whose bits are live (not yet retired by compaction),
-    /// including the in-progress one.
-    pub fn live_epochs(&self) -> usize {
-        self.blocks.iter().filter(|b| b.is_some()).count()
-            + usize::from(self.runs.len() % self.epoch_runs != 0)
-    }
-
-    /// Epochs retired into summary counts.
-    pub fn retired_epochs(&self) -> usize {
-        self.summaries.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// The summary of a retired epoch (`None` while its block is live).
-    pub fn epoch_summary(&self, epoch: usize) -> Option<&EpochSummary> {
-        self.summaries.get(epoch).and_then(Option::as_ref)
-    }
-
-    /// Approximate heap bytes held by the value index: live bit blocks plus
-    /// retired-epoch summaries plus the outcome/overflow bitsets. (The run
-    /// log and dense-key arena are the ground truth and are not counted —
-    /// they are what compaction keeps.)
-    pub fn index_bytes(&self) -> usize {
-        let block_words = self.total_values as usize * self.epoch_words;
-        let frozen = self.blocks.iter().filter(|b| b.is_some()).count() * block_words * 8;
-        let current = self.current.len() * 8;
-        let retired = self.retired_epochs()
-            * (self.total_values as usize * 4 + std::mem::size_of::<EpochSummary>());
-        let outcome_words = 3 * self.runs.len().div_ceil(64) * 8;
-        frozen + current + retired + outcome_words
-    }
-
-    /// Retires every full epoch except the newest `keep_live`, folding each
-    /// retired epoch's bit block into an [`EpochSummary`] of exact counts.
-    /// The in-progress (partial) epoch is never retired. Queries remain
-    /// exact afterwards (see the module docs); re-recording continues
-    /// normally. Returns the number of epochs retired by this call.
-    pub fn compact(&mut self, keep_live: usize) -> usize {
-        let full = self.runs.len() / self.epoch_runs;
-        let mut retired = 0usize;
-        for e in 0..full.saturating_sub(keep_live) {
-            retired += self.retire_epoch(e) as usize;
-        }
-        retired
-    }
-
-    /// Bounds the live value index: whenever a new epoch opens, all but the
-    /// newest `max_live_epochs` full epochs are retired automatically.
-    /// `None` (the default) never auto-compacts. Takes effect immediately.
-    pub fn set_index_bound(&mut self, max_live_epochs: Option<usize>) {
-        self.max_live_epochs = max_live_epochs;
-        if let Some(keep) = max_live_epochs {
-            self.compact(keep);
-        }
-    }
-
-    /// Folds epoch `e`'s bit block into summary counts. Returns `false` if
-    /// the epoch was already retired. The block's rows are cumulative
-    /// prefix-ORs, so a value's own run count is the *difference* of
-    /// adjacent row popcounts (the prefixes are monotone: row `v` contains
-    /// row `v-1`).
-    // lint: allow(W003, reason = "e < runs.len() / epoch_runs from compact, and blocks/summaries hold one entry per full epoch; block rows are (base + v) * epoch_words slices of a block allocated at that size", scope = "block")
-    fn retire_epoch(&mut self, e: usize) -> bool {
-        let Some(block) = self.blocks[e].take() else {
-            return false;
-        };
-        let w = self.epoch_words;
-        let mut value_counts = vec![0u32; self.total_values as usize].into_boxed_slice();
-        for (p, &base) in self.space.ids().zip(&self.offsets) {
-            let base = base as usize;
-            let mut prev = 0u32;
-            for v in 0..self.space.domain(p).len() {
-                let pc = kernels::popcount(&block[(base + v) * w..(base + v + 1) * w]) as u32;
-                value_counts[base + v] = pc - prev;
-                prev = pc;
-            }
-        }
-        let wbase = e * w;
-        let failing = kernels::popcount(epoch_window(self.fail_bits.words(), wbase, w)) as u32;
-        let succeeding =
-            kernels::popcount(epoch_window(self.succeed_bits.words(), wbase, w)) as u32;
-        self.summaries[e] = Some(EpochSummary {
-            failing,
-            succeeding,
-            value_counts,
-        });
-        true
     }
 
     /// The recorded evaluation of an instance, if it was executed.
@@ -1507,20 +1223,6 @@ impl ProvenanceStore {
         }
     }
 
-    /// Instances in the history satisfying a conjunction, with outcomes —
-    /// driven by the bitset index, yielded in recording order.
-    // lint: allow(W003, reason = "satisfying_set is a subset of recorded run indices by construction", scope = "block")
-    pub fn satisfying_runs<'a>(
-        &'a self,
-        cause: &'a Conjunction,
-    ) -> impl Iterator<Item = &'a Run> + 'a {
-        self.satisfying_set(cause)
-            .ones()
-            .map(|i| &self.runs[i])
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-
     /// Counts `(failing, succeeding)` runs satisfying a conjunction — fused
     /// AND-of-ORs + popcount per epoch against the outcome bitsets, never
     /// materializing the satisfying set. Above the parallel threshold the
@@ -1598,112 +1300,10 @@ impl ProvenanceStore {
         (f, s)
     }
 
-    /// [`support`](Self::support) for a batch: `(failing, succeeding)` per
-    /// conjunction, evaluating all of them against each epoch block while
-    /// it is cache-hot — one pass over the log instead of `k`. Above the
-    /// parallel threshold the epochs are fanned out across the query
-    /// workers and the per-worker partial counts summed per conjunction;
-    /// results are identical to calling [`support`](Self::support) `k`
-    /// times.
-    // lint: allow(W003, reason = "part/out/causes are all sized causes.len() and indexed by the same enumerate; the join expect propagates worker panics; overflow holds recorded run indices", scope = "block")
-    pub fn support_many(&self, causes: &[Conjunction]) -> Vec<(usize, usize)> {
-        let plans: Vec<Option<Vec<PredPlan>>> = causes
-            .iter()
-            .map(|c| (!c.is_empty()).then(|| self.plan_predicates(c)))
-            .collect();
-        let w = self.epoch_words;
-        let full = self.blocks.len();
-        let parallel = self.use_parallel(full);
-        // One note per conjunction: the batch does evaluate each of them
-        // over every epoch, just in a block-major order.
-        for _ in 0..causes.len() {
-            self.note_query(full, parallel);
-        }
-        let scan_range = |range: std::ops::Range<usize>| {
-            let mut scratch = TermScratch::default();
-            let mut acc = vec![0u64; w];
-            let mut part = vec![(0usize, 0usize); causes.len()];
-            for e in range {
-                for (ci, plan) in plans.iter().enumerate() {
-                    if let Some(preds) = plan {
-                        if self.epoch_acc_into(e, preds, &mut scratch, &mut acc) {
-                            let (ef, es) = self.outcome_counts_at(e * w, &acc);
-                            part[ci].0 += ef;
-                            part[ci].1 += es;
-                        }
-                    }
-                }
-            }
-            part
-        };
-        let mut out = if parallel {
-            let scan_range = &scan_range;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = Self::epoch_ranges(full, self.query_workers)
-                    .into_iter()
-                    .map(|range| scope.spawn(move || scan_range(range)))
-                    .collect();
-                let mut out = vec![(0usize, 0usize); causes.len()];
-                for h in handles {
-                    for (o, p) in out
-                        .iter_mut()
-                        .zip(h.join().expect("epoch query worker panicked"))
-                    {
-                        o.0 += p.0;
-                        o.1 += p.1;
-                    }
-                }
-                out
-            })
-        } else {
-            scan_range(0..full)
-        };
-        // The in-progress epoch, the overflow runs, and the empty causes.
-        let cur_base = full * self.epoch_runs;
-        let used = (self.runs.len() - cur_base).div_ceil(64);
-        let mut acc = vec![0u64; used];
-        for (ci, plan) in plans.iter().enumerate() {
-            match plan {
-                None => out[ci] = (self.num_failing(), self.num_succeeding()),
-                Some(preds) => {
-                    if used > 0 && self.current_acc_into(preds, &mut acc) {
-                        let (ef, es) = self.outcome_counts_at(cur_base / 64, &acc);
-                        out[ci].0 += ef;
-                        out[ci].1 += es;
-                    }
-                    for &i in &self.overflow {
-                        let run = &self.runs[i as usize];
-                        if causes[ci].satisfied_by(&run.instance) {
-                            match run.outcome() {
-                                Outcome::Fail => out[ci].0 += 1,
-                                Outcome::Succeed => out[ci].1 += 1,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Resolves each predicate of a non-empty conjunction for the bounds
-    /// layer: flat-index bases and allowed-value ranges only, no bit masks.
-    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the predicate is drawn from", scope = "block")
-    fn plan_bounds(&self, cause: &Conjunction) -> Vec<BoundPlan> {
-        cause
-            .predicates()
-            .iter()
-            .map(|pred| BoundPlan {
-                base: self.offsets[pred.param.index()] as usize,
-                ranges: Self::pred_ranges(pred, self.space.domain(pred.param)),
-            })
-            .collect()
-    }
-
     /// Runs in the in-progress epoch satisfying a predicate: a sum of the
     /// incrementally maintained per-value counts over its allowed ranges.
     // lint: allow(W003, reason = "current_counts holds one entry per (parameter, value) in offsets layout and the ranges come from the same domain, so base + hi is in bounds", scope = "block")
-    fn current_pred_count(&self, plan: &BoundPlan) -> u32 {
+    fn current_pred_count(&self, plan: &PredPlan) -> u32 {
         plan.ranges
             .as_slice()
             .iter()
@@ -1728,11 +1328,11 @@ impl ProvenanceStore {
     /// caps admissibly) and are accounted exactly by the caller.
     fn fold_epoch_bound(
         b: &mut SupportBounds,
-        plans: &[BoundPlan],
+        plans: &[PredPlan],
         indexed: u32,
         failing: u32,
         succeeding: u32,
-        mut count_of: impl FnMut(&BoundPlan) -> u32,
+        mut count_of: impl FnMut(&PredPlan) -> u32,
     ) {
         let mut min_c = u32::MAX;
         let mut sum = 0u64;
@@ -1757,9 +1357,9 @@ impl ProvenanceStore {
     /// Admissible bounds on [`support`](Self::support) — see
     /// [`SupportBounds`] for the invariant. Computed from per-epoch integer
     /// count tables only, O(epochs × predicates) arithmetic, never a
-    /// word-level scan: full (frozen or retired) epochs are answered from
-    /// their cumulative count tables by adjacent differences per predicate
-    /// range (the integer twin of a frozen block's adjacent-prefix popcount
+    /// word-level scan: full epochs are answered from their cumulative
+    /// count tables by adjacent differences per predicate range (the
+    /// integer twin of a frozen block's adjacent-prefix popcount
     /// difference), the in-progress epoch from the incrementally maintained
     /// current counts, and overflow runs interpretively (they are few and
     /// live outside the count tables).
@@ -1773,7 +1373,7 @@ impl ProvenanceStore {
                 succeed_hi: s,
             };
         }
-        let plans = self.plan_bounds(cause);
+        let plans = self.plan_predicates(cause);
         let mut b = SupportBounds::default();
         for counts in &self.epoch_counts {
             Self::fold_epoch_bound(
@@ -1810,15 +1410,15 @@ impl ProvenanceStore {
         b
     }
 
-    /// [`support_bounds`](Self::support_bounds) for a batch, epoch-major
-    /// like [`support_many`](Self::support_many): every conjunction is
-    /// folded against each epoch's count table while it is cache-hot.
+    /// [`support_bounds`](Self::support_bounds) for a batch, epoch-major:
+    /// every conjunction is folded against each epoch's count table while
+    /// it is cache-hot.
     /// Results are identical to calling `support_bounds` once per cause.
     // lint: allow(W003, reason = "out and causes are both sized causes.len() and walked by the same zip/enumerate; overflow holds recorded run indices", scope = "block")
     pub fn support_bounds_many(&self, causes: &[Conjunction]) -> Vec<SupportBounds> {
-        let plans: Vec<Option<Vec<BoundPlan>>> = causes
+        let plans: Vec<Option<Vec<PredPlan>>> = causes
             .iter()
-            .map(|c| (!c.is_empty()).then(|| self.plan_bounds(c)))
+            .map(|c| (!c.is_empty()).then(|| self.plan_predicates(c)))
             .collect();
         let mut out = vec![SupportBounds::default(); causes.len()];
         for counts in &self.epoch_counts {
@@ -2406,7 +2006,7 @@ mod tests {
     #[test]
     fn support_bounds_admissible_on_epoch_store() {
         for n in [40usize, 64, 100, 128] {
-            let (s, mut p) = epoch_store(n);
+            let (s, p) = epoch_store(n);
             let x = s.by_name("x").unwrap();
             let y = s.by_name("y").unwrap();
             let causes = vec![
@@ -2419,29 +2019,21 @@ mod tests {
                     Predicate::new(y, crate::Comparator::Le, 3),
                 ]),
             ];
-            for compacted in [false, true] {
-                if compacted {
-                    p.compact(0);
-                }
-                let batched = p.support_bounds_many(&causes);
-                for (k, c) in causes.iter().enumerate() {
-                    let exact = p.support(c);
-                    let b = p.support_bounds(c);
-                    assert!(
-                        b.admits(exact),
-                        "bounds {b:?} exclude exact {exact:?} (n={n}, compacted={compacted})"
-                    );
-                    assert!(b.fail_lo <= b.fail_hi && b.succeed_lo <= b.succeed_hi);
-                    assert_eq!(batched[k], b, "batched bounds diverge (n={n})");
-                    assert_eq!(p.support_via_bounds(c), exact);
-                }
+            let batched = p.support_bounds_many(&causes);
+            for (k, c) in causes.iter().enumerate() {
+                let exact = p.support(c);
+                let b = p.support_bounds(c);
+                assert!(b.admits(exact), "bounds {b:?} exclude exact {exact:?} (n={n})");
+                assert!(b.fail_lo <= b.fail_hi && b.succeed_lo <= b.succeed_hi);
+                assert_eq!(batched[k], b, "batched bounds diverge (n={n})");
+                assert_eq!(p.support_via_bounds(c), exact);
             }
         }
     }
 
     #[test]
     fn batched_superset_matches_exact_scalar() {
-        let (s, mut p) = epoch_store(100);
+        let (s, p) = epoch_store(100);
         let x = s.by_name("x").unwrap();
         let y = s.by_name("y").unwrap();
         let causes: Vec<Conjunction> = (0..16)
@@ -2454,17 +2046,12 @@ mod tests {
             })
             .chain([Conjunction::top()])
             .collect();
-        for compacted in [false, true] {
-            if compacted {
-                p.compact(0);
-            }
-            let batched = p.succeeding_superset_exists_many(&causes);
-            let scalar: Vec<bool> = causes
-                .iter()
-                .map(|c| p.succeeding_superset_exists_exact(c))
-                .collect();
-            assert_eq!(batched, scalar, "compacted={compacted}");
-        }
+        let batched = p.succeeding_superset_exists_many(&causes);
+        let scalar: Vec<bool> = causes
+            .iter()
+            .map(|c| p.succeeding_superset_exists_exact(c))
+            .collect();
+        assert_eq!(batched, scalar);
     }
 
     #[test]
@@ -2509,48 +2096,8 @@ mod tests {
         (s, p)
     }
 
-    #[test]
-    fn compaction_preserves_queries_exactly() {
-        let (s, mut p) = epoch_store(128);
-        let n = p.len();
-        assert_eq!(n, 128, "the whole 16×8 space is recorded");
-        let x = s.by_name("x").unwrap();
-        let y = s.by_name("y").unwrap();
-        let causes = [
-            Conjunction::new(vec![Predicate::eq(x, 3)]),
-            Conjunction::new(vec![Predicate::eq(x, 3), Predicate::eq(y, 2)]),
-            Conjunction::new(vec![Predicate::new(x, crate::Comparator::Le, 4)]),
-            Conjunction::top(),
-        ];
-        let before: Vec<_> = causes
-            .iter()
-            .map(|c| {
-                (
-                    p.support(c),
-                    p.satisfying_runs(c).map(|r| r.instance.clone()).collect::<Vec<_>>(),
-                    p.succeeding_superset_exists(c),
-                )
-            })
-            .collect();
-        assert!(p.num_epochs() >= 1);
-        let retired = p.compact(0);
-        assert_eq!(retired, n / 64);
-        assert_eq!(p.retired_epochs(), retired);
-        for (c, (support, satisfying, superset)) in causes.iter().zip(&before) {
-            assert_eq!(&p.support(c), support, "support changed for {}", c.display(&s));
-            assert_eq!(
-                &p.satisfying_runs(c).map(|r| r.instance.clone()).collect::<Vec<_>>(),
-                satisfying
-            );
-            assert_eq!(&p.succeeding_superset_exists(c), superset);
-        }
-        // Re-compacting is a no-op; lookups still hit.
-        assert_eq!(p.compact(0), 0);
-        assert!(p.lookup(&s.instance_from_indices(&[3, 2])).is_some());
-    }
-
     /// Parallel epoch fan-out returns bit-identical results to the
-    /// sequential path — mid-compaction states included — and the
+    /// sequential path — frozen and in-progress epochs alike — and the
     /// observability counters tick only when parallelism actually engages.
     #[test]
     fn parallel_queries_match_sequential_and_count() {
@@ -2562,7 +2109,6 @@ mod tests {
         for (i, inst) in s.instances().take(600).enumerate() {
             seq.record(inst, EvalResult::of(Outcome::from_check(i % 7 != 0)));
         }
-        seq.compact(4); // a mix of retired, frozen, and in-progress epochs
         let mut par = seq.clone();
         par.set_query_workers(4);
         par.set_parallel_epoch_threshold(2);
@@ -2591,14 +2137,7 @@ mod tests {
                 seq.succeeding_superset_exists(cause),
                 par.succeeding_superset_exists(cause)
             );
-            let seq_set: Vec<_> = seq.satisfying_runs(cause).map(|r| &r.instance).collect();
-            let par_set: Vec<_> = par.satisfying_runs(cause).map(|r| &r.instance).collect();
-            assert_eq!(seq_set, par_set);
         }
-        // Batched support agrees with one-at-a-time on both paths.
-        let one_by_one: Vec<_> = causes.iter().map(|c| par.support(c)).collect();
-        assert_eq!(par.support_many(&causes), one_by_one);
-        assert_eq!(seq.support_many(&causes), one_by_one);
 
         let (par_queries, par_epochs) = par.query_counters();
         assert!(par_queries > 0, "parallel path engaged");
@@ -2622,65 +2161,6 @@ mod tests {
         p.set_parallel_epoch_threshold(1);
         assert_eq!(p.support(&c), support, "fan-out changes nothing");
         assert_eq!(p.query_counters().0, 1);
-    }
-
-    #[test]
-    fn index_bound_auto_compacts_on_record() {
-        let (_, mut fresh) = epoch_store(0);
-        fresh.set_index_bound(Some(1));
-        let s = fresh.space().clone();
-        // 40 distinct instances over 64-run epochs: fill several epochs by
-        // inserting distinct keys (8*5 = 40 < 64, so widen via more records).
-        let mut recorded = 0usize;
-        for xi in 0..8u32 {
-            for yi in 0..5u32 {
-                let inst = s.instance_from_indices(&[xi, yi]);
-                if fresh.record(inst, EvalResult::of(Outcome::from_check(xi != 3))) {
-                    recorded += 1;
-                }
-            }
-        }
-        assert_eq!(recorded, 40); // one partial epoch only: nothing to retire
-        assert_eq!(fresh.retired_epochs(), 0);
-        let summary_bytes = fresh.index_bytes();
-        assert!(summary_bytes > 0);
-    }
-
-    #[test]
-    fn index_bound_retires_old_epochs() {
-        let s = ParamSpace::builder()
-            .ordinal("a", (0..40).collect::<Vec<_>>())
-            .ordinal("b", (0..10).collect::<Vec<_>>())
-            .build();
-        let mut p = ProvenanceStore::with_epoch_size(s.clone(), 64);
-        p.set_index_bound(Some(1));
-        for (i, inst) in s.instances().enumerate() {
-            p.record(
-                inst,
-                EvalResult::of(Outcome::from_check(i % 7 != 0)),
-            );
-        }
-        assert_eq!(p.len(), 400);
-        assert_eq!(p.num_epochs(), 7); // 400 runs / 64
-        // All but the newest full epoch + the partial one are retired.
-        assert!(p.retired_epochs() >= 5, "retired {}", p.retired_epochs());
-        assert!(p.live_epochs() <= 2);
-        // Summaries carry exact outcome counts.
-        let total_failing: u32 = (0..p.num_epochs())
-            .filter_map(|e| p.epoch_summary(e))
-            .map(|s| s.failing)
-            .sum();
-        assert!(total_failing > 0);
-        // Queries stay exact: compare against a fully-live store.
-        let mut live = ProvenanceStore::with_epoch_size(s.clone(), 64);
-        for run in p.runs() {
-            live.record(run.instance.clone(), run.eval);
-        }
-        let a = s.by_name("a").unwrap();
-        for v in 0..40 {
-            let c = Conjunction::new(vec![Predicate::eq(a, v)]);
-            assert_eq!(p.support(&c), live.support(&c), "a = {v}");
-        }
     }
 
     #[test]

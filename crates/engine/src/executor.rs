@@ -1,5 +1,5 @@
-//! The execution engine: a caching, budgeted, parallel dispatcher for
-//! pipeline instances.
+//! The execution engine: a budgeted, parallel dispatcher for pipeline
+//! instances that answers known instances from provenance.
 //!
 //! "The current prototype of BugDoc contains a dispatching component that
 //! runs in a single thread and spawns multiple pipeline instances in
@@ -7,7 +7,7 @@
 //! (paper §5). The executor reproduces that architecture:
 //!
 //! * every execution is recorded in the [`ProvenanceStore`]; re-evaluating a
-//!   known instance is a cache hit and costs nothing (the paper's cost
+//!   known instance is a provenance hit and costs nothing (the paper's cost
 //!   measure counts only *new* executions);
 //! * an optional **instance budget** bounds new executions — the evaluation
 //!   grants each baseline "the same number of instances" (§5);
@@ -17,79 +17,29 @@
 //!
 //! # Concurrency layout
 //!
-//! The executor is built so cache hits — by far the most frequent operation
-//! the search layers issue — never serialize behind a global lock:
-//!
-//! * a **sharded read cache** maps dense instance keys to outcomes across
-//!   [`CACHE_SHARDS`] independently locked shards (readers of different
-//!   shards never touch the same lock, and shard write locks are held only
-//!   for the instant a new result is published or an entry is evicted);
-//! * the full [`ProvenanceStore`] sits behind one `RwLock`, write-locked only
-//!   to record new executions (and read-locked for snapshot/queries and for
-//!   the rare instance that has no dense key);
-//! * statistics are individual atomics ([`Ordering::SeqCst`] reservations for
-//!   the budget, relaxed counters elsewhere), so `stats()` never blocks the
-//!   workers.
+//! The [`ProvenanceStore`] is the one copy of the run history. Every probe
+//! is a single [`ProvenanceStore::lookup`] — a dense-key hash probe into the
+//! store's key index — under the store's shared read lock, so hits (by far
+//! the most frequent operation the search layers issue) from many threads
+//! proceed together. The write lock is held only to record a new execution.
+//! Statistics are individual atomics ([`Ordering::SeqCst`] reservations for
+//! the budget, relaxed counters elsewhere), so `stats()` never blocks the
+//! workers.
 //!
 //! Budget accounting stays exact under concurrency: a new execution
 //! *reserves* its budget slot with a compare-and-swap before running, releases
-//! it if the pipeline is unavailable, and reclassifies itself as a cache hit
-//! if another worker recorded the same instance first (the determinism
+//! it if the pipeline is unavailable, and reclassifies itself as a hit if
+//! another worker recorded the same instance first (the determinism
 //! guarantee makes the two results interchangeable), so
 //! `new_executions == provenance.len() - seeded` always holds.
-//!
-//! # Memory-bounded mode
-//!
-//! By default the read cache is write-through and unbounded. Under a
-//! [`MemoryBudget`] (entry or byte cap, split evenly across the shards) each
-//! shard evicts with the CLOCK (second-chance) policy: reads set a per-entry
-//! reference bit (an atomic, so the shared lock suffices) and the insert
-//! path sweeps a clock hand, demoting referenced entries once and evicting
-//! the first unreferenced one. Eviction never loses information — the
-//! provenance log remains the source of truth, so a probe that misses the
-//! cache falls back to one `ProvenanceStore::lookup` under the read lock
-//! and, on a hit, re-publishes the entry (counted in
-//! [`ExecStats::log_rederivations`]) instead of re-executing. A genuinely
-//! unknown instance still goes through the CAS budget reservation, so the
-//! `new_executions` invariant above is unaffected by eviction.
 
 use crate::pipeline::{Pipeline, PipelineError, SimTime};
-use bugdoc_core::{
-    hash_dense_key, EvalResult, Instance, Outcome, ParamSpace, ProvenanceStore, Run,
-};
+use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, ProvenanceStore, Run};
 use bugdoc_store::{DurableStore, PersistConfig, PersistError, Recovery};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Number of read-cache shards (power of two; see the module docs).
-pub const CACHE_SHARDS: usize = 16;
-
-/// Latency of cache-miss log re-derivations (the exact-provenance fallback
-/// behind an evicting shard cache). The handle is cached so the registry
-/// lock is touched once per process, not per probe.
-fn rederive_ns() -> &'static bugdoc_telemetry::Histogram {
-    static H: OnceLock<&'static bugdoc_telemetry::Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        bugdoc_telemetry::histogram(
-            "bugdoc_executor_rederive_ns",
-            "Latency of shard-cache misses re-derived exactly from the provenance log (ns)",
-        )
-    })
-}
-
-/// Eviction-pressure flight events are sampled: one event per
-/// `EVICTION_SAMPLE` evictions on a shard, so a thrashing cache surfaces in
-/// the flight ring without flooding it.
-const EVICTION_SAMPLE: usize = 1024;
-
-/// Re-derivation latency samples are taken for one miss in this many: the
-/// histogram still sees the distribution while the other misses pay only a
-/// relaxed counter load on top of the log walk they were already doing.
-const REDERIVE_SAMPLE: usize = 64;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Why the executor could not evaluate an instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,48 +62,14 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Bound on the executor's in-memory read cache (see the module docs).
-///
-/// The budget is split evenly across the [`CACHE_SHARDS`] shards; each shard
-/// enforces its slice with CLOCK (second-chance) eviction. The provenance
-/// log is unaffected — evicted outcomes are re-derived from it on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoryBudget {
-    /// Never evict (the cache mirrors the whole history).
-    #[default]
-    Unbounded,
-    /// At most this many cached outcomes across all shards.
-    Entries(usize),
-    /// At most approximately this many bytes of cached keys and entries
-    /// across all shards (accounted per entry as key bytes plus a fixed
-    /// slot/map overhead).
-    Bytes(usize),
-}
-
-impl MemoryBudget {
-    /// The per-shard cap this budget implies: `(entries, bytes)` with `None`
-    /// meaning unlimited on that axis. Caps are rounded up so the total is
-    /// never below the requested budget, and floored at one entry per shard
-    /// (a cache that cannot hold anything would only thrash).
-    fn per_shard(self) -> (Option<usize>, Option<usize>) {
-        match self {
-            MemoryBudget::Unbounded => (None, None),
-            MemoryBudget::Entries(n) => (Some(n.div_ceil(CACHE_SHARDS).max(1)), None),
-            MemoryBudget::Bytes(b) => (None, Some(b.div_ceil(CACHE_SHARDS))),
-        }
-    }
-}
-
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Worker threads for batch execution. The paper used 5.
     pub workers: usize,
-    /// Maximum number of *new* pipeline executions (cache hits are free).
+    /// Maximum number of *new* pipeline executions (provenance hits are free).
     /// `None` = unbounded.
     pub budget: Option<usize>,
-    /// Bound on the read cache's memory (default: unbounded).
-    pub memory: MemoryBudget,
     /// Durable provenance (default: off). When set, the executor recovers
     /// any history already in the directory at construction (a warm start —
     /// recovered runs behave exactly like seeded provenance) and tees every
@@ -172,7 +88,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             workers: 5,
             budget: None,
-            memory: MemoryBudget::Unbounded,
             persist: None,
             bounds: true,
         }
@@ -184,26 +99,21 @@ impl Default for ExecutorConfig {
 pub struct ExecStats {
     /// Instances executed by this executor (excludes pre-seeded provenance).
     pub new_executions: usize,
-    /// Evaluations answered from provenance without executing (shard-cache
-    /// hits, log re-derivations, and racing duplicates combined).
+    /// Evaluations answered from provenance without executing (provenance
+    /// hits and racing duplicates combined).
     pub cache_hits: usize,
     /// Requests refused because the pipeline could not run the instance.
     pub unavailable: usize,
     /// Requests refused because the budget was exhausted.
     pub budget_refusals: usize,
-    /// Cache entries evicted under a [`MemoryBudget`].
-    pub evictions: usize,
-    /// Keyed probes that missed the shard cache (evicted or collided) but
-    /// were answered exactly from the provenance log without re-executing.
-    pub log_rederivations: usize,
     /// Virtual time elapsed: the makespan of all executions scheduled on
     /// `workers` machines.
     pub sim_time: SimTime,
     /// Provenance queries that fanned epochs out across the worker pool
     /// (large logs only; small logs stay on the sequential path).
     pub parallel_epoch_queries: u64,
-    /// Total frozen/retired epochs visited by provenance queries, across
-    /// both the sequential and parallel paths.
+    /// Total epochs visited by provenance queries, across both the
+    /// sequential and parallel paths.
     pub epochs_scanned: u64,
     /// Search subtrees / candidate causes the algorithms discarded on the
     /// strength of an admissible bound alone, skipping their verification
@@ -218,275 +128,6 @@ pub struct ExecStats {
     pub bounds_fallthroughs: u64,
 }
 
-/// Pass-through hasher for keys that are already FxHash fingerprints.
-#[derive(Default)]
-struct IdentityHasher(u64);
-
-impl std::hash::Hasher for IdentityHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        // lint: allow(W003, reason = "the map's key type is u64, so the hasher only ever receives write_u64; reaching this is a type-level contract violation")
-        unreachable!("identity hasher is only fed u64 fingerprints");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0 = i;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdentityBuild = std::hash::BuildHasherDefault<IdentityHasher>;
-
-/// Fixed per-entry overhead charged against a byte budget, on top of the key
-/// bytes: the slot struct, the fingerprint→slot map entry, and the reference
-/// bit. Approximate by design — the budget bounds growth, it is not an
-/// allocator audit.
-const ENTRY_OVERHEAD_BYTES: usize = 64;
-
-#[inline]
-fn entry_bytes(key_len: usize) -> usize {
-    key_len * 4 + ENTRY_OVERHEAD_BYTES
-}
-
-/// One cached outcome: the verified key disambiguates the (astronomically
-/// rare) fingerprint collision — a mismatch reads as a cache miss, and the
-/// provenance fallback keeps the answer exact. The second-chance bit lives
-/// inline with the payload (an atomic, so the *shared* lock suffices to set
-/// it on the hit path) — one cache line per entry.
-struct CacheEntry {
-    key: Box<[u32]>,
-    outcome: Outcome,
-    referenced: AtomicBool,
-}
-
-/// The mutable core of one shard: payloads inline in the fingerprint map
-/// (exactly the write-through layout of the eviction-free cache), plus — in
-/// bounded mode only — a ring of fingerprints the CLOCK hand sweeps. The
-/// ring and the map always hold the same fingerprints: insertion pushes,
-/// and eviction happens *at* the hand, so a `swap_remove` there keeps the
-/// correspondence without tombstones.
-#[derive(Default)]
-struct ShardInner {
-    /// Fingerprint → cached outcome.
-    map: HashMap<u64, CacheEntry, IdentityBuild>,
-    /// CLOCK ring of fingerprints (empty and untouched when unbounded).
-    ring: Vec<u64>,
-    /// The clock hand: next ring position the eviction sweep examines.
-    hand: usize,
-    /// Bytes charged so far (only meaningful under a byte budget).
-    bytes: usize,
-}
-
-impl ShardInner {
-    /// Inserts or overwrites `fp`'s entry, evicting with CLOCK while the
-    /// shard is over either cap. Returns the number of evictions performed.
-    fn insert(
-        &mut self,
-        fp: u64,
-        key: Box<[u32]>,
-        outcome: Outcome,
-        max_entries: Option<usize>,
-        max_bytes: Option<usize>,
-    ) -> usize {
-        // One hash probe covers both the refresh case (the benign
-        // duplicate-publish race) and, when unbounded, the plain append —
-        // the write-through path costs exactly what the eviction-free cache
-        // it replaces did.
-        let unbounded = max_entries.is_none() && max_bytes.is_none();
-        match self.map.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(occupied) => {
-                let entry = occupied.into_mut();
-                self.bytes = self.bytes + entry_bytes(key.len()) - entry_bytes(entry.key.len());
-                entry.key = key;
-                entry.outcome = outcome;
-                *entry.referenced.get_mut() = true;
-                return 0;
-            }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                if unbounded {
-                    vacant.insert(CacheEntry {
-                        key,
-                        outcome,
-                        referenced: AtomicBool::new(false),
-                    });
-                    return 0;
-                }
-            }
-        }
-        let incoming = entry_bytes(key.len());
-        let mut evicted = 0usize;
-        // Make room *before* inserting so the caps hold as invariants. The
-        // entry floor (at least one entry per shard) keeps a tiny byte
-        // budget from refusing everything.
-        while !self.ring.is_empty()
-            && (max_entries.is_some_and(|m| self.map.len() >= m)
-                || max_bytes.is_some_and(|m| self.bytes + incoming > m))
-        {
-            self.evict_one();
-            evicted += 1;
-        }
-        self.bytes += incoming;
-        self.ring.push(fp);
-        self.map.insert(
-            fp,
-            CacheEntry {
-                key,
-                outcome,
-                referenced: AtomicBool::new(true),
-            },
-        );
-        evicted
-    }
-
-    /// One CLOCK sweep: clears reference bits until an unreferenced entry is
-    /// found, then evicts it at the hand (the ring `swap_remove` keeps the
-    /// ring↔map correspondence exact).
-    // lint: allow(W003, reason = "the hand is wrapped to ring.len() at the top of every sweep iteration, and the ring and map hold the same fingerprints by the insert/evict invariant the expect states", scope = "block")
-    fn evict_one(&mut self) {
-        debug_assert!(!self.ring.is_empty(), "evict_one on an empty shard");
-        loop {
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
-            }
-            let fp = self.ring[self.hand];
-            let entry = self.map.get_mut(&fp).expect("ring fingerprint is mapped");
-            if std::mem::take(entry.referenced.get_mut()) {
-                self.hand += 1; // second chance
-                continue;
-            }
-            self.bytes -= entry_bytes(entry.key.len());
-            self.map.remove(&fp);
-            self.ring.swap_remove(self.hand);
-            return;
-        }
-    }
-}
-
-/// One cache shard, padded to its own cache line so shard locks and hit
-/// counters on different shards never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct CacheShard {
-    inner: RwLock<ShardInner>,
-    /// Cache hits served by this shard (summed into [`ExecStats`]).
-    hits: AtomicUsize,
-    /// Entries this shard evicted under a memory budget.
-    evictions: AtomicUsize,
-}
-
-/// The sharded dense-key → outcome read cache (see the module docs).
-struct ReadCache {
-    shards: Vec<CacheShard>,
-    /// Per-shard caps derived from the [`MemoryBudget`].
-    max_entries: Option<usize>,
-    max_bytes: Option<usize>,
-}
-
-impl ReadCache {
-    fn new(budget: MemoryBudget) -> Self {
-        let (max_entries, max_bytes) = budget.per_shard();
-        ReadCache {
-            shards: (0..CACHE_SHARDS).map(|_| CacheShard::default()).collect(),
-            max_entries,
-            max_bytes,
-        }
-    }
-
-    /// Shard selection uses the fingerprint's *high* bits; the map's bucket
-    /// index uses the low bits, so the two stay independent. The shift is
-    /// derived from `CACHE_SHARDS` so resizing the shard count keeps every
-    /// shard reachable.
-    #[inline]
-    fn shard(&self, fp: u64) -> &CacheShard {
-        const _: () = assert!(CACHE_SHARDS.is_power_of_two());
-        // lint: allow(W003, reason = "the index is masked by CACHE_SHARDS - 1 and shards holds exactly CACHE_SHARDS entries")
-        &self.shards[(fp >> (64 - CACHE_SHARDS.trailing_zeros())) as usize & (CACHE_SHARDS - 1)]
-    }
-
-    /// Looks a key up by its precomputed fingerprint and, on a hit, counts
-    /// it on the shard's local counter and marks the entry recently used.
-    #[inline]
-    fn get_counted(&self, fp: u64, key: &[u32]) -> Option<Outcome> {
-        let shard = self.shard(fp);
-        let bounded = self.is_bounded();
-        let inner = shard.inner.read();
-        let hit = match inner.map.get(&fp) {
-            Some(entry) if entry.key.as_ref() == key => {
-                // The second-chance bit only matters when eviction can
-                // happen; unbounded mode skips the shared-line write.
-                // Relaxed: a lost race just ages the entry one sweep early.
-                if bounded {
-                    entry.referenced.store(true, Ordering::Relaxed);
-                }
-                Some(entry.outcome)
-            }
-            _ => None,
-        };
-        drop(inner);
-        // Relaxed: telemetry-only hit counter, never read for control flow.
-        if hit.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    fn insert(&self, fp: u64, key: Box<[u32]>, outcome: Outcome) {
-        let shard = self.shard(fp);
-        let evicted = shard
-            .inner
-            .write()
-            .insert(fp, key, outcome, self.max_entries, self.max_bytes);
-        // Relaxed: telemetry-only eviction counter.
-        if evicted > 0 {
-            let before = shard.evictions.fetch_add(evicted, Ordering::Relaxed);
-            let after = before + evicted;
-            // Sampled flight event when the shard's eviction count crosses
-            // an EVICTION_SAMPLE boundary: cheap enough to stay always-on,
-            // frequent enough that sustained thrash is visible in FLIGHT.
-            if before / EVICTION_SAMPLE != after / EVICTION_SAMPLE {
-                bugdoc_telemetry::event(
-                    bugdoc_telemetry::EventKind::EvictionPressure,
-                    after as u64,
-                    evicted as u64,
-                    0,
-                );
-            }
-        }
-    }
-
-    /// True when a memory budget is in force (entries can be evicted, so a
-    /// shard miss is not authoritative).
-    #[inline]
-    fn is_bounded(&self) -> bool {
-        self.max_entries.is_some() || self.max_bytes.is_some()
-    }
-
-    fn hits(&self) -> usize {
-        self.shards
-            .iter()
-            // Relaxed: summing telemetry counters for a diagnostic readout.
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn evictions(&self) -> usize {
-        self.shards
-            .iter()
-            // Relaxed: summing telemetry counters for a diagnostic readout.
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Entries currently cached across all shards.
-    fn entries(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.read().map.len()).sum()
-    }
-}
-
 impl ExecStats {
     /// The statistics accrued since `baseline` was snapshotted — the
     /// per-session view a diagnosis service reports when many sessions
@@ -499,10 +140,6 @@ impl ExecStats {
             cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
             unavailable: self.unavailable.saturating_sub(baseline.unavailable),
             budget_refusals: self.budget_refusals.saturating_sub(baseline.budget_refusals),
-            evictions: self.evictions.saturating_sub(baseline.evictions),
-            log_rederivations: self
-                .log_rederivations
-                .saturating_sub(baseline.log_rederivations),
             sim_time: SimTime::from_secs((self.sim_time.secs() - baseline.sim_time.secs()).max(0.0)),
             parallel_epoch_queries: self
                 .parallel_epoch_queries
@@ -527,14 +164,12 @@ impl ExecStats {
     /// automatically surfaces it everywhere (and the wire-parity test
     /// fails if a renderer goes stale). `sim_time` is excluded: it is a
     /// duration, not a counter.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 11] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 9] {
         [
             ("new_executions", self.new_executions as u64),
             ("cache_hits", self.cache_hits as u64),
             ("unavailable", self.unavailable as u64),
             ("budget_refusals", self.budget_refusals as u64),
-            ("evictions", self.evictions as u64),
-            ("log_rederivations", self.log_rederivations as u64),
             ("parallel_epoch_queries", self.parallel_epoch_queries),
             ("epochs_scanned", self.epochs_scanned),
             ("bounds_pruned_subtrees", self.bounds_pruned_subtrees),
@@ -551,7 +186,6 @@ struct AtomicStats {
     cache_hits: AtomicUsize,
     unavailable: AtomicUsize,
     budget_refusals: AtomicUsize,
-    log_rederivations: AtomicUsize,
     /// Budget slots reserved by diagnosis sessions but not yet executed
     /// (admission control; see [`Executor::try_reserve_session`]).
     session_reserved: AtomicUsize,
@@ -571,26 +205,20 @@ impl AtomicStats {
             });
     }
 
-    /// Snapshot; `shard_hits`/`evictions` are the sums of the read cache's
-    /// per-shard counters (keyed cache hits are counted at the shard they
-    /// touch), `(parallel_epoch_queries, epochs_scanned)` comes from the
+    /// Snapshot; `(parallel_epoch_queries, epochs_scanned)` comes from the
     /// provenance store's query counters, and
     /// `(bounds_short_circuits, bounds_fallthroughs)` from its bounds
     /// counters.
     fn snapshot(
         &self,
-        shard_hits: usize,
-        evictions: usize,
         (parallel_epoch_queries, epochs_scanned): (u64, u64),
         (bounds_short_circuits, bounds_fallthroughs): (u64, u64),
     ) -> ExecStats {
         ExecStats {
             new_executions: self.new_executions.load(Ordering::SeqCst),
-            cache_hits: self.cache_hits.load(Ordering::SeqCst) + shard_hits,
+            cache_hits: self.cache_hits.load(Ordering::SeqCst),
             unavailable: self.unavailable.load(Ordering::SeqCst),
             budget_refusals: self.budget_refusals.load(Ordering::SeqCst),
-            evictions,
-            log_rederivations: self.log_rederivations.load(Ordering::SeqCst),
             sim_time: SimTime::from_secs(f64::from_bits(
                 self.sim_time_bits.load(Ordering::SeqCst),
             )),
@@ -603,17 +231,16 @@ impl AtomicStats {
     }
 }
 
-/// The caching, budgeted, parallel instance dispatcher.
+/// The budgeted, parallel instance dispatcher.
 pub struct Executor {
     pipeline: Arc<dyn Pipeline>,
     config: ExecutorConfig,
     provenance: RwLock<ProvenanceStore>,
-    cache: ReadCache,
     stats: AtomicStats,
     /// The durable-provenance writer, when persistence is configured. Locked
-    /// only on the new-execution record path (never on cache hits), always
-    /// while the provenance write lock is held, so WAL frame order equals
-    /// run-log order. The inner `Option` exists for [`Executor::shutdown`],
+    /// only on the new-execution record path (never on provenance hits),
+    /// always while the provenance write lock is held, so WAL frame order
+    /// equals run-log order. The inner `Option` exists for [`Executor::shutdown`],
     /// which takes the store out (from `&self`) to close it gracefully; it
     /// is `Some` for the executor's whole serving life.
     persist: Option<Mutex<Option<DurableStore>>>,
@@ -663,19 +290,18 @@ impl Executor {
     /// directory's existing history is recovered first, then the caller's
     /// seed runs are merged in (novel ones are appended to the WAL), and the
     /// union seeds the executor. Seeded and recovered runs alike are
-    /// answered as cache hits, so
+    /// answered as provenance hits, so
     /// `new_executions == provenance.len() - seeded` keeps holding.
     pub fn try_with_provenance(
         pipeline: Arc<dyn Pipeline>,
         config: ExecutorConfig,
         provenance: ProvenanceStore,
     ) -> Result<Self, PersistError> {
-        let space = pipeline.space().clone();
         let (mut provenance, persist, recovery) = match &config.persist {
             None => (provenance, None, None),
             Some(persist_config) => {
                 let (mut recovered, mut durable, recovery) =
-                    DurableStore::open(&space, persist_config)?;
+                    DurableStore::open(pipeline.space(), persist_config)?;
                 for run in provenance.runs() {
                     if recovered.record(run.instance.clone(), run.eval) {
                         // lint: allow(W003, reason = "record returned true, so the run log is non-empty and last() is the run just appended")
@@ -691,26 +317,10 @@ impl Executor {
         // sequential, so a small log never pays for threads.
         provenance.set_query_workers(config.workers);
         provenance.set_bounds_enabled(config.bounds);
-        let cache = ReadCache::new(config.memory);
-        for run in provenance.runs() {
-            let key: Option<Box<[u32]>> = run
-                .instance
-                .dense_key()
-                .map(Into::into)
-                .or_else(|| space.encode(&run.instance));
-            if let Some(key) = key {
-                let fp = run
-                    .instance
-                    .dense_fingerprint()
-                    .unwrap_or_else(|| hash_dense_key(&key));
-                cache.insert(fp, key, run.outcome());
-            }
-        }
         Ok(Executor {
             pipeline,
             config,
             provenance: RwLock::new(provenance),
-            cache,
             stats: AtomicStats::default(),
             persist,
             recovery,
@@ -865,12 +475,7 @@ impl Executor {
             let prov = self.provenance.read();
             (prov.query_counters(), prov.bounds_counters())
         };
-        self.stats.snapshot(
-            self.cache.hits(),
-            self.cache.evictions(),
-            query_counters,
-            bounds_counters,
-        )
+        self.stats.snapshot(query_counters, bounds_counters)
     }
 
     /// Counts `n` candidate causes / search subtrees that an algorithm
@@ -888,13 +493,6 @@ impl Executor {
         }
     }
 
-    /// Outcomes currently held in the read cache (equals the number of
-    /// encodable recorded instances when the memory budget is unbounded;
-    /// bounded by the budget otherwise).
-    pub fn cache_entries(&self) -> usize {
-        self.cache.entries()
-    }
-
     /// A snapshot of the current provenance.
     pub fn provenance(&self) -> ProvenanceStore {
         self.provenance.read().clone()
@@ -906,16 +504,6 @@ impl Executor {
     /// back into `evaluate`/`evaluate_batch` (which may need the write lock).
     pub fn with_provenance_ref<R>(&self, f: impl FnOnce(&ProvenanceStore) -> R) -> R {
         f(&self.provenance.read())
-    }
-
-    /// The probe key for an instance: its cached dense key, or a fresh
-    /// encoding against the pipeline's space.
-    #[inline]
-    fn key_for(&self, instance: &Instance) -> Option<Box<[u32]>> {
-        instance
-            .dense_key()
-            .map(Into::into)
-            .or_else(|| self.pipeline.space().encode(instance))
     }
 
     /// Reserves one budget slot. Returns `false` when the budget is already
@@ -941,7 +529,7 @@ impl Executor {
         self.stats.new_executions.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Reclassifies a reserved slot as a cache hit: another worker recorded
+    /// Reclassifies a reserved slot as a hit: another worker recorded
     /// the same instance while this one was executing it.
     fn reclassify_as_hit(&self) {
         self.stats.new_executions.fetch_sub(1, Ordering::SeqCst);
@@ -950,86 +538,25 @@ impl Executor {
         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Cache probe, counting the hit where it is found: on the shard's local
-    /// counter for keyed probes, on the residual counter for key-less ones.
-    ///
-    /// Under a memory budget, a keyed probe that misses the shard cache is
-    /// not yet a miss: the entry may have been evicted, so the provenance
-    /// log — the source of truth — gets the final word. A log hit
-    /// re-publishes the entry so the hot set re-warms after eviction. With
-    /// an unbounded cache (write-through, never evicts) a shard miss is
-    /// authoritative and the extra probe is skipped, keeping the cold path
-    /// identical to the eviction-free executor.
+    /// Provenance probe: the recorded outcome of `instance`, counting a hit.
+    /// One [`ProvenanceStore::lookup`] under the read lock — a dense-key
+    /// hash probe for the instances the algorithms build, an encode first
+    /// for the rest.
     #[inline]
-    fn probe_counted(&self, instance: &Instance, key: Option<(u64, &[u32])>) -> Option<Outcome> {
-        match key {
-            Some((fp, k)) => {
-                if let Some(outcome) = self.cache.get_counted(fp, k) {
-                    return Some(outcome);
-                }
-                if !self.cache.is_bounded() {
-                    return None;
-                }
-                // Sampled latency probe (1 in REDERIVE_SAMPLE): deciding up
-                // front lets unsampled misses skip both clock reads — at a
-                // thrashing 25% cache budget the miss path is hot enough to
-                // trip the bench gate if every miss paid two `Instant::now`
-                // calls. Relaxed: telemetry-only sampling decision.
-                let timed = self.stats.log_rederivations.load(Ordering::Relaxed)
-                    % REDERIVE_SAMPLE
-                    == 0;
-                let started = timed.then(Instant::now);
-                let rederived = self.provenance.read().lookup(instance).map(|e| e.outcome);
-                if let Some(outcome) = rederived {
-                    // Relaxed: telemetry-only counters.
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.stats.log_rederivations.fetch_add(1, Ordering::Relaxed);
-                    self.cache.insert(fp, k.into(), outcome);
-                    if let Some(started) = started {
-                        // Off the shard-hit fast path by construction: only
-                        // an evicted/collided probe pays the log walk, and
-                        // its latency is the signal a memory-budget tuner
-                        // needs.
-                        rederive_ns().record_elapsed(started);
-                    }
-                }
-                rederived
-            }
-            None => {
-                let hit = self.provenance.read().lookup(instance).map(|e| e.outcome);
-                // Relaxed: telemetry-only counter.
-                if hit.is_some() {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                hit
-            }
+    fn probe_counted(&self, instance: &Instance) -> Option<Outcome> {
+        let hit = self.provenance.read().lookup(instance).map(|e| e.outcome);
+        if hit.is_some() {
+            // Relaxed: telemetry-only counter.
+            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
+        hit
     }
 
     /// Evaluates one instance: provenance hit if known, otherwise a budgeted
     /// execution. Advances the virtual clock by the instance cost (a single
     /// evaluation cannot be overlapped with anything).
     pub fn evaluate(&self, instance: &Instance) -> Result<Outcome, ExecError> {
-        // Borrow the instance's own dense key when it carries one: the
-        // cache-hit path then allocates nothing. Encoding is needed only for
-        // key-less probes, and boxing only when a new result is published.
-        let encoded: Option<Box<[u32]>> = if instance.dense_key().is_some() {
-            None
-        } else {
-            self.pipeline.space().encode(instance)
-        };
-        let key: Option<(u64, &[u32])> = match (instance.dense_key(), &encoded) {
-            (Some(k), _) => Some((
-                instance
-                    .dense_fingerprint()
-                    // lint: allow(W003, reason = "Instance invariant: a dense key and its fingerprint travel together")
-                    .expect("fingerprint accompanies the dense key"),
-                k,
-            )),
-            (None, Some(k)) => Some((hash_dense_key(k), k)),
-            (None, None) => None,
-        };
-        if let Some(outcome) = self.probe_counted(instance, key) {
+        if let Some(outcome) = self.probe_counted(instance) {
             return Ok(outcome);
         }
         if !self.try_reserve() {
@@ -1049,9 +576,6 @@ impl Executor {
                 self.persist_snapshot_if_due(snapshot_due);
                 if fresh {
                     self.stats.add_sim_time(cost);
-                    if let Some((fp, k)) = key {
-                        self.cache.insert(fp, k.into(), eval.outcome);
-                    }
                 } else {
                     self.reclassify_as_hit();
                 }
@@ -1071,51 +595,24 @@ impl Executor {
     /// Results are positionally aligned with the input. Duplicate instances
     /// within the batch are executed once. The budget is applied in input
     /// order: once exhausted, remaining *new* instances get
-    /// [`ExecError::BudgetExhausted`] (cache hits are still answered).
+    /// [`ExecError::BudgetExhausted`] (provenance hits are still answered).
     ///
     /// The virtual clock advances by the makespan of greedy list scheduling
     /// of the executed instances' costs on `workers` machines — the quantity
     /// the paper's Figure 6 tracks as core counts grow.
-    // lint: allow(W003, reason = "results/keys/encoded are all sized to instances.len() and indexed by batch positions from the same enumerate (to_run holds such positions); the scope/join expects propagate worker panics; first_occurrence is populated before any duplicate reads it", scope = "block")
+    // lint: allow(W003, reason = "results is sized to instances.len() and indexed by batch positions from the same enumerate (to_run holds such positions); the scope/join expects propagate worker panics; first_occurrence is populated before any duplicate reads it", scope = "block")
     pub fn evaluate_batch(&self, instances: &[Instance]) -> Vec<Result<Outcome, ExecError>> {
         let mut results: Vec<Option<Result<Outcome, ExecError>>> = vec![None; instances.len()];
-        // Like `evaluate`, borrow each instance's own dense key; only
-        // instances without one get a freshly encoded (owned) key. Pure
-        // cache-hit probes therefore allocate nothing.
-        let space = self.pipeline.space();
-        let encoded: Vec<Option<Box<[u32]>>> = instances
-            .iter()
-            .map(|i| {
-                if i.dense_key().is_some() {
-                    None
-                } else {
-                    space.encode(i)
-                }
-            })
-            .collect();
-        let keys: Vec<Option<(u64, &[u32])>> = instances
-            .iter()
-            .zip(&encoded)
-            .map(|(i, enc)| match (i.dense_key(), enc) {
-                (Some(k), _) => Some((
-                    i.dense_fingerprint()
-                        .expect("fingerprint accompanies the dense key"),
-                    k,
-                )),
-                (None, Some(k)) => Some((hash_dense_key(k), k.as_ref())),
-                (None, None) => None,
-            })
-            .collect();
         // Positions in the batch that need execution, deduplicated: the first
         // occurrence executes; later duplicates copy its result.
         let mut to_run: Vec<usize> = Vec::new();
         let mut first_occurrence: std::collections::HashMap<&Instance, usize> =
             std::collections::HashMap::new();
 
-        // Probe phase: sharded cache reads plus budget reservations, in input
+        // Probe phase: provenance reads plus budget reservations, in input
         // order — no exclusive lock anywhere.
         for (i, instance) in instances.iter().enumerate() {
-            if let Some(outcome) = self.probe_counted(instance, keys[i]) {
+            if let Some(outcome) = self.probe_counted(instance) {
                 results[i] = Some(Ok(outcome));
                 continue;
             }
@@ -1180,9 +677,6 @@ impl Executor {
                         if prov.record(instances[pos].clone(), eval) {
                             snapshot_due |= self.persist_record(&prov);
                             executed_costs.push(cost);
-                            if let Some((fp, k)) = keys[pos] {
-                                self.cache.insert(fp, k.into(), eval.outcome);
-                            }
                         } else {
                             self.reclassify_as_hit();
                         }
@@ -1217,21 +711,11 @@ impl Executor {
 
     /// Records an externally-obtained evaluation (e.g. seeding mid-run).
     pub fn record_external(&self, instance: Instance, eval: EvalResult) {
-        let key = self.key_for(&instance);
-        let fp = instance
-            .dense_fingerprint()
-            .or_else(|| key.as_deref().map(hash_dense_key));
-        let (fresh, snapshot_due) = {
+        let snapshot_due = {
             let mut prov = self.provenance.write();
-            let fresh = prov.record(instance, eval);
-            (fresh, fresh && self.persist_record(&prov))
+            prov.record(instance, eval) && self.persist_record(&prov)
         };
         self.persist_snapshot_if_due(snapshot_due);
-        if fresh {
-            if let (Some(k), Some(fp)) = (key, fp) {
-                self.cache.insert(fp, k, eval.outcome);
-            }
-        }
     }
 
     /// Convenience: all runs recorded so far.
@@ -1494,104 +978,6 @@ mod tests {
         // Must not panic; NaN ends up on some machine and poisons the max.
         let m = makespan(&[c(1.0), c(f64::NAN), c(2.0)], 2);
         assert!(m.secs().is_nan() || m.secs() >= 2.0);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_and_stays_exact() {
-        let s = space(); // 25 instances
-        let exec = Executor::new(
-            pipe(&s),
-            ExecutorConfig {
-                workers: 1,
-                budget: None,
-                memory: MemoryBudget::Entries(6),
-                ..Default::default()
-            },
-        );
-        let all: Vec<_> = (1..=5)
-            .flat_map(|x| (1..=5).map(move |y| (x, y)))
-            .map(|(x, y)| inst(&s, x, y))
-            .collect();
-        // Two full passes: the second is all cache hits *or* log
-        // re-derivations, never re-executions.
-        for i in &all {
-            exec.evaluate(i).unwrap();
-        }
-        for i in &all {
-            let expected = Outcome::from_check(i.get(s.by_name("x").unwrap()) != &Value::from(3));
-            assert_eq!(exec.evaluate(i), Ok(expected));
-        }
-        let stats = exec.stats();
-        assert_eq!(stats.new_executions, 25, "eviction must not re-execute");
-        assert_eq!(stats.cache_hits, 25);
-        assert!(stats.evictions > 0, "a 6-entry cache over 25 keys must evict");
-        assert!(stats.log_rederivations > 0);
-        assert!(
-            exec.cache_entries() <= 16,
-            "per-shard floor is 1 entry; got {}",
-            exec.cache_entries()
-        );
-        assert_eq!(exec.provenance().len(), 25);
-    }
-
-    #[test]
-    fn byte_budget_bounds_cache() {
-        let s = space();
-        let exec = Executor::new(
-            pipe(&s),
-            ExecutorConfig {
-                workers: 1,
-                budget: None,
-                memory: MemoryBudget::Bytes(4 * 1024),
-                ..Default::default()
-            },
-        );
-        let all: Vec<_> = (1..=5)
-            .flat_map(|x| (1..=5).map(move |y| (x, y)))
-            .map(|(x, y)| inst(&s, x, y))
-            .collect();
-        for i in &all {
-            exec.evaluate(i).unwrap();
-        }
-        assert_eq!(exec.stats().new_executions, 25);
-        // 25 entries × (8 key bytes + overhead) fits 4 KiB, so nothing evicts;
-        // shrink to 1 KiB and eviction must kick in.
-        let tight = Executor::new(
-            pipe(&s),
-            ExecutorConfig {
-                workers: 1,
-                budget: None,
-                memory: MemoryBudget::Bytes(CACHE_SHARDS * ENTRY_OVERHEAD_BYTES),
-                ..Default::default()
-            },
-        );
-        for i in &all {
-            tight.evaluate(i).unwrap();
-        }
-        for i in &all {
-            tight.evaluate(i).unwrap();
-        }
-        assert_eq!(tight.stats().new_executions, 25);
-        assert!(tight.stats().evictions > 0);
-    }
-
-    #[test]
-    fn unbounded_mode_never_evicts() {
-        let s = space();
-        let exec = Executor::new(pipe(&s), ExecutorConfig::default());
-        let all: Vec<_> = (1..=5)
-            .flat_map(|x| (1..=5).map(move |y| (x, y)))
-            .map(|(x, y)| inst(&s, x, y))
-            .collect();
-        for _ in 0..2 {
-            for i in &all {
-                exec.evaluate(i).unwrap();
-            }
-        }
-        let stats = exec.stats();
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.log_rederivations, 0);
-        assert_eq!(exec.cache_entries(), 25);
     }
 
     fn persist_dir(name: &str) -> std::path::PathBuf {

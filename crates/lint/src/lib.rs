@@ -1,7 +1,7 @@
 //! `bugdoc-lint` — the workspace invariant checker.
 //!
 //! PRs 1–7 accumulated load-bearing contracts that existed only as prose in
-//! ROADMAP.md: the kernel autovectorization contract, the sharded-lock
+//! ROADMAP.md: the kernel autovectorization contract, the lock-hold
 //! discipline, panic-freedom on the hot paths, the atomic-ordering audit,
 //! and the WAL codec's checked-cast rule. This crate machine-enforces them
 //! on every build: a zero-dependency lexer (comments, strings, raw strings,

@@ -55,7 +55,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "lock-hold-discipline",
         summary: "a .read()/.write() guard binding must not live across .execute(), \
                   fsync/sync_all/sync_data, or File::/OpenOptions calls in its block \
-                  (the executor-stall shape PR 1's sharding removed)",
+                  (the executor-stall shape PR 1's lock split removed)",
     },
     RuleInfo {
         id: "W003",

@@ -15,7 +15,7 @@
 
 use crate::protocol::{self, Command, MAX_LINE_BYTES};
 use crate::session::SessionManager;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -100,6 +100,10 @@ enum ReadLine {
 /// Reads one `\n`-terminated line into `buf`, tolerating read timeouts (the
 /// partial prefix accumulates across them) so the shutdown flag is polled
 /// between waits. The caller owns clearing `buf` between lines.
+///
+/// Every read is capped so `buf` never holds more than `MAX_LINE_BYTES + 1`
+/// bytes: a peer that streams without a newline is dropped once it reaches
+/// the cap, however it paces its writes.
 fn read_wire_line(
     reader: &mut BufReader<UnixStream>,
     buf: &mut Vec<u8>,
@@ -109,14 +113,14 @@ fn read_wire_line(
         if shutdown.load(Ordering::SeqCst) {
             return ReadLine::Dead;
         }
-        match reader.read_until(b'\n', buf) {
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', buf) {
+            Ok(_) if buf.last() == Some(&b'\n') => return ReadLine::Line,
+            Ok(_) if buf.len() > MAX_LINE_BYTES => return ReadLine::Dead,
             Ok(0) if buf.is_empty() => return ReadLine::Eof,
+            // End of stream after a final unterminated line.
             Ok(_) => return ReadLine::Line,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if buf.len() > MAX_LINE_BYTES {
-                    return ReadLine::Dead;
-                }
-            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return ReadLine::Dead,
         }
@@ -263,4 +267,47 @@ fn dispatch(
         }
     };
     Some(reply)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use bugdoc_engine::Executor;
+
+    /// A peer that streams bytes without ever sending a newline is dropped
+    /// once it passes the line cap, instead of growing the line buffer for
+    /// as long as it keeps writing; a new connection is still served.
+    #[test]
+    fn endless_line_drops_the_peer_and_the_daemon_keeps_serving() {
+        let path =
+            std::env::temp_dir().join(format!("bugdoc-daemon-endless-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let manager = Arc::new(SessionManager::new(Box::new(
+            |_: &str| -> Result<Executor, String> { Err("no executors here".to_string()) },
+        )));
+        let shutdown = AtomicBool::new(false);
+        let (streamed, pong) = std::thread::scope(|scope| {
+            let flag = &shutdown;
+            let daemon = scope.spawn(move || Daemon::over(listener, manager).run(flag));
+
+            let mut hostile = UnixStream::connect(&path).unwrap();
+            let chunk = vec![b'x'; 64 * 1024];
+            let streamed = (0..128).try_for_each(|_| hostile.write_all(&chunk));
+            let pong = Client::connect(&path).and_then(|mut client| client.request("PING"));
+
+            // Stop the daemon before asserting, so a failure reports
+            // instead of leaving the scope waiting on the accept loop.
+            shutdown.store(true, Ordering::SeqCst);
+            daemon.join().unwrap().unwrap();
+            (streamed, pong)
+        });
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            streamed.is_err(),
+            "8 MiB without a newline went through: the daemon never dropped the peer"
+        );
+        assert_eq!(pong.unwrap().head, "pong");
+    }
 }

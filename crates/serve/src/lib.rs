@@ -3,8 +3,8 @@
 //! The diagnosis service daemon behind `bugdoc serve`: a long-lived process
 //! serving concurrent debugging sessions over **one shared executor per
 //! pipeline spec**, so sessions debugging the same pipeline share
-//! executions, provenance, the result cache, and the durable store —
-//! instead of each one-shot CLI run paying the full execution bill alone.
+//! executions, provenance, and the durable store — instead of each
+//! one-shot CLI run paying the full execution bill alone.
 //!
 //! The crate splits front-end-agnostically:
 //!

@@ -1,8 +1,8 @@
 //! Diagnosis sessions multiplexed over shared executors.
 //!
 //! The [`SessionManager`] is the daemon's heart: every session that binds
-//! the same spec text shares one [`Executor`] — and therefore one result
-//! cache, one provenance log, one budget, and one durable store. Two
+//! the same spec text shares one [`Executor`] — and therefore one
+//! provenance log, one budget, and one durable store. Two
 //! engineers debugging the same pipeline stop paying for each other's
 //! executions: whatever one session ran, the other's diagnosis answers from
 //! provenance.
@@ -344,10 +344,10 @@ impl SessionManager {
     }
 
     /// Renders the daemon-wide telemetry view as Prometheus text
-    /// exposition: every registered metric (store timings, serve counters,
-    /// the engine's re-derivation histogram), the executor counters bridged
-    /// at scrape time from each resident executor's [`ExecStats`], and
-    /// per-executor session/run/uptime gauges. Entirely in-memory (W007:
+    /// exposition: every registered metric (store timings, serve counters),
+    /// the executor counters bridged at scrape time from each resident
+    /// executor's [`ExecStats`], and per-executor session/run/uptime
+    /// gauges. Entirely in-memory (W007:
     /// handlers never block on files), and nothing here holds a manager
     /// lock while reading executor stats.
     pub fn render_metrics(&self) -> String {

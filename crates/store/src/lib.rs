@@ -38,14 +38,14 @@
 //! ```
 //!
 //! **Snapshot** — 64-byte header (`"BDSNAPv1"` magic, space digest, epoch
-//! size, run count, WAL segment, WAL offset, retired-epoch watermark — all
-//! `u64` LE — then the CRC-32 of those 56 bytes and 4 zero bytes) followed
-//! by one frame per run in recording order. The header is checksummed
-//! because its WAL position licenses truncation and pruning. Written to a
-//! `.tmp` name, fsynced, and renamed into place (directory fsynced before
-//! any pruning trusts the rename); the newest two are retained so a
-//! damaged snapshot falls back to its predecessor, then to full WAL
-//! replay.
+//! size, run count, WAL segment, WAL offset, watermark (written as 0; see
+//! `snapshot`) — all `u64` LE — then the CRC-32 of those 56 bytes and 4
+//! zero bytes) followed by one frame per run in recording order. The
+//! header is checksummed because its WAL position licenses truncation and
+//! pruning. Written to a `.tmp` name, fsynced, and renamed into place
+//! (directory fsynced before any pruning trusts the rename); the newest
+//! two are retained so a damaged snapshot falls back to its predecessor,
+//! then to full WAL replay.
 //!
 //! A `lock` file (holding the owner's pid) guards the directory against
 //! concurrent writers; locks left by dead processes are broken

@@ -6,10 +6,10 @@
 //! File name: `snap-NNNNNNNNNNNN.bds`, the number being the covered run
 //! count (monotonic, so lexicographic order is recency order). Layout: a
 //! 64-byte header — magic `BDSNAPv1`, space digest, epoch size, run count,
-//! WAL segment, WAL offset, retired-epoch watermark (all `u64` LE), then
-//! the CRC-32 of those first 56 bytes (`u32` LE) and 4 zero bytes — then
-//! one checksummed frame per run in recording order (the same frame format
-//! as the WAL). The header carries its own checksum because its WAL
+//! WAL segment, WAL offset, watermark (all `u64` LE), then the CRC-32 of
+//! those first 56 bytes (`u32` LE) and 4 zero bytes — then one
+//! checksummed frame per run in recording order (the same frame format as
+//! the WAL). The header carries its own checksum because its WAL
 //! position *drives destruction*: replay truncates the log from it and
 //! pruning deletes segments below it, so a bit-flipped position must read
 //! as "snapshot damaged", never as license to delete valid data.
@@ -19,6 +19,12 @@
 //! before any WAL segment is pruned against it; loading still validates
 //! the header checksum and every frame, and falls back to the previous
 //! snapshot (then to full WAL replay) if anything is off.
+//!
+//! The watermark word once counted the index epochs a store had retired.
+//! Stores no longer retire epochs, so snapshots write 0 there and loading
+//! ignores the value — except that a watermark above the image's
+//! full-epoch count is damage, as it always was. Snapshots whose watermark
+//! is non-zero therefore still load, with no format change.
 
 use crate::crc32::crc32;
 use crate::frame::{append_frame, next_frame, NextFrame, RunRecord};
@@ -60,7 +66,7 @@ pub(crate) fn list_snapshots(dir: &Path) -> Result<Vec<u64>, PersistError> {
 
 /// A successfully loaded snapshot.
 pub struct LoadedSnapshot {
-    /// The rebuilt store (compacted back to the recorded watermark).
+    /// The rebuilt store.
     pub store: ProvenanceStore,
     /// Where WAL replay should resume.
     pub wal_position: WalPosition,
@@ -126,7 +132,7 @@ pub fn snapshot_bytes(
     bytes.extend_from_slice(&runs.to_le_bytes());
     bytes.extend_from_slice(&wal_position.segment.to_le_bytes());
     bytes.extend_from_slice(&wal_position.offset.to_le_bytes());
-    bytes.extend_from_slice(&(store.retired_epochs() as u64).to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // watermark (module docs)
     debug_assert_eq!(bytes.len(), SNAP_HEADER_CRC_AT);
     let header_crc = crc32(&bytes);
     bytes.extend_from_slice(&header_crc.to_le_bytes());
@@ -237,7 +243,11 @@ fn parse_snapshot(
         segment: word(3),
         offset: word(4),
     };
-    let retired = word(5) as usize;
+    // The watermark is ignored beyond this range check (see the module
+    // docs): it can never exceed the image's full epochs.
+    if word(5) > (runs / epoch_runs) as u64 {
+        return Err(corrupt());
+    }
 
     // Walk the frames sequentially (framing and validity are inherently
     // serial), then materialize the validated records in parallel batches —
@@ -267,15 +277,6 @@ fn parse_snapshot(
             return Err(corrupt()); // duplicate rows: not a valid store image
         }
     }
-    // Restore the compaction watermark: retire the same oldest epochs the
-    // snapshotting store had already folded into summaries.
-    let full = store.len() / store.epoch_runs();
-    if retired > 0 {
-        if retired > full {
-            return Err(corrupt());
-        }
-        store.compact(full - retired);
-    }
     Ok(LoadedSnapshot {
         store,
         wal_position,
@@ -286,7 +287,7 @@ fn parse_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::{EvalResult, Outcome};
+    use bugdoc_core::{Comparator, Conjunction, EvalResult, Outcome, Predicate};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bugdoc-snap-{name}-{}", std::process::id()));
@@ -331,16 +332,78 @@ mod tests {
         }
     }
 
+    /// Rewrites the watermark word of a written snapshot and re-seals the
+    /// header CRC — the header a store that had retired `watermark` index
+    /// epochs used to write.
+    fn patch_watermark(path: &Path, watermark: u64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[48..SNAP_HEADER_CRC_AT].copy_from_slice(&watermark.to_le_bytes());
+        let crc = crc32(&bytes[..SNAP_HEADER_CRC_AT]);
+        bytes[SNAP_HEADER_CRC_AT..SNAP_HEADER_CRC_AT + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    /// Snapshots written by stores that retired index epochs carry a
+    /// non-zero watermark. They load with the same runs and the same
+    /// answers; a watermark above the full-epoch count is still damage, so
+    /// loading falls back to the older snapshot, then to WAL replay.
     #[test]
-    fn compaction_watermark_restored() {
+    fn legacy_watermark_loads_and_out_of_range_is_corrupt() {
         let dir = tmp("watermark");
-        let mut store = filled_store(128);
-        store.compact(0);
-        assert_eq!(store.retired_epochs(), 2);
+        let older = WalPosition {
+            segment: 2,
+            offset: 16,
+        };
+        write_snapshot(&dir, 1, &filled_store(100), older).unwrap();
+        let store = filled_store(128); // two full 64-run epochs
         write_snapshot(&dir, 1, &store, POS).unwrap();
+        let newest = dir.join(snapshot_name(128));
+        let written = std::fs::read(&newest).unwrap();
+        assert_eq!(
+            written[48..SNAP_HEADER_CRC_AT],
+            [0u8; 8],
+            "new snapshots write 0"
+        );
+
+        // Both full epochs retired: the header a fully compacted store wrote.
+        patch_watermark(&newest, 2);
         let loaded = load_latest(&dir, 1, &space(), 2).unwrap().unwrap();
-        assert_eq!(loaded.store.retired_epochs(), 2);
+        assert_eq!(loaded.runs, 128);
+        assert_eq!(loaded.wal_position, POS);
         assert_eq!(loaded.store.epoch_runs(), 64);
+        assert_eq!(loaded.store.runs(), store.runs());
+        let s = space();
+        let (x, y) = (s.by_name("x").unwrap(), s.by_name("y").unwrap());
+        let causes: Vec<Conjunction> = (0..16i64)
+            .flat_map(|v| {
+                [
+                    Conjunction::new(vec![Predicate::eq(x, v)]),
+                    Conjunction::new(vec![
+                        Predicate::eq(x, v),
+                        Predicate::new(y, Comparator::Le, v % 8),
+                    ]),
+                ]
+            })
+            .collect();
+        for cause in &causes {
+            assert_eq!(
+                loaded.store.succeeding_superset_exists_exact(cause),
+                store.succeeding_superset_exists_exact(cause),
+                "{}",
+                cause.display(&s)
+            );
+        }
+
+        // Three retired epochs out of two full ones: corrupt.
+        patch_watermark(&newest, 3);
+        let loaded = load_latest(&dir, 1, &space(), 2).unwrap().unwrap();
+        assert_eq!(loaded.runs, 100, "fell back to the older snapshot");
+        assert_eq!(loaded.wal_position, older);
+        std::fs::remove_file(dir.join(snapshot_name(100))).unwrap();
+        assert!(
+            load_latest(&dir, 1, &space(), 2).unwrap().is_none(),
+            "no intact snapshot left: recovery replays the WAL"
+        );
     }
 
     #[test]

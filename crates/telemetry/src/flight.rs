@@ -42,9 +42,8 @@ pub enum EventKind {
     /// A WAL replay completed during open.
     /// args: [frames replayed, duration µs, truncated bytes]
     WalReplay = 7,
-    /// The shard cache crossed an eviction-pressure sampling threshold.
-    /// args: [total evictions, evictions in this insert, 0]
-    EvictionPressure = 8,
+    // 8 belonged to a removed kind; it is not reused, so an old dump never
+    // decodes as a different event.
     /// The bounds gate pruned a subtree. args: [instances short-circuited, 0, 0]
     BoundsPruned = 9,
 }
@@ -60,7 +59,6 @@ impl EventKind {
             EventKind::DiagnoseEnd => "diagnose_end",
             EventKind::WalSnapshot => "wal_snapshot",
             EventKind::WalReplay => "wal_replay",
-            EventKind::EvictionPressure => "eviction_pressure",
             EventKind::BoundsPruned => "bounds_pruned",
         }
     }
@@ -75,7 +73,6 @@ impl EventKind {
             5 => EventKind::DiagnoseEnd,
             6 => EventKind::WalSnapshot,
             7 => EventKind::WalReplay,
-            8 => EventKind::EvictionPressure,
             9 => EventKind::BoundsPruned,
             _ => return None,
         })

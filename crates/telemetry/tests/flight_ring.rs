@@ -32,7 +32,7 @@ fn capacity_is_fixed() {
     let ring = Box::new(FlightRecorder::new());
     for round in 0..3u64 {
         for i in 0..FLIGHT_CAPACITY as u64 {
-            ring.record(EventKind::EvictionPressure, [round, i, 0]);
+            ring.record(EventKind::WalReplay, [round, i, 0]);
         }
         let cursor = ring.cursor();
         let resident = (0..cursor).filter(|&i| ring.read_slot(i).is_some()).count();
@@ -81,7 +81,6 @@ fn kind_codes_round_trip() {
         EventKind::DiagnoseEnd,
         EventKind::WalSnapshot,
         EventKind::WalReplay,
-        EventKind::EvictionPressure,
         EventKind::BoundsPruned,
     ] {
         assert_eq!(EventKind::from_code(kind as u64), Some(kind));

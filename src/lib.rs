@@ -96,7 +96,7 @@ pub mod prelude {
         Predicate, ProvenanceStore, SupportBounds, Value,
     };
     pub use bugdoc_engine::{
-        Executor, ExecutorConfig, FnPipeline, HistoricalPipeline, MemoryBudget, PersistConfig,
-        Pipeline, Recovery, SimTime,
+        Executor, ExecutorConfig, FnPipeline, HistoricalPipeline, PersistConfig, Pipeline, Recovery,
+        SimTime,
     };
 }

@@ -1,15 +1,14 @@
 //! Differential conformance suite: the provenance store's bitset /
 //! dense-key query paths against a naive interpretive oracle.
 //!
-//! The store answers `support`, `satisfying_runs`, and
-//! `succeeding_superset_exists` with word-parallel bit operations over an
-//! epoch-segmented index (and, after compaction, dense-key arena scans).
+//! The store answers `support` and `succeeding_superset_exists` with
+//! word-parallel bit operations over an epoch-segmented index.
 //! Delta-debugging-style systems are only trustworthy when such fast paths
 //! are provably equivalent to exact per-run interpretation, so every case
 //! here replays a random parameter space and run log through both a
 //! [`ProvenanceStore`] and an oracle that re-implements the queries by
 //! interpreting each predicate against each recorded instance — including
-//! out-of-domain (overflow) instances and post-compaction states.
+//! out-of-domain (overflow) instances.
 
 use bugdoc::prelude::*;
 use proptest::prelude::*;
@@ -48,14 +47,6 @@ impl Oracle {
             }
         }
         (fail, succeed)
-    }
-
-    fn satisfying(&self, cause: &Conjunction) -> Vec<&Instance> {
-        self.runs
-            .iter()
-            .filter(|(inst, _)| cause.satisfied_by(inst))
-            .map(|(inst, _)| inst)
-            .collect()
     }
 
     fn succeeding_superset_exists(&self, cause: &Conjunction) -> bool {
@@ -166,15 +157,6 @@ fn assert_conformance(
             shown,
             context
         );
-        let store_sat: Vec<&Instance> =
-            store.satisfying_runs(cause).map(|r| &r.instance).collect();
-        prop_assert_eq!(
-            store_sat,
-            oracle.satisfying(cause),
-            "satisfying_runs mismatch for {} ({})",
-            shown,
-            context
-        );
     }
     Ok(())
 }
@@ -183,8 +165,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The headline property: for any space, any run log (with out-of-domain
-    /// instances mixed in), any epoch size, and any compaction schedule, the
-    /// bitset path is byte-for-byte the interpretive semantics.
+    /// instances mixed in), and any epoch size, the bitset path is
+    /// byte-for-byte the interpretive semantics.
     #[test]
     fn bitset_path_matches_interpretive_oracle(
         seed in any::<u64>(),
@@ -196,10 +178,8 @@ proptest! {
         let mut store = ProvenanceStore::with_epoch_size(space.clone(), 64);
         let mut oracle = Oracle::new();
 
-        // Replay the log through both, compacting the store mid-stream at a
-        // random point (queries must stay exact while recording continues).
-        let compact_at = rng.gen_range(0..n_runs.max(1));
-        for k in 0..n_runs {
+        // Replay the log through both.
+        for _ in 0..n_runs {
             let inst = if rng.gen_range(0..100u32) < overflow_pct {
                 random_overflow_instance(&space, &mut rng)
             } else {
@@ -208,28 +188,19 @@ proptest! {
             let outcome = outcome_of(&inst);
             store.record(inst.clone(), EvalResult::of(outcome));
             oracle.record(inst, outcome);
-            if k == compact_at {
-                store.compact(rng.gen_range(0..2));
-            }
         }
-        assert_conformance(&store, &oracle, &space, &mut rng, "mid-compacted")?;
+        assert_conformance(&store, &oracle, &space, &mut rng, "64-run epochs")?;
 
-        // Full compaction of every complete epoch, then the same queries.
-        let retired = store.compact(0);
-        prop_assert!(store.retired_epochs() >= retired);
-        assert_conformance(&store, &oracle, &space, &mut rng, "fully compacted")?;
-
-        // And a store that never compacts agrees too (epoch-size default).
+        // And a store with the default epoch size agrees too.
         let mut unsegmented = ProvenanceStore::new(space.clone());
         for run in store.runs() {
             unsegmented.record(run.instance.clone(), run.eval);
         }
-        assert_conformance(&unsegmented, &oracle, &space, &mut rng, "unbounded")?;
+        assert_conformance(&unsegmented, &oracle, &space, &mut rng, "default epochs")?;
     }
 
-    /// TSV round-trip through compaction: exporting a compacted store and
-    /// re-importing it must yield equivalent query results (the run log is
-    /// the ground truth compaction keeps).
+    /// TSV round-trip: exporting a store and re-importing it must yield
+    /// equivalent query results (the run log is the ground truth).
     #[test]
     fn compacted_store_roundtrips_through_tsv(
         seed in any::<u64>(),
@@ -242,10 +213,9 @@ proptest! {
             let inst = random_instance(&space, &mut rng);
             store.record(inst.clone(), EvalResult::of(outcome_of(&inst)));
         }
-        store.compact(0);
         let tsv = store.to_tsv();
         let parsed = ProvenanceStore::from_tsv(space.clone(), &tsv)
-            .expect("compacted TSV re-imports");
+            .expect("TSV re-imports");
         prop_assert_eq!(parsed.len(), store.len());
         prop_assert_eq!(parsed.to_tsv(), tsv, "second serialization is stable");
         for _ in 0..20 {
@@ -268,9 +238,9 @@ proptest! {
 
     /// Parallel epoch fan-out is bit-identical to the sequential path. The
     /// same log is queried through a workers=1 store and a clone with
-    /// fan-out forced on (4 workers, threshold 1 epoch), on uncompacted and
-    /// compacted states alike — epochs are disjoint word ranges of the
-    /// result, so any divergence is a real merge bug, not nondeterminism.
+    /// fan-out forced on (4 workers, threshold 1 epoch) — epochs are
+    /// disjoint word ranges of the result, so any divergence is a real
+    /// merge bug, not nondeterminism.
     #[test]
     fn parallel_fan_out_matches_sequential(
         seed in any::<u64>(),
@@ -289,60 +259,38 @@ proptest! {
             let outcome = outcome_of(&inst);
             seq.record(inst, EvalResult::of(outcome));
         }
-        for compacted in [false, true] {
-            if compacted {
-                seq.compact(rng.gen_range(0..3usize));
-            }
-            let mut par = seq.clone();
-            par.set_query_workers(4);
-            par.set_parallel_epoch_threshold(1);
-            let causes: Vec<Conjunction> = (0..12)
-                .map(|_| random_conjunction(&space, &mut rng))
-                .collect();
-            for cause in &causes {
-                let shown = cause.display(&space).to_string();
-                prop_assert_eq!(
-                    par.support(cause),
-                    seq.support(cause),
-                    "support diverged under fan-out for {} (compacted={})",
-                    shown,
-                    compacted
-                );
-                prop_assert_eq!(
-                    par.succeeding_superset_exists(cause),
-                    seq.succeeding_superset_exists(cause),
-                    "superset diverged under fan-out for {} (compacted={})",
-                    shown,
-                    compacted
-                );
-                let par_sat: Vec<&Instance> =
-                    par.satisfying_runs(cause).map(|r| &r.instance).collect();
-                let seq_sat: Vec<&Instance> =
-                    seq.satisfying_runs(cause).map(|r| &r.instance).collect();
-                prop_assert_eq!(
-                    par_sat,
-                    seq_sat,
-                    "satisfying_runs diverged under fan-out for {} (compacted={})",
-                    shown,
-                    compacted
-                );
-            }
-            // The batched entry point, on both paths, equals one-at-a-time.
-            let individual: Vec<_> = causes.iter().map(|c| seq.support(c)).collect();
-            prop_assert_eq!(&par.support_many(&causes), &individual);
-            prop_assert_eq!(&seq.support_many(&causes), &individual);
-            prop_assert!(
-                par.query_counters().0 > 0 || seq.len() < 64,
-                "fan-out forced on but never engaged"
+        let mut par = seq.clone();
+        par.set_query_workers(4);
+        par.set_parallel_epoch_threshold(1);
+        let causes: Vec<Conjunction> = (0..12)
+            .map(|_| random_conjunction(&space, &mut rng))
+            .collect();
+        for cause in &causes {
+            let shown = cause.display(&space).to_string();
+            prop_assert_eq!(
+                par.support(cause),
+                seq.support(cause),
+                "support diverged under fan-out for {}",
+                shown
+            );
+            prop_assert_eq!(
+                par.succeeding_superset_exists(cause),
+                seq.succeeding_superset_exists(cause),
+                "superset diverged under fan-out for {}",
+                shown
             );
         }
+        prop_assert!(
+            par.query_counters().0 > 0 || seq.len() < 64,
+            "fan-out forced on but never engaged"
+        );
     }
 
-    /// PR 7 admissibility contract: for any space, run log (overflow runs
-    /// included), and compaction schedule, `support_bounds` brackets the
-    /// exact support (`lo ≤ exact ≤ hi`), the batched entry points match the
-    /// scalar ones, and every bounds-gated query still returns the exact
-    /// interpretive answer — with bounds enabled and disabled alike.
+    /// PR 7 admissibility contract: for any space and run log (overflow runs
+    /// included), `support_bounds` brackets the exact support
+    /// (`lo ≤ exact ≤ hi`), the batched entry points match the scalar ones,
+    /// and every bounds-gated query still returns the exact interpretive
+    /// answer — with bounds enabled and disabled alike.
     #[test]
     fn support_bounds_are_admissible_and_gates_stay_exact(
         seed in any::<u64>(),
@@ -353,8 +301,7 @@ proptest! {
         let space = random_space(&mut rng);
         let mut store = ProvenanceStore::with_epoch_size(space.clone(), 64);
         let mut oracle = Oracle::new();
-        let compact_at = rng.gen_range(0..n_runs.max(1));
-        for k in 0..n_runs {
+        for _ in 0..n_runs {
             let inst = if rng.gen_range(0..100u32) < overflow_pct {
                 random_overflow_instance(&space, &mut rng)
             } else {
@@ -363,71 +310,62 @@ proptest! {
             let outcome = outcome_of(&inst);
             store.record(inst.clone(), EvalResult::of(outcome));
             oracle.record(inst, outcome);
-            if k == compact_at {
-                store.compact(rng.gen_range(0..2));
-            }
         }
-        for compacted in [false, true] {
-            if compacted {
-                store.compact(0);
-            }
-            let mut causes = vec![Conjunction::top()];
-            causes.extend((0..16).map(|_| random_conjunction(&space, &mut rng)));
-            let batched = store.support_bounds_many(&causes);
-            let supersets = store.succeeding_superset_exists_many(&causes);
-            let mut off = store.clone();
-            off.set_bounds_enabled(false);
-            for (k, cause) in causes.iter().enumerate() {
-                let shown = cause.display(&space).to_string();
-                let exact = oracle.support(cause);
-                let b = store.support_bounds(cause);
-                prop_assert!(
-                    b.admits(exact),
-                    "bounds {:?} exclude exact {:?} for {} (compacted={})",
-                    b,
-                    exact,
-                    shown,
-                    compacted
-                );
-                prop_assert!(
-                    b.fail_lo <= b.fail_hi && b.succeed_lo <= b.succeed_hi,
-                    "inverted bounds {:?} for {}",
-                    b,
-                    shown
-                );
-                prop_assert_eq!(batched[k], b, "batched bounds diverge for {}", &shown);
-                prop_assert_eq!(
-                    store.support_via_bounds(cause),
-                    exact,
-                    "support_via_bounds inexact for {}",
-                    &shown
-                );
-                let want_superset = oracle.succeeding_superset_exists(cause);
-                prop_assert_eq!(
-                    supersets[k],
-                    want_superset,
-                    "batched superset wrong for {}",
-                    &shown
-                );
-                prop_assert_eq!(
-                    store.succeeding_superset_exists(cause),
-                    want_superset,
-                    "gated superset wrong for {}",
-                    &shown
-                );
-                prop_assert_eq!(
-                    off.succeeding_superset_exists(cause),
-                    want_superset,
-                    "bounds-off superset wrong for {}",
-                    &shown
-                );
-                prop_assert_eq!(
-                    off.support_via_bounds(cause),
-                    exact,
-                    "bounds-off support wrong for {}",
-                    &shown
-                );
-            }
+        let mut causes = vec![Conjunction::top()];
+        causes.extend((0..16).map(|_| random_conjunction(&space, &mut rng)));
+        let batched = store.support_bounds_many(&causes);
+        let supersets = store.succeeding_superset_exists_many(&causes);
+        let mut off = store.clone();
+        off.set_bounds_enabled(false);
+        for (k, cause) in causes.iter().enumerate() {
+            let shown = cause.display(&space).to_string();
+            let exact = oracle.support(cause);
+            let b = store.support_bounds(cause);
+            prop_assert!(
+                b.admits(exact),
+                "bounds {:?} exclude exact {:?} for {}",
+                b,
+                exact,
+                shown
+            );
+            prop_assert!(
+                b.fail_lo <= b.fail_hi && b.succeed_lo <= b.succeed_hi,
+                "inverted bounds {:?} for {}",
+                b,
+                shown
+            );
+            prop_assert_eq!(batched[k], b, "batched bounds diverge for {}", &shown);
+            prop_assert_eq!(
+                store.support_via_bounds(cause),
+                exact,
+                "support_via_bounds inexact for {}",
+                &shown
+            );
+            let want_superset = oracle.succeeding_superset_exists(cause);
+            prop_assert_eq!(
+                supersets[k],
+                want_superset,
+                "batched superset wrong for {}",
+                &shown
+            );
+            prop_assert_eq!(
+                store.succeeding_superset_exists(cause),
+                want_superset,
+                "gated superset wrong for {}",
+                &shown
+            );
+            prop_assert_eq!(
+                off.succeeding_superset_exists(cause),
+                want_superset,
+                "bounds-off superset wrong for {}",
+                &shown
+            );
+            prop_assert_eq!(
+                off.support_via_bounds(cause),
+                exact,
+                "bounds-off support wrong for {}",
+                &shown
+            );
         }
     }
 }

@@ -231,9 +231,9 @@ fn stats_keys_mirror_exec_stats_counters_exactly() {
     client.diagnose(DiagnoseParams::default()).unwrap();
     let stats = client.stats().unwrap();
 
-    // Every ExecStats counter appears in both windows — `evictions`,
-    // `log_rederivations`, and the three `bounds_*` counters included, so
-    // the daemon view can never silently lag the one-shot CLI summary.
+    // Every ExecStats counter appears in both windows — the three
+    // `bounds_*` counters included, so the daemon view can never silently
+    // lag the one-shot CLI summary.
     let counters = bugdoc::engine::ExecStats::default().counter_fields();
     for (name, _) in counters {
         stat(&stats, &format!("session.{name}"));
