@@ -166,18 +166,16 @@ pub fn debugging_decision_trees(
     let mut exploration_left = config.exploration_rounds;
 
     'outer: loop {
-        let rows: Vec<(Instance, f64)> = exec.with_provenance_ref(|prov| {
-            prov.runs()
+        // Fit over rows borrowed from the live log: the read lock is held
+        // for the fit, which takes about as long as cloning the log did.
+        let tree = exec.with_provenance_ref(|prov| {
+            let rows: Vec<(&Instance, f64)> = prov
+                .runs()
                 .iter()
-                .map(|r| {
-                    (
-                        r.instance.clone(),
-                        if r.outcome().is_fail() { 1.0 } else { 0.0 },
-                    )
-                })
-                .collect()
+                .map(|r| (&r.instance, if r.outcome().is_fail() { 1.0 } else { 0.0 }))
+                .collect();
+            DecisionTree::fit(&space, &rows, &TreeConfig::default())
         });
-        let tree = DecisionTree::fit(&space, &rows, &TreeConfig::default());
 
         for path in tree.fail_paths() {
             // Simplify the raw tree path to its shortest equivalent form.

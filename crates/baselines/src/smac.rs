@@ -87,18 +87,33 @@ pub fn generate(exec: &Executor, n_new: usize, config: &SmacConfig) -> SmacRepor
     let mut stall = 0;
     while exec.stats().new_executions < target && stall < 50 {
         iterations += 1;
-        let rows: Vec<(Instance, f64)> = exec.with_provenance_ref(|prov| {
-            prov.runs()
+        // Fit over rows borrowed from the live log, under its read lock.
+        let model = exec.with_provenance_ref(|prov| {
+            let rows: Vec<(&Instance, f64)> = prov
+                .runs()
                 .iter()
-                .map(|r| {
-                    (
-                        r.instance.clone(),
-                        if r.outcome().is_fail() { 1.0 } else { 0.0 },
-                    )
-                })
-                .collect()
+                .map(|r| (&r.instance, if r.outcome().is_fail() { 1.0 } else { 0.0 }))
+                .collect();
+            if rows.is_empty() {
+                return None;
+            }
+            let forest = RandomForest::fit(
+                &space,
+                &rows,
+                &ForestConfig {
+                    seed: config.seed ^ iterations as u64,
+                    ..config.forest.clone()
+                },
+            );
+            let y_best = rows.iter().map(|(_, y)| *y).fold(f64::MIN, f64::max);
+            let incumbent = rows
+                .iter()
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                .map(|(i, _)| (*i).clone())
+                .expect("rows non-empty");
+            Some((forest, y_best, incumbent))
         });
-        if rows.is_empty() {
+        let Some((forest, y_best, incumbent)) = model else {
             // Nothing to model: fall back to random probing.
             let inst = random_instance(&space, &mut rng);
             match exec.evaluate(&inst) {
@@ -107,21 +122,7 @@ pub fn generate(exec: &Executor, n_new: usize, config: &SmacConfig) -> SmacRepor
                 Err(ExecError::Unavailable) => stall += 1,
             }
             continue;
-        }
-        let forest = RandomForest::fit(
-            &space,
-            &rows,
-            &ForestConfig {
-                seed: config.seed ^ iterations as u64,
-                ..config.forest.clone()
-            },
-        );
-        let y_best = rows.iter().map(|(_, y)| *y).fold(f64::MIN, f64::max);
-        let incumbent = rows
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .map(|(i, _)| i.clone())
-            .expect("rows non-empty");
+        };
 
         // Candidate pool: random + incumbent neighbours, unseen only.
         let mut candidates: Vec<Instance> = Vec::new();

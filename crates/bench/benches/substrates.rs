@@ -16,14 +16,12 @@ fn training_rows(space: &Arc<ParamSpace>, n: usize, seed: u64) -> Vec<(Instance,
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let values = space
+            // Dense-keyed, like every run DDT fits over.
+            let key: Vec<u32> = space
                 .ids()
-                .map(|p| {
-                    let d = space.domain(p);
-                    d.value(rng.gen_range(0..d.len())).clone()
-                })
+                .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
                 .collect();
-            let inst = Instance::new(values);
+            let inst = space.instance_from_indices(&key);
             let y = if rng.gen_bool(0.3) { 1.0 } else { 0.0 };
             (inst, y)
         })

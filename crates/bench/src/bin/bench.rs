@@ -32,6 +32,8 @@
 //!   serialization (fsync/rename excluded as environment noise)
 //! * `perf/replay_10k` — durable provenance: full 10k-frame crash recovery
 //! * `perf/ddt_find_one` — DDT end-to-end on a synthetic pipeline
+//! * `perf/dtree_fit_32k` — one full decision-tree fit over a
+//!   deep-history-shaped log of 32,768 dense-keyed runs
 
 use bugdoc_bench::perf;
 use criterion::{BenchResult, Criterion};
@@ -119,6 +121,7 @@ fn main() {
     perf::bench_telemetry(&mut c);
     perf::bench_persistence(&mut c);
     perf::bench_ddt_end_to_end(&mut c);
+    perf::bench_tree_fit(&mut c);
 
     let mut results = c.take_results();
     perf::normalize_contention_result(&mut results);

@@ -11,6 +11,7 @@ use bugdoc_core::{
     Comparator, Conjunction, EvalResult, Instance, Outcome, ParamSpace, Predicate, ProvenanceStore,
     Value,
 };
+use bugdoc_dtree::{DecisionTree, TreeConfig};
 use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, Pipeline};
 use bugdoc_synth::{CauseScenario, SynthConfig, SyntheticPipeline};
 use criterion::Criterion;
@@ -433,6 +434,63 @@ pub fn bench_ddt_end_to_end(c: &mut Criterion) {
             );
             debugging_decision_trees(&exec, &DdtConfig::default())
         })
+    });
+    group.finish();
+}
+
+/// Rows in the `perf/dtree_fit_32k` training log: the size of the
+/// `deep-history` e2ebench workload's log.
+const TREE_FIT_ROWS: usize = 32_768;
+
+/// A training log shaped like the `deep-history` workload's: a 10-parameter
+/// synthetic pipeline of 10–20 values per parameter whose failures are a
+/// two-conjunct disjunction (the first plant, in seed order, failing on
+/// 7–13% of the space), and [`TREE_FIT_ROWS`] dense-keyed instances drawn
+/// uniformly from its space, labelled fail = 1 / succeed = 0.
+fn deep_history_rows() -> (Arc<ParamSpace>, Vec<(Instance, f64)>) {
+    let config = SynthConfig {
+        n_params: (10, 10),
+        n_values: (10, 20),
+        scenario: CauseScenario::DisjunctionOfConjunctions,
+        max_conjunction_len: 2,
+        extra_disjunct_prob: 0.0,
+        ..SynthConfig::default()
+    };
+    let pipe = (0..)
+        .map(|seed| SyntheticPipeline::generate(&config, seed))
+        .find(|p| (0.07..=0.13).contains(&p.truth().failure_fraction(Pipeline::space(p))))
+        .expect("an endless search finds a plant");
+    let space = Pipeline::space(&pipe).clone();
+    let mut rng = StdRng::seed_from_u64(29);
+    let rows = (0..TREE_FIT_ROWS)
+        .map(|_| {
+            let key: Vec<u32> = space
+                .ids()
+                .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
+                .collect();
+            let instance = space.instance_from_indices(&key);
+            let y = if pipe.truth().fails(&instance) { 1.0 } else { 0.0 };
+            (instance, y)
+        })
+        .collect();
+    (space, rows)
+}
+
+/// Registers the tree-fitting benchmark on `c`:
+///
+/// * `perf/dtree_fit_32k` — one full (unpruned) `DecisionTree::fit` over a
+///   deep-history-shaped log of 32,768 dense-keyed runs: the fit DDT runs
+///   after every refuted suspect, at the log size the `deep-history`
+///   workload reaches.
+pub fn bench_tree_fit(c: &mut Criterion) {
+    let (space, rows) = deep_history_rows();
+    let mut group = c.benchmark_group("perf");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(200));
+    group.bench_function("dtree_fit_32k", move |b| {
+        b.iter(|| DecisionTree::fit(&space, &rows, &TreeConfig::default()))
     });
     group.finish();
 }

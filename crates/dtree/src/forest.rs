@@ -11,6 +11,7 @@ use bugdoc_core::{Instance, ParamId, ParamSpace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 /// Forest configuration.
 #[derive(Debug, Clone)]
@@ -70,8 +71,13 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits a forest on `(instance, label)` rows.
-    pub fn fit(space: &ParamSpace, rows: &[(Instance, f64)], config: &ForestConfig) -> Self {
+    /// Fits a forest on `(instance, label)` rows; the instances may be owned
+    /// or borrowed.
+    pub fn fit<I: Borrow<Instance>>(
+        space: &ParamSpace,
+        rows: &[(I, f64)],
+        config: &ForestConfig,
+    ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a forest on zero rows");
         assert!(config.n_trees > 0, "forest needs at least one tree");
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -87,8 +93,11 @@ impl RandomForest {
         let trees = (0..config.n_trees)
             .map(|_| {
                 // Bootstrap resample (with replacement, same size).
-                let sample: Vec<(Instance, f64)> = (0..rows.len())
-                    .map(|_| rows[rng.gen_range(0..rows.len())].clone())
+                let sample: Vec<(&Instance, f64)> = (0..rows.len())
+                    .map(|_| {
+                        let (instance, y) = &rows[rng.gen_range(0..rows.len())];
+                        (instance.borrow(), *y)
+                    })
                     .collect();
                 let mut sampler = RngSampler { rng: &mut rng };
                 DecisionTree::fit_with_sampler(space, &sample, &tree_config, &mut sampler)
@@ -222,6 +231,6 @@ mod tests {
     #[should_panic(expected = "zero rows")]
     fn empty_fit_panics() {
         let s = space();
-        RandomForest::fit(&s, &[], &ForestConfig::default());
+        RandomForest::fit::<Instance>(&s, &[], &ForestConfig::default());
     }
 }

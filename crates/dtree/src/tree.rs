@@ -8,10 +8,45 @@
 //! The same learner, with a depth cap and per-node feature sampling, serves
 //! as the base learner of the random-forest surrogate used by the SMAC
 //! baseline (see [`crate::forest`]).
+//!
+//! # Split search
+//!
+//! `fit` encodes every training row once, as one `u32` code per parameter:
+//!
+//! * a row carrying a dense key (built by
+//!   [`ParamSpace::instance_from_indices`], as every run in the provenance
+//!   store is) contributes its domain indices unchanged;
+//! * a key-less row ([`Instance::new`]) is encoded under the semantics
+//!   [`Predicate::satisfied_by`] applies. A categorical value gets its exact
+//!   (`Eq`) domain index, or one shared code when it is outside the domain.
+//!   An ordinal value gets the index of an `Ord`-equal domain value (what
+//!   [`Domain::index_of`] finds), or, when there is none, a gap code for its
+//!   place between two domain values.
+//!
+//! An ordinal parameter also ranks its codes in `≤` order. `Ord`-equal
+//! domain values share a rank (`Domain::ordinal` dedups by `Eq`, so it keeps
+//! both `Int(2)` and `Float(2.0)`, and `≤` cannot tell them apart), and a gap
+//! code ranks strictly between its neighbours. A row satisfies `≤ v` exactly
+//! when its code ranks no higher than `v`.
+//!
+//! `grow` partitions one row-id vector in place. At each node, `best_split`
+//! makes one pass per candidate parameter over the node's rows, adding
+//! (n, Σy, Σy²) into the bucket of each row's code. A categorical `= v` test
+//! reads bucket `v`; an ordinal `≤ v` test reads a prefix sum over ranks. A
+//! node of n rows with P candidates of at most V values costs O(P·(n + V)),
+//! where evaluating every test on every row costs P·V·n value comparisons.
+//!
+//! Tests are visited in (candidate, domain index) order, scored by SSE
+//! reduction, and compared with a 1e-12 tolerance and a (parameter, value)
+//! tie-break. With integer labels, such as the fail = 1 / succeed = 0 labels
+//! DDT and the forest use, every sum is an integer that `f64` holds exactly,
+//! so bucket sums equal row-by-row sums in any order and the search picks the
+//! split that evaluating each test row by row would.
 
 use bugdoc_core::{
-    Comparator, Conjunction, DomainKind, Instance, ParamId, ParamSpace, Predicate,
+    Comparator, Conjunction, Domain, Instance, ParamId, ParamSpace, Predicate, Value,
 };
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 /// Training configuration.
@@ -109,25 +144,42 @@ impl FeatureSampler for AllFeatures {
 }
 
 impl DecisionTree {
-    /// Fits a tree on `(instance, label)` rows. Labels are real-valued; the
-    /// split criterion is sum-of-squared-error reduction, which for binary
+    /// Fits a tree on `(instance, label)` rows; the instances may be owned
+    /// or borrowed (`&Instance`, e.g. straight from a provenance store).
+    /// They must be instances of `space`: a row's dense key, when it has
+    /// one, is taken as its encoding. Labels are real-valued; the split
+    /// criterion is sum-of-squared-error reduction, which for binary
     /// fail=1/succeed=0 labels coincides (up to a constant) with Gini
     /// impurity, so one criterion serves classification and regression.
-    pub fn fit(space: &ParamSpace, rows: &[(Instance, f64)], config: &TreeConfig) -> Self {
+    pub fn fit<I: Borrow<Instance>>(
+        space: &ParamSpace,
+        rows: &[(I, f64)],
+        config: &TreeConfig,
+    ) -> Self {
         Self::fit_with_sampler(space, rows, config, &mut AllFeatures)
     }
 
     /// Fits a tree with an explicit feature sampler (used by random forests).
-    pub fn fit_with_sampler(
+    pub fn fit_with_sampler<I: Borrow<Instance>>(
         space: &ParamSpace,
-        rows: &[(Instance, f64)],
+        rows: &[(I, f64)],
         config: &TreeConfig,
         sampler: &mut dyn FeatureSampler,
     ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let all_params: Vec<ParamId> = space.ids().collect();
-        let idx: Vec<usize> = (0..rows.len()).collect();
-        let root = grow(space, rows, &idx, config, sampler, &all_params, 0);
+        let mut grower = Grower {
+            space,
+            config,
+            sampler,
+            all_params: space.ids().collect(),
+            params: encode(space, rows),
+            labels: rows.iter().map(|(_, y)| *y).collect(),
+            buckets: Vec::new(),
+            ranked: Vec::new(),
+            spill: Vec::new(),
+        };
+        let mut ids: Vec<usize> = (0..rows.len()).collect();
+        let root = grower.grow(&mut ids, 0);
         DecisionTree { root }
     }
 
@@ -237,7 +289,8 @@ fn collect_paths(node: &Node, prefix: &mut Vec<Predicate>, out: &mut Vec<Path>) 
     }
 }
 
-/// Label statistics for an index set.
+/// Label statistics of a set of rows.
+#[derive(Clone, Copy, Default)]
 struct Stats {
     n: usize,
     sum: f64,
@@ -245,18 +298,33 @@ struct Stats {
 }
 
 impl Stats {
-    fn of(rows: &[(Instance, f64)], idx: &[usize]) -> Self {
-        let mut s = Stats {
-            n: idx.len(),
-            sum: 0.0,
-            sum_sq: 0.0,
-        };
-        for &i in idx {
-            let y = rows[i].1;
-            s.sum += y;
-            s.sum_sq += y * y;
+    fn of(labels: &[f64], ids: &[usize]) -> Self {
+        let mut s = Stats::default();
+        for &i in ids {
+            s.push(labels[i]);
         }
         s
+    }
+
+    fn push(&mut self, y: f64) {
+        self.n += 1;
+        self.sum += y;
+        self.sum_sq += y * y;
+    }
+
+    fn add(&mut self, other: &Stats) {
+        self.n += other.n;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+    }
+
+    /// The statistics of `self`'s rows outside `part` (a subset of them).
+    fn minus(&self, part: &Stats) -> Stats {
+        Stats {
+            n: self.n - part.n,
+            sum: self.sum - part.sum,
+            sum_sq: self.sum_sq - part.sum_sq,
+        }
     }
 
     fn mean(&self) -> f64 {
@@ -277,156 +345,282 @@ impl Stats {
     }
 }
 
-fn is_pure(rows: &[(Instance, f64)], idx: &[usize]) -> bool {
-    let first = rows[idx[0]].1;
-    idx.iter().all(|&i| (rows[i].1 - first).abs() < 1e-12)
+fn is_pure(labels: &[f64], ids: &[usize]) -> bool {
+    let first = labels[ids[0]];
+    ids.iter().all(|&i| (labels[i] - first).abs() < 1e-12)
 }
 
-fn leaf(rows: &[(Instance, f64)], idx: &[usize]) -> Node {
-    let stats = Stats::of(rows, idx);
-    Node::Leaf(LeafInfo {
-        n: stats.n,
-        mean: stats.mean(),
-        pure: is_pure(rows, idx),
-    })
+/// One parameter's column of row codes and the map from codes to tests.
+struct ParamCodes {
+    /// Codes below this are domain indices, the values tests are built from.
+    n_values: usize,
+    /// Ordinal parameters: the `≤` rank of every code (`2·n_values + 1`
+    /// codes: the domain indices, then one gap per place between or around
+    /// them). `None` for categorical parameters, whose codes are the domain
+    /// indices plus one out-of-domain code.
+    rank: Option<Vec<u32>>,
+    /// Row id → code.
+    column: Vec<u32>,
 }
 
-fn grow(
-    space: &ParamSpace,
-    rows: &[(Instance, f64)],
-    idx: &[usize],
-    config: &TreeConfig,
-    sampler: &mut dyn FeatureSampler,
-    all_params: &[ParamId],
-    depth: usize,
-) -> Node {
-    if idx.len() < config.min_samples_split
-        || is_pure(rows, idx)
-        || config.max_depth.is_some_and(|d| depth >= d)
-    {
-        return leaf(rows, idx);
-    }
-
-    let k = config
-        .feature_subset
-        .unwrap_or(all_params.len())
-        .clamp(1, all_params.len());
-    let candidates = sampler.sample(all_params, k);
-
-    match best_split(space, rows, idx, &candidates) {
-        None => leaf(rows, idx),
-        Some(split) => {
-            let (yes_idx, no_idx): (Vec<usize>, Vec<usize>) = idx
-                .iter()
-                .partition(|&&i| split.satisfied_by(&rows[i].0));
-            debug_assert!(!yes_idx.is_empty() && !no_idx.is_empty());
-            Node::Inner {
-                pred: split,
-                yes: Box::new(grow(
-                    space, rows, &yes_idx, config, sampler, all_params, depth + 1,
-                )),
-                no: Box::new(grow(
-                    space, rows, &no_idx, config, sampler, all_params, depth + 1,
-                )),
-            }
-        }
-    }
-}
-
-/// Exhaustive split search: for each candidate parameter, enumerate `= v`
-/// tests (categorical) or `≤ v` tests (ordinal) over the values observed at
-/// this node, and keep the split with the largest SSE reduction. Ties break
-/// deterministically by (gain, parameter id, domain index) so identical
-/// inputs grow identical trees.
-fn best_split(
-    space: &ParamSpace,
-    rows: &[(Instance, f64)],
-    idx: &[usize],
-    candidates: &[ParamId],
-) -> Option<Predicate> {
-    let parent = Stats::of(rows, idx).sse();
-    let mut best: Option<(f64, Predicate)> = None;
-
-    for &p in candidates {
-        let domain = space.domain(p);
-        // Observed value indices at this node, deduplicated via a mask.
-        let mut present = vec![false; domain.len()];
-        for &i in idx {
-            if let Some(vi) = domain.index_of(rows[i].0.get(p)) {
-                present[vi] = true;
-            }
-        }
-        let observed: Vec<usize> = (0..domain.len()).filter(|&v| present[v]).collect();
-        if observed.len() < 2 {
-            continue; // constant at this node: no split possible
-        }
-
-        let tests: Vec<Predicate> = match domain.kind() {
-            DomainKind::Categorical => observed
-                .iter()
-                .map(|&v| Predicate::new(p, Comparator::Eq, domain.value(v).clone()))
-                .collect(),
-            // For ordinal domains, `≤ v` for every observed value except the
-            // largest (which would send everything left).
-            DomainKind::Ordinal => observed[..observed.len() - 1]
-                .iter()
-                .map(|&v| Predicate::new(p, Comparator::Le, domain.value(v).clone()))
-                .collect(),
-        };
-
-        for test in tests {
-            let mut yes = Stats {
-                n: 0,
-                sum: 0.0,
-                sum_sq: 0.0,
-            };
-            let mut no = Stats {
-                n: 0,
-                sum: 0.0,
-                sum_sq: 0.0,
-            };
-            for &i in idx {
-                let y = rows[i].1;
-                let side = if test.satisfied_by(&rows[i].0) {
-                    &mut yes
-                } else {
-                    &mut no
-                };
-                side.n += 1;
-                side.sum += y;
-                side.sum_sq += y * y;
-            }
-            if yes.n == 0 || no.n == 0 {
-                continue;
-            }
-            let gain = parent - yes.sse() - no.sse();
-            let better = match &best {
-                None => true,
-                Some((bg, bp)) => {
-                    gain > *bg + 1e-12
-                        || ((gain - *bg).abs() <= 1e-12
-                            && (test.param, &test.value) < (bp.param, &bp.value))
+impl ParamCodes {
+    fn new(domain: &Domain, n_rows: usize) -> Self {
+        let rank = domain.is_ordinal().then(|| {
+            let values = domain.values();
+            let n = values.len();
+            let mut rank = vec![0u32; 2 * n + 1];
+            let mut class = 0u32;
+            for (i, v) in values.iter().enumerate() {
+                if i > 0 && values[i - 1] < *v {
+                    class += 1;
                 }
-            };
-            if better && gain > -1e-12 {
-                best = Some((gain, test));
+                rank[i] = 2 * class + 1;
+                // Gap `i` holds the values strictly below `values[i]` and
+                // above `values[i - 1]` (if any).
+                rank[n + i] = 2 * class;
             }
+            rank[2 * n] = 2 * class + 2;
+            rank
+        });
+        ParamCodes {
+            n_values: domain.len(),
+            rank,
+            column: Vec::with_capacity(n_rows),
         }
     }
 
-    // A full tree must separate distinguishable rows even when no split
-    // reduces SSE (e.g. XOR patterns): accept zero-gain splits as long as the
-    // node is impure, otherwise stop.
-    match best {
-        Some((gain, pred)) => {
-            let impure = !is_pure(rows, idx);
-            if gain > 1e-12 || impure {
-                Some(pred)
-            } else {
-                None
+    fn n_codes(&self) -> usize {
+        match &self.rank {
+            Some(rank) => rank.len(),
+            None => self.n_values + 1,
+        }
+    }
+
+    /// The code of a value that carries no domain index.
+    fn code_of(&self, domain: &Domain, v: &Value) -> u32 {
+        let code = match self.rank {
+            None => domain.exact_index_of(v).unwrap_or(self.n_values),
+            Some(_) => domain
+                .index_of(v)
+                .unwrap_or_else(|| self.n_values + domain.values().partition_point(|d| d < v)),
+        };
+        code as u32
+    }
+
+    /// Whether a row coded `code` satisfies the test built from domain
+    /// index `v` (`= v` categorical, `≤ v` ordinal).
+    fn holds(&self, code: usize, v: usize) -> bool {
+        match &self.rank {
+            Some(rank) => rank[code] <= rank[v],
+            None => code == v,
+        }
+    }
+
+    fn comparator(&self) -> Comparator {
+        match self.rank {
+            Some(_) => Comparator::Le,
+            None => Comparator::Eq,
+        }
+    }
+}
+
+/// Encodes the training rows once per fit: one column of codes per
+/// parameter.
+fn encode<I: Borrow<Instance>>(space: &ParamSpace, rows: &[(I, f64)]) -> Vec<ParamCodes> {
+    let mut params: Vec<ParamCodes> = space
+        .ids()
+        .map(|p| ParamCodes::new(space.domain(p), rows.len()))
+        .collect();
+    for (instance, _) in rows {
+        let instance = instance.borrow();
+        match instance.dense_key() {
+            Some(key) => {
+                debug_assert!(space
+                    .ids()
+                    .zip(key)
+                    .all(|(p, &k)| space.domain(p).value(k as usize) == instance.get(p)));
+                for (codes, &k) in params.iter_mut().zip(key) {
+                    codes.column.push(k);
+                }
+            }
+            None => {
+                for ((p, codes), v) in space.ids().zip(&mut params).zip(instance.values()) {
+                    let code = codes.code_of(space.domain(p), v);
+                    codes.column.push(code);
+                }
             }
         }
-        None => None,
+    }
+    params
+}
+
+/// The best test found so far at a node: `param` compared against its
+/// domain value `value`.
+struct Split {
+    gain: f64,
+    param: ParamId,
+    value: usize,
+}
+
+/// The state of one fit: the encoded rows and buffers reused across nodes.
+struct Grower<'a> {
+    space: &'a ParamSpace,
+    config: &'a TreeConfig,
+    sampler: &'a mut dyn FeatureSampler,
+    all_params: Vec<ParamId>,
+    /// Per-parameter row codes.
+    params: Vec<ParamCodes>,
+    /// Row id → label.
+    labels: Vec<f64>,
+    /// Per-code label sums of the parameter being scanned.
+    buckets: Vec<Stats>,
+    /// Per-rank prefix sums of an ordinal parameter.
+    ranked: Vec<Stats>,
+    /// The rows failing the split, copied back behind the ones passing it.
+    spill: Vec<usize>,
+}
+
+impl Grower<'_> {
+    fn grow(&mut self, ids: &mut [usize], depth: usize) -> Node {
+        let node = Stats::of(&self.labels, ids);
+        let pure = is_pure(&self.labels, ids);
+        let leaf = Node::Leaf(LeafInfo {
+            n: node.n,
+            mean: node.mean(),
+            pure,
+        });
+        if ids.len() < self.config.min_samples_split
+            || pure
+            || self.config.max_depth.is_some_and(|d| depth >= d)
+        {
+            return leaf;
+        }
+
+        let k = self
+            .config
+            .feature_subset
+            .unwrap_or(self.all_params.len())
+            .clamp(1, self.all_params.len());
+        let candidates = self.sampler.sample(&self.all_params, k);
+
+        // The node is impure, so any split is taken, even a zero-gain one: a
+        // full tree must separate distinguishable rows (e.g. XOR patterns).
+        let Some(split) = self.best_split(ids, &candidates, &node) else {
+            return leaf;
+        };
+        let n_yes = self.partition(ids, &split);
+        debug_assert!(n_yes > 0 && n_yes < ids.len());
+        let codes = &self.params[split.param.index()];
+        let pred = Predicate::new(
+            split.param,
+            codes.comparator(),
+            self.space.domain(split.param).value(split.value).clone(),
+        );
+        let (yes, no) = ids.split_at_mut(n_yes);
+        Node::Inner {
+            pred,
+            yes: Box::new(self.grow(yes, depth + 1)),
+            no: Box::new(self.grow(no, depth + 1)),
+        }
+    }
+
+    /// Exhaustive split search: for each candidate parameter, enumerate `= v`
+    /// tests (categorical) or `≤ v` tests (ordinal) over the values observed
+    /// at this node, and keep the split with the largest SSE reduction. Ties
+    /// break deterministically by (gain, parameter id, value) so identical
+    /// inputs grow identical trees.
+    fn best_split(&mut self, ids: &[usize], candidates: &[ParamId], node: &Stats) -> Option<Split> {
+        let space = self.space;
+        let parent = node.sse();
+        let mut best: Option<Split> = None;
+
+        for &p in candidates {
+            let codes = &self.params[p.index()];
+            let buckets = &mut self.buckets;
+            buckets.clear();
+            buckets.resize(codes.n_codes(), Stats::default());
+            for &i in ids {
+                buckets[codes.column[i] as usize].push(self.labels[i]);
+            }
+            let values = &buckets[..codes.n_values];
+            let observed = values.iter().filter(|b| b.n > 0).count();
+            if observed < 2 {
+                continue; // constant at this node: no split possible
+            }
+            if let Some(rank) = &codes.rank {
+                let ranked = &mut self.ranked;
+                ranked.clear();
+                ranked.resize(rank.len(), Stats::default());
+                for (b, &r) in buckets.iter().zip(rank) {
+                    ranked[r as usize].add(b);
+                }
+                for r in 1..ranked.len() {
+                    let below = ranked[r - 1];
+                    ranked[r].add(&below);
+                }
+            }
+
+            let domain = space.domain(p);
+            let mut seen = 0;
+            for v in 0..codes.n_values {
+                if self.buckets[v].n == 0 {
+                    continue;
+                }
+                seen += 1;
+                let yes = match &codes.rank {
+                    // `≤ v` for every observed value except the largest
+                    // (which would send every in-domain row left).
+                    Some(_) if seen == observed => break,
+                    Some(rank) => self.ranked[rank[v] as usize],
+                    None => self.buckets[v],
+                };
+                let no = node.minus(&yes);
+                if yes.n == 0 || no.n == 0 {
+                    continue;
+                }
+                let gain = parent - yes.sse() - no.sse();
+                let better = match &best {
+                    None => true,
+                    Some(b) => {
+                        gain > b.gain + 1e-12
+                            || ((gain - b.gain).abs() <= 1e-12
+                                && (p, domain.value(v))
+                                    < (b.param, space.domain(b.param).value(b.value)))
+                    }
+                };
+                if better && gain > -1e-12 {
+                    best = Some(Split {
+                        gain,
+                        param: p,
+                        value: v,
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    /// Stable in-place partition of `ids` by the split's test: rows passing
+    /// it first, in their previous order, then the rest. Returns how many
+    /// pass.
+    fn partition(&mut self, ids: &mut [usize], split: &Split) -> usize {
+        let codes = &self.params[split.param.index()];
+        let passes: Vec<bool> = (0..codes.n_codes())
+            .map(|c| codes.holds(c, split.value))
+            .collect();
+        self.spill.clear();
+        let mut n_yes = 0;
+        for k in 0..ids.len() {
+            let i = ids[k];
+            if passes[codes.column[i] as usize] {
+                ids[n_yes] = i;
+                n_yes += 1;
+            } else {
+                self.spill.push(i);
+            }
+        }
+        ids[n_yes..].copy_from_slice(&self.spill);
+        n_yes
     }
 }
 
@@ -645,6 +839,6 @@ mod tests {
     #[should_panic(expected = "zero rows")]
     fn empty_fit_panics() {
         let s = space();
-        DecisionTree::fit(&s, &[], &TreeConfig::default());
+        DecisionTree::fit::<Instance>(&s, &[], &TreeConfig::default());
     }
 }
