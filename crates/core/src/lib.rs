@@ -44,7 +44,5 @@ pub use instance::{Instance, InstanceDisplay};
 pub use outcome::{EvalResult, Outcome};
 pub use param::{Domain, DomainKind, InstanceIter, ParamDef, ParamId, ParamSpace, ParamSpaceBuilder};
 pub use predicate::{Comparator, Predicate, PredicateDisplay};
-pub use provenance::{
-    ProvenanceStore, Run, SupportBounds, TsvError, DEFAULT_EPOCH_RUNS, DEFAULT_PARALLEL_MIN_EPOCHS,
-};
+pub use provenance::{ProvenanceStore, Run, SupportBounds, TsvError, DEFAULT_EPOCH_RUNS};
 pub use value::{Value, F64};

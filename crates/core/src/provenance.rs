@@ -44,6 +44,18 @@
 //!   encoded; they are tracked in `overflow` and handled by the original
 //!   interpretive path, so the fast index never changes observable
 //!   semantics.
+//!
+//! # Query paths
+//!
+//! Every query runs on the calling thread. A conjunction is resolved once
+//! into a per-predicate plan of value ranges, which both the exact scans
+//! and the admissible [`SupportBounds`] read. The exact superset check is
+//! one epoch-major scan over a batch of causes — overflow runs, then the
+//! in-progress epoch, then the frozen epochs — each cause dropping out at
+//! its first succeeding match; the scalar check is a batch of one.
+//! [`support_bounds`](ProvenanceStore::support_bounds) is likewise a batch
+//! of one of [`support_bounds_many`](ProvenanceStore::support_bounds_many),
+//! and one gate decides from the bounds whether the exact scan must run.
 
 use crate::bitset::RunSet;
 use crate::cause::Conjunction;
@@ -54,7 +66,7 @@ use crate::outcome::{EvalResult, Outcome};
 use crate::param::{Domain, ParamSpace};
 use crate::predicate::{Comparator, Predicate};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Open-addressing index from dense instance keys to run indices.
@@ -228,19 +240,11 @@ impl KeyIndex {
 /// (prefix-encoded) epochs answer predicates in 1–4 row reads each.
 pub const DEFAULT_EPOCH_RUNS: usize = 1024;
 
-/// Default minimum number of *full* epochs before an indexed query fans out
-/// across query workers. Below this, thread spawn/join overhead exceeds the
-/// scan itself, so small logs always take the sequential path.
-pub const DEFAULT_PARALLEL_MIN_EPOCHS: usize = 8;
-
 /// Observability counters for the epoch query paths, updated by `support`
-/// and `succeeding_superset_exists` (atomics, so `&self` queries can count
-/// and worker threads can share them). Cloning a store snapshots the
-/// current values.
+/// and `succeeding_superset_exists` (atomics, so `&self` queries can
+/// count). Cloning a store snapshots the current values.
 #[derive(Debug, Default)]
 struct QueryStats {
-    /// Indexed queries that took the parallel fan-out path.
-    parallel_epoch_queries: AtomicU64,
     /// Epochs (full + in-progress) visited by indexed queries.
     epochs_scanned: AtomicU64,
     /// Queries fully decided by the bounds layer (no word-level scan ran).
@@ -254,9 +258,6 @@ impl Clone for QueryStats {
     // lint: allow(W004, reason = "relaxed loads of monotonic telemetry counters; a clone is a point-in-time diagnostic snapshot, not a synchronization point", scope = "block")
     fn clone(&self) -> Self {
         QueryStats {
-            parallel_epoch_queries: AtomicU64::new(
-                self.parallel_epoch_queries.load(Ordering::Relaxed),
-            ),
             epochs_scanned: AtomicU64::new(self.epochs_scanned.load(Ordering::Relaxed)),
             bounds_short_circuits: AtomicU64::new(
                 self.bounds_short_circuits.load(Ordering::Relaxed),
@@ -480,13 +481,9 @@ pub struct ProvenanceStore {
     /// values); they are absent from `by_key`/the value index and served by
     /// the interpretive fallback paths.
     overflow: Vec<u32>,
-    /// Worker threads indexed queries may fan full epochs out across
-    /// (1 = always sequential; see [`set_query_workers`](Self::set_query_workers)).
-    query_workers: usize,
-    /// Full epochs required before a query parallelizes
-    /// ([`DEFAULT_PARALLEL_MIN_EPOCHS`] by default).
-    parallel_min_epochs: usize,
-    /// Parallelism/coverage counters (see [`query_counters`](Self::query_counters)).
+    /// Scan coverage and bounds-gate counters (see
+    /// [`epochs_scanned`](Self::epochs_scanned) and
+    /// [`bounds_counters`](Self::bounds_counters)).
     query_stats: QueryStats,
 }
 
@@ -531,45 +528,15 @@ impl ProvenanceStore {
             fail_bits: RunSet::new(),
             succeed_bits: RunSet::new(),
             overflow: Vec::new(),
-            query_workers: 1,
-            parallel_min_epochs: DEFAULT_PARALLEL_MIN_EPOCHS,
             query_stats: QueryStats::default(),
         }
     }
 
-    /// Sets how many worker threads indexed queries (`support`,
-    /// `succeeding_superset_exists`) may fan frozen epochs out across.
-    /// Values ≤ 1 keep every query sequential. Parallelism only engages on logs with at least the
-    /// [parallel epoch threshold](Self::set_parallel_epoch_threshold) of
-    /// full epochs — small logs never pay thread overhead — and results are
-    /// bit-identical to the sequential path: epochs are disjoint word
-    /// ranges, merged deterministically.
-    pub fn set_query_workers(&mut self, workers: usize) {
-        self.query_workers = workers.max(1);
-    }
-
-    /// The configured query worker count (1 = sequential).
-    pub fn query_workers(&self) -> usize {
-        self.query_workers
-    }
-
-    /// Overrides the minimum number of full epochs before indexed queries
-    /// parallelize (default [`DEFAULT_PARALLEL_MIN_EPOCHS`]). Mainly for
-    /// tests and tuning; lowering it on small logs trades thread overhead
-    /// for nothing.
-    pub fn set_parallel_epoch_threshold(&mut self, min_full_epochs: usize) {
-        self.parallel_min_epochs = min_full_epochs.max(1);
-    }
-
-    /// `(parallel_epoch_queries, epochs_scanned)`: how many indexed queries
-    /// took the parallel fan-out path, and how many epochs (full +
-    /// in-progress) indexed queries have visited in total.
-    pub fn query_counters(&self) -> (u64, u64) {
-        // Relaxed loads: diagnostic counters only, no ordering with queries.
-        (
-            self.query_stats.parallel_epoch_queries.load(Ordering::Relaxed),
-            self.query_stats.epochs_scanned.load(Ordering::Relaxed),
-        )
+    /// How many epochs (full + in-progress) the exact scans have visited in
+    /// total: each scan counts the whole log, early exits included.
+    pub fn epochs_scanned(&self) -> u64 {
+        // Relaxed load: diagnostic counter only, no ordering with queries.
+        self.query_stats.epochs_scanned.load(Ordering::Relaxed)
     }
 
     /// Enables or disables the admissible-bounds early-outs layered on
@@ -598,25 +565,25 @@ impl ProvenanceStore {
         )
     }
 
-    /// True when a query over `full` frozen epochs should fan out.
-    #[inline]
-    fn use_parallel(&self, full_epochs: usize) -> bool {
-        self.query_workers > 1 && full_epochs >= self.parallel_min_epochs
-    }
-
-    /// Bumps the query counters for one indexed query over the whole log.
-    fn note_query(&self, full_epochs: usize, parallel: bool) {
-        let partial = usize::from(self.runs.len() % self.epoch_runs != 0);
-        // Relaxed increments: telemetry only, never read for control flow.
+    /// Counts `scans` exact scans over the whole log in `epochs_scanned`.
+    fn note_scans(&self, scans: usize) {
+        let epochs = self.blocks.len() + usize::from(self.tail_runs != 0);
+        // Relaxed increment: telemetry only, never read for control flow.
         self.query_stats
             .epochs_scanned
-            .fetch_add((full_epochs + partial) as u64, Ordering::Relaxed);
-        if parallel {
-            // Relaxed: same telemetry-only counter discipline as above.
-            self.query_stats
-                .parallel_epoch_queries
-                .fetch_add(1, Ordering::Relaxed);
-        }
+            .fetch_add((scans * epochs) as u64, Ordering::Relaxed);
+    }
+
+    /// Counts one bounds-gate decision: answered from the bounds alone, or
+    /// fallen through to the exact scan.
+    fn note_gate(&self, decided: bool) {
+        let counter = if decided {
+            &self.query_stats.bounds_short_circuits
+        } else {
+            &self.query_stats.bounds_fallthroughs
+        };
+        // Relaxed: telemetry-only counter, never read for control flow.
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Freezes the just-completed epoch: moves the flat `current` block out
@@ -762,9 +729,6 @@ impl ProvenanceStore {
     /// reads, however many values it allows. On return `acc` always holds
     /// the exact epoch words (all zero when the epoch has no match); the
     /// return value is `false` iff no run in the epoch satisfies.
-    ///
-    /// Epochs are disjoint word ranges of the run log, so callers — serial
-    /// or fanned out across threads — merge results deterministically.
     // lint: allow(W003, reason = "e < blocks.len() at every call site, and frozen-block rows are (base + value) * epoch_words slices of a block allocated at that exact size", scope = "block")
     fn epoch_acc_into<'s>(
         &'s self,
@@ -842,15 +806,6 @@ impl ProvenanceStore {
             kernels::and_popcount(acc, words_from(self.fail_bits.words(), at)),
             kernels::and_popcount(acc, words_from(self.succeed_bits.words(), at)),
         )
-    }
-
-    /// Splits `0..full` into one contiguous epoch range per worker.
-    fn epoch_ranges(full: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-        let per = full.div_ceil(workers);
-        (0..workers)
-            .map(|ci| (ci * per).min(full)..((ci + 1) * per).min(full))
-            .filter(|r| !r.is_empty())
-            .collect()
     }
 
     /// A history pre-seeded with given runs (the paper's "previously run
@@ -1122,22 +1077,9 @@ impl ProvenanceStore {
     /// [`succeeding_superset_exists_exact`](Self::succeeding_superset_exists_exact).
     pub fn succeeding_superset_exists(&self, cause: &Conjunction) -> bool {
         if self.bounds_enabled && !cause.is_empty() {
-            let b = self.support_bounds(cause);
-            if b.succeed_hi == 0 || b.succeed_lo > 0 {
-                // Relaxed: telemetry-only counter, never read for control flow.
-                self.query_stats
-                    .bounds_short_circuits
-                    .fetch_add(1, Ordering::Relaxed);
-                return b.succeed_lo > 0;
+            if let Some(answer) = self.superset_gate(cause, self.support_bounds(cause)) {
+                return answer;
             }
-            // Relaxed: telemetry-only counter, never read for control flow.
-            self.query_stats
-                .bounds_fallthroughs
-                .fetch_add(1, Ordering::Relaxed);
-            debug_assert!(
-                b.admits(self.support(cause)),
-                "inconclusive bounds must still admit the exact support"
-            );
         }
         self.succeeding_superset_exists_exact(cause)
     }
@@ -1145,148 +1087,145 @@ impl ProvenanceStore {
     /// The exact kernel path of
     /// [`succeeding_superset_exists`](Self::succeeding_superset_exists),
     /// with no bounds-layer early-out — the reference the pruned entry point
-    /// must stay bit-identical to.
-    ///
-    /// Evaluated epoch by epoch with an early exit on the first succeeding
-    /// intersection, never materializing the satisfying set; above the
-    /// parallel threshold the epochs are fanned out across the query
-    /// workers (a shared flag stops the remaining workers early — the
-    /// boolean merge is order-independent, so the result is identical to
-    /// the sequential scan).
+    /// must stay bit-identical to. A batch of one through the exact scan of
+    /// [`succeeding_superset_exists_many`](Self::succeeding_superset_exists_many).
     pub fn succeeding_superset_exists_exact(&self, cause: &Conjunction) -> bool {
-        if cause.is_empty() {
-            return !self.succeed_bits.is_empty();
-        }
-        // Overflow runs first: a handful of interpretive checks, and a hit
-        // skips the epoch scan entirely.
-        for &i in &self.overflow {
-            // lint: allow(W003, reason = "overflow only records indices of runs already pushed")
-            let run = &self.runs[i as usize];
-            if run.outcome().is_succeed() && cause.satisfied_by(&run.instance) {
-                return true;
+        let mut out = [false];
+        self.superset_scan(std::slice::from_ref(cause), [0], &mut out);
+        out[0]
+    }
+
+    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists) for
+    /// a batch of candidate causes in one store round-trip. The bounds layer
+    /// decides what it can from integer arithmetic; the undecided remainder
+    /// goes through one epoch-major exact scan. Results are identical to
+    /// calling the single-cause check once per cause.
+    // lint: allow(W003, reason = "out is sized causes.len() and indexed by positions from the same enumerate", scope = "block")
+    pub fn succeeding_superset_exists_many(&self, causes: &[Conjunction]) -> Vec<bool> {
+        let mut out = vec![false; causes.len()];
+        let bounds = if self.bounds_enabled {
+            self.support_bounds_many(causes)
+        } else {
+            Vec::new()
+        };
+        let mut undecided = Vec::with_capacity(causes.len());
+        for (i, cause) in causes.iter().enumerate() {
+            match bounds
+                .get(i)
+                .filter(|_| !cause.is_empty())
+                .and_then(|&b| self.superset_gate(cause, b))
+            {
+                Some(answer) => out[i] = answer,
+                None => undecided.push(i),
             }
         }
-        let preds = self.plan_predicates(cause);
+        self.superset_scan(causes, undecided, &mut out);
+        out
+    }
+
+    /// The bounds gate in front of the exact superset scan: `Some(answer)`
+    /// when `b` decides whether a succeeding superset exists
+    /// (`succeed_hi == 0` proves none does, `succeed_lo > 0` proves one
+    /// does), `None` when the exact scan must run. Counts the decision; debug
+    /// builds also check that an inconclusive bound admits the exact support.
+    fn superset_gate(&self, cause: &Conjunction, b: SupportBounds) -> Option<bool> {
+        let decided = b.succeed_hi == 0 || b.succeed_lo > 0;
+        self.note_gate(decided);
+        debug_assert!(
+            decided || b.admits(self.support(cause)),
+            "inconclusive bounds must still admit the exact support"
+        );
+        decided.then_some(b.succeed_lo > 0)
+    }
+
+    /// The one exact superset scan: sets `out[i]` for every `i` in `pending`
+    /// whose cause has a succeeding satisfying run, and leaves the others
+    /// untouched. Overflow runs go first — a handful of interpretive checks,
+    /// and a hit skips planning — then the in-progress epoch (most recent,
+    /// cheapest to scan), then the frozen epochs **epoch-major**: every
+    /// cause still pending is evaluated against a block while it is
+    /// cache-hot and drops out at its first succeeding intersection. The
+    /// satisfying set is never materialized.
+    // lint: allow(W003, reason = "pending holds positions below causes.len() == out.len(); overflow only records indices of runs already pushed; the tail window is at most epoch_words long, the length of acc", scope = "block")
+    fn superset_scan(
+        &self,
+        causes: &[Conjunction],
+        pending: impl IntoIterator<Item = usize>,
+        out: &mut [bool],
+    ) {
+        let mut plans: Vec<(usize, Vec<PredPlan>)> = Vec::new();
+        for i in pending {
+            let cause = &causes[i];
+            if cause.is_empty() {
+                out[i] = !self.succeed_bits.is_empty();
+            } else if self.overflow.iter().any(|&r| {
+                let run = &self.runs[r as usize];
+                run.outcome().is_succeed() && cause.satisfied_by(&run.instance)
+            }) {
+                out[i] = true;
+            } else {
+                plans.push((i, self.plan_predicates(cause)));
+            }
+        }
+        if plans.is_empty() {
+            return;
+        }
+        self.note_scans(plans.len());
         let w = self.epoch_words;
         let full = self.blocks.len();
-        let parallel = self.use_parallel(full);
-        self.note_query(full, parallel);
-        // The in-progress epoch next — most recent, cheapest to scan.
-        let cur_base = full * self.epoch_runs;
-        let used = (self.runs.len() - cur_base).div_ceil(64);
-        if used > 0 {
-            let mut acc = vec![0u64; used];
-            if self.current_acc_into(&preds, &mut acc)
-                && kernels::and_any(&acc, words_from(self.succeed_bits.words(), cur_base / 64))
-            {
-                return true;
-            }
-        }
-        if parallel {
-            let found = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for range in Self::epoch_ranges(full, self.query_workers) {
-                    let (preds, found) = (&preds, &found);
-                    scope.spawn(move || {
-                        let mut scratch = TermScratch::default();
-                        let mut acc = vec![0u64; w];
-                        for e in range {
-                            // Relaxed: the stop flag is a monotonic early-exit
-                            // hint — the scoped-thread join synchronizes, and
-                            // a stale read costs one extra epoch scan.
-                            if found.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            if self.epoch_acc_into(e, preds, &mut scratch, &mut acc)
-                                && kernels::and_any(
-                                    &acc,
-                                    words_from(self.succeed_bits.words(), e * w),
-                                )
-                            {
-                                // Relaxed: order-independent boolean merge;
-                                // see the load above.
-                                found.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    });
-                }
+        let succeed = self.succeed_bits.words();
+        let mut acc = vec![0u64; w];
+        let tail = &mut acc[..self.tail_runs.div_ceil(64)];
+        if !tail.is_empty() {
+            let tail_succeed = words_from(succeed, full * w);
+            plans.retain(|(i, preds)| {
+                let hit = self.current_acc_into(preds, tail) && kernels::and_any(tail, tail_succeed);
+                out[*i] |= hit;
+                !hit
             });
-            found.into_inner()
-        } else {
-            let mut scratch = TermScratch::default();
-            let mut acc = vec![0u64; w];
-            (0..full).any(|e| {
-                self.epoch_acc_into(e, &preds, &mut scratch, &mut acc)
-                    && kernels::and_any(&acc, words_from(self.succeed_bits.words(), e * w))
-            })
+        }
+        let mut scratch = TermScratch::default();
+        for e in 0..full {
+            if plans.is_empty() {
+                break;
+            }
+            let epoch_succeed = words_from(succeed, e * w);
+            plans.retain(|(i, preds)| {
+                let hit = self.epoch_acc_into(e, preds, &mut scratch, &mut acc)
+                    && kernels::and_any(&acc, epoch_succeed);
+                out[*i] |= hit;
+                !hit
+            });
         }
     }
 
     /// Counts `(failing, succeeding)` runs satisfying a conjunction — fused
     /// AND-of-ORs + popcount per epoch against the outcome bitsets, never
-    /// materializing the satisfying set. Above the parallel threshold the
-    /// full epochs are fanned out across the query workers; the per-epoch
-    /// partial counts are summed, so the result is identical to the
-    /// sequential scan.
-    // lint: allow(W003, reason = "the join expect propagates worker panics rather than swallowing them; overflow holds recorded run indices", scope = "block")
+    /// materializing the satisfying set.
+    // lint: allow(W003, reason = "overflow holds recorded run indices; the tail window is at most epoch_words long, the length of acc", scope = "block")
     pub fn support(&self, cause: &Conjunction) -> (usize, usize) {
         if cause.is_empty() {
             return (self.num_failing(), self.num_succeeding());
         }
         let preds = self.plan_predicates(cause);
+        self.note_scans(1);
         let w = self.epoch_words;
         let full = self.blocks.len();
-        let parallel = self.use_parallel(full);
-        self.note_query(full, parallel);
-        let (mut f, mut s) = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = Self::epoch_ranges(full, self.query_workers)
-                    .into_iter()
-                    .map(|range| {
-                        let preds = &preds;
-                        scope.spawn(move || {
-                            let mut scratch = TermScratch::default();
-                            let mut acc = vec![0u64; w];
-                            let (mut f, mut s) = (0usize, 0usize);
-                            for e in range {
-                                if self.epoch_acc_into(e, preds, &mut scratch, &mut acc) {
-                                    let (ef, es) = self.outcome_counts_at(e * w, &acc);
-                                    f += ef;
-                                    s += es;
-                                }
-                            }
-                            (f, s)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("epoch query worker panicked"))
-                    .fold((0, 0), |(f, s), (ef, es)| (f + ef, s + es))
-            })
-        } else {
-            let mut scratch = TermScratch::default();
-            let mut acc = vec![0u64; w];
-            let (mut f, mut s) = (0usize, 0usize);
-            for e in 0..full {
-                if self.epoch_acc_into(e, &preds, &mut scratch, &mut acc) {
-                    let (ef, es) = self.outcome_counts_at(e * w, &acc);
-                    f += ef;
-                    s += es;
-                }
-            }
-            (f, s)
-        };
-        let cur_base = full * self.epoch_runs;
-        let used = (self.runs.len() - cur_base).div_ceil(64);
-        if used > 0 {
-            let mut acc = vec![0u64; used];
-            if self.current_acc_into(&preds, &mut acc) {
-                let (ef, es) = self.outcome_counts_at(cur_base / 64, &acc);
+        let mut scratch = TermScratch::default();
+        let mut acc = vec![0u64; w];
+        let (mut f, mut s) = (0usize, 0usize);
+        for e in 0..full {
+            if self.epoch_acc_into(e, &preds, &mut scratch, &mut acc) {
+                let (ef, es) = self.outcome_counts_at(e * w, &acc);
                 f += ef;
                 s += es;
             }
+        }
+        let tail = &mut acc[..self.tail_runs.div_ceil(64)];
+        if !tail.is_empty() && self.current_acc_into(&preds, tail) {
+            let (ef, es) = self.outcome_counts_at(full * w, tail);
+            f += ef;
+            s += es;
         }
         for &i in &self.overflow {
             let run = &self.runs[i as usize];
@@ -1355,75 +1294,46 @@ impl ProvenanceStore {
     }
 
     /// Admissible bounds on [`support`](Self::support) — see
-    /// [`SupportBounds`] for the invariant. Computed from per-epoch integer
+    /// [`SupportBounds`] for the invariant — from per-epoch integer count
+    /// tables only: O(epochs × predicates) arithmetic, never a word-level
+    /// scan. A batch of one of
+    /// [`support_bounds_many`](Self::support_bounds_many).
+    pub fn support_bounds(&self, cause: &Conjunction) -> SupportBounds {
+        let mut out = [SupportBounds::default()];
+        self.fold_bounds(
+            std::slice::from_ref(cause),
+            &[self.plan_predicates(cause)],
+            &mut out,
+        );
+        out[0]
+    }
+
+    /// [`support_bounds`](Self::support_bounds) for a batch, epoch-major:
+    /// every conjunction is folded against each epoch's count table while
+    /// it is cache-hot. Results are identical to calling `support_bounds`
+    /// once per cause.
+    pub fn support_bounds_many(&self, causes: &[Conjunction]) -> Vec<SupportBounds> {
+        let plans: Vec<Vec<PredPlan>> = causes.iter().map(|c| self.plan_predicates(c)).collect();
+        let mut out = vec![SupportBounds::default(); causes.len()];
+        self.fold_bounds(causes, &plans, &mut out);
+        out
+    }
+
+    /// The one bounds fold: `out[i]` becomes the bounds of `causes[i]`,
+    /// whose predicate plan is `plans[i]`. Computed from per-epoch integer
     /// count tables only, O(epochs × predicates) arithmetic, never a
     /// word-level scan: full epochs are answered from their cumulative
     /// count tables by adjacent differences per predicate range (the
     /// integer twin of a frozen block's adjacent-prefix popcount
     /// difference), the in-progress epoch from the incrementally maintained
     /// current counts, and overflow runs interpretively (they are few and
-    /// live outside the count tables).
-    pub fn support_bounds(&self, cause: &Conjunction) -> SupportBounds {
-        if cause.is_empty() {
-            let (f, s) = (self.num_failing(), self.num_succeeding());
-            return SupportBounds {
-                fail_lo: f,
-                fail_hi: f,
-                succeed_lo: s,
-                succeed_hi: s,
-            };
-        }
-        let plans = self.plan_predicates(cause);
-        let mut b = SupportBounds::default();
+    /// live outside the count tables). An empty cause's bounds are its
+    /// exact support.
+    // lint: allow(W003, reason = "overflow only records indices of runs already pushed", scope = "block")
+    fn fold_bounds(&self, causes: &[Conjunction], plans: &[Vec<PredPlan>], out: &mut [SupportBounds]) {
         for counts in &self.epoch_counts {
-            Self::fold_epoch_bound(
-                &mut b,
-                &plans,
-                counts.indexed,
-                counts.failing,
-                counts.succeeding,
-                |p| counts.pred_count(p.base, &p.ranges),
-            );
-        }
-        let (tail_f, tail_s, tail_idx) = self.tail_counts;
-        if tail_f + tail_s > 0 {
-            Self::fold_epoch_bound(&mut b, &plans, tail_idx, tail_f, tail_s, |p| {
-                self.current_pred_count(p)
-            });
-        }
-        for &i in &self.overflow {
-            // lint: allow(W003, reason = "overflow only records indices of runs already pushed")
-            let run = &self.runs[i as usize];
-            if cause.satisfied_by(&run.instance) {
-                match run.outcome() {
-                    Outcome::Fail => {
-                        b.fail_lo += 1;
-                        b.fail_hi += 1;
-                    }
-                    Outcome::Succeed => {
-                        b.succeed_lo += 1;
-                        b.succeed_hi += 1;
-                    }
-                }
-            }
-        }
-        b
-    }
-
-    /// [`support_bounds`](Self::support_bounds) for a batch, epoch-major:
-    /// every conjunction is folded against each epoch's count table while
-    /// it is cache-hot.
-    /// Results are identical to calling `support_bounds` once per cause.
-    // lint: allow(W003, reason = "out and causes are both sized causes.len() and walked by the same zip/enumerate; overflow holds recorded run indices", scope = "block")
-    pub fn support_bounds_many(&self, causes: &[Conjunction]) -> Vec<SupportBounds> {
-        let plans: Vec<Option<Vec<PredPlan>>> = causes
-            .iter()
-            .map(|c| (!c.is_empty()).then(|| self.plan_predicates(c)))
-            .collect();
-        let mut out = vec![SupportBounds::default(); causes.len()];
-        for counts in &self.epoch_counts {
-            for (b, plan) in out.iter_mut().zip(&plans) {
-                if let Some(preds) = plan {
+            for (b, preds) in out.iter_mut().zip(plans) {
+                if !preds.is_empty() {
                     Self::fold_epoch_bound(
                         b,
                         preds,
@@ -1436,42 +1346,34 @@ impl ProvenanceStore {
             }
         }
         let (tail_f, tail_s, tail_idx) = self.tail_counts;
-        for (ci, (b, plan)) in out.iter_mut().zip(&plans).enumerate() {
-            match plan {
-                None => {
-                    let (f, s) = (self.num_failing(), self.num_succeeding());
-                    *b = SupportBounds {
-                        fail_lo: f,
-                        fail_hi: f,
-                        succeed_lo: s,
-                        succeed_hi: s,
+        for ((b, preds), cause) in out.iter_mut().zip(plans).zip(causes) {
+            if preds.is_empty() {
+                let (f, s) = (self.num_failing(), self.num_succeeding());
+                *b = SupportBounds {
+                    fail_lo: f,
+                    fail_hi: f,
+                    succeed_lo: s,
+                    succeed_hi: s,
+                };
+                continue;
+            }
+            if tail_f + tail_s > 0 {
+                Self::fold_epoch_bound(b, preds, tail_idx, tail_f, tail_s, |p| {
+                    self.current_pred_count(p)
+                });
+            }
+            for &i in &self.overflow {
+                let run = &self.runs[i as usize];
+                if cause.satisfied_by(&run.instance) {
+                    let (lo, hi) = match run.outcome() {
+                        Outcome::Fail => (&mut b.fail_lo, &mut b.fail_hi),
+                        Outcome::Succeed => (&mut b.succeed_lo, &mut b.succeed_hi),
                     };
-                }
-                Some(preds) => {
-                    if tail_f + tail_s > 0 {
-                        Self::fold_epoch_bound(b, preds, tail_idx, tail_f, tail_s, |p| {
-                            self.current_pred_count(p)
-                        });
-                    }
-                    for &i in &self.overflow {
-                        let run = &self.runs[i as usize];
-                        if causes[ci].satisfied_by(&run.instance) {
-                            match run.outcome() {
-                                Outcome::Fail => {
-                                    b.fail_lo += 1;
-                                    b.fail_hi += 1;
-                                }
-                                Outcome::Succeed => {
-                                    b.succeed_lo += 1;
-                                    b.succeed_hi += 1;
-                                }
-                            }
-                        }
-                    }
+                    *lo += 1;
+                    *hi += 1;
                 }
             }
         }
-        out
     }
 
     /// [`support`](Self::support) with the bounds-layer early-out: when the
@@ -1480,118 +1382,20 @@ impl ProvenanceStore {
     /// scan; otherwise the exact path runs. Bit-identical to `support`
     /// either way.
     pub fn support_via_bounds(&self, cause: &Conjunction) -> (usize, usize) {
-        if self.bounds_enabled {
-            let b = self.support_bounds(cause);
-            if b.is_exact() {
-                // Relaxed: telemetry-only counter, never read for control flow.
-                self.query_stats
-                    .bounds_short_circuits
-                    .fetch_add(1, Ordering::Relaxed);
-                return (b.fail_lo, b.succeed_lo);
-            }
-            // Relaxed: telemetry-only counter, never read for control flow.
-            self.query_stats
-                .bounds_fallthroughs
-                .fetch_add(1, Ordering::Relaxed);
-            let exact = self.support(cause);
-            debug_assert!(
-                b.admits(exact),
-                "inconclusive bounds must still admit the exact support"
-            );
-            return exact;
+        if !self.bounds_enabled {
+            return self.support(cause);
         }
-        self.support(cause)
-    }
-
-    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists) for
-    /// a batch of candidate causes in one store round-trip. The bounds layer
-    /// decides what it can from integer arithmetic; the undecided remainder
-    /// is then swept **epoch-major** — every undecided cause is evaluated
-    /// against each epoch block while it is cache-hot, each cause dropping
-    /// out at its first succeeding intersection. Results are identical to
-    /// calling the single-cause check once per cause.
-    // lint: allow(W003, reason = "out is sized causes.len() and every index into it or causes is an enumerate index or one retained from that enumerate; overflow holds recorded run indices", scope = "block")
-    pub fn succeeding_superset_exists_many(&self, causes: &[Conjunction]) -> Vec<bool> {
-        let mut out = vec![false; causes.len()];
-        let mut undecided: Vec<usize> = Vec::new();
-        for (i, cause) in causes.iter().enumerate() {
-            if cause.is_empty() {
-                out[i] = !self.succeed_bits.is_empty();
-            } else if self.bounds_enabled {
-                let b = self.support_bounds(cause);
-                if b.succeed_hi == 0 || b.succeed_lo > 0 {
-                    // Relaxed: telemetry-only counter, no control-flow reads.
-                    self.query_stats
-                        .bounds_short_circuits
-                        .fetch_add(1, Ordering::Relaxed);
-                    out[i] = b.succeed_lo > 0;
-                } else {
-                    // Relaxed: telemetry-only counter, no control-flow reads.
-                    self.query_stats
-                        .bounds_fallthroughs
-                        .fetch_add(1, Ordering::Relaxed);
-                    debug_assert!(
-                        b.admits(self.support(cause)),
-                        "inconclusive bounds must still admit the exact support"
-                    );
-                    undecided.push(i);
-                }
-            } else {
-                undecided.push(i);
-            }
+        let b = self.support_bounds(cause);
+        self.note_gate(b.is_exact());
+        if b.is_exact() {
+            return (b.fail_lo, b.succeed_lo);
         }
-        if undecided.is_empty() {
-            return out;
-        }
-        let mut plans: Vec<(usize, Vec<PredPlan>)> = undecided
-            .into_iter()
-            .map(|i| (i, self.plan_predicates(&causes[i])))
-            .collect();
-        let full = self.blocks.len();
-        let w = self.epoch_words;
-        for _ in 0..plans.len() {
-            self.note_query(full, false);
-        }
-        // Overflow runs and the in-progress epoch first, mirroring the
-        // single-cause scan order (cheapest evidence, most recent runs).
-        plans.retain(|&(i, _)| {
-            let hit = self.overflow.iter().any(|&r| {
-                let run = &self.runs[r as usize];
-                run.outcome().is_succeed() && causes[i].satisfied_by(&run.instance)
-            });
-            out[i] = hit;
-            !hit
-        });
-        let cur_base = full * self.epoch_runs;
-        let used = (self.runs.len() - cur_base).div_ceil(64);
-        if used > 0 {
-            let mut acc = vec![0u64; used];
-            plans.retain(|(i, preds)| {
-                let hit = self.current_acc_into(preds, &mut acc)
-                    && kernels::and_any(
-                        &acc,
-                        words_from(self.succeed_bits.words(), cur_base / 64),
-                    );
-                out[*i] = hit;
-                !hit
-            });
-        }
-        let mut scratch = TermScratch::default();
-        let mut acc = vec![0u64; w];
-        for e in 0..full {
-            if plans.is_empty() {
-                break;
-            }
-            plans.retain(|(i, preds)| {
-                let hit = self.epoch_acc_into(e, preds, &mut scratch, &mut acc)
-                    && kernels::and_any(&acc, words_from(self.succeed_bits.words(), e * w));
-                if hit {
-                    out[*i] = true;
-                }
-                !hit
-            });
-        }
-        out
+        let exact = self.support(cause);
+        debug_assert!(
+            b.admits(exact),
+            "inconclusive bounds must still admit the exact support"
+        );
+        exact
     }
 
     /// Parses a history from the TSV layout produced by [`Self::to_tsv`]
@@ -2094,73 +1898,6 @@ mod tests {
             p.record(inst, EvalResult::of(outcome));
         }
         (s, p)
-    }
-
-    /// Parallel epoch fan-out returns bit-identical results to the
-    /// sequential path — frozen and in-progress epochs alike — and the
-    /// observability counters tick only when parallelism actually engages.
-    #[test]
-    fn parallel_queries_match_sequential_and_count() {
-        let s = ParamSpace::builder()
-            .ordinal("a", (0..40).collect::<Vec<_>>())
-            .ordinal("b", (0..16).collect::<Vec<_>>())
-            .build();
-        let mut seq = ProvenanceStore::with_epoch_size(s.clone(), 64);
-        for (i, inst) in s.instances().take(600).enumerate() {
-            seq.record(inst, EvalResult::of(Outcome::from_check(i % 7 != 0)));
-        }
-        let mut par = seq.clone();
-        par.set_query_workers(4);
-        par.set_parallel_epoch_threshold(2);
-        assert_eq!(par.query_workers(), 4);
-
-        let a = s.by_name("a").unwrap();
-        let b = s.by_name("b").unwrap();
-        let causes: Vec<Conjunction> = (0..12)
-            .map(|v| match v % 3 {
-                0 => Conjunction::new(vec![Predicate::eq(a, v as i64)]),
-                1 => Conjunction::new(vec![Predicate::new(
-                    a,
-                    crate::Comparator::Le,
-                    (3 * v) as i64,
-                )]),
-                _ => Conjunction::new(vec![
-                    Predicate::new(a, crate::Comparator::Gt, v as i64),
-                    Predicate::eq(b, (v % 16) as i64),
-                ]),
-            })
-            .chain([Conjunction::top()])
-            .collect();
-        for cause in &causes {
-            assert_eq!(seq.support(cause), par.support(cause));
-            assert_eq!(
-                seq.succeeding_superset_exists(cause),
-                par.succeeding_superset_exists(cause)
-            );
-        }
-
-        let (par_queries, par_epochs) = par.query_counters();
-        assert!(par_queries > 0, "parallel path engaged");
-        assert!(par_epochs > 0);
-        let (seq_queries, seq_epochs) = seq.query_counters();
-        assert_eq!(seq_queries, 0, "workers=1 never parallelizes");
-        assert!(seq_epochs > 0);
-    }
-
-    /// Below the epoch threshold (or with one worker) queries stay
-    /// sequential even when workers are configured — no thread overhead on
-    /// small logs, and the counters show it.
-    #[test]
-    fn parallel_threshold_gates_fan_out() {
-        let (s, mut p) = epoch_store(128); // 2 full epochs of 64
-        p.set_query_workers(8); // default threshold is 8 full epochs
-        let x = s.by_name("x").unwrap();
-        let c = Conjunction::new(vec![Predicate::eq(x, 3)]);
-        let support = p.support(&c);
-        assert_eq!(p.query_counters().0, 0, "below threshold: sequential");
-        p.set_parallel_epoch_threshold(1);
-        assert_eq!(p.support(&c), support, "fan-out changes nothing");
-        assert_eq!(p.query_counters().0, 1);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! store's key index — under the store's shared read lock, so hits (by far
 //! the most frequent operation the search layers issue) from many threads
 //! proceed together. The write lock is held only to record a new execution.
+//! Provenance queries also run on the calling thread under the read lock;
+//! the worker pool only executes pipelines.
 //! Statistics are individual atomics ([`Ordering::SeqCst`] reservations for
 //! the budget, relaxed counters elsewhere), so `stats()` never blocks the
 //! workers.
@@ -65,7 +67,9 @@ impl std::error::Error for ExecError {}
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
-    /// Worker threads for batch execution. The paper used 5.
+    /// Worker threads for batch execution ([`Executor::evaluate_batch`]).
+    /// The paper used 5. Provenance queries never use them: they run on
+    /// the calling thread.
     pub workers: usize,
     /// Maximum number of *new* pipeline executions (provenance hits are free).
     /// `None` = unbounded.
@@ -109,11 +113,11 @@ pub struct ExecStats {
     /// Virtual time elapsed: the makespan of all executions scheduled on
     /// `workers` machines.
     pub sim_time: SimTime,
-    /// Provenance queries that fanned epochs out across the worker pool
-    /// (large logs only; small logs stay on the sequential path).
+    /// Always 0: every provenance query runs on the calling thread, so none
+    /// fans out. The field stays so the `STATS` and `METRICS` key sets, and
+    /// the consumers that read them, keep their shape.
     pub parallel_epoch_queries: u64,
-    /// Total epochs visited by provenance queries, across both the
-    /// sequential and parallel paths.
+    /// Total epochs visited by the provenance store's exact scans.
     pub epochs_scanned: u64,
     /// Search subtrees / candidate causes the algorithms discarded on the
     /// strength of an admissible bound alone, skipping their verification
@@ -205,13 +209,12 @@ impl AtomicStats {
             });
     }
 
-    /// Snapshot; `(parallel_epoch_queries, epochs_scanned)` comes from the
-    /// provenance store's query counters, and
-    /// `(bounds_short_circuits, bounds_fallthroughs)` from its bounds
-    /// counters.
+    /// Snapshot; `epochs_scanned` and
+    /// `(bounds_short_circuits, bounds_fallthroughs)` come from the
+    /// provenance store's counters.
     fn snapshot(
         &self,
-        (parallel_epoch_queries, epochs_scanned): (u64, u64),
+        epochs_scanned: u64,
         (bounds_short_circuits, bounds_fallthroughs): (u64, u64),
     ) -> ExecStats {
         ExecStats {
@@ -222,7 +225,7 @@ impl AtomicStats {
             sim_time: SimTime::from_secs(f64::from_bits(
                 self.sim_time_bits.load(Ordering::SeqCst),
             )),
-            parallel_epoch_queries,
+            parallel_epoch_queries: 0,
             epochs_scanned,
             bounds_pruned_subtrees: self.bounds_pruned_subtrees.load(Ordering::SeqCst),
             bounds_short_circuits,
@@ -312,10 +315,6 @@ impl Executor {
                 (recovered, Some(Mutex::new(Some(durable))), Some(recovery))
             }
         };
-        // Provenance queries may fan out across the same worker pool the
-        // dispatcher simulates; below the epoch threshold they stay
-        // sequential, so a small log never pays for threads.
-        provenance.set_query_workers(config.workers);
         provenance.set_bounds_enabled(config.bounds);
         Ok(Executor {
             pipeline,
@@ -471,11 +470,11 @@ impl Executor {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> ExecStats {
-        let (query_counters, bounds_counters) = {
+        let (epochs_scanned, bounds_counters) = {
             let prov = self.provenance.read();
-            (prov.query_counters(), prov.bounds_counters())
+            (prov.epochs_scanned(), prov.bounds_counters())
         };
-        self.stats.snapshot(query_counters, bounds_counters)
+        self.stats.snapshot(epochs_scanned, bounds_counters)
     }
 
     /// Counts `n` candidate causes / search subtrees that an algorithm

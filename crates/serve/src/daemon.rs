@@ -11,12 +11,15 @@
 //!
 //! Handler threads never touch files or spawn processes; everything
 //! blocking-but-bounded is a socket read with a timeout. Lint rule W007
-//! keeps it that way.
+//! keeps it that way. A request that panics is contained in its
+//! connection: the peer gets an `ERR`, its session is closed, and the
+//! connection is dropped, so the daemon still reaches its shutdown.
 
 use crate::protocol::{self, Command, MAX_LINE_BYTES};
 use crate::session::SessionManager;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -148,9 +151,25 @@ fn serve_connection(stream: UnixStream, manager: &SessionManager, shutdown: &Ato
         let reply = match protocol::parse_command(&line) {
             Err(e) => protocol::render_err(&e),
             Ok(command) => {
-                match dispatch(command, manager, &mut session, &mut reader, shutdown) {
-                    Some(reply) => reply,
-                    None => break,
+                let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+                    dispatch(command, manager, &mut session, &mut reader, shutdown)
+                }));
+                match handled {
+                    Ok(Some(reply)) => reply,
+                    Ok(None) => break,
+                    Err(_) => {
+                        // A panic inside a request (a pipeline's `execute`,
+                        // say) stays in this connection: it must not reach
+                        // the accept loop's thread scope, which would skip
+                        // the shutdown snapshot. Close the session so its
+                        // budget reservation is released, and drop the peer.
+                        if let Some(id) = session.take() {
+                            let _ = manager.close(id);
+                        }
+                        let reply = protocol::render_err("internal error: the request panicked");
+                        let _ = writer.write_all(reply.as_bytes());
+                        break;
+                    }
                 }
             }
         };
@@ -309,5 +328,69 @@ mod tests {
             "8 MiB without a newline went through: the daemon never dropped the peer"
         );
         assert_eq!(pong.unwrap().head, "pong");
+    }
+
+    /// A pipeline that panics inside `DIAGNOSE` costs its own connection
+    /// only: the peer gets `ERR` (or a dropped connection), the daemon keeps
+    /// serving, and shutdown still closes the durable store, so the final
+    /// snapshot is written and the directory lock released.
+    #[test]
+    fn panicking_request_is_contained_and_shutdown_still_closes_the_store() {
+        use bugdoc_core::{EvalResult, Instance, ParamSpace};
+        use bugdoc_engine::{ExecutorConfig, FnPipeline, PersistConfig, Pipeline};
+
+        let tag = format!("bugdoc-daemon-panic-{}", std::process::id());
+        let path = std::env::temp_dir().join(format!("{tag}.sock"));
+        let dir = std::env::temp_dir().join(tag);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        let listener = UnixListener::bind(&path).unwrap();
+        let persist_dir = dir.clone();
+        let manager = Arc::new(SessionManager::new(Box::new(move |_: &str| {
+            let space = ParamSpace::builder()
+                .ordinal("a", [1, 2, 3])
+                .ordinal("b", [1, 2, 3])
+                .build();
+            let pipe: Arc<dyn Pipeline> =
+                Arc::new(FnPipeline::new(space, |_: &Instance| -> EvalResult {
+                    panic!("pipeline crashed")
+                }));
+            Executor::try_new(
+                pipe,
+                ExecutorConfig {
+                    persist: Some(PersistConfig::new(&persist_dir)),
+                    ..ExecutorConfig::default()
+                },
+            )
+            .map_err(|e| e.to_string())
+        })));
+        let shutdown = AtomicBool::new(false);
+        let (diagnosed, pong, summary) = std::thread::scope(|scope| {
+            let flag = &shutdown;
+            let daemon = scope.spawn(move || Daemon::over(listener, manager).run(flag));
+
+            let mut client = Client::connect(&path).unwrap();
+            client.session_new().unwrap();
+            client.spec("pipeline\n", 0).unwrap();
+            let diagnosed = client.request("DIAGNOSE");
+            let pong = Client::connect(&path).and_then(|mut client| client.request("PING"));
+
+            shutdown.store(true, Ordering::SeqCst);
+            (diagnosed, pong, daemon.join())
+        });
+        let _ = std::fs::remove_file(&path);
+        let lock_left = dir.join("lock").exists();
+        let _ = std::fs::remove_dir_all(&dir);
+        match diagnosed {
+            Err(e) => assert!(
+                e.contains("internal error") || e.contains("closed the connection"),
+                "{e}"
+            ),
+            Ok(reply) => panic!("a panicking pipeline answered {reply:?}"),
+        }
+        assert_eq!(pong.unwrap().head, "pong");
+        let summary = summary.expect("Daemon::run panicked").unwrap();
+        assert_eq!(summary.executors_closed, 1);
+        assert!(!lock_left, "shutdown left the directory lock behind");
     }
 }

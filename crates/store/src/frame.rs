@@ -85,12 +85,11 @@ impl RunRecord {
         }
     }
 
-    /// Cheap validity check: would [`to_run`](Self::to_run) against `space`
-    /// succeed? Dense keys are checked for arity and per-parameter index
+    /// Cheap validity check: would [`into_run`](Self::into_run) against
+    /// `space` succeed? Dense keys are checked for arity and per-parameter index
     /// range; raw records always fit (they take the provenance store's
-    /// overflow path). Recovery runs this in the replay sink — where a
-    /// misfit must truncate the log like a torn frame — so the actual
-    /// materialization can be deferred and batched across workers.
+    /// overflow path). In recovery a misfit truncates the log like a torn
+    /// frame.
     pub fn fits(&self, space: &ParamSpace) -> bool {
         match &self.key {
             RecordKey::Dense(key) => {
@@ -104,32 +103,13 @@ impl RunRecord {
         }
     }
 
-    /// Materializes the record against `space`. Dense keys are validated
-    /// (arity and per-parameter index range) — a key that does not fit is
+    /// Materializes the record against `space`, moving the dense key (or
+    /// raw values) into the instance. Dense keys are validated (arity and
+    /// per-parameter index range) — a key that does not fit is
     /// [`DecodeError::Domain`], which recovery treats as corruption. Raw
     /// records become key-less instances and take the provenance store's
-    /// existing overflow path when recorded.
-    pub fn to_run(&self, space: &ParamSpace) -> Result<Run, DecodeError> {
-        if !self.fits(space) {
-            return Err(DecodeError::Domain);
-        }
-        let instance = match &self.key {
-            RecordKey::Dense(key) => space.instance_from_indices(key),
-            RecordKey::Raw(values) => Instance::new(values.clone()),
-        };
-        Ok(Run {
-            instance,
-            eval: EvalResult {
-                outcome: self.outcome,
-                score: self.score,
-            },
-        })
-    }
-
-    /// By-value [`to_run`](Self::to_run): moves the dense key (or raw
-    /// values) into the instance instead of cloning them. The streaming
-    /// recovery path runs this once per frame, so the saved allocation and
-    /// copy are per-record hot-path work.
+    /// existing overflow path when recorded. Recovery runs this once per
+    /// snapshot row and WAL frame.
     pub fn into_run(self, space: &ParamSpace) -> Result<Run, DecodeError> {
         if !self.fits(space) {
             return Err(DecodeError::Domain);
@@ -257,43 +237,6 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<(), PersistError> {
         }
     }
     Ok(())
-}
-
-/// Below this many records, batched recovery decodes on the calling thread:
-/// spawn cost would exceed the decode work.
-pub(crate) const PARALLEL_DECODE_MIN_RECORDS: usize = 2048;
-
-/// Materializes a batch of already-[`fits`](RunRecord::fits)-validated
-/// records, fanning contiguous chunks across `workers` threads when the
-/// batch is large enough to pay for them. Order is preserved (recovery
-/// replays runs in log order), and validation-before-decode makes the
-/// per-record `to_run` infallible here.
-pub(crate) fn materialize_validated(
-    records: &[RunRecord],
-    space: &ParamSpace,
-    workers: usize,
-) -> Vec<Run> {
-    let decode = |r: &RunRecord| {
-        r.to_run(space)
-            // lint: allow(W003, reason = "caller contract: every record passed fits()-validation against this same space, so the Domain error is unreachable")
-            .expect("record validated against this space before batch decode")
-    };
-    if workers <= 1 || records.len() < PARALLEL_DECODE_MIN_RECORDS {
-        return records.iter().map(decode).collect();
-    }
-    let per_worker = records.len().div_ceil(workers);
-    let mut runs = Vec::with_capacity(records.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = records
-            .chunks(per_worker)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(decode).collect::<Vec<_>>()))
-            .collect();
-        for handle in handles {
-            // lint: allow(W003, reason = "join() fails only if the worker panicked; re-raising that panic on the coordinating thread is the intended propagation")
-            runs.extend(handle.join().expect("decode worker panicked"));
-        }
-    });
-    runs
 }
 
 fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
@@ -477,7 +420,7 @@ mod tests {
             score: Some(0.25),
         };
         assert_eq!(roundtrip(&r), r);
-        let run = r.to_run(&space()).unwrap();
+        let run = r.clone().into_run(&space()).unwrap();
         assert_eq!(run.instance.values(), &["Digits".into(), Value::from(3)]);
         assert_eq!(run.eval.score, Some(0.25));
     }
@@ -495,7 +438,7 @@ mod tests {
             score: None,
         };
         assert_eq!(roundtrip(&r), r);
-        let run = r.to_run(&space()).unwrap();
+        let run = r.clone().into_run(&space()).unwrap();
         assert!(run.instance.dense_key().is_none(), "raw stays key-less");
     }
 
@@ -508,7 +451,7 @@ mod tests {
         };
         let rec = RunRecord::from_run(&run, &s);
         assert!(matches!(rec.key, RecordKey::Dense(_)));
-        let back = rec.to_run(&s).unwrap();
+        let back = rec.into_run(&s).unwrap();
         assert_eq!(back.instance, run.instance);
         assert_eq!(back.eval, run.eval);
 
@@ -518,7 +461,7 @@ mod tests {
         };
         let rec = RunRecord::from_run(&overflow, &s);
         assert!(matches!(rec.key, RecordKey::Raw(_)));
-        assert_eq!(rec.to_run(&s).unwrap().instance, overflow.instance);
+        assert_eq!(rec.into_run(&s).unwrap().instance, overflow.instance);
     }
 
     #[test]
@@ -528,13 +471,13 @@ mod tests {
             outcome: Outcome::Fail,
             score: None,
         };
-        assert_eq!(r.to_run(&space()).unwrap_err(), DecodeError::Domain);
+        assert_eq!(r.into_run(&space()).unwrap_err(), DecodeError::Domain);
         let wrong_arity = RunRecord {
             key: RecordKey::Dense(vec![0].into_boxed_slice()),
             outcome: Outcome::Fail,
             score: None,
         };
-        assert_eq!(wrong_arity.to_run(&space()).unwrap_err(), DecodeError::Domain);
+        assert_eq!(wrong_arity.into_run(&space()).unwrap_err(), DecodeError::Domain);
     }
 
     #[test]

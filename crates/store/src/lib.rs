@@ -47,9 +47,11 @@
 //! two are retained so a damaged snapshot falls back to its predecessor,
 //! then to full WAL replay.
 //!
-//! A `lock` file (holding the owner's pid) guards the directory against
-//! concurrent writers; locks left by dead processes are broken
-//! automatically, live holders are [`PersistError::Locked`]. Recovery also
+//! A `lock` file guards the directory against concurrent writers: its
+//! holder keeps an OS file lock on it and writes its pid into it. The
+//! kernel drops the lock when the holder dies, so a dead process's lock is
+//! re-taken automatically; live holders are [`PersistError::Locked`].
+//! Recovery also
 //! refuses a log with a missing *middle* segment
 //! ([`PersistError::MissingSegment`]) — concatenating across a hole would
 //! fabricate a history that never existed.
@@ -60,7 +62,9 @@
 //! key fits the spec's [`ParamSpace`] (raw frames route through the
 //! provenance store's existing overflow path), truncates the log at the
 //! first torn or undecodable frame, and deletes any segments past it —
-//! reopened history is always an exact prefix of what was appended. A
+//! reopened history is always an exact prefix of what was appended. Every
+//! snapshot row and WAL frame streams through one decode-and-record pass
+//! on the calling thread; nothing is staged. A
 //! segment or snapshot whose space digest differs from the spec's is a hard
 //! [`PersistError::SpaceMismatch`]: dense keys are meaningless across spec
 //! changes, and silently reinterpreting them would corrupt every downstream
@@ -77,6 +81,7 @@ pub use frame::{DecodeError, RecordKey, RunRecord};
 pub use wal::{Wal, WalPosition};
 
 use bugdoc_core::{ParamSpace, ProvenanceStore, Run};
+use std::fs::{File, TryLockError};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -142,36 +147,16 @@ pub struct PersistConfig {
     /// Write a snapshot every this many appended runs (`None`: only when
     /// [`DurableStore::snapshot`] is called explicitly).
     pub snapshot_every: Option<u64>,
-    /// Worker threads for recovery's record decode (snapshot rows and WAL
-    /// frames are validated sequentially, then materialized in parallel
-    /// batches). `0` (the default) sizes from the machine's available
-    /// parallelism; `1` forces fully sequential recovery. Small logs decode
-    /// sequentially regardless.
-    pub replay_workers: usize,
 }
 
 impl PersistConfig {
-    /// A config with default segment size, no automatic snapshots, and
-    /// auto-sized replay decode.
+    /// A config with default segment size and no automatic snapshots.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             dir: dir.into(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             snapshot_every: None,
-            replay_workers: 0,
         }
-    }
-
-    /// Resolves [`replay_workers`](Self::replay_workers): `0` becomes the
-    /// machine's available parallelism (capped — recovery decode saturates
-    /// memory bandwidth well before it runs out of cores).
-    pub(crate) fn resolved_replay_workers(&self) -> usize {
-        if self.replay_workers != 0 {
-            return self.replay_workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(1)
     }
 }
 
@@ -343,8 +328,11 @@ pub struct DurableStore {
     wal: Wal,
     snapshot_every: Option<u64>,
     appended_since_snapshot: u64,
-    /// Advisory lock file, removed on drop.
+    /// The directory's lock file, removed on drop.
     lock_path: PathBuf,
+    /// The open lock file whose OS lock this store holds; closing it (after
+    /// `drop` has removed the name) releases the lock.
+    _lock_file: File,
 }
 
 impl Drop for DurableStore {
@@ -353,148 +341,56 @@ impl Drop for DurableStore {
     }
 }
 
-/// Takes the directory's advisory lock: a `lock` file created exclusively,
-/// holding this process's pid. A lock left by a *dead* process (checked via
-/// `/proc/<pid>`) is broken and re-taken; a live holder — including another
-/// executor in this very process — is [`PersistError::Locked`].
+/// Takes the directory's advisory lock: an OS file lock on the `lock` file,
+/// which then holds this process's pid for error reports. The kernel
+/// releases the lock when its holder exits, however it exits, so a lock
+/// file left by a dead process is simply re-taken. A live holder —
+/// including another executor in this very process, since every open is
+/// its own lock owner — is [`PersistError::Locked`].
 ///
-/// Publication is `hard_link` from a pre-written temp file rather than
-/// `create_new` + `write`, so the lock file carries its holder's pid from
-/// the instant it exists: contenders can never observe a freshly created
-/// but not-yet-written (empty) lock and mistake a live holder for a
-/// corrupt stale one.
-///
-/// Stale locks are never deleted in place. Between reading a dead
-/// holder's pid and a `remove_file(&path)`, a racing contender could break
-/// the same stale lock *and* a fresh live lock could be installed — the
-/// in-place delete would then destroy the live lock and admit two
-/// writers. Instead the breaker renames the lock aside to a sidecar name
-/// unique to this (process, attempt): rename is atomic, so exactly one
-/// contender captures any given lock file, and only the captured sidecar
-/// — which nobody else will touch — is inspected and deleted. If the
-/// capture turns out to hold a *live* pid (the stale lock was broken and
-/// re-taken between our read and our rename), the sidecar is linked back
-/// into place and the acquire fails with [`PersistError::Locked`].
-fn acquire_lock(dir: &Path) -> Result<PathBuf, PersistError> {
+/// A holder unlinks the file before it unlocks (see the `Drop` impl), so a
+/// contender can end up locking a file that no longer has the `lock` name.
+/// Acquire therefore checks that the file it locked is still the one the
+/// name points at, and retries on the name's current file when it is not.
+/// The lock never changes hands through a rename or a delete by a
+/// contender, so two writers can never both believe they hold it.
+fn acquire_lock(dir: &Path) -> Result<(PathBuf, File), PersistError> {
     use std::io::Write as _;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    // SeqCst: this is a cold path and the counter only has to be unique.
-    static LOCK_SEQ: AtomicU64 = AtomicU64::new(0);
+    use std::os::unix::fs::MetadataExt as _;
     let path = dir.join("lock");
-    let seq = LOCK_SEQ.fetch_add(1, Ordering::SeqCst);
-    let tmp = dir.join(format!("lock.tmp.{}.{seq}", std::process::id()));
-    let mut tmp_file = std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&tmp)
-        .map_err(|e| PersistError::io(&tmp, e))?;
-    if let Err(e) = write!(tmp_file, "{}", std::process::id()) {
-        drop(tmp_file);
-        let _ = std::fs::remove_file(&tmp);
-        return Err(PersistError::io(&tmp, e));
-    }
-    drop(tmp_file);
-    let result = acquire_lock_from(dir, &path, &tmp, seq);
-    let _ = std::fs::remove_file(&tmp);
-    if result.is_ok() {
-        sweep_dead_lock_litter(dir);
-    }
-    result
-}
-
-/// The contention loop of [`acquire_lock`]: publish `tmp` (which already
-/// holds our pid) at `path` via no-clobber `hard_link`, breaking locks
-/// whose holders are dead by the capture-then-verify rename protocol.
-fn acquire_lock_from(
-    dir: &Path,
-    path: &Path,
-    tmp: &Path,
-    seq: u64,
-) -> Result<PathBuf, PersistError> {
-    let read_pid = |p: &Path| -> Option<u32> {
-        std::fs::read_to_string(p).ok().and_then(|s| s.trim().parse().ok())
-    };
-    let alive = |pid: u32| Path::new(&format!("/proc/{pid}")).exists();
-    for round in 0..8 {
-        match std::fs::hard_link(tmp, path) {
-            Ok(()) => return Ok(path.to_path_buf()),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                if let Some(pid) = read_pid(path) {
-                    if alive(pid) {
-                        return Err(PersistError::Locked { pid, path: path.to_path_buf() });
-                    }
-                }
-                // Presumed stale: capture it under a name unique to this
-                // (process, acquire, round) so no other contender can race
-                // us on the captured file. A rename that finds the path
-                // already gone lost the capture to another breaker — just
-                // retry the link.
-                let sidecar =
-                    dir.join(format!("lock.stale.{}.{seq}.{round}", std::process::id()));
-                match std::fs::rename(path, &sidecar) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                    Err(e) => return Err(PersistError::io(path, e)),
-                }
-                // Verify the capture before destroying it: between our
-                // read and our rename the stale lock may have been broken
-                // by someone else and re-taken by a live process — in that
-                // case we just captured a live holder's lock and must put
-                // it back, not delete it.
-                match read_pid(&sidecar) {
-                    Some(pid) if alive(pid) => {
-                        // Link (no-clobber) restores the live lock unless a
-                        // third contender already installed a fresh one; in
-                        // either case the directory is held by a live
-                        // process, so this acquire fails.
-                        let _ = std::fs::hard_link(&sidecar, path);
-                        let _ = std::fs::remove_file(&sidecar);
-                        return Err(PersistError::Locked { pid, path: path.to_path_buf() });
-                    }
-                    // Confirmed dead (or unreadable, which the atomic
-                    // pid-before-publish protocol makes genuinely corrupt):
-                    // the capture is ours to discard.
-                    _ => {
-                        let _ = std::fs::remove_file(&sidecar);
-                    }
-                }
+    loop {
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(|e| PersistError::io(&path, e))?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                // The holder writes its pid just after locking; 0 reports
+                // a holder caught in between.
+                let pid = std::fs::read_to_string(&path)
+                    .ok()
+                    .and_then(|s| s.trim().parse().ok())
+                    .unwrap_or(0);
+                return Err(PersistError::Locked { pid, path });
             }
-            Err(e) => return Err(PersistError::io(path, e)),
+            Err(TryLockError::Error(e)) => return Err(PersistError::io(&path, e)),
         }
-    }
-    Err(PersistError::io(
-        path,
-        std::io::Error::new(
-            std::io::ErrorKind::WouldBlock,
-            "could not acquire persist-directory lock after repeated stale-lock breaks",
-        ),
-    ))
-}
-
-/// Best-effort removal of `lock.tmp.*` / `lock.stale.*` files left behind
-/// by contenders that crashed mid-acquire. Only files whose embedded pid
-/// (second dot-separated field after the prefix) belongs to a dead process
-/// are touched, so live racers' scratch files are safe.
-fn sweep_dead_lock_litter(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let rest = if let Some(r) = name.strip_prefix("lock.tmp.") {
-            r
-        } else if let Some(r) = name.strip_prefix("lock.stale.") {
-            r
-        } else {
-            continue;
-        };
-        let owner: Option<u32> = rest.split('.').next().and_then(|p| p.parse().ok());
-        match owner {
-            Some(pid) if pid != std::process::id()
-                && !Path::new(&format!("/proc/{pid}")).exists() =>
-            {
-                let _ = std::fs::remove_file(entry.path());
+        let locked = file.metadata().map_err(|e| PersistError::io(&path, e))?;
+        match std::fs::metadata(&path) {
+            Ok(named) if (named.dev(), named.ino()) == (locked.dev(), locked.ino()) => {
+                file.set_len(0)
+                    .and_then(|()| write!(file, "{}", std::process::id()))
+                    .map_err(|e| PersistError::io(&path, e))?;
+                return Ok((path, file));
             }
-            _ => {}
+            // The previous holder unlinked the file after we opened it.
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(PersistError::io(&path, e)),
         }
     }
 }
@@ -510,7 +406,7 @@ impl DurableStore {
         config: &PersistConfig,
     ) -> Result<(ProvenanceStore, DurableStore, Recovery), PersistError> {
         std::fs::create_dir_all(&config.dir).map_err(|e| PersistError::io(&config.dir, e))?;
-        let lock_path = acquire_lock(&config.dir)?;
+        let (lock_path, lock_file) = acquire_lock(&config.dir)?;
         match Self::open_locked(space, config) {
             Ok((store, wal, recovery)) => Ok((
                 store,
@@ -521,12 +417,14 @@ impl DurableStore {
                     snapshot_every: config.snapshot_every,
                     appended_since_snapshot: 0,
                     lock_path,
+                    _lock_file: lock_file,
                 },
                 recovery,
             )),
             Err(e) => {
                 // A failed open must not leave the directory locked against
-                // a retry from this same (live) process.
+                // a retry from this same (live) process. The name goes
+                // first; the lock is released when `lock_file` drops.
                 let _ = std::fs::remove_file(&lock_path);
                 Err(e)
             }
@@ -541,49 +439,27 @@ impl DurableStore {
     ) -> Result<(ProvenanceStore, Wal, Recovery), PersistError> {
         let digest = space_digest(space);
 
-        let replay_workers = config.resolved_replay_workers();
         let (mut store, from, snapshot_runs) =
-            match snapshot::load_latest(&config.dir, digest, space, replay_workers)? {
+            match snapshot::load_latest(&config.dir, digest, space)? {
                 Some(loaded) => (loaded.store, Some(loaded.wal_position), loaded.runs),
                 None => (ProvenanceStore::new(space.clone()), None, 0),
             };
 
-        // A dense key that no longer fits the (digest-matched) space is
-        // corruption, truncated like a torn frame (`into_run`'s domain check
-        // rejects it in the sink). With one worker the whole pipeline
-        // streams — decode, materialize, and record fused per frame with no
-        // staging; with more, records are staged so materialization can be
-        // batched across the replay workers.
+        // The tail streams: each frame is decoded, checked against the
+        // space, and recorded before the next is read. A dense key that no
+        // longer fits the (digest-matched) space is corruption, truncated
+        // like a torn frame (`into_run`'s domain check rejects it in the
+        // sink).
         let replay_started = Instant::now();
         let mut replayed = 0usize;
-        let summary = if replay_workers <= 1 {
-            let sink_store = &mut store;
-            wal::replay(&config.dir, digest, from, |record| match record.into_run(space) {
-                Ok(run) => {
-                    sink_store.record(run.instance, run.eval);
-                    replayed += 1;
-                    true
-                }
-                Err(_) => false,
-            })?
-        } else {
-            let space_for_sink = space.clone();
-            let mut pending: Vec<frame::RunRecord> = Vec::new();
-            let summary =
-                wal::replay_with_workers(&config.dir, digest, from, replay_workers, |record| {
-                    let fits = record.fits(&space_for_sink);
-                    if fits {
-                        pending.push(record);
-                    }
-                    fits
-                })?;
-            replayed = pending.len();
-            store.reserve(pending.len());
-            for run in frame::materialize_validated(&pending, space, replay_workers) {
+        let summary = wal::replay(&config.dir, digest, from, |record| match record.into_run(space) {
+            Ok(run) => {
                 store.record(run.instance, run.eval);
+                replayed += 1;
+                true
             }
-            summary
-        };
+            Err(_) => false,
+        })?;
 
         probes().replay_ns.record_elapsed(replay_started);
         bugdoc_telemetry::event(
@@ -836,14 +712,12 @@ mod tests {
         assert!(!dir.join("lock").exists(), "drop released the lock");
     }
 
-    /// Regression test for the stale-lock-break race: with the old
-    /// in-place `remove_file` break, two contenders could both read the
-    /// dead pid, one would break + re-take the lock, and the other's
-    /// delayed delete would destroy the *fresh live* lock — admitting two
-    /// writers. The sidecar-rename protocol makes the break exclusive, so
-    /// racing a pre-seeded dead-pid lock must admit exactly one winner per
-    /// round, every loser must see `Locked`, and the winner's lock file
-    /// must still exist (never deleted out from under it).
+    /// Regression test for the stale-lock-break race: contenders that all
+    /// find a dead process's lock file must admit exactly one winner at a
+    /// time, every loser must see `Locked`, and the winner's lock file
+    /// must still exist (never deleted or moved out from under it). Lock
+    /// protocols that break stale locks by deleting or renaming the file
+    /// admitted two writers here.
     #[test]
     fn stale_lock_break_race_admits_exactly_one_writer() {
         use std::sync::atomic::{AtomicUsize, Ordering};

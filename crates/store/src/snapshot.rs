@@ -27,7 +27,7 @@
 //! is non-zero therefore still load, with no format change.
 
 use crate::crc32::crc32;
-use crate::frame::{append_frame, next_frame, NextFrame, RunRecord};
+use crate::frame::{append_frame, next_frame, NextFrame, RunRecord, FRAME_HEADER_BYTES};
 use crate::wal::WalPosition;
 use crate::{PersistError, SNAP_MAGIC};
 use bugdoc_core::{ParamSpace, ProvenanceStore};
@@ -155,13 +155,12 @@ pub fn load_latest(
     dir: &Path,
     digest: u64,
     space: &Arc<ParamSpace>,
-    workers: usize,
 ) -> Result<Option<LoadedSnapshot>, PersistError> {
     let snapshots = list_snapshots(dir)?;
     for &runs in snapshots.iter().rev() {
         let path = dir.join(snapshot_name(runs));
         let bytes = std::fs::read(&path).map_err(|e| PersistError::io(&path, e))?;
-        match parse_snapshot(&bytes, digest, space, workers) {
+        match parse_snapshot(&bytes, digest, space) {
             Ok(loaded) => return Ok(Some(loaded)),
             Err(PersistError::SpaceMismatch {
                 expected,
@@ -217,7 +216,6 @@ fn parse_snapshot(
     bytes: &[u8],
     digest: u64,
     space: &Arc<ParamSpace>,
-    workers: usize,
 ) -> Result<LoadedSnapshot, PersistError> {
     let corrupt = || PersistError::CorruptSnapshot;
     if !header_crc_ok(bytes) {
@@ -249,33 +247,26 @@ fn parse_snapshot(
         return Err(corrupt());
     }
 
-    // Walk the frames sequentially (framing and validity are inherently
-    // serial), then materialize the validated records in parallel batches —
-    // any misfit anywhere makes the whole snapshot corrupt, so deferring
-    // decode does not change which snapshots load.
-    let mut records = Vec::with_capacity(runs.min(1 << 20));
+    // One streaming pass: each row is checksummed, decoded, checked against
+    // the space, and recorded before the next is read. Any bad row makes
+    // the whole snapshot corrupt. The reservation is capped by the frames
+    // the image can hold, so a damaged run count cannot force a huge
+    // allocation.
+    let mut store = ProvenanceStore::with_epoch_size(space.clone(), epoch_runs);
+    store.reserve(runs.min(bytes.len() / FRAME_HEADER_BYTES));
     let mut offset = SNAP_HEADER_BYTES;
     for _ in 0..runs {
-        match next_frame(bytes, offset) {
-            NextFrame::Frame(record, next) => {
-                if !record.fits(space) {
-                    return Err(corrupt());
-                }
-                records.push(record);
-                offset = next;
-            }
-            _ => return Err(corrupt()),
-        }
-    }
-    if offset != bytes.len() {
-        return Err(corrupt());
-    }
-    let mut store = ProvenanceStore::with_epoch_size(space.clone(), epoch_runs);
-    store.reserve(records.len());
-    for run in crate::frame::materialize_validated(&records, space, workers) {
+        let NextFrame::Frame(record, next) = next_frame(bytes, offset) else {
+            return Err(corrupt());
+        };
+        let run = record.into_run(space).map_err(|_| corrupt())?;
         if !store.record(run.instance, run.eval) {
             return Err(corrupt()); // duplicate rows: not a valid store image
         }
+        offset = next;
+    }
+    if offset != bytes.len() {
+        return Err(corrupt());
     }
     Ok(LoadedSnapshot {
         store,
@@ -321,7 +312,7 @@ mod tests {
         let dir = tmp("roundtrip");
         let store = filled_store(100);
         write_snapshot(&dir, 11, &store, POS).unwrap();
-        let loaded = load_latest(&dir, 11, &space(), 2).unwrap().unwrap();
+        let loaded = load_latest(&dir, 11, &space()).unwrap().unwrap();
         assert_eq!(loaded.runs, 100);
         assert_eq!(loaded.wal_position, POS);
         assert_eq!(loaded.store.len(), store.len());
@@ -367,7 +358,7 @@ mod tests {
 
         // Both full epochs retired: the header a fully compacted store wrote.
         patch_watermark(&newest, 2);
-        let loaded = load_latest(&dir, 1, &space(), 2).unwrap().unwrap();
+        let loaded = load_latest(&dir, 1, &space()).unwrap().unwrap();
         assert_eq!(loaded.runs, 128);
         assert_eq!(loaded.wal_position, POS);
         assert_eq!(loaded.store.epoch_runs(), 64);
@@ -396,12 +387,12 @@ mod tests {
 
         // Three retired epochs out of two full ones: corrupt.
         patch_watermark(&newest, 3);
-        let loaded = load_latest(&dir, 1, &space(), 2).unwrap().unwrap();
+        let loaded = load_latest(&dir, 1, &space()).unwrap().unwrap();
         assert_eq!(loaded.runs, 100, "fell back to the older snapshot");
         assert_eq!(loaded.wal_position, older);
         std::fs::remove_file(dir.join(snapshot_name(100))).unwrap();
         assert!(
-            load_latest(&dir, 1, &space(), 2).unwrap().is_none(),
+            load_latest(&dir, 1, &space()).unwrap().is_none(),
             "no intact snapshot left: recovery replays the WAL"
         );
     }
@@ -418,7 +409,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&newest, &bytes).unwrap();
-        let loaded = load_latest(&dir, 1, &space(), 2).unwrap().unwrap();
+        let loaded = load_latest(&dir, 1, &space()).unwrap().unwrap();
         assert_eq!(loaded.runs, 50, "fell back to the intact snapshot");
         assert_eq!(loaded.wal_position, POS);
     }
@@ -448,7 +439,7 @@ mod tests {
             bytes[byte] ^= 0x10;
             std::fs::write(&path, &bytes).unwrap();
             assert!(
-                load_latest(&dir, 1, &space(), 2).unwrap().is_none(),
+                load_latest(&dir, 1, &space()).unwrap().is_none(),
                 "header byte {byte} flipped yet the snapshot loaded"
             );
             assert_eq!(
@@ -458,7 +449,7 @@ mod tests {
             );
         }
         std::fs::write(&path, &pristine).unwrap();
-        assert!(load_latest(&dir, 1, &space(), 2).unwrap().is_some());
+        assert!(load_latest(&dir, 1, &space()).unwrap().is_some());
     }
 
     #[test]
@@ -466,7 +457,7 @@ mod tests {
         let dir = tmp("digest");
         write_snapshot(&dir, 1, &filled_store(10), POS).unwrap();
         assert!(matches!(
-            load_latest(&dir, 2, &space(), 2),
+            load_latest(&dir, 2, &space()),
             Err(PersistError::SpaceMismatch { .. })
         ));
     }
@@ -474,6 +465,6 @@ mod tests {
     #[test]
     fn no_snapshot_is_none() {
         let dir = tmp("none");
-        assert!(load_latest(&dir, 1, &space(), 2).unwrap().is_none());
+        assert!(load_latest(&dir, 1, &space()).unwrap().is_none());
     }
 }

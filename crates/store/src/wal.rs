@@ -1,5 +1,6 @@
 //! The segmented write-ahead log: append path, segment rolling, and the
-//! torn-tail-truncating replay scan.
+//! torn-tail-truncating replay scan, which streams every frame through one
+//! decode-and-sink pass on the calling thread.
 //!
 //! Segments are named `wal-NNNNNNNN.seg` (zero-padded decimal, ascending;
 //! the log is their concatenation in name order). Each segment starts with a
@@ -9,10 +10,7 @@
 //! lives wholly inside one segment and a torn write can only damage the tail
 //! of the *last* segment.
 
-use crate::crc32::crc32;
-use crate::frame::{
-    append_frame, read_u32_at, read_u64_at, RunRecord, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
-};
+use crate::frame::{append_frame, next_frame, read_u64_at, NextFrame, RunRecord};
 use crate::{u64_of, PersistError, WAL_MAGIC, WAL_HEADER_BYTES};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -178,144 +176,31 @@ impl Wal {
     }
 }
 
-/// Walks one frame header at `offset`: returns the frame's payload span on
-/// success, `Err(())` when the header is short, oversized, or overruns the
-/// segment (all read as a torn tail at `offset`).
-#[inline]
-fn frame_span(bytes: &[u8], offset: usize) -> Result<(usize, usize), ()> {
-    if offset + FRAME_HEADER_BYTES > bytes.len() {
-        return Err(());
-    }
-    let len = read_u32_at(bytes, offset).ok_or(())? as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(());
-    }
-    let payload_start = offset + FRAME_HEADER_BYTES;
-    match payload_start.checked_add(len).filter(|&e| e <= bytes.len()) {
-        Some(end) => Ok((payload_start, end)),
-        None => Err(()),
-    }
-}
-
-/// Checksums and decodes one frame's payload span. `None` means the frame
-/// is corrupt (bad CRC or undecodable payload).
-#[inline]
-fn decode_frame(bytes: &[u8], payload_start: usize, end: usize) -> Option<RunRecord> {
-    let payload = bytes.get(payload_start..end)?;
-    let crc = read_u32_at(bytes, payload_start.checked_sub(4)?)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    RunRecord::decode_payload(payload).ok()
-}
-
-/// Single-pass segment scan: walk each header, checksum + decode the payload
-/// in place, and feed the record straight to `sink` — no staging. Returns
-/// `(accepted frames, stop offset)`; a `Some` stop offset is the first byte
-/// of the torn, undecodable, or sink-rejected frame.
-fn scan_streaming(
-    bytes: &[u8],
-    start: usize,
-    sink: &mut impl FnMut(RunRecord) -> bool,
-) -> (usize, Option<usize>) {
-    let mut frames = 0;
-    let mut offset = start;
-    while offset < bytes.len() {
-        let Ok((payload_start, end)) = frame_span(bytes, offset) else {
-            return (frames, Some(offset));
-        };
-        let Some(record) = decode_frame(bytes, payload_start, end) else {
-            return (frames, Some(offset));
-        };
-        if !sink(record) {
-            return (frames, Some(offset));
-        }
-        frames += 1;
-        offset = end;
-    }
-    (frames, None)
-}
-
-/// Scans one segment's frames from `start`, feeding each valid record to
-/// `sink` in log order. Returns `(accepted frames, stop offset)` — `None`
+/// Scans one segment's frames from `start` in one streaming pass: each
+/// frame is checksummed, decoded, and handed to `sink` before the next is
+/// read, with no staging. Returns `(accepted frames, stop offset)` — `None`
 /// for a clean end of segment, `Some(offset)` for the first bad byte: a
 /// torn or undecodable frame, or one the sink rejected (truncated alike).
-///
-/// With `workers <= 1`, or a segment below the fan-out threshold, this is
-/// the fully streaming [`scan_streaming`] pass. Otherwise the frame
-/// *boundaries* come from a cheap sequential walk of the `[len][crc]`
-/// headers (no checksum, no payload decode); the expensive per-frame work —
-/// CRC32 + payload decode — is then fanned out across `workers` in
-/// contiguous chunks, which is safe because frames are independent byte
-/// spans and the walk already fixed their order. Results are identical to
-/// the streaming pass: a frame that fails its checksum or decode
-/// invalidates itself and everything after it, because the stitched results
-/// are cut at the first failure in log order. (A corrupt *length* field
-/// derails the boundary walk, but only at or after the corrupt frame — the
-/// walk stops there and everything before it is still valid.)
 fn scan_segment(
     bytes: &[u8],
     start: usize,
-    workers: usize,
     sink: &mut impl FnMut(RunRecord) -> bool,
 ) -> (usize, Option<usize>) {
-    if workers <= 1 {
-        return scan_streaming(bytes, start, sink);
-    }
-
-    // Phase 1: frame boundaries.
-    let mut spans: Vec<(usize, usize)> = Vec::new(); // (frame start, frame end)
-    let mut offset = start;
-    let mut torn_at = None;
-    while offset < bytes.len() {
-        match frame_span(bytes, offset) {
-            Ok((_, end)) => {
-                spans.push((offset, end));
-                offset = end;
-            }
-            Err(()) => {
-                torn_at = Some(offset);
-                break;
-            }
-        }
-    }
-    if spans.len() < crate::frame::PARALLEL_DECODE_MIN_RECORDS {
-        return scan_streaming(bytes, start, sink);
-    }
-
-    // Phase 2: checksum + decode across workers.
-    let decode = |&(start, end): &(usize, usize)| -> Option<RunRecord> {
-        decode_frame(bytes, start + FRAME_HEADER_BYTES, end)
-    };
-    let per_worker = spans.len().div_ceil(workers);
-    let mut decoded: Vec<Option<RunRecord>> = Vec::with_capacity(spans.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .chunks(per_worker)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(decode).collect::<Vec<_>>()))
-            .collect();
-        for handle in handles {
-            // lint: allow(W003, reason = "join() fails only if the worker panicked; re-raising that panic on the coordinating thread is the intended propagation")
-            decoded.extend(handle.join().expect("frame decode worker panicked"));
-        }
-    });
-
-    // Stitch in log order, cutting at the first bad or rejected frame: it
-    // and every later frame (even ones that decoded fine) read as the torn
-    // tail.
     let mut frames = 0;
-    for (span, record) in spans.into_iter().zip(decoded) {
-        match record {
-            Some(r) => {
-                if !sink(r) {
-                    return (frames, Some(span.0));
+    let mut offset = start;
+    loop {
+        match next_frame(bytes, offset) {
+            NextFrame::End => return (frames, None),
+            NextFrame::Frame(record, next) => {
+                if !sink(record) {
+                    return (frames, Some(offset));
                 }
                 frames += 1;
+                offset = next;
             }
-            None => return (frames, Some(span.0)),
+            NextFrame::Torn => return (frames, Some(offset)),
         }
     }
-    (frames, torn_at)
 }
 
 /// What a [`replay`] scan found.
@@ -340,21 +225,6 @@ pub fn replay(
     dir: &Path,
     digest: u64,
     from: Option<WalPosition>,
-    sink: impl FnMut(RunRecord) -> bool,
-) -> Result<ReplaySummary, PersistError> {
-    replay_with_workers(dir, digest, from, 1, sink)
-}
-
-/// [`replay`] with the per-frame CRC + decode work fanned out across
-/// `workers` threads on segments large enough to pay for them (see
-/// [`scan_segment`]); `sink` still observes every record sequentially in
-/// log order, and torn-tail truncation is byte-identical to the sequential
-/// scan. `workers <= 1` is exactly [`replay`].
-pub fn replay_with_workers(
-    dir: &Path,
-    digest: u64,
-    from: Option<WalPosition>,
-    workers: usize,
     mut sink: impl FnMut(RunRecord) -> bool,
 ) -> Result<ReplaySummary, PersistError> {
     let mut summary = ReplaySummary::default();
@@ -413,7 +283,7 @@ pub fn replay_with_workers(
                 offset = (p.offset as usize).max(WAL_HEADER_BYTES);
             }
         }
-        let (frames, stop) = scan_segment(&bytes, offset, workers, &mut sink);
+        let (frames, stop) = scan_segment(&bytes, offset, &mut sink);
         summary.frames += frames;
         match stop {
             None => continue 'segments,

@@ -214,6 +214,90 @@ proptest! {
     }
 }
 
+/// Appends `n` new random runs (≈2% out of domain, half of them scored) to
+/// both the live store and the WAL, returning each appended frame's
+/// exclusive end position.
+fn append_random_runs(
+    live: &mut ProvenanceStore,
+    durable: &mut DurableStore,
+    space: &Arc<ParamSpace>,
+    rng: &mut StdRng,
+    n: usize,
+) -> Vec<WalPosition> {
+    let mut ends = Vec::with_capacity(n);
+    while ends.len() < n {
+        let inst = if rng.gen_range(0..100) < 2 {
+            random_overflow_instance(space, rng)
+        } else {
+            random_instance(space, rng)
+        };
+        let outcome = outcome_of(&inst);
+        let score = (rng.gen_range(0..2u32) == 0).then(|| rng.gen_range(0..1000u32) as f64 / 8.0);
+        if live.record(inst, EvalResult { outcome, score }) {
+            durable.append(live.runs().last().unwrap(), space).unwrap();
+            ends.push(durable.position());
+        }
+    }
+    ends
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Recovery at the log sizes a long-lived persist directory reaches:
+    /// a snapshot of 2,048+ rows, then 2,048+ WAL frames in one segment of
+    /// the default size, cut at a seeded byte offset inside that tail.
+    /// Reopening yields the appended prefix run for run, and the cut is
+    /// final: a second open discards nothing.
+    #[test]
+    fn large_log_recovers_exact_prefix_after_tail_cut(
+        seed in any::<u64>(),
+        cut_selector in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let space = ParamSpace::builder()
+            .ordinal("a", (0..16).collect::<Vec<_>>())
+            .ordinal("b", (0..16).collect::<Vec<_>>())
+            .categorical("c", (0..8).map(|v| format!("v{v}")).collect::<Vec<_>>())
+            .ordinal("d", (0..8).collect::<Vec<_>>())
+            .build();
+        let dir = tmp_dir(&format!("large-{seed}"));
+        let config = PersistConfig::new(&dir);
+
+        let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
+        append_random_runs(&mut live, &mut durable, &space, &mut rng, 2_100);
+        durable.snapshot(&live).unwrap();
+        let snapshot_rows = live.len();
+        let tail_start = durable.position();
+        let ends = append_random_runs(&mut live, &mut durable, &space, &mut rng, 2_100);
+        drop(durable);
+        let original: Vec<_> = live.runs().to_vec();
+        let files = segment_files(&dir);
+        prop_assert_eq!(files.len(), 1, "the whole log fits one default-size segment");
+        let tail_end = ends.last().unwrap().offset;
+        prop_assert_eq!(tail_end, files[0].1);
+
+        let cut = tail_start.offset + cut_selector % (tail_end - tail_start.offset + 1);
+        let expected = snapshot_rows + ends.iter().filter(|p| p.offset <= cut).count();
+        truncate_log_at(&dir, cut);
+
+        let (recovered, _, recovery) = DurableStore::open(&space, &config).unwrap();
+        prop_assert_eq!(recovery.snapshot_runs, snapshot_rows);
+        prop_assert_eq!(recovery.replayed_frames, expected - snapshot_rows);
+        prop_assert_eq!(recovery.runs, expected);
+        prop_assert_eq!(recovered.len(), expected, "cut at {} of {}", cut, tail_end);
+        for (got, want) in recovered.runs().iter().zip(&original) {
+            prop_assert_eq!(&got.instance, &want.instance);
+            prop_assert_eq!(got.eval.outcome, want.eval.outcome);
+            prop_assert_eq!(got.eval.score, want.eval.score);
+        }
+        let (again, _, second) = DurableStore::open(&space, &config).unwrap();
+        prop_assert_eq!(again.len(), expected);
+        prop_assert_eq!(second.truncated_bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Kill-and-reopen through the executor: a run killed with a half-written
 /// frame on the WAL tail reopens with every completed run intact and the
 /// garbage discarded.
