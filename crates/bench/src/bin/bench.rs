@@ -28,8 +28,6 @@
 //! * `perf/telemetry_record` — one wait-free histogram sample (the unit cost
 //!   of an always-on instrumentation probe)
 //! * `perf/wal_append` — durable provenance: one record appended to the WAL
-//! * `perf/snapshot_write` — durable provenance: 10k-run snapshot image
-//!   serialization (fsync/rename excluded as environment noise)
 //! * `perf/replay_10k` — durable provenance: full 10k-frame crash recovery
 //! * `perf/ddt_find_one` — DDT end-to-end on a synthetic pipeline
 //! * `perf/dtree_fit_32k` — one full decision-tree fit over a

@@ -326,14 +326,9 @@ pub fn bench_telemetry(c: &mut Criterion) {
 /// * `perf/wal_append` — one run record appended to the write-ahead log
 ///   (frame encode + CRC32 + buffered file write; the cost persistence adds
 ///   to each *new* execution — cache hits never touch it);
-/// * `perf/snapshot_write` — serializing a 10k-run store into its snapshot
-///   image (the CPU side of the `snapshot_every` amortized cost; the
-///   fsync+rename tail that `DurableStore::snapshot` also performs is
-///   excluded — fsync latency is environment noise, with transient 20×
-///   stalls, and would make the regression gate meaningless);
 /// * `perf/replay_10k` — full crash recovery of a 10k-frame WAL into a
-///   fresh `ProvenanceStore` (the worst-case warm-start latency; snapshots
-///   exist to keep the common case far below this).
+///   fresh `ProvenanceStore` (the warm-start latency of a 10k-run history:
+///   recovery always replays the whole log).
 pub fn bench_persistence(c: &mut Criterion) {
     use bugdoc_store::{DurableStore, PersistConfig};
 
@@ -364,19 +359,7 @@ pub fn bench_persistence(c: &mut Criterion) {
         });
     }
 
-    // Snapshot: serialize the full 10k-run store each iteration. The
-    // serialization layer is driven directly, skipping the fsync+rename
-    // tail — see the function docs.
-    {
-        let prov = provenance_10k(&space);
-        let digest = bugdoc_store::space_digest(&space);
-        let pos = bugdoc_store::WalPosition { segment: 1, offset: 16 };
-        group.bench_function("snapshot_write", |b| {
-            b.iter(|| bugdoc_store::snapshot::snapshot_bytes(digest, &prov, pos))
-        });
-    }
-
-    // Replay: recover a 10k-frame, snapshot-free log from scratch.
+    // Replay: recover a 10k-frame log from scratch.
     {
         let config = PersistConfig::new(root.join("replay"));
         let prov = provenance_10k(&space);

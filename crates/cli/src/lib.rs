@@ -117,7 +117,7 @@ The spec file declares parameters, the command template, and the evaluation:
   workers 5
   budget 200
   persist_dir .bugdoc      # durable provenance: killed runs warm-start here
-  snapshot_every 512       # recovery snapshot cadence (with persist_dir)
+  sync_every 512           # WAL fsync cadence (with persist_dir)
   bounds off               # disable bound-guided pruning (default: on)
 ";
 
@@ -224,7 +224,7 @@ pub fn parse_args(args: &[String]) -> Result<Request, String> {
 /// diagnosis is bit-identical to a one-shot run (the other half being
 /// `BugDocConfig::front_end`). Specs with `persist_dir` give the daemon a
 /// durable shared store: the first session warm-starts it, `SIGTERM`
-/// snapshots and releases it.
+/// syncs and releases it.
 pub fn executor_factory() -> Box<bugdoc_serve::ExecutorFactory> {
     Box::new(|text: &str| {
         let spec = spec::parse_spec(text).map_err(|e| e.to_string())?;
@@ -251,7 +251,7 @@ pub fn executor_factory() -> Box<bugdoc_serve::ExecutorFactory> {
 static TERM: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 extern "C" fn note_term(_signum: i32) {
-    // Only an atomic store: everything else (draining handlers, snapshotting
+    // Only an atomic store: everything else (draining handlers, syncing
     // durable stores, releasing locks) happens on the daemon thread once it
     // observes the flag.
     TERM.store(true, std::sync::atomic::Ordering::SeqCst);
@@ -357,11 +357,9 @@ pub fn run(request: Request) -> Result<String, String> {
                 let _ = writeln!(
                     out,
                     "durable provenance: {} runs warm-started from {} \
-                     ({} from snapshot, {} replayed from the log{}), new runs appended",
+                     (replayed from the log{}), new runs appended",
                     recovery.runs,
                     persist.dir.display(),
-                    recovery.snapshot_runs,
-                    recovery.replayed_frames,
                     if recovery.truncated_bytes > 0 {
                         format!("; {} torn bytes discarded", recovery.truncated_bytes)
                     } else {

@@ -25,9 +25,9 @@
 //!   a checksummed write-ahead log in this directory, and a rerun *warm
 //!   starts* from whatever the directory already holds (a killed run
 //!   resumes where it stopped, paying only for the lost tail).
-//! * `snapshot_every <n>` — with `persist_dir`, write a recovery snapshot
-//!   every `n` new executions (default 512) so reopening replays only the
-//!   WAL tail.
+//! * `sync_every <n>` — with `persist_dir`, fsync the write-ahead log every
+//!   `n` new executions (default 512) as well as at exit, bounding what a
+//!   power loss can take.
 //! * `bounds on` | `bounds off` — bound-guided pruning of provenance
 //!   queries (default on). Pruning is exact-preserving (diagnosis outputs
 //!   are bit-identical either way); `off` is the escape hatch for
@@ -51,7 +51,7 @@ pub struct Spec {
     pub workers: usize,
     /// Optional new-instance budget.
     pub budget: Option<usize>,
-    /// Durable provenance (`persist_dir` / `snapshot_every`), if requested.
+    /// Durable provenance (`persist_dir` / `sync_every`), if requested.
     pub persist: Option<PersistConfig>,
     /// Bound-guided pruning of provenance queries (`bounds on|off`,
     /// default on).
@@ -131,7 +131,7 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
     let mut workers = 5usize;
     let mut budget: Option<usize> = None;
     let mut persist_dir: Option<String> = None;
-    let mut snapshot_every: Option<u64> = None;
+    let mut sync_every: Option<u64> = None;
     let mut bounds = true;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -228,12 +228,12 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
                 // recoverable from tokens, so single spaces are assumed.
                 persist_dir = Some(rest.join(" "));
             }
-            "snapshot_every" => {
-                snapshot_every = Some(
+            "sync_every" => {
+                sync_every = Some(
                     rest.first()
                         .and_then(|t| t.parse().ok())
                         .filter(|&n: &u64| n >= 1)
-                        .ok_or_else(|| err(line_no, "snapshot_every needs a positive integer"))?,
+                        .ok_or_else(|| err(line_no, "sync_every needs a positive integer"))?,
                 );
             }
             "bounds" => {
@@ -263,13 +263,13 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
         };
     }
     let space = builder.build();
-    let persist = match (persist_dir, snapshot_every) {
+    let persist = match (persist_dir, sync_every) {
         (None, Some(_)) => {
-            return Err(err(0, "snapshot_every requires persist_dir"));
+            return Err(err(0, "sync_every requires persist_dir"));
         }
         (None, None) => None,
         (Some(dir), every) => Some(PersistConfig {
-            snapshot_every: Some(every.unwrap_or(512)),
+            sync_every: Some(every.unwrap_or(512)),
             ..PersistConfig::new(dir)
         }),
     };
@@ -345,17 +345,16 @@ budget 50
         let spec = parse_spec(&format!("{base}persist_dir /tmp/bd runs\n")).unwrap();
         let persist = spec.persist.unwrap();
         assert_eq!(persist.dir, std::path::PathBuf::from("/tmp/bd runs"));
-        assert_eq!(persist.snapshot_every, Some(512), "default cadence");
+        assert_eq!(persist.sync_every, Some(512), "default cadence");
 
-        let spec =
-            parse_spec(&format!("{base}persist_dir /tmp/bd\nsnapshot_every 64\n")).unwrap();
-        assert_eq!(spec.persist.unwrap().snapshot_every, Some(64));
+        let spec = parse_spec(&format!("{base}persist_dir /tmp/bd\nsync_every 64\n")).unwrap();
+        assert_eq!(spec.persist.unwrap().sync_every, Some(64));
 
-        let e = parse_spec(&format!("{base}snapshot_every 64\n")).unwrap_err();
+        let e = parse_spec(&format!("{base}sync_every 64\n")).unwrap_err();
         assert!(e.message.contains("requires persist_dir"), "{e}");
         let e = parse_spec(&format!("{base}persist_dir\n")).unwrap_err();
         assert!(e.message.contains("needs a path"), "{e}");
-        for bad in ["snapshot_every 0\n", "snapshot_every x\n"] {
+        for bad in ["sync_every 0\n", "sync_every x\n"] {
             let e = parse_spec(&format!("{base}persist_dir /tmp/bd\n{bad}")).unwrap_err();
             assert!(e.message.contains("positive integer"), "{bad:?}: {e}");
         }

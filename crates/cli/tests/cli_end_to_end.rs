@@ -98,7 +98,7 @@ fn persist_dir_warm_starts_reruns() {
     // Extend the spec with persistence keywords.
     let mut spec_text = fs::read_to_string(&spec_path).unwrap();
     spec_text.push_str(&format!(
-        "persist_dir {}\nsnapshot_every 8\n",
+        "persist_dir {}\nsync_every 8\n",
         dir.join("prov").display()
     ));
     fs::write(&spec_path, spec_text).unwrap();

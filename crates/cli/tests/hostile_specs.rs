@@ -153,7 +153,7 @@ const CASES: &[(&str, &str, &str, usize)] = &[
         "unknown keyword",
         4,
     ),
-    // persist_dir / snapshot_every
+    // persist_dir / sync_every
     (
         "persist_dir_missing_path",
         "param x boolean\ncommand p\neval exit_code\npersist_dir\n",
@@ -161,27 +161,34 @@ const CASES: &[(&str, &str, &str, usize)] = &[
         4,
     ),
     (
-        "snapshot_every_without_persist",
-        "param x boolean\ncommand p\neval exit_code\nsnapshot_every 64\n",
+        "sync_every_without_persist",
+        "param x boolean\ncommand p\neval exit_code\nsync_every 64\n",
         "requires persist_dir",
         0,
     ),
     (
-        "snapshot_every_missing_value",
-        "param x boolean\ncommand p\neval exit_code\npersist_dir /tmp/x\nsnapshot_every\n",
+        "sync_every_missing_value",
+        "param x boolean\ncommand p\neval exit_code\npersist_dir /tmp/x\nsync_every\n",
         "positive integer",
         5,
     ),
     (
-        "snapshot_every_zero",
-        "param x boolean\ncommand p\neval exit_code\npersist_dir /tmp/x\nsnapshot_every 0\n",
+        "sync_every_zero",
+        "param x boolean\ncommand p\neval exit_code\npersist_dir /tmp/x\nsync_every 0\n",
         "positive integer",
         5,
     ),
     (
-        "snapshot_every_non_numeric",
-        "param x boolean\ncommand p\neval exit_code\npersist_dir /tmp/x\nsnapshot_every often\n",
+        "sync_every_non_numeric",
+        "param x boolean\ncommand p\neval exit_code\npersist_dir /tmp/x\nsync_every often\n",
         "positive integer",
+        5,
+    ),
+    // the removed snapshot cadence
+    (
+        "snapshot_keyword_removed",
+        "param x boolean\ncommand p\neval exit_code\npersist_dir /tmp/x\nsnapshot_every 64\n",
+        "unknown keyword",
         5,
     ),
     // bounds

@@ -191,8 +191,7 @@ impl KeyIndex {
 
     /// Pre-sizes for `additional` further inserts: the arena reserves their
     /// key rows and the slot table jumps straight to its final size, so a
-    /// bulk load (snapshot restore, WAL replay) pays zero intermediate
-    /// grow-and-rehash passes.
+    /// bulk load pays zero intermediate grow-and-rehash passes.
     fn reserve(&mut self, additional: usize) {
         self.arena.reserve(additional * self.arity);
         let needed = (self.len + additional + 1) * 2;
@@ -825,9 +824,9 @@ impl ProvenanceStore {
 
     /// Pre-sizes the run log and the dense-key index for `additional`
     /// further [`record`](Self::record) calls. Purely an optimization for
-    /// bulk loads (snapshot restore, WAL replay): the key table jumps
-    /// straight to its final size instead of re-placing every slot once per
-    /// doubling, and the run log allocates once.
+    /// bulk loads of a known size: the key table jumps straight to its
+    /// final size instead of re-placing every slot once per doubling, and
+    /// the run log allocates once.
     pub fn reserve(&mut self, additional: usize) {
         self.runs.reserve(additional);
         self.by_key.reserve(additional);

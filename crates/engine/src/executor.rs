@@ -241,9 +241,10 @@ pub struct Executor {
     provenance: RwLock<ProvenanceStore>,
     stats: AtomicStats,
     /// The durable-provenance writer, when persistence is configured. Locked
-    /// only on the new-execution record path (never on provenance hits),
-    /// always while the provenance write lock is held, so WAL frame order
-    /// equals run-log order. The inner `Option` exists for [`Executor::shutdown`],
+    /// only on the new-execution record path (never on provenance hits):
+    /// appends lock it while the provenance write lock is held, so WAL frame
+    /// order equals run-log order, and the due sync after that lock is
+    /// released. The inner `Option` exists for [`Executor::shutdown`],
     /// which takes the store out (from `&self`) to close it gracefully; it
     /// is `Some` for the executor's whole serving life.
     persist: Option<Mutex<Option<DurableStore>>>,
@@ -309,7 +310,8 @@ impl Executor {
                     if recovered.record(run.instance.clone(), run.eval) {
                         // lint: allow(W003, reason = "record returned true, so the run log is non-empty and last() is the run just appended")
                         let stored = recovered.runs().last().expect("just recorded");
-                        durable.append_with_snapshot(stored, &recovered)?;
+                        durable.append(stored, recovered.space())?;
+                        durable.sync_if_due()?;
                     }
                 }
                 (recovered, Some(Mutex::new(Some(durable))), Some(recovery))
@@ -335,10 +337,9 @@ impl Executor {
     /// Tees the just-recorded last run of `prov` to the write-ahead log.
     /// Called with the provenance write lock held so frame order matches
     /// run-log order; a no-op (one `None` check) when persistence is off.
-    /// Returns whether a snapshot is due — the caller triggers it via
-    /// [`Executor::persist_snapshot_if_due`] *after* releasing the write
-    /// lock, so serializing the whole store (and its fsync) never stalls
-    /// the worker pool behind the exclusive lock.
+    /// Returns whether a WAL sync is due — the caller runs it via
+    /// [`Executor::persist_sync_if_due`] *after* releasing the write lock,
+    /// so the fsync never holds the provenance lock.
     /// An I/O failure here panics: the executor cannot honor its durability
     /// contract, and continuing would silently fork disk from memory.
     // lint: allow(W003, reason = "called only with the just-recorded run in the log (the expect); the panics on WAL I/O failure and on a post-shutdown record are the documented durability contract -- continuing would silently fork disk from memory", scope = "block")
@@ -354,49 +355,45 @@ impl Executor {
                 durable
                     .append(run, prov.space())
                     .unwrap_or_else(|e| panic!("durable provenance write failed: {e}"));
-                durable.snapshot_due()
+                durable.sync_due()
             }
         }
     }
 
-    /// Writes the due snapshot under a provenance *read* lock (every
-    /// record's WAL append happened under the write lock, so a read-locked
-    /// store is exactly the appended prefix — the snapshot is consistent
-    /// with the log position it covers). Racing callers are fine: the due
-    /// flag is re-checked under the persist lock and the loser no-ops.
-    // lint: allow(W003, reason = "the panic on snapshot I/O failure is the documented durability contract, as in persist_record", scope = "block")
-    fn persist_snapshot_if_due(&self, due: bool) {
+    /// Runs the due WAL sync holding only the persist mutex, so probes keep
+    /// reading the provenance while it runs; a record racing it waits at
+    /// the mutex for its append. Racing callers are fine: the due flag is
+    /// re-checked under the mutex and the loser no-ops, as does a sync
+    /// racing a shutdown that already closed the store.
+    // lint: allow(W003, reason = "the panic on WAL sync failure is the documented durability contract, as in persist_record", scope = "block")
+    fn persist_sync_if_due(&self, due: bool) {
         if !due {
             return;
         }
         if let Some(persist) = &self.persist {
-            let prov = self.provenance.read();
-            let mut slot = persist.lock();
-            // A shutdown racing the due snapshot already wrote a final one.
-            if let Some(durable) = slot.as_mut() {
-                if durable.snapshot_due() {
-                    durable
-                        .snapshot(&prov)
-                        .unwrap_or_else(|e| panic!("durable provenance snapshot failed: {e}"));
-                }
+            if let Some(durable) = persist.lock().as_mut() {
+                durable
+                    .sync_if_due()
+                    .unwrap_or_else(|e| panic!("durable provenance sync failed: {e}"));
             }
         }
     }
 
-    /// Gracefully closes durable provenance: fsyncs the WAL, writes a final
-    /// snapshot of the current history, and releases the persist-directory
-    /// lock — the SIGTERM path of a long-lived serving process, after which
-    /// the directory warm-starts cleanly in the next process. Idempotent;
-    /// a no-op (returning `false`) when persistence is off or already shut
-    /// down. Callers must have stopped issuing evaluations first: a record
-    /// arriving after shutdown is a durability-contract panic, not a
-    /// silent fork of disk from memory.
+    /// Gracefully closes durable provenance: fsyncs the WAL and releases
+    /// the persist-directory lock — the SIGTERM path of a long-lived serving
+    /// process, after which the directory warm-starts cleanly in the next
+    /// process. Idempotent; a no-op (returning `false`) when persistence is
+    /// off or already shut down. Callers must have stopped issuing
+    /// evaluations first: a record arriving after shutdown is a
+    /// durability-contract panic, not a silent fork of disk from memory.
     pub fn shutdown(&self) -> Result<bool, PersistError> {
         let Some(persist) = &self.persist else {
             return Ok(false);
         };
-        // Same order as persist_snapshot_if_due: provenance read lock, then
-        // the persist lock.
+        // The record path's order: provenance lock, then the persist lock.
+        // `close` checks the history against its log; the read lock holds
+        // that history still without stalling readers, and no record may
+        // follow a shutdown anyway.
         let prov = self.provenance.read();
         let taken = persist.lock().take();
         match taken {
@@ -567,12 +564,12 @@ impl Executor {
         let cost = self.pipeline.cost(instance);
         match result {
             Ok(eval) => {
-                let (fresh, snapshot_due) = {
+                let (fresh, sync_due) = {
                     let mut prov = self.provenance.write();
                     let fresh = prov.record(instance.clone(), eval);
                     (fresh, fresh && self.persist_record(&prov))
                 };
-                self.persist_snapshot_if_due(snapshot_due);
+                self.persist_sync_if_due(sync_due);
                 if fresh {
                     self.stats.add_sim_time(cost);
                 } else {
@@ -668,13 +665,13 @@ impl Executor {
             let mut outcomes = outcomes;
             outcomes.sort_by_key(|(pos, _, _)| *pos);
             let mut executed_costs: Vec<SimTime> = Vec::with_capacity(outcomes.len());
-            let mut snapshot_due = false;
+            let mut sync_due = false;
             let mut prov = self.provenance.write();
             for (pos, res, cost) in outcomes {
                 match res {
                     Ok(eval) => {
                         if prov.record(instances[pos].clone(), eval) {
-                            snapshot_due |= self.persist_record(&prov);
+                            sync_due |= self.persist_record(&prov);
                             executed_costs.push(cost);
                         } else {
                             self.reclassify_as_hit();
@@ -690,7 +687,7 @@ impl Executor {
                 }
             }
             drop(prov);
-            self.persist_snapshot_if_due(snapshot_due);
+            self.persist_sync_if_due(sync_due);
             self.stats
                 .add_sim_time(makespan(&executed_costs, self.config.workers.max(1)));
             for (i, instance) in instances.iter().enumerate() {
@@ -710,11 +707,11 @@ impl Executor {
 
     /// Records an externally-obtained evaluation (e.g. seeding mid-run).
     pub fn record_external(&self, instance: Instance, eval: EvalResult) {
-        let snapshot_due = {
+        let sync_due = {
             let mut prov = self.provenance.write();
             prov.record(instance, eval) && self.persist_record(&prov)
         };
-        self.persist_snapshot_if_due(snapshot_due);
+        self.persist_sync_if_due(sync_due);
     }
 
     /// Convenience: all runs recorded so far.
@@ -1032,7 +1029,7 @@ mod tests {
         let config = || ExecutorConfig {
             workers: 4,
             persist: Some(PersistConfig {
-                snapshot_every: Some(4),
+                sync_every: Some(4),
                 ..PersistConfig::new(&dir)
             }),
             ..Default::default()
@@ -1046,11 +1043,46 @@ mod tests {
         let exec = Executor::new(pipe(&s), config());
         let recovery = exec.recovery().unwrap();
         assert_eq!(recovery.runs, 6);
-        assert!(recovery.snapshot_runs > 0, "snapshot_every=4 wrote one");
+        assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(
             exec.provenance().outcome_of(&inst(&s, 1, 5)),
             Some(Outcome::Succeed)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `sync_every` fsyncs the WAL on its cadence: the store's fsync
+    /// histogram counts each sync (other tests only add to it).
+    #[test]
+    fn sync_every_fsyncs_on_cadence() {
+        let dir = persist_dir("sync");
+        let s = space();
+        let fsyncs = || {
+            bugdoc_telemetry::histogram("bugdoc_store_wal_fsync_ns", "")
+                .snapshot()
+                .count
+        };
+        let before = fsyncs();
+        let exec = Executor::new(
+            pipe(&s),
+            ExecutorConfig {
+                workers: 1,
+                persist: Some(PersistConfig {
+                    sync_every: Some(2),
+                    ..PersistConfig::new(&dir)
+                }),
+                ..Default::default()
+            },
+        );
+        for x in 1..=5 {
+            exec.evaluate(&inst(&s, x, 1)).unwrap();
+        }
+        assert!(
+            fsyncs() - before >= 2,
+            "5 appends at sync_every=2 sync twice"
+        );
+        assert!(exec.shutdown().unwrap());
+        assert!(fsyncs() - before >= 3, "close syncs too");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1144,13 +1176,11 @@ mod tests {
             !dir.join("lock").exists(),
             "shutdown released the directory lock while the executor still lives"
         );
-        // The directory warm-starts cleanly — from the final snapshot, with
-        // no WAL tail left to replay — even though `exec` is still alive.
+        // The directory warm-starts cleanly — every run recovered, no torn
+        // bytes — even though `exec` is still alive.
         let warm = Executor::new(pipe(&s), config());
         let recovery = warm.recovery().unwrap();
         assert_eq!(recovery.runs, 5);
-        assert_eq!(recovery.snapshot_runs, 5, "shutdown wrote a final snapshot");
-        assert_eq!(recovery.replayed_frames, 0);
         assert_eq!(recovery.truncated_bytes, 0);
         drop(warm);
         drop(exec);

@@ -6,7 +6,7 @@
 //! flips it from a `SIGTERM` handler, a client can flip it with
 //! `SHUTDOWN`), handlers read with a short timeout so they observe the
 //! flag between requests, and only after every handler has quiesced are
-//! the shared executors closed — durable ones snapshot their provenance
+//! the shared executors closed — durable ones sync their write-ahead log
 //! and release their directory lock, so a killed daemon warm-starts.
 //!
 //! Handler threads never touch files or spawn processes; everything
@@ -40,7 +40,7 @@ pub struct Daemon {
 pub struct DaemonSummary {
     /// Connections accepted.
     pub connections: usize,
-    /// Durable stores snapshot-and-closed at shutdown.
+    /// Durable stores synced and closed at shutdown.
     pub executors_closed: usize,
 }
 
@@ -161,7 +161,7 @@ fn serve_connection(stream: UnixStream, manager: &SessionManager, shutdown: &Ato
                         // A panic inside a request (a pipeline's `execute`,
                         // say) stays in this connection: it must not reach
                         // the accept loop's thread scope, which would skip
-                        // the shutdown snapshot. Close the session so its
+                        // the shutdown sync. Close the session so its
                         // budget reservation is released, and drop the peer.
                         if let Some(id) = session.take() {
                             let _ = manager.close(id);
@@ -332,8 +332,8 @@ mod tests {
 
     /// A pipeline that panics inside `DIAGNOSE` costs its own connection
     /// only: the peer gets `ERR` (or a dropped connection), the daemon keeps
-    /// serving, and shutdown still closes the durable store, so the final
-    /// snapshot is written and the directory lock released.
+    /// serving, and shutdown still closes the durable store, so the log is
+    /// synced and the directory lock released.
     #[test]
     fn panicking_request_is_contained_and_shutdown_still_closes_the_store() {
         use bugdoc_core::{EvalResult, Instance, ParamSpace};

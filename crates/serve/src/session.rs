@@ -11,7 +11,7 @@
 //! session (it can be re-attached by id); only `CLOSE` destroys a session
 //! and releases its budget reservation. Executors are never evicted while
 //! the daemon runs — a later session binding the same spec warm-starts from
-//! everything learned so far — and are closed (snapshot + lock release for
+//! everything learned so far — and are closed (WAL sync + lock release for
 //! durable ones) by [`SessionManager::shutdown_all`] at daemon exit.
 //!
 //! Admission control: a session may ask to *reserve* part of the shared
@@ -403,7 +403,7 @@ impl SessionManager {
         out
     }
 
-    /// Closes every executor: durable ones snapshot their provenance and
+    /// Closes every executor: durable ones sync their write-ahead log and
     /// release their directory lock (`Executor::shutdown`). Returns how
     /// many durable stores were closed.
     ///

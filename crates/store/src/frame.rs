@@ -1,4 +1,4 @@
-//! The run-record codec shared by the WAL and snapshot files.
+//! The run-record codec of the write-ahead log.
 //!
 //! One *record* is one executed instance with its evaluation; one *frame* is
 //! a record's payload wrapped in a `[len: u32 LE][crc32(payload): u32 LE]`
@@ -109,7 +109,7 @@ impl RunRecord {
     /// [`DecodeError::Domain`], which recovery treats as corruption. Raw
     /// records become key-less instances and take the provenance store's
     /// existing overflow path when recorded. Recovery runs this once per
-    /// snapshot row and WAL frame.
+    /// WAL frame.
     pub fn into_run(self, space: &ParamSpace) -> Result<Run, DecodeError> {
         if !self.fits(space) {
             return Err(DecodeError::Domain);

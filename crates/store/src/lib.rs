@@ -4,24 +4,26 @@
 //! debugger never re-executes a configuration it has already seen (paper
 //! §3's cost measure counts only *new* executions). This crate makes that
 //! history survive the process: a segmented, checksummed **write-ahead log**
-//! of run records, periodic **snapshots** of the whole
-//! [`ProvenanceStore`], and **crash recovery** that truncates torn tails
-//! and rebuilds an exact prefix of what was recorded. `std`-only — no
-//! registry dependencies.
+//! of run records — the one on-disk copy of the history — and **crash
+//! recovery** that replays it, truncates torn tails, and rebuilds an exact
+//! prefix of what was recorded. `std`-only — no registry dependencies.
 //!
 //! ## On-disk format (version 1)
 //!
-//! A persist directory holds WAL segments and snapshots side by side:
+//! A persist directory holds the WAL segments and a lock file:
 //!
 //! ```text
 //! <dir>/wal-00000001.seg      segments, ascending; the log is their
 //! <dir>/wal-00000002.seg      concatenation in name order
-//! <dir>/snap-000000000150.bds snapshots, named by covered run count
+//! <dir>/lock                  the writer's OS file lock and pid
 //! ```
 //!
 //! **WAL segment** — 16-byte header (`"BDWALv1\n"` magic, then the space
 //! digest as `u64` LE), then frames. A segment rolls when the next frame
 //! would exceed the configured byte size, so a frame never spans files.
+//! Appends reach the OS page cache at once and disk at the next sync: every
+//! [`PersistConfig::sync_every`] appends when set, and at
+//! [`DurableStore::close`].
 //!
 //! **Frame** — `[payload_len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! CRC-32 is the IEEE/zlib polynomial, implemented in
@@ -37,44 +39,38 @@
 //!                      2 float+8B LE bits, 3 str+u32 LE len+UTF-8)
 //! ```
 //!
-//! **Snapshot** — 64-byte header (`"BDSNAPv1"` magic, space digest, epoch
-//! size, run count, WAL segment, WAL offset, watermark (written as 0; see
-//! `snapshot`) — all `u64` LE — then the CRC-32 of those 56 bytes and 4
-//! zero bytes) followed by one frame per run in recording order. The
-//! header is checksummed because its WAL position licenses truncation and
-//! pruning. Written to a `.tmp` name, fsynced, and renamed into place
-//! (directory fsynced before any pruning trusts the rename); the newest
-//! two are retained so a damaged snapshot falls back to its predecessor,
-//! then to full WAL replay.
-//!
-//! A `lock` file guards the directory against concurrent writers: its
+//! The `lock` file guards the directory against concurrent writers: its
 //! holder keeps an OS file lock on it and writes its pid into it. The
 //! kernel drops the lock when the holder dies, so a dead process's lock is
 //! re-taken automatically; live holders are [`PersistError::Locked`].
-//! Recovery also
-//! refuses a log with a missing *middle* segment
-//! ([`PersistError::MissingSegment`]) — concatenating across a hole would
-//! fabricate a history that never existed.
 //!
-//! **Recovery** ([`DurableStore::open`]) loads the newest intact snapshot,
-//! replays the WAL tail from the position it covers (or the whole log when
-//! no snapshot is usable), verifies every frame's CRC and that every dense
+//! **Recovery** ([`DurableStore::open`]) replays every segment from
+//! `wal-00000001.seg` on, verifies every frame's CRC and that every dense
 //! key fits the spec's [`ParamSpace`] (raw frames route through the
 //! provenance store's existing overflow path), truncates the log at the
-//! first torn or undecodable frame, and deletes any segments past it —
-//! reopened history is always an exact prefix of what was appended. Every
-//! snapshot row and WAL frame streams through one decode-and-record pass
-//! on the calling thread; nothing is staged. A
-//! segment or snapshot whose space digest differs from the spec's is a hard
+//! first torn or undecodable frame — or the first frame repeating an
+//! instance already recovered, which no writer appends — and deletes any
+//! segments past it: reopened history is always an exact prefix of what was
+//! appended. Every frame streams through one decode-and-record pass on the
+//! calling thread; nothing is staged. A log with a missing segment — in the
+//! middle, or segment 1 itself — is [`PersistError::MissingSegment`]:
+//! concatenating across the hole would fabricate a history that never
+//! existed. A segment whose space digest differs from the spec's is a hard
 //! [`PersistError::SpaceMismatch`]: dense keys are meaningless across spec
 //! changes, and silently reinterpreting them would corrupt every downstream
 //! guarantee.
+//!
+//! **Older directories** may also hold `snap-*.bds` files: snapshots, which
+//! earlier versions wrote as a second copy of the log's frames. Recovery
+//! ignores them, since the log holds every run they do, and they are safe to
+//! delete. Where those versions pruned leading segments against a snapshot
+//! (only past one full segment), segment 1 is gone and the directory is
+//! refused with [`PersistError::MissingSegment`].
 
 #![warn(missing_docs)]
 
 pub mod crc32;
 pub mod frame;
-pub mod snapshot;
 pub mod wal;
 
 pub use frame::{DecodeError, RecordKey, RunRecord};
@@ -88,13 +84,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Telemetry handles for the durable-store timings, registered once and
-/// cached so record paths never touch the registry lock. Append/fsync are
-/// the per-run costs a serving deployment watches; snapshot and replay are
-/// the rare heavyweight phases the flight recorder also captures.
+/// cached so record paths never touch the registry lock. Append and fsync
+/// are the costs a serving deployment watches; replay is the rare
+/// heavyweight phase the flight recorder also captures.
 struct StoreProbes {
     wal_append_ns: &'static bugdoc_telemetry::Histogram,
     wal_fsync_ns: &'static bugdoc_telemetry::Histogram,
-    snapshot_write_ns: &'static bugdoc_telemetry::Histogram,
     replay_ns: &'static bugdoc_telemetry::Histogram,
 }
 
@@ -116,21 +111,15 @@ fn probes() -> &'static StoreProbes {
             "bugdoc_store_wal_fsync_ns",
             "Latency of syncing the WAL tail to disk (ns)",
         ),
-        snapshot_write_ns: bugdoc_telemetry::histogram(
-            "bugdoc_store_snapshot_write_ns",
-            "Latency of writing one full provenance snapshot (ns)",
-        ),
         replay_ns: bugdoc_telemetry::histogram(
             "bugdoc_store_replay_ns",
-            "Latency of WAL-tail replay during recovery (ns)",
+            "Latency of WAL replay during recovery (ns)",
         ),
     })
 }
 
 /// WAL segment magic bytes.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"BDWALv1\n";
-/// Snapshot magic bytes.
-pub(crate) const SNAP_MAGIC: &[u8; 8] = b"BDSNAPv1";
 /// WAL segment header length: magic + space digest.
 pub(crate) const WAL_HEADER_BYTES: usize = 16;
 
@@ -140,22 +129,22 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
 /// Where and how to persist provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Directory holding the WAL segments and snapshots (created if absent).
+    /// Directory holding the WAL segments (created if absent).
     pub dir: PathBuf,
     /// Segment roll size in bytes (default [`DEFAULT_SEGMENT_BYTES`]).
     pub segment_bytes: u64,
-    /// Write a snapshot every this many appended runs (`None`: only when
-    /// [`DurableStore::snapshot`] is called explicitly).
-    pub snapshot_every: Option<u64>,
+    /// Fsync the WAL every this many appended runs (`None`: only at
+    /// [`DurableStore::close`]).
+    pub sync_every: Option<u64>,
 }
 
 impl PersistConfig {
-    /// A config with default segment size and no automatic snapshots.
+    /// A config with default segment size that syncs only at close.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             dir: dir.into(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            snapshot_every: None,
+            sync_every: None,
         }
     }
 }
@@ -170,8 +159,8 @@ pub enum PersistError {
         /// The underlying error.
         error: std::io::Error,
     },
-    /// A segment or snapshot was written against a different parameter
-    /// space: dense keys cannot be reinterpreted across spec changes.
+    /// A segment was written against a different parameter space: dense
+    /// keys cannot be reinterpreted across spec changes.
     SpaceMismatch {
         /// Digest of the spec's space.
         expected: u64,
@@ -180,9 +169,6 @@ pub enum PersistError {
         /// The offending file.
         path: PathBuf,
     },
-    /// A snapshot file failed validation (recovery falls back automatically;
-    /// this surfaces only from explicit snapshot APIs).
-    CorruptSnapshot,
     /// A WAL segment is missing from the middle of the log (or the log's
     /// anchor segment is gone). Replaying across the hole would fabricate a
     /// history that never existed, so recovery refuses.
@@ -250,7 +236,6 @@ impl std::fmt::Display for PersistError {
                  fresh directory or restore the original spec",
                 path.display()
             ),
-            PersistError::CorruptSnapshot => write!(f, "snapshot failed validation"),
             PersistError::MissingSegment {
                 expected,
                 found,
@@ -288,8 +273,8 @@ impl std::error::Error for PersistError {
 }
 
 /// A stable fingerprint of a [`ParamSpace`]: parameter names, kinds, and
-/// every domain value, in order. Stamped into every segment and snapshot
-/// header so recovery refuses to decode dense keys against the wrong space.
+/// every domain value, in order. Stamped into every segment header so
+/// recovery refuses to decode dense keys against the wrong space.
 pub fn space_digest(space: &ParamSpace) -> u64 {
     let mut h = bugdoc_core::FxHasher::default();
     space.len().hash(&mut h);
@@ -307,27 +292,23 @@ pub fn space_digest(space: &ParamSpace) -> u64 {
 /// What recovery found when a durable store was opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Recovery {
-    /// Total runs recovered (snapshot + replayed WAL tail).
+    /// Runs recovered by replaying the log.
     pub runs: usize,
-    /// Runs loaded from the snapshot (0 when recovery replayed the full log).
-    pub snapshot_runs: usize,
-    /// WAL frames replayed on top of the snapshot.
-    pub replayed_frames: usize,
     /// Bytes discarded as a torn tail.
     pub truncated_bytes: u64,
 }
 
-/// The open, appendable durable store: a [`Wal`] tail plus snapshot
-/// bookkeeping. Obtained from [`DurableStore::open`], which performs
-/// recovery first; thereafter every newly recorded run is teed in via
+/// The open, appendable durable store: a [`Wal`] tail plus its sync
+/// cadence. Obtained from [`DurableStore::open`], which performs recovery
+/// first; thereafter every newly recorded run is teed in via
 /// [`DurableStore::append`].
 #[derive(Debug)]
 pub struct DurableStore {
-    dir: PathBuf,
-    digest: u64,
     wal: Wal,
-    snapshot_every: Option<u64>,
-    appended_since_snapshot: u64,
+    sync_every: Option<u64>,
+    appended_since_sync: u64,
+    /// Runs the log holds: recovered plus appended since open.
+    runs: usize,
     /// The directory's lock file, removed on drop.
     lock_path: PathBuf,
     /// The open lock file whose OS lock this store holds; closing it (after
@@ -397,10 +378,10 @@ fn acquire_lock(dir: &Path) -> Result<(PathBuf, File), PersistError> {
 
 impl DurableStore {
     /// Opens (or initializes) the durable store at `config.dir` for
-    /// `space`, running crash recovery: newest intact snapshot, WAL-tail
-    /// replay with torn-tail truncation, and domain verification of every
-    /// frame. Returns the recovered [`ProvenanceStore`], the append handle,
-    /// and a [`Recovery`] report.
+    /// `space`, running crash recovery: full WAL replay with torn-tail
+    /// truncation and domain verification of every frame. Returns the
+    /// recovered [`ProvenanceStore`], the append handle, and a [`Recovery`]
+    /// report.
     pub fn open(
         space: &Arc<ParamSpace>,
         config: &PersistConfig,
@@ -411,11 +392,10 @@ impl DurableStore {
             Ok((store, wal, recovery)) => Ok((
                 store,
                 DurableStore {
-                    dir: config.dir.clone(),
-                    digest: space_digest(space),
                     wal,
-                    snapshot_every: config.snapshot_every,
-                    appended_since_snapshot: 0,
+                    sync_every: config.sync_every,
+                    appended_since_sync: 0,
+                    runs: recovery.runs,
                     lock_path,
                     _lock_file: lock_file,
                 },
@@ -438,33 +418,28 @@ impl DurableStore {
         config: &PersistConfig,
     ) -> Result<(ProvenanceStore, Wal, Recovery), PersistError> {
         let digest = space_digest(space);
+        let mut store = ProvenanceStore::new(space.clone());
 
-        let (mut store, from, snapshot_runs) =
-            match snapshot::load_latest(&config.dir, digest, space)? {
-                Some(loaded) => (loaded.store, Some(loaded.wal_position), loaded.runs),
-                None => (ProvenanceStore::new(space.clone()), None, 0),
-            };
-
-        // The tail streams: each frame is decoded, checked against the
-        // space, and recorded before the next is read. A dense key that no
-        // longer fits the (digest-matched) space is corruption, truncated
-        // like a torn frame (`into_run`'s domain check rejects it in the
-        // sink).
+        // The log streams: each frame is decoded, checked against the space,
+        // and recorded before the next is read. The sink rejects — and
+        // replay truncates, like a torn frame — a dense key that no longer
+        // fits the (digest-matched) space (`into_run`'s domain check) and a
+        // frame repeating an instance already recovered: writers append only
+        // runs the store newly recorded, so a repeat is damage, and one
+        // with the other outcome would trip `record`'s determinism assert.
         let replay_started = Instant::now();
-        let mut replayed = 0usize;
-        let summary = wal::replay(&config.dir, digest, from, |record| match record.into_run(space) {
-            Ok(run) => {
+        let summary = wal::replay(&config.dir, digest, |record| match record.into_run(space) {
+            Ok(run) if store.lookup(&run.instance).is_none() => {
                 store.record(run.instance, run.eval);
-                replayed += 1;
                 true
             }
-            Err(_) => false,
+            _ => false,
         })?;
 
         probes().replay_ns.record_elapsed(replay_started);
         bugdoc_telemetry::event(
             bugdoc_telemetry::EventKind::WalReplay,
-            replayed as u64,
+            u64_of(summary.frames),
             elapsed_us(replay_started),
             summary.truncated_bytes,
         );
@@ -472,16 +447,9 @@ impl DurableStore {
         let wal = Wal::open(&config.dir, digest, config.segment_bytes)?;
         let recovery = Recovery {
             runs: store.len(),
-            snapshot_runs,
-            replayed_frames: replayed,
             truncated_bytes: summary.truncated_bytes,
         };
         Ok((store, wal, recovery))
-    }
-
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The log-tail position the next appended frame will start at (equally:
@@ -496,71 +464,48 @@ impl DurableStore {
         let started = Instant::now();
         let record = RunRecord::from_run(run, space);
         self.wal.append(&record)?;
-        self.appended_since_snapshot += 1;
+        self.appended_since_sync += 1;
+        self.runs += 1;
         probes().wal_append_ns.record_elapsed(started);
         Ok(())
     }
 
-    /// True when `snapshot_every` appends have accumulated since the last
-    /// snapshot — callers that separate appending (under their write lock)
-    /// from snapshotting (off it) poll this.
-    pub fn snapshot_due(&self) -> bool {
-        matches!(self.snapshot_every, Some(every) if self.appended_since_snapshot >= every)
+    /// True when `sync_every` appends have accumulated since the last sync
+    /// — callers that append under a lock poll this, then run
+    /// [`sync_if_due`](Self::sync_if_due) after releasing it.
+    pub fn sync_due(&self) -> bool {
+        matches!(self.sync_every, Some(every) if self.appended_since_sync >= every)
     }
 
-    /// Appends a run and, when `snapshot_every` many runs have accumulated
-    /// since the last snapshot, writes one from `store` (which must already
-    /// contain the run). Returns `true` if a snapshot was written.
-    pub fn append_with_snapshot(
-        &mut self,
-        run: &Run,
-        store: &ProvenanceStore,
-    ) -> Result<bool, PersistError> {
-        self.append(run, store.space())?;
-        if self.snapshot_due() {
-            self.snapshot(store)?;
-            return Ok(true);
+    /// Fsyncs the WAL tail when [`sync_due`](Self::sync_due); a no-op
+    /// otherwise.
+    pub fn sync_if_due(&mut self) -> Result<(), PersistError> {
+        if self.sync_due() {
+            self.sync()?;
         }
-        Ok(false)
+        Ok(())
     }
 
-    /// Gracefully closes the store: fsyncs the WAL tail, writes a final
-    /// snapshot of `store` (so a reopen warm-starts from the snapshot
-    /// without replaying the tail), and releases the directory lock. The
-    /// lock is released even when the snapshot fails — the process is
-    /// exiting either way, and the WAL alone is a complete record.
-    pub fn close(mut self, store: &ProvenanceStore) -> Result<(), PersistError> {
-        self.snapshot(store)
-        // Drop removes the lock file.
-    }
-
-    /// Writes a snapshot of `store` (covering the WAL up to its current
-    /// tail), fsyncs the WAL first so the covered prefix is durable, and
-    /// prunes WAL segments wholly covered by the *older* retained snapshot.
-    pub fn snapshot(&mut self, store: &ProvenanceStore) -> Result<(), PersistError> {
+    fn sync(&mut self) -> Result<(), PersistError> {
         let started = Instant::now();
         self.wal.sync()?;
         probes().wal_fsync_ns.record_elapsed(started);
-        let pos = self.wal.position();
-        let write_started = Instant::now();
-        snapshot::write_snapshot(&self.dir, self.digest, store, pos)?;
-        probes().snapshot_write_ns.record_elapsed(write_started);
-        bugdoc_telemetry::event(
-            bugdoc_telemetry::EventKind::WalSnapshot,
-            store.len() as u64,
-            elapsed_us(started),
-            0,
-        );
-        self.appended_since_snapshot = 0;
-        // Both retained snapshots cover at least the segments before the
-        // older one's position; those are now dead weight.
-        let snapshots = snapshot::list_snapshots(&self.dir)?;
-        if snapshots.len() >= 2 {
-            if let Some(older) = snapshot::load_oldest_position(&self.dir)? {
-                self.wal.prune_below(older.segment)?;
-            }
-        }
+        self.appended_since_sync = 0;
         Ok(())
+    }
+
+    /// Gracefully closes the store: fsyncs the WAL tail and releases the
+    /// directory lock, which is released even when the sync fails. `store`
+    /// is the history the caller kept in memory; debug builds assert it
+    /// holds exactly the runs the log does, so memory is never ahead of disk.
+    pub fn close(mut self, store: &ProvenanceStore) -> Result<(), PersistError> {
+        debug_assert_eq!(
+            store.len(),
+            self.runs,
+            "closing a history that differs from its log (recovered plus appended runs)"
+        );
+        self.sync()
+        // Drop removes the lock file.
     }
 }
 
@@ -612,41 +557,13 @@ mod tests {
 
         let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
         assert_eq!(recovery.runs, 30);
-        assert_eq!(recovery.replayed_frames, 30);
-        assert_eq!(recovery.snapshot_runs, 0);
+        assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(recovered.len(), live.len());
         assert_eq!(recovered.num_failing(), live.num_failing());
         for (a, b) in recovered.runs().iter().zip(live.runs()) {
             assert_eq!(a.instance, b.instance);
             assert_eq!(a.eval, b.eval);
         }
-    }
-
-    #[test]
-    fn snapshot_plus_tail_replay() {
-        let dir = tmp("snaptail");
-        let s = space();
-        let config = PersistConfig {
-            snapshot_every: Some(10),
-            ..PersistConfig::new(&dir)
-        };
-        let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
-        let mut snapshots = 0;
-        for xi in 0..10 {
-            for mi in 0..3 {
-                let run = run_for(&s, xi, mi);
-                live.record(run.instance.clone(), run.eval);
-                snapshots += durable.append_with_snapshot(&run, &live).unwrap() as usize;
-            }
-        }
-        assert_eq!(snapshots, 3, "30 runs at snapshot_every=10");
-        drop(durable);
-
-        let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
-        assert_eq!(recovery.runs, 30);
-        assert_eq!(recovery.snapshot_runs, 30, "newest snapshot covers all");
-        assert_eq!(recovery.replayed_frames, 0);
-        assert_eq!(recovered.len(), 30);
     }
 
     #[test]
@@ -798,9 +715,30 @@ mod tests {
         assert!(!dir.join("lock").exists(), "close released the lock");
         let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
         assert_eq!(recovery.runs, 5);
-        assert_eq!(recovery.snapshot_runs, 5, "close wrote a final snapshot");
-        assert_eq!(recovery.replayed_frames, 0, "no tail left to replay");
-        assert_eq!(recovered.len(), 5);
+        assert_eq!(recovery.truncated_bytes, 0, "close left no torn bytes");
+        assert_eq!(recovered.runs(), live.runs());
+    }
+
+    /// Snapshot files an older version left behind are not read: the log
+    /// alone is recovered, and the files stay where they are.
+    #[test]
+    fn legacy_snapshot_files_are_ignored() {
+        let dir = tmp("legacysnap");
+        let s = space();
+        let config = PersistConfig::new(&dir);
+        let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
+        for xi in 0..3 {
+            let run = run_for(&s, xi, 1);
+            live.record(run.instance.clone(), run.eval);
+            durable.append(&run, &s).unwrap();
+        }
+        durable.close(&live).unwrap();
+        let legacy = dir.join("snap-000000000002.bds");
+        std::fs::write(&legacy, b"BDSNAPv1 not a history").unwrap();
+        let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
+        assert_eq!((recovery.runs, recovery.truncated_bytes), (3, 0));
+        assert_eq!(recovered.runs(), live.runs());
+        assert!(legacy.exists());
     }
 
     #[test]

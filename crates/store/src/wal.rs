@@ -42,6 +42,14 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<u64>, PersistError> {
     Ok(out)
 }
 
+/// Flushes `dir`'s directory entries to disk, so a segment created there
+/// survives power loss along with the frames later synced into it.
+fn fsync_dir(dir: &Path) -> Result<(), PersistError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| PersistError::io(dir, e))
+}
+
 fn segment_header(digest: u64) -> [u8; WAL_HEADER_BYTES] {
     let mut h = [0u8; WAL_HEADER_BYTES];
     let (magic, dig) = h.split_at_mut(WAL_MAGIC.len());
@@ -69,6 +77,10 @@ pub struct Wal {
     seg_index: u64,
     seg_len: u64,
     file: File,
+    /// Segments rolled past since the last sync, by index: [`Wal::sync`]
+    /// flushes them before the tail, so a sync covers the whole log while
+    /// a roll (inside an append) never waits on the disk.
+    unsynced: Vec<(u64, File)>,
     /// Reusable frame-encoding scratch.
     buf: Vec<u8>,
 }
@@ -97,7 +109,7 @@ impl Wal {
             file.write_all(&segment_header(digest))
                 .map_err(|e| PersistError::io(&path, e))?;
             seg_len = u64_of(WAL_HEADER_BYTES);
-            crate::snapshot::fsync_dir(dir)?;
+            fsync_dir(dir)?;
         }
         Ok(Wal {
             dir: dir.to_path_buf(),
@@ -106,6 +118,7 @@ impl Wal {
             seg_index,
             seg_len,
             file,
+            unsynced: Vec::new(),
             buf: Vec::new(),
         })
     }
@@ -136,9 +149,16 @@ impl Wal {
         Ok(())
     }
 
-    /// Flushes buffered OS state to disk (`fsync`). Called at snapshot
-    /// boundaries; per-append fsync would dominate the append cost.
+    /// Flushes buffered OS state to disk (`fsync`): the segments rolled
+    /// past since the last sync, then the tail. Called every `sync_every`
+    /// appends and at close; per-append fsync would dominate the append
+    /// cost.
     pub fn sync(&mut self) -> Result<(), PersistError> {
+        for (index, file) in &self.unsynced {
+            let path = self.dir.join(segment_name(*index));
+            file.sync_data().map_err(|e| PersistError::io(&path, e))?;
+        }
+        self.unsynced.clear();
         let path = self.dir.join(segment_name(self.seg_index));
         self.file.sync_data().map_err(|e| PersistError::io(&path, e))
     }
@@ -155,39 +175,22 @@ impl Wal {
             .map_err(|e| PersistError::io(&path, e))?;
         // Make the new directory entry durable: segment names must never
         // survive out of order, or recovery would see a gap.
-        crate::snapshot::fsync_dir(&self.dir)?;
-        self.file = file;
+        fsync_dir(&self.dir)?;
+        let finished = std::mem::replace(&mut self.file, file);
+        self.unsynced.push((self.seg_index - 1, finished));
         self.seg_len = u64_of(WAL_HEADER_BYTES);
         Ok(())
     }
-
-    /// Deletes every segment whose index is below `keep_from` — segments
-    /// wholly covered by a retained snapshot.
-    pub fn prune_below(&mut self, keep_from: u64) -> Result<usize, PersistError> {
-        let mut removed = 0;
-        for idx in list_segments(&self.dir)? {
-            if idx < keep_from && idx != self.seg_index {
-                let path = self.dir.join(segment_name(idx));
-                std::fs::remove_file(&path).map_err(|e| PersistError::io(&path, e))?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
 }
 
-/// Scans one segment's frames from `start` in one streaming pass: each
-/// frame is checksummed, decoded, and handed to `sink` before the next is
-/// read, with no staging. Returns `(accepted frames, stop offset)` — `None`
+/// Scans one segment's frames, from its header end, in one streaming pass:
+/// each frame is checksummed, decoded, and handed to `sink` before the next
+/// is read, with no staging. Returns `(accepted frames, stop offset)` — `None`
 /// for a clean end of segment, `Some(offset)` for the first bad byte: a
 /// torn or undecodable frame, or one the sink rejected (truncated alike).
-fn scan_segment(
-    bytes: &[u8],
-    start: usize,
-    sink: &mut impl FnMut(RunRecord) -> bool,
-) -> (usize, Option<usize>) {
+fn scan_segment(bytes: &[u8], sink: &mut impl FnMut(RunRecord) -> bool) -> (usize, Option<usize>) {
     let mut frames = 0;
-    let mut offset = start;
+    let mut offset = WAL_HEADER_BYTES;
     loop {
         match next_frame(bytes, offset) {
             NextFrame::End => return (frames, None),
@@ -212,11 +215,11 @@ pub struct ReplaySummary {
     pub truncated_bytes: u64,
 }
 
-/// Replays the log from `from` (or from the first segment's header end when
-/// `None`), calling `sink` for each valid frame in order. On the first torn
-/// or undecodable frame the scan stops, **truncates** the damaged segment at
-/// the last valid frame boundary, and deletes every later segment — so a
-/// reopened log is always an exact prefix of what was appended.
+/// Replays the whole log, segment 1 onward, calling `sink` for each valid
+/// frame in order. On the first torn or undecodable frame the scan stops,
+/// **truncates** the damaged segment at the last valid frame boundary, and
+/// deletes every later segment — so a reopened log is always an exact
+/// prefix of what was appended.
 ///
 /// `sink` may reject a record (returning `false`) to signal that the frame
 /// is semantically invalid for the space (e.g. a dense key that no longer
@@ -224,24 +227,17 @@ pub struct ReplaySummary {
 pub fn replay(
     dir: &Path,
     digest: u64,
-    from: Option<WalPosition>,
     mut sink: impl FnMut(RunRecord) -> bool,
 ) -> Result<ReplaySummary, PersistError> {
     let mut summary = ReplaySummary::default();
     let segments = list_segments(dir)?;
-    let start_seg = from.map(|p| p.segment).unwrap_or(0);
-    // Replayed segment indices must be gapless (and anchored: segment 1 for
-    // a full replay, the covered segment for a snapshot-tail replay). A
-    // missing segment means the directory lost history *in the middle* —
-    // concatenating across the hole would fabricate a log that never
-    // existed, so it is a hard error, never a silent skip.
-    let mut expected_next: Option<u64> = None;
     let mut torn_at: Option<(usize, u64)> = None; // (position in `segments`, offset)
-    'segments: for (si, &idx) in segments.iter().enumerate() {
-        if idx < start_seg {
-            continue;
-        }
-        let expected = expected_next.unwrap_or(if from.is_some() { start_seg } else { 1 });
+    for (si, &idx) in segments.iter().enumerate() {
+        // Segment indices must run 1, 2, 3, … without a gap. A missing
+        // segment means the directory lost history *in the middle* (or its
+        // start) — concatenating across the hole would fabricate a log that
+        // never existed, so it is a hard error, never a silent skip.
+        let expected = u64_of(si) + 1;
         if idx != expected {
             return Err(PersistError::MissingSegment {
                 expected,
@@ -249,7 +245,6 @@ pub fn replay(
                 dir: dir.to_path_buf(),
             });
         }
-        expected_next = Some(idx + 1);
         let path = dir.join(segment_name(idx));
         let bytes = std::fs::read(&path).map_err(|e| PersistError::io(&path, e))?;
         // Header check: a short or mangled header reads as a torn segment
@@ -262,7 +257,7 @@ pub fn replay(
         };
         let Some(found) = header_digest else {
             torn_at = Some((si, 0));
-            break 'segments;
+            break;
         };
         if found != digest {
             return Err(PersistError::SpaceMismatch {
@@ -271,26 +266,11 @@ pub fn replay(
                 path,
             });
         }
-        let mut offset = WAL_HEADER_BYTES;
-        if let Some(p) = from {
-            if idx == p.segment {
-                if p.offset as usize > bytes.len() {
-                    // The snapshot claims coverage past this segment's end —
-                    // the tail it covered is gone. Nothing newer to replay.
-                    torn_at = Some((si, u64_of(bytes.len())));
-                    break 'segments;
-                }
-                offset = (p.offset as usize).max(WAL_HEADER_BYTES);
-            }
-        }
-        let (frames, stop) = scan_segment(&bytes, offset, &mut sink);
+        let (frames, stop) = scan_segment(&bytes, &mut sink);
         summary.frames += frames;
-        match stop {
-            None => continue 'segments,
-            Some(stop) => {
-                torn_at = Some((si, u64_of(stop)));
-                break 'segments;
-            }
+        if let Some(stop) = stop {
+            torn_at = Some((si, u64_of(stop)));
+            break;
         }
     }
     if let Some((si, offset)) = torn_at {
@@ -341,7 +321,7 @@ mod tests {
 
     fn replay_all(dir: &Path, digest: u64) -> (Vec<RunRecord>, ReplaySummary) {
         let mut got = Vec::new();
-        let summary = replay(dir, digest, None, |r| {
+        let summary = replay(dir, digest, |r| {
             got.push(r);
             true
         })
@@ -459,27 +439,18 @@ mod tests {
         let segments = list_segments(&dir).unwrap();
         assert!(segments.len() >= 3);
         std::fs::remove_file(dir.join(segment_name(segments[1]))).unwrap();
-        let err = replay(&dir, 4, None, |_| true).unwrap_err();
+        let err = replay(&dir, 4, |_| true).unwrap_err();
         assert!(
             matches!(err, PersistError::MissingSegment { expected, found, .. }
                 if expected == segments[1] && found == segments[2]),
             "{err}"
         );
         assert!(err.to_string().contains("missing"));
-        // A missing *anchor* segment (full replay not starting at 1) is the
-        // same refusal.
+        // A missing segment 1 — what older versions' snapshot pruning left
+        // behind — is the same refusal.
         std::fs::remove_file(dir.join(segment_name(1))).unwrap();
-        let err = replay(&dir, 4, None, |_| true).unwrap_err();
+        let err = replay(&dir, 4, |_| true).unwrap_err();
         assert!(matches!(err, PersistError::MissingSegment { expected: 1, .. }), "{err}");
-        // But a tail replay anchored past the gap still works.
-        let last = *list_segments(&dir).unwrap().last().unwrap();
-        let mut n = 0;
-        replay(&dir, 4, Some(WalPosition { segment: last, offset: 0 }), |_| {
-            n += 1;
-            true
-        })
-        .unwrap();
-        assert!(n > 0);
     }
 
     #[test]
@@ -488,53 +459,10 @@ mod tests {
         let mut wal = Wal::open(&dir, 1, 1 << 20).unwrap();
         wal.append(&record(0)).unwrap();
         drop(wal);
-        let err = replay(&dir, 2, None, |_| true).unwrap_err();
+        let err = replay(&dir, 2, |_| true).unwrap_err();
         assert!(matches!(err, PersistError::SpaceMismatch { .. }));
         // Nothing was deleted or truncated.
         let (got, _) = replay_all(&dir, 1);
         assert_eq!(got.len(), 1);
-    }
-
-    #[test]
-    fn replay_from_position_skips_covered_prefix() {
-        let dir = tmp("from");
-        let mut wal = Wal::open(&dir, 3, 1 << 20).unwrap();
-        for i in 0..5 {
-            wal.append(&record(i)).unwrap();
-        }
-        let mid = wal.position();
-        for i in 5..8 {
-            wal.append(&record(i)).unwrap();
-        }
-        drop(wal);
-        let mut got = Vec::new();
-        replay(&dir, 3, Some(mid), |r| {
-            got.push(r);
-            true
-        })
-        .unwrap();
-        assert_eq!(got, (5..8).map(record).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn prune_below_removes_covered_segments() {
-        let dir = tmp("prune");
-        let mut wal = Wal::open(&dir, 3, 160).unwrap();
-        for i in 0..40 {
-            wal.append(&record(i)).unwrap();
-        }
-        let pos = wal.position();
-        let before = list_segments(&dir).unwrap().len();
-        let removed = wal.prune_below(pos.segment).unwrap();
-        assert!(removed > 0);
-        assert_eq!(list_segments(&dir).unwrap().len(), before - removed);
-        // The tail from the kept position still replays.
-        let mut got = Vec::new();
-        replay(&dir, 3, Some(WalPosition { segment: pos.segment, offset: 0 }), |r| {
-            got.push(r);
-            true
-        })
-        .unwrap();
-        assert!(!got.is_empty() || pos.offset == WAL_HEADER_BYTES as u64);
     }
 }

@@ -37,13 +37,12 @@ pub enum EventKind {
     /// A diagnosis finished.
     /// args: [session id or 0, duration µs, new executions]
     DiagnoseEnd = 5,
-    /// A WAL snapshot was written. args: [runs covered, duration µs, 0]
-    WalSnapshot = 6,
+    // 6 belonged to a removed kind (WAL snapshots); it is not reused, so an
+    // old dump never decodes as a different event.
     /// A WAL replay completed during open.
     /// args: [frames replayed, duration µs, truncated bytes]
     WalReplay = 7,
-    // 8 belonged to a removed kind; it is not reused, so an old dump never
-    // decodes as a different event.
+    // 8 belonged to a removed kind; it is not reused either.
     /// The bounds gate pruned a subtree. args: [instances short-circuited, 0, 0]
     BoundsPruned = 9,
 }
@@ -57,7 +56,6 @@ impl EventKind {
             EventKind::SpecBound => "spec_bound",
             EventKind::DiagnoseStart => "diagnose_start",
             EventKind::DiagnoseEnd => "diagnose_end",
-            EventKind::WalSnapshot => "wal_snapshot",
             EventKind::WalReplay => "wal_replay",
             EventKind::BoundsPruned => "bounds_pruned",
         }
@@ -71,7 +69,6 @@ impl EventKind {
             3 => EventKind::SpecBound,
             4 => EventKind::DiagnoseStart,
             5 => EventKind::DiagnoseEnd,
-            6 => EventKind::WalSnapshot,
             7 => EventKind::WalReplay,
             9 => EventKind::BoundsPruned,
             _ => return None,

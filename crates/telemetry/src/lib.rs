@@ -15,7 +15,7 @@
 //!   text exposition entirely in memory.
 //! - A process-global **flight recorder** ([`event`], [`flight_dump`]) — a
 //!   fixed-capacity ring of structured events (session lifecycle, diagnosis
-//!   phases, WAL snapshots/replays, bounds-gate decisions) that overwrites
+//!   phases, WAL replays, bounds-gate decisions) that overwrites
 //!   its oldest entry and never reallocates.
 //!
 //! # The record-path contract (lint rule W008)

@@ -44,7 +44,7 @@ fn capacity_is_fixed() {
 fn unwritten_slots_read_none() {
     let ring = Box::new(FlightRecorder::new());
     assert!(ring.read_slot(0).is_none());
-    ring.record(EventKind::WalSnapshot, [7, 8, 9]);
+    ring.record(EventKind::WalReplay, [7, 8, 9]);
     assert!(ring.read_slot(0).is_some());
     assert!(ring.read_slot(1).is_none());
 }
@@ -79,7 +79,6 @@ fn kind_codes_round_trip() {
         EventKind::SpecBound,
         EventKind::DiagnoseStart,
         EventKind::DiagnoseEnd,
-        EventKind::WalSnapshot,
         EventKind::WalReplay,
         EventKind::BoundsPruned,
     ] {
@@ -87,5 +86,11 @@ fn kind_codes_round_trip() {
         assert!(!kind.name().is_empty());
     }
     assert_eq!(EventKind::from_code(0), None);
+    assert_eq!(
+        EventKind::from_code(6),
+        None,
+        "retired kinds stay unassigned"
+    );
+    assert_eq!(EventKind::from_code(8), None);
     assert_eq!(EventKind::from_code(999), None);
 }

@@ -58,7 +58,7 @@
 //! * [`baselines`] — Data X-Ray, Explanation Tables, SMAC, random search.
 //! * [`dtree`], [`qm`] — the decision-tree and Quine–McCluskey substrates.
 //! * [`store`] — durable provenance: a segmented checksummed write-ahead
-//!   log, snapshots, and crash recovery with warm-start diagnosis.
+//!   log and crash recovery that replays it for warm-start diagnosis.
 //! * [`serve`] — the diagnosis service daemon (`bugdoc serve`): concurrent
 //!   sessions sharing one executor per pipeline spec.
 //! * [`telemetry`] — wait-free metrics (counters, gauges, log₂ histograms)

@@ -9,6 +9,10 @@
 //!   run logs with overflow instances mixed in, and cut points).
 //! * **Kill-and-reopen** — an executor killed with a garbage half-frame on
 //!   its WAL tail reopens warm with every completed run intact.
+//! * **No splice** — a session that appends after recovery cut the log
+//!   mid-way reopens with exactly that session's history, and a
+//!   checksum-valid frame that repeats a recovered instance truncates the
+//!   log instead of panicking recovery.
 //! * **Bit-identical resumed diagnosis** — on the paper pipelines, a
 //!   diagnosis run with persistence on, killed mid-run (budget-starved or
 //!   tail-truncated) and resumed, asserts exactly the same root causes as
@@ -16,7 +20,7 @@
 
 use bugdoc::pipelines::MlPipeline;
 use bugdoc::prelude::*;
-use bugdoc::store::{DurableStore, WalPosition};
+use bugdoc::store::{DurableStore, RecordKey, RunRecord, Wal, WalPosition};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -245,10 +249,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Recovery at the log sizes a long-lived persist directory reaches:
-    /// a snapshot of 2,048+ rows, then 2,048+ WAL frames in one segment of
-    /// the default size, cut at a seeded byte offset inside that tail.
-    /// Reopening yields the appended prefix run for run, and the cut is
-    /// final: a second open discards nothing.
+    /// 4,200 WAL frames in one segment of the default size, cut at a seeded
+    /// byte offset in the log's second half. Reopening yields the appended
+    /// prefix run for run, and the cut is final: a second open discards
+    /// nothing.
     #[test]
     fn large_log_recovers_exact_prefix_after_tail_cut(
         seed in any::<u64>(),
@@ -265,27 +269,22 @@ proptest! {
         let config = PersistConfig::new(&dir);
 
         let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
-        append_random_runs(&mut live, &mut durable, &space, &mut rng, 2_100);
-        durable.snapshot(&live).unwrap();
-        let snapshot_rows = live.len();
-        let tail_start = durable.position();
-        let ends = append_random_runs(&mut live, &mut durable, &space, &mut rng, 2_100);
+        let ends = append_random_runs(&mut live, &mut durable, &space, &mut rng, 4_200);
         drop(durable);
         let original: Vec<_> = live.runs().to_vec();
         let files = segment_files(&dir);
         prop_assert_eq!(files.len(), 1, "the whole log fits one default-size segment");
-        let tail_end = ends.last().unwrap().offset;
-        prop_assert_eq!(tail_end, files[0].1);
+        let log_end = ends.last().unwrap().offset;
+        prop_assert_eq!(log_end, files[0].1);
 
-        let cut = tail_start.offset + cut_selector % (tail_end - tail_start.offset + 1);
-        let expected = snapshot_rows + ends.iter().filter(|p| p.offset <= cut).count();
+        let half = ends[ends.len() / 2 - 1].offset;
+        let cut = half + cut_selector % (log_end - half + 1);
+        let expected = ends.iter().filter(|p| p.offset <= cut).count();
         truncate_log_at(&dir, cut);
 
         let (recovered, _, recovery) = DurableStore::open(&space, &config).unwrap();
-        prop_assert_eq!(recovery.snapshot_runs, snapshot_rows);
-        prop_assert_eq!(recovery.replayed_frames, expected - snapshot_rows);
         prop_assert_eq!(recovery.runs, expected);
-        prop_assert_eq!(recovered.len(), expected, "cut at {} of {}", cut, tail_end);
+        prop_assert_eq!(recovered.len(), expected, "cut at {} of {}", cut, log_end);
         for (got, want) in recovered.runs().iter().zip(&original) {
             prop_assert_eq!(&got.instance, &want.instance);
             prop_assert_eq!(got.eval.outcome, want.eval.outcome);
@@ -296,6 +295,97 @@ proptest! {
         prop_assert_eq!(second.truncated_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Damage inside the log, then a session that recovers the prefix and
+/// appends more: the next open must return exactly that session's history.
+/// A recovery that resumed from a remembered log position past the damage
+/// would start mid-frame in the new appends, discard them as torn, and
+/// splice the log.
+#[test]
+fn reopen_after_mid_log_damage_keeps_every_later_append() {
+    let dir = tmp_dir("splice");
+    let space = ParamSpace::builder()
+        .ordinal("x", (0..8).collect::<Vec<_>>())
+        .ordinal("y", (0..8).collect::<Vec<_>>())
+        .build();
+    let config = PersistConfig::new(&dir);
+    let mut fresh = space.instances();
+    let mut append = |live: &mut ProvenanceStore, durable: &mut DurableStore| {
+        let inst = fresh.next().unwrap();
+        let eval = EvalResult::of(outcome_of(&inst));
+        assert!(live.record(inst, eval));
+        durable.append(live.runs().last().unwrap(), &space).unwrap();
+        durable.position()
+    };
+
+    // Session 1: ten runs, closed gracefully.
+    let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
+    let ends: Vec<WalPosition> = (0..10).map(|_| append(&mut live, &mut durable)).collect();
+    durable.close(&live).unwrap();
+
+    // Cut the log in the middle of its fourth frame.
+    truncate_log_at(&dir, ends[2].offset + 5);
+
+    // Session 2: recovers what survived the cut, appends ten new runs.
+    let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
+    for _ in 0..10 {
+        append(&mut live, &mut durable);
+    }
+    drop(durable);
+
+    // Session 3 sees session 2's history run for run, with nothing torn.
+    let (recovered, _, recovery) = DurableStore::open(&space, &config).unwrap();
+    assert_eq!(recovered.len(), live.len(), "recovered a spliced history");
+    assert_eq!(recovered.runs(), live.runs());
+    assert_eq!(recovery.truncated_bytes, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checksum-valid frame that repeats a recovered instance — here with the
+/// other outcome — is damage: no writer appends a run the store already
+/// holds. Recovery truncates the log there, as at a torn frame, instead of
+/// tripping the store's determinism assert.
+#[test]
+fn conflicting_duplicate_frame_truncates_instead_of_panicking() {
+    let dir = tmp_dir("duplicate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let space = ParamSpace::builder()
+        .ordinal("x", (0..4).collect::<Vec<_>>())
+        .ordinal("y", (0..4).collect::<Vec<_>>())
+        .build();
+    let frame = |x: u32, outcome: Outcome| RunRecord {
+        key: RecordKey::Dense(vec![x, 0].into_boxed_slice()),
+        outcome,
+        score: None,
+    };
+    let mut wal = Wal::open(
+        &dir,
+        bugdoc::store::space_digest(&space),
+        bugdoc::store::DEFAULT_SEGMENT_BYTES,
+    )
+    .unwrap();
+    wal.append(&frame(1, Outcome::Succeed)).unwrap();
+    wal.append(&frame(1, Outcome::Fail)).unwrap();
+    wal.append(&frame(2, Outcome::Succeed)).unwrap();
+    drop(wal);
+
+    let config = PersistConfig::new(&dir);
+    let (recovered, durable, recovery) = DurableStore::open(&space, &config).unwrap();
+    assert_eq!(recovery.runs, 1);
+    assert!(
+        recovery.truncated_bytes > 0,
+        "the duplicate and what follows are cut"
+    );
+    assert_eq!(
+        recovered.outcome_of(&space.instance_from_indices(&[1, 0])),
+        Some(Outcome::Succeed)
+    );
+    drop(durable);
+    let (_, _, again) = DurableStore::open(&space, &config).unwrap();
+    assert_eq!(again.runs, 1);
+    assert_eq!(again.truncated_bytes, 0, "the second open is clean");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kill-and-reopen through the executor: a run killed with a half-written
@@ -321,7 +411,7 @@ fn killed_executor_reopens_with_completed_runs() {
     let config = || ExecutorConfig {
         workers: 3,
         persist: Some(PersistConfig {
-            snapshot_every: Some(10),
+            sync_every: Some(10),
             ..PersistConfig::new(&dir)
         }),
         ..Default::default()
@@ -389,7 +479,7 @@ fn resumed_diagnosis_is_bit_identical_to_in_memory() {
     let dir = tmp_dir("resume-budget");
     let persist = || {
         Some(PersistConfig {
-            snapshot_every: Some(4),
+            sync_every: Some(4),
             ..PersistConfig::new(&dir)
         })
     };
@@ -405,12 +495,7 @@ fn resumed_diagnosis_is_bit_identical_to_in_memory() {
     // Kill model 2: a full run whose WAL tail is then torn off at an
     // arbitrary offset (mid-frame), leaving a strict prefix to resume from.
     let dir = tmp_dir("resume-torn");
-    let persist = || {
-        Some(PersistConfig {
-            snapshot_every: Some(1_000_000), // no snapshot: the cut bites
-            ..PersistConfig::new(&dir)
-        })
-    };
+    let persist = || Some(PersistConfig::new(&dir));
     let (first, _) = ml_diagnosis(persist(), None);
     assert_eq!(first, reference);
     let total: u64 = segment_files(&dir).iter().map(|(_, l)| l).sum();
