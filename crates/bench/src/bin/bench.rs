@@ -17,6 +17,8 @@
 //! * `perf/evaluate_cold_32` — cold dispatch through a fresh executor
 //! * `perf/cache_hit_10k` — provenance hit against a 10k-run history
 //! * `perf/batch_dispatch_128/5` — 128-instance batch at 5 workers
+//! * `perf/batch_dispatch_4_warm/5` — 4 new instances at 5 workers after one
+//!   timed execution (paper-synth's most common batch)
 //! * `perf/concurrent_cache_hits_5w` — per-op time of provenance hits under
 //!   5-thread contention (threads started once, rounds released by a
 //!   barrier)

@@ -85,6 +85,9 @@ pub fn random_conjunctions(space: &ParamSpace, n: usize, seed: u64) -> Vec<Conju
 /// * `perf/evaluate_cold_32` — 32 fresh evaluations through a new executor;
 /// * `perf/cache_hit_10k` — one cache-hit `evaluate` against a 10k-run history;
 /// * `perf/batch_dispatch_128/5` — a 128-instance batch at the paper's 5 workers;
+/// * `perf/batch_dispatch_4_warm/5` — 4 new instances on a 5-worker executor
+///   that has already executed one: the most common batch of a paper-synth
+///   diagnosis (71.5% of its batches hold 4 new instances);
 /// * `perf/concurrent_cache_hits_5w` — 5 threads × 200 provenance-hit
 ///   evaluations per round (reported per evaluation), the probe of
 ///   contended hits on the store's read lock; the threads start once, so
@@ -195,6 +198,34 @@ pub fn bench_hot_paths(c: &mut Criterion) {
                 },
                 |exec| {
                     exec.evaluate_batch(&batch);
+                    exec
+                },
+            )
+        }
+    });
+
+    // The executor has already timed one cheap execution, so this is the
+    // batch shape the calling-thread rule decides for a paper-synth search.
+    let warm: Vec<Instance> = perf_instances(&space).into_iter().take(5).collect();
+    let (warm_first, warm_batch) = (warm[0].clone(), warm[1..].to_vec());
+    group.bench_function("batch_dispatch_4_warm/5", {
+        let space = space.clone();
+        move |b| {
+            b.iter_with_setup(
+                || {
+                    let exec = Executor::new(
+                        perf_pipeline(&space),
+                        ExecutorConfig {
+                            workers: 5,
+                            budget: None,
+                            ..Default::default()
+                        },
+                    );
+                    exec.evaluate(&warm_first).unwrap();
+                    exec
+                },
+                |exec| {
+                    exec.evaluate_batch(&warm_batch);
                     exec
                 },
             )

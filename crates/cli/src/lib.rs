@@ -393,10 +393,23 @@ pub fn run(request: Request) -> Result<String, String> {
             Ok(out)
         }
         Request::Serve { socket } => {
-            // A socket file left by a dead daemon would fail the bind; the
-            // durable stores' own directory locks are what protect against
-            // a *live* daemon on the same pipelines.
-            let _ = std::fs::remove_file(&socket);
+            // A live daemon answers a connect: its socket is left alone. A
+            // refused connect means a file left by a dead daemon, which
+            // would fail the bind, so only then (or when there is no file)
+            // is the path unlinked; any other probe error is left for the
+            // bind to report.
+            match std::os::unix::net::UnixStream::connect(&socket) {
+                Ok(_) => return Err(format!("{socket} is in use by a running daemon")),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::ConnectionRefused | std::io::ErrorKind::NotFound
+                    ) =>
+                {
+                    let _ = std::fs::remove_file(&socket);
+                }
+                Err(_) => {}
+            }
             let listener = std::os::unix::net::UnixListener::bind(&socket)
                 .map_err(|e| format!("cannot bind {socket}: {e}"))?;
             let manager = Arc::new(bugdoc_serve::SessionManager::new(executor_factory()));

@@ -285,3 +285,88 @@ fn daemon_serves_shares_and_survives_sigterm() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Kills and reaps a daemon process however the test exits, so a failing
+/// assertion leaves no daemon behind.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A second `serve` on the path of a live daemon refuses to start instead
+/// of unlinking the socket and binding a new one, which would leave the
+/// first daemon unreachable for the rest of its life.
+#[test]
+fn second_serve_on_a_live_socket_fails_and_leaves_the_first_daemon_reachable() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = workdir("in-use");
+    let socket = dir.join("bugdoc.sock");
+    let serve = || {
+        bugdoc()
+            .args(["serve", "--socket", &socket.display().to_string()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let mut first = Reaped(serve());
+    wait_for_socket(&socket, &mut first.0);
+
+    let mut second = Reaped(serve());
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let status = loop {
+        if let Some(status) = second.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "a second serve on a live daemon's socket is still running after 2 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    let mut pipe = second.0.stderr.take().unwrap();
+    pipe.read_to_string(&mut stderr).unwrap();
+    assert!(!status.success(), "second serve exited with {status}");
+    assert!(stderr.contains("in use by a running daemon"), "{stderr}");
+
+    // The first daemon still owns the path.
+    let mut stream = UnixStream::connect(&socket).unwrap();
+    stream.write_all(b"PING\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert_eq!(reply, "OK pong\n");
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &first.0.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(killed.success());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = first.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "daemon ignored SIGTERM");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stdout = String::new();
+    let mut pipe = first.0.stdout.take().unwrap();
+    pipe.read_to_string(&mut stdout).unwrap();
+    assert!(status.success(), "first daemon exited with {status}");
+    let served: usize = stdout
+        .strip_prefix("bugdoc serve: ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no summary line: {stdout:?}"));
+    assert!(served >= 1, "{stdout}");
+    assert!(!socket.exists(), "socket file not removed on exit");
+
+    let _ = fs::remove_dir_all(&dir);
+}

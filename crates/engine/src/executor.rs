@@ -11,9 +11,12 @@
 //!   measure counts only *new* executions);
 //! * an optional **instance budget** bounds new executions — the evaluation
 //!   grants each baseline "the same number of instances" (§5);
-//! * batches run on a worker pool (real threads via crossbeam), and a
-//!   **virtual clock** accumulates the schedule makespan at the configured
-//!   worker count, which is what the scalability study measures (§5.2).
+//! * a **virtual clock** accumulates the schedule makespan of every batch
+//!   at the configured worker count, which is what the scalability study
+//!   measures (§5.2). It does not depend on real threads: a batch runs on
+//!   `workers` scoped threads only when its pipeline is slow enough to pay
+//!   for starting them (see [`Executor::evaluate_batch`]), and on the
+//!   calling thread otherwise.
 //!
 //! # Concurrency layout
 //!
@@ -22,8 +25,9 @@
 //! store's key index — under the store's shared read lock, so hits (by far
 //! the most frequent operation the search layers issue) from many threads
 //! proceed together. The write lock is held only to record a new execution.
-//! Provenance queries also run on the calling thread under the read lock;
-//! the worker pool only executes pipelines.
+//! Provenance queries, single evaluations, cheap batches and WAL appends
+//! all run on the calling thread; a batch's scoped threads only execute
+//! pipelines.
 //! Statistics are individual atomics ([`Ordering::SeqCst`] reservations for
 //! the budget, relaxed counters elsewhere), so `stats()` never blocks the
 //! workers.
@@ -42,6 +46,13 @@ use parking_lot::{Mutex, RwLock};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// What starting one batch thread costs: one scoped spawn plus join
+/// measured 22–34 µs on a 2-core host (a 4-thread scope took 81–100 µs).
+/// A batch whose new instances would finish on the calling thread before
+/// their threads could start runs there instead.
+const THREAD_START: Duration = Duration::from_micros(25);
 
 /// Why the executor could not evaluate an instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,9 +78,10 @@ impl std::error::Error for ExecError {}
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
-    /// Worker threads for batch execution ([`Executor::evaluate_batch`]).
-    /// The paper used 5. Provenance queries never use them: they run on
-    /// the calling thread.
+    /// Machines the virtual clock schedules each batch on, and the most
+    /// threads a batch of slow pipeline executions runs on
+    /// ([`Executor::evaluate_batch`]). The paper used 5. Provenance
+    /// queries never use threads: they run on the calling thread.
     pub workers: usize,
     /// Maximum number of *new* pipeline executions (provenance hits are free).
     /// `None` = unbounded.
@@ -198,6 +210,11 @@ struct AtomicStats {
     /// Candidates the algorithms pruned on a bound alone (see
     /// [`ExecStats::bounds_pruned_subtrees`]).
     bounds_pruned_subtrees: AtomicU64,
+    /// Wall-clock nanoseconds spent in `Pipeline::execute` and `cost`, and
+    /// the executions they cover: their mean decides whether a batch runs
+    /// on threads. Not part of [`ExecStats`].
+    execute_ns: AtomicU64,
+    timed_executions: AtomicU64,
 }
 
 impl AtomicStats {
@@ -548,6 +565,42 @@ impl Executor {
         hit
     }
 
+    /// Runs the pipeline on one instance and reads its cost, adding the
+    /// wall-clock time both took to the execution timing totals.
+    fn run_pipeline(&self, instance: &Instance) -> (Result<EvalResult, PipelineError>, SimTime) {
+        let start = Instant::now();
+        let result = self.pipeline.execute(instance);
+        let cost = self.pipeline.cost(instance);
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // Relaxed: the totals only steer the calling-thread-or-threads
+        // choice, which is correct either way; nothing else reads them.
+        self.stats.execute_ns.fetch_add(ns, Ordering::Relaxed);
+        // Relaxed: as above.
+        self.stats.timed_executions.fetch_add(1, Ordering::Relaxed);
+        (result, cost)
+    }
+
+    /// Whether a batch with `n` new instances runs on the calling thread:
+    /// with one instance or one worker there is nothing to overlap, and
+    /// otherwise when, at the measured mean execution time, the instances
+    /// would finish before their threads could start
+    /// (`n × mean < min(workers, n) × THREAD_START`). Until something
+    /// has been timed a batch uses threads, so a slow pipeline's first
+    /// batch is already parallel.
+    fn runs_inline(&self, n: usize) -> bool {
+        let workers = self.config.workers;
+        if n <= 1 || workers <= 1 {
+            return true;
+        }
+        // Relaxed: a stale mean only picks the other, equally correct path.
+        let timed = self.stats.timed_executions.load(Ordering::Relaxed);
+        // Relaxed: as above.
+        let total_ns = self.stats.execute_ns.load(Ordering::Relaxed);
+        timed > 0
+            && n as u128 * u128::from(total_ns)
+                < workers.min(n) as u128 * THREAD_START.as_nanos() * u128::from(timed)
+    }
+
     /// Evaluates one instance: provenance hit if known, otherwise a budgeted
     /// execution. Advances the virtual clock by the instance cost (a single
     /// evaluation cannot be overlapped with anything).
@@ -560,8 +613,7 @@ impl Executor {
             self.stats.budget_refusals.fetch_add(1, Ordering::Relaxed);
             return Err(ExecError::BudgetExhausted);
         }
-        let result = self.pipeline.execute(instance);
-        let cost = self.pipeline.cost(instance);
+        let (result, cost) = self.run_pipeline(instance);
         match result {
             Ok(eval) => {
                 let (fresh, sync_due) = {
@@ -586,7 +638,11 @@ impl Executor {
         }
     }
 
-    /// Evaluates a batch of instances in parallel on the worker pool.
+    /// Evaluates a batch of instances, executing the new ones on up to
+    /// `workers` scoped threads when the pipeline is slow enough to pay for
+    /// starting them, and on the calling thread otherwise (see
+    /// `runs_inline`: a batch of one, `workers <= 1`, or a measured mean
+    /// execution time below thread start-up).
     ///
     /// Results are positionally aligned with the input. Duplicate instances
     /// within the batch are executed once. The budget is applied in input
@@ -595,8 +651,9 @@ impl Executor {
     ///
     /// The virtual clock advances by the makespan of greedy list scheduling
     /// of the executed instances' costs on `workers` machines — the quantity
-    /// the paper's Figure 6 tracks as core counts grow.
-    // lint: allow(W003, reason = "results is sized to instances.len() and indexed by batch positions from the same enumerate (to_run holds such positions); the scope/join expects propagate worker panics; first_occurrence is populated before any duplicate reads it", scope = "block")
+    /// the paper's Figure 6 tracks as core counts grow — wherever the batch
+    /// actually ran.
+    // lint: allow(W003, reason = "results is sized to instances.len() and indexed by batch positions from the same enumerate (to_run holds such positions); first_occurrence is populated before any duplicate reads it", scope = "block")
     pub fn evaluate_batch(&self, instances: &[Instance]) -> Vec<Result<Outcome, ExecError>> {
         let mut results: Vec<Option<Result<Outcome, ExecError>>> = vec![None; instances.len()];
         // Positions in the batch that need execution, deduplicated: the first
@@ -626,36 +683,37 @@ impl Executor {
             }
         }
 
-        // Execute the new instances on the worker pool.
-        let outcomes: Vec<(usize, Result<EvalResult, PipelineError>, SimTime)> = if to_run
-            .is_empty()
-        {
-            Vec::new()
-        } else {
-            let next = AtomicUsize::new(0);
-            let collected: Mutex<Vec<(usize, Result<EvalResult, PipelineError>, SimTime)>> =
-                Mutex::new(Vec::with_capacity(to_run.len()));
-            let workers = self.config.workers.max(1).min(to_run.len());
-            crossbeam::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|_| loop {
-                        // Relaxed: a pure fetch_add ticket counter — each
-                        // worker gets a unique k; no other state rides on it.
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= to_run.len() {
-                            break;
-                        }
-                        let pos = to_run[k];
-                        let instance = &instances[pos];
-                        let res = self.pipeline.execute(instance);
-                        let cost = self.pipeline.cost(instance);
-                        collected.lock().push((pos, res, cost));
-                    });
-                }
-            })
-            .expect("executor worker panicked");
-            collected.into_inner()
-        };
+        // Execute the new instances.
+        let outcomes: Vec<(usize, Result<EvalResult, PipelineError>, SimTime)> =
+            if self.runs_inline(to_run.len()) {
+                to_run
+                    .iter()
+                    .map(|&pos| {
+                        let (res, cost) = self.run_pipeline(&instances[pos]);
+                        (pos, res, cost)
+                    })
+                    .collect()
+            } else {
+                let next = AtomicUsize::new(0);
+                let collected = Mutex::new(Vec::with_capacity(to_run.len()));
+                let workers = self.config.workers.min(to_run.len());
+                std::thread::scope(|scope| {
+                    for _ in 0..workers {
+                        scope.spawn(|| loop {
+                            // Relaxed: a pure fetch_add ticket counter — each
+                            // worker gets a unique k; no other state rides on it.
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            if k >= to_run.len() {
+                                break;
+                            }
+                            let pos = to_run[k];
+                            let (res, cost) = self.run_pipeline(&instances[pos]);
+                            collected.lock().push((pos, res, cost));
+                        });
+                    }
+                });
+                collected.into_inner()
+            };
 
         // Record results, settle the virtual clock, fill duplicates. Sorting
         // by batch position keeps the provenance order (and the greedy
@@ -722,8 +780,9 @@ impl Executor {
 
 /// Greedy list-scheduling makespan of `costs` on `machines` identical
 /// machines: each job goes to the least-loaded machine, in order. This is the
-/// schedule the dispatcher actually produces (jobs are pulled by idle
-/// workers), so the virtual clock matches the real pool's behaviour.
+/// schedule a batch's threads produce (jobs are pulled by idle workers); the
+/// virtual clock charges it whether the batch ran on threads or on the
+/// calling thread.
 // lint: allow(W003, reason = "loads is built non-empty (machines.max(1)) right above, so min_by always yields an in-bounds index", scope = "block")
 fn makespan(costs: &[SimTime], machines: usize) -> SimTime {
     if costs.is_empty() {
@@ -938,6 +997,79 @@ mod tests {
         let b = exec_seq.evaluate_batch(&batch);
         assert_eq!(a, b);
         assert_eq!(exec_par.stats().new_executions, 25);
+    }
+
+    /// Once one execution has been timed as cheap, a batch of new instances
+    /// runs on the calling thread instead of starting threads for it.
+    #[test]
+    fn cheap_batches_run_on_the_calling_thread() {
+        use std::sync::Mutex as StdMutex;
+        use std::thread::{self, ThreadId};
+
+        let s = space();
+        let x = s.by_name("x").unwrap();
+        let ran_on: Arc<StdMutex<Vec<ThreadId>>> = Arc::default();
+        let log = Arc::clone(&ran_on);
+        let p = FnPipeline::new(s.clone(), move |i: &Instance| {
+            log.lock().unwrap().push(thread::current().id());
+            EvalResult::of(Outcome::from_check(i.get(x) != &Value::from(3)))
+        });
+        let exec = Executor::new(
+            Arc::new(p),
+            ExecutorConfig {
+                workers: 5,
+                ..Default::default()
+            },
+        );
+        exec.evaluate(&inst(&s, 1, 5)).unwrap();
+        let batch: Vec<_> = (1..=5).map(|x| inst(&s, x, 1)).collect();
+        let results = exec.evaluate_batch(&batch);
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert_eq!(exec.stats().new_executions, 6);
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), 6);
+        let elsewhere = ran_on
+            .iter()
+            .filter(|&&id| id != thread::current().id())
+            .count();
+        assert_eq!(
+            elsewhere, 0,
+            "{elsewhere} executions ran off the calling thread"
+        );
+    }
+
+    /// Subprocess pipelines keep the thread scope: both a batch run before
+    /// anything was timed and one run after the pipeline was measured as
+    /// slow finish in well under the serial time of their sleeps.
+    #[test]
+    fn slow_batches_keep_real_parallelism() {
+        use crate::command::{CommandEval, CommandPipeline};
+
+        let s = space();
+        let p = CommandPipeline::new(
+            s.clone(),
+            vec!["sleep".to_string(), "0.2".to_string()],
+            CommandEval::ExitCode,
+        );
+        let exec = Executor::new(
+            Arc::new(p),
+            ExecutorConfig {
+                workers: 5,
+                ..Default::default()
+            },
+        );
+        for (round, y) in [(1, 1), (2, 2)] {
+            let batch: Vec<_> = (1..=5).map(|x| inst(&s, x, y)).collect();
+            let start = Instant::now();
+            let results = exec.evaluate_batch(&batch);
+            let took = start.elapsed();
+            assert!(results.iter().all(|r| *r == Ok(Outcome::Succeed)));
+            assert!(
+                took < Duration::from_millis(400),
+                "batch {round} of five 200 ms sleeps took {took:?}: it ran serially"
+            );
+        }
+        assert_eq!(exec.stats().new_executions, 10);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The daemon: a Unix-domain-socket accept loop fanning connections out to
 //! per-connection handler threads over one shared [`SessionManager`].
 //!
-//! The loop is built for a clean, signal-driven exit: the listener is
-//! nonblocking and polled against a caller-owned shutdown flag (the CLI
-//! flips it from a `SIGTERM` handler, a client can flip it with
-//! `SHUTDOWN`), handlers read with a short timeout so they observe the
-//! flag between requests, and only after every handler has quiesced are
-//! the shared executors closed — durable ones sync their write-ahead log
-//! and release their directory lock, so a killed daemon warm-starts.
+//! The loop is built for a clean, signal-driven exit: the accept loop
+//! blocks in `accept` under a receive timeout, so a connection is accepted
+//! the moment it arrives and an idle loop still wakes every [`POLL`] to
+//! check a caller-owned shutdown flag (the CLI flips it from a `SIGTERM`
+//! handler, a client can flip it with `SHUTDOWN`). Handlers read with the
+//! same timeout so they observe the flag between requests, and only after
+//! every handler has quiesced are the shared executors closed — durable
+//! ones sync their write-ahead log and release their directory lock, so a
+//! killed daemon warm-starts.
 //!
 //! Handler threads never touch files or spawn processes; everything
 //! blocking-but-bounded is a socket read with a timeout. Lint rule W007
@@ -18,14 +20,16 @@
 use crate::protocol::{self, Command, MAX_LINE_BYTES};
 use crate::session::SessionManager;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending, and how
-/// long a handler blocks in a read before re-polling the shutdown flag.
+/// How long the accept loop and a handler block waiting for a connection
+/// or for data before re-checking the shutdown flag. Arrivals wake them at
+/// once, so this bounds only how fast shutdown is noticed.
 const POLL: Duration = Duration::from_millis(20);
 
 /// A running `bugdoc serve` daemon (minus the socket binding and signal
@@ -60,8 +64,16 @@ impl Daemon {
     /// shared executor. Blocks the calling thread for the daemon's life.
     pub fn run(&self, shutdown: &AtomicBool) -> Result<DaemonSummary, String> {
         self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot poll the listener: {e}"))?;
+            .set_nonblocking(false)
+            .map_err(|e| format!("cannot block on the listener: {e}"))?;
+        // Linux applies SO_RCVTIMEO to accept(2) (socket(7)). std sets it
+        // only through a stream, so set it through a stream view of a
+        // duplicate descriptor: the option belongs to the socket, and
+        // outlives the view.
+        self.listener
+            .try_clone()
+            .and_then(|dup| UnixStream::from(OwnedFd::from(dup)).set_read_timeout(Some(POLL)))
+            .map_err(|e| format!("cannot set the accept timeout: {e}"))?;
         let connections = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             while !shutdown.load(Ordering::SeqCst) {
@@ -71,7 +83,8 @@ impl Daemon {
                         let manager = Arc::clone(&self.manager);
                         scope.spawn(move || serve_connection(stream, &manager, shutdown));
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                    // The timeout expired: check the flag again.
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     // Listener torn down under us (socket unlinked): drain.
                     Err(_) => break,
@@ -328,6 +341,52 @@ mod tests {
             "8 MiB without a newline went through: the daemon never dropped the peer"
         );
         assert_eq!(pong.unwrap().head, "pong");
+    }
+
+    /// A connection is accepted as soon as it arrives, not at the accept
+    /// loop's next poll, and an idle daemon still notices its shutdown flag.
+    /// The daemon reports over a channel and is joined only once it has, so
+    /// an `accept` that ignored its timeout fails the test instead of
+    /// hanging it.
+    #[test]
+    fn fresh_connections_are_accepted_without_waiting_for_a_poll() {
+        use std::sync::mpsc;
+        use std::time::Instant;
+
+        let path =
+            std::env::temp_dir().join(format!("bugdoc-daemon-fresh-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let manager = Arc::new(SessionManager::new(Box::new(
+            |_: &str| -> Result<Executor, String> { Err("no executors here".to_string()) },
+        )));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (done, finished) = mpsc::channel();
+        let flag = Arc::clone(&shutdown);
+        let daemon = std::thread::spawn(move || {
+            let _ = done.send(Daemon::over(listener, manager).run(&flag));
+        });
+
+        let start = Instant::now();
+        let pongs: Result<Vec<_>, String> = (0..20)
+            .map(|_| Client::connect(&path).and_then(|mut client| client.request("PING")))
+            .collect();
+        let round_trips = start.elapsed();
+
+        let stop = Instant::now();
+        shutdown.store(true, Ordering::SeqCst);
+        let summary = finished.recv_timeout(Duration::from_secs(1));
+        let stopped = stop.elapsed();
+        let _ = std::fs::remove_file(&path);
+        assert!(pongs.unwrap().iter().all(|reply| reply.head == "pong"));
+        assert!(
+            round_trips < Duration::from_millis(200),
+            "20 connect + PING round trips took {round_trips:?}: accepts wait for a poll"
+        );
+        let summary = summary
+            .unwrap_or_else(|_| panic!("an idle daemon ignored its shutdown flag for {stopped:?}"));
+        daemon.join().unwrap();
+        assert_eq!(summary.unwrap().connections, 20);
     }
 
     /// A pipeline that panics inside `DIAGNOSE` costs its own connection

@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Paired end-to-end comparison of a parent commit against the working tree.
+
+    python3 scripts/pairs.py [--parent REV] [--seeds 701-710] \
+        [--workload NAME ...] [--seconds S] [--work DIR] [--parent-tree DIR]
+
+Run from the repository root. The parent (default HEAD) is checked out with
+`git worktree add --detach` into the work directory (default `.bench_pairs`)
+unless --parent-tree names an existing checkout of it; the worktree is
+removed when the script exits. Each side's `e2ebench` is built into its own
+CARGO_TARGET_DIR with --offline --locked and run from its own tree.
+
+For every workload (default: all of BENCHMARK.json's) and every seed, the
+two sides run back to back as one pair, and which side runs first
+alternates from pair to pair. Per end-to-end metric the script prints both
+medians, both q1-q3 ranges, in how many pairs the change was better, and
+whether the medians differ by more than the parent's q1-q3 spread.
+
+Exit status 1 when any run reports `correct: false` or `failed > 0`, or when
+new executions, evaluations, precision or recall differ within a pair on
+paper-synth or deep-history; 2 when a build fails.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import signal
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXACT_METRICS = ("new_executions_per_diagnosis", "evaluations_per_diagnosis",
+                 "precision", "recall")
+EXACT_WORKLOADS = ("paper-synth", "deep-history")
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def build(tree, target):
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    print(f"building {tree} into {target}", file=sys.stderr)
+    done = subprocess.run(
+        ["cargo", "build", "--release", "--offline", "--locked", "--quiet",
+         "--manifest-path", os.path.join(tree, "e2ebench", "Cargo.toml")],
+        stdout=sys.stderr, env=env)
+    if done.returncode != 0:
+        print(f"pairs: building {tree} failed", file=sys.stderr)
+        sys.exit(2)
+    return os.path.join(target, "release", "e2ebench")
+
+
+def run_once(exe, tree, workload, seed, seconds):
+    out = subprocess.run(
+        [exe, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, stdout=subprocess.PIPE, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        return None
+    return json.loads(lines[-1])
+
+
+def summary(values):
+    """Median and q1-q3 of `values`, and their rendering."""
+    med = statistics.median(values)
+    q1, q3 = (statistics.quantiles(values, n=4)[::2] if len(values) > 1
+              else (med, med))
+    return med, q3 - q1, f"{med:.5g} ({q1:.5g}-{q3:.5g})"
+
+
+def report(workload, pairs, better_of):
+    print(f"{workload}: {len(pairs)} pairs")
+    print(f"  {'metric':<30} {'parent median (q1-q3)':>32} "
+          f"{'change median (q1-q3)':>32} {'better':>7} {'gap>IQR':>8}")
+    for name in pairs[0][0]["metrics"]:
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        lower = better_of.get(name, "lower") == "lower"
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        p_med, p_iqr, p_text = summary(parent)
+        c_med, _, c_text = summary(change)
+        gap = "yes" if abs(c_med - p_med) > p_iqr else "no"
+        print(f"  {name:<30} {p_text:>32} {c_text:>32} "
+              f"{f'{wins}/{len(pairs)}':>7} {gap:>8}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", default="HEAD")
+    ap.add_argument("--seeds", default="1-10")
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--seconds", type=float)
+    ap.add_argument("--work", default=os.path.join(ROOT, ".bench_pairs"))
+    ap.add_argument("--parent-tree")
+    args = ap.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    seconds = args.seconds or bench["run_seconds"]
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    better_of = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    work = os.path.abspath(args.work)
+    os.makedirs(work, exist_ok=True)
+
+    # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    worktree = None
+    parent_tree = args.parent_tree and os.path.abspath(args.parent_tree)
+    failures = []
+    try:
+        if parent_tree is None:
+            worktree = parent_tree = os.path.join(work, "parent-src")
+            if os.path.exists(worktree):
+                shutil.rmtree(worktree)
+            subprocess.run(["git", "-C", ROOT, "worktree", "prune"], check=True)
+            subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                            worktree, args.parent], check=True, stdout=sys.stderr)
+        sides = {
+            "parent": (build(parent_tree, os.path.join(work, "parent-target")), parent_tree),
+            "change": (build(ROOT, os.path.join(work, "change-target")), ROOT),
+        }
+        for workload in workloads:
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                result = {}
+                for side in order:
+                    exe, tree = sides[side]
+                    r = run_once(exe, tree, workload, seed, seconds)
+                    if r is None or not r["correct"] or r["failed"]:
+                        failures.append(f"{workload} seed {seed} {side}: "
+                                        + ("no result" if r is None else
+                                           f"correct={r['correct']} failed={r['failed']}"))
+                    result[side] = r
+                if None in result.values():
+                    continue
+                p, c = result["parent"], result["change"]
+                print(f"{workload} seed {seed} ({order[0]} first): " + ", ".join(
+                    f"{k}={p['metrics'][k]['value']:.4g}->{c['metrics'][k]['value']:.4g}"
+                    for k in p["metrics"]), file=sys.stderr)
+                if workload in EXACT_WORKLOADS:
+                    for k in EXACT_METRICS:
+                        if p["metrics"][k]["value"] != c["metrics"][k]["value"]:
+                            failures.append(
+                                f"{workload} seed {seed}: {k} {p['metrics'][k]['value']}"
+                                f" (parent) != {c['metrics'][k]['value']} (change)")
+                pairs.append((p, c))
+            if pairs:
+                report(workload, pairs, better_of)
+    finally:
+        if worktree is not None:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree])
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
