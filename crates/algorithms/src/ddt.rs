@@ -492,36 +492,12 @@ fn verify_suspect(
     // §5.3), where no new instances can be created. The best attainable
     // evidence is the history itself: a suspect with failing support and no
     // succeeding superset (checked above) is asserted from provenance alone.
-    let (hist_fail, hist_succeed) =
-        exec.with_provenance_ref(|prov| prov.support_via_bounds(suspect));
+    let (hist_fail, hist_succeed) = exec.with_provenance_ref(|prov| prov.support(suspect));
     if hist_fail > 0 && hist_succeed == 0 {
         Verify::Confirmed
     } else {
         Verify::NoEvidence
     }
-}
-
-/// Flags candidates the admissible bounds already refute: `succeed_lo > 0`
-/// proves a succeeding satisfying run exists, so `verify_suspect` would
-/// return [`Verify::Refuted`] at its first check without executing anything.
-/// One epoch-major batched store round-trip covers all candidates; pruned
-/// subtrees are counted into `ExecStats::bounds_pruned_subtrees`. Only
-/// definite verdicts prune, so skipping is exact-preserving.
-fn bounds_refuted(exec: &Executor, candidates: &[Conjunction]) -> Vec<bool> {
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let flags: Vec<bool> = exec.with_provenance_ref(|prov| {
-        if !prov.bounds_enabled() {
-            return vec![false; candidates.len()];
-        }
-        prov.support_bounds_many(candidates)
-            .iter()
-            .map(|b| b.succeed_lo > 0)
-            .collect()
-    });
-    exec.note_bounds_pruned(flags.iter().filter(|&&f| f).count() as u64);
-    flags
 }
 
 /// Greedy generalization: widen the cause's per-parameter extents one domain
@@ -566,11 +542,6 @@ fn generalize_cause(
                     continue;
                 }
                 let delta_conj = delta.to_conjunction(space);
-                // Bound pre-filter: a delta region with a proven succeeding
-                // run can never verify as all-fail.
-                if bounds_refuted(exec, std::slice::from_ref(&delta_conj))[0] {
-                    continue;
-                }
                 match verify_suspect(exec, space, &delta_conj, &delta_config, rng) {
                     Verify::Confirmed => {
                         let mut widened = canon.masks().clone();
@@ -602,17 +573,11 @@ fn minimize_cause(
     rng: &mut StdRng,
 ) -> Result<Conjunction, ()> {
     'restart: loop {
-        // All drop-one candidates bound-checked in one batched round-trip;
-        // provably-refuted ones never reach verification.
         let candidates: Vec<Conjunction> = (0..cause.len())
             .map(|i| cause.without(i))
             .filter(|c| !c.is_empty())
             .collect();
-        let refuted = bounds_refuted(exec, &candidates);
-        for (candidate, skip) in candidates.into_iter().zip(refuted) {
-            if skip {
-                continue;
-            }
+        for candidate in candidates {
             match verify_suspect(exec, space, &candidate, config, rng) {
                 Verify::Confirmed => {
                     cause = candidate;

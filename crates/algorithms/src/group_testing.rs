@@ -45,49 +45,6 @@ where
     }
 }
 
-/// An admissible upper bound on how many defective elements a subset can
-/// contain. Admissible means never under-counting: if the subset truly holds
-/// `d` defectives, `max_defective` must return ≥ `d`. A return of `0` is
-/// therefore a *proof* of cleanliness, and the oracle call it gates can be
-/// skipped without changing which elements are identified — the same
-/// bounds-before-exact contract as `ProvenanceStore::support_bounds`.
-pub trait SubsetBound {
-    /// Upper-bounds the number of defective elements in `subset`.
-    fn max_defective(&self, subset: &[usize]) -> usize;
-}
-
-impl<F> SubsetBound for F
-where
-    F: Fn(&[usize]) -> usize,
-{
-    fn max_defective(&self, subset: &[usize]) -> usize {
-        self(subset)
-    }
-}
-
-/// A [`SubsetBound`] backed by a candidate superset: every element outside
-/// `candidates` is known-clean (e.g. rows that already appeared in a
-/// succeeding run), so a subset's defective count is at most its overlap
-/// with the candidate set.
-pub struct CandidateSetBound {
-    candidates: BTreeSet<usize>,
-}
-
-impl CandidateSetBound {
-    /// Creates a bound from a superset of the possibly-defective elements.
-    pub fn new(candidates: impl IntoIterator<Item = usize>) -> Self {
-        CandidateSetBound {
-            candidates: candidates.into_iter().collect(),
-        }
-    }
-}
-
-impl SubsetBound for CandidateSetBound {
-    fn max_defective(&self, subset: &[usize]) -> usize {
-        subset.iter().filter(|i| self.candidates.contains(i)).count()
-    }
-}
-
 /// Configuration for the search.
 #[derive(Debug, Clone)]
 pub struct GroupTestConfig {
@@ -117,9 +74,6 @@ pub struct GroupTestReport {
     /// True if the search ended because `max_tests` was hit (results may be
     /// incomplete).
     pub truncated: bool,
-    /// Oracle calls skipped because an admissible [`SubsetBound`] proved the
-    /// subset clean (always 0 for the unbounded entry point).
-    pub pruned_tests: usize,
 }
 
 impl fmt::Display for GroupTestReport {
@@ -130,11 +84,7 @@ impl fmt::Display for GroupTestReport {
             self.defective.len(),
             self.tests_used,
             if self.truncated { " (truncated)" } else { "" }
-        )?;
-        if self.pruned_tests > 0 {
-            write!(f, ", {} pruned by bounds", self.pruned_tests)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -150,33 +100,7 @@ pub fn find_defective_elements(
     oracle: &mut dyn SubsetOracle,
     config: &GroupTestConfig,
 ) -> GroupTestReport {
-    search(n_elements, oracle, None, config)
-}
-
-/// Bound-guided variant of [`find_defective_elements`]: skips every oracle
-/// call whose subset an admissible [`SubsetBound`] proves clean
-/// (`max_defective == 0` — the failure-support upper bound is below the
-/// discrimination threshold of one defective). With an admissible bound the
-/// identified defective set is identical to the unbounded search; only the
-/// oracle-call count drops, with skips recorded in
-/// [`GroupTestReport::pruned_tests`].
-pub fn find_defective_elements_bounded(
-    n_elements: usize,
-    oracle: &mut dyn SubsetOracle,
-    bound: &dyn SubsetBound,
-    config: &GroupTestConfig,
-) -> GroupTestReport {
-    search(n_elements, oracle, Some(bound), config)
-}
-
-fn search(
-    n_elements: usize,
-    oracle: &mut dyn SubsetOracle,
-    bound: Option<&dyn SubsetBound>,
-    config: &GroupTestConfig,
-) -> GroupTestReport {
     let mut tests_used = 0usize;
-    let mut pruned_tests = 0usize;
     let mut truncated = false;
     let mut defective: BTreeSet<usize> = BTreeSet::new();
     let mut pool: Vec<usize> = (0..n_elements).collect();
@@ -185,30 +109,16 @@ fn search(
         *used += 1;
         *used <= config.max_tests
     };
-    // A subset the bound proves clean never reaches the oracle; the bound's
-    // admissibility makes the skipped call's answer (Clean) certain.
-    let provably_clean = |subset: &[usize], pruned: &mut usize| match bound {
-        Some(b) if b.max_defective(subset) == 0 => {
-            *pruned += 1;
-            true
-        }
-        _ => false,
-    };
 
     loop {
         if pool.is_empty() {
             break;
         }
-        let pool_clean = if provably_clean(&pool, &mut pruned_tests) {
-            true
-        } else {
-            if !budget(&mut tests_used) {
-                truncated = true;
-                break;
-            }
-            oracle.test(&pool) == SubsetOutcome::Clean
-        };
-        if pool_clean {
+        if !budget(&mut tests_used) {
+            truncated = true;
+            break;
+        }
+        if oracle.test(&pool) == SubsetOutcome::Clean {
             break; // remainder is clean: all culprits found
         }
         // Bisect down to one culprit inside the failing pool.
@@ -220,16 +130,11 @@ fn search(
             // Test the left half *together with everything already ruled
             // in-pool outside [lo..hi)*? No: classic binary splitting tests
             // the left half alone; monotonicity makes that sound.
-            let left_defective = if provably_clean(&pool[lo..mid], &mut pruned_tests) {
-                false
-            } else {
-                if !budget(&mut tests_used) {
-                    truncated = true;
-                    break;
-                }
-                oracle.test(&pool[lo..mid]) == SubsetOutcome::Defective
-            };
-            if left_defective {
+            if !budget(&mut tests_used) {
+                truncated = true;
+                break;
+            }
+            if oracle.test(&pool[lo..mid]) == SubsetOutcome::Defective {
                 hi = mid;
             } else {
                 lo = mid;
@@ -241,8 +146,6 @@ fn search(
         let culprit = pool[lo];
         let confirmed = if !config.verify_singletons {
             true
-        } else if provably_clean(&pool[lo..lo + 1], &mut pruned_tests) {
-            false
         } else {
             if !budget(&mut tests_used) {
                 truncated = true;
@@ -263,7 +166,6 @@ fn search(
         defective: defective.into_iter().collect(),
         tests_used,
         truncated,
-        pruned_tests,
     }
 }
 
@@ -405,112 +307,15 @@ mod tests {
             defective: vec![1, 2],
             tests_used: 9,
             truncated: false,
-            pruned_tests: 0,
         };
         assert_eq!(r.to_string(), "2 defective element(s) in 9 tests");
-        let pruned = GroupTestReport {
-            pruned_tests: 4,
+        let truncated = GroupTestReport {
+            truncated: true,
             ..r
         };
         assert_eq!(
-            pruned.to_string(),
-            "2 defective element(s) in 9 tests, 4 pruned by bounds"
+            truncated.to_string(),
+            "2 defective element(s) in 9 tests (truncated)"
         );
-    }
-
-    /// An admissible candidate-superset bound never changes the identified
-    /// defective set — only the number of oracle calls. Exhaustive over
-    /// every corrupt subset and every candidate superset of it in a small
-    /// pool.
-    #[test]
-    fn bounded_matches_unbounded_exhaustively() {
-        for n in 1usize..=5 {
-            for mask in 0u32..(1 << n) {
-                let corrupt: Vec<usize> = (0..n).filter(|&i| mask >> i & 1 == 1).collect();
-                for extra in 0u32..(1 << n) {
-                    let candidates: Vec<usize> = (0..n)
-                        .filter(|&i| (mask | extra) >> i & 1 == 1)
-                        .collect();
-                    let mut plain_oracle = CorruptRecordOracle::new(corrupt.clone());
-                    let plain = find_defective_elements(
-                        n,
-                        &mut plain_oracle,
-                        &GroupTestConfig::default(),
-                    );
-                    let mut oracle = CorruptRecordOracle::new(corrupt.clone());
-                    let bound = CandidateSetBound::new(candidates.clone());
-                    let report = find_defective_elements_bounded(
-                        n,
-                        &mut oracle,
-                        &bound,
-                        &GroupTestConfig::default(),
-                    );
-                    assert_eq!(
-                        report.defective, plain.defective,
-                        "n={n} corrupt={corrupt:?} candidates={candidates:?}"
-                    );
-                    assert!(
-                        report.tests_used <= plain.tests_used,
-                        "bound made the search more expensive: n={n} mask={mask:#b}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A tight candidate set prunes aggressively: with the exact defective
-    /// set as candidates, clean halves are never sent to the oracle.
-    #[test]
-    fn tight_bound_prunes_clean_halves() {
-        let corrupt = [3usize, 41, 42, 97];
-        let mut oracle = CorruptRecordOracle::new(corrupt);
-        let bound = CandidateSetBound::new(corrupt);
-        let report = find_defective_elements_bounded(
-            128,
-            &mut oracle,
-            &bound,
-            &GroupTestConfig::default(),
-        );
-        assert_eq!(report.defective, vec![3, 41, 42, 97]);
-        assert!(report.pruned_tests > 0, "tight bound pruned nothing");
-        let mut plain_oracle = CorruptRecordOracle::new(corrupt);
-        let plain =
-            find_defective_elements(128, &mut plain_oracle, &GroupTestConfig::default());
-        assert!(
-            report.tests_used < plain.tests_used,
-            "bounded search used {} tests, unbounded {}",
-            report.tests_used,
-            plain.tests_used
-        );
-    }
-
-    /// A closure works as a bound, mirroring the closure-oracle ergonomics.
-    #[test]
-    fn closure_bound_works() {
-        let mut oracle = CorruptRecordOracle::new([2]);
-        let bound = |subset: &[usize]| subset.iter().filter(|&&i| i >= 2).count();
-        let report = find_defective_elements_bounded(
-            5,
-            &mut oracle,
-            &bound,
-            &GroupTestConfig::default(),
-        );
-        assert_eq!(report.defective, vec![2]);
-    }
-
-    /// An empty candidate set proves the whole pool clean in zero tests.
-    #[test]
-    fn empty_candidates_cost_zero_tests() {
-        let mut oracle = CorruptRecordOracle::new([]);
-        let bound = CandidateSetBound::new([]);
-        let report = find_defective_elements_bounded(
-            1000,
-            &mut oracle,
-            &bound,
-            &GroupTestConfig::default(),
-        );
-        assert!(report.defective.is_empty());
-        assert_eq!(report.tests_used, 0);
-        assert_eq!(report.pruned_tests, 1);
     }
 }

@@ -24,8 +24,7 @@ mod shortcut;
 mod stacked;
 
 pub use group_testing::{
-    find_defective_elements, find_defective_elements_bounded, CandidateSetBound,
-    CorruptRecordOracle, GroupTestConfig, GroupTestReport, SubsetBound, SubsetOracle,
+    find_defective_elements, CorruptRecordOracle, GroupTestConfig, GroupTestReport, SubsetOracle,
     SubsetOutcome,
 };
 

@@ -128,9 +128,7 @@ pub fn shortcut(
 
 /// Shared dominance sanity check for both Shortcut variants: an empty cause
 /// carries no information, and any succeeding execution containing the cause
-/// refutes it. The superset query is bounds-gated in the store, so an
-/// admissible epoch-summary bound answers most checks without a word-level
-/// scan.
+/// refutes it.
 fn cause_refuted(exec: &Executor, cause: &Conjunction) -> bool {
     cause.is_empty()
         || exec.with_provenance_ref(|prov| prov.succeeding_superset_exists(cause))

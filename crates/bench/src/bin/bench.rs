@@ -23,9 +23,6 @@
 //!   5-thread contention (threads started once, rounds released by a
 //!   barrier)
 //! * `perf/satisfied_by_1k` — per-conjunction log filtering, 1k candidates
-//! * `perf/bounds_query_1k` — the admissible `support_bounds` estimate for
-//!   the same candidates (per-conjunction figure) — the bounds-before-exact
-//!   gate every pruned query pays
 //! * `perf/kernel_and_popcount_64k` — fused AND+popcount over 64k-bit words
 //! * `perf/telemetry_record` — one wait-free histogram sample (the unit cost
 //!   of an always-on instrumentation probe)
@@ -127,7 +124,7 @@ fn main() {
     perf::normalize_contention_result(&mut results);
     // Per-conjunction figures: these scenarios time all 1k at once.
     for r in &mut results {
-        if r.id.ends_with("satisfied_by_1k") || r.id.ends_with("bounds_query_1k") {
+        if r.id.ends_with("satisfied_by_1k") {
             r.median_ns /= 1_000.0;
             for s in &mut r.samples_ns {
                 *s /= 1_000.0;

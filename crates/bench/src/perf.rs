@@ -94,10 +94,6 @@ pub fn random_conjunctions(space: &ParamSpace, n: usize, seed: u64) -> Vec<Conju
 ///   thread start-up is not in the figure;
 /// * `perf/satisfied_by_1k` — support counts for 1 000 candidate conjunctions
 ///   over the 10k-run log (reported per conjunction);
-/// * `perf/bounds_query_1k` — the admissible `support_bounds` estimate for
-///   the same 1 000 conjunctions (per conjunction); this is the cheap
-///   bounds-before-exact gate, so its figure should sit well below
-///   `satisfied_by_1k`;
 /// * `perf/kernel_and_popcount_64k` — the raw fused AND+popcount kernel over
 ///   two 1 024-word operands.
 pub fn bench_hot_paths(c: &mut Criterion) {
@@ -289,23 +285,6 @@ pub fn bench_hot_paths(c: &mut Criterion) {
         })
     });
 
-    // The admissible bounds estimate for the same 1k conjunctions — the
-    // integer-arithmetic gate every exact query now sits behind (reported
-    // per conjunction, like satisfied_by_1k).
-    let prov_bounds = provenance_10k(&space);
-    let bound_conjunctions = random_conjunctions(&space, 1_000, 17);
-    group.bench_function("bounds_query_1k", move |b| {
-        b.iter(|| {
-            let mut acc = (0usize, 0usize);
-            for c in &bound_conjunctions {
-                let bounds = prov_bounds.support_bounds(c);
-                acc.0 += bounds.fail_hi;
-                acc.1 += bounds.succeed_hi;
-            }
-            acc
-        })
-    });
-
     // Raw kernel probe: fused AND+popcount over two 1 024-word (64k-bit)
     // operands — the widest single primitive the epoch scans and outcome
     // counts lean on, measured without any index structure around it.
@@ -414,7 +393,7 @@ pub fn bench_persistence(c: &mut Criterion) {
 /// Registers the end-to-end DDT benchmark on `c`:
 ///
 /// * `perf/ddt_find_one` — the algorithm-level integral over all the hot
-///   paths above, under the default executor config (bounds pruning on).
+///   paths above, under the default executor config.
 pub fn bench_ddt_end_to_end(c: &mut Criterion) {
     let pipe = Arc::new(SyntheticPipeline::generate(
         &SynthConfig {

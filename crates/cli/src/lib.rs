@@ -118,7 +118,6 @@ The spec file declares parameters, the command template, and the evaluation:
   budget 200
   persist_dir .bugdoc      # durable provenance: killed runs warm-start here
   sync_every 512           # WAL fsync cadence (with persist_dir)
-  bounds off               # disable bound-guided pruning (default: on)
 ";
 
 /// Parses argv (without the program name).
@@ -228,23 +227,31 @@ pub fn parse_args(args: &[String]) -> Result<Request, String> {
 pub fn executor_factory() -> Box<bugdoc_serve::ExecutorFactory> {
     Box::new(|text: &str| {
         let spec = spec::parse_spec(text).map_err(|e| e.to_string())?;
-        let pipeline = CommandPipeline::new(
-            spec.space.clone(),
-            spec.command.clone(),
-            spec.eval.clone(),
-        );
-        Executor::try_with_provenance(
-            Arc::new(pipeline) as Arc<dyn Pipeline>,
-            ExecutorConfig {
-                workers: spec.workers,
-                budget: spec.budget,
-                persist: spec.persist.clone(),
-                bounds: spec.bounds,
-            },
-            ProvenanceStore::new(spec.space.clone()),
-        )
-        .map_err(|e| e.to_string())
+        let seed = ProvenanceStore::new(spec.space.clone());
+        open_executor(&spec, seed)
     })
+}
+
+/// The executor a spec describes, seeded with `seed`: the one place a
+/// [`Spec`] becomes an [`ExecutorConfig`], shared by the one-shot
+/// `diagnose` and [`executor_factory`] so the two cannot drift apart.
+/// With `persist_dir` set this is the warm-start path: history already in
+/// the directory is recovered and seeds the executor (recovered runs are
+/// provenance hits, exactly like `--provenance` seeds), and every new
+/// execution is teed to the WAL.
+fn open_executor(spec: &Spec, seed: ProvenanceStore) -> Result<Executor, String> {
+    let pipeline =
+        CommandPipeline::new(spec.space.clone(), spec.command.clone(), spec.eval.clone());
+    Executor::try_with_provenance(
+        Arc::new(pipeline) as Arc<dyn Pipeline>,
+        ExecutorConfig {
+            workers: spec.workers,
+            budget: spec.budget,
+            persist: spec.persist.clone(),
+        },
+        seed,
+    )
+    .map_err(|e| e.to_string())
 }
 
 /// The daemon's shutdown flag, flipped by `SIGTERM`/`SIGINT`.
@@ -305,26 +312,7 @@ pub fn run(request: Request) -> Result<String, String> {
         } => {
             let spec = load_spec(&spec)?;
             let prov = load_provenance(&spec, provenance.as_deref())?;
-            let pipeline = CommandPipeline::new(
-                spec.space.clone(),
-                spec.command.clone(),
-                spec.eval.clone(),
-            );
-            // With `persist_dir` set this is the warm-start path: history
-            // already in the directory is recovered and seeds the executor
-            // (recovered runs are provenance hits, exactly like --provenance
-            // seeds), and every new execution is teed to the WAL.
-            let exec = Executor::try_with_provenance(
-                Arc::new(pipeline) as Arc<dyn Pipeline>,
-                ExecutorConfig {
-                    workers: spec.workers,
-                    budget: spec.budget,
-                    persist: spec.persist.clone(),
-                    bounds: spec.bounds,
-                },
-                prov,
-            )
-            .map_err(|e| e.to_string())?;
+            let exec = open_executor(&spec, prov)?;
             let config = BugDocConfig::front_end(strategy, mode, seed);
             let diagnosis = diagnose(&exec, &config).map_err(|e| e.to_string())?;
 
@@ -335,22 +323,6 @@ pub fn run(request: Request) -> Result<String, String> {
                 "instances executed: {} new, {} answered from provenance",
                 stats.new_executions, stats.cache_hits
             );
-            // Bound-guided pruning is exact-preserving, so the only visible
-            // trace of it working is this line: how much search the
-            // admissible bounds decided without an exact scan.
-            if stats.bounds_pruned_subtrees > 0
-                || stats.bounds_short_circuits > 0
-                || stats.bounds_fallthroughs > 0
-            {
-                let _ = writeln!(
-                    out,
-                    "bounds pruning: {} subtrees pruned, {} queries short-circuited, \
-                     {} fell through to exact scans",
-                    stats.bounds_pruned_subtrees,
-                    stats.bounds_short_circuits,
-                    stats.bounds_fallthroughs
-                );
-            }
             // Recovery exists only when the spec asked for persistence, so
             // destructuring both (rather than expecting) stays panic-free.
             if let (Some(recovery), Some(persist)) = (exec.recovery(), spec.persist.as_ref()) {

@@ -28,10 +28,6 @@
 //! * `sync_every <n>` — with `persist_dir`, fsync the write-ahead log every
 //!   `n` new executions (default 512) as well as at exit, bounding what a
 //!   power loss can take.
-//! * `bounds on` | `bounds off` — bound-guided pruning of provenance
-//!   queries (default on). Pruning is exact-preserving (diagnosis outputs
-//!   are bit-identical either way); `off` is the escape hatch for
-//!   differential runs.
 
 use bugdoc_core::{ParamSpace, Value};
 use bugdoc_engine::{CommandEval, PersistConfig};
@@ -53,9 +49,6 @@ pub struct Spec {
     pub budget: Option<usize>,
     /// Durable provenance (`persist_dir` / `sync_every`), if requested.
     pub persist: Option<PersistConfig>,
-    /// Bound-guided pruning of provenance queries (`bounds on|off`,
-    /// default on).
-    pub bounds: bool,
 }
 
 /// A spec parse error with its 1-based line number.
@@ -132,7 +125,6 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
     let mut budget: Option<usize> = None;
     let mut persist_dir: Option<String> = None;
     let mut sync_every: Option<u64> = None;
-    let mut bounds = true;
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -236,13 +228,6 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
                         .ok_or_else(|| err(line_no, "sync_every needs a positive integer"))?,
                 );
             }
-            "bounds" => {
-                bounds = match rest.as_slice() {
-                    ["on"] => true,
-                    ["off"] => false,
-                    _ => return Err(err(line_no, "bounds must be: on | off")),
-                };
-            }
             other => return Err(err(line_no, format!("unknown keyword {other:?}"))),
         }
     }
@@ -280,7 +265,6 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
         workers,
         budget,
         persist,
-        bounds,
     })
 }
 
@@ -360,15 +344,15 @@ budget 50
         }
     }
 
+    /// Provenance queries have no bounds layer to switch off, so `bounds`
+    /// is unknown: a spec that still carries it fails on that line.
     #[test]
     fn bounds_keyword() {
         let base = "param a boolean\ncommand prog\neval exit_code\n";
-        assert!(parse_spec(base).unwrap().bounds, "bounds default on");
-        assert!(!parse_spec(&format!("{base}bounds off\n")).unwrap().bounds);
-        assert!(parse_spec(&format!("{base}bounds on\n")).unwrap().bounds);
-        for bad in ["bounds\n", "bounds maybe\n", "bounds on off\n"] {
-            let e = parse_spec(&format!("{base}{bad}")).unwrap_err();
-            assert!(e.message.contains("on | off"), "{bad:?}: {e}");
+        for removed in ["bounds off\n", "bounds on\n"] {
+            let e = parse_spec(&format!("{base}{removed}")).unwrap_err();
+            assert_eq!(e.line, 4, "{removed:?}: {e}");
+            assert!(e.message.contains("unknown keyword"), "{removed:?}: {e}");
         }
     }
 

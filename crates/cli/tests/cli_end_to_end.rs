@@ -166,3 +166,68 @@ fn bad_spec_is_reported_with_line() {
     assert!(err.contains("line 1"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Contradictory evaluations of one configuration are named errors with
+/// exit code 2, not panics (exit 101): two opposite rows in a provenance
+/// TSV, and a `--provenance` row that contradicts the `persist_dir`
+/// history. After the refused seed, a consistent one still opens the
+/// directory.
+#[test]
+fn contradictory_evaluations_exit_2_with_a_named_error() {
+    let dir = workdir("conflict");
+    let (spec_path, _) = write_fixture(&dir);
+    let bugdoc = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bugdoc"))
+            .args(args)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let tsv = |name: &str, rows: &str| {
+        let path = dir.join(name);
+        fs::write(
+            &path,
+            format!("feed\tresolution\twindow\tscore\tevaluation\n{rows}"),
+        )
+        .unwrap();
+        path.display().to_string()
+    };
+
+    let opposite = tsv(
+        "opposite.tsv",
+        "acme\tweekly\t3\t-\tfail\nacme\tweekly\t3\t-\tsucceed\n",
+    );
+    let (code, stderr) = bugdoc(&["diagnose", "--spec", &spec_path, "--provenance", &opposite]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: line 3: "), "{stderr}");
+
+    let mut spec_text = fs::read_to_string(&spec_path).unwrap();
+    spec_text.push_str(&format!("persist_dir {}\n", dir.join("prov").display()));
+    fs::write(&spec_path, spec_text).unwrap();
+    let good = tsv(
+        "good.tsv",
+        "internal\tmonthly\t3\t-\tsucceed\nacme\tweekly\t3\t-\tfail\n",
+    );
+    let bad = tsv("bad.tsv", "internal\tmonthly\t3\t-\tfail\n");
+    let (code, stderr) = bugdoc(&["diagnose", "--spec", &spec_path, "--provenance", &good]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let (code, stderr) = bugdoc(&["diagnose", "--spec", &spec_path, "--provenance", &bad]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(
+            "error: seed run {feed=internal, resolution=monthly, window=3} is evaluated 'fail' \
+             but the persisted history records 'succeed'"
+        ),
+        "{stderr}"
+    );
+    let (code, stderr) = bugdoc(&["diagnose", "--spec", &spec_path, "--provenance", &good]);
+    assert_eq!(
+        code,
+        Some(0),
+        "the refused seed left the directory locked: {stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

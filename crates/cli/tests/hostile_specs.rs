@@ -191,17 +191,11 @@ const CASES: &[(&str, &str, &str, usize)] = &[
         "unknown keyword",
         5,
     ),
-    // bounds
+    // the removed bounds switch
     (
-        "bounds_missing_value",
-        "param x boolean\ncommand p\neval exit_code\nbounds\n",
-        "on | off",
-        4,
-    ),
-    (
-        "bounds_unknown_value",
-        "param x boolean\ncommand p\neval exit_code\nbounds maybe\n",
-        "on | off",
+        "bounds_keyword_removed",
+        "param x boolean\ncommand p\neval exit_code\nbounds off\n",
+        "unknown keyword",
         4,
     ),
     // structure

@@ -2,9 +2,9 @@
 //!
 //! Every hot query in the provenance store — predicate OR-accumulation over
 //! frozen epoch blocks, conjunction ANDs, support popcounts — reduces to a
-//! handful of slice primitives over `&[u64]`. They live here so `RunSet`,
-//! `ProvenanceStore`'s epoch scans, and the store's replay paths share one
-//! set of loops tuned for the autovectorizer instead of three ad-hoc copies.
+//! handful of slice primitives over `&[u64]`. They live here so `RunSet`
+//! and `ProvenanceStore`'s epoch scans share one set of loops tuned for the
+//! autovectorizer instead of ad-hoc copies.
 //!
 //! # Autovectorization contract
 //!
@@ -25,16 +25,15 @@
 //!   as 0), matching `RunSet`'s historical semantics; kernels never
 //!   allocate or grow.
 //!
-//! The multi-source kernels ([`or_multi_into`], [`and_or_multi_into`],
-//! [`and_or_popcount`]) additionally require every source to be at least as
-//! long as the destination — they serve the frozen-epoch path, where every
-//! value row is exactly `epoch_words` long — and fuse the OR-accumulate
-//! with the consuming AND/popcount so the destination is written (or the
-//! count produced) in a single pass, instead of materializing the OR and
-//! re-reading it.
+//! The multi-source kernels ([`or_multi_into`], [`and_or_multi_into`])
+//! additionally require every source to be at least as long as the
+//! destination — they serve the epoch scans, where every value row is at
+//! least the scanned window long — and fuse the OR-accumulate with the
+//! consuming AND so the destination is written in a single pass, instead
+//! of materializing the OR and re-reading it.
 //!
-//! The *term* kernels ([`or_terms_into`], [`and_terms_into`],
-//! [`and_terms_popcount`]) consume the store's prefix-OR epoch encoding:
+//! The *term* kernels ([`or_terms_into`], [`and_terms_into`]) consume the
+//! store's prefix-OR epoch encoding:
 //! their operand is a union of plain rows plus `hi & !lo` difference pairs
 //! of cumulative rows, which is how a contiguous range of values reads out
 //! of a prefix-encoded block. Same ≥-length source contract.
@@ -57,27 +56,6 @@ pub fn or_into(dst: &mut [u64], src: &[u64]) {
     }
     for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *d |= s;
-    }
-}
-
-/// `dst[i] &= src[i]` over the common prefix. Words of `dst` beyond `src`'s
-/// length are untouched — callers that want AND-with-implicit-zeros (e.g.
-/// [`RunSet::and_assign`](crate::RunSet::and_assign)) clear the tail
-/// themselves.
-#[inline]
-pub fn and_into(dst: &mut [u64], src: &[u64]) {
-    let n = dst.len().min(src.len());
-    let (dst, src) = (&mut dst[..n], &src[..n]);
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut s = src.chunks_exact(CHUNK);
-    for (d4, s4) in d.by_ref().zip(s.by_ref()) {
-        d4[0] &= s4[0];
-        d4[1] &= s4[1];
-        d4[2] &= s4[2];
-        d4[3] &= s4[3];
-    }
-    for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *d &= s;
     }
 }
 
@@ -150,32 +128,6 @@ pub fn and_any(a: &[u64], b: &[u64]) -> bool {
         .any(|(x, y)| x & y != 0)
 }
 
-/// True if `a` has a set bit outside `b` (`a \ b ≠ ∅`; words of `b` past its
-/// length read as 0). `!and_not_any(a, b)` is the subset test `a ⊆ b`.
-#[inline]
-pub fn and_not_any(a: &[u64], b: &[u64]) -> bool {
-    let n = a.len().min(b.len());
-    {
-        let (a, b) = (&a[..n], &b[..n]);
-        let mut ac = a.chunks_exact(CHUNK);
-        let mut bc = b.chunks_exact(CHUNK);
-        for (a4, b4) in ac.by_ref().zip(bc.by_ref()) {
-            if (a4[0] & !b4[0]) | (a4[1] & !b4[1]) | (a4[2] & !b4[2]) | (a4[3] & !b4[3]) != 0 {
-                return true;
-            }
-        }
-        if ac
-            .remainder()
-            .iter()
-            .zip(bc.remainder())
-            .any(|(x, y)| x & !y != 0)
-        {
-            return true;
-        }
-    }
-    a[n..].iter().any(|&w| w != 0)
-}
-
 /// `dst = srcs[0] | srcs[1] | …`, overwriting `dst` in a single pass.
 /// Every source must be at least `dst.len()` words long; an empty source
 /// list clears `dst`.
@@ -222,7 +174,6 @@ pub fn or_multi_into(dst: &mut [u64], srcs: &[&[u64]]) {
 pub fn and_or_multi_into(acc: &mut [u64], srcs: &[&[u64]]) {
     match srcs {
         [] => acc.fill(0),
-        [s] => and_into(acc, &s[..acc.len()]),
         _ => {
             let mut i = 0;
             let mut chunks = acc.chunks_exact_mut(CHUNK);
@@ -248,47 +199,6 @@ pub fn and_or_multi_into(acc: &mut [u64], srcs: &[&[u64]]) {
                 }
                 *a &= m;
             }
-        }
-    }
-}
-
-/// `|a ∩ (srcs[0] ∪ srcs[1] ∪ …)|` in one fused pass — the whole support
-/// count of a single-predicate conjunction against an outcome bitset,
-/// without materializing either the OR or the intersection. Every source
-/// must be at least `a.len()` words long.
-#[inline]
-pub fn and_or_popcount(a: &[u64], srcs: &[&[u64]]) -> usize {
-    match srcs {
-        [] => 0,
-        [s] => and_popcount(a, &s[..a.len()]),
-        _ => {
-            let mut c = [0usize; CHUNK];
-            let mut i = 0;
-            let mut chunks = a.chunks_exact(CHUNK);
-            for a4 in chunks.by_ref() {
-                let mut m = [0u64; CHUNK];
-                for src in srcs {
-                    let s4 = &src[i..i + CHUNK];
-                    m[0] |= s4[0];
-                    m[1] |= s4[1];
-                    m[2] |= s4[2];
-                    m[3] |= s4[3];
-                }
-                c[0] += (a4[0] & m[0]).count_ones() as usize;
-                c[1] += (a4[1] & m[1]).count_ones() as usize;
-                c[2] += (a4[2] & m[2]).count_ones() as usize;
-                c[3] += (a4[3] & m[3]).count_ones() as usize;
-                i += CHUNK;
-            }
-            let mut rem = 0usize;
-            for (k, a) in chunks.remainder().iter().enumerate() {
-                let mut m = 0u64;
-                for src in srcs {
-                    m |= src[i + k];
-                }
-                rem += (a & m).count_ones() as usize;
-            }
-            c[0] + c[1] + c[2] + c[3] + rem
         }
     }
 }
@@ -380,31 +290,6 @@ pub fn and_terms_into(acc: &mut [u64], full: &[&[u64]], diff: &[(&[u64], &[u64])
     }
 }
 
-/// `|a ∩ ((∪ full) ∪ (∪ hi \ lo))|` in one fused pass. Same operand contract
-/// as [`or_terms_into`], with sources at least `a.len()` words long.
-#[inline]
-pub fn and_terms_popcount(a: &[u64], full: &[&[u64]], diff: &[(&[u64], &[u64])]) -> usize {
-    if diff.is_empty() {
-        return and_or_popcount(a, full);
-    }
-    let mut c = [0usize; CHUNK];
-    let mut i = 0;
-    let mut chunks = a.chunks_exact(CHUNK);
-    for a4 in chunks.by_ref() {
-        let m = union_chunk(full, diff, i);
-        c[0] += (a4[0] & m[0]).count_ones() as usize;
-        c[1] += (a4[1] & m[1]).count_ones() as usize;
-        c[2] += (a4[2] & m[2]).count_ones() as usize;
-        c[3] += (a4[3] & m[3]).count_ones() as usize;
-        i += CHUNK;
-    }
-    let mut rem = 0usize;
-    for (k, a) in chunks.remainder().iter().enumerate() {
-        rem += (a & union_word(full, diff, i + k)).count_ones() as usize;
-    }
-    c[0] + c[1] + c[2] + c[3] + rem
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,9 +299,9 @@ mod tests {
         let mut d = vec![1u64, 2, 4];
         or_into(&mut d, &[0xF0, 0x0F]);
         assert_eq!(d, vec![0xF1, 0x0F, 4]);
-        let mut d = vec![u64::MAX; 3];
-        and_into(&mut d, &[0x3, 0x5]);
-        assert_eq!(d, vec![0x3, 0x5, u64::MAX], "tail untouched by contract");
+        // The AND kernels read missing words as 0.
+        assert_eq!(and_popcount(&[u64::MAX; 3], &[0x3, 0x5]), 4);
+        assert!(!and_any(&[0, 0, 1], &[u64::MAX, u64::MAX]));
     }
 
     #[test]
@@ -433,14 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn and_not_any_is_the_subset_complement() {
-        assert!(!and_not_any(&[0b01, 0], &[0b11]), "short b, zero a tail");
-        assert!(and_not_any(&[0b01, 0b1], &[0b11]), "set bit past b's end");
-        assert!(and_not_any(&[0b100], &[0b011]));
-        assert!(!and_not_any(&[], &[1, 2, 3]));
-    }
-
-    #[test]
     fn multi_source_fusions() {
         let s1 = vec![0b001u64; 9];
         let s2 = vec![0b010u64; 9];
@@ -452,12 +329,13 @@ mod tests {
         let mut acc = vec![0b101u64; 9];
         and_or_multi_into(&mut acc, &srcs[..2]);
         assert_eq!(acc, vec![0b001u64; 9]);
-        assert_eq!(and_or_popcount(&vec![0b110u64; 9], &srcs), 2 * 9);
+        let mut acc1 = vec![0b011u64; 9];
+        and_or_multi_into(&mut acc1, &srcs[1..2]);
+        assert_eq!(acc1, vec![0b010u64; 9], "one source");
         or_multi_into(&mut dst, &[]);
         assert!(is_zero(&dst));
         and_or_multi_into(&mut acc, &[]);
         assert!(is_zero(&acc));
-        assert_eq!(and_or_popcount(&dst, &[]), 0);
     }
 
     #[test]
@@ -479,8 +357,9 @@ mod tests {
         let mut acc = vec![0b101u64; 9];
         and_terms_into(&mut acc, &[], &diff);
         assert_eq!(acc, vec![0b100u64; 9]);
-        assert_eq!(and_terms_popcount(&vec![0b101u64; 9], &[], &diff), 9);
-        assert_eq!(and_terms_popcount(&vec![0b101u64; 9], &full, &diff), 2 * 9);
+        let mut acc = vec![0b101u64; 9];
+        and_terms_into(&mut acc, &full, &diff);
+        assert_eq!(acc, vec![0b101u64; 9], "full row and difference together");
         or_terms_into(&mut dst, &[], &[]);
         assert!(is_zero(&dst), "empty terms clear");
     }

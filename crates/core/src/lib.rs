@@ -44,5 +44,5 @@ pub use instance::{Instance, InstanceDisplay};
 pub use outcome::{EvalResult, Outcome};
 pub use param::{Domain, DomainKind, InstanceIter, ParamDef, ParamId, ParamSpace, ParamSpaceBuilder};
 pub use predicate::{Comparator, Predicate, PredicateDisplay};
-pub use provenance::{ProvenanceStore, Run, SupportBounds, TsvError, DEFAULT_EPOCH_RUNS};
+pub use provenance::{ProvenanceStore, Run, TsvError, DEFAULT_EPOCH_RUNS};
 pub use value::{Value, F64};

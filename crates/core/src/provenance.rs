@@ -47,15 +47,12 @@
 //!
 //! # Query paths
 //!
-//! Every query runs on the calling thread. A conjunction is resolved once
-//! into a per-predicate plan of value ranges, which both the exact scans
-//! and the admissible [`SupportBounds`] read. The exact superset check is
-//! one epoch-major scan over a batch of causes — overflow runs, then the
-//! in-progress epoch, then the frozen epochs — each cause dropping out at
-//! its first succeeding match; the scalar check is a batch of one.
-//! [`support_bounds`](ProvenanceStore::support_bounds) is likewise a batch
-//! of one of [`support_bounds_many`](ProvenanceStore::support_bounds_many),
-//! and one gate decides from the bounds whether the exact scan must run.
+//! Every query runs on the calling thread and is one exact scan. A
+//! conjunction is resolved once into a per-predicate plan of value ranges.
+//! The superset check is one epoch-major scan over a batch of causes —
+//! overflow runs, then the in-progress epoch, then the frozen epochs — each
+//! cause dropping out at its first succeeding match; the scalar check is a
+//! batch of one. [`support`](ProvenanceStore::support) counts every epoch.
 
 use crate::bitset::RunSet;
 use crate::cause::Conjunction;
@@ -239,106 +236,20 @@ impl KeyIndex {
 /// (prefix-encoded) epochs answer predicates in 1–4 row reads each.
 pub const DEFAULT_EPOCH_RUNS: usize = 1024;
 
-/// Observability counters for the epoch query paths, updated by `support`
-/// and `succeeding_superset_exists` (atomics, so `&self` queries can
-/// count). Cloning a store snapshots the current values.
+/// Epochs (full + in-progress) visited by the exact scans, updated by
+/// `support` and `succeeding_superset_exists` (an atomic, so `&self`
+/// queries can count). Cloning a store snapshots the current value.
 #[derive(Debug, Default)]
 struct QueryStats {
-    /// Epochs (full + in-progress) visited by indexed queries.
     epochs_scanned: AtomicU64,
-    /// Queries fully decided by the bounds layer (no word-level scan ran).
-    bounds_short_circuits: AtomicU64,
-    /// Queries whose bounds were inconclusive and fell through to the exact
-    /// kernel path.
-    bounds_fallthroughs: AtomicU64,
 }
 
 impl Clone for QueryStats {
-    // lint: allow(W004, reason = "relaxed loads of monotonic telemetry counters; a clone is a point-in-time diagnostic snapshot, not a synchronization point", scope = "block")
+    // lint: allow(W004, reason = "relaxed load of a monotonic telemetry counter; a clone is a point-in-time diagnostic snapshot, not a synchronization point", scope = "block")
     fn clone(&self) -> Self {
         QueryStats {
             epochs_scanned: AtomicU64::new(self.epochs_scanned.load(Ordering::Relaxed)),
-            bounds_short_circuits: AtomicU64::new(
-                self.bounds_short_circuits.load(Ordering::Relaxed),
-            ),
-            bounds_fallthroughs: AtomicU64::new(self.bounds_fallthroughs.load(Ordering::Relaxed)),
         }
-    }
-}
-
-/// Admissible bounds on a conjunction's support: the exact
-/// `(failing, succeeding)` counts [`support`](ProvenanceStore::support)
-/// would return are guaranteed to satisfy `fail_lo ≤ failing ≤ fail_hi` and
-/// `succeed_lo ≤ succeeding ≤ succeed_hi`.
-///
-/// Produced by [`support_bounds`](ProvenanceStore::support_bounds) from
-/// per-epoch integer count tables alone — never a word-level scan — so a
-/// bound query is O(epochs × predicates) arithmetic. The bounds layer uses
-/// them as *exact-preserving* early-outs: a query is answered from the bound
-/// only when the bound fully decides it (e.g. `succeed_hi == 0` proves no
-/// succeeding superset exists; `succeed_lo > 0` proves one does), otherwise
-/// the exact kernel path runs unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupportBounds {
-    /// Lower bound on the failing satisfying-run count.
-    pub fail_lo: usize,
-    /// Upper bound on the failing satisfying-run count.
-    pub fail_hi: usize,
-    /// Lower bound on the succeeding satisfying-run count.
-    pub succeed_lo: usize,
-    /// Upper bound on the succeeding satisfying-run count.
-    pub succeed_hi: usize,
-}
-
-impl SupportBounds {
-    /// True when an exact `(failing, succeeding)` support lies within the
-    /// bounds — the admissibility invariant the conformance suite pins.
-    pub fn admits(&self, (failing, succeeding): (usize, usize)) -> bool {
-        self.fail_lo <= failing
-            && failing <= self.fail_hi
-            && self.succeed_lo <= succeeding
-            && succeeding <= self.succeed_hi
-    }
-
-    /// True when the bounds pin both counts exactly (`lo == hi` on both
-    /// outcomes), so the exact support is known without any scan.
-    pub fn is_exact(&self) -> bool {
-        self.fail_lo == self.fail_hi && self.succeed_lo == self.succeed_hi
-    }
-}
-
-/// Per-epoch integer count tables the bounds layer reads: the epoch's
-/// outcome counts plus *cumulative* per-value run counts (`cum[base + v]` =
-/// indexable runs in the epoch whose value index for that parameter is
-/// `≤ v`), so any predicate's per-epoch satisfying-run count is an
-/// adjacent-difference per allowed range — the integer twin of the frozen
-/// block's adjacent-prefix popcount difference. Built at freeze time from
-/// the incrementally maintained current-epoch counts (4 bytes per value,
-/// negligible next to the arena).
-#[derive(Debug, Clone)]
-struct EpochCounts {
-    /// Failing runs in the epoch (overflow runs included).
-    failing: u32,
-    /// Succeeding runs in the epoch (overflow runs included).
-    succeeding: u32,
-    /// Indexable (densely encoded) runs in the epoch.
-    indexed: u32,
-    /// Cumulative per-(parameter, value) run counts, `offsets` layout.
-    cum: Box<[u32]>,
-}
-
-impl EpochCounts {
-    /// Runs in the epoch satisfying a predicate with the given flat-index
-    /// base and allowed-value ranges: an adjacent difference per range.
-    // lint: allow(W003, reason = "cum holds one entry per (parameter, value) in offsets layout and ranges come from the same domain, so base + hi is in bounds by construction", scope = "block")
-    #[inline]
-    fn pred_count(&self, base: usize, ranges: &Ranges) -> u32 {
-        let mut n = 0u32;
-        for &(lo, hi) in ranges.as_slice() {
-            let below = if lo == 0 { 0 } else { self.cum[base + lo as usize - 1] };
-            n += self.cum[base + hi as usize] - below;
-        }
-        n
     }
 }
 
@@ -386,8 +297,7 @@ impl Ranges {
 /// layout: its flat-index base and its allowed values as contiguous ranges.
 /// In a frozen (prefix-encoded) block a range `[lo, hi]` is the term
 /// `prefix[hi] & !prefix[lo-1]` (just `prefix[hi]` when `lo = 0`); in the
-/// raw current block it is an OR over rows `lo..=hi`; in an epoch's count
-/// table it is an adjacent difference.
+/// raw current block it is an OR over rows `lo..=hi`.
 struct PredPlan {
     base: usize,
     ranges: Ranges,
@@ -454,20 +364,6 @@ pub struct ProvenanceStore {
     /// block: recording a run is one `|=` per parameter, and freezing is a
     /// move plus the in-place prefix conversion.
     current: Vec<u64>,
-    /// Integer count tables of every *full* epoch, in epoch order — the
-    /// bounds layer's only input for full epochs.
-    epoch_counts: Vec<EpochCounts>,
-    /// Per-(parameter, value) run counts of the in-progress epoch,
-    /// maintained incrementally by `record` (one increment per parameter) so
-    /// the bounds layer never scans the raw block.
-    current_counts: Vec<u32>,
-    /// `(failing, succeeding, indexed)` counts among the in-progress
-    /// epoch's runs, reset at each freeze.
-    tail_counts: (u32, u32, u32),
-    /// Gate for the admissible-bounds early-outs on `support` /
-    /// `succeeding_superset_exists` (on by default; see
-    /// [`set_bounds_enabled`](Self::set_bounds_enabled)).
-    bounds_enabled: bool,
     /// Runs in the in-progress epoch — always `runs.len() % epoch_runs`,
     /// carried as a counter so the record hot path never divides by the
     /// (runtime-chosen, not necessarily power-of-two) epoch size.
@@ -480,9 +376,7 @@ pub struct ProvenanceStore {
     /// values); they are absent from `by_key`/the value index and served by
     /// the interpretive fallback paths.
     overflow: Vec<u32>,
-    /// Scan coverage and bounds-gate counters (see
-    /// [`epochs_scanned`](Self::epochs_scanned) and
-    /// [`bounds_counters`](Self::bounds_counters)).
+    /// Scan coverage (see [`epochs_scanned`](Self::epochs_scanned)).
     query_stats: QueryStats,
 }
 
@@ -519,10 +413,6 @@ impl ProvenanceStore {
             epoch_words: epoch_runs / 64,
             blocks: Vec::new(),
             current: vec![0u64; total as usize * (epoch_runs / 64)],
-            epoch_counts: Vec::new(),
-            current_counts: vec![0u32; total as usize],
-            tail_counts: (0, 0, 0),
-            bounds_enabled: true,
             tail_runs: 0,
             fail_bits: RunSet::new(),
             succeed_bits: RunSet::new(),
@@ -538,32 +428,6 @@ impl ProvenanceStore {
         self.query_stats.epochs_scanned.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the admissible-bounds early-outs layered on
-    /// [`support`](Self::support) and
-    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists)
-    /// (enabled by default). Pruning is exact-preserving — results are
-    /// bit-identical either way — so the switch exists for differential
-    /// testing and as an escape hatch, not for correctness.
-    pub fn set_bounds_enabled(&mut self, enabled: bool) {
-        self.bounds_enabled = enabled;
-    }
-
-    /// Whether the bounds-layer early-outs are enabled.
-    pub fn bounds_enabled(&self) -> bool {
-        self.bounds_enabled
-    }
-
-    /// `(bounds_short_circuits, bounds_fallthroughs)`: queries the bounds
-    /// layer decided outright versus queries whose bounds were inconclusive
-    /// and fell through to the exact kernel path.
-    pub fn bounds_counters(&self) -> (u64, u64) {
-        // Relaxed loads: diagnostic counters only, no ordering with queries.
-        (
-            self.query_stats.bounds_short_circuits.load(Ordering::Relaxed),
-            self.query_stats.bounds_fallthroughs.load(Ordering::Relaxed),
-        )
-    }
-
     /// Counts `scans` exact scans over the whole log in `epochs_scanned`.
     fn note_scans(&self, scans: usize) {
         let epochs = self.blocks.len() + usize::from(self.tail_runs != 0);
@@ -573,25 +437,12 @@ impl ProvenanceStore {
             .fetch_add((scans * epochs) as u64, Ordering::Relaxed);
     }
 
-    /// Counts one bounds-gate decision: answered from the bounds alone, or
-    /// fallen through to the exact scan.
-    fn note_gate(&self, decided: bool) {
-        let counter = if decided {
-            &self.query_stats.bounds_short_circuits
-        } else {
-            &self.query_stats.bounds_fallthroughs
-        };
-        // Relaxed: telemetry-only counter, never read for control flow.
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Freezes the just-completed epoch: moves the flat `current` block out
-    /// (a fresh zeroed block replaces it), converts each parameter's raw
+    /// (a fresh zeroed block replaces it) and converts each parameter's raw
     /// value rows to cumulative prefix-ORs in place (row `v` |= row `v-1`,
-    /// ascending — the frozen-block query encoding), and folds the epoch's
-    /// per-value counts into its count table. Called exactly when
+    /// ascending — the frozen-block query encoding). Called exactly when
     /// `runs.len()` reaches an epoch boundary.
-    // lint: allow(W003, reason = "block is allocated as total_values * epoch_words and cum as total_values, and every index is (base + v) with v < domain.len() in offsets layout, so all slices exist by construction", scope = "block")
+    // lint: allow(W003, reason = "block is allocated as total_values * epoch_words, and every index is (base + v) with v < domain.len() in offsets layout, so all slices exist by construction", scope = "block")
     fn freeze_current_epoch(&mut self) {
         let w = self.epoch_words;
         let total = self.total_values as usize;
@@ -605,26 +456,6 @@ impl ProvenanceStore {
             }
         }
         self.blocks.push(block);
-        // Fold the incrementally maintained per-value counts into the
-        // epoch's cumulative count table (prefix-sum per parameter — the
-        // integer twin of the prefix-OR conversion above) and reset them
-        // for the next epoch.
-        let mut cum = std::mem::replace(&mut self.current_counts, vec![0u32; total])
-            .into_boxed_slice();
-        for (p, &base) in self.space.ids().zip(&self.offsets) {
-            let base = base as usize;
-            for v in 1..self.space.domain(p).len() {
-                cum[base + v] += cum[base + v - 1];
-            }
-        }
-        let (failing, succeeding, indexed) = self.tail_counts;
-        self.tail_counts = (0, 0, 0);
-        self.epoch_counts.push(EpochCounts {
-            failing,
-            succeeding,
-            indexed,
-            cum,
-        });
     }
 
     /// Run index of an unencodable instance, by value equality.
@@ -708,7 +539,7 @@ impl ProvenanceStore {
     }
 
     /// Resolves each predicate of a non-empty conjunction once against the
-    /// index layout — the plan the exact scans and the bounds layer share.
+    /// index layout — the plan the exact scans read.
     // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the predicate is drawn from", scope = "block")
     fn plan_predicates(&self, cause: &Conjunction) -> Vec<PredPlan> {
         cause
@@ -901,9 +732,7 @@ impl ProvenanceStore {
             let w = self.epoch_words;
             for (&off, &vi) in self.offsets.iter().zip(key) {
                 self.current[(off as usize + vi as usize) * w + word] |= bit;
-                self.current_counts[off as usize + vi as usize] += 1;
             }
-            self.tail_counts.2 += 1;
             self.by_key.insert_at(slot, fp, idx as u32, key);
         }
         if let Some(k) = encoded {
@@ -917,14 +746,8 @@ impl ProvenanceStore {
     fn finish_record(&mut self, instance: Instance, eval: EvalResult) -> bool {
         let idx = self.runs.len();
         match eval.outcome {
-            Outcome::Fail => {
-                self.fail_bits.insert(idx);
-                self.tail_counts.0 += 1;
-            }
-            Outcome::Succeed => {
-                self.succeed_bits.insert(idx);
-                self.tail_counts.1 += 1;
-            }
+            Outcome::Fail => self.fail_bits.insert(idx),
+            Outcome::Succeed => self.succeed_bits.insert(idx),
         }
         self.runs.push(Run { instance, eval });
         self.tail_runs += 1;
@@ -1065,96 +888,37 @@ impl ProvenanceStore {
 
     /// The Shortcut sanity check (Algorithm 1, final loop): is there a
     /// *succeeding* run whose parameter-values are a superset of the
-    /// hypothetical root cause `D`? If so, `D` is not definitive.
-    ///
-    /// Asks the admissible bounds first (unless
-    /// [disabled](Self::set_bounds_enabled)): `succeed_hi == 0` proves no
-    /// succeeding satisfying run exists, `succeed_lo > 0` proves one does —
-    /// either way the answer is returned from integer arithmetic alone.
-    /// Only an inconclusive bound falls through to the exact kernel scan,
-    /// so the result is always bit-identical to
-    /// [`succeeding_superset_exists_exact`](Self::succeeding_superset_exists_exact).
-    pub fn succeeding_superset_exists(&self, cause: &Conjunction) -> bool {
-        if self.bounds_enabled && !cause.is_empty() {
-            if let Some(answer) = self.superset_gate(cause, self.support_bounds(cause)) {
-                return answer;
-            }
-        }
-        self.succeeding_superset_exists_exact(cause)
-    }
-
-    /// The exact kernel path of
-    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists),
-    /// with no bounds-layer early-out — the reference the pruned entry point
-    /// must stay bit-identical to. A batch of one through the exact scan of
+    /// hypothetical root cause `D`? If so, `D` is not definitive. A batch of
+    /// one through the scan of
     /// [`succeeding_superset_exists_many`](Self::succeeding_superset_exists_many).
-    pub fn succeeding_superset_exists_exact(&self, cause: &Conjunction) -> bool {
+    pub fn succeeding_superset_exists(&self, cause: &Conjunction) -> bool {
         let mut out = [false];
-        self.superset_scan(std::slice::from_ref(cause), [0], &mut out);
+        self.superset_scan(std::slice::from_ref(cause), &mut out);
         out[0]
     }
 
     /// [`succeeding_superset_exists`](Self::succeeding_superset_exists) for
-    /// a batch of candidate causes in one store round-trip. The bounds layer
-    /// decides what it can from integer arithmetic; the undecided remainder
-    /// goes through one epoch-major exact scan. Results are identical to
-    /// calling the single-cause check once per cause.
-    // lint: allow(W003, reason = "out is sized causes.len() and indexed by positions from the same enumerate", scope = "block")
+    /// a batch of candidate causes in one epoch-major scan. Results are
+    /// identical to calling the single-cause check once per cause.
     pub fn succeeding_superset_exists_many(&self, causes: &[Conjunction]) -> Vec<bool> {
         let mut out = vec![false; causes.len()];
-        let bounds = if self.bounds_enabled {
-            self.support_bounds_many(causes)
-        } else {
-            Vec::new()
-        };
-        let mut undecided = Vec::with_capacity(causes.len());
-        for (i, cause) in causes.iter().enumerate() {
-            match bounds
-                .get(i)
-                .filter(|_| !cause.is_empty())
-                .and_then(|&b| self.superset_gate(cause, b))
-            {
-                Some(answer) => out[i] = answer,
-                None => undecided.push(i),
-            }
-        }
-        self.superset_scan(causes, undecided, &mut out);
+        self.superset_scan(causes, &mut out);
         out
     }
 
-    /// The bounds gate in front of the exact superset scan: `Some(answer)`
-    /// when `b` decides whether a succeeding superset exists
-    /// (`succeed_hi == 0` proves none does, `succeed_lo > 0` proves one
-    /// does), `None` when the exact scan must run. Counts the decision; debug
-    /// builds also check that an inconclusive bound admits the exact support.
-    fn superset_gate(&self, cause: &Conjunction, b: SupportBounds) -> Option<bool> {
-        let decided = b.succeed_hi == 0 || b.succeed_lo > 0;
-        self.note_gate(decided);
-        debug_assert!(
-            decided || b.admits(self.support(cause)),
-            "inconclusive bounds must still admit the exact support"
-        );
-        decided.then_some(b.succeed_lo > 0)
-    }
-
-    /// The one exact superset scan: sets `out[i]` for every `i` in `pending`
-    /// whose cause has a succeeding satisfying run, and leaves the others
-    /// untouched. Overflow runs go first — a handful of interpretive checks,
-    /// and a hit skips planning — then the in-progress epoch (most recent,
+    /// The one superset scan: sets `out[i]` (`out.len() == causes.len()`,
+    /// all `false` on entry) for every cause with a succeeding satisfying
+    /// run. Overflow runs go first — a handful of interpretive checks, and
+    /// a hit skips planning — then the in-progress epoch (most recent,
     /// cheapest to scan), then the frozen epochs **epoch-major**: every
     /// cause still pending is evaluated against a block while it is
     /// cache-hot and drops out at its first succeeding intersection. The
     /// satisfying set is never materialized.
-    // lint: allow(W003, reason = "pending holds positions below causes.len() == out.len(); overflow only records indices of runs already pushed; the tail window is at most epoch_words long, the length of acc", scope = "block")
-    fn superset_scan(
-        &self,
-        causes: &[Conjunction],
-        pending: impl IntoIterator<Item = usize>,
-        out: &mut [bool],
-    ) {
+    // lint: allow(W003, reason = "plans hold positions below causes.len() == out.len(); overflow only records indices of runs already pushed; the tail window is at most epoch_words long, the length of acc", scope = "block")
+    fn superset_scan(&self, causes: &[Conjunction], out: &mut [bool]) {
+        debug_assert_eq!(causes.len(), out.len());
         let mut plans: Vec<(usize, Vec<PredPlan>)> = Vec::new();
-        for i in pending {
-            let cause = &causes[i];
+        for (i, cause) in causes.iter().enumerate() {
             if cause.is_empty() {
                 out[i] = !self.succeed_bits.is_empty();
             } else if self.overflow.iter().any(|&r| {
@@ -1238,171 +1002,14 @@ impl ProvenanceStore {
         (f, s)
     }
 
-    /// Runs in the in-progress epoch satisfying a predicate: a sum of the
-    /// incrementally maintained per-value counts over its allowed ranges.
-    // lint: allow(W003, reason = "current_counts holds one entry per (parameter, value) in offsets layout and the ranges come from the same domain, so base + hi is in bounds", scope = "block")
-    fn current_pred_count(&self, plan: &PredPlan) -> u32 {
-        plan.ranges
-            .as_slice()
-            .iter()
-            .map(|&(lo, hi)| {
-                self.current_counts[plan.base + lo as usize..=plan.base + hi as usize]
-                    .iter()
-                    .sum::<u32>()
-            })
-            .sum()
-    }
-
-    /// Folds one epoch's admissible contribution into `b`, given that
-    /// epoch's per-predicate satisfying-run counts (`count_of`), its
-    /// indexable-run total, and its outcome counts.
-    ///
-    /// Upper bound: a conjunction satisfies at most the *minimum* of its
-    /// predicates' counts, capped by either outcome's epoch count. Lower
-    /// bound: Bonferroni — at least `Σ counts − (k−1)·indexed` runs satisfy
-    /// all `k` predicates at once; subtracting the opposite outcome's epoch
-    /// count splits that into per-outcome lower bounds. Overflow runs are
-    /// absent from the count tables (their outcome counts only loosen the
-    /// caps admissibly) and are accounted exactly by the caller.
-    fn fold_epoch_bound(
-        b: &mut SupportBounds,
-        plans: &[PredPlan],
-        indexed: u32,
-        failing: u32,
-        succeeding: u32,
-        mut count_of: impl FnMut(&PredPlan) -> u32,
-    ) {
-        let mut min_c = u32::MAX;
-        let mut sum = 0u64;
-        for p in plans {
-            let c = count_of(p).min(indexed);
-            if c == 0 {
-                // Some predicate matches no run here: the epoch contributes
-                // exactly zero to every bound.
-                return;
-            }
-            min_c = min_c.min(c);
-            sum += c as u64;
-        }
-        let s_hi = min_c as usize;
-        let s_lo = sum.saturating_sub((plans.len() as u64 - 1) * indexed as u64) as usize;
-        b.fail_hi += s_hi.min(failing as usize);
-        b.succeed_hi += s_hi.min(succeeding as usize);
-        b.fail_lo += s_lo.saturating_sub(succeeding as usize);
-        b.succeed_lo += s_lo.saturating_sub(failing as usize);
-    }
-
-    /// Admissible bounds on [`support`](Self::support) — see
-    /// [`SupportBounds`] for the invariant — from per-epoch integer count
-    /// tables only: O(epochs × predicates) arithmetic, never a word-level
-    /// scan. A batch of one of
-    /// [`support_bounds_many`](Self::support_bounds_many).
-    pub fn support_bounds(&self, cause: &Conjunction) -> SupportBounds {
-        let mut out = [SupportBounds::default()];
-        self.fold_bounds(
-            std::slice::from_ref(cause),
-            &[self.plan_predicates(cause)],
-            &mut out,
-        );
-        out[0]
-    }
-
-    /// [`support_bounds`](Self::support_bounds) for a batch, epoch-major:
-    /// every conjunction is folded against each epoch's count table while
-    /// it is cache-hot. Results are identical to calling `support_bounds`
-    /// once per cause.
-    pub fn support_bounds_many(&self, causes: &[Conjunction]) -> Vec<SupportBounds> {
-        let plans: Vec<Vec<PredPlan>> = causes.iter().map(|c| self.plan_predicates(c)).collect();
-        let mut out = vec![SupportBounds::default(); causes.len()];
-        self.fold_bounds(causes, &plans, &mut out);
-        out
-    }
-
-    /// The one bounds fold: `out[i]` becomes the bounds of `causes[i]`,
-    /// whose predicate plan is `plans[i]`. Computed from per-epoch integer
-    /// count tables only, O(epochs × predicates) arithmetic, never a
-    /// word-level scan: full epochs are answered from their cumulative
-    /// count tables by adjacent differences per predicate range (the
-    /// integer twin of a frozen block's adjacent-prefix popcount
-    /// difference), the in-progress epoch from the incrementally maintained
-    /// current counts, and overflow runs interpretively (they are few and
-    /// live outside the count tables). An empty cause's bounds are its
-    /// exact support.
-    // lint: allow(W003, reason = "overflow only records indices of runs already pushed", scope = "block")
-    fn fold_bounds(&self, causes: &[Conjunction], plans: &[Vec<PredPlan>], out: &mut [SupportBounds]) {
-        for counts in &self.epoch_counts {
-            for (b, preds) in out.iter_mut().zip(plans) {
-                if !preds.is_empty() {
-                    Self::fold_epoch_bound(
-                        b,
-                        preds,
-                        counts.indexed,
-                        counts.failing,
-                        counts.succeeding,
-                        |p| counts.pred_count(p.base, &p.ranges),
-                    );
-                }
-            }
-        }
-        let (tail_f, tail_s, tail_idx) = self.tail_counts;
-        for ((b, preds), cause) in out.iter_mut().zip(plans).zip(causes) {
-            if preds.is_empty() {
-                let (f, s) = (self.num_failing(), self.num_succeeding());
-                *b = SupportBounds {
-                    fail_lo: f,
-                    fail_hi: f,
-                    succeed_lo: s,
-                    succeed_hi: s,
-                };
-                continue;
-            }
-            if tail_f + tail_s > 0 {
-                Self::fold_epoch_bound(b, preds, tail_idx, tail_f, tail_s, |p| {
-                    self.current_pred_count(p)
-                });
-            }
-            for &i in &self.overflow {
-                let run = &self.runs[i as usize];
-                if cause.satisfied_by(&run.instance) {
-                    let (lo, hi) = match run.outcome() {
-                        Outcome::Fail => (&mut b.fail_lo, &mut b.fail_hi),
-                        Outcome::Succeed => (&mut b.succeed_lo, &mut b.succeed_hi),
-                    };
-                    *lo += 1;
-                    *hi += 1;
-                }
-            }
-        }
-    }
-
-    /// [`support`](Self::support) with the bounds-layer early-out: when the
-    /// admissible bounds already pin both counts (`lo == hi` on both
-    /// outcomes), the pinned values are returned without any word-level
-    /// scan; otherwise the exact path runs. Bit-identical to `support`
-    /// either way.
-    pub fn support_via_bounds(&self, cause: &Conjunction) -> (usize, usize) {
-        if !self.bounds_enabled {
-            return self.support(cause);
-        }
-        let b = self.support_bounds(cause);
-        self.note_gate(b.is_exact());
-        if b.is_exact() {
-            return (b.fail_lo, b.succeed_lo);
-        }
-        let exact = self.support(cause);
-        debug_assert!(
-            b.admits(exact),
-            "inconclusive bounds must still admit the exact support"
-        );
-        exact
-    }
-
     /// Parses a history from the TSV layout produced by [`Self::to_tsv`]
     /// (parameter columns in space order, then `score`, then `evaluation`).
     /// Values are matched against the parameter domains by their display
     /// form after unescaping (see [`Self::to_tsv`]); `score` is a float or
     /// `-`. A cell with a malformed escape sequence is
-    /// [`TsvError::Escape`].
+    /// [`TsvError::Escape`]; a row repeating an earlier row's instance with
+    /// the other evaluation is [`TsvError::Conflict`] (with the same
+    /// evaluation it is skipped).
     ///
     /// Compatibility note: files written before escaping existed that
     /// contain *literal* backslashes in values are now interpreted as
@@ -1484,10 +1091,19 @@ impl ProvenanceStore {
                     })
                 }
             };
-            store.record(
-                space.instance_from_indices(&indices),
-                EvalResult { outcome, score },
-            );
+            let instance = space.instance_from_indices(&indices);
+            // A repeated row with the same evaluation is a no-op in `record`;
+            // one with the other evaluation would trip its determinism
+            // assert, so it is refused here with its line.
+            if let Some(earlier) = store.outcome_of(&instance).filter(|&e| e != outcome) {
+                return Err(TsvError::Conflict {
+                    line: line_no + 1,
+                    instance: instance.display(&space).to_string(),
+                    earlier,
+                    found: outcome,
+                });
+            }
+            store.record(instance, EvalResult { outcome, score });
         }
         Ok(store)
     }
@@ -1526,6 +1142,22 @@ impl ProvenanceStore {
             let _ = writeln!(out, "\t{}", run.outcome());
         }
         out
+    }
+}
+
+/// Names kept only for the end-to-end benchmark (`e2ebench/`), which
+/// compiles against them and is their only caller. ROADMAP direction 2's
+/// benchmark step drops its calls and then deletes this block.
+impl ProvenanceStore {
+    /// [`support`](Self::support): exact counts are admissible bounds.
+    pub fn support_bounds(&self, cause: &Conjunction) -> (usize, usize) {
+        self.support(cause)
+    }
+
+    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists):
+    /// the same scan.
+    pub fn succeeding_superset_exists_exact(&self, cause: &Conjunction) -> bool {
+        self.succeeding_superset_exists(cause)
     }
 }
 
@@ -1621,6 +1253,19 @@ pub enum TsvError {
         /// The offending cell.
         cell: String,
     },
+    /// A row repeats an earlier row's instance with the other evaluation.
+    /// Evaluations are deterministic (paper §3, Def. 2), so the file
+    /// contradicts itself.
+    Conflict {
+        /// 1-based line number of the second row.
+        line: usize,
+        /// The instance, rendered against the space.
+        instance: String,
+        /// The evaluation an earlier row gave.
+        earlier: Outcome,
+        /// The evaluation this row gives.
+        found: Outcome,
+    },
 }
 
 impl std::fmt::Display for TsvError {
@@ -1649,6 +1294,16 @@ impl std::fmt::Display for TsvError {
             TsvError::Escape { line, cell } => write!(
                 f,
                 "line {line}: cell {cell:?} has a malformed backslash escape"
+            ),
+            TsvError::Conflict {
+                line,
+                instance,
+                earlier,
+                found,
+            } => write!(
+                f,
+                "line {line}: {instance} is evaluated '{found}' here but '{earlier}' on an \
+                 earlier line; evaluations must be deterministic"
             ),
         }
     }
@@ -1807,34 +1462,6 @@ mod tests {
     }
 
     #[test]
-    fn support_bounds_admissible_on_epoch_store() {
-        for n in [40usize, 64, 100, 128] {
-            let (s, p) = epoch_store(n);
-            let x = s.by_name("x").unwrap();
-            let y = s.by_name("y").unwrap();
-            let causes = vec![
-                Conjunction::top(),
-                Conjunction::new(vec![Predicate::eq(x, 3)]),
-                Conjunction::new(vec![Predicate::eq(x, 3), Predicate::eq(y, 2)]),
-                Conjunction::new(vec![Predicate::new(x, crate::Comparator::Le, 4)]),
-                Conjunction::new(vec![
-                    Predicate::new(x, crate::Comparator::Gt, 5),
-                    Predicate::new(y, crate::Comparator::Le, 3),
-                ]),
-            ];
-            let batched = p.support_bounds_many(&causes);
-            for (k, c) in causes.iter().enumerate() {
-                let exact = p.support(c);
-                let b = p.support_bounds(c);
-                assert!(b.admits(exact), "bounds {b:?} exclude exact {exact:?} (n={n})");
-                assert!(b.fail_lo <= b.fail_hi && b.succeed_lo <= b.succeed_hi);
-                assert_eq!(batched[k], b, "batched bounds diverge (n={n})");
-                assert_eq!(p.support_via_bounds(c), exact);
-            }
-        }
-    }
-
-    #[test]
     fn batched_superset_matches_exact_scalar() {
         let (s, p) = epoch_store(100);
         let x = s.by_name("x").unwrap();
@@ -1852,34 +1479,9 @@ mod tests {
         let batched = p.succeeding_superset_exists_many(&causes);
         let scalar: Vec<bool> = causes
             .iter()
-            .map(|c| p.succeeding_superset_exists_exact(c))
+            .map(|c| p.succeeding_superset_exists(c))
             .collect();
         assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn bounds_counters_and_escape_hatch() {
-        let s = space();
-        let mut p = table1(&s);
-        let version = s.by_name("Version").unwrap();
-        // Version = 1: two succeeding rows — the lower bound alone proves a
-        // succeeding superset (short-circuit). Version = 2: one failing row —
-        // the bound is inconclusive (hi = 1, lo = 0) and falls through.
-        let d1 = Conjunction::new(vec![Predicate::eq(version, 1)]);
-        let d2 = Conjunction::new(vec![Predicate::eq(version, 2)]);
-        assert!(p.succeeding_superset_exists(&d1));
-        assert!(!p.succeeding_superset_exists(&d2));
-        let (short, fall) = p.bounds_counters();
-        assert!(short >= 1, "lower-bound witness never short-circuited");
-        assert!(fall >= 1, "inconclusive bound never fell through");
-        // The escape hatch: disabling bounds routes every query to the exact
-        // path, answers stay identical, and the counters freeze.
-        p.set_bounds_enabled(false);
-        assert!(!p.bounds_enabled());
-        let before = p.bounds_counters();
-        assert!(p.succeeding_superset_exists(&d1));
-        assert!(!p.succeeding_superset_exists(&d2));
-        assert_eq!(p.bounds_counters(), before);
     }
 
     /// Records the first `n` distinct instances of a 16×8 space (128 total,
@@ -1985,6 +1587,29 @@ mod tsv_tests {
             ProvenanceStore::from_tsv(s, "").unwrap_err(),
             TsvError::Empty
         ));
+    }
+
+    /// A row repeating an instance with the other evaluation is an error
+    /// naming its line (it used to panic in `record`); a repeat with the
+    /// same evaluation stays a silent no-op.
+    #[test]
+    fn conflicting_rows_are_an_error_not_a_panic() {
+        let s = space();
+        let base = "Dataset\tVersion\tscore\tevaluation\nIris\t2\t-\tfail\n";
+        let err = ProvenanceStore::from_tsv(s.clone(), &format!("{base}Iris\t2\t-\tsucceed\n"))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TsvError::Conflict {
+                line: 3,
+                instance: "{Dataset=Iris, Version=2}".to_string(),
+                earlier: Outcome::Fail,
+                found: Outcome::Succeed,
+            }
+        );
+        assert!(err.to_string().starts_with("line 3: "), "{err}");
+        let parsed = ProvenanceStore::from_tsv(s, &format!("{base}Iris\t2\t0.5\tfail\n")).unwrap();
+        assert_eq!(parsed.len(), 1);
     }
 
     #[test]

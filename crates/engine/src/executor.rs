@@ -40,7 +40,7 @@
 //! `new_executions == provenance.len() - seeded` always holds.
 
 use crate::pipeline::{Pipeline, PipelineError, SimTime};
-use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, ProvenanceStore, Run};
+use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, ProvenanceStore};
 use bugdoc_store::{DurableStore, PersistConfig, PersistError, Recovery};
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
@@ -92,11 +92,6 @@ pub struct ExecutorConfig {
     /// newly recorded execution to the write-ahead log; see [`PersistConfig`]
     /// and the `bugdoc-store` crate docs.
     pub persist: Option<PersistConfig>,
-    /// Bound-guided pruning of provenance queries (default: on). Pruning is
-    /// exact-preserving — diagnosis outputs are bit-identical either way —
-    /// so this is an escape hatch / differential-testing switch, not a
-    /// correctness knob. Mirrors the spec keyword `bounds off`.
-    pub bounds: bool,
 }
 
 impl Default for ExecutorConfig {
@@ -105,7 +100,6 @@ impl Default for ExecutorConfig {
             workers: 5,
             budget: None,
             persist: None,
-            bounds: true,
         }
     }
 }
@@ -125,22 +119,19 @@ pub struct ExecStats {
     /// Virtual time elapsed: the makespan of all executions scheduled on
     /// `workers` machines.
     pub sim_time: SimTime,
-    /// Always 0: every provenance query runs on the calling thread, so none
-    /// fans out. The field stays so the `STATS` and `METRICS` key sets, and
-    /// the consumers that read them, keep their shape.
-    pub parallel_epoch_queries: u64,
     /// Total epochs visited by the provenance store's exact scans.
     pub epochs_scanned: u64,
-    /// Search subtrees / candidate causes the algorithms discarded on the
-    /// strength of an admissible bound alone, skipping their verification
-    /// queries entirely (exact-preserving — the skipped work was provably
-    /// decided).
+    // Fields kept only for the end-to-end benchmark (`e2ebench/`), which
+    // compiles against them and is their only reader; ROADMAP direction 2's
+    // benchmark step drops those reads and then deletes the fields. They
+    // are not in `counter_fields`, so `STATS` and `METRICS` omit them.
+    /// Always 0.
+    pub parallel_epoch_queries: u64,
+    /// Always 0.
     pub bounds_pruned_subtrees: u64,
-    /// Provenance queries fully answered by the bounds layer's integer
-    /// arithmetic, with no word-level scan.
+    /// Always 0.
     pub bounds_short_circuits: u64,
-    /// Provenance queries whose bounds were inconclusive and fell through
-    /// to the exact kernel path (the bound cost is then pure overhead).
+    /// Always 0.
     pub bounds_fallthroughs: u64,
 }
 
@@ -157,19 +148,8 @@ impl ExecStats {
             unavailable: self.unavailable.saturating_sub(baseline.unavailable),
             budget_refusals: self.budget_refusals.saturating_sub(baseline.budget_refusals),
             sim_time: SimTime::from_secs((self.sim_time.secs() - baseline.sim_time.secs()).max(0.0)),
-            parallel_epoch_queries: self
-                .parallel_epoch_queries
-                .saturating_sub(baseline.parallel_epoch_queries),
             epochs_scanned: self.epochs_scanned.saturating_sub(baseline.epochs_scanned),
-            bounds_pruned_subtrees: self
-                .bounds_pruned_subtrees
-                .saturating_sub(baseline.bounds_pruned_subtrees),
-            bounds_short_circuits: self
-                .bounds_short_circuits
-                .saturating_sub(baseline.bounds_short_circuits),
-            bounds_fallthroughs: self
-                .bounds_fallthroughs
-                .saturating_sub(baseline.bounds_fallthroughs),
+            ..ExecStats::default()
         }
     }
 
@@ -180,17 +160,13 @@ impl ExecStats {
     /// automatically surfaces it everywhere (and the wire-parity test
     /// fails if a renderer goes stale). `sim_time` is excluded: it is a
     /// duration, not a counter.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 9] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 5] {
         [
             ("new_executions", self.new_executions as u64),
             ("cache_hits", self.cache_hits as u64),
             ("unavailable", self.unavailable as u64),
             ("budget_refusals", self.budget_refusals as u64),
-            ("parallel_epoch_queries", self.parallel_epoch_queries),
             ("epochs_scanned", self.epochs_scanned),
-            ("bounds_pruned_subtrees", self.bounds_pruned_subtrees),
-            ("bounds_short_circuits", self.bounds_short_circuits),
-            ("bounds_fallthroughs", self.bounds_fallthroughs),
         ]
     }
 }
@@ -207,9 +183,6 @@ struct AtomicStats {
     session_reserved: AtomicUsize,
     /// Virtual-clock seconds, stored as `f64` bits.
     sim_time_bits: AtomicU64,
-    /// Candidates the algorithms pruned on a bound alone (see
-    /// [`ExecStats::bounds_pruned_subtrees`]).
-    bounds_pruned_subtrees: AtomicU64,
     /// Wall-clock nanoseconds spent in `Pipeline::execute` and `cost`, and
     /// the executions they cover: their mean decides whether a batch runs
     /// on threads. Not part of [`ExecStats`].
@@ -226,14 +199,8 @@ impl AtomicStats {
             });
     }
 
-    /// Snapshot; `epochs_scanned` and
-    /// `(bounds_short_circuits, bounds_fallthroughs)` come from the
-    /// provenance store's counters.
-    fn snapshot(
-        &self,
-        epochs_scanned: u64,
-        (bounds_short_circuits, bounds_fallthroughs): (u64, u64),
-    ) -> ExecStats {
+    /// Snapshot; `epochs_scanned` comes from the provenance store.
+    fn snapshot(&self, epochs_scanned: u64) -> ExecStats {
         ExecStats {
             new_executions: self.new_executions.load(Ordering::SeqCst),
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
@@ -242,11 +209,8 @@ impl AtomicStats {
             sim_time: SimTime::from_secs(f64::from_bits(
                 self.sim_time_bits.load(Ordering::SeqCst),
             )),
-            parallel_epoch_queries: 0,
             epochs_scanned,
-            bounds_pruned_subtrees: self.bounds_pruned_subtrees.load(Ordering::SeqCst),
-            bounds_short_circuits,
-            bounds_fallthroughs,
+            ..ExecStats::default()
         }
     }
 }
@@ -312,17 +276,36 @@ impl Executor {
     /// seed runs are merged in (novel ones are appended to the WAL), and the
     /// union seeds the executor. Seeded and recovered runs alike are
     /// answered as provenance hits, so
-    /// `new_executions == provenance.len() - seeded` keeps holding.
+    /// `new_executions == provenance.len() - seeded` keeps holding. A seed
+    /// run whose outcome contradicts the recovered history is
+    /// [`PersistError::ConflictingSeed`].
     pub fn try_with_provenance(
         pipeline: Arc<dyn Pipeline>,
         config: ExecutorConfig,
         provenance: ProvenanceStore,
     ) -> Result<Self, PersistError> {
-        let (mut provenance, persist, recovery) = match &config.persist {
+        let (provenance, persist, recovery) = match &config.persist {
             None => (provenance, None, None),
             Some(persist_config) => {
                 let (mut recovered, mut durable, recovery) =
                     DurableStore::open(pipeline.space(), persist_config)?;
+                // A seed run the history contradicts would trip `record`'s
+                // determinism assert. It is refused before any seed run is
+                // appended, so the directory is left as it was found (the
+                // dropped store releases the lock).
+                let conflict = provenance.runs().iter().find_map(|run| {
+                    recovered
+                        .outcome_of(&run.instance)
+                        .filter(|&persisted| persisted != run.outcome())
+                        .map(|persisted| (run, persisted))
+                });
+                if let Some((run, persisted)) = conflict {
+                    return Err(PersistError::ConflictingSeed {
+                        instance: run.instance.display(recovered.space()).to_string(),
+                        persisted,
+                        seeded: run.outcome(),
+                    });
+                }
                 for run in provenance.runs() {
                     if recovered.record(run.instance.clone(), run.eval) {
                         // lint: allow(W003, reason = "record returned true, so the run log is non-empty and last() is the run just appended")
@@ -334,7 +317,6 @@ impl Executor {
                 (recovered, Some(Mutex::new(Some(durable))), Some(recovery))
             }
         };
-        provenance.set_bounds_enabled(config.bounds);
         Ok(Executor {
             pipeline,
             config,
@@ -484,26 +466,8 @@ impl Executor {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> ExecStats {
-        let (epochs_scanned, bounds_counters) = {
-            let prov = self.provenance.read();
-            (prov.epochs_scanned(), prov.bounds_counters())
-        };
-        self.stats.snapshot(epochs_scanned, bounds_counters)
-    }
-
-    /// Counts `n` candidate causes / search subtrees that an algorithm
-    /// discarded on the strength of an admissible bound alone (surfaced as
-    /// [`ExecStats::bounds_pruned_subtrees`]).
-    pub fn note_bounds_pruned(&self, n: u64) {
-        if n > 0 {
-            // Relaxed: telemetry-only counter, no control-flow reads.
-            self.stats
-                .bounds_pruned_subtrees
-                .fetch_add(n, Ordering::Relaxed);
-            // Bounds-gate decisions are rare (per pruned subtree, not per
-            // query), so each one earns a flight event.
-            bugdoc_telemetry::event(bugdoc_telemetry::EventKind::BoundsPruned, n, 0, 0);
-        }
+        let epochs_scanned = self.provenance.read().epochs_scanned();
+        self.stats.snapshot(epochs_scanned)
     }
 
     /// A snapshot of the current provenance.
@@ -770,11 +734,6 @@ impl Executor {
             prov.record(instance, eval) && self.persist_record(&prov)
         };
         self.persist_sync_if_due(sync_due);
-    }
-
-    /// Convenience: all runs recorded so far.
-    pub fn runs(&self) -> Vec<Run> {
-        self.provenance.read().runs().to_vec()
     }
 }
 
@@ -1250,6 +1209,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A seed that contradicts the persisted history is a typed error, not
+    /// a panic in `record`: none of the seed is appended, the directory
+    /// lock is released, and a consistent seed then opens.
+    #[test]
+    fn conflicting_seed_is_an_error_and_leaves_the_directory_usable() {
+        let dir = persist_dir("conflict");
+        let s = space();
+        let config = || ExecutorConfig {
+            workers: 1,
+            persist: Some(PersistConfig::new(&dir)),
+            ..Default::default()
+        };
+        let exec = Executor::new(pipe(&s), config());
+        exec.evaluate(&inst(&s, 1, 1)).unwrap();
+        drop(exec);
+
+        let mut seed = ProvenanceStore::new(s.clone());
+        seed.record(inst(&s, 5, 5), EvalResult::of(Outcome::Succeed));
+        seed.record(inst(&s, 1, 1), EvalResult::of(Outcome::Fail));
+        match Executor::try_with_provenance(pipe(&s), config(), seed).err() {
+            Some(PersistError::ConflictingSeed {
+                instance,
+                persisted,
+                seeded,
+            }) => {
+                assert_eq!(instance, "{x=1, y=1}");
+                assert_eq!((persisted, seeded), (Outcome::Succeed, Outcome::Fail));
+            }
+            other => panic!("expected ConflictingSeed, got {other:?}"),
+        }
+        assert!(!dir.join("lock").exists(), "the refused open kept the lock");
+
+        let mut seed = ProvenanceStore::new(s.clone());
+        seed.record(inst(&s, 1, 1), EvalResult::of(Outcome::Succeed));
+        let exec = Executor::try_with_provenance(pipe(&s), config(), seed)
+            .unwrap_or_else(|e| panic!("a consistent seed must open: {e}"));
+        assert_eq!(
+            exec.recovery().unwrap().runs,
+            1,
+            "the refused seed appended nothing"
+        );
+        assert_eq!(exec.provenance().len(), 1);
+        drop(exec);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn session_reservations_gate_admission() {
         let s = space();
@@ -1351,7 +1356,6 @@ mod tests {
         let prov = exec.provenance();
         assert_eq!(prov.len(), 2);
         assert_eq!(prov.failing().count(), 1);
-        assert_eq!(exec.runs().len(), 2);
         exec.with_provenance_ref(|p| assert_eq!(p.len(), 2));
     }
 }

@@ -1,8 +1,7 @@
-// The compliant twin of w001_fire.rs: the same operation composed from the
-// fused kernels, with no word loop opened outside the kernel homes.
+// The compliant twin of w001_fire.rs: the same count from the fused
+// kernel, with no word loop opened outside the kernel homes.
 use crate::kernels;
 
-pub fn and_popcount_composed(words: &mut Vec<u64>, other: &[u64]) -> usize {
-    kernels::and_into(words, other);
-    kernels::popcount(words)
+pub fn and_popcount_composed(words: &[u64], other: &[u64]) -> usize {
+    kernels::and_popcount(words, other)
 }

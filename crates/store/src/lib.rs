@@ -76,7 +76,7 @@ pub mod wal;
 pub use frame::{DecodeError, RecordKey, RunRecord};
 pub use wal::{Wal, WalPosition};
 
-use bugdoc_core::{ParamSpace, ProvenanceStore, Run};
+use bugdoc_core::{Outcome, ParamSpace, ProvenanceStore, Run};
 use std::fs::{File, TryLockError};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
@@ -200,6 +200,17 @@ pub enum PersistError {
         /// The lock file.
         path: PathBuf,
     },
+    /// A seed run merged into a warm start contradicts the persisted
+    /// history: the same instance with the other outcome. Evaluations are
+    /// deterministic (paper §3, Def. 2), so one of the two is wrong.
+    ConflictingSeed {
+        /// The instance, rendered against the spec's space.
+        instance: String,
+        /// The outcome the persisted history records.
+        persisted: Outcome,
+        /// The outcome the seed gives.
+        seeded: Outcome,
+    },
 }
 
 /// Widens a `usize` to `u64`. Lossless on every supported target; named so
@@ -258,6 +269,16 @@ impl std::fmt::Display for PersistError {
                  writers would corrupt the log (delete the lock file only if that \
                  process is truly gone)",
                 path.display()
+            ),
+            PersistError::ConflictingSeed {
+                instance,
+                persisted,
+                seeded,
+            } => write!(
+                f,
+                "seed run {instance} is evaluated '{seeded}' but the persisted history \
+                 records '{persisted}'; evaluations must be deterministic, so fix the seed \
+                 or point persist_dir at a fresh directory"
             ),
         }
     }

@@ -42,9 +42,8 @@ pub enum EventKind {
     /// A WAL replay completed during open.
     /// args: [frames replayed, duration µs, truncated bytes]
     WalReplay = 7,
-    // 8 belonged to a removed kind; it is not reused either.
-    /// The bounds gate pruned a subtree. args: [instances short-circuited, 0, 0]
-    BoundsPruned = 9,
+    // 8 and 9 belonged to removed kinds (eviction pressure, bounds
+    // pruning); they are not reused either.
 }
 
 impl EventKind {
@@ -57,7 +56,6 @@ impl EventKind {
             EventKind::DiagnoseStart => "diagnose_start",
             EventKind::DiagnoseEnd => "diagnose_end",
             EventKind::WalReplay => "wal_replay",
-            EventKind::BoundsPruned => "bounds_pruned",
         }
     }
 
@@ -70,7 +68,6 @@ impl EventKind {
             4 => EventKind::DiagnoseStart,
             5 => EventKind::DiagnoseEnd,
             7 => EventKind::WalReplay,
-            9 => EventKind::BoundsPruned,
             _ => return None,
         })
     }

@@ -80,7 +80,6 @@ fn kind_codes_round_trip() {
         EventKind::DiagnoseStart,
         EventKind::DiagnoseEnd,
         EventKind::WalReplay,
-        EventKind::BoundsPruned,
     ] {
         assert_eq!(EventKind::from_code(kind as u64), Some(kind));
         assert!(!kind.name().is_empty());
@@ -92,5 +91,6 @@ fn kind_codes_round_trip() {
         "retired kinds stay unassigned"
     );
     assert_eq!(EventKind::from_code(8), None);
+    assert_eq!(EventKind::from_code(9), None);
     assert_eq!(EventKind::from_code(999), None);
 }

@@ -93,7 +93,7 @@ pub mod prelude {
     };
     pub use bugdoc_core::{
         Comparator, Conjunction, Dnf, Domain, EvalResult, Instance, Outcome, ParamId, ParamSpace,
-        Predicate, ProvenanceStore, SupportBounds, Value,
+        Predicate, ProvenanceStore, Value,
     };
     pub use bugdoc_engine::{
         Executor, ExecutorConfig, FnPipeline, HistoricalPipeline, PersistConfig, Pipeline, Recovery,

@@ -1,8 +1,9 @@
 //! Differential conformance suite: the provenance store's bitset /
 //! dense-key query paths against a naive interpretive oracle.
 //!
-//! The store answers `support` and `succeeding_superset_exists` with
-//! word-parallel bit operations over an epoch-segmented index.
+//! The store answers `support`, `succeeding_superset_exists` and its
+//! batched form `succeeding_superset_exists_many` with word-parallel bit
+//! operations over an epoch-segmented index.
 //! Delta-debugging-style systems are only trustworthy when such fast paths
 //! are provably equivalent to exact per-run interpretation, so every case
 //! here replays a random parameter space and run log through both a
@@ -141,7 +142,8 @@ fn assert_conformance(
     prop_assert_eq!(store.len(), oracle.runs.len(), "log length ({})", context);
     let mut causes = vec![Conjunction::top()];
     causes.extend((0..20).map(|_| random_conjunction(space, rng)));
-    for cause in &causes {
+    let batched = store.succeeding_superset_exists_many(&causes);
+    for (cause, &batched) in causes.iter().zip(&batched) {
         let shown = cause.display(space).to_string();
         prop_assert_eq!(
             store.support(cause),
@@ -150,10 +152,18 @@ fn assert_conformance(
             shown,
             context
         );
+        let want_superset = oracle.succeeding_superset_exists(cause);
         prop_assert_eq!(
             store.succeeding_superset_exists(cause),
-            oracle.succeeding_superset_exists(cause),
+            want_superset,
             "superset mismatch for {} ({})",
+            shown,
+            context
+        );
+        prop_assert_eq!(
+            batched,
+            want_superset,
+            "batched superset mismatch for {} ({})",
             shown,
             context
         );
@@ -237,194 +247,4 @@ proptest! {
             );
         }
     }
-
-    /// PR 7 admissibility contract: for any space and run log (overflow runs
-    /// included), `support_bounds` brackets the exact support
-    /// (`lo ≤ exact ≤ hi`), the batched entry points match the scalar ones,
-    /// and every bounds-gated query still returns the exact interpretive
-    /// answer — with bounds enabled and disabled alike.
-    #[test]
-    fn support_bounds_are_admissible_and_gates_stay_exact(
-        seed in any::<u64>(),
-        n_runs in 0usize..150,
-        overflow_pct in 0u32..25,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let space = random_space(&mut rng);
-        let mut store = ProvenanceStore::with_epoch_size(space.clone(), 64);
-        let mut oracle = Oracle::new();
-        for _ in 0..n_runs {
-            let inst = if rng.gen_range(0..100u32) < overflow_pct {
-                random_overflow_instance(&space, &mut rng)
-            } else {
-                random_instance(&space, &mut rng)
-            };
-            let outcome = outcome_of(&inst);
-            store.record(inst.clone(), EvalResult::of(outcome));
-            oracle.record(inst, outcome);
-        }
-        let mut causes = vec![Conjunction::top()];
-        causes.extend((0..16).map(|_| random_conjunction(&space, &mut rng)));
-        let batched = store.support_bounds_many(&causes);
-        let supersets = store.succeeding_superset_exists_many(&causes);
-        let mut off = store.clone();
-        off.set_bounds_enabled(false);
-        for (k, cause) in causes.iter().enumerate() {
-            let shown = cause.display(&space).to_string();
-            let exact = oracle.support(cause);
-            let b = store.support_bounds(cause);
-            prop_assert!(
-                b.admits(exact),
-                "bounds {:?} exclude exact {:?} for {}",
-                b,
-                exact,
-                shown
-            );
-            prop_assert!(
-                b.fail_lo <= b.fail_hi && b.succeed_lo <= b.succeed_hi,
-                "inverted bounds {:?} for {}",
-                b,
-                shown
-            );
-            prop_assert_eq!(batched[k], b, "batched bounds diverge for {}", &shown);
-            prop_assert_eq!(
-                store.support_via_bounds(cause),
-                exact,
-                "support_via_bounds inexact for {}",
-                &shown
-            );
-            let want_superset = oracle.succeeding_superset_exists(cause);
-            prop_assert_eq!(
-                supersets[k],
-                want_superset,
-                "batched superset wrong for {}",
-                &shown
-            );
-            prop_assert_eq!(
-                store.succeeding_superset_exists(cause),
-                want_superset,
-                "gated superset wrong for {}",
-                &shown
-            );
-            prop_assert_eq!(
-                off.succeeding_superset_exists(cause),
-                want_superset,
-                "bounds-off superset wrong for {}",
-                &shown
-            );
-            prop_assert_eq!(
-                off.support_via_bounds(cause),
-                exact,
-                "bounds-off support wrong for {}",
-                &shown
-            );
-        }
-    }
-}
-
-/// PR 7 exactness contract end-to-end: every diagnosis algorithm produces a
-/// bit-identical report with bound-guided pruning on and off — on the
-/// paper's Figure-1 ML pipeline and synthetic single-conjunction pipelines.
-/// Pruning may only change *how* an answer is computed, never the answer.
-#[test]
-fn pruning_matches_unpruned() {
-    use bugdoc::algorithms::{
-        find_defective_elements, find_defective_elements_bounded, CandidateSetBound,
-        CorruptRecordOracle, GroupTestConfig,
-    };
-    use bugdoc::pipelines::MlPipeline;
-    use bugdoc::synth::{CauseScenario, SynthConfig, SyntheticPipeline};
-
-    let exec_with = |bounds: bool, pipe: Arc<dyn Pipeline>, prov: ProvenanceStore| {
-        Executor::with_provenance(
-            pipe,
-            ExecutorConfig {
-                bounds,
-                ..Default::default()
-            },
-            prov,
-        )
-    };
-
-    // Shortcut + Stacked Shortcut on the paper's Figure-1 pipeline.
-    let ml = Arc::new(MlPipeline::new());
-    let cp_f = ml.instance("Iris", "Gradient Boosting", 2.0);
-    let cp_g = ml.instance("Digits", "Decision Tree", 1.0);
-    let mut shortcut_reports = Vec::new();
-    let mut stacked_reports = Vec::new();
-    for bounds in [true, false] {
-        let exec = exec_with(bounds, ml.clone(), ml.table1_history());
-        shortcut_reports
-            .push(shortcut(&exec, &cp_f, &cp_g, &ShortcutConfig::default()).unwrap());
-        let exec = exec_with(bounds, ml.clone(), ml.table1_history());
-        stacked_reports.push(stacked_shortcut(&exec, &StackedConfig::default()).unwrap());
-    }
-    assert_eq!(
-        shortcut_reports[0], shortcut_reports[1],
-        "Shortcut diverged under pruning"
-    );
-    assert_eq!(
-        stacked_reports[0], stacked_reports[1],
-        "Stacked Shortcut diverged under pruning"
-    );
-
-    // DDT on synthetic pipelines across seeds and modes; a small epoch size
-    // exercises the frozen-epoch count tables, not just the tail.
-    let mut bounds_engaged = 0u64;
-    for seed in [11u64, 23, 47] {
-        let pipe = Arc::new(SyntheticPipeline::generate(
-            &SynthConfig {
-                scenario: CauseScenario::SingleConjunction,
-                n_params: (4, 5),
-                n_values: (3, 5),
-                ..SynthConfig::default()
-            },
-            seed,
-        ));
-        for mode in [DdtMode::FindOne, DdtMode::FindAll] {
-            let mut reports = Vec::new();
-            for bounds in [true, false] {
-                let seeds = pipe.seed_history(2, 6, 7);
-                let mut prov =
-                    ProvenanceStore::with_epoch_size(Pipeline::space(pipe.as_ref()).clone(), 64);
-                for (inst, eval) in &seeds {
-                    prov.record(inst.clone(), *eval);
-                }
-                let exec = exec_with(bounds, pipe.clone() as Arc<dyn Pipeline>, prov);
-                let config = DdtConfig {
-                    mode,
-                    ..DdtConfig::default()
-                };
-                reports.push(debugging_decision_trees(&exec, &config).unwrap());
-                if bounds {
-                    let stats = exec.stats();
-                    bounds_engaged += stats.bounds_short_circuits + stats.bounds_pruned_subtrees;
-                }
-            }
-            assert_eq!(
-                reports[0], reports[1],
-                "DDT diverged under pruning (seed={seed}, mode={mode:?})"
-            );
-        }
-    }
-    assert!(
-        bounds_engaged > 0,
-        "differential is vacuous: bounds never decided a query"
-    );
-
-    // Group testing: an admissible candidate-superset bound never changes
-    // the identified defective set.
-    let corrupt = [5usize, 17, 40];
-    let mut plain_oracle = CorruptRecordOracle::new(corrupt);
-    let plain = find_defective_elements(64, &mut plain_oracle, &GroupTestConfig::default());
-    let mut oracle = CorruptRecordOracle::new(corrupt);
-    let bound = CandidateSetBound::new([5usize, 9, 17, 40, 41]);
-    let bounded =
-        find_defective_elements_bounded(64, &mut oracle, &bound, &GroupTestConfig::default());
-    assert_eq!(
-        bounded.defective, plain.defective,
-        "group testing diverged under pruning"
-    );
-    assert!(bounded.tests_used <= plain.tests_used);
-    assert!(bounded.pruned_tests > 0, "candidate bound pruned nothing");
 }
