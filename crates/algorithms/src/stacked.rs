@@ -135,11 +135,10 @@ pub fn stacked_shortcut_from(
     // against the final history before taking the union; components with no
     // succeeding superset individually guarantee the union has none either
     // (an instance satisfying the union satisfies every component). One
-    // epoch-major batched call replaces N independent store round-trips.
-    let refuted =
-        exec.with_provenance_ref(|prov| prov.succeeding_superset_exists_many(&components));
-    let mut keep = refuted.iter().map(|&r| !r);
-    components.retain(|_| keep.next().unwrap_or(false));
+    // read lock covers every component's check.
+    exec.with_provenance_ref(|prov| {
+        components.retain(|c| !prov.succeeding_superset_exists(c));
+    });
     let cause = if components.is_empty() {
         None
     } else {

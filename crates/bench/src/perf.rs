@@ -286,8 +286,8 @@ pub fn bench_hot_paths(c: &mut Criterion) {
     });
 
     // Raw kernel probe: fused AND+popcount over two 1 024-word (64k-bit)
-    // operands — the widest single primitive the epoch scans and outcome
-    // counts lean on, measured without any index structure around it.
+    // operands — the primitive behind every `support` count, measured
+    // without any index structure around it.
     let ka: Vec<u64> = (0..1024u64)
         .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .collect();

@@ -1,12 +1,12 @@
-//! A dense bitset over run indices — the backbone of the provenance store's
-//! inverted index.
+//! A dense bitset over run indices — the provenance store's outcome sets
+//! (which runs failed, which succeeded).
 //!
 //! Each `RunSet` is a vector of 64-bit words; run `i` lives at bit
-//! `i % 64` of word `i / 64`. Predicate evaluation over the run log becomes
-//! bitwise AND/OR + popcount over these words instead of per-run
-//! interpretation (see `provenance.rs` for the index layout). The word
-//! loops are the chunked kernels of [`crate::kernels`], shared with the
-//! provenance store's epoch scans.
+//! `i % 64` of word `i / 64`, the layout of every row of the store's value
+//! index (see `provenance.rs`), so a query's satisfying runs AND and
+//! popcount straight against these words. The word loops are the chunked
+//! kernels of [`crate::kernels`], shared with the provenance store's
+//! value-index scans.
 
 use crate::kernels;
 

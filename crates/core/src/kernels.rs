@@ -1,10 +1,10 @@
 //! Chunked word kernels for the bitset query substrate.
 //!
-//! Every hot query in the provenance store — predicate OR-accumulation over
-//! frozen epoch blocks, conjunction ANDs, support popcounts — reduces to a
-//! handful of slice primitives over `&[u64]`. They live here so `RunSet`
-//! and `ProvenanceStore`'s epoch scans share one set of loops tuned for the
-//! autovectorizer instead of ad-hoc copies.
+//! Every hot query in the provenance store — the OR of a predicate's value
+//! rows, the AND across a conjunction's predicates, support popcounts —
+//! reduces to a handful of slice primitives over `&[u64]`. They live here so
+//! `RunSet` and `ProvenanceStore`'s value-index scans share one set of loops
+//! tuned for the autovectorizer instead of ad-hoc copies.
 //!
 //! # Autovectorization contract
 //!
@@ -27,37 +27,13 @@
 //!
 //! The multi-source kernels ([`or_multi_into`], [`and_or_multi_into`])
 //! additionally require every source to be at least as long as the
-//! destination — they serve the epoch scans, where every value row is at
-//! least the scanned window long — and fuse the OR-accumulate with the
-//! consuming AND so the destination is written in a single pass, instead
-//! of materializing the OR and re-reading it.
-//!
-//! The *term* kernels ([`or_terms_into`], [`and_terms_into`]) consume the
-//! store's prefix-OR epoch encoding:
-//! their operand is a union of plain rows plus `hi & !lo` difference pairs
-//! of cumulative rows, which is how a contiguous range of values reads out
-//! of a prefix-encoded block. Same ≥-length source contract.
+//! destination — they serve the value-index scans, where every value row
+//! is at least the scanned window long — and fuse the OR-accumulate with
+//! the consuming AND so the destination is written in a single pass,
+//! instead of materializing the OR and re-reading it.
 
 /// Words per vectorized chunk; see the module docs for the rationale.
 pub const CHUNK: usize = 4;
-
-/// `dst[i] |= src[i]` over the common prefix (`min(dst.len(), src.len())`).
-#[inline]
-pub fn or_into(dst: &mut [u64], src: &[u64]) {
-    let n = dst.len().min(src.len());
-    let (dst, src) = (&mut dst[..n], &src[..n]);
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut s = src.chunks_exact(CHUNK);
-    for (d4, s4) in d.by_ref().zip(s.by_ref()) {
-        d4[0] |= s4[0];
-        d4[1] |= s4[1];
-        d4[2] |= s4[2];
-        d4[3] |= s4[3];
-    }
-    for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *d |= s;
-    }
-}
 
 /// Total set bits in `a`.
 #[inline]
@@ -203,102 +179,12 @@ pub fn and_or_multi_into(acc: &mut [u64], srcs: &[&[u64]]) {
     }
 }
 
-/// One chunk of the union `U = ∪ full ∪ (hi \ lo)` of a term list: plain
-/// sources OR'd whole, difference pairs contributing `hi & !lo`. The shape
-/// the prefix-OR epoch encoding produces — a predicate's satisfying values
-/// are a union of ≤ 2 contiguous value ranges, each range being either one
-/// prefix row (`full`, range starting at value 0) or a `hi & !lo` pair of
-/// prefix rows — so the term kernels below evaluate a whole predicate from
-/// 1–4 row reads regardless of how many values it allows.
-#[inline(always)]
-fn union_chunk(full: &[&[u64]], diff: &[(&[u64], &[u64])], i: usize) -> [u64; CHUNK] {
-    let mut m = [0u64; CHUNK];
-    for src in full {
-        let s4 = &src[i..i + CHUNK];
-        m[0] |= s4[0];
-        m[1] |= s4[1];
-        m[2] |= s4[2];
-        m[3] |= s4[3];
-    }
-    for (hi, lo) in diff {
-        let h4 = &hi[i..i + CHUNK];
-        let l4 = &lo[i..i + CHUNK];
-        m[0] |= h4[0] & !l4[0];
-        m[1] |= h4[1] & !l4[1];
-        m[2] |= h4[2] & !l4[2];
-        m[3] |= h4[3] & !l4[3];
-    }
-    m
-}
-
-/// One remainder word of the same union.
-#[inline(always)]
-fn union_word(full: &[&[u64]], diff: &[(&[u64], &[u64])], j: usize) -> u64 {
-    let mut m = 0u64;
-    for src in full {
-        m |= src[j];
-    }
-    for (hi, lo) in diff {
-        m |= hi[j] & !lo[j];
-    }
-    m
-}
-
-/// `dst = (∪ full) ∪ (∪ hi \ lo)`, overwriting `dst` in one pass. Every
-/// source (plain or pair member) must be at least `dst.len()` words long;
-/// empty term lists clear `dst`.
-#[inline]
-pub fn or_terms_into(dst: &mut [u64], full: &[&[u64]], diff: &[(&[u64], &[u64])]) {
-    if diff.is_empty() {
-        return or_multi_into(dst, full);
-    }
-    let mut i = 0;
-    let mut chunks = dst.chunks_exact_mut(CHUNK);
-    for d4 in chunks.by_ref() {
-        let m = union_chunk(full, diff, i);
-        d4[0] = m[0];
-        d4[1] = m[1];
-        d4[2] = m[2];
-        d4[3] = m[3];
-        i += CHUNK;
-    }
-    for (k, d) in chunks.into_remainder().iter_mut().enumerate() {
-        *d = union_word(full, diff, i + k);
-    }
-}
-
-/// `acc &= (∪ full) ∪ (∪ hi \ lo)` — the AND-of-union step of conjunction
-/// evaluation against prefix-encoded rows, fused so the union is never
-/// materialized. Same operand contract as [`or_terms_into`].
-#[inline]
-pub fn and_terms_into(acc: &mut [u64], full: &[&[u64]], diff: &[(&[u64], &[u64])]) {
-    if diff.is_empty() {
-        return and_or_multi_into(acc, full);
-    }
-    let mut i = 0;
-    let mut chunks = acc.chunks_exact_mut(CHUNK);
-    for a4 in chunks.by_ref() {
-        let m = union_chunk(full, diff, i);
-        a4[0] &= m[0];
-        a4[1] &= m[1];
-        a4[2] &= m[2];
-        a4[3] &= m[3];
-        i += CHUNK;
-    }
-    for (k, a) in chunks.into_remainder().iter_mut().enumerate() {
-        *a &= union_word(full, diff, i + k);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn or_and_clamp_to_shorter_operand() {
-        let mut d = vec![1u64, 2, 4];
-        or_into(&mut d, &[0xF0, 0x0F]);
-        assert_eq!(d, vec![0xF1, 0x0F, 4]);
         // The AND kernels read missing words as 0.
         assert_eq!(and_popcount(&[u64::MAX; 3], &[0x3, 0x5]), 4);
         assert!(!and_any(&[0, 0, 1], &[u64::MAX, u64::MAX]));
@@ -336,31 +222,5 @@ mod tests {
         assert!(is_zero(&dst));
         and_or_multi_into(&mut acc, &[]);
         assert!(is_zero(&acc));
-    }
-
-    #[test]
-    fn term_kernels_union_full_rows_and_differences() {
-        // Prefix rows of a 3-value domain: lo ⊂ mid ⊂ hi.
-        let lo = vec![0b001u64; 9];
-        let mid = vec![0b011u64; 9];
-        let hi = vec![0b111u64; 9];
-        // Range [1, 2] = hi \ lo, plus the full range [0, 0] = lo.
-        let full: Vec<&[u64]> = vec![&lo];
-        let diff: Vec<(&[u64], &[u64])> = vec![(&hi, &lo)];
-        let mut dst = vec![u64::MAX; 9];
-        or_terms_into(&mut dst, &full, &diff);
-        assert_eq!(dst, vec![0b111u64; 9]);
-        or_terms_into(&mut dst, &[], &diff);
-        assert_eq!(dst, vec![0b110u64; 9], "difference alone");
-        or_terms_into(&mut dst, &[], &[(&mid, &lo)]);
-        assert_eq!(dst, vec![0b010u64; 9], "single-value range [1, 1]");
-        let mut acc = vec![0b101u64; 9];
-        and_terms_into(&mut acc, &[], &diff);
-        assert_eq!(acc, vec![0b100u64; 9]);
-        let mut acc = vec![0b101u64; 9];
-        and_terms_into(&mut acc, &full, &diff);
-        assert_eq!(acc, vec![0b101u64; 9], "full row and difference together");
-        or_terms_into(&mut dst, &[], &[]);
-        assert!(is_zero(&dst), "empty terms clear");
     }
 }

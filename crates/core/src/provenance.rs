@@ -21,24 +21,13 @@
 //!   [`FxHasher`](crate::FxHasher)) to its run index. Lookup of an instance
 //!   that carries its own key ([`Instance::dense_key`]) hashes a handful of
 //!   `u32`s — no `Value` hashing, no instance cloning.
-//! * **Epoch-segmented (parameter, value) run bitsets** — the run log is cut
-//!   into fixed-size *epochs* of [`ProvenanceStore::epoch_runs`] runs. Each
-//!   epoch owns one flat block of bit words, with value `(p, v)`'s row
-//!   at `block[(offsets[p] + v) * epoch_words ..]`. The *in-progress* epoch
-//!   stores raw rows (run `r` sets one bit per parameter); when an epoch
-//!   fills, freezing converts its rows in place to **cumulative prefix-ORs**
-//!   (row `v` = raw rows `0..=v` OR'd). In a frozen block any predicate's
-//!   satisfying runs are a union of at most two contiguous value ranges —
-//!   `=`/`≤`/`>`/`≠` all reduce to ranges over the domain order — and a
-//!   range `[lo, hi]` reads out as `prefix[hi] & !prefix[lo-1]` (just
-//!   `prefix[hi]` when `lo = 0`): 1–4 row reads per predicate regardless of
-//!   domain size. A conjunction ANDs those unions across its predicates via
-//!   the fused [`kernels`] — so [`support`](ProvenanceStore::support) and
-//!   [`succeeding_superset_exists`](ProvenanceStore::succeeding_superset_exists)
-//!   are word-parallel bit operations over the log instead of per-run
-//!   predicate interpretation, and an epoch whose accumulator goes empty is
-//!   skipped wholesale. Every full epoch keeps its block for the life of
-//!   the store.
+//! * **(parameter, value) run bitsets** — one flat, row-major block of bit
+//!   words over the whole log, one row per `(p, v)` pair: row
+//!   `offsets[p] + v` holds bit `r` for every run `r` whose parameter `p`
+//!   has value `v`, so recording a run sets one bit per parameter. Every
+//!   row has the same capacity in words; when the run at index
+//!   `64 · capacity` arrives, the block is copied into one with twice the
+//!   capacity, so growth costs amortized O(1) words per run.
 //! * **Overflow list** — instances whose values fall outside their declared
 //!   domains (possible via the unchecked [`Instance::new`]) cannot be
 //!   encoded; they are tracked in `overflow` and handled by the original
@@ -47,12 +36,17 @@
 //!
 //! # Query paths
 //!
-//! Every query runs on the calling thread and is one exact scan. A
-//! conjunction is resolved once into a per-predicate plan of value ranges.
-//! The superset check is one epoch-major scan over a batch of causes —
-//! overflow runs, then the in-progress epoch, then the frozen epochs — each
-//! cause dropping out at its first succeeding match; the scalar check is a
-//! batch of one. [`support`](ProvenanceStore::support) counts every epoch.
+//! Every query runs on the calling thread and is one exact scan over the
+//! filled words of the rows it reads. A conjunction is resolved once into a
+//! per-predicate plan of value ranges — `=`/`≤`/`>`/`≠` all reduce to at
+//! most two contiguous ranges of the domain order. Its satisfying runs are
+//! the OR of each predicate's allowed rows, ANDed across predicates by the
+//! fused [`kernels`], so [`support`](ProvenanceStore::support) and
+//! [`succeeding_superset_exists`](ProvenanceStore::succeeding_superset_exists)
+//! are word-parallel bit operations over the log instead of per-run
+//! predicate interpretation. `support` popcounts that set against the
+//! outcome bitsets; the superset check first tries the overflow runs
+//! interpretively, then tests the set against the succeeding runs.
 
 use crate::bitset::RunSet;
 use crate::cause::Conjunction;
@@ -63,7 +57,6 @@ use crate::outcome::{EvalResult, Outcome};
 use crate::param::{Domain, ParamSpace};
 use crate::predicate::{Comparator, Predicate};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Open-addressing index from dense instance keys to run indices.
@@ -230,29 +223,6 @@ impl KeyIndex {
     }
 }
 
-/// Default runs per epoch of the segmented value index (see the module
-/// docs). Sized so the expensive part of a query — the raw-row scan of the
-/// in-progress epoch — stays a few words per value row, while frozen
-/// (prefix-encoded) epochs answer predicates in 1–4 row reads each.
-pub const DEFAULT_EPOCH_RUNS: usize = 1024;
-
-/// Epochs (full + in-progress) visited by the exact scans, updated by
-/// `support` and `succeeding_superset_exists` (an atomic, so `&self`
-/// queries can count). Cloning a store snapshots the current value.
-#[derive(Debug, Default)]
-struct QueryStats {
-    epochs_scanned: AtomicU64,
-}
-
-impl Clone for QueryStats {
-    // lint: allow(W004, reason = "relaxed load of a monotonic telemetry counter; a clone is a point-in-time diagnostic snapshot, not a synchronization point", scope = "block")
-    fn clone(&self) -> Self {
-        QueryStats {
-            epochs_scanned: AtomicU64::new(self.epochs_scanned.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 /// A predicate's allowed value indices as maximal contiguous inclusive
 /// `[lo, hi]` ranges, ascending. Every comparator's extension over a domain
 /// is at most two ranges — equality is a point, its complement two pieces,
@@ -293,30 +263,12 @@ impl Ranges {
     }
 }
 
-/// One predicate of a conjunction, resolved against the store's index
-/// layout: its flat-index base and its allowed values as contiguous ranges.
-/// In a frozen (prefix-encoded) block a range `[lo, hi]` is the term
-/// `prefix[hi] & !prefix[lo-1]` (just `prefix[hi]` when `lo = 0`); in the
-/// raw current block it is an OR over rows `lo..=hi`.
+/// One predicate of a conjunction, resolved against the value index: the
+/// row of its parameter's first value and its allowed values as contiguous
+/// ranges, a range `[lo, hi]` standing for rows `base + lo ..= base + hi`.
 struct PredPlan {
     base: usize,
     ranges: Ranges,
-}
-
-/// Reusable scratch for the per-predicate term slices of frozen-epoch scans
-/// (borrowed prefix rows of the epoch block under evaluation).
-#[derive(Default)]
-struct TermScratch<'s> {
-    full: Vec<&'s [u64]>,
-    diff: Vec<(&'s [u64], &'s [u64])>,
-}
-
-/// `words[at..]`, or empty when `at` is past the end — the outcome-bitset
-/// window of an epoch (outcome sets stop growing at the last run of their
-/// kind, so an epoch's window may be short or absent).
-#[inline]
-fn words_from(words: &[u64], at: usize) -> &[u64] {
-    words.get(at..).unwrap_or(&[])
 }
 
 /// One recorded execution.
@@ -347,27 +299,14 @@ pub struct ProvenanceStore {
     runs: Vec<Run>,
     /// Dense instance encoding → run index (no instance clone stored).
     by_key: KeyIndex,
-    /// Start of parameter `p`'s slice of the flat value index.
+    /// Row of parameter `p`'s first value in the value index.
     offsets: Vec<u32>,
-    /// Total `(parameter, value)` slots — `offsets.last() + last domain len`.
-    total_values: u32,
-    /// Runs per epoch (a multiple of 64, so epochs are word-aligned).
-    epoch_runs: usize,
-    /// Words per value per epoch: `epoch_runs / 64`.
-    epoch_words: usize,
-    /// Value-bit blocks of *completed* epochs (`total_values * epoch_words`
-    /// words each, prefix-OR encoded — see the module docs — and frozen from
-    /// `current` when the epoch fills).
-    blocks: Vec<Box<[u64]>>,
-    /// The in-progress epoch's *raw* value rows, one flat pre-zeroed block
-    /// in the same `(offsets[p] + v) * epoch_words` layout as a frozen
-    /// block: recording a run is one `|=` per parameter, and freezing is a
-    /// move plus the in-place prefix conversion.
-    current: Vec<u64>,
-    /// Runs in the in-progress epoch — always `runs.len() % epoch_runs`,
-    /// carried as a counter so the record hot path never divides by the
-    /// (runtime-chosen, not necessarily power-of-two) epoch size.
-    tail_runs: usize,
+    /// The value index: one row of `cap` words per `(parameter, value)`
+    /// pair, row-major, row `offsets[p] + v` at `bits[row * cap..]`.
+    bits: Vec<u64>,
+    /// Words per row of `bits`: at least 1, and always at least
+    /// `runs.len().div_ceil(64)`, so every recorded run has its bit column.
+    cap: usize,
     /// Runs that failed.
     fail_bits: RunSet,
     /// Runs that succeeded.
@@ -376,31 +315,16 @@ pub struct ProvenanceStore {
     /// values); they are absent from `by_key`/the value index and served by
     /// the interpretive fallback paths.
     overflow: Vec<u32>,
-    /// Scan coverage (see [`epochs_scanned`](Self::epochs_scanned)).
-    query_stats: QueryStats,
 }
 
 impl ProvenanceStore {
-    /// An empty history over a space, with the default epoch size
-    /// ([`DEFAULT_EPOCH_RUNS`]).
+    /// An empty history over a space.
     pub fn new(space: Arc<ParamSpace>) -> Self {
-        ProvenanceStore::with_epoch_size(space, DEFAULT_EPOCH_RUNS)
-    }
-
-    /// An empty history whose value index is segmented into epochs of
-    /// `epoch_runs` runs. `epoch_runs` must be a non-zero multiple of 64
-    /// (epochs are word-aligned). Small epochs freeze sooner at the price
-    /// of more per-epoch bookkeeping.
-    pub fn with_epoch_size(space: Arc<ParamSpace>, epoch_runs: usize) -> Self {
-        assert!(
-            epoch_runs > 0 && epoch_runs % 64 == 0,
-            "epoch size must be a non-zero multiple of 64, got {epoch_runs}"
-        );
         let mut offsets = Vec::with_capacity(space.len());
-        let mut total = 0u32;
+        let mut rows = 0u32;
         for p in space.ids() {
-            offsets.push(total);
-            total += space.domain(p).len() as u32;
+            offsets.push(rows);
+            rows += space.domain(p).len() as u32;
         }
         let arity = space.len();
         ProvenanceStore {
@@ -408,54 +332,32 @@ impl ProvenanceStore {
             runs: Vec::new(),
             by_key: KeyIndex::new(arity),
             offsets,
-            total_values: total,
-            epoch_runs,
-            epoch_words: epoch_runs / 64,
-            blocks: Vec::new(),
-            current: vec![0u64; total as usize * (epoch_runs / 64)],
-            tail_runs: 0,
+            bits: vec![0u64; rows as usize],
+            cap: 1,
             fail_bits: RunSet::new(),
             succeed_bits: RunSet::new(),
             overflow: Vec::new(),
-            query_stats: QueryStats::default(),
         }
     }
 
-    /// How many epochs (full + in-progress) the exact scans have visited in
-    /// total: each scan counts the whole log, early exits included.
-    pub fn epochs_scanned(&self) -> u64 {
-        // Relaxed load: diagnostic counter only, no ordering with queries.
-        self.query_stats.epochs_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Counts `scans` exact scans over the whole log in `epochs_scanned`.
-    fn note_scans(&self, scans: usize) {
-        let epochs = self.blocks.len() + usize::from(self.tail_runs != 0);
-        // Relaxed increment: telemetry only, never read for control flow.
-        self.query_stats
-            .epochs_scanned
-            .fetch_add((scans * epochs) as u64, Ordering::Relaxed);
-    }
-
-    /// Freezes the just-completed epoch: moves the flat `current` block out
-    /// (a fresh zeroed block replaces it) and converts each parameter's raw
-    /// value rows to cumulative prefix-ORs in place (row `v` |= row `v-1`,
-    /// ascending — the frozen-block query encoding). Called exactly when
-    /// `runs.len()` reaches an epoch boundary.
-    // lint: allow(W003, reason = "block is allocated as total_values * epoch_words, and every index is (base + v) with v < domain.len() in offsets layout, so all slices exist by construction", scope = "block")
-    fn freeze_current_epoch(&mut self) {
-        let w = self.epoch_words;
-        let total = self.total_values as usize;
-        let mut block = std::mem::replace(&mut self.current, vec![0u64; total * w]).into_boxed_slice();
-        for (p, &base) in self.space.ids().zip(&self.offsets) {
-            let len = self.space.domain(p).len();
-            for v in 1..len {
-                let at = (base as usize + v) * w;
-                let (head, tail) = block.split_at_mut(at);
-                kernels::or_into(&mut tail[..w], &head[at - w..]);
-            }
+    /// Doubles the words per row of the value index: each row is copied
+    /// into a block with twice the capacity, its new words zeroed.
+    fn grow_rows(&mut self) {
+        let mut bits = Vec::with_capacity(self.bits.len() * 2);
+        for row in self.bits.chunks_exact(self.cap) {
+            bits.extend_from_slice(row);
+            bits.resize(bits.len() + self.cap, 0);
         }
-        self.blocks.push(block);
+        self.bits = bits;
+        self.cap *= 2;
+    }
+
+    /// The first `words` words of value-index row `row`.
+    // lint: allow(W003, reason = "row = offsets[p] + v with v below p's domain length, so it is one of the block's rows; callers pass words = runs.len().div_ceil(64), which finish_record keeps <= cap by growing the block before run 64 * cap", scope = "block")
+    #[inline]
+    fn row(&self, row: usize, words: usize) -> &[u64] {
+        let at = row * self.cap;
+        &self.bits[at..at + words]
     }
 
     /// Run index of an unencodable instance, by value equality.
@@ -552,90 +454,30 @@ impl ProvenanceStore {
             .collect()
     }
 
-    /// Computes full epoch `e`'s satisfying-run words into `acc`
-    /// (`acc.len() == epoch_words`; `scratch` is reusable scratch for the
-    /// per-predicate term slices): an AND-of-unions over its prefix-encoded
-    /// block via the fused term [`kernels`] — each predicate costs 1–4 row
-    /// reads, however many values it allows. On return `acc` always holds
-    /// the exact epoch words (all zero when the epoch has no match); the
-    /// return value is `false` iff no run in the epoch satisfies.
-    // lint: allow(W003, reason = "e < blocks.len() at every call site, and frozen-block rows are (base + value) * epoch_words slices of a block allocated at that exact size", scope = "block")
-    fn epoch_acc_into<'s>(
-        &'s self,
-        e: usize,
-        preds: &[PredPlan],
-        scratch: &mut TermScratch<'s>,
-        acc: &mut [u64],
-    ) -> bool {
-        let w = self.epoch_words;
-        debug_assert_eq!(acc.len(), w);
-        let words = &self.blocks[e];
-        for (pi, p) in preds.iter().enumerate() {
-            scratch.full.clear();
-            scratch.diff.clear();
+    /// The runs satisfying a planned non-empty conjunction, as a bitset of
+    /// the log's filled words (`runs.len().div_ceil(64)`): per predicate the
+    /// OR of the rows it allows, ANDed across predicates by the fused
+    /// [`kernels`]. `None` when no run satisfies; the AND stops at the
+    /// first predicate that empties it.
+    fn matching_runs(&self, preds: &[PredPlan]) -> Option<Vec<u64>> {
+        let words = self.runs.len().div_ceil(64);
+        let mut acc = vec![0u64; words];
+        let mut rows: Vec<&[u64]> = Vec::new();
+        for (i, p) in preds.iter().enumerate() {
+            rows.clear();
             for &(lo, hi) in p.ranges.as_slice() {
-                let hi_row = (p.base + hi as usize) * w;
-                if lo == 0 {
-                    scratch.full.push(&words[hi_row..hi_row + w]);
-                } else {
-                    let lo_row = (p.base + lo as usize - 1) * w;
-                    scratch
-                        .diff
-                        .push((&words[hi_row..hi_row + w], &words[lo_row..lo_row + w]));
-                }
+                rows.extend((lo as usize..=hi as usize).map(|v| self.row(p.base + v, words)));
             }
-            if pi == 0 {
-                kernels::or_terms_into(acc, &scratch.full, &scratch.diff);
+            if i == 0 {
+                kernels::or_multi_into(&mut acc, &rows);
             } else {
-                kernels::and_terms_into(acc, &scratch.full, &scratch.diff);
+                kernels::and_or_multi_into(&mut acc, &rows);
             }
-            if kernels::is_zero(acc) {
-                return false;
+            if kernels::is_zero(&acc) {
+                return None;
             }
         }
-        true
-    }
-
-    /// The in-progress epoch's satisfying-run words, into `acc`
-    /// (`acc.len() ==` the epoch's filled word count): an AND-of-ORs over
-    /// the raw value rows of the flat `current` block — raw because the
-    /// prefix conversion only happens at freeze, so here every allowed
-    /// value's row is OR'd, sliced to the filled words. Same contract as
-    /// [`epoch_acc_into`](Self::epoch_acc_into).
-    // lint: allow(W003, reason = "current is allocated as total_values * epoch_words and acc.len() is the filled word count <= epoch_words, so every (base + vi) * w row slice is in bounds", scope = "block")
-    fn current_acc_into(&self, preds: &[PredPlan], acc: &mut [u64]) -> bool {
-        let w = self.epoch_words;
-        let used = acc.len();
-        let mut srcs: Vec<&[u64]> = Vec::new();
-        for (pi, p) in preds.iter().enumerate() {
-            srcs.clear();
-            for &(lo, hi) in p.ranges.as_slice() {
-                srcs.extend((lo as usize..=hi as usize).map(|vi| {
-                    let base = (p.base + vi) * w;
-                    &self.current[base..base + used]
-                }));
-            }
-            if pi == 0 {
-                kernels::or_multi_into(acc, &srcs);
-            } else {
-                kernels::and_or_multi_into(acc, &srcs);
-            }
-            if kernels::is_zero(acc) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// `(failing, succeeding)` counts of the runs in `acc`'s word window
-    /// starting at word `at` of the log — fused AND+popcount against the
-    /// outcome bitsets, clamped to `acc`'s length.
-    #[inline]
-    fn outcome_counts_at(&self, at: usize, acc: &[u64]) -> (usize, usize) {
-        (
-            kernels::and_popcount(acc, words_from(self.fail_bits.words(), at)),
-            kernels::and_popcount(acc, words_from(self.succeed_bits.words(), at)),
-        )
+        Some(acc)
     }
 
     /// A history pre-seeded with given runs (the paper's "previously run
@@ -671,8 +513,7 @@ impl ProvenanceStore {
     /// The map key is the instance's dense encoding (4 bytes per parameter),
     /// not a clone of the instance; the bitset index is updated in the same
     /// pass.
-    // lint: allow(W001, reason = "per-record single-bit insert into the current epoch block, one bit per parameter -- not a bulk word-granularity scan", scope = "block")
-    // lint: allow(W003, reason = "probe/overflow_find only return indices of runs already pushed; the expects state the Instance invariant that a dense key and its fingerprint travel together; current rows are (offset + value) * epoch_words slices of a block sized exactly so", scope = "block")
+    // lint: allow(W003, reason = "probe/overflow_find only return indices of runs already pushed; the expects state the Instance invariant that a dense key and its fingerprint travel together", scope = "block")
     pub fn record(&mut self, mut instance: Instance, eval: EvalResult) -> bool {
         // Resolve the dense key without cloning: a carried key is borrowed
         // straight through probe and index insert (the hot path allocates
@@ -725,15 +566,7 @@ impl ProvenanceStore {
                 }
                 Err(slot) => slot,
             };
-            let idx = self.runs.len();
-            let in_epoch = self.tail_runs;
-            debug_assert_eq!(in_epoch, idx % self.epoch_runs);
-            let (word, bit) = (in_epoch / 64, 1u64 << (in_epoch % 64));
-            let w = self.epoch_words;
-            for (&off, &vi) in self.offsets.iter().zip(key) {
-                self.current[(off as usize + vi as usize) * w + word] |= bit;
-            }
-            self.by_key.insert_at(slot, fp, idx as u32, key);
+            self.by_key.insert_at(slot, fp, self.runs.len() as u32, key);
         }
         if let Some(k) = encoded {
             instance.set_dense(k);
@@ -741,20 +574,28 @@ impl ProvenanceStore {
         self.finish_record(instance, eval)
     }
 
-    /// The shared tail of [`record`](Self::record): outcome bits, the run
-    /// log append, and the epoch-boundary freeze. Always returns `true`.
+    /// The shared tail of [`record`](Self::record): the value-index bits
+    /// (an encodable instance carries its dense key by now; an overflow one
+    /// has none), outcome bits and the run log append. The block grows
+    /// first when the run would not fit. Always returns `true`.
+    // lint: allow(W001, reason = "per-record single-bit insert into the value index, one bit per parameter -- not a bulk word-granularity scan", scope = "block")
+    // lint: allow(W003, reason = "each key entry v is below its parameter's domain length, so offsets[p] + v is a row of the block, and idx / 64 < cap once the block has grown for idx", scope = "block")
     fn finish_record(&mut self, instance: Instance, eval: EvalResult) -> bool {
         let idx = self.runs.len();
+        if idx == 64 * self.cap {
+            self.grow_rows();
+        }
+        if let Some(key) = instance.dense_key() {
+            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+            for (&off, &v) in self.offsets.iter().zip(key) {
+                self.bits[(off as usize + v as usize) * self.cap + word] |= bit;
+            }
+        }
         match eval.outcome {
             Outcome::Fail => self.fail_bits.insert(idx),
             Outcome::Succeed => self.succeed_bits.insert(idx),
         }
         self.runs.push(Run { instance, eval });
-        self.tail_runs += 1;
-        if self.tail_runs == self.epoch_runs {
-            self.freeze_current_epoch();
-            self.tail_runs = 0;
-        }
         true
     }
 
@@ -771,11 +612,6 @@ impl ProvenanceStore {
     /// All runs, in recording order.
     pub fn runs(&self) -> &[Run] {
         &self.runs
-    }
-
-    /// Runs per epoch of the segmented value index.
-    pub fn epoch_runs(&self) -> usize {
-        self.epoch_runs
     }
 
     /// The recorded evaluation of an instance, if it was executed.
@@ -888,108 +724,39 @@ impl ProvenanceStore {
 
     /// The Shortcut sanity check (Algorithm 1, final loop): is there a
     /// *succeeding* run whose parameter-values are a superset of the
-    /// hypothetical root cause `D`? If so, `D` is not definitive. A batch of
-    /// one through the scan of
-    /// [`succeeding_superset_exists_many`](Self::succeeding_superset_exists_many).
+    /// hypothetical root cause `D`? If so, `D` is not definitive. Overflow
+    /// runs are checked first — a handful of interpretive checks, and a hit
+    /// skips planning — then the indexed runs' satisfying set against the
+    /// succeeding runs.
+    // lint: allow(W003, reason = "overflow only records indices of runs already pushed", scope = "block")
     pub fn succeeding_superset_exists(&self, cause: &Conjunction) -> bool {
-        let mut out = [false];
-        self.superset_scan(std::slice::from_ref(cause), &mut out);
-        out[0]
-    }
-
-    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists) for
-    /// a batch of candidate causes in one epoch-major scan. Results are
-    /// identical to calling the single-cause check once per cause.
-    pub fn succeeding_superset_exists_many(&self, causes: &[Conjunction]) -> Vec<bool> {
-        let mut out = vec![false; causes.len()];
-        self.superset_scan(causes, &mut out);
-        out
-    }
-
-    /// The one superset scan: sets `out[i]` (`out.len() == causes.len()`,
-    /// all `false` on entry) for every cause with a succeeding satisfying
-    /// run. Overflow runs go first — a handful of interpretive checks, and
-    /// a hit skips planning — then the in-progress epoch (most recent,
-    /// cheapest to scan), then the frozen epochs **epoch-major**: every
-    /// cause still pending is evaluated against a block while it is
-    /// cache-hot and drops out at its first succeeding intersection. The
-    /// satisfying set is never materialized.
-    // lint: allow(W003, reason = "plans hold positions below causes.len() == out.len(); overflow only records indices of runs already pushed; the tail window is at most epoch_words long, the length of acc", scope = "block")
-    fn superset_scan(&self, causes: &[Conjunction], out: &mut [bool]) {
-        debug_assert_eq!(causes.len(), out.len());
-        let mut plans: Vec<(usize, Vec<PredPlan>)> = Vec::new();
-        for (i, cause) in causes.iter().enumerate() {
-            if cause.is_empty() {
-                out[i] = !self.succeed_bits.is_empty();
-            } else if self.overflow.iter().any(|&r| {
-                let run = &self.runs[r as usize];
-                run.outcome().is_succeed() && cause.satisfied_by(&run.instance)
-            }) {
-                out[i] = true;
-            } else {
-                plans.push((i, self.plan_predicates(cause)));
-            }
+        if cause.is_empty() {
+            return !self.succeed_bits.is_empty();
         }
-        if plans.is_empty() {
-            return;
+        if self.overflow.iter().any(|&r| {
+            let run = &self.runs[r as usize];
+            run.outcome().is_succeed() && cause.satisfied_by(&run.instance)
+        }) {
+            return true;
         }
-        self.note_scans(plans.len());
-        let w = self.epoch_words;
-        let full = self.blocks.len();
-        let succeed = self.succeed_bits.words();
-        let mut acc = vec![0u64; w];
-        let tail = &mut acc[..self.tail_runs.div_ceil(64)];
-        if !tail.is_empty() {
-            let tail_succeed = words_from(succeed, full * w);
-            plans.retain(|(i, preds)| {
-                let hit = self.current_acc_into(preds, tail) && kernels::and_any(tail, tail_succeed);
-                out[*i] |= hit;
-                !hit
-            });
-        }
-        let mut scratch = TermScratch::default();
-        for e in 0..full {
-            if plans.is_empty() {
-                break;
-            }
-            let epoch_succeed = words_from(succeed, e * w);
-            plans.retain(|(i, preds)| {
-                let hit = self.epoch_acc_into(e, preds, &mut scratch, &mut acc)
-                    && kernels::and_any(&acc, epoch_succeed);
-                out[*i] |= hit;
-                !hit
-            });
-        }
+        self.matching_runs(&self.plan_predicates(cause))
+            .is_some_and(|acc| kernels::and_any(&acc, self.succeed_bits.words()))
     }
 
     /// Counts `(failing, succeeding)` runs satisfying a conjunction — fused
-    /// AND-of-ORs + popcount per epoch against the outcome bitsets, never
-    /// materializing the satisfying set.
-    // lint: allow(W003, reason = "overflow holds recorded run indices; the tail window is at most epoch_words long, the length of acc", scope = "block")
+    /// AND+popcount of the satisfying set against the outcome bitsets.
+    // lint: allow(W003, reason = "overflow holds recorded run indices", scope = "block")
     pub fn support(&self, cause: &Conjunction) -> (usize, usize) {
         if cause.is_empty() {
             return (self.num_failing(), self.num_succeeding());
         }
-        let preds = self.plan_predicates(cause);
-        self.note_scans(1);
-        let w = self.epoch_words;
-        let full = self.blocks.len();
-        let mut scratch = TermScratch::default();
-        let mut acc = vec![0u64; w];
-        let (mut f, mut s) = (0usize, 0usize);
-        for e in 0..full {
-            if self.epoch_acc_into(e, &preds, &mut scratch, &mut acc) {
-                let (ef, es) = self.outcome_counts_at(e * w, &acc);
-                f += ef;
-                s += es;
-            }
-        }
-        let tail = &mut acc[..self.tail_runs.div_ceil(64)];
-        if !tail.is_empty() && self.current_acc_into(&preds, tail) {
-            let (ef, es) = self.outcome_counts_at(full * w, tail);
-            f += ef;
-            s += es;
-        }
+        let (mut f, mut s) = match self.matching_runs(&self.plan_predicates(cause)) {
+            Some(acc) => (
+                kernels::and_popcount(&acc, self.fail_bits.words()),
+                kernels::and_popcount(&acc, self.succeed_bits.words()),
+            ),
+            None => (0, 0),
+        };
         for &i in &self.overflow {
             let run = &self.runs[i as usize];
             if cause.satisfied_by(&run.instance) {
@@ -1461,44 +1228,51 @@ mod tests {
         assert_eq!(p.support(&Conjunction::top()), (1, 2));
     }
 
+    /// `support` and `succeeding_superset_exists` against per-run
+    /// interpretation on a 300-run log, which crosses the value index's
+    /// capacity doublings at 64, 128 and 256 runs.
     #[test]
-    fn batched_superset_matches_exact_scalar() {
-        let (s, p) = epoch_store(100);
+    fn queries_match_per_run_interpretation() {
+        let s = ParamSpace::builder()
+            .ordinal("x", (0..16).collect::<Vec<_>>())
+            .ordinal("y", (0..8).collect::<Vec<_>>())
+            .categorical("z", ["a", "b", "c", "d"])
+            .build();
         let x = s.by_name("x").unwrap();
         let y = s.by_name("y").unwrap();
-        let causes: Vec<Conjunction> = (0..16)
+        let z = s.by_name("z").unwrap();
+        let mut p = ProvenanceStore::new(s.clone());
+        for inst in s.instances().take(300) {
+            let outcome = Outcome::from_check(inst.get(x) != &Value::from(3));
+            p.record(inst, EvalResult::of(outcome));
+        }
+        let causes = (0..16)
             .map(|v| {
                 let mut preds = vec![Predicate::eq(x, v as i64)];
                 if v % 3 == 0 {
                     preds.push(Predicate::new(y, crate::Comparator::Gt, (v % 8) as i64));
                 }
+                if v % 4 == 1 {
+                    preds.push(Predicate::new(z, crate::Comparator::Neq, "b"));
+                }
                 Conjunction::new(preds)
             })
-            .chain([Conjunction::top()])
-            .collect();
-        let batched = p.succeeding_superset_exists_many(&causes);
-        let scalar: Vec<bool> = causes
-            .iter()
-            .map(|c| p.succeeding_superset_exists(c))
-            .collect();
-        assert_eq!(batched, scalar);
-    }
-
-    /// Records the first `n` distinct instances of a 16×8 space (128 total,
-    /// so several 64-run epochs fill) through a store with 64-run epochs;
-    /// failing iff x == 3.
-    fn epoch_store(n: usize) -> (Arc<ParamSpace>, ProvenanceStore) {
-        let s = ParamSpace::builder()
-            .ordinal("x", (0..16).collect::<Vec<_>>())
-            .ordinal("y", (0..8).collect::<Vec<_>>())
-            .build();
-        let x = s.by_name("x").unwrap();
-        let mut p = ProvenanceStore::with_epoch_size(s.clone(), 64);
-        for inst in s.instances().take(n) {
-            let outcome = Outcome::from_check(inst.get(x) != &crate::Value::from(3));
-            p.record(inst, EvalResult::of(outcome));
+            .chain([
+                Conjunction::new(vec![Predicate::new(x, crate::Comparator::Le, 3i64)]),
+                Conjunction::top(),
+            ]);
+        for cause in causes {
+            let matching = || p.runs().iter().filter(|r| cause.satisfied_by(&r.instance));
+            let failing = matching().filter(|r| r.outcome().is_fail()).count();
+            let succeeding = matching().filter(|r| r.outcome().is_succeed()).count();
+            let shown = cause.display(&s).to_string();
+            assert_eq!(p.support(&cause), (failing, succeeding), "{shown}");
+            assert_eq!(
+                p.succeeding_superset_exists(&cause),
+                succeeding > 0,
+                "{shown}"
+            );
         }
-        (s, p)
     }
 
     #[test]

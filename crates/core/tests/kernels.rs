@@ -34,14 +34,6 @@ fn words(seed: u64, len: usize) -> Vec<u64> {
 // The scalar references: the semantics the chunked kernels must reproduce,
 // written with no chunking at all.
 
-fn ref_or(dst: &[u64], src: &[u64]) -> Vec<u64> {
-    let mut out = dst.to_vec();
-    for (d, s) in out.iter_mut().zip(src) {
-        *d |= s;
-    }
-    out
-}
-
 fn ref_and(dst: &[u64], src: &[u64]) -> Vec<u64> {
     let mut out = dst.to_vec();
     for (d, s) in out.iter_mut().zip(src) {
@@ -71,25 +63,9 @@ fn ref_or_multi(len: usize, srcs: &[&[u64]]) -> Vec<u64> {
         .collect()
 }
 
-/// Union of a term list — plain sources whole, difference pairs as
-/// `hi & !lo` — the operand shape of the prefix-row term kernels.
-fn ref_terms_union(len: usize, full: &[&[u64]], diff: &[(&[u64], &[u64])]) -> Vec<u64> {
-    (0..len)
-        .map(|i| {
-            let f = full.iter().fold(0u64, |m, s| m | s[i]);
-            diff.iter().fold(f, |m, (hi, lo)| m | (hi[i] & !lo[i]))
-        })
-        .collect()
-}
-
 /// Checks every kernel against its reference on one `(a, b)` operand pair.
 fn check_pair(a: &[u64], b: &[u64]) {
     let ctx = format!("lengths {}x{}", a.len(), b.len());
-
-    let mut d = a.to_vec();
-    kernels::or_into(&mut d, b);
-    assert_eq!(d, ref_or(a, b), "or_into {ctx}");
-
     assert_eq!(kernels::popcount(a), ref_popcount(a), "popcount {ctx}");
     assert_eq!(
         kernels::and_popcount(a, b),
@@ -98,16 +74,12 @@ fn check_pair(a: &[u64], b: &[u64]) {
     );
     assert_eq!(kernels::is_zero(a), ref_popcount(a) == 0, "is_zero {ctx}");
     assert_eq!(kernels::and_any(a, b), ref_and_any(a, b), "and_any {ctx}");
-    // The asymmetric kernel, with the operands swapped too.
-    let mut d = b.to_vec();
-    kernels::or_into(&mut d, a);
-    assert_eq!(d, ref_or(b, a), "or_into swapped {ctx}");
 }
 
 /// Checks the multi-source fused kernels on `n_srcs` sources over `len`
 /// destination words; sources are longer than the destination on purpose
-/// (the frozen-epoch rows are exactly `epoch_words`, but the kernels only
-/// require ≥).
+/// (value-index rows are at least the scanned window long, and the kernels
+/// only require ≥).
 fn check_multi(seed: u64, len: usize, n_srcs: usize) {
     let ctx = format!("len {len} x {n_srcs} srcs");
     let owned: Vec<Vec<u64>> = (0..n_srcs)
@@ -126,38 +98,6 @@ fn check_multi(seed: u64, len: usize, n_srcs: usize) {
     assert_eq!(acc, ref_and(&acc0, &union), "and_or_multi_into {ctx}");
 }
 
-/// Checks the term kernels (prefix-row unions of plain sources and
-/// `hi & !lo` difference pairs) on `n_full` + `n_diff` terms over `len`
-/// destination words; sources again deliberately longer than the
-/// destination.
-fn check_terms(seed: u64, len: usize, n_full: usize, n_diff: usize) {
-    let ctx = format!("len {len} x {n_full} full + {n_diff} diff");
-    let full_owned: Vec<Vec<u64>> = (0..n_full)
-        .map(|k| words(seed ^ (k as u64).wrapping_mul(0x51ed), len + (k % 3)))
-        .collect();
-    let diff_owned: Vec<(Vec<u64>, Vec<u64>)> = (0..n_diff)
-        .map(|k| {
-            let s = seed ^ (k as u64).wrapping_mul(0xd1ff);
-            (words(s, len + (k % 2)), words(s ^ 0x10, len + ((k + 1) % 3)))
-        })
-        .collect();
-    let full: Vec<&[u64]> = full_owned.iter().map(Vec::as_slice).collect();
-    let diff: Vec<(&[u64], &[u64])> = diff_owned
-        .iter()
-        .map(|(h, l)| (h.as_slice(), l.as_slice()))
-        .collect();
-    let union = ref_terms_union(len, &full, &diff);
-    let acc0 = words(seed ^ 0x7e45, len);
-
-    let mut dst = words(seed ^ 0xd57, len); // overwritten: contents must not matter
-    kernels::or_terms_into(&mut dst, &full, &diff);
-    assert_eq!(dst, union, "or_terms_into {ctx}");
-
-    let mut acc = acc0.clone();
-    kernels::and_terms_into(&mut acc, &full, &diff);
-    assert_eq!(acc, ref_and(&acc0, &union), "and_terms_into {ctx}");
-}
-
 /// Chunk-boundary sweep: every pairing of the lengths where the
 /// `chunks_exact` / remainder split changes shape.
 #[test]
@@ -172,11 +112,6 @@ fn boundary_lengths_crosswise() {
     for &len in &LENGTHS {
         for n_srcs in 0..4 {
             check_multi(len as u64 + 7, len, n_srcs);
-        }
-        for n_full in 0..3 {
-            for n_diff in 0..3 {
-                check_terms(len as u64 + 11, len, n_full, n_diff);
-            }
         }
     }
 }
@@ -204,18 +139,5 @@ proptest! {
         n_srcs in 0usize..6,
     ) {
         check_multi(seed, len, n_srcs);
-    }
-
-    /// The term kernels agree with union-then-consume composed from the
-    /// scalar references, for any mix of plain and difference terms
-    /// (including none of either).
-    #[test]
-    fn term_kernels_match_composition(
-        seed in any::<u64>(),
-        len in 0usize..140,
-        n_full in 0usize..4,
-        n_diff in 0usize..4,
-    ) {
-        check_terms(seed, len, n_full, n_diff);
     }
 }

@@ -119,12 +119,12 @@ pub struct ExecStats {
     /// Virtual time elapsed: the makespan of all executions scheduled on
     /// `workers` machines.
     pub sim_time: SimTime,
-    /// Total epochs visited by the provenance store's exact scans.
-    pub epochs_scanned: u64,
     // Fields kept only for the end-to-end benchmark (`e2ebench/`), which
     // compiles against them and is their only reader; ROADMAP direction 2's
     // benchmark step drops those reads and then deletes the fields. They
     // are not in `counter_fields`, so `STATS` and `METRICS` omit them.
+    /// Always 0.
+    pub epochs_scanned: u64,
     /// Always 0.
     pub parallel_epoch_queries: u64,
     /// Always 0.
@@ -148,7 +148,6 @@ impl ExecStats {
             unavailable: self.unavailable.saturating_sub(baseline.unavailable),
             budget_refusals: self.budget_refusals.saturating_sub(baseline.budget_refusals),
             sim_time: SimTime::from_secs((self.sim_time.secs() - baseline.sim_time.secs()).max(0.0)),
-            epochs_scanned: self.epochs_scanned.saturating_sub(baseline.epochs_scanned),
             ..ExecStats::default()
         }
     }
@@ -160,13 +159,12 @@ impl ExecStats {
     /// automatically surfaces it everywhere (and the wire-parity test
     /// fails if a renderer goes stale). `sim_time` is excluded: it is a
     /// duration, not a counter.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 5] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 4] {
         [
             ("new_executions", self.new_executions as u64),
             ("cache_hits", self.cache_hits as u64),
             ("unavailable", self.unavailable as u64),
             ("budget_refusals", self.budget_refusals as u64),
-            ("epochs_scanned", self.epochs_scanned),
         ]
     }
 }
@@ -199,8 +197,8 @@ impl AtomicStats {
             });
     }
 
-    /// Snapshot; `epochs_scanned` comes from the provenance store.
-    fn snapshot(&self, epochs_scanned: u64) -> ExecStats {
+    /// Snapshot of every counter.
+    fn snapshot(&self) -> ExecStats {
         ExecStats {
             new_executions: self.new_executions.load(Ordering::SeqCst),
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
@@ -209,7 +207,6 @@ impl AtomicStats {
             sim_time: SimTime::from_secs(f64::from_bits(
                 self.sim_time_bits.load(Ordering::SeqCst),
             )),
-            epochs_scanned,
             ..ExecStats::default()
         }
     }
@@ -464,10 +461,10 @@ impl Executor {
         self.stats.session_reserved.load(Ordering::SeqCst)
     }
 
-    /// Current statistics snapshot.
+    /// Current statistics snapshot, read from atomics alone: it never
+    /// waits on the provenance lock.
     pub fn stats(&self) -> ExecStats {
-        let epochs_scanned = self.provenance.read().epochs_scanned();
-        self.stats.snapshot(epochs_scanned)
+        self.stats.snapshot()
     }
 
     /// A snapshot of the current provenance.
@@ -1345,6 +1342,53 @@ mod tests {
         assert_eq!(delta.new_executions, 1);
         assert_eq!(delta.cache_hits, 1);
         assert_eq!(ExecStats::default().since(&exec.stats()), ExecStats::default());
+    }
+
+    /// `stats()` answers while a long reader holds the provenance lock and
+    /// a writer is queued behind it. std's `RwLock` makes new readers wait
+    /// for a queued writer, so a `stats()` that took the read lock would
+    /// stall until the long reader let go.
+    #[test]
+    fn stats_answer_while_a_writer_waits_on_the_provenance_lock() {
+        use std::sync::mpsc;
+        use std::thread;
+
+        let s = space();
+        let x = s.by_name("x").unwrap();
+        let (executing_tx, executing) = mpsc::channel();
+        let p = FnPipeline::new(s.clone(), move |i: &Instance| {
+            let _ = executing_tx.send(());
+            EvalResult::of(Outcome::from_check(i.get(x) != &Value::from(3)))
+        });
+        let exec = Executor::new(Arc::new(p), ExecutorConfig::default());
+        let (held_tx, held) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel::<()>();
+        thread::scope(|scope| {
+            let exec = &exec;
+            scope.spawn(move || {
+                exec.with_provenance_ref(|_| {
+                    held_tx.send(()).unwrap();
+                    let _ = release.recv();
+                })
+            });
+            held.recv().unwrap();
+            let writer = scope.spawn(|| exec.evaluate(&inst(&s, 1, 1)));
+            executing.recv().unwrap();
+            // The writer has run its pipeline and is on its way to the
+            // write lock; this pause lets it queue there. The check below
+            // passes however long the pause is: it is what makes a
+            // lock-taking `stats()` fail.
+            thread::sleep(Duration::from_millis(50));
+            let (answered_tx, answered) = mpsc::channel();
+            scope.spawn(move || {
+                let _ = answered_tx.send(exec.stats());
+            });
+            let stats = answered.recv_timeout(Duration::from_secs(1));
+            release_tx.send(()).unwrap();
+            assert!(stats.is_ok(), "stats() waited on the provenance lock");
+            assert_eq!(writer.join().unwrap(), Ok(Outcome::Succeed));
+        });
+        assert_eq!(exec.stats().new_executions, 1);
     }
 
     #[test]

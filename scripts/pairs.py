@@ -14,15 +14,24 @@ For every workload (default: all of BENCHMARK.json's) and every seed, the
 two sides run back to back as one pair, and which side runs first
 alternates from pair to pair. Per end-to-end metric the script prints both
 medians, both q1-q3 ranges, in how many pairs the change was better, and
-whether the medians differ by more than the parent's q1-q3 spread.
+whether the medians differ by more than the parent's q1-q3 spread (the
+claim test). It also prints the no-regression verdict against the metric's
+`bound` in BENCHMARK.json: the change of the medians relative to the
+parent's, positive when worse by the metric's `better` direction, and
+  WORSE       when that change is past `bound`;
+  unresolved  when the parent's q1-q3 spans more than `bound` of its median,
+              unless every change run beats every parent run;
+  ok          otherwise.
 
-Exit status 1 when any run reports `correct: false` or `failed > 0`, or when
+Exit status 1 when any run reports `correct: false` or `failed > 0`, when
 new executions, evaluations, precision or recall differ within a pair on
-paper-synth or deep-history; 2 when a build fails.
+paper-synth or deep-history, or when any verdict is WORSE; 2 when a build
+fails.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import signal
@@ -76,20 +85,51 @@ def summary(values):
     return med, q3 - q1, f"{med:.5g} ({q1:.5g}-{q3:.5g})"
 
 
-def report(workload, pairs, better_of):
+def verdict(parent, change, lower, bound):
+    """The relative change of the medians (positive = worse) and the
+    no-regression verdict against `bound`; see the module docs."""
+    p_med, p_iqr, _ = summary(parent)
+    c_med = statistics.median(change)
+    worse = (c_med - p_med) if lower else (p_med - c_med)
+    if p_med:
+        rel = worse / abs(p_med)
+    else:
+        rel = math.inf if worse > 0 else 0.0
+    if rel > bound:
+        return rel, "WORSE"
+    spread = p_iqr / abs(p_med) if p_med else 0.0
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if spread > bound and not beats_all:
+        return rel, "unresolved"
+    return rel, "ok"
+
+
+def report(workload, pairs, metrics):
+    """Prints the workload's table; returns the metrics judged WORSE."""
     print(f"{workload}: {len(pairs)} pairs")
     print(f"  {'metric':<30} {'parent median (q1-q3)':>32} "
-          f"{'change median (q1-q3)':>32} {'better':>7} {'gap>IQR':>8}")
+          f"{'change median (q1-q3)':>32} {'better':>7} {'gap>IQR':>8} "
+          f"{'vs bound':>20}")
+    worse = []
     for name in pairs[0][0]["metrics"]:
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        lower = better_of.get(name, "lower") == "lower"
+        spec = metrics.get(name, {})
+        lower = spec.get("better", "lower") == "lower"
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         p_med, p_iqr, p_text = summary(parent)
         c_med, _, c_text = summary(change)
         gap = "yes" if abs(c_med - p_med) > p_iqr else "no"
+        judged = "-"
+        if "bound" in spec:
+            rel, word = verdict(parent, change, lower, spec["bound"])
+            judged = f"{rel:+.1%} {word}"
+            if word == "WORSE":
+                worse.append(f"{workload} {name}: median {rel:+.1%} worse, "
+                             f"past its bound {spec['bound']:.0%}")
         print(f"  {name:<30} {p_text:>32} {c_text:>32} "
-              f"{f'{wins}/{len(pairs)}':>7} {gap:>8}")
+              f"{f'{wins}/{len(pairs)}':>7} {gap:>8} {judged:>20}")
+    return worse
 
 
 def main():
@@ -106,7 +146,7 @@ def main():
         bench = json.load(f)
     seconds = args.seconds or bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    better_of = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     work = os.path.abspath(args.work)
     os.makedirs(work, exist_ok=True)
@@ -155,7 +195,7 @@ def main():
                                 f" (parent) != {c['metrics'][k]['value']} (change)")
                 pairs.append((p, c))
             if pairs:
-                report(workload, pairs, better_of)
+                failures.extend(report(workload, pairs, metrics))
     finally:
         if worktree is not None:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree])

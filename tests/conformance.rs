@@ -1,9 +1,9 @@
 //! Differential conformance suite: the provenance store's bitset /
 //! dense-key query paths against a naive interpretive oracle.
 //!
-//! The store answers `support`, `succeeding_superset_exists` and its
-//! batched form `succeeding_superset_exists_many` with word-parallel bit
-//! operations over an epoch-segmented index.
+//! The store answers `support` and `succeeding_superset_exists` with
+//! word-parallel bit operations over one flat (parameter, value) bitset
+//! index.
 //! Delta-debugging-style systems are only trustworthy when such fast paths
 //! are provably equivalent to exact per-run interpretation, so every case
 //! here replays a random parameter space and run log through both a
@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// The naive re-implementation: a flat log interpreted run by run. No
-/// bitsets, no dense keys, no epochs — the definition the store must match.
+/// bitsets, no dense keys — the definition the store must match.
 struct Oracle {
     runs: Vec<(Instance, Outcome)>,
 }
@@ -142,8 +142,7 @@ fn assert_conformance(
     prop_assert_eq!(store.len(), oracle.runs.len(), "log length ({})", context);
     let mut causes = vec![Conjunction::top()];
     causes.extend((0..20).map(|_| random_conjunction(space, rng)));
-    let batched = store.succeeding_superset_exists_many(&causes);
-    for (cause, &batched) in causes.iter().zip(&batched) {
+    for cause in &causes {
         let shown = cause.display(space).to_string();
         prop_assert_eq!(
             store.support(cause),
@@ -152,18 +151,10 @@ fn assert_conformance(
             shown,
             context
         );
-        let want_superset = oracle.succeeding_superset_exists(cause);
         prop_assert_eq!(
             store.succeeding_superset_exists(cause),
-            want_superset,
+            oracle.succeeding_superset_exists(cause),
             "superset mismatch for {} ({})",
-            shown,
-            context
-        );
-        prop_assert_eq!(
-            batched,
-            want_superset,
-            "batched superset mismatch for {} ({})",
             shown,
             context
         );
@@ -174,11 +165,10 @@ fn assert_conformance(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline property: for any space, any run log (with out-of-domain
-    /// instances mixed in), and any epoch size, the bitset path is
-    /// byte-for-byte the interpretive semantics. Logs reach 8 or more full
-    /// 64-run epochs, so the epoch-major scans are checked on long logs as
-    /// well as short ones.
+    /// The headline property: for any space and any run log (with
+    /// out-of-domain instances mixed in), the bitset path is byte-for-byte
+    /// the interpretive semantics. Logs reach 700 runs, crossing the value
+    /// index's capacity doublings at 64, 128, 256 and 512 runs.
     #[test]
     fn bitset_path_matches_interpretive_oracle(
         seed in any::<u64>(),
@@ -187,7 +177,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let space = random_space(&mut rng);
-        let mut store = ProvenanceStore::with_epoch_size(space.clone(), 64);
+        let mut store = ProvenanceStore::new(space.clone());
         let mut oracle = Oracle::new();
 
         // Replay the log through both.
@@ -201,14 +191,7 @@ proptest! {
             store.record(inst.clone(), EvalResult::of(outcome));
             oracle.record(inst, outcome);
         }
-        assert_conformance(&store, &oracle, &space, &mut rng, "64-run epochs")?;
-
-        // And a store with the default epoch size agrees too.
-        let mut unsegmented = ProvenanceStore::new(space.clone());
-        for run in store.runs() {
-            unsegmented.record(run.instance.clone(), run.eval);
-        }
-        assert_conformance(&unsegmented, &oracle, &space, &mut rng, "default epochs")?;
+        assert_conformance(&store, &oracle, &space, &mut rng, &format!("{n_runs} draws"))?;
     }
 
     /// TSV round-trip: exporting a store and re-importing it must yield
@@ -220,7 +203,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let space = random_space(&mut rng);
-        let mut store = ProvenanceStore::with_epoch_size(space.clone(), 64);
+        let mut store = ProvenanceStore::new(space.clone());
         for _ in 0..n_runs {
             let inst = random_instance(&space, &mut rng);
             store.record(inst.clone(), EvalResult::of(outcome_of(&inst)));
