@@ -166,16 +166,11 @@ pub fn debugging_decision_trees(
     let mut exploration_left = config.exploration_rounds;
 
     'outer: loop {
-        // Fit over rows borrowed from the live log: the read lock is held
-        // for the fit, which takes about as long as cloning the log did.
-        let tree = exec.with_provenance_ref(|prov| {
-            let rows: Vec<(&Instance, f64)> = prov
-                .runs()
-                .iter()
-                .map(|r| (&r.instance, if r.outcome().is_fail() { 1.0 } else { 0.0 }))
-                .collect();
-            DecisionTree::fit(&space, &rows, &TreeConfig::default())
-        });
+        // Fit from the store's key arena and failing-runs bitset under its
+        // read lock. No row vector is built first, so the lock covers the
+        // fit alone.
+        let tree = exec
+            .with_provenance_ref(|prov| DecisionTree::fit_provenance(prov, &TreeConfig::default()));
 
         for path in tree.fail_paths() {
             // Simplify the raw tree path to its shortest equivalent form.

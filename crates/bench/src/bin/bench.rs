@@ -31,6 +31,8 @@
 //! * `perf/ddt_find_one` — DDT end-to-end on a synthetic pipeline
 //! * `perf/dtree_fit_32k` — one full decision-tree fit over a
 //!   deep-history-shaped log of 32,768 dense-keyed runs
+//! * `perf/dtree_fit_provenance_32k` — the same fit from that log recorded
+//!   in a provenance store (DDT's path: the store's key arena, no rows)
 
 use bugdoc_bench::perf;
 use criterion::{BenchResult, Criterion};

@@ -431,7 +431,7 @@ pub fn bench_ddt_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// Rows in the `perf/dtree_fit_32k` training log: the size of the
+/// Rows in the tree-fit benchmarks' training log: the size of the
 /// `deep-history` e2ebench workload's log.
 const TREE_FIT_ROWS: usize = 32_768;
 
@@ -469,14 +469,20 @@ fn deep_history_rows() -> (Arc<ParamSpace>, Vec<(Instance, f64)>) {
     (space, rows)
 }
 
-/// Registers the tree-fitting benchmark on `c`:
+/// Registers the tree-fitting benchmarks on `c`:
 ///
 /// * `perf/dtree_fit_32k` — one full (unpruned) `DecisionTree::fit` over a
-///   deep-history-shaped log of 32,768 dense-keyed runs: the fit DDT runs
-///   after every refuted suspect, at the log size the `deep-history`
-///   workload reaches.
+///   deep-history-shaped log of 32,768 dense-keyed instances;
+/// * `perf/dtree_fit_provenance_32k` — the same log recorded into a
+///   provenance store, fitted with `DecisionTree::fit_provenance`: the fit
+///   DDT runs after every refuted suspect, at the log size the
+///   `deep-history` workload reaches.
 pub fn bench_tree_fit(c: &mut Criterion) {
     let (space, rows) = deep_history_rows();
+    let mut prov = ProvenanceStore::new(space.clone());
+    for (instance, y) in &rows {
+        prov.record(instance.clone(), Outcome::from_check(*y == 0.0).into());
+    }
     let mut group = c.benchmark_group("perf");
     group
         .sample_size(10)
@@ -484,6 +490,9 @@ pub fn bench_tree_fit(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200));
     group.bench_function("dtree_fit_32k", move |b| {
         b.iter(|| DecisionTree::fit(&space, &rows, &TreeConfig::default()))
+    });
+    group.bench_function("dtree_fit_provenance_32k", move |b| {
+        b.iter(|| DecisionTree::fit_provenance(&prov, &TreeConfig::default()))
     });
     group.finish();
 }

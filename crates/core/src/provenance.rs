@@ -614,6 +614,26 @@ impl ProvenanceStore {
         &self.runs
     }
 
+    /// Every run's dense key in one row-major arena, in run order: run
+    /// `r`'s key is `key_arena()[r * len..(r + 1) * len]` for a space of
+    /// `len` parameters. An overflow run (see
+    /// [`overflow_runs`](Self::overflow_runs)) has no dense key; its row is
+    /// all zeros, which says nothing about its values.
+    pub fn key_arena(&self) -> &[u32] {
+        &self.by_key.arena
+    }
+
+    /// The indices of the runs whose instances could not be densely encoded
+    /// (a value outside its domain), ascending.
+    pub fn overflow_runs(&self) -> &[u32] {
+        &self.overflow
+    }
+
+    /// The failing runs, as a bitset over run indices.
+    pub fn failing_runs(&self) -> &RunSet {
+        &self.fail_bits
+    }
+
     /// The recorded evaluation of an instance, if it was executed.
     ///
     /// When the probe carries its dense key (the common case on the hot

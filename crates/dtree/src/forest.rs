@@ -57,7 +57,9 @@ impl FeatureSampler for RngSampler<'_> {
     fn sample(&mut self, all: &[ParamId], k: usize) -> Vec<ParamId> {
         let mut pool = all.to_vec();
         pool.shuffle(self.rng);
-        pool.truncate(k.clamp(1, all.len()));
+        // At least one candidate, when there is one: `truncate` past the
+        // length is a no-op, so an empty `all` yields no candidates.
+        pool.truncate(k.max(1));
         // Keep candidate order stable so trees differ only through the
         // sampled subset, not its ordering.
         pool.sort();
@@ -232,5 +234,18 @@ mod tests {
     fn empty_fit_panics() {
         let s = space();
         RandomForest::fit::<Instance>(&s, &[], &ForestConfig::default());
+    }
+
+    /// With no parameters there is nothing to split on: every tree is one
+    /// leaf, and the sampler offers no candidates from an empty list.
+    #[test]
+    fn zero_parameter_space_grows_leaves() {
+        let s = ParamSpace::builder().build();
+        let rows = [(Instance::new(vec![]), 0.0), (Instance::new(vec![]), 1.0)];
+        let forest = RandomForest::fit(&s, &rows, &ForestConfig::default());
+        let p = forest.predict(&Instance::new(vec![]));
+        assert!((0.0..=1.0).contains(&p.mean) && p.variance >= 0.0);
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(RngSampler { rng: &mut rng }.sample(&[], 3).is_empty());
     }
 }

@@ -11,17 +11,23 @@
 //!
 //! # Split search
 //!
-//! `fit` encodes every training row once, as one `u32` code per parameter:
+//! A fit lays its rows out as one row-major code matrix: one `u32` code per
+//! parameter, row `i` at `i * len..(i + 1) * len` for a space of `len`
+//! parameters. That is the layout of the provenance store's key arena
+//! ([`ProvenanceStore::key_arena`]):
 //!
-//! * a row carrying a dense key (built by
-//!   [`ParamSpace::instance_from_indices`], as every run in the provenance
-//!   store is) contributes its domain indices unchanged;
-//! * a key-less row ([`Instance::new`]) is encoded under the semantics
-//!   [`Predicate::satisfied_by`] applies. A categorical value gets its exact
-//!   (`Eq`) domain index, or one shared code when it is outside the domain.
-//!   An ordinal value gets the index of an `Ord`-equal domain value (what
-//!   [`Domain::index_of`] finds), or, when there is none, a gap code for its
-//!   place between two domain values.
+//! * [`DecisionTree::fit_provenance`] borrows the arena as the matrix when
+//!   the log has no overflow runs. Otherwise it copies the arena and
+//!   re-encodes only the overflow runs' rows, which the arena holds as zeros.
+//! * [`DecisionTree::fit`] copies a row's dense key (built by
+//!   [`ParamSpace::instance_from_indices`], as every encodable run in the
+//!   store carries) into the matrix unchanged.
+//! * A key-less row ([`Instance::new`]) or an overflow run is encoded under
+//!   the semantics [`Predicate::satisfied_by`] applies. A categorical value
+//!   gets its exact (`Eq`) domain index, or one shared code when it is
+//!   outside the domain. An ordinal value gets the index of an `Ord`-equal
+//!   domain value (what [`Domain::index_of`] finds), or, when there is none,
+//!   a gap code for its place between two domain values.
 //!
 //! An ordinal parameter also ranks its codes in `≤` order. `Ord`-equal
 //! domain values share a rank (`Domain::ordinal` dedups by `Eq`, so it keeps
@@ -29,24 +35,36 @@
 //! code ranks strictly between its neighbours. A row satisfies `≤ v` exactly
 //! when its code ranks no higher than `v`.
 //!
-//! `grow` partitions one row-id vector in place. At each node, `best_split`
-//! makes one pass per candidate parameter over the node's rows, adding
-//! (n, Σy, Σy²) into the bucket of each row's code. A categorical `= v` test
-//! reads bucket `v`; an ordinal `≤ v` test reads a prefix sum over ranks. A
-//! node of n rows with P candidates of at most V values costs O(P·(n + V)),
-//! where evaluating every test on every row costs P·V·n value comparisons.
+//! `grow` partitions one row-id vector in place. A node that splits holds a
+//! histogram over every parameter: the (n, Σy, Σy²) of its rows in one
+//! bucket per (parameter, code), filled in one pass over its rows.
+//! `best_split` reads the buckets of the sampled candidates only. A
+//! categorical `= v` test reads bucket `v`; an ordinal `≤ v` test reads a
+//! prefix sum over ranks. A node of n rows over P parameters of at most V
+//! codes costs O(P·(n + V)), where evaluating every test on every row costs
+//! P·V·n value comparisons.
+//!
+//! After a split only the smaller child's rows are scanned: the larger
+//! child's histogram is the parent's minus the smaller's, bucket by bucket.
+//! This is done only when a child may split (enough rows, under the depth
+//! cap, a nonzero SSE). A child handed no histogram scans its own rows when
+//! it splits, so a wrong guess costs time, never correctness.
 //!
 //! Tests are visited in (candidate, domain index) order, scored by SSE
 //! reduction, and compared with a 1e-12 tolerance and a (parameter, value)
 //! tie-break. With integer labels, such as the fail = 1 / succeed = 0 labels
-//! DDT and the forest use, every sum is an integer that `f64` holds exactly,
-//! so bucket sums equal row-by-row sums in any order and the search picks the
-//! split that evaluating each test row by row would.
+//! DDT and the forest use, every bucket sum, and every difference of two
+//! sums, is an integer that `f64` holds exactly. So a histogram got by
+//! subtraction equals one got by scanning, bucket sums equal row-by-row sums
+//! in any order, a child's statistics read off its parent's split equal its
+//! rows' sums, and the search picks the split that evaluating each test row
+//! by row would.
 
 use bugdoc_core::{
-    Comparator, Conjunction, Domain, Instance, ParamId, ParamSpace, Predicate, Value,
+    Comparator, Conjunction, Domain, Instance, ParamId, ParamSpace, Predicate, ProvenanceStore,
+    Value,
 };
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::fmt::Write as _;
 
 /// Training configuration.
@@ -167,20 +185,60 @@ impl DecisionTree {
         sampler: &mut dyn FeatureSampler,
     ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let mut grower = Grower {
-            space,
-            config,
-            sampler,
-            all_params: space.ids().collect(),
-            params: encode(space, rows),
-            labels: rows.iter().map(|(_, y)| *y).collect(),
-            buckets: Vec::new(),
-            ranked: Vec::new(),
-            spill: Vec::new(),
+        let params = param_codes(space);
+        let mut codes = Vec::with_capacity(rows.len() * space.len());
+        for (instance, _) in rows {
+            let instance = instance.borrow();
+            match instance.dense_key() {
+                Some(key) => {
+                    debug_assert!(
+                        key.len() == space.len()
+                            && space.ids().zip(key).all(|(p, &k)| {
+                                space.domain(p).value(k as usize) == instance.get(p)
+                            })
+                    );
+                    codes.extend_from_slice(key);
+                }
+                None => {
+                    let at = codes.len();
+                    codes.resize(at + space.len(), 0);
+                    encode_values(space, &params, instance.values(), &mut codes[at..]);
+                }
+            }
+        }
+        let labels = rows.iter().map(|(_, y)| *y).collect();
+        Grower::fit(space, config, sampler, params, Cow::Owned(codes), labels)
+    }
+
+    /// Fits a tree over every run of a provenance store, labelled fail = 1 /
+    /// succeed = 0 — the tree DDT grows after each refuted suspect. The
+    /// store's key arena is the code matrix (see the module docs), borrowed
+    /// when the log has no overflow runs, and the labels come from its
+    /// failing-runs bitset, so no run's instance is read except an overflow
+    /// run's. The tree equals [`fit`](Self::fit) over
+    /// [`runs`](ProvenanceStore::runs) with those labels.
+    pub fn fit_provenance(prov: &ProvenanceStore, config: &TreeConfig) -> Self {
+        assert!(!prov.is_empty(), "cannot fit a tree on zero rows");
+        let space = prov.space();
+        let params = param_codes(space);
+        let arena = prov.key_arena();
+        let codes = if prov.overflow_runs().is_empty() {
+            Cow::Borrowed(arena)
+        } else {
+            let len = space.len();
+            let mut codes = arena.to_vec();
+            for &r in prov.overflow_runs() {
+                let r = r as usize;
+                let values = prov.runs()[r].instance.values();
+                encode_values(space, &params, values, &mut codes[r * len..(r + 1) * len]);
+            }
+            Cow::Owned(codes)
         };
-        let mut ids: Vec<usize> = (0..rows.len()).collect();
-        let root = grower.grow(&mut ids, 0);
-        DecisionTree { root }
+        let mut labels = vec![0.0; prov.len()];
+        for r in prov.failing_runs().ones() {
+            labels[r] = 1.0;
+        }
+        Grower::fit(space, config, &mut AllFeatures, params, codes, labels)
     }
 
     /// The root node.
@@ -350,7 +408,8 @@ fn is_pure(labels: &[f64], ids: &[usize]) -> bool {
     ids.iter().all(|&i| (labels[i] - first).abs() < 1e-12)
 }
 
-/// One parameter's column of row codes and the map from codes to tests.
+/// One parameter's codes: the map from codes to tests and the parameter's
+/// place in a node histogram.
 struct ParamCodes {
     /// Codes below this are domain indices, the values tests are built from.
     n_values: usize,
@@ -359,12 +418,13 @@ struct ParamCodes {
     /// them). `None` for categorical parameters, whose codes are the domain
     /// indices plus one out-of-domain code.
     rank: Option<Vec<u32>>,
-    /// Row id → code.
-    column: Vec<u32>,
+    /// The bucket of code 0 in a node histogram; the parameter's buckets
+    /// follow it, one per code.
+    base: usize,
 }
 
 impl ParamCodes {
-    fn new(domain: &Domain, n_rows: usize) -> Self {
+    fn new(domain: &Domain, base: usize) -> Self {
         let rank = domain.is_ordinal().then(|| {
             let values = domain.values();
             let n = values.len();
@@ -385,7 +445,7 @@ impl ParamCodes {
         ParamCodes {
             n_values: domain.len(),
             rank,
-            column: Vec::with_capacity(n_rows),
+            base,
         }
     }
 
@@ -424,43 +484,38 @@ impl ParamCodes {
     }
 }
 
-/// Encodes the training rows once per fit: one column of codes per
-/// parameter.
-fn encode<I: Borrow<Instance>>(space: &ParamSpace, rows: &[(I, f64)]) -> Vec<ParamCodes> {
-    let mut params: Vec<ParamCodes> = space
+/// Every parameter's codes, laid out one after another in a histogram.
+fn param_codes(space: &ParamSpace) -> Vec<ParamCodes> {
+    let mut base = 0;
+    space
         .ids()
-        .map(|p| ParamCodes::new(space.domain(p), rows.len()))
-        .collect();
-    for (instance, _) in rows {
-        let instance = instance.borrow();
-        match instance.dense_key() {
-            Some(key) => {
-                debug_assert!(space
-                    .ids()
-                    .zip(key)
-                    .all(|(p, &k)| space.domain(p).value(k as usize) == instance.get(p)));
-                for (codes, &k) in params.iter_mut().zip(key) {
-                    codes.column.push(k);
-                }
-            }
-            None => {
-                for ((p, codes), v) in space.ids().zip(&mut params).zip(instance.values()) {
-                    let code = codes.code_of(space.domain(p), v);
-                    codes.column.push(code);
-                }
-            }
-        }
+        .map(|p| {
+            let codes = ParamCodes::new(space.domain(p), base);
+            base += codes.n_codes();
+            codes
+        })
+        .collect()
+}
+
+/// Encodes a key-less row's values into its row of the code matrix.
+fn encode_values(space: &ParamSpace, params: &[ParamCodes], values: &[Value], row: &mut [u32]) {
+    for (((p, codes), v), code) in space.ids().zip(params).zip(values).zip(row) {
+        *code = codes.code_of(space.domain(p), v);
     }
-    params
 }
 
 /// The best test found so far at a node: `param` compared against its
-/// domain value `value`.
+/// domain value `value`, and the statistics of the rows passing it.
 struct Split {
     gain: f64,
     param: ParamId,
     value: usize,
+    yes: Stats,
 }
+
+/// A node histogram: one bucket of label sums per (parameter, code), each
+/// parameter's buckets starting at its [`ParamCodes::base`].
+type Histogram = Vec<Stats>;
 
 /// The state of one fit: the encoded rows and buffers reused across nodes.
 struct Grower<'a> {
@@ -468,21 +523,62 @@ struct Grower<'a> {
     config: &'a TreeConfig,
     sampler: &'a mut dyn FeatureSampler,
     all_params: Vec<ParamId>,
-    /// Per-parameter row codes.
     params: Vec<ParamCodes>,
+    /// The row-major code matrix: row `i`'s codes at
+    /// `i * params.len()..`, one per parameter.
+    codes: Cow<'a, [u32]>,
     /// Row id → label.
     labels: Vec<f64>,
-    /// Per-code label sums of the parameter being scanned.
-    buckets: Vec<Stats>,
+    /// Buckets per histogram: every parameter's code count, summed.
+    n_buckets: usize,
+    /// Histogram buffers no node holds, reused by the next scan.
+    free: Vec<Histogram>,
     /// Per-rank prefix sums of an ordinal parameter.
     ranked: Vec<Stats>,
     /// The rows failing the split, copied back behind the ones passing it.
     spill: Vec<usize>,
 }
 
-impl Grower<'_> {
-    fn grow(&mut self, ids: &mut [usize], depth: usize) -> Node {
-        let node = Stats::of(&self.labels, ids);
+impl<'a> Grower<'a> {
+    /// Grows the tree over every row of `codes`.
+    fn fit(
+        space: &'a ParamSpace,
+        config: &'a TreeConfig,
+        sampler: &'a mut dyn FeatureSampler,
+        params: Vec<ParamCodes>,
+        codes: Cow<'a, [u32]>,
+        labels: Vec<f64>,
+    ) -> DecisionTree {
+        debug_assert_eq!(codes.len(), labels.len() * space.len());
+        let mut ids: Vec<usize> = (0..labels.len()).collect();
+        let node = Stats::of(&labels, &ids);
+        let mut grower = Grower {
+            space,
+            config,
+            sampler,
+            all_params: space.ids().collect(),
+            n_buckets: params.iter().map(ParamCodes::n_codes).sum(),
+            params,
+            codes,
+            labels,
+            free: Vec::new(),
+            ranked: Vec::new(),
+            spill: Vec::new(),
+        };
+        let root = grower.grow(&mut ids, 0, node, None);
+        DecisionTree { root }
+    }
+
+    /// Grows the subtree over `ids`, whose label statistics are `node`.
+    /// `hist`, when given, is their histogram.
+    fn grow(
+        &mut self,
+        ids: &mut [usize],
+        depth: usize,
+        node: Stats,
+        hist: Option<Histogram>,
+    ) -> Node {
+        debug_assert_eq!(node.n, ids.len());
         let pure = is_pure(&self.labels, ids);
         let leaf = Node::Leaf(LeafInfo {
             n: node.n,
@@ -492,7 +588,9 @@ impl Grower<'_> {
         if ids.len() < self.config.min_samples_split
             || pure
             || self.config.max_depth.is_some_and(|d| depth >= d)
+            || self.all_params.is_empty()
         {
+            self.free.extend(hist);
             return leaf;
         }
 
@@ -503,9 +601,11 @@ impl Grower<'_> {
             .clamp(1, self.all_params.len());
         let candidates = self.sampler.sample(&self.all_params, k);
 
+        let hist = hist.unwrap_or_else(|| self.histogram(ids));
         // The node is impure, so any split is taken, even a zero-gain one: a
         // full tree must separate distinguishable rows (e.g. XOR patterns).
-        let Some(split) = self.best_split(ids, &candidates, &node) else {
+        let Some(split) = self.best_split(&hist, &candidates, &node) else {
+            self.free.push(hist);
             return leaf;
         };
         let n_yes = self.partition(ids, &split);
@@ -517,11 +617,65 @@ impl Grower<'_> {
             self.space.domain(split.param).value(split.value).clone(),
         );
         let (yes, no) = ids.split_at_mut(n_yes);
+        let (yes_node, no_node) = (split.yes, node.minus(&split.yes));
+        let (yes_hist, no_hist) =
+            if self.may_split(&yes_node, depth + 1) || self.may_split(&no_node, depth + 1) {
+                let (y, n) = self.child_histograms(hist, yes, no);
+                (Some(y), Some(n))
+            } else {
+                self.free.push(hist);
+                (None, None)
+            };
         Node::Inner {
             pred,
-            yes: Box::new(self.grow(yes, depth + 1)),
-            no: Box::new(self.grow(no, depth + 1)),
+            yes: Box::new(self.grow(yes, depth + 1, yes_node, yes_hist)),
+            no: Box::new(self.grow(no, depth + 1, no_node, no_hist)),
         }
+    }
+
+    /// Whether a node with statistics `node` at `depth` may split. A guess:
+    /// such a node can still find no test.
+    fn may_split(&self, node: &Stats, depth: usize) -> bool {
+        node.n >= self.config.min_samples_split.max(2)
+            && !self.config.max_depth.is_some_and(|d| depth >= d)
+            && node.sse() > 0.0
+    }
+
+    /// The histograms of a split's two children, `parent`'s rows split into
+    /// `yes` and `no`: the smaller child's rows are scanned, and the larger
+    /// child's histogram is `parent` minus the smaller's.
+    fn child_histograms(
+        &mut self,
+        mut parent: Histogram,
+        yes: &[usize],
+        no: &[usize],
+    ) -> (Histogram, Histogram) {
+        let yes_smaller = yes.len() <= no.len();
+        let small = self.histogram(if yes_smaller { yes } else { no });
+        for (bucket, part) in parent.iter_mut().zip(&small) {
+            *bucket = bucket.minus(part);
+        }
+        if yes_smaller {
+            (small, parent)
+        } else {
+            (parent, small)
+        }
+    }
+
+    /// The histogram of `ids`, in one pass over their rows.
+    fn histogram(&mut self, ids: &[usize]) -> Histogram {
+        let mut hist = self.free.pop().unwrap_or_default();
+        hist.clear();
+        hist.resize(self.n_buckets, Stats::default());
+        let width = self.params.len();
+        for &i in ids {
+            let y = self.labels[i];
+            let row = &self.codes[i * width..(i + 1) * width];
+            for (codes, &code) in self.params.iter().zip(row) {
+                hist[codes.base + code as usize].push(y);
+            }
+        }
+        hist
     }
 
     /// Exhaustive split search: for each candidate parameter, enumerate `= v`
@@ -529,21 +683,15 @@ impl Grower<'_> {
     /// at this node, and keep the split with the largest SSE reduction. Ties
     /// break deterministically by (gain, parameter id, value) so identical
     /// inputs grow identical trees.
-    fn best_split(&mut self, ids: &[usize], candidates: &[ParamId], node: &Stats) -> Option<Split> {
+    fn best_split(&mut self, hist: &[Stats], candidates: &[ParamId], node: &Stats) -> Option<Split> {
         let space = self.space;
         let parent = node.sse();
         let mut best: Option<Split> = None;
 
         for &p in candidates {
             let codes = &self.params[p.index()];
-            let buckets = &mut self.buckets;
-            buckets.clear();
-            buckets.resize(codes.n_codes(), Stats::default());
-            for &i in ids {
-                buckets[codes.column[i] as usize].push(self.labels[i]);
-            }
-            let values = &buckets[..codes.n_values];
-            let observed = values.iter().filter(|b| b.n > 0).count();
+            let buckets = &hist[codes.base..codes.base + codes.n_codes()];
+            let observed = buckets[..codes.n_values].iter().filter(|b| b.n > 0).count();
             if observed < 2 {
                 continue; // constant at this node: no split possible
             }
@@ -563,7 +711,7 @@ impl Grower<'_> {
             let domain = space.domain(p);
             let mut seen = 0;
             for v in 0..codes.n_values {
-                if self.buckets[v].n == 0 {
+                if buckets[v].n == 0 {
                     continue;
                 }
                 seen += 1;
@@ -572,7 +720,7 @@ impl Grower<'_> {
                     // (which would send every in-domain row left).
                     Some(_) if seen == observed => break,
                     Some(rank) => self.ranked[rank[v] as usize],
-                    None => self.buckets[v],
+                    None => buckets[v],
                 };
                 let no = node.minus(&yes);
                 if yes.n == 0 || no.n == 0 {
@@ -593,6 +741,7 @@ impl Grower<'_> {
                         gain,
                         param: p,
                         value: v,
+                        yes,
                     });
                 }
             }
@@ -604,15 +753,17 @@ impl Grower<'_> {
     /// it first, in their previous order, then the rest. Returns how many
     /// pass.
     fn partition(&mut self, ids: &mut [usize], split: &Split) -> usize {
-        let codes = &self.params[split.param.index()];
+        let p = split.param.index();
+        let codes = &self.params[p];
         let passes: Vec<bool> = (0..codes.n_codes())
             .map(|c| codes.holds(c, split.value))
             .collect();
+        let width = self.params.len();
         self.spill.clear();
         let mut n_yes = 0;
         for k in 0..ids.len() {
             let i = ids[k];
-            if passes[codes.column[i] as usize] {
+            if passes[self.codes[i * width + p] as usize] {
                 ids[n_yes] = i;
                 n_yes += 1;
             } else {
@@ -840,5 +991,15 @@ mod tests {
     fn empty_fit_panics() {
         let s = space();
         DecisionTree::fit::<Instance>(&s, &[], &TreeConfig::default());
+    }
+
+    /// With no parameters there is nothing to split on: the root is a leaf.
+    #[test]
+    fn zero_parameter_space_is_one_leaf() {
+        let s = ParamSpace::builder().build();
+        let rows = [(Instance::new(vec![]), 0.0), (Instance::new(vec![]), 1.0)];
+        let tree = DecisionTree::fit(&s, &rows, &TreeConfig::default());
+        assert_eq!(tree.n_leaves(), 1);
+        assert_eq!(tree.predict(&Instance::new(vec![])), 0.5);
     }
 }

@@ -8,15 +8,22 @@
 //! values (`Int(2)` beside `Float(2.0)`); dense-keyed rows beside key-less
 //! rows with out-of-domain values and cross-variant spellings; depth and
 //! split-size caps; and a seeded feature sampler (the forest path).
+//!
+//! Each case also goes through a provenance store: its rows are recorded
+//! (label 1 as fail), and `fit_provenance`, which reads the store's key
+//! arena and re-encodes its overflow runs, must grow the tree `fit` grows
+//! over the store's runs.
 
 use bugdoc_core::{
-    Comparator, Domain, DomainKind, Instance, ParamDef, ParamId, ParamSpace, Predicate, Value,
+    Comparator, Domain, DomainKind, EvalResult, Instance, Outcome, ParamDef, ParamId, ParamSpace,
+    Predicate, ProvenanceStore, Value,
 };
 use bugdoc_dtree::{DecisionTree, FeatureSampler, LeafInfo, Node, TreeConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Fits a tree with the pre-histogram split search.
 fn oracle_fit(
@@ -346,26 +353,60 @@ fn random_rows(space: &ParamSpace, rng: &mut StdRng) -> Vec<(Instance, f64)> {
         .collect()
 }
 
+/// One generated case: a space of 1–5 parameters, its rows and a config.
+fn random_case(seed: u64) -> (ParamSpace, Vec<(Instance, f64)>, TreeConfig, u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_params = rng.gen_range(1..=5);
+    let space = ParamSpace::new(
+        (0..n_params)
+            .map(|i| ParamDef::new(format!("p{i}"), random_domain(&mut rng)))
+            .collect(),
+    );
+    let rows = random_rows(&space, &mut rng);
+    let config = TreeConfig {
+        max_depth: rng.gen_bool(0.3).then(|| rng.gen_range(0..=4)),
+        min_samples_split: rng.gen_range(0..=6),
+        feature_subset: rng.gen_bool(0.4).then(|| rng.gen_range(1..=n_params)),
+    };
+    (space, rows, config, rng.gen::<u64>())
+}
+
+/// The rows recorded into a store, label 1 as fail; a row whose instance
+/// is already recorded is skipped. Key-less rows with a value outside its
+/// domain become overflow runs.
+fn store_of(space: &ParamSpace, rows: &[(Instance, f64)]) -> ProvenanceStore {
+    let mut store = ProvenanceStore::new(Arc::new(space.clone()));
+    for (instance, y) in rows {
+        if store.outcome_of(instance).is_none() {
+            let outcome = Outcome::from_check(*y != 1.0);
+            store.record(instance.clone(), EvalResult::of(outcome));
+        }
+    }
+    store
+}
+
+/// The generator reaches the store's overflow path: many cases record
+/// overflow runs (their arena rows zeros) beside dense ones.
+#[test]
+fn cases_mix_overflow_and_dense_runs() {
+    let mixed = (0..200)
+        .filter(|&seed| {
+            let (space, rows, _, _) = random_case(seed);
+            let store = store_of(&space, &rows);
+            let overflow = store.overflow_runs().len();
+            overflow > 0 && overflow < store.len()
+        })
+        .count();
+    assert!(mixed >= 100, "only {mixed} of 200 cases mix overflow and dense runs");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3_000))]
 
     /// The histogram search grows the oracle's tree, node for node.
     #[test]
     fn histogram_search_matches_row_by_row_search(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n_params = rng.gen_range(1..=5);
-        let space = ParamSpace::new(
-            (0..n_params)
-                .map(|i| ParamDef::new(format!("p{i}"), random_domain(&mut rng)))
-                .collect(),
-        );
-        let rows = random_rows(&space, &mut rng);
-        let config = TreeConfig {
-            max_depth: rng.gen_bool(0.3).then(|| rng.gen_range(0..=4)),
-            min_samples_split: rng.gen_range(0..=6),
-            feature_subset: rng.gen_bool(0.4).then(|| rng.gen_range(1..=n_params)),
-        };
-        let sampler_seed = rng.gen::<u64>();
+        let (space, rows, config, sampler_seed) = random_case(seed);
 
         let borrowed: Vec<(&Instance, f64)> = rows.iter().map(|(i, y)| (i, *y)).collect();
         let (tree, expected) = if config.feature_subset.is_some() {
@@ -392,6 +433,21 @@ proptest! {
             "seed {} grew\n{}",
             seed,
             tree.render(&space)
+        );
+
+        let store = store_of(&space, &rows);
+        let store_rows: Vec<(&Instance, f64)> = store
+            .runs()
+            .iter()
+            .map(|r| (&r.instance, if r.outcome().is_fail() { 1.0 } else { 0.0 }))
+            .collect();
+        let from_store = DecisionTree::fit_provenance(&store, &config);
+        prop_assert_eq!(
+            format!("{:?}", from_store.root()),
+            format!("{:?}", DecisionTree::fit(&space, &store_rows, &config).root()),
+            "seed {} grew from the store\n{}",
+            seed,
+            from_store.render(&space)
         );
     }
 }

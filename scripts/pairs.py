@@ -2,7 +2,8 @@
 """Paired end-to-end comparison of a parent commit against the working tree.
 
     python3 scripts/pairs.py [--parent REV] [--seeds 701-710] \
-        [--workload NAME ...] [--seconds S] [--work DIR] [--parent-tree DIR]
+        [--workload NAME ...] [--seconds S] [--work DIR] [--parent-tree DIR] \
+        [--trace]
 
 Run from the repository root. The parent (default HEAD) is checked out with
 `git worktree add --detach` into the work directory (default `.bench_pairs`)
@@ -22,6 +23,13 @@ parent's, positive when worse by the metric's `better` direction, and
   unresolved  when the parent's q1-q3 spans more than `bound` of its median,
               unless every change run beats every parent run;
   ok          otherwise.
+
+With --trace every run is traced (`--trace 1`), so it reports the
+per-layer metrics instead of the end-to-end ones. Per metric the script then
+prints both medians and both q1-q3 ranges only: traced runs are not gated,
+so there are no verdicts. The checks below still apply; a traced run
+reports none of the exact-compared metrics, so only `correct` and `failed`
+can fail it.
 
 Exit status 1 when any run reports `correct: false` or `failed > 0`, when
 new executions, evaluations, precision or recall differ within a pair on
@@ -66,10 +74,10 @@ def build(tree, target):
     return os.path.join(target, "release", "e2ebench")
 
 
-def run_once(exe, tree, workload, seed, seconds):
+def run_once(exe, tree, workload, seed, seconds, trace):
     out = subprocess.run(
         [exe, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "1" if trace else "0"],
         cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -132,6 +140,18 @@ def report(workload, pairs, metrics):
     return worse
 
 
+def report_trace(workload, pairs):
+    """Prints the workload's per-layer table: both medians and q1-q3
+    ranges, and no verdicts."""
+    print(f"{workload}: {len(pairs)} traced pairs")
+    print(f"  {'metric':<40} {'parent median (q1-q3)':>32} "
+          f"{'change median (q1-q3)':>32}")
+    for name in pairs[0][0]["metrics"]:
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        print(f"  {name:<40} {summary(parent)[2]:>32} {summary(change)[2]:>32}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD")
@@ -140,6 +160,7 @@ def main():
     ap.add_argument("--seconds", type=float)
     ap.add_argument("--work", default=os.path.join(ROOT, ".bench_pairs"))
     ap.add_argument("--parent-tree")
+    ap.add_argument("--trace", action="store_true")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -175,7 +196,7 @@ def main():
                 result = {}
                 for side in order:
                     exe, tree = sides[side]
-                    r = run_once(exe, tree, workload, seed, seconds)
+                    r = run_once(exe, tree, workload, seed, seconds, args.trace)
                     if r is None or not r["correct"] or r["failed"]:
                         failures.append(f"{workload} seed {seed} {side}: "
                                         + ("no result" if r is None else
@@ -189,12 +210,15 @@ def main():
                     for k in p["metrics"]), file=sys.stderr)
                 if workload in EXACT_WORKLOADS:
                     for k in EXACT_METRICS:
-                        if p["metrics"][k]["value"] != c["metrics"][k]["value"]:
+                        if k in p["metrics"] and \
+                                p["metrics"][k]["value"] != c["metrics"][k]["value"]:
                             failures.append(
                                 f"{workload} seed {seed}: {k} {p['metrics'][k]['value']}"
                                 f" (parent) != {c['metrics'][k]['value']} (change)")
                 pairs.append((p, c))
-            if pairs:
+            if pairs and args.trace:
+                report_trace(workload, pairs)
+            elif pairs:
                 failures.extend(report(workload, pairs, metrics))
     finally:
         if worktree is not None:
