@@ -140,7 +140,7 @@ pub fn debugging_decision_trees(
     let mut complete = true;
 
     // The tree needs both outcomes; enrich a thin history with random probes.
-    ensure_both_outcomes(exec, &space, config.enrich_initial, &mut rng);
+    let refused = ensure_both_outcomes(exec, &space, config.enrich_initial, &mut rng);
     let (has_fail, has_succeed) = exec.with_provenance_ref(|prov| {
         (
             prov.first_failing().is_some(),
@@ -151,12 +151,18 @@ pub fn debugging_decision_trees(
         return Err(AlgoError::NoFailingInstance);
     }
     if !has_succeed {
-        // Every probe failed too: the whole explored space fails.
+        // Every probe that ran failed too. If the budget refused one, that
+        // probe might have succeeded: assert nothing. Otherwise the whole
+        // explored space fails.
         return Ok(DdtReport {
-            causes: Dnf::new(vec![Conjunction::top()]),
+            causes: if refused {
+                Dnf::bottom()
+            } else {
+                Dnf::new(vec![Conjunction::top()])
+            },
             new_executions: exec.stats().new_executions.saturating_sub(start_execs),
             rebuilds: 0,
-            complete,
+            complete: !refused,
         });
     }
 
@@ -263,8 +269,15 @@ pub fn debugging_decision_trees(
 }
 
 /// Executes random instances until the history contains at least one failing
-/// and one succeeding run (or the probe allowance runs out).
-fn ensure_both_outcomes(exec: &Executor, space: &ParamSpace, probes: usize, rng: &mut StdRng) {
+/// and one succeeding run (or the probe allowance runs out). Returns whether
+/// the budget refused a probe.
+fn ensure_both_outcomes(
+    exec: &Executor,
+    space: &ParamSpace,
+    probes: usize,
+    rng: &mut StdRng,
+) -> bool {
+    let mut refused = false;
     for _ in 0..probes {
         let (has_fail, has_succeed) = exec.with_provenance_ref(|prov| {
             (
@@ -273,11 +286,12 @@ fn ensure_both_outcomes(exec: &Executor, space: &ParamSpace, probes: usize, rng:
             )
         });
         if has_fail && has_succeed {
-            return;
+            break;
         }
         let inst = random_instance(space, rng);
-        let _ = exec.evaluate(&inst);
+        refused |= matches!(exec.evaluate(&inst), Err(ExecError::BudgetExhausted));
     }
+    refused
 }
 
 fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> Instance {
@@ -589,7 +603,7 @@ fn minimize_cause(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::{Comparator, EvalResult, ParamSpace, Predicate, Value};
+    use bugdoc_core::{Comparator, EvalResult, ParamSpace, Predicate, ProvenanceStore, Run, Value};
     use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, Pipeline};
     use std::sync::Arc;
 
@@ -803,6 +817,41 @@ mod tests {
         let report = debugging_decision_trees(&exec, &DdtConfig::default()).unwrap();
         assert_eq!(report.causes.len(), 1);
         assert!(report.causes.conjuncts()[0].is_empty());
+    }
+
+    /// A budget that refuses every enrichment probe leaves no evidence that
+    /// anything succeeds, so DDT asserts nothing and reports the run
+    /// incomplete instead of reading the empty succeed side as "every probe
+    /// failed" and asserting ⊤.
+    #[test]
+    fn budget_starved_enrichment_asserts_nothing() {
+        let s = ParamSpace::builder()
+            .ordinal("y", [1, 2])
+            .categorical("z", ["a", "b"])
+            .build();
+        let y = s.by_name("y").unwrap();
+        let pipe: Arc<dyn Pipeline> = Arc::new(FnPipeline::new(s.clone(), move |i: &Instance| {
+            EvalResult::of(Outcome::from_check(i.get(y) != &Value::from(2)))
+        }));
+        let seeded = ProvenanceStore::with_runs(
+            s.clone(),
+            [Run {
+                instance: s.instance_from_indices(&[1, 0]),
+                eval: EvalResult::of(Outcome::Fail),
+            }],
+        );
+        let exec = Executor::with_provenance(
+            pipe,
+            ExecutorConfig {
+                budget: Some(0),
+                ..Default::default()
+            },
+            seeded,
+        );
+        let report = debugging_decision_trees(&exec, &DdtConfig::default()).unwrap();
+        assert!(report.causes.is_empty(), "asserted {:?}", report.causes);
+        assert!(!report.complete);
+        assert_eq!(report.new_executions, 0);
     }
 
     #[test]

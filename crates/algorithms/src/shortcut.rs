@@ -95,8 +95,6 @@ pub fn shortcut(
     let mut current = cp_f.clone();
     let mut complete = true;
     for &p in &order {
-        // `with_from` keeps the dense encoding alive across the walk, so
-        // every probe below is a dense-key cache lookup in the executor.
         let replaced = current.with_from(p, cp_g);
         match exec.evaluate(&replaced) {
             Ok(Outcome::Fail) => current = replaced,
@@ -550,8 +548,9 @@ mod speculative_tests {
         Executor::new(Arc::new(pipe), ExecutorConfig { workers, budget: None, ..Default::default() })
     }
 
-    fn endpoints(_s: &Arc<ParamSpace>) -> (Instance, Instance) {
-        let all = |v: i64| Instance::new((0..10).map(|_| Value::from(v)).collect());
+    fn endpoints(s: &Arc<ParamSpace>) -> (Instance, Instance) {
+        // Every domain is [1, 2, 3]: value v is index v - 1.
+        let all = |v: u32| s.instance_from_indices(&[v - 1; 10]);
         (all(1), all(2)) // cp_f fails (p0=1 ∧ p7=1); cp_g succeeds, disjoint
     }
 

@@ -13,7 +13,7 @@
 //! instance", never a root cause — so the harness pairs it with Data X-Ray
 //! or Explanation Tables, exactly as the paper does.
 
-use bugdoc_core::{Instance, ParamSpace, Value};
+use bugdoc_core::{Instance, ParamSpace};
 use bugdoc_dtree::{ForestConfig, RandomForest};
 use bugdoc_engine::{ExecError, Executor};
 use rand::rngs::StdRng;
@@ -196,14 +196,11 @@ fn erf(x: f64) -> f64 {
 }
 
 pub(crate) fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> Instance {
-    let values: Vec<Value> = space
+    let indices: Vec<u32> = space
         .ids()
-        .map(|p| {
-            let domain = space.domain(p);
-            domain.value(rng.gen_range(0..domain.len())).clone()
-        })
+        .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
         .collect();
-    Instance::new(values)
+    space.instance_from_owned_indices(indices)
 }
 
 /// Mutates exactly one randomly chosen parameter to a different value (the
@@ -214,10 +211,12 @@ fn mutate_one(space: &ParamSpace, base: &Instance, rng: &mut StdRng) -> Instance
     if domain.len() < 2 {
         return base.clone();
     }
+    let mut key = base.dense_key().to_vec();
     loop {
-        let v = domain.value(rng.gen_range(0..domain.len())).clone();
-        if &v != base.get(p) {
-            return base.with(p, v);
+        let v = rng.gen_range(0..domain.len()) as u32;
+        if v != key[p.index()] {
+            key[p.index()] = v;
+            return space.instance_from_owned_indices(key);
         }
     }
 }
@@ -225,7 +224,7 @@ fn mutate_one(space: &ParamSpace, base: &Instance, rng: &mut StdRng) -> Instance
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::{EvalResult, Outcome, ParamSpace};
+    use bugdoc_core::{EvalResult, Outcome, ParamSpace, Value};
     use bugdoc_engine::{ExecutorConfig, FnPipeline, Pipeline};
     use std::sync::Arc;
 

@@ -23,7 +23,7 @@ pub mod perf;
 
 use bugdoc_algorithms::{diagnose, BugDocConfig};
 use bugdoc_baselines::{dataxray, exptables};
-use bugdoc_core::{Conjunction, EvalResult, Outcome, ParamSpace, ProvenanceStore, Value};
+use bugdoc_core::{Conjunction, EvalResult, Outcome, ParamSpace, ProvenanceStore};
 use bugdoc_engine::{Executor, ExecutorConfig, Pipeline};
 use bugdoc_eval::{score_assertions, PipelineScore};
 use bugdoc_synth::Truth;
@@ -183,14 +183,11 @@ pub fn real_world_comparison(
 
 /// A uniformly random instance (used by ablation sweeps).
 pub fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> bugdoc_core::Instance {
-    let values: Vec<Value> = space
+    let indices: Vec<u32> = space
         .ids()
-        .map(|p| {
-            let d = space.domain(p);
-            d.value(rng.gen_range(0..d.len())).clone()
-        })
+        .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
         .collect();
-    bugdoc_core::Instance::new(values)
+    space.instance_from_owned_indices(indices)
 }
 
 /// Records `(instance, eval)` pairs into a fresh provenance store.

@@ -17,6 +17,8 @@
 //! * `param <name> categorical <v>…` — unordered labels.
 //! * `param <name> ordinal <v>…` — ordered values (ints, floats, or strings).
 //! * `param <name> boolean` — shorthand for `ordinal false true`.
+//! * A `param` line lists each value once: two tokens that print alike
+//!   (`2` and `2.0`) are the same value and an error.
 //! * `command <argv>…` — `{param}` placeholders are substituted; every
 //!   parameter is also exported as `BUGDOC_<NAME>`.
 //! * `eval exit_code` | `eval stdout_ge <t>` | `eval stdout_le <t>`.
@@ -113,6 +115,19 @@ impl ParamDecl {
     }
 }
 
+/// The first two tokens of a `param` line whose values have the same
+/// `Display` form (`2` and `2.0`, or `a` twice), with that form. Such values
+/// are written identically on the command line and in a provenance TSV, so
+/// the line lists one value twice.
+fn same_spelling<'t>(tokens: &[&'t str], values: &[Value]) -> Option<(&'t str, &'t str, String)> {
+    let shown: Vec<String> = values.iter().map(Value::to_string).collect();
+    (1..shown.len()).find_map(|j| {
+        (0..j)
+            .find(|&i| shown[i] == shown[j])
+            .map(|i| (tokens[i], tokens[j], shown[j].clone()))
+    })
+}
+
 /// Parses a spec from its text. Never panics: every malformed line —
 /// including ones that would trip [`ParamSpace`]'s builder invariants, like
 /// a duplicate parameter name — is a [`SpecError`] carrying its 1-based
@@ -149,17 +164,24 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
                 let kind = rest[1];
                 let values: Vec<Value> = rest[2..].iter().map(|t| parse_value(t)).collect();
                 params.push(match kind {
-                    "categorical" => {
+                    "categorical" | "ordinal" => {
                         if values.len() < 2 {
-                            return Err(err(line_no, "categorical needs at least 2 values"));
+                            return Err(err(line_no, format!("{kind} needs at least 2 values")));
                         }
-                        ParamDecl::Categorical(name, values)
-                    }
-                    "ordinal" => {
-                        if values.len() < 2 {
-                            return Err(err(line_no, "ordinal needs at least 2 values"));
+                        if let Some((a, b, shown)) = same_spelling(&rest[2..], &values) {
+                            return Err(err(
+                                line_no,
+                                format!(
+                                    "parameter {name:?} lists one value twice: {a:?} and {b:?} \
+                                     are both written as {shown:?}"
+                                ),
+                            ));
                         }
-                        ParamDecl::Ordinal(name, values)
+                        if kind == "categorical" {
+                            ParamDecl::Categorical(name, values)
+                        } else {
+                            ParamDecl::Ordinal(name, values)
+                        }
                     }
                     "boolean" => {
                         if !values.is_empty() {

@@ -62,6 +62,24 @@ const CASES: &[(&str, &str, &str, usize)] = &[
         1,
     ),
     (
+        "param_ordinal_value_spelled_twice",
+        "param y boolean\nparam x ordinal 2 2.0 3\ncommand p\neval exit_code\n",
+        "\"2\" and \"2.0\" are both written as \"2\"",
+        2,
+    ),
+    (
+        "param_categorical_value_listed_twice",
+        "param c categorical a a\ncommand p\neval exit_code\n",
+        "lists one value twice",
+        1,
+    ),
+    (
+        "param_ordinal_value_listed_twice",
+        "param c ordinal 1 1\ncommand p\neval exit_code\n",
+        "lists one value twice",
+        1,
+    ),
+    (
         "param_boolean_with_values",
         "param x boolean yes no\ncommand p\neval exit_code\n",
         "boolean takes no values",

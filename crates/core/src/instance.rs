@@ -4,6 +4,12 @@
 //! `CP_i[p] = v`). Instances are the unit of cost in BugDoc: the problem's
 //! cost measure is "the number of executed pipeline instances beyond any
 //! given, previously run, instances".
+//!
+//! Every instance is built against a [`ParamSpace`] and carries its dense
+//! key, one domain index per parameter, so it always lies inside its space:
+//! no constructor accepts a value outside a parameter's universe. A universe
+//! grows only before its space is built
+//! ([`Domain::observe`](crate::Domain::observe)).
 
 use crate::param::{ParamId, ParamSpace};
 use crate::value::Value;
@@ -13,23 +19,21 @@ use std::hash::{Hash, Hasher};
 /// A complete assignment of values to parameters, stored densely by
 /// [`ParamId`] index.
 ///
-/// Space-aware constructors ([`Instance::from_pairs`],
-/// [`ParamSpace::instance_from_indices`], [`ParamSpace::instances`]) also
-/// attach the instance's **dense encoding** — one domain index (`u32`) per
-/// parameter — which the provenance store uses as its canonical hash key and
-/// the instance comparisons below use as a fast path. Instances built with
-/// [`Instance::new`] carry no encoding and fall back to value comparisons;
-/// equality and hashing are always defined over the values, so the two kinds
-/// interoperate.
+/// Every instance is built against a space ([`Instance::from_pairs`],
+/// [`Instance::with`], [`ParamSpace::instance_from_indices`],
+/// [`ParamSpace::instances`]) and carries its **dense key**: one domain index
+/// (`u32`) per parameter. The provenance store uses the key as its hash key
+/// and the instance comparisons below compare keys, not values. Equality and
+/// hashing are defined over the values; for two instances of one space they
+/// agree with the keys, since a domain holds no two equal values.
 #[derive(Debug, Clone)]
 pub struct Instance {
     values: Box<[Value]>,
     /// Per-parameter domain indices w.r.t. the space the instance was built
-    /// against. Not part of `Eq`/`Hash` (it is derived data); comparisons may
-    /// use it as a shortcut only where both operands come from one space.
-    dense: Option<Box<[u32]>>,
+    /// against. Not part of `Eq`/`Hash` (it is derived data).
+    dense: Box<[u32]>,
     /// `hash_dense_key(dense)`, precomputed at construction so hot-path
-    /// probes skip the hash chain. Meaningful only when `dense` is `Some`.
+    /// probes skip the hash chain.
     fingerprint: u64,
 }
 
@@ -48,47 +52,31 @@ impl Hash for Instance {
 }
 
 impl Instance {
-    /// Creates an instance from dense values (one per parameter, in id order).
-    pub fn new(values: Vec<Value>) -> Self {
-        Instance {
-            values: values.into_boxed_slice(),
-            dense: None,
-            fingerprint: 0,
-        }
-    }
-
-    /// Creates an instance carrying its dense encoding (crate-internal; the
-    /// public space-aware entry point is [`ParamSpace::instance_from_indices`]).
+    /// Creates an instance from its values and their domain indices
+    /// (crate-internal; the public space-aware entry point is
+    /// [`ParamSpace::instance_from_indices`]).
     pub(crate) fn new_with_dense(values: Vec<Value>, dense: Vec<u32>) -> Self {
         debug_assert_eq!(values.len(), dense.len());
         let fingerprint = crate::fx::hash_dense_key(&dense);
         Instance {
             values: values.into_boxed_slice(),
-            dense: Some(dense.into_boxed_slice()),
+            dense: dense.into_boxed_slice(),
             fingerprint,
         }
     }
 
-    /// The dense encoding (domain index per parameter), if this instance was
-    /// built against a space. See the type-level docs for the caveats.
+    /// The dense key: the domain index of every parameter's value, in
+    /// parameter order.
     #[inline]
-    pub fn dense_key(&self) -> Option<&[u32]> {
-        self.dense.as_deref()
+    pub fn dense_key(&self) -> &[u32] {
+        &self.dense
     }
 
     /// The precomputed [`hash_dense_key`](crate::hash_dense_key) fingerprint
-    /// of the dense encoding, when one is present.
+    /// of the dense key.
     #[inline]
-    pub fn dense_fingerprint(&self) -> Option<u64> {
-        self.dense.as_ref().map(|_| self.fingerprint)
-    }
-
-    /// Attaches a dense encoding computed after construction (used by the
-    /// provenance store when it encodes a key-less instance on record).
-    pub(crate) fn set_dense(&mut self, dense: Box<[u32]>) {
-        debug_assert_eq!(self.values.len(), dense.len());
-        self.fingerprint = crate::fx::hash_dense_key(&dense);
-        self.dense = Some(dense);
+    pub fn dense_fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Creates an instance from `(name, value)` pairs against a space. Every
@@ -143,45 +131,48 @@ impl Instance {
     }
 
     /// Returns a copy with parameter `p` reassigned to `v` — the elementary
-    /// move of the Shortcut algorithm (`CP_current'[p] ← CP_g[p]`). The copy
-    /// loses the dense encoding (the new value's domain index is unknown
-    /// without a space); prefer [`Instance::with_from`] when the replacement
-    /// value comes from another instance.
-    pub fn with(&self, p: ParamId, v: Value) -> Self {
+    /// move of the Shortcut algorithm (`CP_current'[p] ← CP_g[p]`). `v` is
+    /// mapped onto `p`'s domain like a [`from_pairs`](Self::from_pairs)
+    /// value (an `Int` literal against a float domain becomes the domain's
+    /// `Float`); a value outside the universe panics. Prefer
+    /// [`Instance::with_from`] when the replacement value comes from another
+    /// instance.
+    pub fn with(&self, space: &ParamSpace, p: ParamId, v: Value) -> Self {
+        debug_assert_eq!(self.len(), space.len());
+        let domain = space.domain(p);
+        let idx = domain.index_of(&v).unwrap_or_else(|| {
+            panic!(
+                "value {v} outside the universe of parameter {:?}",
+                space.param(p).name()
+            )
+        });
         let mut values = self.values.to_vec();
-        values[p.index()] = v;
-        Instance::new(values)
+        values[p.index()] = domain.value(idx).clone();
+        let mut dense = self.dense.to_vec();
+        dense[p.index()] = idx as u32;
+        Instance::new_with_dense(values, dense)
     }
 
     /// Returns a copy with parameter `p` reassigned to `donor`'s value for
-    /// `p`, preserving the dense encoding when both instances carry one —
-    /// the zero-re-encoding form of the Shortcut substitution step.
+    /// `p`, carrying over the donor's domain index — the zero-re-encoding
+    /// form of the Shortcut substitution step.
     pub fn with_from(&self, p: ParamId, donor: &Instance) -> Self {
         let mut values = self.values.to_vec();
         values[p.index()] = donor.get(p).clone();
-        match (&self.dense, &donor.dense) {
-            (Some(a), Some(b)) => {
-                let mut dense = a.to_vec();
-                dense[p.index()] = b[p.index()];
-                Instance::new_with_dense(values, dense)
-            }
-            _ => Instance::new(values),
-        }
+        let mut dense = self.dense.to_vec();
+        dense[p.index()] = donor.dense[p.index()];
+        Instance::new_with_dense(values, dense)
     }
 
     /// True if the two instances disagree on *every* parameter — the paper's
-    /// Disjointness Condition (Def. 6): `CP_x[p] ≠ CP_y[p] ∀p`. When both
-    /// sides carry dense encodings (necessarily from the same space, since
-    /// they assign the same parameters), the check compares indices only.
+    /// Disjointness Condition (Def. 6): `CP_x[p] ≠ CP_y[p] ∀p`. Both come
+    /// from one space, so the check compares domain indices.
     pub fn is_disjoint_from(&self, other: &Instance) -> bool {
         debug_assert_eq!(self.len(), other.len());
-        if let (Some(a), Some(b)) = (&self.dense, &other.dense) {
-            return a.iter().zip(b.iter()).all(|(x, y)| x != y);
-        }
-        self.values
+        self.dense
             .iter()
-            .zip(other.values.iter())
-            .all(|(a, b)| a != b)
+            .zip(other.dense.iter())
+            .all(|(x, y)| x != y)
     }
 
     /// Number of parameters on which the two instances differ. The
@@ -189,13 +180,10 @@ impl Instance {
     /// be met, paper §4.1) maximizes this.
     pub fn hamming_distance(&self, other: &Instance) -> usize {
         debug_assert_eq!(self.len(), other.len());
-        if let (Some(a), Some(b)) = (&self.dense, &other.dense) {
-            return a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
-        }
-        self.values
+        self.dense
             .iter()
-            .zip(other.values.iter())
-            .filter(|(a, b)| a != b)
+            .zip(other.dense.iter())
+            .filter(|(x, y)| x != y)
             .count()
     }
 
@@ -317,7 +305,7 @@ mod tests {
         );
         assert!(f.is_disjoint_from(&g));
         assert_eq!(f.hamming_distance(&g), 3);
-        let h = g.with(s.by_name("Version").unwrap(), 2.into());
+        let h = g.with(&s, s.by_name("Version").unwrap(), 2.into());
         assert!(!f.is_disjoint_from(&h));
         assert_eq!(f.hamming_distance(&h), 2);
     }
@@ -333,7 +321,7 @@ mod tests {
                 ("Version", 2.into()),
             ],
         );
-        let b = a.with(s.by_name("Dataset").unwrap(), "Digits".into());
+        let b = a.with(&s, s.by_name("Dataset").unwrap(), "Digits".into());
         let shared: Vec<_> = a.shared_pairs(&b).collect();
         assert_eq!(shared.len(), 2);
         assert_eq!(shared[0].0, s.by_name("Estimator").unwrap());
@@ -351,8 +339,56 @@ mod tests {
                 ("Version", 2.into()),
             ],
         );
-        let b = a.with(s.by_name("Version").unwrap(), 1.into());
+        let b = a.with(&s, s.by_name("Version").unwrap(), 1.into());
         assert_eq!(a.get(s.by_name("Version").unwrap()), &Value::from(2));
         assert_eq!(b.get(s.by_name("Version").unwrap()), &Value::from(1));
+    }
+
+    /// `with` maps a value onto the domain as `from_pairs` does: an `Int`
+    /// literal against a float ordinal domain becomes the domain's `Float`,
+    /// and the result carries the key of that value.
+    #[test]
+    fn with_maps_an_int_literal_onto_a_float_domain() {
+        let s = ParamSpace::builder()
+            .ordinal("lr", [0.5, 1.0, 2.0])
+            .categorical("m", ["a", "b"])
+            .build();
+        let lr = s.by_name("lr").unwrap();
+        let base = s.instance_from_indices(&[0, 1]);
+        let moved = base.with(&s, lr, 2.into());
+        assert_eq!(moved.get(lr), &Value::float(2.0));
+        assert_eq!(moved.dense_key(), &[2, 1]);
+        assert_eq!(
+            moved,
+            Instance::from_pairs(&s, [("lr", 2.into()), ("m", "b".into())])
+        );
+        assert_eq!(moved.dense_fingerprint(), crate::hash_dense_key(&[2, 1]));
+    }
+
+    /// A store finds an instance built by `with` once it is recorded: the
+    /// key `with` computes is the key the store indexes.
+    #[test]
+    fn with_result_is_found_by_lookup_after_record() {
+        use crate::outcome::{EvalResult, Outcome};
+        use crate::provenance::ProvenanceStore;
+        let s = space3();
+        let version = s.by_name("Version").unwrap();
+        let base = s.instance_from_indices(&[0, 2, 0]);
+        let moved = base.with(&s, version, 2.into());
+        let mut prov = ProvenanceStore::new(s.clone());
+        prov.record(base.clone(), EvalResult::of(Outcome::Succeed));
+        assert_eq!(prov.outcome_of(&moved), None);
+        assert!(prov.record(moved.clone(), EvalResult::of(Outcome::Fail)));
+        let probe = s.instance_from_indices(&[0, 2, 1]);
+        assert_eq!(prov.outcome_of(&probe), Some(Outcome::Fail));
+        assert_eq!(prov.outcome_of(&moved), Some(Outcome::Fail));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the universe")]
+    fn with_value_outside_the_universe_panics() {
+        let s = space3();
+        let base = s.instance_from_indices(&[0, 0, 0]);
+        let _ = base.with(&s, s.by_name("Version").unwrap(), 3.into());
     }
 }

@@ -297,14 +297,14 @@ impl ParamSpace {
 
     /// The dense encoding of an instance: each parameter's value replaced by
     /// its domain index. `None` if any value is not *identical* to a domain
-    /// value (or the arity differs) — such instances fall back to
-    /// value-based handling in the provenance store. Identity is deliberate:
-    /// a `Float(2.0)` stored against an `Int` domain must not be indexed
-    /// under `Int(2)`, or bitset predicate evaluation would disagree with
+    /// value (or the arity differs). Identity is deliberate: a `Float(2.0)`
+    /// stored against an `Int` domain must not be indexed under `Int(2)`, or
+    /// bitset predicate evaluation would disagree with
     /// `Conjunction::satisfied_by`'s `Eq` semantics.
     ///
-    /// The cached key on the instance itself ([`Instance::dense_key`]) is
-    /// preferred when present; this method is the recompute path.
+    /// Every instance carries its key ([`Instance::dense_key`]); this method
+    /// recomputes it, which the provenance store's debug assertions use to
+    /// check a carried key against the store's space.
     pub fn encode(&self, instance: &Instance) -> Option<Box<[u32]>> {
         if instance.len() != self.len() {
             return None;

@@ -15,12 +15,12 @@
 //! in-memory operation here must be effectively free even at large histories.
 //! The store therefore maintains, alongside the append-only `runs` log:
 //!
-//! * **Dense instance keys** — each recorded instance is encoded as one
-//!   domain index per parameter (`Box<[u32]>`, see [`ParamSpace::encode`]),
-//!   and `by_key` maps that encoding (hashed with the cheap
-//!   [`FxHasher`](crate::FxHasher)) to its run index. Lookup of an instance
-//!   that carries its own key ([`Instance::dense_key`]) hashes a handful of
-//!   `u32`s — no `Value` hashing, no instance cloning.
+//! * **Dense instance keys** — every instance carries its key, one domain
+//!   index per parameter ([`Instance::dense_key`]), and `by_key` maps the
+//!   key to its run index through the fingerprint the instance precomputed
+//!   ([`Instance::dense_fingerprint`]). Record and lookup are one probe
+//!   each: no `Value` hashing, no encoding, no instance cloning. The keys
+//!   themselves sit in one row-major arena, row `r` for run `r`.
 //! * **(parameter, value) run bitsets** — one flat, row-major block of bit
 //!   words over the whole log, one row per `(p, v)` pair: row
 //!   `offsets[p] + v` holds bit `r` for every run `r` whose parameter `p`
@@ -28,11 +28,6 @@
 //!   row has the same capacity in words; when the run at index
 //!   `64 · capacity` arrives, the block is copied into one with twice the
 //!   capacity, so growth costs amortized O(1) words per run.
-//! * **Overflow list** — instances whose values fall outside their declared
-//!   domains (possible via the unchecked [`Instance::new`]) cannot be
-//!   encoded; they are tracked in `overflow` and handled by the original
-//!   interpretive path, so the fast index never changes observable
-//!   semantics.
 //!
 //! # Query paths
 //!
@@ -45,12 +40,11 @@
 //! [`succeeding_superset_exists`](ProvenanceStore::succeeding_superset_exists)
 //! are word-parallel bit operations over the log instead of per-run
 //! predicate interpretation. `support` popcounts that set against the
-//! outcome bitsets; the superset check first tries the overflow runs
-//! interpretively, then tests the set against the succeeding runs.
+//! outcome bitsets; the superset check tests it against the succeeding
+//! runs.
 
 use crate::bitset::RunSet;
 use crate::cause::Conjunction;
-use crate::fx::hash_dense_key;
 use crate::instance::Instance;
 use crate::kernels;
 use crate::outcome::{EvalResult, Outcome};
@@ -62,9 +56,8 @@ use std::sync::Arc;
 /// Open-addressing index from dense instance keys to run indices.
 ///
 /// Slots hold `(fingerprint, run)` pairs; the key bytes live in a flat
-/// side arena (`arity` `u32`s per run, zero-filled for unencodable runs), so
-/// every probe is hash → slot → one contiguous arena row — no pointer chase
-/// through the run log. A fingerprint match is always confirmed against the
+/// side arena (`arity` `u32`s per run), so every probe is hash → slot → one
+/// contiguous arena row — no pointer chase through the run log. A fingerprint match is always confirmed against the
 /// arena row, so lookups are exact even under 64-bit hash collisions; this
 /// is still a handful of nanoseconds against a 10k-run history, versus the
 /// tens a general-purpose `HashMap<Box<[u32]>, _>` costs on the same probe.
@@ -113,7 +106,7 @@ impl KeyIndex {
     }
 
     /// The arena row holding run `r`'s dense key.
-    // lint: allow(W003, reason = "every caller passes a run index whose row was appended by insert_at/push_overflow_row, so the arena slice r*arity..(r+1)*arity exists by construction", scope = "block")
+    // lint: allow(W003, reason = "every caller passes a run index whose row was appended by insert_at, so the arena slice r*arity..(r+1)*arity exists by construction", scope = "block")
     #[inline]
     fn row(&self, r: usize) -> &[u32] {
         &self.arena[r * self.arity..(r + 1) * self.arity]
@@ -169,14 +162,6 @@ impl KeyIndex {
         debug_assert_eq!(self.slots[slot] as u32, EMPTY, "insert into occupied slot");
         self.slots[slot] = pack_slot(fp, run);
         self.len += 1;
-    }
-
-    /// Appends a zero-filled arena row for a run that has no dense key, so
-    /// row addressing stays `run * arity`. (The row is never compared: only
-    /// runs inserted into `slots` are.)
-    fn push_overflow_row(&mut self, run: u32) {
-        debug_assert_eq!(self.arena.len(), run as usize * self.arity);
-        self.arena.extend(std::iter::repeat(0).take(self.arity));
     }
 
     /// Pre-sizes for `additional` further inserts: the arena reserves their
@@ -311,10 +296,6 @@ pub struct ProvenanceStore {
     fail_bits: RunSet,
     /// Runs that succeeded.
     succeed_bits: RunSet,
-    /// Runs whose instances could not be densely encoded (out-of-domain
-    /// values); they are absent from `by_key`/the value index and served by
-    /// the interpretive fallback paths.
-    overflow: Vec<u32>,
 }
 
 impl ProvenanceStore {
@@ -336,7 +317,6 @@ impl ProvenanceStore {
             cap: 1,
             fail_bits: RunSet::new(),
             succeed_bits: RunSet::new(),
-            overflow: Vec::new(),
         }
     }
 
@@ -353,20 +333,11 @@ impl ProvenanceStore {
     }
 
     /// The first `words` words of value-index row `row`.
-    // lint: allow(W003, reason = "row = offsets[p] + v with v below p's domain length, so it is one of the block's rows; callers pass words = runs.len().div_ceil(64), which finish_record keeps <= cap by growing the block before run 64 * cap", scope = "block")
+    // lint: allow(W003, reason = "row = offsets[p] + v with v below p's domain length, so it is one of the block's rows; callers pass words = runs.len().div_ceil(64), which record keeps <= cap by growing the block before run 64 * cap", scope = "block")
     #[inline]
     fn row(&self, row: usize, words: usize) -> &[u64] {
         let at = row * self.cap;
         &self.bits[at..at + words]
-    }
-
-    /// Run index of an unencodable instance, by value equality.
-    // lint: allow(W003, reason = "overflow stores indices of runs that were pushed before being recorded there, so runs[i] exists", scope = "block")
-    fn overflow_find(&self, instance: &Instance) -> Option<usize> {
-        self.overflow
-            .iter()
-            .map(|&i| i as usize)
-            .find(|&i| &self.runs[i].instance == instance)
     }
 
     /// A predicate's extension as contiguous ranges, without scanning the
@@ -510,27 +481,22 @@ impl ProvenanceStore {
     /// *different* outcome panics — it violates Def. 2's determinism and would
     /// silently corrupt every downstream guarantee.
     ///
-    /// The map key is the instance's dense encoding (4 bytes per parameter),
-    /// not a clone of the instance; the bitset index is updated in the same
-    /// pass.
-    // lint: allow(W003, reason = "probe/overflow_find only return indices of runs already pushed; the expects state the Instance invariant that a dense key and its fingerprint travel together", scope = "block")
-    pub fn record(&mut self, mut instance: Instance, eval: EvalResult) -> bool {
-        // Resolve the dense key without cloning: a carried key is borrowed
-        // straight through probe and index insert (the hot path allocates
-        // nothing); only a key-less encodable instance pays one encode.
-        let encoded: Option<Box<[u32]>> = if instance.dense_key().is_some() {
-            debug_assert_eq!(
-                instance.dense_key(),
-                self.space.encode(&instance).as_deref(),
-                "instance carries a dense key inconsistent with this store's space"
-            );
-            None
-        } else {
-            self.space.encode(&instance)
-        };
-        if instance.dense_key().is_none() && encoded.is_none() {
-            // Unencodable: the interpretive overflow path.
-            if let Some(i) = self.overflow_find(&instance) {
+    /// The instance's dense key is borrowed straight through the key-index
+    /// probe and insert (4 bytes per parameter, no instance clone, nothing
+    /// allocated on the hot path), and the value index gains one bit per
+    /// parameter. The block grows first when the run would not fit.
+    // lint: allow(W001, reason = "per-record single-bit insert into the value index, one bit per parameter -- not a bulk word-granularity scan", scope = "block")
+    // lint: allow(W003, reason = "probe only returns indices of runs already pushed; each key entry v is below its parameter's domain length, so offsets[p] + v is a row of the block, and idx / 64 < cap once the block has grown for idx", scope = "block")
+    pub fn record(&mut self, instance: Instance, eval: EvalResult) -> bool {
+        debug_assert_eq!(
+            Some(instance.dense_key()),
+            self.space.encode(&instance).as_deref(),
+            "instance carries a dense key inconsistent with this store's space"
+        );
+        let idx = self.runs.len();
+        let (fp, key) = (instance.dense_fingerprint(), instance.dense_key());
+        match self.by_key.probe(fp, key) {
+            Ok(i) => {
                 assert_eq!(
                     self.runs[i].eval.outcome,
                     eval.outcome,
@@ -539,57 +505,14 @@ impl ProvenanceStore {
                 );
                 return false;
             }
-            let idx = self.runs.len();
-            self.by_key.push_overflow_row(idx as u32);
-            self.overflow.push(idx as u32);
-            return self.finish_record(instance, eval);
+            Err(slot) => self.by_key.insert_at(slot, fp, idx as u32, key),
         }
-        {
-            let (fp, key): (u64, &[u32]) = match &encoded {
-                Some(k) => (hash_dense_key(k), k),
-                None => (
-                    instance
-                        .dense_fingerprint()
-                        .expect("fingerprint accompanies the dense key"),
-                    instance.dense_key().expect("dense key checked above"),
-                ),
-            };
-            let slot = match self.by_key.probe(fp, key) {
-                Ok(i) => {
-                    assert_eq!(
-                        self.runs[i].eval.outcome,
-                        eval.outcome,
-                        "non-deterministic evaluation for instance {}",
-                        instance.display(&self.space)
-                    );
-                    return false;
-                }
-                Err(slot) => slot,
-            };
-            self.by_key.insert_at(slot, fp, self.runs.len() as u32, key);
-        }
-        if let Some(k) = encoded {
-            instance.set_dense(k);
-        }
-        self.finish_record(instance, eval)
-    }
-
-    /// The shared tail of [`record`](Self::record): the value-index bits
-    /// (an encodable instance carries its dense key by now; an overflow one
-    /// has none), outcome bits and the run log append. The block grows
-    /// first when the run would not fit. Always returns `true`.
-    // lint: allow(W001, reason = "per-record single-bit insert into the value index, one bit per parameter -- not a bulk word-granularity scan", scope = "block")
-    // lint: allow(W003, reason = "each key entry v is below its parameter's domain length, so offsets[p] + v is a row of the block, and idx / 64 < cap once the block has grown for idx", scope = "block")
-    fn finish_record(&mut self, instance: Instance, eval: EvalResult) -> bool {
-        let idx = self.runs.len();
         if idx == 64 * self.cap {
             self.grow_rows();
         }
-        if let Some(key) = instance.dense_key() {
-            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-            for (&off, &v) in self.offsets.iter().zip(key) {
-                self.bits[(off as usize + v as usize) * self.cap + word] |= bit;
-            }
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        for (&off, &v) in self.offsets.iter().zip(key) {
+            self.bits[(off as usize + v as usize) * self.cap + word] |= bit;
         }
         match eval.outcome {
             Outcome::Fail => self.fail_bits.insert(idx),
@@ -616,17 +539,9 @@ impl ProvenanceStore {
 
     /// Every run's dense key in one row-major arena, in run order: run
     /// `r`'s key is `key_arena()[r * len..(r + 1) * len]` for a space of
-    /// `len` parameters. An overflow run (see
-    /// [`overflow_runs`](Self::overflow_runs)) has no dense key; its row is
-    /// all zeros, which says nothing about its values.
+    /// `len` parameters.
     pub fn key_arena(&self) -> &[u32] {
         &self.by_key.arena
-    }
-
-    /// The indices of the runs whose instances could not be densely encoded
-    /// (a value outside its domain), ascending.
-    pub fn overflow_runs(&self) -> &[u32] {
-        &self.overflow
     }
 
     /// The failing runs, as a bitset over run indices.
@@ -634,30 +549,18 @@ impl ProvenanceStore {
         &self.fail_bits
     }
 
-    /// The recorded evaluation of an instance, if it was executed.
-    ///
-    /// When the probe carries its dense key (the common case on the hot
-    /// path), this is a single FxHash probe over a few `u32`s.
-    // lint: allow(W003, reason = "the expect states the Instance invariant that a dense key and its fingerprint travel together; key-index probes only return indices of recorded runs", scope = "block")
+    /// The recorded evaluation of an instance, if it was executed: one
+    /// key-index probe over the instance's dense key.
+    // lint: allow(W003, reason = "key-index probes only return indices of recorded runs", scope = "block")
     pub fn lookup(&self, instance: &Instance) -> Option<&EvalResult> {
-        if let Some(k) = instance.dense_key() {
-            debug_assert_eq!(
-                Some(k),
-                self.space.encode(instance).as_deref(),
-                "instance carries a dense key inconsistent with this store's space"
-            );
-            let fp = instance
-                .dense_fingerprint()
-                .expect("fingerprint accompanies the dense key");
-            return self.by_key.get(fp, k).map(|i| &self.runs[i].eval);
-        }
-        match self.space.encode(instance) {
-            Some(k) => self
-                .by_key
-                .get(hash_dense_key(&k), &k)
-                .map(|i| &self.runs[i].eval),
-            None => self.overflow_find(instance).map(|i| &self.runs[i].eval),
-        }
+        debug_assert_eq!(
+            Some(instance.dense_key()),
+            self.space.encode(instance).as_deref(),
+            "instance carries a dense key inconsistent with this store's space"
+        );
+        self.by_key
+            .get(instance.dense_fingerprint(), instance.dense_key())
+            .map(|i| &self.runs[i].eval)
     }
 
     /// The recorded outcome of an instance, if it was executed.
@@ -744,20 +647,11 @@ impl ProvenanceStore {
 
     /// The Shortcut sanity check (Algorithm 1, final loop): is there a
     /// *succeeding* run whose parameter-values are a superset of the
-    /// hypothetical root cause `D`? If so, `D` is not definitive. Overflow
-    /// runs are checked first — a handful of interpretive checks, and a hit
-    /// skips planning — then the indexed runs' satisfying set against the
-    /// succeeding runs.
-    // lint: allow(W003, reason = "overflow only records indices of runs already pushed", scope = "block")
+    /// hypothetical root cause `D`? If so, `D` is not definitive. The
+    /// satisfying set is tested against the succeeding runs.
     pub fn succeeding_superset_exists(&self, cause: &Conjunction) -> bool {
         if cause.is_empty() {
             return !self.succeed_bits.is_empty();
-        }
-        if self.overflow.iter().any(|&r| {
-            let run = &self.runs[r as usize];
-            run.outcome().is_succeed() && cause.satisfied_by(&run.instance)
-        }) {
-            return true;
         }
         self.matching_runs(&self.plan_predicates(cause))
             .is_some_and(|acc| kernels::and_any(&acc, self.succeed_bits.words()))
@@ -765,28 +659,17 @@ impl ProvenanceStore {
 
     /// Counts `(failing, succeeding)` runs satisfying a conjunction — fused
     /// AND+popcount of the satisfying set against the outcome bitsets.
-    // lint: allow(W003, reason = "overflow holds recorded run indices", scope = "block")
     pub fn support(&self, cause: &Conjunction) -> (usize, usize) {
         if cause.is_empty() {
             return (self.num_failing(), self.num_succeeding());
         }
-        let (mut f, mut s) = match self.matching_runs(&self.plan_predicates(cause)) {
+        match self.matching_runs(&self.plan_predicates(cause)) {
             Some(acc) => (
                 kernels::and_popcount(&acc, self.fail_bits.words()),
                 kernels::and_popcount(&acc, self.succeed_bits.words()),
             ),
             None => (0, 0),
-        };
-        for &i in &self.overflow {
-            let run = &self.runs[i as usize];
-            if cause.satisfied_by(&run.instance) {
-                match run.outcome() {
-                    Outcome::Fail => f += 1,
-                    Outcome::Succeed => s += 1,
-                }
-            }
         }
-        (f, s)
     }
 
     /// Parses a history from the TSV layout produced by [`Self::to_tsv`]

@@ -241,9 +241,10 @@ mod tests {
     #[test]
     fn zero_parameter_space_grows_leaves() {
         let s = ParamSpace::builder().build();
-        let rows = [(Instance::new(vec![]), 0.0), (Instance::new(vec![]), 1.0)];
+        let empty = s.instance_from_indices(&[]);
+        let rows = [(empty.clone(), 0.0), (empty.clone(), 1.0)];
         let forest = RandomForest::fit(&s, &rows, &ForestConfig::default());
-        let p = forest.predict(&Instance::new(vec![]));
+        let p = forest.predict(&empty);
         assert!((0.0..=1.0).contains(&p.mean) && p.variance >= 0.0);
         let mut rng = StdRng::seed_from_u64(0);
         assert!(RngSampler { rng: &mut rng }.sample(&[], 3).is_empty());

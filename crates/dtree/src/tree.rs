@@ -13,27 +13,17 @@
 //!
 //! A fit lays its rows out as one row-major code matrix: one `u32` code per
 //! parameter, row `i` at `i * len..(i + 1) * len` for a space of `len`
-//! parameters. That is the layout of the provenance store's key arena
-//! ([`ProvenanceStore::key_arena`]):
-//!
-//! * [`DecisionTree::fit_provenance`] borrows the arena as the matrix when
-//!   the log has no overflow runs. Otherwise it copies the arena and
-//!   re-encodes only the overflow runs' rows, which the arena holds as zeros.
-//! * [`DecisionTree::fit`] copies a row's dense key (built by
-//!   [`ParamSpace::instance_from_indices`], as every encodable run in the
-//!   store carries) into the matrix unchanged.
-//! * A key-less row ([`Instance::new`]) or an overflow run is encoded under
-//!   the semantics [`Predicate::satisfied_by`] applies. A categorical value
-//!   gets its exact (`Eq`) domain index, or one shared code when it is
-//!   outside the domain. An ordinal value gets the index of an `Ord`-equal
-//!   domain value (what [`Domain::index_of`] finds), or, when there is none,
-//!   a gap code for its place between two domain values.
+//! parameters. A row's code for a parameter is its value's domain index, so
+//! the matrix is the rows' dense keys ([`Instance::dense_key`]) one after
+//! another — the layout of the provenance store's key arena
+//! ([`ProvenanceStore::key_arena`]). [`DecisionTree::fit`] copies each row's
+//! key into the matrix, and [`DecisionTree::fit_provenance`] borrows the
+//! arena as it is.
 //!
 //! An ordinal parameter also ranks its codes in `≤` order. `Ord`-equal
 //! domain values share a rank (`Domain::ordinal` dedups by `Eq`, so it keeps
-//! both `Int(2)` and `Float(2.0)`, and `≤` cannot tell them apart), and a gap
-//! code ranks strictly between its neighbours. A row satisfies `≤ v` exactly
-//! when its code ranks no higher than `v`.
+//! both `Int(2)` and `Float(2.0)`, and `≤` cannot tell them apart). A row
+//! satisfies `≤ v` exactly when its code ranks no higher than `v`.
 //!
 //! `grow` partitions one row-id vector in place. A node that splits holds a
 //! histogram over every parameter: the (n, Σy, Σy²) of its rows in one
@@ -62,7 +52,6 @@
 
 use bugdoc_core::{
     Comparator, Conjunction, Domain, Instance, ParamId, ParamSpace, Predicate, ProvenanceStore,
-    Value,
 };
 use std::borrow::{Borrow, Cow};
 use std::fmt::Write as _;
@@ -164,11 +153,11 @@ impl FeatureSampler for AllFeatures {
 impl DecisionTree {
     /// Fits a tree on `(instance, label)` rows; the instances may be owned
     /// or borrowed (`&Instance`, e.g. straight from a provenance store).
-    /// They must be instances of `space`: a row's dense key, when it has
-    /// one, is taken as its encoding. Labels are real-valued; the split
-    /// criterion is sum-of-squared-error reduction, which for binary
-    /// fail=1/succeed=0 labels coincides (up to a constant) with Gini
-    /// impurity, so one criterion serves classification and regression.
+    /// They must be instances of `space`: a row's dense key is taken as its
+    /// encoding. Labels are real-valued; the split criterion is
+    /// sum-of-squared-error reduction, which for binary fail=1/succeed=0
+    /// labels coincides (up to a constant) with Gini impurity, so one
+    /// criterion serves classification and regression.
     pub fn fit<I: Borrow<Instance>>(
         space: &ParamSpace,
         rows: &[(I, f64)],
@@ -185,60 +174,37 @@ impl DecisionTree {
         sampler: &mut dyn FeatureSampler,
     ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let params = param_codes(space);
         let mut codes = Vec::with_capacity(rows.len() * space.len());
         for (instance, _) in rows {
             let instance = instance.borrow();
-            match instance.dense_key() {
-                Some(key) => {
-                    debug_assert!(
-                        key.len() == space.len()
-                            && space.ids().zip(key).all(|(p, &k)| {
-                                space.domain(p).value(k as usize) == instance.get(p)
-                            })
-                    );
-                    codes.extend_from_slice(key);
-                }
-                None => {
-                    let at = codes.len();
-                    codes.resize(at + space.len(), 0);
-                    encode_values(space, &params, instance.values(), &mut codes[at..]);
-                }
-            }
+            let key = instance.dense_key();
+            debug_assert!(
+                key.len() == space.len()
+                    && space
+                        .ids()
+                        .zip(key)
+                        .all(|(p, &k)| space.domain(p).value(k as usize) == instance.get(p))
+            );
+            codes.extend_from_slice(key);
         }
         let labels = rows.iter().map(|(_, y)| *y).collect();
-        Grower::fit(space, config, sampler, params, Cow::Owned(codes), labels)
+        Grower::fit(space, config, sampler, Cow::Owned(codes), labels)
     }
 
     /// Fits a tree over every run of a provenance store, labelled fail = 1 /
     /// succeed = 0 — the tree DDT grows after each refuted suspect. The
     /// store's key arena is the code matrix (see the module docs), borrowed
-    /// when the log has no overflow runs, and the labels come from its
-    /// failing-runs bitset, so no run's instance is read except an overflow
-    /// run's. The tree equals [`fit`](Self::fit) over
+    /// as it is, and the labels come from its failing-runs bitset, so no
+    /// run's instance is read. The tree equals [`fit`](Self::fit) over
     /// [`runs`](ProvenanceStore::runs) with those labels.
     pub fn fit_provenance(prov: &ProvenanceStore, config: &TreeConfig) -> Self {
         assert!(!prov.is_empty(), "cannot fit a tree on zero rows");
-        let space = prov.space();
-        let params = param_codes(space);
-        let arena = prov.key_arena();
-        let codes = if prov.overflow_runs().is_empty() {
-            Cow::Borrowed(arena)
-        } else {
-            let len = space.len();
-            let mut codes = arena.to_vec();
-            for &r in prov.overflow_runs() {
-                let r = r as usize;
-                let values = prov.runs()[r].instance.values();
-                encode_values(space, &params, values, &mut codes[r * len..(r + 1) * len]);
-            }
-            Cow::Owned(codes)
-        };
         let mut labels = vec![0.0; prov.len()];
         for r in prov.failing_runs().ones() {
             labels[r] = 1.0;
         }
-        Grower::fit(space, config, &mut AllFeatures, params, codes, labels)
+        let codes = Cow::Borrowed(prov.key_arena());
+        Grower::fit(prov.space(), config, &mut AllFeatures, codes, labels)
     }
 
     /// The root node.
@@ -408,15 +374,13 @@ fn is_pure(labels: &[f64], ids: &[usize]) -> bool {
     ids.iter().all(|&i| (labels[i] - first).abs() < 1e-12)
 }
 
-/// One parameter's codes: the map from codes to tests and the parameter's
-/// place in a node histogram.
+/// One parameter's codes — its domain indices — and the parameter's place
+/// in a node histogram.
 struct ParamCodes {
-    /// Codes below this are domain indices, the values tests are built from.
+    /// The parameter's number of codes: its domain's size.
     n_values: usize,
-    /// Ordinal parameters: the `≤` rank of every code (`2·n_values + 1`
-    /// codes: the domain indices, then one gap per place between or around
-    /// them). `None` for categorical parameters, whose codes are the domain
-    /// indices plus one out-of-domain code.
+    /// Ordinal parameters: the `≤` rank of every domain index, equal for
+    /// `Ord`-equal values. `None` for categorical parameters.
     rank: Option<Vec<u32>>,
     /// The bucket of code 0 in a node histogram; the parameter's buckets
     /// follow it, one per code.
@@ -427,44 +391,21 @@ impl ParamCodes {
     fn new(domain: &Domain, base: usize) -> Self {
         let rank = domain.is_ordinal().then(|| {
             let values = domain.values();
-            let n = values.len();
-            let mut rank = vec![0u32; 2 * n + 1];
             let mut class = 0u32;
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 && values[i - 1] < *v {
-                    class += 1;
-                }
-                rank[i] = 2 * class + 1;
-                // Gap `i` holds the values strictly below `values[i]` and
-                // above `values[i - 1]` (if any).
-                rank[n + i] = 2 * class;
-            }
-            rank[2 * n] = 2 * class + 2;
-            rank
+            (0..values.len())
+                .map(|i| {
+                    if i > 0 && values[i - 1] < values[i] {
+                        class += 1;
+                    }
+                    class
+                })
+                .collect()
         });
         ParamCodes {
             n_values: domain.len(),
             rank,
             base,
         }
-    }
-
-    fn n_codes(&self) -> usize {
-        match &self.rank {
-            Some(rank) => rank.len(),
-            None => self.n_values + 1,
-        }
-    }
-
-    /// The code of a value that carries no domain index.
-    fn code_of(&self, domain: &Domain, v: &Value) -> u32 {
-        let code = match self.rank {
-            None => domain.exact_index_of(v).unwrap_or(self.n_values),
-            Some(_) => domain
-                .index_of(v)
-                .unwrap_or_else(|| self.n_values + domain.values().partition_point(|d| d < v)),
-        };
-        code as u32
     }
 
     /// Whether a row coded `code` satisfies the test built from domain
@@ -491,17 +432,10 @@ fn param_codes(space: &ParamSpace) -> Vec<ParamCodes> {
         .ids()
         .map(|p| {
             let codes = ParamCodes::new(space.domain(p), base);
-            base += codes.n_codes();
+            base += codes.n_values;
             codes
         })
         .collect()
-}
-
-/// Encodes a key-less row's values into its row of the code matrix.
-fn encode_values(space: &ParamSpace, params: &[ParamCodes], values: &[Value], row: &mut [u32]) {
-    for (((p, codes), v), code) in space.ids().zip(params).zip(values).zip(row) {
-        *code = codes.code_of(space.domain(p), v);
-    }
 }
 
 /// The best test found so far at a node: `param` compared against its
@@ -529,7 +463,7 @@ struct Grower<'a> {
     codes: Cow<'a, [u32]>,
     /// Row id → label.
     labels: Vec<f64>,
-    /// Buckets per histogram: every parameter's code count, summed.
+    /// Buckets per histogram: every parameter's domain size, summed.
     n_buckets: usize,
     /// Histogram buffers no node holds, reused by the next scan.
     free: Vec<Histogram>,
@@ -545,19 +479,19 @@ impl<'a> Grower<'a> {
         space: &'a ParamSpace,
         config: &'a TreeConfig,
         sampler: &'a mut dyn FeatureSampler,
-        params: Vec<ParamCodes>,
         codes: Cow<'a, [u32]>,
         labels: Vec<f64>,
     ) -> DecisionTree {
         debug_assert_eq!(codes.len(), labels.len() * space.len());
         let mut ids: Vec<usize> = (0..labels.len()).collect();
         let node = Stats::of(&labels, &ids);
+        let params = param_codes(space);
         let mut grower = Grower {
             space,
             config,
             sampler,
             all_params: space.ids().collect(),
-            n_buckets: params.iter().map(ParamCodes::n_codes).sum(),
+            n_buckets: params.iter().map(|codes| codes.n_values).sum(),
             params,
             codes,
             labels,
@@ -690,8 +624,8 @@ impl<'a> Grower<'a> {
 
         for &p in candidates {
             let codes = &self.params[p.index()];
-            let buckets = &hist[codes.base..codes.base + codes.n_codes()];
-            let observed = buckets[..codes.n_values].iter().filter(|b| b.n > 0).count();
+            let buckets = &hist[codes.base..codes.base + codes.n_values];
+            let observed = buckets.iter().filter(|b| b.n > 0).count();
             if observed < 2 {
                 continue; // constant at this node: no split possible
             }
@@ -717,7 +651,7 @@ impl<'a> Grower<'a> {
                 seen += 1;
                 let yes = match &codes.rank {
                     // `≤ v` for every observed value except the largest
-                    // (which would send every in-domain row left).
+                    // (which would send every row left).
                     Some(_) if seen == observed => break,
                     Some(rank) => self.ranked[rank[v] as usize],
                     None => buckets[v],
@@ -755,7 +689,7 @@ impl<'a> Grower<'a> {
     fn partition(&mut self, ids: &mut [usize], split: &Split) -> usize {
         let p = split.param.index();
         let codes = &self.params[p];
-        let passes: Vec<bool> = (0..codes.n_codes())
+        let passes: Vec<bool> = (0..codes.n_values)
             .map(|c| codes.holds(c, split.value))
             .collect();
         let width = self.params.len();
@@ -997,9 +931,10 @@ mod tests {
     #[test]
     fn zero_parameter_space_is_one_leaf() {
         let s = ParamSpace::builder().build();
-        let rows = [(Instance::new(vec![]), 0.0), (Instance::new(vec![]), 1.0)];
+        let empty = s.instance_from_indices(&[]);
+        let rows = [(empty.clone(), 0.0), (empty.clone(), 1.0)];
         let tree = DecisionTree::fit(&s, &rows, &TreeConfig::default());
         assert_eq!(tree.n_leaves(), 1);
-        assert_eq!(tree.predict(&Instance::new(vec![])), 0.5);
+        assert_eq!(tree.predict(&empty), 0.5);
     }
 }

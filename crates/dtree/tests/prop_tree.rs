@@ -135,7 +135,7 @@ proptest! {
 #[test]
 fn duplicate_rows_consistent() {
     let space = space(&[(3, true), (3, false)]);
-    let inst = Instance::new(vec![Value::from(1), Value::from("v0")]);
+    let inst = Instance::from_pairs(&space, [("p0", Value::from(1)), ("p1", Value::from("v0"))]);
     let rows = vec![(inst.clone(), 1.0), (inst.clone(), 1.0), (inst.clone(), 1.0)];
     let tree = DecisionTree::fit(&space, &rows, &TreeConfig::default());
     assert_eq!(tree.predict(&inst), 1.0);

@@ -5,14 +5,12 @@
 //! (equal `Debug` renderings of the roots, which fixes `render()`,
 //! `paths()` and `fail_paths()` too) on every space and row mix the tree
 //! accepts: ordinal, categorical, and ordinal domains holding `Ord`-equal
-//! values (`Int(2)` beside `Float(2.0)`); dense-keyed rows beside key-less
-//! rows with out-of-domain values and cross-variant spellings; depth and
-//! split-size caps; and a seeded feature sampler (the forest path).
+//! values (`Int(2)` beside `Float(2.0)`); depth and split-size caps; and a
+//! seeded feature sampler (the forest path).
 //!
 //! Each case also goes through a provenance store: its rows are recorded
 //! (label 1 as fail), and `fit_provenance`, which reads the store's key
-//! arena and re-encodes its overflow runs, must grow the tree `fit` grows
-//! over the store's runs.
+//! arena, must grow the tree `fit` grows over the store's runs.
 
 use bugdoc_core::{
     Comparator, Domain, DomainKind, EvalResult, Instance, Outcome, ParamDef, ParamId, ParamSpace,
@@ -289,33 +287,7 @@ fn random_domain(rng: &mut StdRng) -> Domain {
     }
 }
 
-/// A value for a key-less row: a domain value, its other numeric spelling,
-/// or a value outside the domain.
-fn random_value(domain: &Domain, rng: &mut StdRng) -> Value {
-    let v = domain.value(rng.gen_range(0..domain.len())).clone();
-    match rng.gen_range(0..10) {
-        0..=4 => v,
-        5..=6 => match v {
-            Value::Int(i) => Value::float(i as f64),
-            Value::Float(f) if f.get().fract() == 0.0 => Value::from(f.get() as i64),
-            other => other,
-        },
-        _ => {
-            let outside = [
-                Value::from(-3),
-                Value::from(4),
-                Value::from(100),
-                Value::float(2.5),
-                Value::float(-0.5),
-                Value::from("zz"),
-                Value::from(true),
-            ];
-            outside[rng.gen_range(0..outside.len())].clone()
-        }
-    }
-}
-
-/// A training set over `space`: dense-keyed and key-less rows with 0/1
+/// A training set over `space`: rows drawn by domain index, with 0/1
 /// labels, either random or from a planted one-predicate rule.
 fn random_rows(space: &ParamSpace, rng: &mut StdRng) -> Vec<(Instance, f64)> {
     let planted = rng.gen_bool(0.5).then(|| {
@@ -330,20 +302,11 @@ fn random_rows(space: &ParamSpace, rng: &mut StdRng) -> Vec<(Instance, f64)> {
     });
     (0..rng.gen_range(1..=64))
         .map(|_| {
-            let instance = if rng.gen_bool(0.5) {
-                let key: Vec<u32> = space
-                    .ids()
-                    .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
-                    .collect();
-                space.instance_from_indices(&key)
-            } else {
-                Instance::new(
-                    space
-                        .ids()
-                        .map(|p| random_value(space.domain(p), rng))
-                        .collect(),
-                )
-            };
+            let key: Vec<u32> = space
+                .ids()
+                .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
+                .collect();
+            let instance = space.instance_from_indices(&key);
             let fail = match &planted {
                 Some(pred) if rng.gen_range(0..8) > 0 => pred.satisfied_by(&instance),
                 _ => rng.gen_bool(0.4),
@@ -372,8 +335,7 @@ fn random_case(seed: u64) -> (ParamSpace, Vec<(Instance, f64)>, TreeConfig, u64)
 }
 
 /// The rows recorded into a store, label 1 as fail; a row whose instance
-/// is already recorded is skipped. Key-less rows with a value outside its
-/// domain become overflow runs.
+/// is already recorded is skipped.
 fn store_of(space: &ParamSpace, rows: &[(Instance, f64)]) -> ProvenanceStore {
     let mut store = ProvenanceStore::new(Arc::new(space.clone()));
     for (instance, y) in rows {
@@ -383,21 +345,6 @@ fn store_of(space: &ParamSpace, rows: &[(Instance, f64)]) -> ProvenanceStore {
         }
     }
     store
-}
-
-/// The generator reaches the store's overflow path: many cases record
-/// overflow runs (their arena rows zeros) beside dense ones.
-#[test]
-fn cases_mix_overflow_and_dense_runs() {
-    let mixed = (0..200)
-        .filter(|&seed| {
-            let (space, rows, _, _) = random_case(seed);
-            let store = store_of(&space, &rows);
-            let overflow = store.overflow_runs().len();
-            overflow > 0 && overflow < store.len()
-        })
-        .count();
-    assert!(mixed >= 100, "only {mixed} of 200 cases mix overflow and dense runs");
 }
 
 proptest! {

@@ -229,7 +229,7 @@ mod tests {
         };
         // Failing runs of the cause: always oom_killed, varying warnings.
         record(&mut prov, &mut obs, inst(s, 1600, "mc"), true, true, 3);
-        let i2 = inst(s, 1600, "mc").with(s.by_name("perms").unwrap(), 1600.into());
+        let i2 = inst(s, 1600, "mc").with(s, s.by_name("perms").unwrap(), 1600.into());
         let _ = i2; // same instance; use a different satisfying one below
         // (the cause is perms=1600 ∧ method=mc; only one satisfying instance
         // exists in this tiny space, so add a second cause-region run via a
@@ -325,7 +325,7 @@ mod tests {
         let (mut prov, obs, cause) = setup(&s);
         // An extra failing run with no observations must not poison the
         // constancy check.
-        prov.record(inst(&s, 1600, "mc").with(s.by_name("method").unwrap(), "mc".into()),
+        prov.record(inst(&s, 1600, "mc").with(&s, s.by_name("method").unwrap(), "mc".into()),
             EvalResult::of(Outcome::Fail));
         let enriched =
             enrich_explanations(&prov, &obs, &[cause], &EnrichConfig::default());

@@ -176,18 +176,18 @@ mod tests {
         let s = p.space();
         // OOM condition.
         let oom = base_instance(&p)
-            .with(s.by_name("significance_method").unwrap(), "mc_permutation".into())
-            .with(s.by_name("permutations").unwrap(), Value::from(1600));
+            .with(s, s.by_name("significance_method").unwrap(), "mc_permutation".into())
+            .with(s, s.by_name("permutations").unwrap(), Value::from(1600));
         assert!(p.execute(&oom).unwrap().outcome.is_fail());
         // Index explosion.
         let idx = base_instance(&p)
-            .with(s.by_name("resolution").unwrap(), "hour".into())
-            .with(s.by_name("time_range_days").unwrap(), Value::from(365));
+            .with(s, s.by_name("resolution").unwrap(), "hour".into())
+            .with(s, s.by_name("time_range_days").unwrap(), Value::from(365));
         assert!(p.execute(&idx).unwrap().outcome.is_fail());
         // Memory budget.
         let mem = base_instance(&p)
-            .with(s.by_name("memory_budget_gb").unwrap(), Value::from(4))
-            .with(s.by_name("num_datasets").unwrap(), Value::from(300));
+            .with(s, s.by_name("memory_budget_gb").unwrap(), Value::from(4))
+            .with(s, s.by_name("num_datasets").unwrap(), Value::from(300));
         assert!(p.execute(&mem).unwrap().outcome.is_fail());
     }
 
@@ -197,10 +197,10 @@ mod tests {
         let s = p.space();
         // mc_permutation with few permutations is fine.
         let ok1 = base_instance(&p)
-            .with(s.by_name("significance_method").unwrap(), "mc_permutation".into());
+            .with(s, s.by_name("significance_method").unwrap(), "mc_permutation".into());
         assert!(p.execute(&ok1).unwrap().outcome.is_succeed());
         // hour resolution over a short range is fine.
-        let ok2 = base_instance(&p).with(s.by_name("resolution").unwrap(), "hour".into());
+        let ok2 = base_instance(&p).with(s, s.by_name("resolution").unwrap(), "hour".into());
         assert!(p.execute(&ok2).unwrap().outcome.is_succeed());
     }
 

@@ -185,12 +185,12 @@ mod tests {
         let p = GanPipeline::new();
         let s = p.space();
         let unstable = base(&p)
-            .with(s.by_name("gen_lr").unwrap(), Value::float(1e-3))
-            .with(s.by_name("beta1").unwrap(), Value::float(0.9));
+            .with(s, s.by_name("gen_lr").unwrap(), Value::float(1e-3))
+            .with(s, s.by_name("beta1").unwrap(), Value::float(0.9));
         assert!(p.fid(&unstable) > FID_THRESHOLD);
         let overpowered = base(&p)
-            .with(s.by_name("disc_lr").unwrap(), Value::float(1e-3))
-            .with(s.by_name("architecture").unwrap(), "dcgan".into());
+            .with(s, s.by_name("disc_lr").unwrap(), Value::float(1e-3))
+            .with(s, s.by_name("architecture").unwrap(), "dcgan".into());
         assert!(p.fid(&overpowered) > FID_THRESHOLD);
     }
 
@@ -213,8 +213,8 @@ mod tests {
     fn cost_scales_with_steps_and_lr() {
         let p = GanPipeline::new();
         let s = p.space();
-        let short = base(&p).with(s.by_name("n_steps").unwrap(), 10_000.into());
-        let long = base(&p).with(s.by_name("n_steps").unwrap(), 100_000.into());
+        let short = base(&p).with(s, s.by_name("n_steps").unwrap(), 10_000.into());
+        let long = base(&p).with(s, s.by_name("n_steps").unwrap(), 100_000.into());
         assert!(p.cost(&long).secs() > p.cost(&short).secs());
         // ~10 h in the middle of the space.
         let mid = p.cost(&base(&p)).secs() / 3600.0;

@@ -252,7 +252,11 @@ mod tests {
                 ("coadd_depth", 1.into()),
             ],
         );
-        let deep = shallow.with(sn.space().by_name("coadd_depth").unwrap(), 10.into());
+        let deep = shallow.with(
+            sn.space(),
+            sn.space().by_name("coadd_depth").unwrap(),
+            10.into(),
+        );
         assert!(sn.cost(&deep).secs() > sn.cost(&shallow).secs());
     }
 }

@@ -114,11 +114,9 @@ proptest! {
 
         // Same function, instance by instance.
         for m in 0..size {
-            let inst = bugdoc_core::Instance::new(
-                (0..n_vars)
-                    .map(|i| bugdoc_core::Value::from((m >> i & 1) == 1))
-                    .collect(),
-            );
+            // A boolean domain is `false, true`: bit i is b{i}'s index.
+            let bits: Vec<u32> = (0..n_vars).map(|i| m >> i & 1).collect();
+            let inst = space.instance_from_indices(&bits);
             prop_assert_eq!(
                 mv_min.satisfied_by(&inst),
                 boolean::cover_evaluates(&bool_cover, m)

@@ -6,7 +6,7 @@
 
 use crate::crc32::crc32;
 use crate::PersistError;
-use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, Run, Value};
+use bugdoc_core::{EvalResult, Outcome, ParamSpace, Run};
 
 /// Upper bound on a frame payload. Real records are tens of bytes; anything
 /// larger than this is read as corruption (a torn length field must not make
@@ -16,22 +16,12 @@ pub const MAX_FRAME_BYTES: usize = 1 << 24;
 /// Bytes of a frame header: payload length + payload CRC-32.
 pub const FRAME_HEADER_BYTES: usize = 8;
 
-/// The identity half of a record: the dense domain-index encoding when the
-/// instance lies inside its space's declared domains, or the raw values when
-/// it does not (the provenance store's overflow path).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecordKey {
-    /// One domain index per parameter, in parameter order.
-    Dense(Box<[u32]>),
-    /// Raw values for an instance that cannot be densely encoded.
-    Raw(Vec<Value>),
-}
-
 /// One run, in serializable form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// The instance identity.
-    pub key: RecordKey,
+    /// The instance identity: its dense key, one domain index per
+    /// parameter, in parameter order.
+    pub key: Box<[u32]>,
     /// The binary evaluation.
     pub outcome: Outcome,
     /// The raw score the evaluation thresholded, if any.
@@ -44,12 +34,8 @@ pub struct RunRecord {
 pub enum DecodeError {
     /// The payload ended mid-field.
     Truncated,
-    /// An unknown kind/outcome/value tag byte.
+    /// An unknown kind/outcome/score tag byte.
     BadTag(u8),
-    /// A string value was not UTF-8.
-    BadUtf8,
-    /// A float value was NaN (rejected by [`Value::float`]'s domain).
-    NanValue,
     /// A dense key's arity or a domain index does not fit the space.
     Domain,
 }
@@ -59,67 +45,42 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "payload truncated mid-field"),
             DecodeError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
-            DecodeError::BadUtf8 => write!(f, "string value is not UTF-8"),
-            DecodeError::NanValue => write!(f, "float value is NaN"),
             DecodeError::Domain => write!(f, "dense key does not fit the parameter space"),
         }
     }
 }
 
 impl RunRecord {
-    /// The serializable form of a recorded run. Prefers the instance's
-    /// cached dense key; falls back to encoding against `space`; instances
-    /// outside the declared domains serialize their raw values.
-    pub fn from_run(run: &Run, space: &ParamSpace) -> Self {
-        let key = run
-            .instance
-            .dense_key()
-            .map(<Box<[u32]>>::from)
-            .or_else(|| space.encode(&run.instance))
-            .map(RecordKey::Dense)
-            .unwrap_or_else(|| RecordKey::Raw(run.instance.values().to_vec()));
+    /// The serializable form of a recorded run: the instance's dense key.
+    pub fn from_run(run: &Run) -> Self {
         RunRecord {
-            key,
+            key: run.instance.dense_key().into(),
             outcome: run.outcome(),
             score: run.eval.score,
         }
     }
 
     /// Cheap validity check: would [`into_run`](Self::into_run) against
-    /// `space` succeed? Dense keys are checked for arity and per-parameter index
-    /// range; raw records always fit (they take the provenance store's
-    /// overflow path). In recovery a misfit truncates the log like a torn
-    /// frame.
+    /// `space` succeed? The key is checked for arity and per-parameter index
+    /// range. In recovery a misfit truncates the log like a torn frame.
     pub fn fits(&self, space: &ParamSpace) -> bool {
-        match &self.key {
-            RecordKey::Dense(key) => {
-                key.len() == space.len()
-                    && space
-                        .ids()
-                        .zip(key.iter())
-                        .all(|(p, &idx)| (idx as usize) < space.domain(p).len())
-            }
-            RecordKey::Raw(_) => true,
-        }
+        self.key.len() == space.len()
+            && space
+                .ids()
+                .zip(self.key.iter())
+                .all(|(p, &idx)| (idx as usize) < space.domain(p).len())
     }
 
-    /// Materializes the record against `space`, moving the dense key (or
-    /// raw values) into the instance. Dense keys are validated (arity and
-    /// per-parameter index range) — a key that does not fit is
-    /// [`DecodeError::Domain`], which recovery treats as corruption. Raw
-    /// records become key-less instances and take the provenance store's
-    /// existing overflow path when recorded. Recovery runs this once per
-    /// WAL frame.
+    /// Materializes the record against `space`, moving the dense key into
+    /// the instance. The key is validated (arity and per-parameter index
+    /// range) — a key that does not fit is [`DecodeError::Domain`], which
+    /// recovery treats as corruption. Recovery runs this once per WAL frame.
     pub fn into_run(self, space: &ParamSpace) -> Result<Run, DecodeError> {
         if !self.fits(space) {
             return Err(DecodeError::Domain);
         }
-        let instance = match self.key {
-            RecordKey::Dense(key) => space.instance_from_owned_indices(key.into_vec()),
-            RecordKey::Raw(values) => Instance::new(values),
-        };
         Ok(Run {
-            instance,
+            instance: space.instance_from_owned_indices(self.key.into_vec()),
             eval: EvalResult {
                 outcome: self.outcome,
                 score: self.score,
@@ -129,19 +90,16 @@ impl RunRecord {
 
     /// Appends the record's payload bytes (no frame header) to `out`.
     /// Fails with [`PersistError::FrameOverflow`] — leaving partial bytes in
-    /// `out`, which the caller must discard — when a length field does not
+    /// `out`, which the caller must discard — when the key's length does not
     /// fit the format's `u32`: a truncated length would write a frame that
     /// decodes to a *different* record or that replay refuses.
     pub fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
-        let (kind, count) = match &self.key {
-            RecordKey::Dense(k) => (0u8, k.len()),
-            RecordKey::Raw(v) => (1u8, v.len()),
-        };
-        let count: u32 = count.try_into().map_err(|_| PersistError::FrameOverflow {
+        let len = self.key.len();
+        let count: u32 = len.try_into().map_err(|_| PersistError::FrameOverflow {
             field: "parameter count",
-            len: count,
+            len,
         })?;
-        out.push(kind);
+        out.push(0); // kind: dense key
         out.push(match self.outcome {
             Outcome::Succeed => 0,
             Outcome::Fail => 1,
@@ -154,26 +112,21 @@ impl RunRecord {
             }
         }
         out.extend_from_slice(&count.to_le_bytes());
-        match &self.key {
-            RecordKey::Dense(key) => {
-                for &idx in key.iter() {
-                    out.extend_from_slice(&idx.to_le_bytes());
-                }
-            }
-            RecordKey::Raw(values) => {
-                for v in values {
-                    encode_value(v, out)?;
-                }
-            }
+        for &idx in self.key.iter() {
+            out.extend_from_slice(&idx.to_le_bytes());
         }
         Ok(())
     }
 
     /// Decodes a payload produced by [`RunRecord::encode_payload`]. The
-    /// whole payload must be consumed — trailing bytes are corruption.
+    /// whole payload must be consumed — trailing bytes are corruption. Any
+    /// kind byte but 0 (a dense key) is [`DecodeError::BadTag`].
     pub fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader { buf: payload, pos: 0 };
-        let kind = r.u8()?;
+        match r.u8()? {
+            0 => {}
+            t => return Err(DecodeError::BadTag(t)),
+        }
         let outcome = match r.u8()? {
             0 => Outcome::Succeed,
             1 => Outcome::Fail,
@@ -188,80 +141,18 @@ impl RunRecord {
         if count > MAX_FRAME_BYTES / 4 {
             return Err(DecodeError::Truncated);
         }
-        let key = match kind {
-            0 => {
-                let mut key = Vec::with_capacity(count);
-                for _ in 0..count {
-                    key.push(r.u32()?);
-                }
-                RecordKey::Dense(key.into_boxed_slice())
-            }
-            1 => {
-                let mut values = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    values.push(decode_value(&mut r)?);
-                }
-                RecordKey::Raw(values)
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
+        let mut key = Vec::with_capacity(count);
+        for _ in 0..count {
+            key.push(r.u32()?);
+        }
         if r.pos != payload.len() {
             return Err(DecodeError::Truncated);
         }
-        Ok(RunRecord { key, outcome, score })
-    }
-}
-
-fn encode_value(v: &Value, out: &mut Vec<u8>) -> Result<(), PersistError> {
-    match v {
-        Value::Bool(b) => {
-            out.push(0);
-            out.push(*b as u8);
-        }
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.get().to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            let len: u32 = s.len().try_into().map_err(|_| PersistError::FrameOverflow {
-                field: "string value length",
-                len: s.len(),
-            })?;
-            out.push(3);
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-    Ok(())
-}
-
-fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
-    match r.u8()? {
-        0 => match r.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            t => Err(DecodeError::BadTag(t)),
-        },
-        1 => Ok(Value::Int(r.u64()? as i64)),
-        2 => {
-            let bits = r.u64()?;
-            let x = f64::from_bits(bits);
-            if x.is_nan() {
-                return Err(DecodeError::NanValue);
-            }
-            Ok(Value::float(x))
-        }
-        3 => {
-            let len = r.u32()? as usize;
-            let bytes = r.bytes(len)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?;
-            Ok(Value::str(s))
-        }
-        t => Err(DecodeError::BadTag(t)),
+        Ok(RunRecord {
+            key: key.into_boxed_slice(),
+            outcome,
+            score,
+        })
     }
 }
 
@@ -391,13 +282,21 @@ pub fn next_frame(bytes: &[u8], offset: usize) -> NextFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::ParamSpace;
+    use bugdoc_core::{ParamSpace, Value};
 
     fn space() -> std::sync::Arc<ParamSpace> {
         ParamSpace::builder()
             .categorical("Dataset", ["Iris", "Digits"])
             .ordinal("Version", [1, 2, 3])
             .build()
+    }
+
+    fn record(key: &[u32], outcome: Outcome, score: Option<f64>) -> RunRecord {
+        RunRecord {
+            key: key.into(),
+            outcome,
+            score,
+        }
     }
 
     fn roundtrip(record: &RunRecord) -> RunRecord {
@@ -414,32 +313,32 @@ mod tests {
 
     #[test]
     fn dense_record_roundtrips() {
-        let r = RunRecord {
-            key: RecordKey::Dense(vec![1, 2].into_boxed_slice()),
-            outcome: Outcome::Fail,
-            score: Some(0.25),
-        };
+        let r = record(&[1, 2], Outcome::Fail, Some(0.25));
         assert_eq!(roundtrip(&r), r);
         let run = r.clone().into_run(&space()).unwrap();
         assert_eq!(run.instance.values(), &["Digits".into(), Value::from(3)]);
         assert_eq!(run.eval.score, Some(0.25));
     }
 
+    /// Kind 1 (raw values, written by earlier versions for an instance
+    /// outside its space) is an unknown tag: its payload does not decode,
+    /// and a checksum-valid frame around it reads as damage.
     #[test]
-    fn raw_record_roundtrips_and_overflows() {
-        let r = RunRecord {
-            key: RecordKey::Raw(vec![
-                Value::from("Wine"),
-                Value::from(99),
-                Value::from(true),
-                Value::float(2.5),
-            ]),
-            outcome: Outcome::Succeed,
-            score: None,
-        };
-        assert_eq!(roundtrip(&r), r);
-        let run = r.clone().into_run(&space()).unwrap();
-        assert!(run.instance.dense_key().is_none(), "raw stays key-less");
+    fn kind_one_payload_is_an_unknown_tag() {
+        // kind 1, succeed, no score, one value: Int tag 1 + 8 bytes.
+        let mut payload = vec![1, 0, 0];
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.push(1);
+        payload.extend_from_slice(&99i64.to_le_bytes());
+        assert_eq!(
+            RunRecord::decode_payload(&payload).unwrap_err(),
+            DecodeError::BadTag(1)
+        );
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        assert!(matches!(next_frame(&frame, 0), NextFrame::Torn));
     }
 
     #[test]
@@ -449,44 +348,25 @@ mod tests {
             instance: s.instance_from_indices(&[0, 1]),
             eval: EvalResult::from_score_at_least(0.9, 0.6),
         };
-        let rec = RunRecord::from_run(&run, &s);
-        assert!(matches!(rec.key, RecordKey::Dense(_)));
+        let rec = RunRecord::from_run(&run);
+        assert_eq!(&*rec.key, &[0, 1]);
+        assert!(rec.fits(&s));
         let back = rec.into_run(&s).unwrap();
         assert_eq!(back.instance, run.instance);
         assert_eq!(back.eval, run.eval);
-
-        let overflow = Run {
-            instance: Instance::new(vec![Value::from("Wine"), Value::from(7)]),
-            eval: EvalResult::of(Outcome::Fail),
-        };
-        let rec = RunRecord::from_run(&overflow, &s);
-        assert!(matches!(rec.key, RecordKey::Raw(_)));
-        assert_eq!(rec.into_run(&s).unwrap().instance, overflow.instance);
     }
 
     #[test]
     fn out_of_range_dense_key_is_domain_error() {
-        let r = RunRecord {
-            key: RecordKey::Dense(vec![0, 9].into_boxed_slice()),
-            outcome: Outcome::Fail,
-            score: None,
-        };
+        let r = record(&[0, 9], Outcome::Fail, None);
         assert_eq!(r.into_run(&space()).unwrap_err(), DecodeError::Domain);
-        let wrong_arity = RunRecord {
-            key: RecordKey::Dense(vec![0].into_boxed_slice()),
-            outcome: Outcome::Fail,
-            score: None,
-        };
+        let wrong_arity = record(&[0], Outcome::Fail, None);
         assert_eq!(wrong_arity.into_run(&space()).unwrap_err(), DecodeError::Domain);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let r = RunRecord {
-            key: RecordKey::Dense(vec![1, 2].into_boxed_slice()),
-            outcome: Outcome::Fail,
-            score: Some(0.5),
-        };
+        let r = record(&[1, 2], Outcome::Fail, Some(0.5));
         let mut bytes = Vec::new();
         append_frame(&r, &mut bytes).unwrap();
         // Flip every byte in turn: the frame must never decode to a
@@ -513,11 +393,7 @@ mod tests {
     fn oversized_record_is_an_error_not_a_torn_frame() {
         // A payload past MAX_FRAME_BYTES must fail the append (replay would
         // read it as corruption), and the output buffer must be restored.
-        let r = RunRecord {
-            key: RecordKey::Raw(vec![Value::str(&"x".repeat(MAX_FRAME_BYTES + 1))]),
-            outcome: Outcome::Fail,
-            score: None,
-        };
+        let r = record(&vec![0; MAX_FRAME_BYTES / 4 + 1], Outcome::Fail, None);
         let mut bytes = vec![0xAA; 3];
         let err = append_frame(&r, &mut bytes).unwrap_err();
         assert!(matches!(
@@ -530,11 +406,7 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_rejected() {
-        let r = RunRecord {
-            key: RecordKey::Raw(vec![Value::from(1)]),
-            outcome: Outcome::Succeed,
-            score: None,
-        };
+        let r = record(&[1], Outcome::Succeed, None);
         let mut payload = Vec::new();
         r.encode_payload(&mut payload).unwrap();
         payload.push(0);

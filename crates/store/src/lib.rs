@@ -30,14 +30,17 @@
 //! [`crc32`](crc32::crc32). The payload is one run record:
 //!
 //! ```text
-//! kind: u8      0 = dense key, 1 = raw values (overflow instance)
+//! kind: u8      0 = dense key
 //! outcome: u8   0 = succeed, 1 = fail
 //! score: u8     0 = none; 1 = present, followed by f64 bits (u64 LE)
 //! count: u32 LE parameters
-//! key           dense: count × u32 LE domain indices
-//!               raw:   count × value (tag u8: 0 bool+1B, 1 int+8B LE,
-//!                      2 float+8B LE bits, 3 str+u32 LE len+UTF-8)
+//! key           count × u32 LE domain indices
 //! ```
+//!
+//! Kind 1 (raw values) was written by earlier versions for an instance
+//! outside its space, which only a library caller could record into a
+//! persisting executor. It is read as an unknown tag: recovery truncates
+//! the log at such a frame, as at any undecodable one.
 //!
 //! The `lock` file guards the directory against concurrent writers: its
 //! holder keeps an OS file lock on it and writes its pid into it. The
@@ -46,8 +49,7 @@
 //!
 //! **Recovery** ([`DurableStore::open`]) replays every segment from
 //! `wal-00000001.seg` on, verifies every frame's CRC and that every dense
-//! key fits the spec's [`ParamSpace`] (raw frames route through the
-//! provenance store's existing overflow path), truncates the log at the
+//! key fits the spec's [`ParamSpace`], truncates the log at the
 //! first torn or undecodable frame — or the first frame repeating an
 //! instance already recovered, which no writer appends — and deletes any
 //! segments past it: reopened history is always an exact prefix of what was
@@ -73,7 +75,7 @@ pub mod crc32;
 pub mod frame;
 pub mod wal;
 
-pub use frame::{DecodeError, RecordKey, RunRecord};
+pub use frame::{DecodeError, RunRecord};
 pub use wal::{Wal, WalPosition};
 
 use bugdoc_core::{Outcome, ParamSpace, ProvenanceStore, Run};
@@ -181,10 +183,10 @@ pub enum PersistError {
         dir: PathBuf,
     },
     /// A record field exceeds the frame format's `u32` bounds or the frame
-    /// exceeds [`frame::MAX_FRAME_BYTES`] (a pathological instance: billions
-    /// of parameters or a multi-gigabyte string value). Writing it anyway
-    /// would emit a frame replay refuses — silently truncated lengths
-    /// corrupt the log — so the append fails instead.
+    /// exceeds [`frame::MAX_FRAME_BYTES`] (a pathological instance: millions
+    /// of parameters). Writing it anyway would emit a frame replay refuses —
+    /// silently truncated lengths corrupt the log — so the append fails
+    /// instead.
     FrameOverflow {
         /// Which length overflowed.
         field: &'static str,
@@ -480,10 +482,15 @@ impl DurableStore {
     }
 
     /// Appends one newly recorded run to the WAL. Call in recording order —
-    /// the WAL's frame order is the recovered store's run order.
+    /// the WAL's frame order is the recovered store's run order. `space` is
+    /// the store's space; debug builds assert that the run's key fits it.
     pub fn append(&mut self, run: &Run, space: &ParamSpace) -> Result<(), PersistError> {
         let started = Instant::now();
-        let record = RunRecord::from_run(run, space);
+        let record = RunRecord::from_run(run);
+        debug_assert!(
+            record.fits(space),
+            "appending a run whose dense key does not fit the store's space"
+        );
         self.wal.append(&record)?;
         self.appended_since_sync += 1;
         self.runs += 1;
@@ -587,28 +594,50 @@ mod tests {
         }
     }
 
+    /// A checksum-valid kind-1 (raw values) frame, which earlier versions
+    /// wrote for an instance outside its space, is damage: recovery keeps
+    /// the runs before it, truncates the log at it, and a second open is
+    /// clean.
     #[test]
-    fn overflow_instances_persist_via_raw_frames() {
-        let dir = tmp("overflow");
+    fn kind_one_frame_truncates_the_log_there() {
+        use std::io::Write as _;
+        let dir = tmp("kind1");
         let s = space();
         let config = PersistConfig::new(&dir);
         let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
-        let stray = Run {
-            instance: bugdoc_core::Instance::new(vec![Value::from(99), Value::from("zz")]),
-            eval: EvalResult::of(Outcome::Fail),
-        };
-        live.record(stray.instance.clone(), stray.eval);
-        durable.append(&stray, &s).unwrap();
-        let normal = run_for(&s, 1, 1);
-        live.record(normal.instance.clone(), normal.eval);
-        durable.append(&normal, &s).unwrap();
-        drop(durable);
+        for xi in 0..2 {
+            let run = run_for(&s, xi, 1);
+            live.record(run.instance.clone(), run.eval);
+            durable.append(&run, &s).unwrap();
+        }
+        durable.close(&live).unwrap();
 
-        let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
+        // kind 1, fail, no score, two values: Int 99 and Str "zz".
+        let mut payload = vec![1, 1, 0];
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.push(1);
+        payload.extend_from_slice(&99i64.to_le_bytes());
+        payload.push(3);
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(b"zz");
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32::crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("wal-00000001.seg"))
+            .unwrap()
+            .write_all(&frame)
+            .unwrap();
+
+        let (recovered, durable, recovery) = DurableStore::open(&s, &config).unwrap();
         assert_eq!(recovery.runs, 2);
-        assert_eq!(recovered.lookup(&stray.instance).map(|e| e.outcome), Some(Outcome::Fail));
-        assert_eq!(recovered.runs()[0].instance.dense_key(), None, "overflow path");
-        assert!(recovered.runs()[1].instance.dense_key().is_some());
+        assert_eq!(recovery.truncated_bytes, frame.len() as u64);
+        assert_eq!(recovered.runs(), live.runs());
+        drop(durable);
+        let (_, _, again) = DurableStore::open(&s, &config).unwrap();
+        assert_eq!((again.runs, again.truncated_bytes), (2, 0));
     }
 
     #[test]

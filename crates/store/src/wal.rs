@@ -301,7 +301,6 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::RecordKey;
     use bugdoc_core::Outcome;
 
     fn tmp(name: &str) -> PathBuf {
@@ -313,7 +312,7 @@ mod tests {
 
     fn record(i: u32) -> RunRecord {
         RunRecord {
-            key: RecordKey::Dense(vec![i, i + 1].into_boxed_slice()),
+            key: vec![i, i + 1].into_boxed_slice(),
             outcome: if i % 3 == 0 { Outcome::Fail } else { Outcome::Succeed },
             score: Some(i as f64 / 10.0),
         }
@@ -398,7 +397,7 @@ mod tests {
         drop(wal);
         let (got, _) = replay_all(&dir, 9);
         assert_eq!(got.len(), 10);
-        assert!(matches!(&got[9].key, RecordKey::Dense(k) if k[0] == 99));
+        assert_eq!(got[9].key[0], 99);
     }
 
     #[test]

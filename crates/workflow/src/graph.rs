@@ -488,9 +488,8 @@ mod tests {
         let mut wf = WorkflowBuilder::new("texty");
         let m = wf.module("t", &[], vec![], |_| Ok(Artifact::Text("hello".into())));
         let wf = wf.build(m, |_| true);
-        let inst = wf.space().instances().next();
         // Zero-parameter space has exactly one (empty) instance.
-        let inst = inst.unwrap_or_else(|| Instance::new(vec![]));
+        let inst = wf.space().instance_from_indices(&[]);
         assert!(wf.execute(&inst).unwrap().outcome.is_fail());
     }
 
@@ -525,7 +524,7 @@ mod tests {
             Ok(Artifact::Empty)
         });
         let wf = wf.build(m, |_| true);
-        let _ = wf.run_dag(&Instance::new(vec![]));
+        let _ = wf.run_dag(&wf.space().instance_from_indices(&[]));
     }
 
     #[test]
@@ -545,7 +544,7 @@ mod tests {
             ))
         });
         let wf = wf.build(d, |s| s >= 10.0);
-        let result = wf.run_dag(&Instance::new(vec![])).unwrap();
+        let result = wf.run_dag(&wf.space().instance_from_indices(&[])).unwrap();
         assert_eq!(result.as_number(), Some(10.0)); // (3+1) + (3*2)
     }
 }

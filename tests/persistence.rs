@@ -6,7 +6,7 @@
 //!   crash/bitrot model) and recovering yields exactly the runs whose
 //!   frames ended at or before the cut: never a panic, never a phantom or
 //!   altered run, never a lost earlier run (proptest over random spaces,
-//!   run logs with overflow instances mixed in, and cut points).
+//!   run logs, and cut points).
 //! * **Kill-and-reopen** — an executor killed with a garbage half-frame on
 //!   its WAL tail reopens warm with every completed run intact.
 //! * **No splice** — a session that appends after recovery cut the log
@@ -20,7 +20,7 @@
 
 use bugdoc::pipelines::MlPipeline;
 use bugdoc::prelude::*;
-use bugdoc::store::{DurableStore, RecordKey, RunRecord, Wal, WalPosition};
+use bugdoc::store::{DurableStore, RunRecord, Wal, WalPosition};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,25 +67,6 @@ fn random_instance(space: &Arc<ParamSpace>, rng: &mut StdRng) -> Instance {
         .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
         .collect();
     space.instance_from_indices(&indices)
-}
-
-/// An instance with one out-of-domain value: persisted as a raw frame and
-/// recovered through the provenance store's overflow path.
-fn random_overflow_instance(space: &Arc<ParamSpace>, rng: &mut StdRng) -> Instance {
-    let rogue = rng.gen_range(0..space.len());
-    let values: Vec<Value> = space
-        .iter()
-        .enumerate()
-        .map(|(i, (p, _))| {
-            if i == rogue {
-                Value::from(9_000 + rng.gen_range(0..100i64))
-            } else {
-                let d = space.domain(p);
-                d.value(rng.gen_range(0..d.len())).clone()
-            }
-        })
-        .collect();
-    Instance::new(values)
 }
 
 /// The WAL segment files of `dir` with their byte sizes, in log order.
@@ -160,15 +141,11 @@ proptest! {
         };
 
         let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
-        // Record a random log (≈12% out-of-domain), tracking each record's
-        // exclusive end position in the WAL.
+        // Record a random log, tracking each record's exclusive end
+        // position in the WAL.
         let mut ends: Vec<WalPosition> = Vec::new();
         for _ in 0..n_runs {
-            let inst = if rng.gen_range(0..100) < 12 {
-                random_overflow_instance(&space, &mut rng)
-            } else {
-                random_instance(&space, &mut rng)
-            };
+            let inst = random_instance(&space, &mut rng);
             let eval = EvalResult::of(outcome_of(&inst));
             if live.record(inst.clone(), eval) {
                 let run = live.runs().last().unwrap();
@@ -218,9 +195,9 @@ proptest! {
     }
 }
 
-/// Appends `n` new random runs (≈2% out of domain, half of them scored) to
-/// both the live store and the WAL, returning each appended frame's
-/// exclusive end position.
+/// Appends `n` new random runs (half of them scored) to both the live
+/// store and the WAL, returning each appended frame's exclusive end
+/// position.
 fn append_random_runs(
     live: &mut ProvenanceStore,
     durable: &mut DurableStore,
@@ -230,11 +207,7 @@ fn append_random_runs(
 ) -> Vec<WalPosition> {
     let mut ends = Vec::with_capacity(n);
     while ends.len() < n {
-        let inst = if rng.gen_range(0..100) < 2 {
-            random_overflow_instance(space, rng)
-        } else {
-            random_instance(space, rng)
-        };
+        let inst = random_instance(space, rng);
         let outcome = outcome_of(&inst);
         let score = (rng.gen_range(0..2u32) == 0).then(|| rng.gen_range(0..1000u32) as f64 / 8.0);
         if live.record(inst, EvalResult { outcome, score }) {
@@ -355,7 +328,7 @@ fn conflicting_duplicate_frame_truncates_instead_of_panicking() {
         .ordinal("y", (0..4).collect::<Vec<_>>())
         .build();
     let frame = |x: u32, outcome: Outcome| RunRecord {
-        key: RecordKey::Dense(vec![x, 0].into_boxed_slice()),
+        key: vec![x, 0].into_boxed_slice(),
         outcome,
         score: None,
     };
