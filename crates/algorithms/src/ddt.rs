@@ -22,7 +22,7 @@
 //! simplifies the disjunction with Quine–McCluskey (§4).
 
 use crate::error::AlgoError;
-use bugdoc_core::{CanonicalCause, Conjunction, Dnf, Instance, Outcome, ParamSpace};
+use bugdoc_core::{CanonicalCause, Conjunction, Dnf, Instance, Outcome, ParamSpace, ProvenanceStore};
 use bugdoc_dtree::{DecisionTree, TreeConfig};
 use bugdoc_engine::{ExecError, Executor};
 use rand::rngs::StdRng;
@@ -141,12 +141,7 @@ pub fn debugging_decision_trees(
 
     // The tree needs both outcomes; enrich a thin history with random probes.
     let refused = ensure_both_outcomes(exec, &space, config.enrich_initial, &mut rng);
-    let (has_fail, has_succeed) = exec.with_provenance_ref(|prov| {
-        (
-            prov.first_failing().is_some(),
-            prov.succeeding().next().is_some(),
-        )
-    });
+    let (has_fail, has_succeed) = exec.with_provenance_ref(has_both_outcomes);
     if !has_fail {
         return Err(AlgoError::NoFailingInstance);
     }
@@ -279,12 +274,7 @@ fn ensure_both_outcomes(
 ) -> bool {
     let mut refused = false;
     for _ in 0..probes {
-        let (has_fail, has_succeed) = exec.with_provenance_ref(|prov| {
-            (
-                prov.first_failing().is_some(),
-                prov.succeeding().next().is_some(),
-            )
-        });
+        let (has_fail, has_succeed) = exec.with_provenance_ref(has_both_outcomes);
         if has_fail && has_succeed {
             break;
         }
@@ -292,6 +282,15 @@ fn ensure_both_outcomes(
         refused |= matches!(exec.evaluate(&inst), Err(ExecError::BudgetExhausted));
     }
     refused
+}
+
+/// Whether the history holds a failing and a succeeding run: its outcome
+/// bitsets, read without building an instance.
+fn has_both_outcomes(prov: &ProvenanceStore) -> (bool, bool) {
+    (
+        !prov.failing_runs().is_empty(),
+        !prov.succeeding_runs().is_empty(),
+    )
 }
 
 fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> Instance {
@@ -603,7 +602,7 @@ fn minimize_cause(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::{Comparator, EvalResult, ParamSpace, Predicate, ProvenanceStore, Run, Value};
+    use bugdoc_core::{Comparator, EvalResult, ParamSpace, Predicate, Run, Value};
     use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, Pipeline};
     use std::sync::Arc;
 

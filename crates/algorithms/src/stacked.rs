@@ -68,7 +68,7 @@ pub struct StackedReport {
 /// "Let CP_f be such that CP_f ∈ CPI and E(CP_f) = fail").
 pub fn stacked_shortcut(exec: &Executor, config: &StackedConfig) -> Result<StackedReport, AlgoError> {
     let cp_f = exec
-        .with_provenance_ref(|prov| prov.first_failing().cloned())
+        .with_provenance_ref(|prov| prov.first_failing())
         .ok_or(AlgoError::NoFailingInstance)?;
     stacked_shortcut_from(exec, &cp_f, config)
 }
@@ -89,12 +89,8 @@ pub fn stacked_shortcut_from(
 
     // CP_G ← up to k successes, disjoint from CP_f and mutually disjoint if
     // possible; then probe for more if allowed.
-    let mut goods: Vec<Instance> = exec.with_provenance_ref(|prov| {
-        prov.mutually_disjoint_successes(cp_f, config.k)
-            .into_iter()
-            .cloned()
-            .collect()
-    });
+    let mut goods: Vec<Instance> =
+        exec.with_provenance_ref(|prov| prov.mutually_disjoint_successes(cp_f, config.k));
 
     if goods.len() < config.k && config.seek_new_good {
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -114,7 +110,7 @@ pub fn stacked_shortcut_from(
 
     // Last resort: the most-different heuristic (paper §4.1).
     if goods.is_empty() {
-        let fallback = exec.with_provenance_ref(|prov| prov.most_different_success(cp_f).cloned());
+        let fallback = exec.with_provenance_ref(|prov| prov.most_different_success(cp_f));
         match fallback {
             Some(g) => goods.push(g),
             None => return Err(AlgoError::NoSucceedingInstance),

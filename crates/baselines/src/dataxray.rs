@@ -47,10 +47,13 @@ impl Default for DataXRayConfig {
 /// harness feeds it the instances generated by BugDoc or SMAC).
 pub fn explain(prov: &ProvenanceStore, config: &DataXRayConfig) -> Vec<Conjunction> {
     let space = prov.space().clone();
-    let elements: Vec<(&Instance, bool)> = prov
+    let elements: Vec<(Instance, bool)> = prov
         .runs()
         .iter()
-        .map(|r| (&r.instance, r.outcome().is_fail()))
+        .map(|r| {
+            let fail = r.outcome().is_fail();
+            (r.instance, fail)
+        })
         .collect();
     if elements.iter().all(|(_, fail)| !fail) {
         return Vec::new();
@@ -76,7 +79,7 @@ type FeaturePairs = Vec<(ParamId, bugdoc_core::Value)>;
 /// elements at this node and its cost.
 fn diagnose(
     space: &ParamSpace,
-    elements: &[(&Instance, bool)],
+    elements: &[(Instance, bool)],
     idx: &[usize],
     fixed: &[(ParamId, bugdoc_core::Value)],
     config: &DataXRayConfig,
@@ -195,7 +198,7 @@ mod tests {
         // Every failing instance is covered by some feature (high recall).
         for inst in prov.failing() {
             assert!(
-                diag.iter().any(|f| f.satisfied_by(inst)),
+                diag.iter().any(|f| f.satisfied_by(&inst)),
                 "uncovered failure {}",
                 inst.display(&s)
             );

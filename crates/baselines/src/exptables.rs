@@ -100,10 +100,13 @@ impl ExplanationTable {
 
 /// Fits an explanation table on the history.
 pub fn fit(prov: &ProvenanceStore, config: &ExpTablesConfig) -> ExplanationTable {
-    let rows: Vec<(&Instance, f64)> = prov
+    let rows: Vec<(Instance, f64)> = prov
         .runs()
         .iter()
-        .map(|r| (&r.instance, if r.outcome().is_fail() { 1.0 } else { 0.0 }))
+        .map(|r| {
+            let label = if r.outcome().is_fail() { 1.0 } else { 0.0 };
+            (r.instance, label)
+        })
         .collect();
     let n = rows.len();
     if n == 0 {
@@ -196,7 +199,7 @@ fn kl(y: f64, p: f64) -> f64 {
 /// every single-attribute pattern of sampled rows.
 fn flashlight_candidates(
     space: &ParamSpace,
-    rows: &[(&Instance, f64)],
+    rows: &[(Instance, f64)],
     sample_size: usize,
     rng: &mut StdRng,
 ) -> Vec<Vec<(ParamId, Value)>> {

@@ -87,12 +87,15 @@ pub fn generate(exec: &Executor, n_new: usize, config: &SmacConfig) -> SmacRepor
     let mut stall = 0;
     while exec.stats().new_executions < target && stall < 50 {
         iterations += 1;
-        // Fit over rows borrowed from the live log, under its read lock.
+        // Fit over rows built from the live log, under its read lock.
         let model = exec.with_provenance_ref(|prov| {
-            let rows: Vec<(&Instance, f64)> = prov
+            let rows: Vec<(Instance, f64)> = prov
                 .runs()
                 .iter()
-                .map(|r| (&r.instance, if r.outcome().is_fail() { 1.0 } else { 0.0 }))
+                .map(|r| {
+                    let label = if r.outcome().is_fail() { 1.0 } else { 0.0 };
+                    (r.instance, label)
+                })
                 .collect();
             if rows.is_empty() {
                 return None;
@@ -109,7 +112,7 @@ pub fn generate(exec: &Executor, n_new: usize, config: &SmacConfig) -> SmacRepor
             let incumbent = rows
                 .iter()
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .map(|(i, _)| (*i).clone())
+                .map(|(i, _)| i.clone())
                 .expect("rows non-empty");
             Some((forest, y_best, incumbent))
         });

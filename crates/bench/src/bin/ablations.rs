@@ -71,17 +71,16 @@ fn ablate_disjointness(args: &BenchArgs) {
         let mut scores: Vec<PipelineScore> = Vec::new();
         for (k, pipe) in pipes.iter().enumerate() {
             let exec = executor_for(pipe, args.seed ^ (k as u64) << 8);
-            let Some(cp_f) = exec.with_provenance_ref(|p| p.first_failing().cloned()) else {
+            let Some(cp_f) = exec.with_provenance_ref(|p| p.first_failing()) else {
                 continue;
             };
             let cp_g = exec.with_provenance_ref(|p| {
                 if strictly_disjoint {
                     p.disjoint_successes(&cp_f)
                         .next()
-                        .cloned()
-                        .or_else(|| p.most_different_success(&cp_f).cloned())
+                        .or_else(|| p.most_different_success(&cp_f))
                 } else {
-                    p.most_different_success(&cp_f).cloned()
+                    p.most_different_success(&cp_f)
                 }
             });
             let causes: Vec<Conjunction> = cp_g
@@ -275,14 +274,13 @@ fn ablate_speculation(args: &BenchArgs) {
                 },
                 prov,
             );
-            let Some(cp_f) = exec.with_provenance_ref(|p| p.first_failing().cloned()) else {
+            let Some(cp_f) = exec.with_provenance_ref(|p| p.first_failing()) else {
                 continue;
             };
             let Some(cp_g) = exec.with_provenance_ref(|p| {
                 p.disjoint_successes(&cp_f)
                     .next()
-                    .cloned()
-                    .or_else(|| p.most_different_success(&cp_f).cloned())
+                    .or_else(|| p.most_different_success(&cp_f))
             }) else {
                 continue;
             };

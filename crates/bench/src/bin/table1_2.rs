@@ -24,10 +24,10 @@ fn main() {
     // Example 1's CP_f and CP_g: the only failing instance and its only
     // disjoint success.
     let cp_f = exec
-        .with_provenance_ref(|p| p.first_failing().cloned())
+        .with_provenance_ref(|p| p.first_failing())
         .expect("Table 1 contains a failing instance");
     let cp_g = exec
-        .with_provenance_ref(|p| p.disjoint_successes(&cp_f).next().cloned())
+        .with_provenance_ref(|p| p.disjoint_successes(&cp_f).next())
         .expect("Table 1 contains a disjoint success");
     println!("CP_f = {}", cp_f.display(&space));
     println!("CP_g = {}\n", cp_g.display(&space));

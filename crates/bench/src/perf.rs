@@ -364,7 +364,7 @@ pub fn bench_persistence(c: &mut Criterion) {
         group.bench_function("wal_append", |b| {
             b.iter(|| {
                 k = (k + 1) % runs.len();
-                durable.append(&runs[k], &space).expect("append")
+                durable.append(runs.get(k).expect("run k is recorded"), &space).expect("append")
             })
         });
     }
@@ -374,7 +374,7 @@ pub fn bench_persistence(c: &mut Criterion) {
         let config = PersistConfig::new(root.join("replay"));
         let prov = provenance_10k(&space);
         let (_, mut durable, _) = DurableStore::open(&space, &config).expect("open WAL");
-        for run in prov.runs() {
+        for run in prov.runs().refs() {
             durable.append(run, &space).expect("append");
         }
         drop(durable);

@@ -31,6 +31,14 @@ impl RunSet {
         self.words[word] |= 1u64 << (i % 64);
     }
 
+    /// True if run `i` is in the set.
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|&w| w & (1u64 << (i % 64)) != 0)
+    }
+
     /// Number of runs in the set.
     pub fn count(&self) -> usize {
         kernels::popcount(&self.words)
@@ -95,5 +103,7 @@ mod tests {
         assert_eq!(s.count(), 4);
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 63, 64, 130]);
         assert_eq!(s.words().len(), 3);
+        assert!(s.contains(63) && s.contains(130));
+        assert!(!s.contains(1) && !s.contains(131) && !s.contains(1 << 20));
     }
 }

@@ -316,6 +316,17 @@ impl ParamSpace {
         Some(key.into_boxed_slice())
     }
 
+    /// True if `key` is a dense key of this space: one index per parameter,
+    /// each below its parameter's domain size.
+    pub fn fits(&self, key: &[u32]) -> bool {
+        key.len() == self.len()
+            && self
+                .params
+                .iter()
+                .zip(key)
+                .all(|(def, &i)| (i as usize) < def.domain().len())
+    }
+
     /// Materializes the instance denoted by a dense encoding (inverse of
     /// [`ParamSpace::encode`]); the result carries the encoding. Panics on
     /// arity mismatch or out-of-range indices.

@@ -13,21 +13,34 @@
 //!
 //! Because BugDoc's cost model counts only *new pipeline executions*, every
 //! in-memory operation here must be effectively free even at large histories.
-//! The store therefore maintains, alongside the append-only `runs` log:
+//! The run log is columnar: a run is its dense key, its outcome bit and, when
+//! its evaluation carried one, its score. No [`Instance`] is kept; one is
+//! built only when a caller asks for it ([`Runs::iter`],
+//! [`ProvenanceStore::failing`], the disjoint-success queries), and the
+//! queries that return instances scan keys and bits and build only what they
+//! return. The columns:
 //!
 //! * **Dense instance keys** — every instance carries its key, one domain
 //!   index per parameter ([`Instance::dense_key`]), and `by_key` maps the
 //!   key to its run index through the fingerprint the instance precomputed
 //!   ([`Instance::dense_fingerprint`]). Record and lookup are one probe
 //!   each: no `Value` hashing, no encoding, no instance cloning. The keys
-//!   themselves sit in one row-major arena, row `r` for run `r`.
+//!   themselves sit in one row-major arena, row `r` for run `r`; the arena
+//!   is the log's only copy of each run's identity.
+//! * **Outcomes** — the failing and succeeding runs as two bitsets over run
+//!   indices; a run's outcome is its bit.
+//! * **Scores** — `(run, score)` pairs, in run order, for the runs whose
+//!   evaluation carried a score; a run without one costs nothing here.
 //! * **(parameter, value) run bitsets** — one flat, row-major block of bit
 //!   words over the whole log, one row per `(p, v)` pair: row
 //!   `offsets[p] + v` holds bit `r` for every run `r` whose parameter `p`
 //!   has value `v`, so recording a run sets one bit per parameter. Every
 //!   row has the same capacity in words; when the run at index
 //!   `64 · capacity` arrives, the block is copied into one with twice the
-//!   capacity, so growth costs amortized O(1) words per run.
+//!   capacity, so growth costs amortized O(1) words per run. A row's
+//!   popcount against the failing runs is the support of `p = v`
+//!   ([`ProvenanceStore::value_support`]), which seeds a decision tree's
+//!   root histogram without reading a key.
 //!
 //! # Query paths
 //!
@@ -50,6 +63,7 @@ use crate::kernels;
 use crate::outcome::{EvalResult, Outcome};
 use crate::param::{Domain, ParamSpace};
 use crate::predicate::{Comparator, Predicate};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -112,6 +126,12 @@ impl KeyIndex {
         &self.arena[r * self.arity..(r + 1) * self.arity]
     }
 
+    /// Run `r`'s dense key, `None` past the last run.
+    #[inline]
+    fn get_row(&self, r: usize) -> Option<&[u32]> {
+        self.arena.get(r * self.arity..(r + 1) * self.arity)
+    }
+
     /// One probe serving both lookup and insert: `Ok(run)` when the key is
     /// present, `Err(free_slot)` with the slot its probe chain ended at —
     /// exactly where an insert of this key belongs. Exact: every tag match
@@ -165,11 +185,12 @@ impl KeyIndex {
     }
 
     /// Pre-sizes for `additional` further inserts: the arena reserves their
-    /// key rows and the slot table jumps straight to its final size, so a
-    /// bulk load pays zero intermediate grow-and-rehash passes.
+    /// key rows and the slot table jumps straight to the size `insert_at`'s
+    /// growth rule would reach after them (at most half full), so a bulk
+    /// load pays zero intermediate grow-and-rehash passes.
     fn reserve(&mut self, additional: usize) {
         self.arena.reserve(additional * self.arity);
-        let needed = (self.len + additional + 1) * 2;
+        let needed = (self.len + additional) * 2;
         if needed > self.slots.len() {
             self.grow_to(needed.next_power_of_two());
         }
@@ -256,7 +277,8 @@ struct PredPlan {
     ranges: Ranges,
 }
 
-/// One recorded execution.
+/// One recorded execution, with its instance built: what [`Runs::iter`]
+/// yields, and what [`ProvenanceStore::with_runs`] takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     /// The executed instance.
@@ -272,25 +294,190 @@ impl Run {
     }
 }
 
+/// One recorded execution as the log holds it: the dense key, borrowed from
+/// the store's key arena, and the evaluation. No instance is built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunRef<'a> {
+    /// The executed instance's dense key: one domain index per parameter.
+    pub key: &'a [u32],
+    /// Its evaluation.
+    pub eval: EvalResult,
+}
+
+impl RunRef<'_> {
+    /// The binary outcome.
+    pub fn outcome(&self) -> Outcome {
+        self.eval.outcome
+    }
+
+    /// Builds the run's instance against `space`, the space the key was
+    /// recorded under.
+    pub fn instance(&self, space: &ParamSpace) -> Instance {
+        space.instance_from_indices(self.key)
+    }
+
+    /// Builds the run: its instance against `space`, and its evaluation.
+    pub fn to_run(&self, space: &ParamSpace) -> Run {
+        Run {
+            instance: self.instance(space),
+            eval: self.eval,
+        }
+    }
+}
+
+impl<'a> From<&'a Run> for RunRef<'a> {
+    fn from(run: &'a Run) -> Self {
+        RunRef {
+            key: run.instance.dense_key(),
+            eval: run.eval,
+        }
+    }
+}
+
+/// The run log of a [`ProvenanceStore`], borrowed: see
+/// [`ProvenanceStore::runs`]. It reads the store's columns in place;
+/// [`iter`](Self::iter) builds each run's instance as it reaches it, while
+/// [`get`](Self::get), [`last`](Self::last) and [`refs`](Self::refs) build
+/// none.
+#[derive(Clone, Copy)]
+pub struct Runs<'a> {
+    store: &'a ProvenanceStore,
+}
+
+impl<'a> Runs<'a> {
+    /// Number of recorded runs.
+    pub fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// True if no runs are recorded.
+    pub fn is_empty(&self) -> bool {
+        self.store.is_empty()
+    }
+
+    /// Run `r` as the log holds it, if it was recorded.
+    pub fn get(&self, r: usize) -> Option<RunRef<'a>> {
+        let key = self.store.by_key.get_row(r)?;
+        let score = self.store.score_of(r);
+        Some(self.store.run_ref(r, key, score))
+    }
+
+    /// The newest run as the log holds it.
+    pub fn last(&self) -> Option<RunRef<'a>> {
+        self.get(self.len().checked_sub(1)?)
+    }
+
+    /// Every run as the log holds it, in recording order.
+    pub fn refs(&self) -> RunRefs<'a> {
+        RunRefs {
+            store: self.store,
+            next: 0,
+            scores: self.store.scores.iter().peekable(),
+        }
+    }
+
+    /// Every run in recording order, each one's instance built as the
+    /// iterator reaches it.
+    pub fn iter(&self) -> RunsIter<'a> {
+        RunsIter { refs: self.refs() }
+    }
+
+    /// Every run, built.
+    pub fn to_vec(&self) -> Vec<Run> {
+        self.iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for Runs<'a> {
+    type Item = Run;
+    type IntoIter = RunsIter<'a>;
+
+    fn into_iter(self) -> RunsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Two logs are equal when they hold equal runs in the same order.
+impl PartialEq for Runs<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Runs<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The runs of a log as it holds them, in recording order; see
+/// [`Runs::refs`].
+pub struct RunRefs<'a> {
+    store: &'a ProvenanceStore,
+    next: usize,
+    /// The score column from the first scored run at or after `next`.
+    scores: std::iter::Peekable<std::slice::Iter<'a, (u32, f64)>>,
+}
+
+impl<'a> Iterator for RunRefs<'a> {
+    type Item = RunRef<'a>;
+
+    fn next(&mut self) -> Option<RunRef<'a>> {
+        let r = self.next;
+        let key = self.store.by_key.get_row(r)?;
+        self.next += 1;
+        let score = self
+            .scores
+            .next_if(|&&(i, _)| i as usize == r)
+            .map(|&(_, s)| s);
+        Some(self.store.run_ref(r, key, score))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.store.len().saturating_sub(self.next);
+        (left, Some(left))
+    }
+}
+
+/// The runs of a log in recording order, built; see [`Runs::iter`].
+pub struct RunsIter<'a> {
+    refs: RunRefs<'a>,
+}
+
+impl Iterator for RunsIter<'_> {
+    type Item = Run;
+
+    fn next(&mut self) -> Option<Run> {
+        let run = self.refs.next()?;
+        Some(run.to_run(&self.refs.store.space))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.refs.size_hint()
+    }
+}
+
 /// The execution history of a pipeline, deduplicated by instance.
 ///
 /// The evaluation procedure is deterministic (paper §3, Def. 2), so recording
 /// the same instance twice with conflicting outcomes is a bug; `record`
-/// detects and reports it. See the module docs for the dense-key and bitset
-/// index this store maintains.
+/// detects and reports it. See the module docs for the columnar run log and
+/// the bitset index this store maintains.
 #[derive(Debug, Clone)]
 pub struct ProvenanceStore {
     space: Arc<ParamSpace>,
-    runs: Vec<Run>,
-    /// Dense instance encoding → run index (no instance clone stored).
+    /// Dense instance key → run index; its arena is the key column.
     by_key: KeyIndex,
+    /// `(run, score)` for every run whose evaluation carried a score, in run
+    /// order.
+    scores: Vec<(u32, f64)>,
     /// Row of parameter `p`'s first value in the value index.
     offsets: Vec<u32>,
     /// The value index: one row of `cap` words per `(parameter, value)`
     /// pair, row-major, row `offsets[p] + v` at `bits[row * cap..]`.
     bits: Vec<u64>,
     /// Words per row of `bits`: at least 1, and always at least
-    /// `runs.len().div_ceil(64)`, so every recorded run has its bit column.
+    /// `len().div_ceil(64)`, so every recorded run has its bit column.
     cap: usize,
     /// Runs that failed.
     fail_bits: RunSet,
@@ -310,8 +497,8 @@ impl ProvenanceStore {
         let arity = space.len();
         ProvenanceStore {
             space,
-            runs: Vec::new(),
             by_key: KeyIndex::new(arity),
+            scores: Vec::new(),
             offsets,
             bits: vec![0u64; rows as usize],
             cap: 1,
@@ -333,7 +520,7 @@ impl ProvenanceStore {
     }
 
     /// The first `words` words of value-index row `row`.
-    // lint: allow(W003, reason = "row = offsets[p] + v with v below p's domain length, so it is one of the block's rows; callers pass words = runs.len().div_ceil(64), which record keeps <= cap by growing the block before run 64 * cap", scope = "block")
+    // lint: allow(W003, reason = "row = offsets[p] + v with v below p's domain length, so it is one of the block's rows; callers pass words = len().div_ceil(64), which record keeps <= cap by growing the block before run 64 * cap", scope = "block")
     #[inline]
     fn row(&self, row: usize, words: usize) -> &[u64] {
         let at = row * self.cap;
@@ -426,12 +613,12 @@ impl ProvenanceStore {
     }
 
     /// The runs satisfying a planned non-empty conjunction, as a bitset of
-    /// the log's filled words (`runs.len().div_ceil(64)`): per predicate the
+    /// the log's filled words (`len().div_ceil(64)`): per predicate the
     /// OR of the rows it allows, ANDed across predicates by the fused
     /// [`kernels`]. `None` when no run satisfies; the AND stops at the
     /// first predicate that empties it.
     fn matching_runs(&self, preds: &[PredPlan]) -> Option<Vec<u64>> {
-        let words = self.runs.len().div_ceil(64);
+        let words = self.len().div_ceil(64);
         let mut acc = vec![0u64; words];
         let mut rows: Vec<&[u64]> = Vec::new();
         for (i, p) in preds.iter().enumerate() {
@@ -456,7 +643,7 @@ impl ProvenanceStore {
     pub fn with_runs(space: Arc<ParamSpace>, runs: impl IntoIterator<Item = Run>) -> Self {
         let mut store = ProvenanceStore::new(space);
         for run in runs {
-            store.record(run.instance, run.eval);
+            store.record(&run.instance, run.eval);
         }
         store
     }
@@ -466,47 +653,69 @@ impl ProvenanceStore {
         &self.space
     }
 
-    /// Pre-sizes the run log and the dense-key index for `additional`
-    /// further [`record`](Self::record) calls. Purely an optimization for
-    /// bulk loads of a known size: the key table jumps straight to its
-    /// final size instead of re-placing every slot once per doubling, and
-    /// the run log allocates once.
-    pub fn reserve(&mut self, additional: usize) {
-        self.runs.reserve(additional);
-        self.by_key.reserve(additional);
-    }
-
     /// Records an execution. Returns `true` if the instance was new. A
     /// duplicate with the same outcome is a silent no-op; a duplicate with a
     /// *different* outcome panics — it violates Def. 2's determinism and would
     /// silently corrupt every downstream guarantee.
     ///
-    /// The instance's dense key is borrowed straight through the key-index
-    /// probe and insert (4 bytes per parameter, no instance clone, nothing
-    /// allocated on the hot path), and the value index gains one bit per
-    /// parameter. The block grows first when the run would not fit.
-    // lint: allow(W001, reason = "per-record single-bit insert into the value index, one bit per parameter -- not a bulk word-granularity scan", scope = "block")
-    // lint: allow(W003, reason = "probe only returns indices of runs already pushed; each key entry v is below its parameter's domain length, so offsets[p] + v is a row of the block, and idx / 64 < cap once the block has grown for idx", scope = "block")
-    pub fn record(&mut self, instance: Instance, eval: EvalResult) -> bool {
+    /// The instance is borrowed: the log keeps its dense key (4 bytes per
+    /// parameter, appended to the key arena by the key-index insert), its
+    /// outcome bit and its score, if it has one, and the value index gains
+    /// one bit per parameter. Nothing is cloned.
+    // lint: allow(W003, reason = "the determinism assert is the documented contract: a conflicting duplicate would silently corrupt every downstream guarantee", scope = "block")
+    pub fn record(&mut self, instance: impl Borrow<Instance>, eval: EvalResult) -> bool {
+        let instance = instance.borrow();
         debug_assert_eq!(
             Some(instance.dense_key()),
-            self.space.encode(&instance).as_deref(),
+            self.space.encode(instance).as_deref(),
             "instance carries a dense key inconsistent with this store's space"
         );
-        let idx = self.runs.len();
         let (fp, key) = (instance.dense_fingerprint(), instance.dense_key());
         match self.by_key.probe(fp, key) {
-            Ok(i) => {
+            Ok(r) => {
                 assert_eq!(
-                    self.runs[i].eval.outcome,
+                    self.outcome_at(r),
                     eval.outcome,
                     "non-deterministic evaluation for instance {}",
                     instance.display(&self.space)
                 );
-                return false;
+                false
             }
-            Err(slot) => self.by_key.insert_at(slot, fp, idx as u32, key),
+            Err(slot) => {
+                self.insert(slot, fp, key, eval);
+                true
+            }
         }
+    }
+
+    /// Records a run given by its dense key, with one key-index probe, and
+    /// returns whether it was recorded. Nothing is recorded, and `false`
+    /// returned, when `key` is not a key of the space (the wrong length, or
+    /// an index past its parameter's domain) or is already recorded, with
+    /// either outcome: a bulk load that trusts its source to hold each run
+    /// once (WAL recovery) reads a repeat as damage.
+    pub fn record_key(&mut self, key: &[u32], eval: EvalResult) -> bool {
+        if !self.space.fits(key) {
+            return false;
+        }
+        let fp = crate::fx::hash_dense_key(key);
+        match self.by_key.probe(fp, key) {
+            Ok(_) => false,
+            Err(slot) => {
+                self.insert(slot, fp, key, eval);
+                true
+            }
+        }
+    }
+
+    /// Appends a run absent from the log, its key's free slot found by a
+    /// probe: the key column, the value index (growing the block first when
+    /// the run would not fit), the outcome bit and the score.
+    // lint: allow(W001, reason = "per-record single-bit insert into the value index, one bit per parameter -- not a bulk word-granularity scan", scope = "block")
+    // lint: allow(W003, reason = "each key entry v is below its parameter's domain length (the space encoded it, or record_key checked it), so offsets[p] + v is a row of the block, and idx / 64 < cap once the block has grown for idx", scope = "block")
+    fn insert(&mut self, slot: usize, fp: u64, key: &[u32], eval: EvalResult) {
+        let idx = self.len();
+        self.by_key.insert_at(slot, fp, idx as u32, key);
         if idx == 64 * self.cap {
             self.grow_rows();
         }
@@ -518,23 +727,25 @@ impl ProvenanceStore {
             Outcome::Fail => self.fail_bits.insert(idx),
             Outcome::Succeed => self.succeed_bits.insert(idx),
         }
-        self.runs.push(Run { instance, eval });
-        true
+        if let Some(score) = eval.score {
+            self.scores.push((idx as u32, score));
+        }
     }
 
     /// Number of recorded runs.
     pub fn len(&self) -> usize {
-        self.runs.len()
+        self.by_key.len
     }
 
     /// True if no runs are recorded.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.len() == 0
     }
 
-    /// All runs, in recording order.
-    pub fn runs(&self) -> &[Run] {
-        &self.runs
+    /// The run log, in recording order, as a view of the store's columns:
+    /// instances are built only as [`Runs::iter`] reaches them.
+    pub fn runs(&self) -> Runs<'_> {
+        Runs { store: self }
     }
 
     /// Every run's dense key in one row-major arena, in run order: run
@@ -549,10 +760,48 @@ impl ProvenanceStore {
         &self.fail_bits
     }
 
-    /// The recorded evaluation of an instance, if it was executed: one
-    /// key-index probe over the instance's dense key.
-    // lint: allow(W003, reason = "key-index probes only return indices of recorded runs", scope = "block")
-    pub fn lookup(&self, instance: &Instance) -> Option<&EvalResult> {
+    /// The succeeding runs, as a bitset over run indices.
+    pub fn succeeding_runs(&self) -> &RunSet {
+        &self.succeed_bits
+    }
+
+    /// Run `r`'s outcome: its bit in the failing runs. `r` must be recorded.
+    fn outcome_at(&self, r: usize) -> Outcome {
+        if self.fail_bits.contains(r) {
+            Outcome::Fail
+        } else {
+            Outcome::Succeed
+        }
+    }
+
+    /// Run `r`'s score, if its evaluation carried one: a binary search of
+    /// the score column.
+    fn score_of(&self, r: usize) -> Option<f64> {
+        let at = self
+            .scores
+            .binary_search_by_key(&(r as u32), |&(i, _)| i)
+            .ok()?;
+        self.scores.get(at).map(|&(_, s)| s)
+    }
+
+    /// Run `r` as the log holds it, given its key and score.
+    fn run_ref<'a>(&self, r: usize, key: &'a [u32], score: Option<f64>) -> RunRef<'a> {
+        RunRef {
+            key,
+            eval: EvalResult {
+                outcome: self.outcome_at(r),
+                score,
+            },
+        }
+    }
+
+    /// Run `r`'s instance, built. `r` must be recorded.
+    fn instance_at(&self, r: usize) -> Instance {
+        self.space.instance_from_indices(self.by_key.row(r))
+    }
+
+    /// The run recorded with `instance`'s dense key, if any.
+    fn find(&self, instance: &Instance) -> Option<usize> {
         debug_assert_eq!(
             Some(instance.dense_key()),
             self.space.encode(instance).as_deref(),
@@ -560,24 +809,42 @@ impl ProvenanceStore {
         );
         self.by_key
             .get(instance.dense_fingerprint(), instance.dense_key())
-            .map(|i| &self.runs[i].eval)
     }
 
-    /// The recorded outcome of an instance, if it was executed.
+    /// The recorded evaluation of an instance, if it was executed: one
+    /// key-index probe over the instance's dense key, then its outcome bit
+    /// and a search of the score column.
+    pub fn lookup(&self, instance: &Instance) -> Option<EvalResult> {
+        let r = self.find(instance)?;
+        Some(EvalResult {
+            outcome: self.outcome_at(r),
+            score: self.score_of(r),
+        })
+    }
+
+    /// The recorded outcome of an instance, if it was executed: one
+    /// key-index probe and its outcome bit.
     pub fn outcome_of(&self, instance: &Instance) -> Option<Outcome> {
-        self.lookup(instance).map(|e| e.outcome)
+        self.find(instance).map(|r| self.outcome_at(r))
     }
 
-    /// Iterates over failing instances (in recording order).
-    // lint: allow(W003, reason = "outcome bitsets only ever hold indices of recorded runs", scope = "block")
-    pub fn failing(&self) -> impl Iterator<Item = &Instance> {
-        self.fail_bits.ones().map(|i| &self.runs[i].instance)
+    /// The recorded outcome of the run with dense key `key`, if there is
+    /// one: [`outcome_of`](Self::outcome_of) for a key without its instance.
+    pub fn outcome_of_key(&self, key: &[u32]) -> Option<Outcome> {
+        self.by_key
+            .get(crate::fx::hash_dense_key(key), key)
+            .map(|r| self.outcome_at(r))
     }
 
-    /// Iterates over succeeding instances (in recording order).
-    // lint: allow(W003, reason = "outcome bitsets only ever hold indices of recorded runs", scope = "block")
-    pub fn succeeding(&self) -> impl Iterator<Item = &Instance> {
-        self.succeed_bits.ones().map(|i| &self.runs[i].instance)
+    /// Iterates over failing instances (in recording order), building each.
+    pub fn failing(&self) -> impl Iterator<Item = Instance> + '_ {
+        self.fail_bits.ones().map(|r| self.instance_at(r))
+    }
+
+    /// Iterates over succeeding instances (in recording order), building
+    /// each.
+    pub fn succeeding(&self) -> impl Iterator<Item = Instance> + '_ {
+        self.succeed_bits.ones().map(|r| self.instance_at(r))
     }
 
     /// Number of failing runs (one popcount pass; no iteration).
@@ -592,57 +859,81 @@ impl ProvenanceStore {
 
     /// The first failing instance, if any — the `CP_f` Stacked Shortcut picks
     /// from the history (Algorithm 2).
-    pub fn first_failing(&self) -> Option<&Instance> {
+    pub fn first_failing(&self) -> Option<Instance> {
         self.failing().next()
     }
 
-    /// Succeeding instances disjoint from `from` (Def. 6), in recording order.
+    /// The succeeding runs whose keys are disjoint from `from` (Def. 6), in
+    /// recording order: a scan of the succeeding runs' keys.
+    fn disjoint_success_runs<'a>(&'a self, from: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+        self.succeed_bits
+            .ones()
+            .filter(move |&r| disjoint(self.by_key.row(r), from))
+    }
+
+    /// Succeeding instances disjoint from `from` (Def. 6), in recording
+    /// order. Keys are compared; only the instances yielded are built.
     pub fn disjoint_successes<'a>(
         &'a self,
         from: &'a Instance,
-    ) -> impl Iterator<Item = &'a Instance> + 'a {
-        self.succeeding().filter(move |g| g.is_disjoint_from(from))
+    ) -> impl Iterator<Item = Instance> + 'a {
+        self.disjoint_success_runs(from.dense_key())
+            .map(|r| self.instance_at(r))
     }
 
     /// Greedily selects up to `k` succeeding instances that are disjoint from
     /// `from` and mutually disjoint — the `CP_G` set of Algorithm 2. If fewer
     /// than `k` mutually disjoint successes exist, the result is shorter
-    /// ("mutually disjoint if possible").
-    pub fn mutually_disjoint_successes<'s>(
-        &'s self,
-        from: &Instance,
-        k: usize,
-    ) -> Vec<&'s Instance> {
-        let mut picked: Vec<&'s Instance> = Vec::new();
-        for run in &self.runs {
+    /// ("mutually disjoint if possible"). Keys are compared; only the
+    /// instances picked are built.
+    pub fn mutually_disjoint_successes(&self, from: &Instance, k: usize) -> Vec<Instance> {
+        let mut picked: Vec<usize> = Vec::new();
+        for r in self.disjoint_success_runs(from.dense_key()) {
             if picked.len() == k {
                 break;
             }
-            let g = &run.instance;
-            if run.outcome().is_succeed()
-                && g.is_disjoint_from(from)
-                && picked.iter().all(|p| p.is_disjoint_from(g))
-            {
-                picked.push(g);
+            let key = self.by_key.row(r);
+            if picked.iter().all(|&p| disjoint(self.by_key.row(p), key)) {
+                picked.push(r);
             }
         }
-        picked
+        picked.into_iter().map(|r| self.instance_at(r)).collect()
     }
 
     /// The succeeding instance most different from `from` (maximum Hamming
     /// distance) — the heuristic fallback when the Disjointness Condition
     /// fails (paper §4.1: "take an instance that differs in as many
-    /// parameter-values as possible"). Ties break to the earliest run.
-    pub fn most_different_success(&self, from: &Instance) -> Option<&Instance> {
-        let mut best: Option<(usize, &Instance)> = None;
+    /// parameter-values as possible"). Ties break to the earliest run. Keys
+    /// are compared; only the instance returned is built.
+    pub fn most_different_success(&self, from: &Instance) -> Option<Instance> {
+        let from = from.dense_key();
+        let mut best: Option<(usize, usize)> = None;
         // Recording order + strict improvement ⇒ the earliest run wins ties.
-        for g in self.succeeding() {
-            let d = g.hamming_distance(from);
+        for r in self.succeed_bits.ones() {
+            let d = hamming(self.by_key.row(r), from);
             if best.is_none_or(|(bd, _)| d > bd) {
-                best = Some((d, g));
+                best = Some((d, r));
             }
         }
-        best.map(|(_, g)| g)
+        best.map(|(_, r)| self.instance_at(r))
+    }
+
+    /// The `(failing, succeeding)` run counts of every single-value
+    /// predicate `p = v`, parameter by parameter and, within a parameter, in
+    /// domain-index order: entry `Σ_{q<p} |U_q| + v` is
+    /// [`support`](Self::support) of the conjunction `p = v`. Each is a
+    /// popcount of the value's row and of its AND with the failing runs; no
+    /// key is read.
+    pub fn value_support(&self) -> Vec<(usize, usize)> {
+        let words = self.len().div_ceil(64);
+        let fail = self.fail_bits.words();
+        (0..self.bits.len() / self.cap)
+            .map(|row| {
+                let row = self.row(row, words);
+                let failing = kernels::and_popcount(row, fail);
+                (failing, kernels::popcount(row) - failing)
+            })
+            .collect()
     }
 
     /// The Shortcut sanity check (Algorithm 1, final loop): is there a
@@ -761,19 +1052,23 @@ impl ProvenanceStore {
                     })
                 }
             };
-            let instance = space.instance_from_indices(&indices);
-            // A repeated row with the same evaluation is a no-op in `record`;
-            // one with the other evaluation would trip its determinism
-            // assert, so it is refused here with its line.
-            if let Some(earlier) = store.outcome_of(&instance).filter(|&e| e != outcome) {
+            // The indices are domain positions, so the key fits and only a
+            // repeated row is refused. One with the same evaluation is
+            // skipped; one with the other evaluation contradicts the file.
+            if store.record_key(&indices, EvalResult { outcome, score }) {
+                continue;
+            }
+            if let Some(earlier) = store.outcome_of_key(&indices).filter(|&e| e != outcome) {
                 return Err(TsvError::Conflict {
                     line: line_no + 1,
-                    instance: instance.display(&space).to_string(),
+                    instance: space
+                        .instance_from_indices(&indices)
+                        .display(&space)
+                        .to_string(),
                     earlier,
                     found: outcome,
                 });
             }
-            store.record(instance, EvalResult { outcome, score });
         }
         Ok(store)
     }
@@ -796,12 +1091,12 @@ impl ProvenanceStore {
             escape_tsv_into(def.name(), &mut out);
         }
         out.push_str("\tscore\tevaluation\n");
-        for run in &self.runs {
-            for (i, v) in run.instance.values().iter().enumerate() {
+        for run in self.runs().refs() {
+            for (i, (p, &v)) in self.space.ids().zip(run.key).enumerate() {
                 if i > 0 {
                     out.push('\t');
                 }
-                escape_tsv_into(&v.to_string(), &mut out);
+                escape_tsv_into(&self.space.domain(p).value(v as usize).to_string(), &mut out);
             }
             match run.eval.score {
                 Some(s) => {
@@ -815,10 +1110,38 @@ impl ProvenanceStore {
     }
 }
 
+/// True if two keys of one space differ at every parameter (Def. 6).
+fn disjoint(a: &[u32], b: &[u32]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x != y)
+}
+
+/// Number of parameters at which two keys of one space differ.
+fn hamming(a: &[u32], b: &[u32]) -> usize {
+    a.iter().zip(b).filter(|(x, y)| x != y).count()
+}
+
 /// Names kept only for the end-to-end benchmark (`e2ebench/`), which
 /// compiles against them and is their only caller. ROADMAP direction 2's
 /// benchmark step drops its calls and then deletes this block.
+///
+/// The benchmark also compiles against the run log's earlier shape, and
+/// these keep it working: [`reserve`](Self::reserve) (below, its only
+/// caller is the benchmark's set-up), [`record`](Self::record) taking an
+/// owned instance (through `impl Borrow<Instance>`),
+/// [`Runs::last`] handing [`RunRef`] to `DurableStore::append` without
+/// building an instance, and [`Runs::iter`] yielding [`Run`] values whose
+/// `instance` field and `outcome()` it reads. A benchmark change that reads
+/// keys ([`Runs::refs`]) can then drop `reserve`.
 impl ProvenanceStore {
+    /// Pre-sizes the dense-key index for `additional` further
+    /// [`record`](Self::record) calls. Purely an optimization for bulk loads
+    /// of a known size: the key table jumps straight to the size those
+    /// records would grow it to, instead of re-placing every slot once per
+    /// doubling, and the key arena allocates once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.by_key.reserve(additional);
+    }
+
     /// [`support`](Self::support): exact counts are admissible bounds.
     pub fn support_bounds(&self, cause: &Conjunction) -> (usize, usize) {
         self.support(cause)
@@ -1056,7 +1379,7 @@ mod tests {
         let p = table1(&s);
         assert_eq!(p.failing().count(), 1);
         assert_eq!(p.succeeding().count(), 2);
-        assert_eq!(p.first_failing().unwrap(), &inst(&s, "Iris", "GB", 2));
+        assert_eq!(p.first_failing().unwrap(), inst(&s, "Iris", "GB", 2));
         assert_eq!(p.outcome_of(&inst(&s, "Iris", "GB", 2)), Some(Outcome::Fail));
         assert_eq!(p.outcome_of(&inst(&s, "Images", "LR", 1)), None);
     }
@@ -1069,7 +1392,7 @@ mod tests {
         let p = table1(&s);
         let cpf = inst(&s, "Iris", "GB", 2);
         let disjoint: Vec<_> = p.disjoint_successes(&cpf).collect();
-        assert_eq!(disjoint, vec![&inst(&s, "Digits", "DT", 1)]);
+        assert_eq!(disjoint, vec![inst(&s, "Digits", "DT", 1)]);
     }
 
     #[test]
@@ -1098,13 +1421,13 @@ mod tests {
         p.record(inst(&s, "Iris", "DT", 1), Outcome::Succeed.into()); // distance 2
         assert_eq!(
             p.most_different_success(&cpf).unwrap(),
-            &inst(&s, "Iris", "DT", 1)
+            inst(&s, "Iris", "DT", 1)
         );
         // Tie at distance 2 breaks to the earliest run.
         p.record(inst(&s, "Iris", "LR", 1), Outcome::Succeed.into()); // distance 2
         assert_eq!(
             p.most_different_success(&cpf).unwrap(),
-            &inst(&s, "Iris", "DT", 1)
+            inst(&s, "Iris", "DT", 1)
         );
     }
 
@@ -1131,24 +1454,32 @@ mod tests {
         assert_eq!(p.support(&Conjunction::top()), (1, 2));
     }
 
-    /// `support` and `succeeding_superset_exists` against per-run
-    /// interpretation on a 300-run log, which crosses the value index's
-    /// capacity doublings at 64, 128 and 256 runs.
-    #[test]
-    fn queries_match_per_run_interpretation() {
+    /// A 300-run log, which crosses the value index's capacity doublings at
+    /// 64, 128 and 256 runs: x = 3 fails.
+    fn log_300() -> (Arc<ParamSpace>, ProvenanceStore) {
         let s = ParamSpace::builder()
             .ordinal("x", (0..16).collect::<Vec<_>>())
             .ordinal("y", (0..8).collect::<Vec<_>>())
             .categorical("z", ["a", "b", "c", "d"])
             .build();
         let x = s.by_name("x").unwrap();
-        let y = s.by_name("y").unwrap();
-        let z = s.by_name("z").unwrap();
         let mut p = ProvenanceStore::new(s.clone());
         for inst in s.instances().take(300) {
             let outcome = Outcome::from_check(inst.get(x) != &Value::from(3));
             p.record(inst, EvalResult::of(outcome));
         }
+        (s, p)
+    }
+
+    /// `support` and `succeeding_superset_exists` against per-run
+    /// interpretation on a 300-run log, which crosses the value index's
+    /// capacity doublings at 64, 128 and 256 runs.
+    #[test]
+    fn queries_match_per_run_interpretation() {
+        let (s, p) = log_300();
+        let x = s.by_name("x").unwrap();
+        let y = s.by_name("y").unwrap();
+        let z = s.by_name("z").unwrap();
         let causes = (0..16)
             .map(|v| {
                 let mut preds = vec![Predicate::eq(x, v as i64)];
@@ -1175,6 +1506,145 @@ mod tests {
                 succeeding > 0,
                 "{shown}"
             );
+        }
+    }
+
+    /// Every `(failing, succeeding)` pair of `value_support` against
+    /// per-run interpretation of `p = v` on the 300-run log.
+    #[test]
+    fn value_support_matches_per_run_interpretation() {
+        let (s, p) = log_300();
+        let runs = p.runs().to_vec();
+        let mut expected = Vec::new();
+        for (id, def) in s.iter() {
+            for v in def.domain().values() {
+                let pred = Predicate::eq(id, v.clone());
+                let matching = || runs.iter().filter(|r| pred.satisfied_by(&r.instance));
+                expected.push((
+                    matching().filter(|r| r.outcome().is_fail()).count(),
+                    matching().filter(|r| r.outcome().is_succeed()).count(),
+                ));
+            }
+        }
+        assert_eq!(p.value_support(), expected);
+        assert_eq!(
+            ProvenanceStore::new(s).value_support(),
+            vec![(0, 0); expected.len()]
+        );
+    }
+
+    /// The columns give back what was recorded: every instance, outcome and
+    /// score, in order, through `runs()` and each of its views.
+    #[test]
+    fn runs_give_back_every_instance_outcome_and_score_in_order() {
+        let s = space();
+        let given: Vec<Run> = s
+            .instances()
+            .enumerate()
+            .map(|(k, instance)| Run {
+                instance,
+                eval: match k % 3 {
+                    0 => EvalResult::of(Outcome::Fail),
+                    1 => EvalResult::from_score_at_least(k as f64 / 10.0, 0.9),
+                    _ => EvalResult::of(Outcome::Succeed),
+                },
+            })
+            .collect();
+        let p = ProvenanceStore::with_runs(s.clone(), given.clone());
+        assert_eq!(p.runs().len(), given.len());
+        assert_eq!(p.runs().to_vec(), given);
+        for (k, (got, want)) in p.runs().refs().zip(&given).enumerate() {
+            assert_eq!(got, RunRef::from(want));
+            assert_eq!(p.runs().get(k), Some(got));
+            assert_eq!(got.to_run(&s), *want);
+        }
+        assert_eq!(p.runs().last(), given.last().map(RunRef::from));
+        assert_eq!(p.runs().get(given.len()), None);
+        assert_eq!(p.runs().refs().size_hint(), (given.len(), Some(given.len())));
+        // The last run carries no score; the one before it does.
+        let scored = ProvenanceStore::with_runs(s.clone(), given[..given.len() - 1].to_vec());
+        assert_eq!(scored.runs().last(), given.get(given.len() - 2).map(RunRef::from));
+        assert_eq!(ProvenanceStore::new(s).runs().last(), None);
+    }
+
+    /// `lookup` returns the stored score and outcome, and a log with and
+    /// without scores round-trips through TSV byte for byte.
+    #[test]
+    fn lookup_returns_the_score_and_tsv_round_trips_byte_for_byte() {
+        let s = space();
+        let mut p = table1(&s);
+        p.record(inst(&s, "Images", "GB", 1), Outcome::Fail.into());
+        p.record(
+            inst(&s, "Images", "DT", 2),
+            EvalResult::from_score_at_least(0.125, 0.6),
+        );
+        for run in p.runs() {
+            assert_eq!(p.lookup(&run.instance), Some(run.eval));
+            assert_eq!(p.outcome_of(&run.instance), Some(run.outcome()));
+            assert_eq!(p.outcome_of_key(run.instance.dense_key()), Some(run.outcome()));
+        }
+        assert_eq!(
+            p.lookup(&inst(&s, "Iris", "DT", 2)),
+            None,
+            "never recorded"
+        );
+        assert_eq!(
+            p.lookup(&inst(&s, "Images", "DT", 2)).unwrap().score,
+            Some(0.125)
+        );
+        let tsv = p.to_tsv();
+        let parsed = ProvenanceStore::from_tsv(s.clone(), &tsv).unwrap();
+        assert_eq!(parsed.to_tsv(), tsv);
+        assert_eq!(parsed.runs(), p.runs());
+    }
+
+    /// `record_key` records one probe's worth: a new key once, and never a
+    /// repeat (either outcome) or a key outside the space.
+    #[test]
+    fn record_key_refuses_repeats_and_misfits() {
+        let s = space();
+        let mut p = ProvenanceStore::new(s.clone());
+        assert!(p.record_key(&[0, 1, 1], Outcome::Fail.into()));
+        assert!(!p.record_key(&[0, 1, 1], Outcome::Fail.into()));
+        assert!(!p.record_key(&[0, 1, 1], Outcome::Succeed.into()));
+        assert!(!p.record_key(&[0, 3, 1], Outcome::Fail.into()), "index past the domain");
+        assert!(!p.record_key(&[0, 1], Outcome::Fail.into()), "too short");
+        assert_eq!(p.len(), 1);
+        assert_eq!(p.first_failing().unwrap(), inst(&s, "Iris", "DT", 2));
+    }
+
+    /// `reserve(n)` sizes the key table for exactly the `n` records that
+    /// follow: none of them regrows it, nor the key arena, and a table
+    /// built by growth alone reaches the same size. `reserve(0)` changes
+    /// nothing.
+    #[test]
+    fn reserve_fits_exactly_the_records_that_follow() {
+        let s = ParamSpace::builder()
+            .ordinal("x", (0..64).collect::<Vec<_>>())
+            .ordinal("y", (0..64).collect::<Vec<_>>())
+            .build();
+        for n in [1, 7, 8, 9, 100, 2048, 4096] {
+            let mut grown = ProvenanceStore::new(s.clone());
+            let mut reserved = ProvenanceStore::new(s.clone());
+            reserved.reserve(0);
+            assert_eq!(reserved.by_key.slots.len(), grown.by_key.slots.len());
+            assert_eq!(reserved.by_key.arena.capacity(), 0);
+            reserved.reserve(n);
+            let (slots, arena) = (reserved.by_key.slots.len(), reserved.by_key.arena.capacity());
+            for inst in s.instances().take(n) {
+                grown.record(&inst, Outcome::Succeed.into());
+                reserved.record(&inst, Outcome::Succeed.into());
+            }
+            assert_eq!(reserved.by_key.slots.len(), slots, "n = {n}: regrown");
+            assert_eq!(reserved.by_key.arena.capacity(), arena, "n = {n}: arena regrown");
+            assert!(
+                reserved.by_key.slots.len() <= grown.by_key.slots.len(),
+                "n = {n}: reserved {} slots, growth reached {}",
+                reserved.by_key.slots.len(),
+                grown.by_key.slots.len()
+            );
+            reserved.reserve(0);
+            assert_eq!(reserved.by_key.slots.len(), slots);
         }
     }
 

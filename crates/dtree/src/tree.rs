@@ -25,9 +25,22 @@
 //! both `Int(2)` and `Float(2.0)`, and `≤` cannot tell them apart). A row
 //! satisfies `≤ v` exactly when its code ranks no higher than `v`.
 //!
-//! `grow` partitions one row-id vector in place. A node that splits holds a
-//! histogram over every parameter: the (n, Σy, Σy²) of its rows in one
-//! bucket per (parameter, code), filled in one pass over its rows.
+//! `grow` partitions one vector of `u32` row ids in place. Each id is
+//! written both behind the rows passing the test and into a spill buffer
+//! behind the rows failing it, and the test's bit advances one of the two
+//! ends, so the loop has no branch on the test (at a deep-history root it is
+//! a coin flip); the spill is then copied back behind the passing rows.
+//!
+//! A node that splits holds a histogram over every parameter: the
+//! (n, Σy, Σy²) of its rows in one bucket per (parameter, code), filled in
+//! one pass over its rows. The root of a
+//! [`fit_provenance`](DecisionTree::fit_provenance) is the exception: its
+//! histogram is read off the store's value index instead
+//! ([`ProvenanceStore::value_support`]). Bucket `(p, v)` of the root holds
+//! every run with `p = v`, so with fail = 1 / succeed = 0 labels it is
+//! `n = f + s` and `Σy = Σy² = f` for that predicate's `(f, s)` support —
+//! the integers a scan would sum, popcounted from the bitsets without
+//! reading a key.
 //! `best_split` reads the buckets of the sampled candidates only. A
 //! categorical `= v` test reads bucket `v`; an ordinal `≤ v` test reads a
 //! prefix sum over ranks. A node of n rows over P parameters of at most V
@@ -45,10 +58,10 @@
 //! tie-break. With integer labels, such as the fail = 1 / succeed = 0 labels
 //! DDT and the forest use, every bucket sum, and every difference of two
 //! sums, is an integer that `f64` holds exactly. So a histogram got by
-//! subtraction equals one got by scanning, bucket sums equal row-by-row sums
-//! in any order, a child's statistics read off its parent's split equal its
-//! rows' sums, and the search picks the split that evaluating each test row
-//! by row would.
+//! subtraction, or from popcounts, equals one got by scanning, bucket sums
+//! equal row-by-row sums in any order, a child's statistics read off its
+//! parent's split equal its rows' sums, and the search picks the split that
+//! evaluating each test row by row would.
 
 use bugdoc_core::{
     Comparator, Conjunction, Domain, Instance, ParamId, ParamSpace, Predicate, ProvenanceStore,
@@ -174,6 +187,7 @@ impl DecisionTree {
         sampler: &mut dyn FeatureSampler,
     ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+        assert!(rows.len() < u32::MAX as usize, "row ids are u32");
         let mut codes = Vec::with_capacity(rows.len() * space.len());
         for (instance, _) in rows {
             let instance = instance.borrow();
@@ -187,24 +201,46 @@ impl DecisionTree {
             );
             codes.extend_from_slice(key);
         }
-        let labels = rows.iter().map(|(_, y)| *y).collect();
-        Grower::fit(space, config, sampler, Cow::Owned(codes), labels)
+        let labels: Vec<f64> = rows.iter().map(|(_, y)| *y).collect();
+        let ids: Vec<u32> = (0..rows.len() as u32).collect();
+        let node = Stats::of(&labels, &ids);
+        Grower::fit(space, config, sampler, Cow::Owned(codes), labels, node, None)
     }
 
     /// Fits a tree over every run of a provenance store, labelled fail = 1 /
     /// succeed = 0 — the tree DDT grows after each refuted suspect. The
     /// store's key arena is the code matrix (see the module docs), borrowed
     /// as it is, and the labels come from its failing-runs bitset, so no
-    /// run's instance is read. The tree equals [`fit`](Self::fit) over
-    /// [`runs`](ProvenanceStore::runs) with those labels.
+    /// run's instance is built. The root's statistics and histogram come
+    /// from the store's outcome counts and per-value support, so no key is
+    /// read until the root's children are split. The tree equals
+    /// [`fit`](Self::fit) over [`runs`](ProvenanceStore::runs) with those
+    /// labels.
     pub fn fit_provenance(prov: &ProvenanceStore, config: &TreeConfig) -> Self {
         assert!(!prov.is_empty(), "cannot fit a tree on zero rows");
         let mut labels = vec![0.0; prov.len()];
         for r in prov.failing_runs().ones() {
             labels[r] = 1.0;
         }
+        // A 0/1 label's square is itself, so Σy² = Σy = the failing count.
+        let failing = prov.num_failing() as f64;
+        let node = Stats {
+            n: prov.len(),
+            sum: failing,
+            sum_sq: failing,
+        };
+        let root = prov
+            .value_support()
+            .into_iter()
+            .map(|(f, s)| Stats {
+                n: f + s,
+                sum: f as f64,
+                sum_sq: f as f64,
+            })
+            .collect();
         let codes = Cow::Borrowed(prov.key_arena());
-        Grower::fit(prov.space(), config, &mut AllFeatures, codes, labels)
+        let sampler = &mut AllFeatures;
+        Grower::fit(prov.space(), config, sampler, codes, labels, node, Some(root))
     }
 
     /// The root node.
@@ -322,10 +358,10 @@ struct Stats {
 }
 
 impl Stats {
-    fn of(labels: &[f64], ids: &[usize]) -> Self {
+    fn of(labels: &[f64], ids: &[u32]) -> Self {
         let mut s = Stats::default();
         for &i in ids {
-            s.push(labels[i]);
+            s.push(labels[i as usize]);
         }
         s
     }
@@ -369,9 +405,9 @@ impl Stats {
     }
 }
 
-fn is_pure(labels: &[f64], ids: &[usize]) -> bool {
-    let first = labels[ids[0]];
-    ids.iter().all(|&i| (labels[i] - first).abs() < 1e-12)
+fn is_pure(labels: &[f64], ids: &[u32]) -> bool {
+    let first = labels[ids[0] as usize];
+    ids.iter().all(|&i| (labels[i as usize] - first).abs() < 1e-12)
 }
 
 /// One parameter's codes — its domain indices — and the parameter's place
@@ -469,22 +505,25 @@ struct Grower<'a> {
     free: Vec<Histogram>,
     /// Per-rank prefix sums of an ordinal parameter.
     ranked: Vec<Stats>,
-    /// The rows failing the split, copied back behind the ones passing it.
-    spill: Vec<usize>,
+    /// The rows failing a split, copied back behind the ones passing it:
+    /// one slot per row, sized once.
+    spill: Vec<u32>,
 }
 
 impl<'a> Grower<'a> {
-    /// Grows the tree over every row of `codes`.
+    /// Grows the tree over every row of `codes`, whose label statistics
+    /// are `node`; `root`, when given, is their histogram.
     fn fit(
         space: &'a ParamSpace,
         config: &'a TreeConfig,
         sampler: &'a mut dyn FeatureSampler,
         codes: Cow<'a, [u32]>,
         labels: Vec<f64>,
+        node: Stats,
+        root: Option<Histogram>,
     ) -> DecisionTree {
         debug_assert_eq!(codes.len(), labels.len() * space.len());
-        let mut ids: Vec<usize> = (0..labels.len()).collect();
-        let node = Stats::of(&labels, &ids);
+        let mut ids: Vec<u32> = (0..labels.len() as u32).collect();
         let params = param_codes(space);
         let mut grower = Grower {
             space,
@@ -497,9 +536,10 @@ impl<'a> Grower<'a> {
             labels,
             free: Vec::new(),
             ranked: Vec::new(),
-            spill: Vec::new(),
+            spill: vec![0; ids.len()],
         };
-        let root = grower.grow(&mut ids, 0, node, None);
+        debug_assert!(root.as_ref().is_none_or(|h| h.len() == grower.n_buckets));
+        let root = grower.grow(&mut ids, 0, node, root);
         DecisionTree { root }
     }
 
@@ -507,7 +547,7 @@ impl<'a> Grower<'a> {
     /// `hist`, when given, is their histogram.
     fn grow(
         &mut self,
-        ids: &mut [usize],
+        ids: &mut [u32],
         depth: usize,
         node: Stats,
         hist: Option<Histogram>,
@@ -581,8 +621,8 @@ impl<'a> Grower<'a> {
     fn child_histograms(
         &mut self,
         mut parent: Histogram,
-        yes: &[usize],
-        no: &[usize],
+        yes: &[u32],
+        no: &[u32],
     ) -> (Histogram, Histogram) {
         let yes_smaller = yes.len() <= no.len();
         let small = self.histogram(if yes_smaller { yes } else { no });
@@ -597,12 +637,13 @@ impl<'a> Grower<'a> {
     }
 
     /// The histogram of `ids`, in one pass over their rows.
-    fn histogram(&mut self, ids: &[usize]) -> Histogram {
+    fn histogram(&mut self, ids: &[u32]) -> Histogram {
         let mut hist = self.free.pop().unwrap_or_default();
         hist.clear();
         hist.resize(self.n_buckets, Stats::default());
         let width = self.params.len();
         for &i in ids {
+            let i = i as usize;
             let y = self.labels[i];
             let row = &self.codes[i * width..(i + 1) * width];
             for (codes, &code) in self.params.iter().zip(row) {
@@ -685,26 +726,27 @@ impl<'a> Grower<'a> {
 
     /// Stable in-place partition of `ids` by the split's test: rows passing
     /// it first, in their previous order, then the rest. Returns how many
-    /// pass.
-    fn partition(&mut self, ids: &mut [usize], split: &Split) -> usize {
+    /// pass. Branch-free: every id is written at both ends (`ids[n_yes]`,
+    /// which no unread id occupies, and `spill[n_no]`), and the test's bit
+    /// advances one of them.
+    fn partition(&mut self, ids: &mut [u32], split: &Split) -> usize {
         let p = split.param.index();
         let codes = &self.params[p];
-        let passes: Vec<bool> = (0..codes.n_values)
-            .map(|c| codes.holds(c, split.value))
+        let passes: Vec<usize> = (0..codes.n_values)
+            .map(|c| usize::from(codes.holds(c, split.value)))
             .collect();
         let width = self.params.len();
-        self.spill.clear();
-        let mut n_yes = 0;
+        let spill = &mut self.spill[..ids.len()];
+        let (mut n_yes, mut n_no) = (0, 0);
         for k in 0..ids.len() {
             let i = ids[k];
-            if passes[self.codes[i * width + p] as usize] {
-                ids[n_yes] = i;
-                n_yes += 1;
-            } else {
-                self.spill.push(i);
-            }
+            let pass = passes[self.codes[i as usize * width + p] as usize];
+            ids[n_yes] = i;
+            spill[n_no] = i;
+            n_yes += pass;
+            n_no += 1 - pass;
         }
-        ids[n_yes..].copy_from_slice(&self.spill);
+        ids[n_yes..].copy_from_slice(&spill[..n_no]);
         n_yes
     }
 }

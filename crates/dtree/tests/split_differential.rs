@@ -383,10 +383,13 @@ proptest! {
         );
 
         let store = store_of(&space, &rows);
-        let store_rows: Vec<(&Instance, f64)> = store
+        let store_rows: Vec<(Instance, f64)> = store
             .runs()
             .iter()
-            .map(|r| (&r.instance, if r.outcome().is_fail() { 1.0 } else { 0.0 }))
+            .map(|r| {
+                let label = if r.outcome().is_fail() { 1.0 } else { 0.0 };
+                (r.instance, label)
+            })
             .collect();
         let from_store = DecisionTree::fit_provenance(&store, &config);
         prop_assert_eq!(

@@ -21,8 +21,9 @@
 //! # Concurrency layout
 //!
 //! The [`ProvenanceStore`] is the one copy of the run history. Every probe
-//! is a single [`ProvenanceStore::lookup`] — a dense-key hash probe into the
-//! store's key index — under the store's shared read lock, so hits (by far
+//! is a single [`ProvenanceStore::outcome_of`] — a dense-key hash probe into
+//! the store's key index, then the run's outcome bit — under the store's
+//! shared read lock, so hits (by far
 //! the most frequent operation the search layers issue) from many threads
 //! proceed together. The write lock is held only to record a new execution.
 //! Provenance queries, single evaluations, cheap batches and WAL appends
@@ -40,7 +41,7 @@
 //! `new_executions == provenance.len() - seeded` always holds.
 
 use crate::pipeline::{Pipeline, PipelineError, SimTime};
-use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, ProvenanceStore};
+use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, ProvenanceStore, RunRef};
 use bugdoc_store::{DurableStore, PersistConfig, PersistError, Recovery};
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
@@ -286,28 +287,30 @@ impl Executor {
             Some(persist_config) => {
                 let (mut recovered, mut durable, recovery) =
                     DurableStore::open(pipeline.space(), persist_config)?;
-                // A seed run the history contradicts would trip `record`'s
-                // determinism assert. It is refused before any seed run is
-                // appended, so the directory is left as it was found (the
-                // dropped store releases the lock).
-                let conflict = provenance.runs().iter().find_map(|run| {
+                // A seed run the history contradicts is refused before any
+                // seed run is appended, so the directory is left as it was
+                // found (the dropped store releases the lock). Seeds are read
+                // by key: no instance is built unless one must be reported.
+                let seeds = provenance.runs();
+                let conflict = seeds.refs().find_map(|run| {
                     recovered
-                        .outcome_of(&run.instance)
+                        .outcome_of_key(run.key)
                         .filter(|&persisted| persisted != run.outcome())
                         .map(|persisted| (run, persisted))
                 });
                 if let Some((run, persisted)) = conflict {
                     return Err(PersistError::ConflictingSeed {
-                        instance: run.instance.display(recovered.space()).to_string(),
+                        instance: run
+                            .instance(provenance.space())
+                            .display(recovered.space())
+                            .to_string(),
                         persisted,
                         seeded: run.outcome(),
                     });
                 }
-                for run in provenance.runs() {
-                    if recovered.record(run.instance.clone(), run.eval) {
-                        // lint: allow(W003, reason = "record returned true, so the run log is non-empty and last() is the run just appended")
-                        let stored = recovered.runs().last().expect("just recorded");
-                        durable.append(stored, recovered.space())?;
+                for run in seeds.refs() {
+                    if recovered.record_key(run.key, run.eval) {
+                        durable.append(run, recovered.space())?;
                         durable.sync_if_due()?;
                     }
                 }
@@ -330,20 +333,30 @@ impl Executor {
         self.recovery
     }
 
-    /// Tees the just-recorded last run of `prov` to the write-ahead log.
-    /// Called with the provenance write lock held so frame order matches
-    /// run-log order; a no-op (one `None` check) when persistence is off.
-    /// Returns whether a WAL sync is due — the caller runs it via
+    /// Tees a run `prov` just recorded, `instance` evaluated as `eval`, to
+    /// the write-ahead log: the frame is encoded from the instance's dense
+    /// key, so nothing is read back from the store. Called with the
+    /// provenance write lock held so frame order matches run-log order; a
+    /// no-op (one `None` check) when persistence is off. Returns whether a
+    /// WAL sync is due — the caller runs it via
     /// [`Executor::persist_sync_if_due`] *after* releasing the write lock,
     /// so the fsync never holds the provenance lock.
     /// An I/O failure here panics: the executor cannot honor its durability
     /// contract, and continuing would silently fork disk from memory.
-    // lint: allow(W003, reason = "called only with the just-recorded run in the log (the expect); the panics on WAL I/O failure and on a post-shutdown record are the documented durability contract -- continuing would silently fork disk from memory", scope = "block")
-    fn persist_record(&self, prov: &ProvenanceStore) -> bool {
+    // lint: allow(W003, reason = "the panics on WAL I/O failure and on a post-shutdown record are the documented durability contract -- continuing would silently fork disk from memory", scope = "block")
+    fn persist_record(
+        &self,
+        prov: &ProvenanceStore,
+        instance: &Instance,
+        eval: EvalResult,
+    ) -> bool {
         match &self.persist {
             None => false,
             Some(persist) => {
-                let run = prov.runs().last().expect("a run was just recorded");
+                let run = RunRef {
+                    key: instance.dense_key(),
+                    eval,
+                };
                 let mut slot = persist.lock();
                 let durable = slot
                     .as_mut()
@@ -513,12 +526,11 @@ impl Executor {
     }
 
     /// Provenance probe: the recorded outcome of `instance`, counting a hit.
-    /// One [`ProvenanceStore::lookup`] under the read lock — a dense-key
-    /// hash probe for the instances the algorithms build, an encode first
-    /// for the rest.
+    /// One [`ProvenanceStore::outcome_of`] under the read lock — a dense-key
+    /// hash probe, then the run's outcome bit.
     #[inline]
     fn probe_counted(&self, instance: &Instance) -> Option<Outcome> {
-        let hit = self.provenance.read().lookup(instance).map(|e| e.outcome);
+        let hit = self.provenance.read().outcome_of(instance);
         if hit.is_some() {
             // Relaxed: telemetry-only counter.
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -579,8 +591,8 @@ impl Executor {
             Ok(eval) => {
                 let (fresh, sync_due) = {
                     let mut prov = self.provenance.write();
-                    let fresh = prov.record(instance.clone(), eval);
-                    (fresh, fresh && self.persist_record(&prov))
+                    let fresh = prov.record(instance, eval);
+                    (fresh, fresh && self.persist_record(&prov, instance, eval))
                 };
                 self.persist_sync_if_due(sync_due);
                 if fresh {
@@ -689,8 +701,8 @@ impl Executor {
             for (pos, res, cost) in outcomes {
                 match res {
                     Ok(eval) => {
-                        if prov.record(instances[pos].clone(), eval) {
-                            sync_due |= self.persist_record(&prov);
+                        if prov.record(&instances[pos], eval) {
+                            sync_due |= self.persist_record(&prov, &instances[pos], eval);
                             executed_costs.push(cost);
                         } else {
                             self.reclassify_as_hit();
@@ -728,7 +740,7 @@ impl Executor {
     pub fn record_external(&self, instance: Instance, eval: EvalResult) {
         let sync_due = {
             let mut prov = self.provenance.write();
-            prov.record(instance, eval) && self.persist_record(&prov)
+            prov.record(&instance, eval) && self.persist_record(&prov, &instance, eval)
         };
         self.persist_sync_if_due(sync_due);
     }

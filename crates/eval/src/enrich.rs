@@ -141,12 +141,12 @@ pub fn enrich_explanations(
     config: &EnrichConfig,
 ) -> Vec<EnrichedExplanation> {
     // Pre-split runs with observations by outcome.
-    let mut failing: Vec<(&Instance, &[Value])> = Vec::new();
+    let mut failing: Vec<(Instance, &[Value])> = Vec::new();
     let mut succeeding: Vec<&[Value]> = Vec::new();
     for run in prov.runs() {
         if let Some(obs) = observations.get(&run.instance) {
             match run.outcome() {
-                Outcome::Fail => failing.push((&run.instance, obs)),
+                Outcome::Fail => failing.push((run.instance, obs)),
                 Outcome::Succeed => succeeding.push(obs),
             }
         }

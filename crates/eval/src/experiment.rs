@@ -372,14 +372,13 @@ pub fn run_scenario(config: &ExperimentConfig) -> ScenarioResults {
 /// Plain Shortcut with the history's first failing instance and its first
 /// disjoint success (falling back to the most-different success).
 fn run_plain_shortcut(exec: &Executor) -> Vec<Conjunction> {
-    let Some(cp_f) = exec.with_provenance_ref(|p| p.first_failing().cloned()) else {
+    let Some(cp_f) = exec.with_provenance_ref(|p| p.first_failing()) else {
         return Vec::new();
     };
     let cp_g = exec.with_provenance_ref(|p| {
         p.disjoint_successes(&cp_f)
             .next()
-            .cloned()
-            .or_else(|| p.most_different_success(&cp_f).cloned())
+            .or_else(|| p.most_different_success(&cp_f))
     });
     let Some(cp_g) = cp_g else { return Vec::new() };
     match shortcut(exec, &cp_f, &cp_g, &ShortcutConfig::default()) {

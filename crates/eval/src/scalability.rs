@@ -70,12 +70,11 @@ pub fn instances_vs_params(
                     match *algo {
                         "shortcut" => {
                             let cp_f =
-                                exec.with_provenance_ref(|p| p.first_failing().cloned()).unwrap();
+                                exec.with_provenance_ref(|p| p.first_failing()).unwrap();
                             let cp_g = exec.with_provenance_ref(|p| {
                                 p.disjoint_successes(&cp_f)
                                     .next()
-                                    .cloned()
-                                    .or_else(|| p.most_different_success(&cp_f).cloned())
+                                    .or_else(|| p.most_different_success(&cp_f))
                             });
                             if let Some(cp_g) = cp_g {
                                 let _ = shortcut(&exec, &cp_f, &cp_g, &ShortcutConfig::default());

@@ -1,12 +1,13 @@
 //! The run-record codec of the write-ahead log.
 //!
-//! One *record* is one executed instance with its evaluation; one *frame* is
-//! a record's payload wrapped in a `[len: u32 LE][crc32(payload): u32 LE]`
+//! One *record* is one executed instance with its evaluation — its dense
+//! key, outcome and score, read from a borrowed [`RunRef`]; one *frame* is a
+//! record's payload wrapped in a `[len: u32 LE][crc32(payload): u32 LE]`
 //! header. See the crate docs for the full byte layout.
 
 use crate::crc32::crc32;
 use crate::PersistError;
-use bugdoc_core::{EvalResult, Outcome, ParamSpace, Run};
+use bugdoc_core::{EvalResult, Outcome, RunRef};
 
 /// Upper bound on a frame payload. Real records are tens of bytes; anything
 /// larger than this is read as corruption (a torn length field must not make
@@ -16,18 +17,6 @@ pub const MAX_FRAME_BYTES: usize = 1 << 24;
 /// Bytes of a frame header: payload length + payload CRC-32.
 pub const FRAME_HEADER_BYTES: usize = 8;
 
-/// One run, in serializable form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// The instance identity: its dense key, one domain index per
-    /// parameter, in parameter order.
-    pub key: Box<[u32]>,
-    /// The binary evaluation.
-    pub outcome: Outcome,
-    /// The raw score the evaluation thresholded, if any.
-    pub score: Option<f64>,
-}
-
 /// Why a frame payload could not be decoded (all variants read as
 /// corruption by recovery: the log is truncated at the offending frame).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,8 +25,6 @@ pub enum DecodeError {
     Truncated,
     /// An unknown kind/outcome/score tag byte.
     BadTag(u8),
-    /// A dense key's arity or a domain index does not fit the space.
-    Domain,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -45,115 +32,75 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "payload truncated mid-field"),
             DecodeError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
-            DecodeError::Domain => write!(f, "dense key does not fit the parameter space"),
         }
     }
 }
 
-impl RunRecord {
-    /// The serializable form of a recorded run: the instance's dense key.
-    pub fn from_run(run: &Run) -> Self {
-        RunRecord {
-            key: run.instance.dense_key().into(),
-            outcome: run.outcome(),
-            score: run.eval.score,
+/// Appends a run's record payload bytes (no frame header) to `out`: the
+/// dense key, outcome and score, read from the borrowed run. Fails with
+/// [`PersistError::FrameOverflow`] — leaving partial bytes in `out`, which
+/// the caller must discard — when the key's length does not fit the
+/// format's `u32`: a truncated length would write a frame that decodes to a
+/// *different* record or that replay refuses.
+pub fn encode_payload(run: RunRef<'_>, out: &mut Vec<u8>) -> Result<(), PersistError> {
+    let len = run.key.len();
+    let count: u32 = len.try_into().map_err(|_| PersistError::FrameOverflow {
+        field: "parameter count",
+        len,
+    })?;
+    out.push(0); // kind: dense key
+    out.push(match run.eval.outcome {
+        Outcome::Succeed => 0,
+        Outcome::Fail => 1,
+    });
+    match run.eval.score {
+        None => out.push(0),
+        Some(s) => {
+            out.push(1);
+            out.extend_from_slice(&s.to_bits().to_le_bytes());
         }
     }
+    out.extend_from_slice(&count.to_le_bytes());
+    for &idx in run.key {
+        out.extend_from_slice(&idx.to_le_bytes());
+    }
+    Ok(())
+}
 
-    /// Cheap validity check: would [`into_run`](Self::into_run) against
-    /// `space` succeed? The key is checked for arity and per-parameter index
-    /// range. In recovery a misfit truncates the log like a torn frame.
-    pub fn fits(&self, space: &ParamSpace) -> bool {
-        self.key.len() == space.len()
-            && space
-                .ids()
-                .zip(self.key.iter())
-                .all(|(p, &idx)| (idx as usize) < space.domain(p).len())
+/// Decodes a payload produced by [`encode_payload`]: the evaluation is
+/// returned and the dense key written into `key`, which is cleared first
+/// and reused across frames, so decoding allocates nothing once `key` has
+/// grown to one key's length. The whole payload must be consumed —
+/// trailing bytes are corruption. Any kind byte but 0 (a dense key) is
+/// [`DecodeError::BadTag`].
+pub fn decode_payload(payload: &[u8], key: &mut Vec<u32>) -> Result<EvalResult, DecodeError> {
+    let mut r = Reader { buf: payload, pos: 0 };
+    match r.u8()? {
+        0 => {}
+        t => return Err(DecodeError::BadTag(t)),
     }
-
-    /// Materializes the record against `space`, moving the dense key into
-    /// the instance. The key is validated (arity and per-parameter index
-    /// range) — a key that does not fit is [`DecodeError::Domain`], which
-    /// recovery treats as corruption. Recovery runs this once per WAL frame.
-    pub fn into_run(self, space: &ParamSpace) -> Result<Run, DecodeError> {
-        if !self.fits(space) {
-            return Err(DecodeError::Domain);
-        }
-        Ok(Run {
-            instance: space.instance_from_owned_indices(self.key.into_vec()),
-            eval: EvalResult {
-                outcome: self.outcome,
-                score: self.score,
-            },
-        })
+    let outcome = match r.u8()? {
+        0 => Outcome::Succeed,
+        1 => Outcome::Fail,
+        t => return Err(DecodeError::BadTag(t)),
+    };
+    let score = match r.u8()? {
+        0 => None,
+        1 => Some(f64::from_bits(r.u64()?)),
+        t => return Err(DecodeError::BadTag(t)),
+    };
+    let count = r.u32()? as usize;
+    if count > MAX_FRAME_BYTES / 4 {
+        return Err(DecodeError::Truncated);
     }
-
-    /// Appends the record's payload bytes (no frame header) to `out`.
-    /// Fails with [`PersistError::FrameOverflow`] — leaving partial bytes in
-    /// `out`, which the caller must discard — when the key's length does not
-    /// fit the format's `u32`: a truncated length would write a frame that
-    /// decodes to a *different* record or that replay refuses.
-    pub fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
-        let len = self.key.len();
-        let count: u32 = len.try_into().map_err(|_| PersistError::FrameOverflow {
-            field: "parameter count",
-            len,
-        })?;
-        out.push(0); // kind: dense key
-        out.push(match self.outcome {
-            Outcome::Succeed => 0,
-            Outcome::Fail => 1,
-        });
-        match self.score {
-            None => out.push(0),
-            Some(s) => {
-                out.push(1);
-                out.extend_from_slice(&s.to_bits().to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&count.to_le_bytes());
-        for &idx in self.key.iter() {
-            out.extend_from_slice(&idx.to_le_bytes());
-        }
-        Ok(())
+    key.clear();
+    for _ in 0..count {
+        key.push(r.u32()?);
     }
-
-    /// Decodes a payload produced by [`RunRecord::encode_payload`]. The
-    /// whole payload must be consumed — trailing bytes are corruption. Any
-    /// kind byte but 0 (a dense key) is [`DecodeError::BadTag`].
-    pub fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader { buf: payload, pos: 0 };
-        match r.u8()? {
-            0 => {}
-            t => return Err(DecodeError::BadTag(t)),
-        }
-        let outcome = match r.u8()? {
-            0 => Outcome::Succeed,
-            1 => Outcome::Fail,
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        let score = match r.u8()? {
-            0 => None,
-            1 => Some(f64::from_bits(r.u64()?)),
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        let count = r.u32()? as usize;
-        if count > MAX_FRAME_BYTES / 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut key = Vec::with_capacity(count);
-        for _ in 0..count {
-            key.push(r.u32()?);
-        }
-        if r.pos != payload.len() {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(RunRecord {
-            key: key.into_boxed_slice(),
-            outcome,
-            score,
-        })
+    if r.pos != payload.len() {
+        return Err(DecodeError::Truncated);
     }
+    Ok(EvalResult { outcome, score })
 }
 
 struct Reader<'a> {
@@ -203,15 +150,15 @@ pub(crate) fn read_u64_at(bytes: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(b.try_into().ok()?))
 }
 
-/// Appends one full frame (header + payload) for `record` to `out`.
+/// Appends one full frame (header + payload) for `run` to `out`.
 /// Fails — restoring `out` to its incoming length — when the record cannot
 /// be framed within the codec's bounds: a length field past `u32`, or a
 /// payload past [`MAX_FRAME_BYTES`] (which replay reads as corruption, so
 /// writing it would persist a frame recovery refuses).
-pub fn append_frame(record: &RunRecord, out: &mut Vec<u8>) -> Result<(), PersistError> {
+pub fn append_frame(run: RunRef<'_>, out: &mut Vec<u8>) -> Result<(), PersistError> {
     let start = out.len();
     out.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
-    if let Err(e) = record.encode_payload(out) {
+    if let Err(e) = encode_payload(run, out) {
         out.truncate(start);
         return Err(e);
     }
@@ -240,9 +187,9 @@ pub fn append_frame(record: &RunRecord, out: &mut Vec<u8>) -> Result<(), Persist
 
 /// The result of pulling one frame off a byte stream.
 pub enum NextFrame {
-    /// A whole, checksum-valid frame: the decoded record and the offset just
-    /// past it.
-    Frame(RunRecord, usize),
+    /// A whole, checksum-valid frame: the decoded evaluation (its key is in
+    /// the caller's buffer) and the offset just past it.
+    Frame(EvalResult, usize),
     /// Clean end of input (offset exactly at the end).
     End,
     /// The bytes at the offset are not a valid frame: short header, short
@@ -251,8 +198,9 @@ pub enum NextFrame {
     Torn,
 }
 
-/// Reads the frame starting at `offset` in `bytes`.
-pub fn next_frame(bytes: &[u8], offset: usize) -> NextFrame {
+/// Reads the frame starting at `offset` in `bytes`, decoding its key into
+/// `key` (see [`decode_payload`]).
+pub fn next_frame(bytes: &[u8], offset: usize, key: &mut Vec<u32>) -> NextFrame {
     if offset == bytes.len() {
         return NextFrame::End;
     }
@@ -273,8 +221,8 @@ pub fn next_frame(bytes: &[u8], offset: usize) -> NextFrame {
     if crc32(payload) != crc {
         return NextFrame::Torn;
     }
-    match RunRecord::decode_payload(payload) {
-        Ok(record) => NextFrame::Frame(record, start + len),
+    match decode_payload(payload, key) {
+        Ok(eval) => NextFrame::Frame(eval, start + len),
         Err(_) => NextFrame::Torn,
     }
 }
@@ -282,30 +230,23 @@ pub fn next_frame(bytes: &[u8], offset: usize) -> NextFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::{ParamSpace, Value};
 
-    fn space() -> std::sync::Arc<ParamSpace> {
-        ParamSpace::builder()
-            .categorical("Dataset", ["Iris", "Digits"])
-            .ordinal("Version", [1, 2, 3])
-            .build()
-    }
-
-    fn record(key: &[u32], outcome: Outcome, score: Option<f64>) -> RunRecord {
-        RunRecord {
-            key: key.into(),
-            outcome,
-            score,
+    fn run(key: &[u32], outcome: Outcome, score: Option<f64>) -> RunRef<'_> {
+        RunRef {
+            key,
+            eval: EvalResult { outcome, score },
         }
     }
 
-    fn roundtrip(record: &RunRecord) -> RunRecord {
+    /// Frames `run` and reads it back: the evaluation and the key.
+    fn roundtrip(run: RunRef<'_>) -> (EvalResult, Vec<u32>) {
         let mut bytes = Vec::new();
-        append_frame(record, &mut bytes).unwrap();
-        match next_frame(&bytes, 0) {
-            NextFrame::Frame(got, end) => {
+        append_frame(run, &mut bytes).unwrap();
+        let mut key = vec![7; 5];
+        match next_frame(&bytes, 0, &mut key) {
+            NextFrame::Frame(eval, end) => {
                 assert_eq!(end, bytes.len());
-                got
+                (eval, key)
             }
             _ => panic!("frame did not read back"),
         }
@@ -313,11 +254,28 @@ mod tests {
 
     #[test]
     fn dense_record_roundtrips() {
-        let r = record(&[1, 2], Outcome::Fail, Some(0.25));
-        assert_eq!(roundtrip(&r), r);
-        let run = r.clone().into_run(&space()).unwrap();
-        assert_eq!(run.instance.values(), &["Digits".into(), Value::from(3)]);
-        assert_eq!(run.eval.score, Some(0.25));
+        let r = run(&[1, 2], Outcome::Fail, Some(0.25));
+        assert_eq!(roundtrip(r), (r.eval, vec![1, 2]));
+        let r = run(&[0, 1], Outcome::Succeed, None);
+        assert_eq!(roundtrip(r), (r.eval, vec![0, 1]));
+    }
+
+    /// The key buffer is reused: a shorter key after a longer one leaves no
+    /// trailing indices behind.
+    #[test]
+    fn key_buffer_is_cleared_between_frames() {
+        let mut bytes = Vec::new();
+        append_frame(run(&[3, 1, 4], Outcome::Fail, None), &mut bytes).unwrap();
+        append_frame(run(&[2], Outcome::Succeed, Some(1.5)), &mut bytes).unwrap();
+        let mut key = Vec::new();
+        let NextFrame::Frame(_, next) = next_frame(&bytes, 0, &mut key) else {
+            panic!("first frame")
+        };
+        assert_eq!(key, [3, 1, 4]);
+        let NextFrame::Frame(eval, end) = next_frame(&bytes, next, &mut key) else {
+            panic!("second frame")
+        };
+        assert_eq!((eval.score, key.as_slice(), end), (Some(1.5), &[2][..], bytes.len()));
     }
 
     /// Kind 1 (raw values, written by earlier versions for an instance
@@ -331,71 +289,67 @@ mod tests {
         payload.push(1);
         payload.extend_from_slice(&99i64.to_le_bytes());
         assert_eq!(
-            RunRecord::decode_payload(&payload).unwrap_err(),
+            decode_payload(&payload, &mut Vec::new()).unwrap_err(),
             DecodeError::BadTag(1)
         );
         let mut frame = Vec::new();
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        assert!(matches!(next_frame(&frame, 0), NextFrame::Torn));
+        assert!(matches!(next_frame(&frame, 0, &mut Vec::new()), NextFrame::Torn));
     }
 
+    /// A recorded run becomes a frame and comes back as the same run: its
+    /// borrowed form (`RunRef::from`) is framed, and the decoded key builds
+    /// the instance again.
     #[test]
     fn run_record_conversion_roundtrips() {
-        let s = space();
-        let run = Run {
+        let s = bugdoc_core::ParamSpace::builder()
+            .categorical("Dataset", ["Iris", "Digits"])
+            .ordinal("Version", [1, 2, 3])
+            .build();
+        let run = bugdoc_core::Run {
             instance: s.instance_from_indices(&[0, 1]),
             eval: EvalResult::from_score_at_least(0.9, 0.6),
         };
-        let rec = RunRecord::from_run(&run);
-        assert_eq!(&*rec.key, &[0, 1]);
-        assert!(rec.fits(&s));
-        let back = rec.into_run(&s).unwrap();
-        assert_eq!(back.instance, run.instance);
-        assert_eq!(back.eval, run.eval);
-    }
-
-    #[test]
-    fn out_of_range_dense_key_is_domain_error() {
-        let r = record(&[0, 9], Outcome::Fail, None);
-        assert_eq!(r.into_run(&space()).unwrap_err(), DecodeError::Domain);
-        let wrong_arity = record(&[0], Outcome::Fail, None);
-        assert_eq!(wrong_arity.into_run(&space()).unwrap_err(), DecodeError::Domain);
+        let (eval, key) = roundtrip(RunRef::from(&run));
+        assert_eq!(key, [0, 1]);
+        assert!(s.fits(&key));
+        assert_eq!(RunRef { key: &key, eval }.to_run(&s), run);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let r = record(&[1, 2], Outcome::Fail, Some(0.5));
         let mut bytes = Vec::new();
-        append_frame(&r, &mut bytes).unwrap();
+        append_frame(run(&[1, 2], Outcome::Fail, Some(0.5)), &mut bytes).unwrap();
+        let mut key = Vec::new();
         // Flip every byte in turn: the frame must never decode to a
         // *different* record without tripping the CRC.
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x40;
-            match next_frame(&corrupt, 0) {
+            match next_frame(&corrupt, 0, &mut key) {
                 NextFrame::Torn => {}
                 NextFrame::Frame(got, _) => {
-                    panic!("byte {i} flipped yet frame decoded as {got:?}")
+                    panic!("byte {i} flipped yet frame decoded as {got:?} {key:?}")
                 }
                 NextFrame::End => panic!("byte {i}: impossible End"),
             }
         }
         // Truncation at every prefix length is torn, except the empty tail.
         for cut in 1..bytes.len() {
-            assert!(matches!(next_frame(&bytes[..cut], 0), NextFrame::Torn));
+            assert!(matches!(next_frame(&bytes[..cut], 0, &mut key), NextFrame::Torn));
         }
-        assert!(matches!(next_frame(&bytes, bytes.len()), NextFrame::End));
+        assert!(matches!(next_frame(&bytes, bytes.len(), &mut key), NextFrame::End));
     }
 
     #[test]
     fn oversized_record_is_an_error_not_a_torn_frame() {
         // A payload past MAX_FRAME_BYTES must fail the append (replay would
         // read it as corruption), and the output buffer must be restored.
-        let r = record(&vec![0; MAX_FRAME_BYTES / 4 + 1], Outcome::Fail, None);
+        let key = vec![0; MAX_FRAME_BYTES / 4 + 1];
         let mut bytes = vec![0xAA; 3];
-        let err = append_frame(&r, &mut bytes).unwrap_err();
+        let err = append_frame(run(&key, Outcome::Fail, None), &mut bytes).unwrap_err();
         assert!(matches!(
             err,
             PersistError::FrameOverflow { field: "frame payload", .. }
@@ -406,12 +360,11 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_rejected() {
-        let r = record(&[1], Outcome::Succeed, None);
         let mut payload = Vec::new();
-        r.encode_payload(&mut payload).unwrap();
+        encode_payload(run(&[1], Outcome::Succeed, None), &mut payload).unwrap();
         payload.push(0);
         assert_eq!(
-            RunRecord::decode_payload(&payload).unwrap_err(),
+            decode_payload(&payload, &mut Vec::new()).unwrap_err(),
             DecodeError::Truncated
         );
     }

@@ -75,10 +75,10 @@ pub mod crc32;
 pub mod frame;
 pub mod wal;
 
-pub use frame::{DecodeError, RunRecord};
+pub use frame::DecodeError;
 pub use wal::{Wal, WalPosition};
 
-use bugdoc_core::{Outcome, ParamSpace, ProvenanceStore, Run};
+use bugdoc_core::{Outcome, ParamSpace, ProvenanceStore, RunRef};
 use std::fs::{File, TryLockError};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
@@ -443,21 +443,16 @@ impl DurableStore {
         let digest = space_digest(space);
         let mut store = ProvenanceStore::new(space.clone());
 
-        // The log streams: each frame is decoded, checked against the space,
-        // and recorded before the next is read. The sink rejects — and
-        // replay truncates, like a torn frame — a dense key that no longer
-        // fits the (digest-matched) space (`into_run`'s domain check) and a
-        // frame repeating an instance already recovered: writers append only
-        // runs the store newly recorded, so a repeat is damage, and one
-        // with the other outcome would trip `record`'s determinism assert.
+        // The log streams: each frame's key is decoded into one reused
+        // buffer and recorded before the next frame is read, and no
+        // instance is built. `record_key` checks the key against the
+        // (digest-matched) space and records it with one key-index probe.
+        // It refuses — and replay truncates, like a torn frame — a key that
+        // no longer fits and a frame repeating a run already recovered:
+        // writers append only runs the store newly recorded, so a repeat is
+        // damage, whichever outcome it carries.
         let replay_started = Instant::now();
-        let summary = wal::replay(&config.dir, digest, |record| match record.into_run(space) {
-            Ok(run) if store.lookup(&run.instance).is_none() => {
-                store.record(run.instance, run.eval);
-                true
-            }
-            _ => false,
-        })?;
+        let summary = wal::replay(&config.dir, digest, |run| store.record_key(run.key, run.eval))?;
 
         probes().replay_ns.record_elapsed(replay_started);
         bugdoc_telemetry::event(
@@ -481,17 +476,17 @@ impl DurableStore {
         self.wal.position()
     }
 
-    /// Appends one newly recorded run to the WAL. Call in recording order —
-    /// the WAL's frame order is the recovered store's run order. `space` is
-    /// the store's space; debug builds assert that the run's key fits it.
-    pub fn append(&mut self, run: &Run, space: &ParamSpace) -> Result<(), PersistError> {
+    /// Appends one newly recorded run to the WAL, encoding its frame from
+    /// the borrowed key. Call in recording order — the WAL's frame order is
+    /// the recovered store's run order. `space` is the store's space; debug
+    /// builds assert that the run's key fits it.
+    pub fn append(&mut self, run: RunRef<'_>, space: &ParamSpace) -> Result<(), PersistError> {
         let started = Instant::now();
-        let record = RunRecord::from_run(run);
         debug_assert!(
-            record.fits(space),
+            space.fits(run.key),
             "appending a run whose dense key does not fit the store's space"
         );
-        self.wal.append(&record)?;
+        self.wal.append(run)?;
         self.appended_since_sync += 1;
         self.runs += 1;
         probes().wal_append_ns.record_elapsed(started);
@@ -540,7 +535,7 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::{EvalResult, Outcome, Value};
+    use bugdoc_core::{EvalResult, Outcome, Run, Value};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bugdoc-store-{name}-{}", std::process::id()));
@@ -577,8 +572,8 @@ mod tests {
         for xi in 0..10 {
             for mi in 0..3 {
                 let run = run_for(&s, xi, mi);
-                assert!(live.record(run.instance.clone(), run.eval));
-                durable.append(&run, &s).unwrap();
+                assert!(live.record(&run.instance, run.eval));
+                durable.append(RunRef::from(&run), &s).unwrap();
             }
         }
         drop(durable);
@@ -607,8 +602,8 @@ mod tests {
         let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
         for xi in 0..2 {
             let run = run_for(&s, xi, 1);
-            live.record(run.instance.clone(), run.eval);
-            durable.append(&run, &s).unwrap();
+            live.record(&run.instance, run.eval);
+            durable.append(RunRef::from(&run), &s).unwrap();
         }
         durable.close(&live).unwrap();
 
@@ -640,13 +635,74 @@ mod tests {
         assert_eq!((again.runs, again.truncated_bytes), (2, 0));
     }
 
+    /// A checksum-valid frame repeating a recovered run with the same
+    /// outcome is damage too: the one key-index probe that records each
+    /// frame refuses it, so recovery keeps the runs before it and truncates
+    /// the log there, and a second open is clean.
+    #[test]
+    fn same_outcome_repeat_frame_truncates_the_log_there() {
+        let dir = tmp("repeat");
+        let s = space();
+        let config = PersistConfig::new(&dir);
+        let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
+        let log: Vec<Run> = (0..3).map(|xi| run_for(&s, xi, 2)).collect();
+        for run in &log {
+            live.record(&run.instance, run.eval);
+            durable.append(RunRef::from(run), &s).unwrap();
+        }
+        let clean_end = durable.position();
+        // Run 1 again, then a new run: both are cut.
+        durable.append(RunRef::from(&log[1]), &s).unwrap();
+        durable.append(RunRef::from(&run_for(&s, 5, 0)), &s).unwrap();
+        let end = durable.position();
+        drop(durable);
+
+        let (recovered, durable, recovery) = DurableStore::open(&s, &config).unwrap();
+        assert_eq!(recovery.runs, 3);
+        assert_eq!(recovery.truncated_bytes, end.offset - clean_end.offset);
+        assert_eq!(recovered.runs(), live.runs());
+        drop(durable);
+        let (_, _, again) = DurableStore::open(&s, &config).unwrap();
+        assert_eq!((again.runs, again.truncated_bytes), (3, 0));
+    }
+
+    /// A checksum-valid frame whose key does not fit the (digest-matched)
+    /// space — wrong arity, or an index past its parameter's domain — is
+    /// damage: recovery keeps the runs before it and truncates the log
+    /// there.
+    #[test]
+    fn misfit_key_frame_truncates_the_log_there() {
+        for (tag, misfit) in [("range", vec![9, 3]), ("arity", vec![1])] {
+            let dir = tmp(&format!("misfit-{tag}"));
+            let s = space();
+            let config = PersistConfig::new(&dir);
+            let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
+            let run = run_for(&s, 4, 1);
+            live.record(&run.instance, run.eval);
+            durable.append(RunRef::from(&run), &s).unwrap();
+            let clean_end = durable.position();
+            drop(durable);
+            let mut wal = Wal::open(&dir, space_digest(&s), DEFAULT_SEGMENT_BYTES).unwrap();
+            let eval = EvalResult::of(Outcome::Fail);
+            wal.append(RunRef { key: &misfit, eval }).unwrap();
+            wal.append(RunRef::from(&run_for(&s, 5, 0))).unwrap();
+            let end = wal.position();
+            drop(wal);
+
+            let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
+            assert_eq!(recovery.runs, 1, "{tag}");
+            assert_eq!(recovery.truncated_bytes, end.offset - clean_end.offset, "{tag}");
+            assert_eq!(recovered.runs(), live.runs(), "{tag}");
+        }
+    }
+
     #[test]
     fn space_change_refuses_to_open() {
         let dir = tmp("specchange");
         let s = space();
         let config = PersistConfig::new(&dir);
         let (_, mut durable, _) = DurableStore::open(&s, &config).unwrap();
-        durable.append(&run_for(&s, 0, 0), &s).unwrap();
+        durable.append(RunRef::from(&run_for(&s, 0, 0)), &s).unwrap();
         drop(durable);
         let other = ParamSpace::builder()
             .ordinal("x", (0..11).collect::<Vec<_>>()) // one more value
@@ -758,8 +814,8 @@ mod tests {
         let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
         for xi in 0..5 {
             let run = run_for(&s, xi, 0);
-            live.record(run.instance.clone(), run.eval);
-            durable.append(&run, &s).unwrap();
+            live.record(&run.instance, run.eval);
+            durable.append(RunRef::from(&run), &s).unwrap();
         }
         durable.close(&live).unwrap();
         assert!(!dir.join("lock").exists(), "close released the lock");
@@ -779,8 +835,8 @@ mod tests {
         let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
         for xi in 0..3 {
             let run = run_for(&s, xi, 1);
-            live.record(run.instance.clone(), run.eval);
-            durable.append(&run, &s).unwrap();
+            live.record(&run.instance, run.eval);
+            durable.append(RunRef::from(&run), &s).unwrap();
         }
         durable.close(&live).unwrap();
         let legacy = dir.join("snap-000000000002.bds");
@@ -797,7 +853,7 @@ mod tests {
         let s = space();
         let config = PersistConfig::new(&dir);
         let (_, mut durable, _) = DurableStore::open(&s, &config).unwrap();
-        durable.append(&run_for(&s, 0, 0), &s).unwrap();
+        durable.append(RunRef::from(&run_for(&s, 0, 0)), &s).unwrap();
         drop(durable);
         let other = ParamSpace::builder().ordinal("z", [1, 2]).build();
         assert!(matches!(

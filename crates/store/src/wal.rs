@@ -10,8 +10,9 @@
 //! lives wholly inside one segment and a torn write can only damage the tail
 //! of the *last* segment.
 
-use crate::frame::{append_frame, next_frame, read_u64_at, NextFrame, RunRecord};
+use crate::frame::{append_frame, next_frame, read_u64_at, NextFrame};
 use crate::{u64_of, PersistError, WAL_MAGIC, WAL_HEADER_BYTES};
+use bugdoc_core::RunRef;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -131,20 +132,20 @@ impl Wal {
         }
     }
 
-    /// Appends one record as a checksummed frame, rolling to a fresh segment
-    /// first when the current one is at its byte size.
-    pub fn append(&mut self, record: &RunRecord) -> Result<(), PersistError> {
+    /// Appends one run's record as a checksummed frame, rolling to a fresh
+    /// segment first when the current one is at its byte size.
+    pub fn append(&mut self, run: RunRef<'_>) -> Result<(), PersistError> {
         self.buf.clear();
-        append_frame(record, &mut self.buf)?;
+        append_frame(run, &mut self.buf)?;
         if self.seg_len > u64_of(WAL_HEADER_BYTES)
             && self.seg_len + u64_of(self.buf.len()) > self.segment_bytes
         {
             self.roll()?;
         }
-        let path = self.dir.join(segment_name(self.seg_index));
+        // The segment's path is built only to report a failed write.
         self.file
             .write_all(&self.buf)
-            .map_err(|e| PersistError::io(&path, e))?;
+            .map_err(|e| PersistError::io(&self.dir.join(segment_name(self.seg_index)), e))?;
         self.seg_len += u64_of(self.buf.len());
         Ok(())
     }
@@ -184,18 +185,23 @@ impl Wal {
 }
 
 /// Scans one segment's frames, from its header end, in one streaming pass:
-/// each frame is checksummed, decoded, and handed to `sink` before the next
-/// is read, with no staging. Returns `(accepted frames, stop offset)` — `None`
-/// for a clean end of segment, `Some(offset)` for the first bad byte: a
-/// torn or undecodable frame, or one the sink rejected (truncated alike).
-fn scan_segment(bytes: &[u8], sink: &mut impl FnMut(RunRecord) -> bool) -> (usize, Option<usize>) {
+/// each frame is checksummed, decoded into the reused `key` buffer, and
+/// handed to `sink` before the next is read, with no staging. Returns
+/// `(accepted frames, stop offset)` — `None` for a clean end of segment,
+/// `Some(offset)` for the first bad byte: a torn or undecodable frame, or
+/// one the sink rejected (truncated alike).
+fn scan_segment(
+    bytes: &[u8],
+    key: &mut Vec<u32>,
+    sink: &mut impl FnMut(RunRef<'_>) -> bool,
+) -> (usize, Option<usize>) {
     let mut frames = 0;
     let mut offset = WAL_HEADER_BYTES;
     loop {
-        match next_frame(bytes, offset) {
+        match next_frame(bytes, offset, key) {
             NextFrame::End => return (frames, None),
-            NextFrame::Frame(record, next) => {
-                if !sink(record) {
+            NextFrame::Frame(eval, next) => {
+                if !sink(RunRef { key, eval }) {
                     return (frames, Some(offset));
                 }
                 frames += 1;
@@ -221,15 +227,18 @@ pub struct ReplaySummary {
 /// deletes every later segment — so a reopened log is always an exact
 /// prefix of what was appended.
 ///
+/// Each run reaches `sink` borrowed: its key lives in one buffer that every
+/// frame's decode reuses, so a sink that keeps a run copies what it needs.
 /// `sink` may reject a record (returning `false`) to signal that the frame
 /// is semantically invalid for the space (e.g. a dense key that no longer
 /// fits); the scan treats that exactly like a torn frame.
 pub fn replay(
     dir: &Path,
     digest: u64,
-    mut sink: impl FnMut(RunRecord) -> bool,
+    mut sink: impl FnMut(RunRef<'_>) -> bool,
 ) -> Result<ReplaySummary, PersistError> {
     let mut summary = ReplaySummary::default();
+    let mut key = Vec::new();
     let segments = list_segments(dir)?;
     let mut torn_at: Option<(usize, u64)> = None; // (position in `segments`, offset)
     for (si, &idx) in segments.iter().enumerate() {
@@ -266,7 +275,7 @@ pub fn replay(
                 path,
             });
         }
-        let (frames, stop) = scan_segment(&bytes, &mut sink);
+        let (frames, stop) = scan_segment(&bytes, &mut key, &mut sink);
         summary.frames += frames;
         if let Some(stop) = stop {
             torn_at = Some((si, u64_of(stop)));
@@ -301,7 +310,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bugdoc_core::Outcome;
+    use bugdoc_core::{EvalResult, Outcome};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bugdoc-wal-{name}-{}", std::process::id()));
@@ -310,18 +319,26 @@ mod tests {
         dir
     }
 
-    fn record(i: u32) -> RunRecord {
-        RunRecord {
-            key: vec![i, i + 1].into_boxed_slice(),
-            outcome: if i % 3 == 0 { Outcome::Fail } else { Outcome::Succeed },
+    /// Record `i`, owned: its key and evaluation.
+    type Record = (Vec<u32>, EvalResult);
+
+    fn record(i: u32) -> Record {
+        let outcome = if i.is_multiple_of(3) { Outcome::Fail } else { Outcome::Succeed };
+        let eval = EvalResult {
+            outcome,
             score: Some(i as f64 / 10.0),
-        }
+        };
+        (vec![i, i + 1], eval)
     }
 
-    fn replay_all(dir: &Path, digest: u64) -> (Vec<RunRecord>, ReplaySummary) {
+    fn append(wal: &mut Wal, (key, eval): &Record) {
+        wal.append(RunRef { key, eval: *eval }).unwrap();
+    }
+
+    fn replay_all(dir: &Path, digest: u64) -> (Vec<Record>, ReplaySummary) {
         let mut got = Vec::new();
         let summary = replay(dir, digest, |r| {
-            got.push(r);
+            got.push((r.key.to_vec(), r.eval));
             true
         })
         .unwrap();
@@ -332,9 +349,9 @@ mod tests {
     fn append_and_replay_roundtrip() {
         let dir = tmp("roundtrip");
         let mut wal = Wal::open(&dir, 42, 1 << 20).unwrap();
-        let records: Vec<RunRecord> = (0..100).map(record).collect();
+        let records: Vec<Record> = (0..100).map(record).collect();
         for r in &records {
-            wal.append(r).unwrap();
+            append(&mut wal, r);
         }
         drop(wal);
         let (got, summary) = replay_all(&dir, 42);
@@ -348,9 +365,9 @@ mod tests {
         let dir = tmp("roll");
         // Tiny segments: every few frames roll a new file.
         let mut wal = Wal::open(&dir, 7, 128).unwrap();
-        let records: Vec<RunRecord> = (0..64).map(record).collect();
+        let records: Vec<Record> = (0..64).map(record).collect();
         for r in &records {
-            wal.append(r).unwrap();
+            append(&mut wal, r);
         }
         let segments = list_segments(&dir).unwrap();
         assert!(segments.len() > 4, "expected many segments, got {segments:?}");
@@ -361,7 +378,7 @@ mod tests {
         // Reopen appends to the tail, not a fresh segment 1.
         let mut wal = Wal::open(&dir, 7, 128).unwrap();
         assert_eq!(wal.position().segment, *segments.last().unwrap());
-        wal.append(&record(64)).unwrap();
+        append(&mut wal, &record(64));
         drop(wal);
         let (got, _) = replay_all(&dir, 7);
         assert_eq!(got.len(), 65);
@@ -372,7 +389,7 @@ mod tests {
         let dir = tmp("torn");
         let mut wal = Wal::open(&dir, 9, 1 << 20).unwrap();
         for i in 0..10 {
-            wal.append(&record(i)).unwrap();
+            append(&mut wal, &record(i));
         }
         drop(wal);
         // Chop 3 bytes off the single segment: the last frame is torn.
@@ -393,11 +410,11 @@ mod tests {
         assert_eq!(summary.truncated_bytes, 0);
         // And appending after recovery resumes at the boundary.
         let mut wal = Wal::open(&dir, 9, 1 << 20).unwrap();
-        wal.append(&record(99)).unwrap();
+        append(&mut wal, &record(99));
         drop(wal);
         let (got, _) = replay_all(&dir, 9);
         assert_eq!(got.len(), 10);
-        assert_eq!(got[9].key[0], 99);
+        assert_eq!(got[9].0[0], 99);
     }
 
     #[test]
@@ -405,7 +422,7 @@ mod tests {
         let dir = tmp("midcorrupt");
         let mut wal = Wal::open(&dir, 5, 160).unwrap();
         for i in 0..40 {
-            wal.append(&record(i)).unwrap();
+            append(&mut wal, &record(i));
         }
         drop(wal);
         let segments = list_segments(&dir).unwrap();
@@ -432,7 +449,7 @@ mod tests {
         let dir = tmp("gap");
         let mut wal = Wal::open(&dir, 4, 160).unwrap();
         for i in 0..40 {
-            wal.append(&record(i)).unwrap();
+            append(&mut wal, &record(i));
         }
         drop(wal);
         let segments = list_segments(&dir).unwrap();
@@ -456,7 +473,7 @@ mod tests {
     fn digest_mismatch_is_an_error_not_truncation() {
         let dir = tmp("digest");
         let mut wal = Wal::open(&dir, 1, 1 << 20).unwrap();
-        wal.append(&record(0)).unwrap();
+        append(&mut wal, &record(0));
         drop(wal);
         let err = replay(&dir, 2, |_| true).unwrap_err();
         assert!(matches!(err, PersistError::SpaceMismatch { .. }));

@@ -29,10 +29,10 @@ fn main() {
     // Step 1: plain Shortcut from the failing instance toward its disjoint
     // success, exactly as in Example 1.
     let cp_f = exec
-        .with_provenance_ref(|p| p.first_failing().cloned())
+        .with_provenance_ref(|p| p.first_failing())
         .expect("Table 1 has a failing run");
     let cp_g = exec
-        .with_provenance_ref(|p| p.disjoint_successes(&cp_f).next().cloned())
+        .with_provenance_ref(|p| p.disjoint_successes(&cp_f).next())
         .expect("Table 1 has a disjoint success");
     let report = shortcut(&exec, &cp_f, &cp_g, &ShortcutConfig::default()).unwrap();
     println!(

@@ -24,6 +24,10 @@ parent's, positive when worse by the metric's `better` direction, and
               unless every change run beats every parent run;
   ok          otherwise.
 
+Each side's peak resident set size per workload — the `peak RSS N MiB`
+an untraced e2ebench run prints on stderr — follows the table as both
+medians and q1-q3 ranges, with no verdict: it is printed, not gated.
+
 With --trace every run is traced (`--trace 1`), so it reports the
 per-layer metrics instead of the end-to-end ones. Per metric the script then
 prints both medians and both q1-q3 ranges only: traced runs are not gated,
@@ -41,6 +45,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import statistics
@@ -51,6 +56,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXACT_METRICS = ("new_executions_per_diagnosis", "evaluations_per_diagnosis",
                  "precision", "recall")
 EXACT_WORKLOADS = ("paper-synth", "deep-history")
+PEAK_RSS = re.compile(r"peak RSS ([0-9.]+) MiB")
 
 
 def parse_seeds(text):
@@ -75,14 +81,31 @@ def build(tree, target):
 
 
 def run_once(exe, tree, workload, seed, seconds, trace):
+    """The run's JSON result, with the peak RSS its stderr reports (MiB, or
+    None) under "peak_rss_mib"; None when the run failed. The run's stderr
+    is passed on."""
     out = subprocess.run(
         [exe, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "1" if trace else "0"],
-        cwd=tree, stdout=subprocess.PIPE, text=True)
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    sys.stderr.write(out.stderr)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         return None
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    rss = PEAK_RSS.findall(out.stderr)
+    result["peak_rss_mib"] = float(rss[-1]) if rss else None
+    return result
+
+
+def report_rss(pairs, width):
+    """Prints each side's peak RSS as median (q1-q3), with no verdict."""
+    parent = [p["peak_rss_mib"] for p, _ in pairs]
+    change = [c["peak_rss_mib"] for _, c in pairs]
+    if None in parent or None in change:
+        return
+    print(f"  {'peak RSS MiB (not gated)':<{width}} {summary(parent)[2]:>32} "
+          f"{summary(change)[2]:>32}")
 
 
 def summary(values):
@@ -137,6 +160,7 @@ def report(workload, pairs, metrics):
                              f"past its bound {spec['bound']:.0%}")
         print(f"  {name:<30} {p_text:>32} {c_text:>32} "
               f"{f'{wins}/{len(pairs)}':>7} {gap:>8} {judged:>20}")
+    report_rss(pairs, 30)
     return worse
 
 
@@ -150,6 +174,7 @@ def report_trace(workload, pairs):
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         print(f"  {name:<40} {summary(parent)[2]:>32} {summary(change)[2]:>32}")
+    report_rss(pairs, 40)
 
 
 def main():

@@ -20,7 +20,8 @@
 
 use bugdoc::pipelines::MlPipeline;
 use bugdoc::prelude::*;
-use bugdoc::store::{DurableStore, RunRecord, Wal, WalPosition};
+use bugdoc::core::RunRef;
+use bugdoc::store::{DurableStore, Wal, WalPosition};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -327,20 +328,22 @@ fn conflicting_duplicate_frame_truncates_instead_of_panicking() {
         .ordinal("x", (0..4).collect::<Vec<_>>())
         .ordinal("y", (0..4).collect::<Vec<_>>())
         .build();
-    let frame = |x: u32, outcome: Outcome| RunRecord {
-        key: vec![x, 0].into_boxed_slice(),
-        outcome,
-        score: None,
-    };
+    let key = |x: u32| [x, 0];
+    fn frame(key: &[u32], outcome: Outcome) -> RunRef<'_> {
+        RunRef {
+            key,
+            eval: EvalResult::of(outcome),
+        }
+    }
     let mut wal = Wal::open(
         &dir,
         bugdoc::store::space_digest(&space),
         bugdoc::store::DEFAULT_SEGMENT_BYTES,
     )
     .unwrap();
-    wal.append(&frame(1, Outcome::Succeed)).unwrap();
-    wal.append(&frame(1, Outcome::Fail)).unwrap();
-    wal.append(&frame(2, Outcome::Succeed)).unwrap();
+    wal.append(frame(&key(1), Outcome::Succeed)).unwrap();
+    wal.append(frame(&key(1), Outcome::Fail)).unwrap();
+    wal.append(frame(&key(2), Outcome::Succeed)).unwrap();
     drop(wal);
 
     let config = PersistConfig::new(&dir);

@@ -254,7 +254,7 @@ mod stacked_properties {
             for (inst, eval) in &seeds {
                 prov.record(inst.clone(), *eval);
             }
-            let Some(cp_f) = prov.first_failing().cloned() else { return Ok(()) };
+            let Some(cp_f) = prov.first_failing() else { return Ok(()) };
             let exec = Executor::with_provenance(
                 pipe.clone() as Arc<dyn Pipeline>,
                 ExecutorConfig { workers: 3, budget: None, ..Default::default() },
