@@ -354,7 +354,7 @@ pub fn bench_persistence(c: &mut Criterion) {
 
     // Append: one open log, cycling through realistic records. Appending a
     // record twice is fine at the WAL layer (dedup is the store's job), so
-    // the log just grows and rolls segments as it would in a long run.
+    // the log just grows as it would in a long run.
     {
         let prov = provenance_10k(&space);
         let runs = prov.runs();

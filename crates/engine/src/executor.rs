@@ -735,15 +735,6 @@ impl Executor {
 
         results.into_iter().map(|r| r.expect("resolved")).collect()
     }
-
-    /// Records an externally-obtained evaluation (e.g. seeding mid-run).
-    pub fn record_external(&self, instance: Instance, eval: EvalResult) {
-        let sync_due = {
-            let mut prov = self.provenance.write();
-            prov.record(&instance, eval) && self.persist_record(&prov, &instance, eval)
-        };
-        self.persist_sync_if_due(sync_due);
-    }
 }
 
 /// Greedy list-scheduling makespan of `costs` on `machines` identical
@@ -1123,7 +1114,7 @@ mod tests {
     }
 
     #[test]
-    fn persistence_covers_batch_and_external_records() {
+    fn persistence_covers_batch_records() {
         let dir = persist_dir("batch");
         let s = space();
         let config = || ExecutorConfig {
@@ -1137,17 +1128,12 @@ mod tests {
         let exec = Executor::new(pipe(&s), config());
         let batch: Vec<_> = (1..=5).map(|x| inst(&s, x, 1)).collect();
         exec.evaluate_batch(&batch);
-        exec.record_external(inst(&s, 1, 5), EvalResult::of(Outcome::Succeed));
         drop(exec);
 
         let exec = Executor::new(pipe(&s), config());
         let recovery = exec.recovery().unwrap();
-        assert_eq!(recovery.runs, 6);
+        assert_eq!(recovery.runs, 5);
         assert_eq!(recovery.truncated_bytes, 0);
-        assert_eq!(
-            exec.provenance().outcome_of(&inst(&s, 1, 5)),
-            Some(Outcome::Succeed)
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

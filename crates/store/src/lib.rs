@@ -3,24 +3,25 @@
 //! BugDoc's central economy is reusing provenance from earlier runs so the
 //! debugger never re-executes a configuration it has already seen (paper
 //! §3's cost measure counts only *new* executions). This crate makes that
-//! history survive the process: a segmented, checksummed **write-ahead log**
-//! of run records — the one on-disk copy of the history — and **crash
-//! recovery** that replays it, truncates torn tails, and rebuilds an exact
-//! prefix of what was recorded. `std`-only — no registry dependencies.
+//! history survive the process: a checksummed **write-ahead log** of run
+//! records in one append-only file — the one on-disk copy of the history —
+//! and **crash recovery** that replays it, truncates a torn tail, and
+//! rebuilds an exact prefix of what was recorded. `std`-only — no registry
+//! dependencies.
 //!
 //! ## On-disk format (version 1)
 //!
-//! A persist directory holds the WAL segments and a lock file:
+//! A persist directory holds the log and a lock file:
 //!
 //! ```text
-//! <dir>/wal-00000001.seg      segments, ascending; the log is their
-//! <dir>/wal-00000002.seg      concatenation in name order
+//! <dir>/wal-00000001.seg      the write-ahead log
 //! <dir>/lock                  the writer's OS file lock and pid
 //! ```
 //!
-//! **WAL segment** — 16-byte header (`"BDWALv1\n"` magic, then the space
-//! digest as `u64` LE), then frames. A segment rolls when the next frame
-//! would exceed the configured byte size, so a frame never spans files.
+//! **Log** — 16-byte header (`"BDWALv1\n"` magic, then the space digest as
+//! `u64` LE), then frames. Earlier versions split the log into numbered
+//! segments that rolled at 4 MiB; the file keeps the first segment's name
+//! and bytes, so a directory they wrote as one segment opens unchanged.
 //! Appends reach the OS page cache at once and disk at the next sync: every
 //! [`PersistConfig::sync_every`] appends when set, and at
 //! [`DurableStore::close`].
@@ -47,27 +48,25 @@
 //! kernel drops the lock when the holder dies, so a dead process's lock is
 //! re-taken automatically; live holders are [`PersistError::Locked`].
 //!
-//! **Recovery** ([`DurableStore::open`]) replays every segment from
-//! `wal-00000001.seg` on, verifies every frame's CRC and that every dense
-//! key fits the spec's [`ParamSpace`], truncates the log at the
-//! first torn or undecodable frame — or the first frame repeating an
-//! instance already recovered, which no writer appends — and deletes any
-//! segments past it: reopened history is always an exact prefix of what was
-//! appended. Every frame streams through one decode-and-record pass on the
-//! calling thread; nothing is staged. A log with a missing segment — in the
-//! middle, or segment 1 itself — is [`PersistError::MissingSegment`]:
-//! concatenating across the hole would fabricate a history that never
-//! existed. A segment whose space digest differs from the spec's is a hard
-//! [`PersistError::SpaceMismatch`]: dense keys are meaningless across spec
-//! changes, and silently reinterpreting them would corrupt every downstream
-//! guarantee.
+//! **Recovery** ([`DurableStore::open`]) reads the whole log into one
+//! buffer, verifies every frame's CRC and that every dense key fits the spec's
+//! [`ParamSpace`], and truncates the file at the first torn or undecodable
+//! frame — or the first frame repeating an instance already recovered,
+//! which no writer appends: reopened history is always an exact prefix of
+//! what was appended. Every frame streams through one decode-and-record
+//! pass on the calling thread; nothing is staged. A log whose space digest
+//! differs from the spec's is a hard [`PersistError::SpaceMismatch`]: dense
+//! keys are meaningless across spec changes, and silently reinterpreting
+//! them would corrupt every downstream guarantee.
 //!
 //! **Older directories** may also hold `snap-*.bds` files: snapshots, which
 //! earlier versions wrote as a second copy of the log's frames. Recovery
 //! ignores them, since the log holds every run they do, and they are safe to
-//! delete. Where those versions pruned leading segments against a snapshot
-//! (only past one full segment), segment 1 is gone and the directory is
-//! refused with [`PersistError::MissingSegment`].
+//! delete. A directory holding any `wal-N.seg` with N ≠ 1 — a segment an
+//! earlier version rolled to past 4 MiB, or what its pruning against a
+//! snapshot left — is refused with [`PersistError::StraySegment`], and every
+//! file in it is left as it was: recovering without that segment would
+//! return a shorter or spliced history.
 
 #![warn(missing_docs)]
 
@@ -76,7 +75,7 @@ pub mod frame;
 pub mod wal;
 
 pub use frame::DecodeError;
-pub use wal::{Wal, WalPosition};
+pub use wal::Wal;
 
 use bugdoc_core::{Outcome, ParamSpace, ProvenanceStore, RunRef};
 use std::fs::{File, TryLockError};
@@ -120,32 +119,26 @@ fn probes() -> &'static StoreProbes {
     })
 }
 
-/// WAL segment magic bytes.
+/// WAL magic bytes.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"BDWALv1\n";
-/// WAL segment header length: magic + space digest.
+/// WAL header length: magic + space digest.
 pub(crate) const WAL_HEADER_BYTES: usize = 16;
-
-/// Default segment roll size.
-pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
 
 /// Where and how to persist provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Directory holding the WAL segments (created if absent).
+    /// Directory holding the WAL (created if absent).
     pub dir: PathBuf,
-    /// Segment roll size in bytes (default [`DEFAULT_SEGMENT_BYTES`]).
-    pub segment_bytes: u64,
     /// Fsync the WAL every this many appended runs (`None`: only at
     /// [`DurableStore::close`]).
     pub sync_every: Option<u64>,
 }
 
 impl PersistConfig {
-    /// A config with default segment size that syncs only at close.
+    /// A config that syncs only at close.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             dir: dir.into(),
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
             sync_every: None,
         }
     }
@@ -161,7 +154,7 @@ pub enum PersistError {
         /// The underlying error.
         error: std::io::Error,
     },
-    /// A segment was written against a different parameter space: dense
+    /// The log was written against a different parameter space: dense
     /// keys cannot be reinterpreted across spec changes.
     SpaceMismatch {
         /// Digest of the spec's space.
@@ -171,16 +164,13 @@ pub enum PersistError {
         /// The offending file.
         path: PathBuf,
     },
-    /// A WAL segment is missing from the middle of the log (or the log's
-    /// anchor segment is gone). Replaying across the hole would fabricate a
-    /// history that never existed, so recovery refuses.
-    MissingSegment {
-        /// The segment index recovery expected next.
-        expected: u64,
-        /// The index actually found.
-        found: u64,
-        /// The persist directory.
-        dir: PathBuf,
+    /// The directory holds a `wal-N.seg` with N ≠ 1, which an earlier,
+    /// segmented log wrote. The log is one file, so recovering without the
+    /// segment would return a shorter or spliced history: the open refuses
+    /// and leaves every file as it was.
+    StraySegment {
+        /// The segment file.
+        path: PathBuf,
     },
     /// A record field exceeds the frame format's `u32` bounds or the frame
     /// exceeds [`frame::MAX_FRAME_BYTES`] (a pathological instance: millions
@@ -249,16 +239,14 @@ impl std::fmt::Display for PersistError {
                  fresh directory or restore the original spec",
                 path.display()
             ),
-            PersistError::MissingSegment {
-                expected,
-                found,
-                dir,
-            } => write!(
+            PersistError::StraySegment { path } => write!(
                 f,
-                "{}: WAL segment {expected} is missing (found segment {found} instead); \
-                 the directory lost mid-log history and cannot be recovered as an exact \
-                 prefix — restore the missing segment or start a fresh directory",
-                dir.display()
+                "{}: WAL segment left by an earlier version that split the log into \
+                 segments; the log is now the one file wal-00000001.seg, and recovering \
+                 without this segment would return a shorter or spliced history, so the \
+                 directory is left untouched — point persist_dir at a fresh directory, or \
+                 move the file away to keep only the history in wal-00000001.seg",
+                path.display()
             ),
             PersistError::FrameOverflow { field, len } => write!(
                 f,
@@ -296,7 +284,7 @@ impl std::error::Error for PersistError {
 }
 
 /// A stable fingerprint of a [`ParamSpace`]: parameter names, kinds, and
-/// every domain value, in order. Stamped into every segment header so
+/// every domain value, in order. Stamped into the log's header so
 /// recovery refuses to decode dense keys against the wrong space.
 pub fn space_digest(space: &ParamSpace) -> u64 {
     let mut h = bugdoc_core::FxHasher::default();
@@ -440,7 +428,6 @@ impl DurableStore {
         space: &Arc<ParamSpace>,
         config: &PersistConfig,
     ) -> Result<(ProvenanceStore, Wal, Recovery), PersistError> {
-        let digest = space_digest(space);
         let mut store = ProvenanceStore::new(space.clone());
 
         // The log streams: each frame's key is decoded into one reused
@@ -452,27 +439,26 @@ impl DurableStore {
         // writers append only runs the store newly recorded, so a repeat is
         // damage, whichever outcome it carries.
         let replay_started = Instant::now();
-        let summary = wal::replay(&config.dir, digest, |run| store.record_key(run.key, run.eval))?;
-
+        let (wal, truncated_bytes) = Wal::open(&config.dir, space_digest(space), |run| {
+            store.record_key(run.key, run.eval)
+        })?;
         probes().replay_ns.record_elapsed(replay_started);
         bugdoc_telemetry::event(
             bugdoc_telemetry::EventKind::WalReplay,
-            u64_of(summary.frames),
+            u64_of(store.len()),
             elapsed_us(replay_started),
-            summary.truncated_bytes,
+            truncated_bytes,
         );
-
-        let wal = Wal::open(&config.dir, digest, config.segment_bytes)?;
         let recovery = Recovery {
             runs: store.len(),
-            truncated_bytes: summary.truncated_bytes,
+            truncated_bytes,
         };
         Ok((store, wal, recovery))
     }
 
-    /// The log-tail position the next appended frame will start at (equally:
-    /// the exclusive end position of everything appended so far).
-    pub fn position(&self) -> WalPosition {
+    /// The log offset the next appended frame will start at (equally: the
+    /// end of everything appended so far).
+    pub fn position(&self) -> u64 {
         self.wal.position()
     }
 
@@ -659,7 +645,7 @@ mod tests {
 
         let (recovered, durable, recovery) = DurableStore::open(&s, &config).unwrap();
         assert_eq!(recovery.runs, 3);
-        assert_eq!(recovery.truncated_bytes, end.offset - clean_end.offset);
+        assert_eq!(recovery.truncated_bytes, end - clean_end);
         assert_eq!(recovered.runs(), live.runs());
         drop(durable);
         let (_, _, again) = DurableStore::open(&s, &config).unwrap();
@@ -682,7 +668,7 @@ mod tests {
             durable.append(RunRef::from(&run), &s).unwrap();
             let clean_end = durable.position();
             drop(durable);
-            let mut wal = Wal::open(&dir, space_digest(&s), DEFAULT_SEGMENT_BYTES).unwrap();
+            let (mut wal, _) = Wal::open(&dir, space_digest(&s), |_| true).unwrap();
             let eval = EvalResult::of(Outcome::Fail);
             wal.append(RunRef { key: &misfit, eval }).unwrap();
             wal.append(RunRef::from(&run_for(&s, 5, 0))).unwrap();
@@ -691,7 +677,7 @@ mod tests {
 
             let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
             assert_eq!(recovery.runs, 1, "{tag}");
-            assert_eq!(recovery.truncated_bytes, end.offset - clean_end.offset, "{tag}");
+            assert_eq!(recovery.truncated_bytes, end - clean_end, "{tag}");
             assert_eq!(recovered.runs(), live.runs(), "{tag}");
         }
     }
@@ -863,6 +849,66 @@ mod tests {
         // The failed open must not wedge the directory for the real spec.
         let (store, _, _) = DurableStore::open(&s, &config).unwrap();
         assert_eq!(store.len(), 1);
+    }
+
+    /// Every file in `dir`, by name, with its bytes.
+    fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// A `wal-N.seg` with N ≠ 1 — a segment an earlier version rolled to
+    /// beside the log, or what its pruning left in place of the log — is
+    /// refused by name. The open creates, truncates and deletes nothing
+    /// (no log, no lock), and releases the lock, so an open succeeds once
+    /// the segment is moved away.
+    #[test]
+    fn stray_segment_is_refused_and_left_untouched() {
+        let s = space();
+        for (tag, logged, stray) in [
+            ("rolled", true, "wal-00000002.seg"),
+            ("pruned", false, "wal-00000003.seg"),
+        ] {
+            let dir = tmp(&format!("stray-{tag}"));
+            let config = PersistConfig::new(&dir);
+            let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
+            for xi in 0..3 {
+                let run = run_for(&s, xi, 2);
+                live.record(&run.instance, run.eval);
+                durable.append(RunRef::from(&run), &s).unwrap();
+            }
+            durable.close(&live).unwrap();
+            let log = dir.join("wal-00000001.seg");
+            let segment = std::fs::read(&log).unwrap();
+            std::fs::write(dir.join(stray), &segment).unwrap();
+            if !logged {
+                std::fs::remove_file(&log).unwrap();
+            }
+            let before = files(&dir);
+
+            let err = DurableStore::open(&s, &config).unwrap_err();
+            assert!(
+                matches!(&err, PersistError::StraySegment { path } if *path == dir.join(stray)),
+                "{tag}: {err}"
+            );
+            assert!(err.to_string().contains(stray), "{tag}: {err}");
+            assert_eq!(files(&dir), before, "{tag}: the refused open changed files");
+
+            let moved = dir.with_extension("moved");
+            std::fs::rename(dir.join(stray), &moved).unwrap();
+            let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
+            let runs = if logged { 3 } else { 0 };
+            assert_eq!((recovery.runs, recovered.len()), (runs, runs), "{tag}");
+            std::fs::remove_file(&moved).unwrap();
+        }
     }
 
     #[test]

@@ -57,8 +57,8 @@
 //!   and the combined [`diagnose`](algorithms::diagnose) driver.
 //! * [`baselines`] — Data X-Ray, Explanation Tables, SMAC, random search.
 //! * [`dtree`], [`qm`] — the decision-tree and Quine–McCluskey substrates.
-//! * [`store`] — durable provenance: a segmented checksummed write-ahead
-//!   log and crash recovery that replays it for warm-start diagnosis.
+//! * [`store`] — durable provenance: a checksummed write-ahead log and
+//!   crash recovery that replays it for warm-start diagnosis.
 //! * [`serve`] — the diagnosis service daemon (`bugdoc serve`): concurrent
 //!   sessions sharing one executor per pipeline spec.
 //! * [`telemetry`] — wait-free metrics (counters, gauges, log₂ histograms)

@@ -21,7 +21,7 @@
 use bugdoc::pipelines::MlPipeline;
 use bugdoc::prelude::*;
 use bugdoc::core::RunRef;
-use bugdoc::store::{DurableStore, Wal, WalPosition};
+use bugdoc::store::{DurableStore, Wal};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,55 +70,24 @@ fn random_instance(space: &Arc<ParamSpace>, rng: &mut StdRng) -> Instance {
     space.instance_from_indices(&indices)
 }
 
-/// The WAL segment files of `dir` with their byte sizes, in log order.
-fn segment_files(dir: &Path) -> Vec<(PathBuf, u64)> {
-    let mut files: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter_map(|p| {
-            let name = p.file_name()?.to_str()?;
-            let idx: u64 = name.strip_prefix("wal-")?.strip_suffix(".seg")?.parse().ok()?;
-            Some((idx, p))
-        })
-        .collect();
-    files.sort();
-    files
-        .into_iter()
-        .map(|(_, p)| {
-            let len = std::fs::metadata(&p).unwrap().len();
-            (p, len)
-        })
-        .collect()
+/// The write-ahead log file of persist directory `dir`.
+fn log_path(dir: &Path) -> PathBuf {
+    dir.join("wal-00000001.seg")
 }
 
-/// Truncates the log — viewed as the concatenation of its segments — at
-/// global byte offset `cut`: the segment containing the cut is `set_len`,
-/// every later segment is deleted (what a crash plus recovery's own
-/// truncation may leave behind; here we do the damage, recovery must cope).
-fn truncate_log_at(dir: &Path, mut cut: u64) {
-    let files = segment_files(dir);
-    let mut chopping = false;
-    for (path, len) in files {
-        if chopping {
-            std::fs::remove_file(&path).unwrap();
-            continue;
-        }
-        if cut >= len {
-            cut -= len;
-            continue;
-        }
-        if cut == 0 {
-            std::fs::remove_file(&path).unwrap();
-        } else {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .unwrap()
-                .set_len(cut)
-                .unwrap();
-        }
-        chopping = true;
-    }
+fn log_len(dir: &Path) -> u64 {
+    std::fs::metadata(log_path(dir)).unwrap().len()
+}
+
+/// Truncates the log at byte offset `cut` (the crash/bitrot model; here
+/// we do the damage, recovery must cope).
+fn truncate_log_at(dir: &Path, cut: u64) {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(log_path(dir))
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
 }
 
 proptest! {
@@ -136,15 +105,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let space = random_space(&mut rng);
         let dir = tmp_dir(&format!("prefix-{seed}-{n_runs}"));
-        let config = PersistConfig {
-            segment_bytes: 192, // tiny: most cases span several segments
-            ..PersistConfig::new(&dir)
-        };
+        let config = PersistConfig::new(&dir);
 
         let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
         // Record a random log, tracking each record's exclusive end
-        // position in the WAL.
-        let mut ends: Vec<WalPosition> = Vec::new();
+        // offset in the WAL.
+        let mut ends: Vec<u64> = Vec::new();
         for _ in 0..n_runs {
             let inst = random_instance(&space, &mut rng);
             let eval = EvalResult::of(outcome_of(&inst));
@@ -158,24 +124,9 @@ proptest! {
         let original: Vec<_> = live.runs().to_vec();
         prop_assert_eq!(ends.len(), original.len());
 
-        // Segment sizes at rest → each record's global end offset.
-        let files = segment_files(&dir);
-        let seg_index = |path: &Path| -> u64 {
-            let name = path.file_name().unwrap().to_str().unwrap();
-            name.strip_prefix("wal-").unwrap().strip_suffix(".seg").unwrap().parse().unwrap()
-        };
-        let global = |p: &WalPosition| -> u64 {
-            let mut base = 0;
-            for (path, len) in &files {
-                if seg_index(path) < p.segment {
-                    base += len;
-                }
-            }
-            base + p.offset
-        };
-        let total: u64 = files.iter().map(|(_, l)| l).sum();
+        let total = log_len(&dir);
         let cut = cut_selector % (total + 1);
-        let expected = ends.iter().filter(|p| global(p) <= cut).count();
+        let expected = ends.iter().filter(|&&end| end <= cut).count();
 
         truncate_log_at(&dir, cut);
 
@@ -198,14 +149,14 @@ proptest! {
 
 /// Appends `n` new random runs (half of them scored) to both the live
 /// store and the WAL, returning each appended frame's exclusive end
-/// position.
+/// offset.
 fn append_random_runs(
     live: &mut ProvenanceStore,
     durable: &mut DurableStore,
     space: &Arc<ParamSpace>,
     rng: &mut StdRng,
     n: usize,
-) -> Vec<WalPosition> {
+) -> Vec<u64> {
     let mut ends = Vec::with_capacity(n);
     while ends.len() < n {
         let inst = random_instance(space, rng);
@@ -223,8 +174,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Recovery at the log sizes a long-lived persist directory reaches:
-    /// 4,200 WAL frames in one segment of the default size, cut at a seeded
-    /// byte offset in the log's second half. Reopening yields the appended
+    /// 4,200 WAL frames, cut at a seeded byte offset in the log's second
+    /// half. Reopening yields the appended
     /// prefix run for run, and the cut is final: a second open discards
     /// nothing.
     #[test]
@@ -246,14 +197,12 @@ proptest! {
         let ends = append_random_runs(&mut live, &mut durable, &space, &mut rng, 4_200);
         drop(durable);
         let original: Vec<_> = live.runs().to_vec();
-        let files = segment_files(&dir);
-        prop_assert_eq!(files.len(), 1, "the whole log fits one default-size segment");
-        let log_end = ends.last().unwrap().offset;
-        prop_assert_eq!(log_end, files[0].1);
+        let log_end = *ends.last().unwrap();
+        prop_assert_eq!(log_end, log_len(&dir));
 
-        let half = ends[ends.len() / 2 - 1].offset;
+        let half = ends[ends.len() / 2 - 1];
         let cut = half + cut_selector % (log_end - half + 1);
-        let expected = ends.iter().filter(|p| p.offset <= cut).count();
+        let expected = ends.iter().filter(|&&end| end <= cut).count();
         truncate_log_at(&dir, cut);
 
         let (recovered, _, recovery) = DurableStore::open(&space, &config).unwrap();
@@ -295,11 +244,11 @@ fn reopen_after_mid_log_damage_keeps_every_later_append() {
 
     // Session 1: ten runs, closed gracefully.
     let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
-    let ends: Vec<WalPosition> = (0..10).map(|_| append(&mut live, &mut durable)).collect();
+    let ends: Vec<u64> = (0..10).map(|_| append(&mut live, &mut durable)).collect();
     durable.close(&live).unwrap();
 
     // Cut the log in the middle of its fourth frame.
-    truncate_log_at(&dir, ends[2].offset + 5);
+    truncate_log_at(&dir, ends[2] + 5);
 
     // Session 2: recovers what survived the cut, appends ten new runs.
     let (mut live, mut durable, _) = DurableStore::open(&space, &config).unwrap();
@@ -335,12 +284,7 @@ fn conflicting_duplicate_frame_truncates_instead_of_panicking() {
             eval: EvalResult::of(outcome),
         }
     }
-    let mut wal = Wal::open(
-        &dir,
-        bugdoc::store::space_digest(&space),
-        bugdoc::store::DEFAULT_SEGMENT_BYTES,
-    )
-    .unwrap();
+    let (mut wal, _) = Wal::open(&dir, bugdoc::store::space_digest(&space), |_| true).unwrap();
     wal.append(frame(&key(1), Outcome::Succeed)).unwrap();
     wal.append(frame(&key(1), Outcome::Fail)).unwrap();
     wal.append(frame(&key(2), Outcome::Succeed)).unwrap();
@@ -400,10 +344,9 @@ fn killed_executor_reopens_with_completed_runs() {
     drop(exec); // the "kill": no shutdown hook exists, nothing to flush
 
     // Simulate the torn half-frame a mid-write kill leaves behind.
-    let (last_segment, _) = segment_files(&dir).pop().unwrap();
-    let mut bytes = std::fs::read(&last_segment).unwrap();
+    let mut bytes = std::fs::read(log_path(&dir)).unwrap();
     bytes.extend_from_slice(&[0x17, 0xFF, 0x03, 0x00, 0xAB]);
-    std::fs::write(&last_segment, &bytes).unwrap();
+    std::fs::write(log_path(&dir), &bytes).unwrap();
 
     let exec = Executor::new(make_pipeline(), config());
     let recovery = exec.recovery().unwrap();
@@ -474,8 +417,7 @@ fn resumed_diagnosis_is_bit_identical_to_in_memory() {
     let persist = || Some(PersistConfig::new(&dir));
     let (first, _) = ml_diagnosis(persist(), None);
     assert_eq!(first, reference);
-    let total: u64 = segment_files(&dir).iter().map(|(_, l)| l).sum();
-    truncate_log_at(&dir, total * 2 / 3 + 1);
+    truncate_log_at(&dir, log_len(&dir) * 2 / 3 + 1);
     let (resumed, _) = ml_diagnosis(persist(), None);
     assert_eq!(
         resumed, reference,
