@@ -40,6 +40,29 @@ pub enum DdtMode {
     FindAll,
 }
 
+/// The keyword every front end names a mode by: the CLI's `--mode` and the
+/// wire's `mode=`.
+impl std::fmt::Display for DdtMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DdtMode::FindOne => "one",
+            DdtMode::FindAll => "all",
+        })
+    }
+}
+
+impl std::str::FromStr for DdtMode {
+    type Err = String;
+
+    fn from_str(keyword: &str) -> Result<Self, String> {
+        match keyword {
+            "one" => Ok(DdtMode::FindOne),
+            "all" => Ok(DdtMode::FindAll),
+            other => Err(format!("unknown mode {other:?}")),
+        }
+    }
+}
+
 /// How verification instantiates the parameters a suspect constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrototypeStrategy {

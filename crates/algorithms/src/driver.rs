@@ -23,6 +23,31 @@ pub enum Strategy {
     Combined,
 }
 
+/// The keyword every front end names a strategy by: the CLI's
+/// `--algorithm` and the wire's `algorithm=`.
+impl std::fmt::Display for Strategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Strategy::Combined => "combined",
+            Strategy::StackedShortcutOnly => "stacked",
+            Strategy::DdtOnly => "ddt",
+        })
+    }
+}
+
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(keyword: &str) -> Result<Self, String> {
+        match keyword {
+            "combined" => Ok(Strategy::Combined),
+            "stacked" => Ok(Strategy::StackedShortcutOnly),
+            "ddt" => Ok(Strategy::DdtOnly),
+            other => Err(format!("unknown algorithm {other:?}")),
+        }
+    }
+}
+
 /// Driver configuration.
 #[derive(Debug, Clone)]
 pub struct BugDocConfig {
@@ -182,6 +207,20 @@ mod tests {
     use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, Predicate, Value};
     use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, Pipeline};
     use std::sync::Arc;
+
+    #[test]
+    fn keywords_round_trip() {
+        for strategy in [
+            Strategy::StackedShortcutOnly,
+            Strategy::DdtOnly,
+            Strategy::Combined,
+        ] {
+            assert_eq!(strategy.to_string().parse(), Ok(strategy));
+        }
+        for mode in [DdtMode::FindOne, DdtMode::FindAll] {
+            assert_eq!(mode.to_string().parse(), Ok(mode));
+        }
+    }
 
     fn space() -> Arc<ParamSpace> {
         ParamSpace::builder()

@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness: one binary per table/figure of the paper's
 //! evaluation (run them with `cargo run --release -p bugdoc-bench --bin
-//! <name>`), plus Criterion timing benches under `benches/`.
+//! <name>`).
 //!
 //! | target | reproduces |
 //! |---|---|

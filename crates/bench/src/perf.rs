@@ -1,5 +1,5 @@
-//! Hot-path performance scenarios, shared by the Criterion benches and the
-//! headless `bench` binary (which emits `BENCH_engine.json`).
+//! Hot-path performance scenarios, timed by the headless `bench` binary
+//! (which emits `BENCH_engine.json`).
 //!
 //! The scenarios track the in-memory costs BugDoc's cost model treats as
 //! free — provenance cache probes, batch dispatch, predicate filtering over

@@ -155,21 +155,8 @@ pub fn parse_args(args: &[String]) -> Result<Request, String> {
                     .parse()
                     .map_err(|_| "--seed needs an integer".to_string())?
             }
-            "--algorithm" => {
-                strategy = match value(&mut i)?.as_str() {
-                    "combined" => Strategy::Combined,
-                    "stacked" => Strategy::StackedShortcutOnly,
-                    "ddt" => Strategy::DdtOnly,
-                    other => return Err(format!("unknown algorithm {other:?}")),
-                }
-            }
-            "--mode" => {
-                mode = match value(&mut i)?.as_str() {
-                    "one" => DdtMode::FindOne,
-                    "all" => DdtMode::FindAll,
-                    other => return Err(format!("unknown mode {other:?}")),
-                }
-            }
+            "--algorithm" => strategy = value(&mut i)?.parse()?,
+            "--mode" => mode = value(&mut i)?.parse()?,
             "--method" => method = value(&mut i)?,
             "--socket" => socket = Some(value(&mut i)?),
             "--reserve" => {
@@ -349,18 +336,9 @@ pub fn run(request: Request) -> Result<String, String> {
                 // run's store latencies.
                 let _ = writeln!(out, "\n# telemetry (this process)");
                 out.push_str(&bugdoc_telemetry::render());
-                // Same scrape-time bridge the daemon uses: the executor's
-                // counters live on ExecStats atomics, so a one-shot run
-                // exposes them under the daemon's metric names too (here
-                // there is exactly one executor to "sum" over).
-                for (name, value) in stats.counter_fields() {
-                    let _ = writeln!(
-                        out,
-                        "# HELP bugdoc_executor_{name}_total ExecStats::{name} for this run"
-                    );
-                    let _ = writeln!(out, "# TYPE bugdoc_executor_{name}_total counter");
-                    let _ = writeln!(out, "bugdoc_executor_{name}_total {value}");
-                }
+                // The daemon's executor counters, under its metric names:
+                // here there is exactly one executor to sum over.
+                bugdoc_serve::render_executor_counters(&mut out, [stats]);
             }
             Ok(out)
         }
@@ -504,6 +482,21 @@ mod tests {
             }
             _ => panic!("wrong request"),
         }
+    }
+
+    #[test]
+    fn unknown_algorithm_and_mode_are_named() {
+        assert_eq!(
+            parse_args(&s(&["diagnose", "--spec", "p.spec", "--algorithm", "x"])).unwrap_err(),
+            "unknown algorithm \"x\""
+        );
+        assert_eq!(
+            parse_args(&s(&[
+                "connect", "--socket", "s", "--spec", "p.spec", "--mode", "x"
+            ]))
+            .unwrap_err(),
+            "unknown mode \"x\""
+        );
     }
 
     #[test]

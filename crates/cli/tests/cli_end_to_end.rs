@@ -153,6 +153,77 @@ fn persist_dir_warm_starts_reruns() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `diagnose --metrics` on the verify skill's step-1 pipeline: the bridged
+/// `bugdoc_executor_new_executions_total` sample equals the new executions
+/// the report's summary line gives.
+#[test]
+fn metrics_count_the_runs_new_executions() {
+    let dir = workdir("metrics");
+    let script = dir.join("run.sh");
+    fs::write(
+        &script,
+        "#!/bin/sh\nif [ \"$1\" = \"2\" ] && [ \"$2\" = \"gb\" ]; then exit 1; fi\nexit 0\n",
+    )
+    .unwrap();
+    use std::os::unix::fs::PermissionsExt;
+    fs::set_permissions(&script, fs::Permissions::from_mode(0o755)).unwrap();
+    let spec = dir.join("pipeline.spec");
+    fs::write(
+        &spec,
+        format!(
+            "param version ordinal 1 2 3\n\
+             param estimator categorical lr dt gb\n\
+             param dataset categorical iris digits images\n\
+             command {} {{version}} {{estimator}} {{dataset}}\n\
+             eval exit_code\n\
+             workers 5\n",
+            script.display()
+        ),
+    )
+    .unwrap();
+    let seed = dir.join("seed.tsv");
+    fs::write(
+        &seed,
+        "version\testimator\tdataset\tscore\tevaluation\n\
+         2\tgb\tiris\t-\tfail\n\
+         1\tlr\tdigits\t-\tsucceed\n",
+    )
+    .unwrap();
+    let (spec, seed) = (spec.display().to_string(), seed.display().to_string());
+    let args: Vec<String> = [
+        "diagnose",
+        "--spec",
+        &spec,
+        "--provenance",
+        &seed,
+        "--seed",
+        "3",
+        "--metrics",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let report = bugdoc_cli::run(bugdoc_cli::parse_args(&args).unwrap()).unwrap();
+    assert!(
+        report.contains("version = 2") && report.contains("estimator = gb"),
+        "report:\n{report}"
+    );
+    let reported: usize = report
+        .lines()
+        .find_map(|l| l.strip_prefix("instances executed: "))
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap();
+    let exported: usize = report
+        .lines()
+        .find_map(|l| l.strip_prefix("bugdoc_executor_new_executions_total "))
+        .and_then(|n| n.parse().ok())
+        .unwrap();
+    assert!(reported > 0, "report:\n{report}");
+    assert_eq!(exported, reported, "report:\n{report}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_spec_is_reported_with_line() {
     let dir = workdir("badspec");

@@ -1,27 +1,20 @@
 //! Offline compat subset of `criterion`: a measuring benchmark harness with
-//! the same bench-definition API (`criterion_group!`, `benchmark_group`,
+//! the same bench-definition API (`benchmark_group`, `bench_function`,
 //! `Bencher::iter*`) but a much simpler engine — warm-up, fixed sample count,
 //! median-of-samples reporting, no statistical analysis or plots.
 //!
-//! Results are printed per benchmark and collected in-process; a runner can
-//! drain them with [`Criterion::take_results`] (the headless `bench` binary
-//! in `bugdoc-bench` uses this to emit `BENCH_engine.json`), and standalone
-//! bench binaries write JSON to the path named by the `CRITERION_JSON`
-//! environment variable when it is set.
+//! Results are printed per benchmark and collected in-process; a runner
+//! drains them with [`Criterion::take_results`] and serializes them with
+//! [`results_json`] (the headless `bench` binary in `bugdoc-bench` uses this
+//! to emit `BENCH_engine.json`).
 
-use std::fmt::Display;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Opaque-to-the-optimizer identity; re-export of `std::hint::black_box`.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// One measured benchmark.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// `group/name` (plus `/param` for parameterized benches).
+    /// `group/name`.
     pub id: String,
     /// Median nanoseconds per iteration.
     pub median_ns: f64,
@@ -29,20 +22,6 @@ pub struct BenchResult {
     pub samples_ns: Vec<f64>,
     /// Iterations per sample.
     pub iters_per_sample: u64,
-}
-
-/// A parameterized benchmark name: `function/parameter`.
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// Creates `function/parameter`.
-    pub fn new(function: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: format!("{}/{}", function.into(), parameter),
-        }
-    }
 }
 
 /// Per-benchmark measurement settings.
@@ -66,35 +45,15 @@ impl Default for Settings {
 /// The top-level harness handle.
 #[derive(Default)]
 pub struct Criterion {
-    settings: Settings,
     results: Vec<BenchResult>,
-    quiet: bool,
 }
 
 impl Criterion {
-    /// Suppresses per-benchmark stdout lines (used by embedding runners).
-    pub fn quiet(mut self, quiet: bool) -> Self {
-        self.quiet = quiet;
-        self
-    }
-
-    /// Overrides the default sample count for subsequently created groups.
-    pub fn with_sample_size(mut self, n: usize) -> Self {
-        self.settings.sample_size = n;
-        self
-    }
-
-    /// Overrides the default measurement time for subsequently created groups.
-    pub fn with_measurement_time(mut self, d: Duration) -> Self {
-        self.settings.measurement_time = d;
-        self
-    }
-
     /// Starts a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
-            settings: self.settings.clone(),
+            settings: Settings::default(),
             criterion: self,
         }
     }
@@ -102,16 +61,6 @@ impl Criterion {
     /// Drains the results collected so far.
     pub fn take_results(&mut self) -> Vec<BenchResult> {
         std::mem::take(&mut self.results)
-    }
-
-    /// All results collected so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Serializes results as a JSON object `{id: median_ns}` plus samples.
-    pub fn results_json(&self) -> String {
-        results_json(&self.results)
     }
 }
 
@@ -170,16 +119,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Measures one parameterized benchmark.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let id = format!("{}/{}", self.name, id.id);
-        self.run(id, &mut |b: &mut Bencher| f(b, input));
-        self
-    }
-
     fn run(&mut self, id: String, f: &mut dyn FnMut(&mut Bencher)) {
         let mut bencher = Bencher {
             settings: self.settings.clone(),
@@ -194,10 +133,8 @@ impl BenchmarkGroup<'_> {
         } else {
             sorted[sorted.len() / 2]
         };
-        if !self.criterion.quiet {
-            // lint: allow(W006, reason = "this crate is a criterion stand-in; printing per-bench timings to the terminal is its reporting contract, gated by --quiet")
-            println!("{id:60} time: {:>12.1} ns/iter", median_ns);
-        }
+        // lint: allow(W006, reason = "this crate is a criterion stand-in; printing per-bench timings to the terminal is its reporting contract")
+        println!("{id:60} time: {:>12.1} ns/iter", median_ns);
         self.criterion.results.push(BenchResult {
             id,
             median_ns,
@@ -227,7 +164,7 @@ impl Bencher {
         let warm_start = Instant::now();
         let mut warm_iters: u64 = 0;
         while warm_start.elapsed() < self.settings.warm_up_time || warm_iters == 0 {
-            std_black_box(routine());
+            black_box(routine());
             warm_iters += 1;
             if warm_iters >= 1_000_000 {
                 break;
@@ -241,7 +178,7 @@ impl Bencher {
         for _ in 0..self.settings.sample_size {
             let t = Instant::now();
             for _ in 0..iters {
-                std_black_box(routine());
+                black_box(routine());
             }
             self.samples_ns
                 .push(t.elapsed().as_nanos() as f64 / iters as f64);
@@ -261,7 +198,7 @@ impl Bencher {
         while warm_start.elapsed() < self.settings.warm_up_time || warm_iters == 0 {
             let input = setup();
             let t = Instant::now();
-            std_black_box(routine(input));
+            black_box(routine(input));
             est_ns += t.elapsed().as_nanos() as f64;
             warm_iters += 1;
             if warm_iters >= 100_000 {
@@ -278,7 +215,7 @@ impl Bencher {
             for _ in 0..iters {
                 let input = setup();
                 let t = Instant::now();
-                std_black_box(routine(input));
+                black_box(routine(input));
                 elapsed += t.elapsed();
             }
             self.samples_ns
@@ -287,71 +224,33 @@ impl Bencher {
     }
 }
 
-/// Writes collected results to `$CRITERION_JSON` if set; called by
-/// `criterion_main!` after all groups run.
-pub fn finalize(c: &mut Criterion) {
-    let results = c.take_results();
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if !path.is_empty() {
-            if let Err(e) = std::fs::write(&path, results_json(&results)) {
-                // lint: allow(W006, reason = "bench harness teardown has no caller to return to; surfacing the JSON-export failure on stderr beats swallowing it")
-                eprintln!("criterion: failed to write {path}: {e}");
-            }
-        }
-    }
-}
-
-/// Declares a group-runner function executing the listed bench functions.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name(c: &mut $crate::Criterion) {
-            $( $target(c); )+
-        }
-    };
-}
-
-/// Declares `main` running the listed groups, then finalizing JSON output.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::Criterion::default();
-            $( $group(&mut c); )+
-            $crate::finalize(&mut c);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn measures_and_reports_median() {
-        let mut c = Criterion::default().quiet(true).with_sample_size(5);
+        let mut c = Criterion::default();
         {
             let mut g = c.benchmark_group("g");
             g.sample_size(5)
                 .measurement_time(Duration::from_millis(50))
                 .warm_up_time(Duration::from_millis(5));
             g.bench_function("noop", |b| b.iter(|| 1 + 1));
-            g.bench_with_input(BenchmarkId::new("param", 3), &3usize, |b, &n| {
-                b.iter(|| n * 2)
-            });
+            g.bench_function("double", |b| b.iter(|| black_box(3usize) * 2));
             g.finish();
         }
         let results = c.take_results();
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].id, "g/noop");
-        assert_eq!(results[1].id, "g/param/3");
+        assert_eq!(results[1].id, "g/double");
         assert!(results[0].median_ns.is_finite() && results[0].median_ns >= 0.0);
         assert_eq!(results[0].samples_ns.len(), 5);
     }
 
     #[test]
     fn iter_with_setup_times_routine_only() {
-        let mut c = Criterion::default().quiet(true);
+        let mut c = Criterion::default();
         {
             let mut g = c.benchmark_group("g");
             g.sample_size(3)
@@ -361,7 +260,7 @@ mod tests {
                 b.iter_with_setup(|| vec![1u8; 16], |v| v.len())
             });
         }
-        assert_eq!(c.results().len(), 1);
+        assert_eq!(c.take_results().len(), 1);
     }
 
     #[test]

@@ -657,7 +657,7 @@ impl Executor {
         }
 
         // Execute the new instances.
-        let outcomes: Vec<(usize, Result<EvalResult, PipelineError>, SimTime)> =
+        let mut outcomes: Vec<(usize, Result<EvalResult, PipelineError>, SimTime)> =
             if self.runs_inline(to_run.len()) {
                 to_run
                     .iter()
@@ -688,12 +688,13 @@ impl Executor {
                 collected.into_inner()
             };
 
-        // Record results, settle the virtual clock, fill duplicates. Sorting
-        // by batch position keeps the provenance order (and the greedy
-        // scheduler's job order) deterministic regardless of which worker
-        // finished first. This is the only phase holding the write lock.
-        {
-            let mut outcomes = outcomes;
+        // Record results and settle the virtual clock. Sorting by batch
+        // position keeps the provenance order (and the greedy scheduler's
+        // job order) deterministic regardless of which worker finished
+        // first. This is the only phase holding the write lock, and a batch
+        // in which nothing ran skips it: every later reader would queue
+        // behind a writer waiting out a long read.
+        if !outcomes.is_empty() {
             outcomes.sort_by_key(|(pos, _, _)| *pos);
             let mut executed_costs: Vec<SimTime> = Vec::with_capacity(outcomes.len());
             let mut sync_due = false;
@@ -721,15 +722,16 @@ impl Executor {
             self.persist_sync_if_due(sync_due);
             self.stats
                 .add_sim_time(makespan(&executed_costs, self.config.workers.max(1)));
-            for (i, instance) in instances.iter().enumerate() {
-                if results[i].is_none() {
-                    let first = first_occurrence[instance];
-                    results[i] = Some(
-                        results[first]
-                            .clone()
-                            .expect("first occurrence must be resolved"),
-                    );
-                }
+        }
+        // Duplicates copy their first occurrence's result.
+        for (i, instance) in instances.iter().enumerate() {
+            if results[i].is_none() {
+                let first = first_occurrence[instance];
+                results[i] = Some(
+                    results[first]
+                        .clone()
+                        .expect("first occurrence must be resolved"),
+                );
             }
         }
 
@@ -1387,6 +1389,73 @@ mod tests {
             assert_eq!(writer.join().unwrap(), Ok(Outcome::Succeed));
         });
         assert_eq!(exec.stats().new_executions, 1);
+    }
+
+    /// A batch in which nothing runs takes no write lock: while a reader
+    /// holds the provenance lock, an all-hit batch (with a duplicate)
+    /// returns. A batch that queued for the write lock would wait out the
+    /// reader, and stall every reader that came after it.
+    #[test]
+    fn all_hit_batch_answers_while_a_reader_holds_the_provenance_lock() {
+        use std::sync::mpsc;
+        use std::thread;
+
+        let s = space();
+        let exec = Executor::new(pipe(&s), ExecutorConfig::default());
+        let known = [inst(&s, 1, 1), inst(&s, 3, 2), inst(&s, 5, 5)];
+        exec.evaluate_batch(&known);
+        let batch = [
+            known[0].clone(),
+            known[1].clone(),
+            known[2].clone(),
+            known[1].clone(),
+        ];
+        let (held_tx, held) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel::<()>();
+        thread::scope(|scope| {
+            let exec = &exec;
+            scope.spawn(move || {
+                exec.with_provenance_ref(|_| {
+                    held_tx.send(()).unwrap();
+                    let _ = release.recv();
+                })
+            });
+            held.recv().unwrap();
+            let (answered_tx, answered) = mpsc::channel();
+            let batch = &batch;
+            scope.spawn(move || {
+                let _ = answered_tx.send(exec.evaluate_batch(batch));
+            });
+            let results = answered.recv_timeout(Duration::from_secs(1));
+            release_tx.send(()).unwrap();
+            let results = results.expect("an all-hit batch waited on the provenance lock");
+            assert_eq!(
+                results,
+                vec![
+                    Ok(Outcome::Succeed),
+                    Ok(Outcome::Fail),
+                    Ok(Outcome::Succeed),
+                    Ok(Outcome::Fail)
+                ]
+            );
+        });
+        let stats = exec.stats();
+        assert_eq!((stats.new_executions, stats.cache_hits), (3, 4));
+
+        // Nothing runs in a batch the budget refuses either; the duplicate
+        // still copies its first occurrence's refusal.
+        let refusing = Executor::new(
+            pipe(&s),
+            ExecutorConfig {
+                budget: Some(0),
+                ..Default::default()
+            },
+        );
+        let fresh = inst(&s, 2, 2);
+        assert_eq!(
+            refusing.evaluate_batch(&[fresh.clone(), fresh]),
+            vec![Err(ExecError::BudgetExhausted); 2]
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! connection — and therefore at most one session at a time.
 
 use crate::protocol::{DiagnoseParams, BLOCK_TAGS};
-use bugdoc_algorithms::{DdtMode, Strategy};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -79,18 +78,9 @@ impl Client {
     /// Runs a diagnosis; returns the report (the cause section, identical
     /// to the first lines of a one-shot `bugdoc diagnose` run).
     pub fn diagnose(&mut self, params: DiagnoseParams) -> Result<String, String> {
-        let algorithm = match params.strategy {
-            Strategy::Combined => "combined",
-            Strategy::StackedShortcutOnly => "stacked",
-            Strategy::DdtOnly => "ddt",
-        };
-        let mode = match params.mode {
-            DdtMode::FindOne => "one",
-            DdtMode::FindAll => "all",
-        };
         let reply = self.request(&format!(
-            "DIAGNOSE algorithm={algorithm} mode={mode} seed={}",
-            params.seed
+            "DIAGNOSE algorithm={} mode={} seed={}",
+            params.strategy, params.mode, params.seed
         ))?;
         Ok(join_lines(&reply.body))
     }

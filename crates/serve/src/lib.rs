@@ -37,4 +37,4 @@ pub mod session;
 pub use client::{Client, Reply};
 pub use daemon::{Daemon, DaemonSummary};
 pub use protocol::{parse_command, Command, DiagnoseParams};
-pub use session::{ExecutorFactory, SessionManager, SpecAck};
+pub use session::{render_executor_counters, ExecutorFactory, SessionManager, SpecAck};

@@ -147,21 +147,8 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     return Err(format!("DIAGNOSE options are key=value, got {token:?}"));
                 };
                 match key {
-                    "algorithm" => {
-                        params.strategy = match value {
-                            "combined" => Strategy::Combined,
-                            "stacked" => Strategy::StackedShortcutOnly,
-                            "ddt" => Strategy::DdtOnly,
-                            other => return Err(format!("unknown algorithm {other:?}")),
-                        }
-                    }
-                    "mode" => {
-                        params.mode = match value {
-                            "one" => DdtMode::FindOne,
-                            "all" => DdtMode::FindAll,
-                            other => return Err(format!("unknown mode {other:?}")),
-                        }
-                    }
+                    "algorithm" => params.strategy = value.parse()?,
+                    "mode" => params.mode = value.parse()?,
                     "seed" => {
                         params.seed = value
                             .parse()
@@ -265,6 +252,18 @@ mod tests {
         assert_eq!(parse_command("DETACH").unwrap(), Command::Detach);
         assert_eq!(parse_command("CLOSE").unwrap(), Command::Close);
         assert_eq!(parse_command("SHUTDOWN").unwrap(), Command::Shutdown);
+    }
+
+    #[test]
+    fn unknown_diagnose_keywords_are_named() {
+        assert_eq!(
+            parse_command("DIAGNOSE algorithm=x"),
+            Err("unknown algorithm \"x\"".to_string())
+        );
+        assert_eq!(
+            parse_command("DIAGNOSE mode=x"),
+            Err("unknown mode \"x\"".to_string())
+        );
     }
 
     #[test]

@@ -354,25 +354,7 @@ impl SessionManager {
         let executors: Vec<Arc<SharedExecutor>> =
             self.executors.lock().values().map(Arc::clone).collect();
         let mut out = bugdoc_telemetry::render();
-
-        // Scrape-time bridge: the executor's own counters stay on their
-        // existing atomics (zero added cost on the cache-hit path) and are
-        // summed across executors only here.
-        let mut totals = ExecStats::default().counter_fields();
-        for shared in &executors {
-            let stats = shared.exec.stats();
-            for (slot, (_, value)) in totals.iter_mut().zip(stats.counter_fields()) {
-                slot.1 += value;
-            }
-        }
-        for (name, value) in totals {
-            let _ = writeln!(
-                out,
-                "# HELP bugdoc_executor_{name}_total ExecStats::{name}, summed over resident executors"
-            );
-            let _ = writeln!(out, "# TYPE bugdoc_executor_{name}_total counter");
-            let _ = writeln!(out, "bugdoc_executor_{name}_total {value}");
-        }
+        render_executor_counters(&mut out, executors.iter().map(|shared| shared.exec.stats()));
 
         // Per-executor gauges: the load signals an idle-eviction policy
         // (ROADMAP follow-up) would act on.
@@ -459,6 +441,29 @@ fn release_bound(bound: &Bound) {
         bound.shared.exec.release_session(bound.reserved);
     }
     bound.shared.sessions.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Appends the `bugdoc_executor_<counter>_total` family to `out`: a HELP,
+/// a TYPE and a sample line per [`ExecStats::counter_fields`] entry, each
+/// counter summed over `stats`. This is the scrape-time bridge the daemon's
+/// `METRICS` and `bugdoc diagnose --metrics` share: the executor's counters
+/// stay on their atomics (no added cost on the cache-hit path) and are
+/// summed only here, over every resident executor or a one-shot run's one.
+pub fn render_executor_counters(out: &mut String, stats: impl IntoIterator<Item = ExecStats>) {
+    let mut totals = ExecStats::default().counter_fields();
+    for stats in stats {
+        for (slot, (_, value)) in totals.iter_mut().zip(stats.counter_fields()) {
+            slot.1 += value;
+        }
+    }
+    for (name, value) in totals {
+        let _ = writeln!(
+            out,
+            "# HELP bugdoc_executor_{name}_total ExecStats::{name}, summed over resident executors"
+        );
+        let _ = writeln!(out, "# TYPE bugdoc_executor_{name}_total counter");
+        let _ = writeln!(out, "bugdoc_executor_{name}_total {value}");
+    }
 }
 
 #[cfg(test)]

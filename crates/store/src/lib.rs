@@ -58,6 +58,11 @@
 //! differs from the spec's is a hard [`PersistError::SpaceMismatch`]: dense
 //! keys are meaningless across spec changes, and silently reinterpreting
 //! them would corrupt every downstream guarantee.
+//! A header cut short at creation — a file shorter than 16 bytes, or one
+//! whose magic is still all zero bytes — is emptied and gets a fresh
+//! header. A whole header with any other magic (a later format, another
+//! file, damage) is [`PersistError::ForeignMagic`], and the file is left as
+//! it was: this version cannot read the history, so it must not discard it.
 //!
 //! **Older directories** may also hold `snap-*.bds` files: snapshots, which
 //! earlier versions wrote as a second copy of the log's frames. Recovery
@@ -164,6 +169,16 @@ pub enum PersistError {
         /// The offending file.
         path: PathBuf,
     },
+    /// The log's header is all there but starts with another magic than
+    /// `BDWALv1\n`: a later format, another file, or a damaged header.
+    /// Emptying it would destroy a history this version cannot read, so the
+    /// open refuses and leaves every file as it was.
+    ForeignMagic {
+        /// The magic found.
+        magic: [u8; 8],
+        /// The log file.
+        path: PathBuf,
+    },
     /// The directory holds a `wal-N.seg` with N ≠ 1, which an earlier,
     /// segmented log wrote. The log is one file, so recovering without the
     /// segment would return a shorter or spliced history: the open refuses
@@ -238,6 +253,15 @@ impl std::fmt::Display for PersistError {
                  (digest {found:#018x}, spec has {expected:#018x}); point persist_dir at a \
                  fresh directory or restore the original spec",
                 path.display()
+            ),
+            PersistError::ForeignMagic { magic, path } => write!(
+                f,
+                "{}: not a log this version reads: its header starts \"{}\", not \"{}\", \
+                 so the directory is left untouched — point persist_dir at a fresh \
+                 directory, or restore the file from a copy",
+                path.display(),
+                magic.escape_ascii(),
+                WAL_MAGIC.escape_ascii()
             ),
             PersistError::StraySegment { path } => write!(
                 f,
@@ -909,6 +933,50 @@ mod tests {
             assert_eq!((recovery.runs, recovered.len()), (runs, runs), "{tag}");
             std::fs::remove_file(&moved).unwrap();
         }
+    }
+
+    /// A whole header whose magic differs from `BDWALv1\n` in one byte is
+    /// refused by name, not emptied as a header cut short: the open
+    /// changes no file and leaves no lock, and once the byte is restored
+    /// every run comes back.
+    #[test]
+    fn foreign_magic_is_refused_and_left_untouched() {
+        let s = space();
+        let dir = tmp("magic");
+        let config = PersistConfig::new(&dir);
+        let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
+        for xi in 0..5 {
+            let run = run_for(&s, xi, 1);
+            live.record(&run.instance, run.eval);
+            durable.append(RunRef::from(&run), &s).unwrap();
+        }
+        durable.close(&live).unwrap();
+        let log = dir.join("wal-00000001.seg");
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[6] = b'2';
+        std::fs::write(&log, &bytes).unwrap();
+        let before = files(&dir);
+
+        let err = DurableStore::open(&s, &config).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::ForeignMagic { magic, path }
+                if magic == b"BDWALv2\n" && *path == log),
+            "{err}"
+        );
+        assert!(err.to_string().contains("wal-00000001.seg"), "{err}");
+        assert_eq!(files(&dir), before, "the refused open changed files");
+
+        bytes[6] = b'1';
+        std::fs::write(&log, &bytes).unwrap();
+        let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
+        assert_eq!(
+            recovery,
+            Recovery {
+                runs: 5,
+                truncated_bytes: 0
+            }
+        );
+        assert_eq!(recovered.len(), 5);
     }
 
     #[test]

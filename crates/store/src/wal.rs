@@ -75,13 +75,15 @@ impl Wal {
     /// or one `sink` rejects by returning `false` (a key that does not fit
     /// the space, a repeated run) — ends the replay, and the file is cut
     /// back to the frame boundary before it, so a reopened log is always an
-    /// exact prefix of what was appended. A header cut short at creation
-    /// (or mangled) empties the file, which gets a fresh header.
+    /// exact prefix of what was appended. A header cut short at creation —
+    /// a file shorter than the header, or one whose magic is still all
+    /// zero bytes — empties the file, which gets a fresh header.
     ///
     /// Returns the append handle at the tail and the bytes cut off. A
     /// valid header with another digest is [`PersistError::SpaceMismatch`],
+    /// a whole header with another magic is [`PersistError::ForeignMagic`],
     /// and a directory holding any other `wal-N.seg` is
-    /// [`PersistError::StraySegment`]; both leave every file as it was.
+    /// [`PersistError::StraySegment`]; all three leave every file as it was.
     pub fn open(
         dir: &Path,
         digest: u64,
@@ -98,10 +100,15 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)
             .map_err(|e| PersistError::io(&path, e))?;
-        let header_digest = if bytes.starts_with(WAL_MAGIC) {
-            read_u64_at(&bytes, WAL_MAGIC.len())
-        } else {
-            None
+        let header_digest = match bytes.first_chunk::<8>() {
+            Some(magic) if magic == WAL_MAGIC => read_u64_at(&bytes, WAL_MAGIC.len()),
+            // A whole header whose magic is neither this version's nor
+            // still unwritten is another format, or damage: emptying the
+            // file would destroy a history this version cannot read.
+            Some(&magic) if bytes.len() >= WAL_HEADER_BYTES && magic != [0; 8] => {
+                return Err(PersistError::ForeignMagic { magic, path });
+            }
+            _ => None,
         };
         let mut end = 0;
         if let Some(found) = header_digest {
@@ -298,6 +305,25 @@ mod tests {
             let (got, truncated, _) = open_all(&dir, 3);
             assert_eq!((got, truncated), (vec![record(4)], 0), "cut {cut}");
         }
+    }
+
+    /// A file as long as a header or longer whose magic is all zero bytes
+    /// (the file's length reached disk before its header did) is a header
+    /// cut short too: it reopens empty. Any other magic is refused.
+    #[test]
+    fn zeroed_magic_reopens_empty_and_any_other_is_refused() {
+        let dir = tmp("zeromagic");
+        std::fs::write(dir.join(LOG_NAME), [0u8; 40]).unwrap();
+        let (got, truncated, _) = open_all(&dir, 3);
+        assert_eq!((got.len(), truncated), (0, 40));
+        assert_eq!(std::fs::read(dir.join(LOG_NAME)).unwrap(), log_header(3));
+
+        let mut foreign = log_header(3);
+        foreign[0] = 0;
+        std::fs::write(dir.join(LOG_NAME), foreign).unwrap();
+        let err = Wal::open(&dir, 3, |_| true).unwrap_err();
+        assert!(matches!(err, PersistError::ForeignMagic { .. }), "{err}");
+        assert_eq!(std::fs::read(dir.join(LOG_NAME)).unwrap(), foreign);
     }
 
     #[test]
