@@ -184,6 +184,9 @@ pub fn debugging_decision_trees(
         });
     }
 
+    // A replay pipeline's executable set, read once for every probe below.
+    let available = exec.available_instances();
+    let available = available.as_deref();
     let mut confirmed: Vec<Conjunction> = Vec::new();
     let mut confirmed_canon: Vec<CanonicalCause> = Vec::new();
     let mut rebuilds = 0;
@@ -207,7 +210,7 @@ pub fn debugging_decision_trees(
             }
             let suspect = canon.to_conjunction(&space);
 
-            match verify_suspect(exec, &space, &suspect, config, &mut rng) {
+            match verify_suspect(exec, &space, available, &suspect, config, &mut rng) {
                 Verify::Refuted => {
                     // New counterexample is in the provenance; rebuild.
                     rebuilds += 1;
@@ -224,13 +227,27 @@ pub fn debugging_decision_trees(
                 Verify::Confirmed => {
                     let mut cause = suspect.clone();
                     if config.minimize {
-                        match minimize_cause(exec, &space, cause.clone(), config, &mut rng) {
+                        match minimize_cause(
+                            exec,
+                            &space,
+                            available,
+                            cause.clone(),
+                            config,
+                            &mut rng,
+                        ) {
                             Ok(c) => cause = c,
                             Err(()) => complete = false,
                         }
                     }
                     if config.generalize && complete {
-                        match generalize_cause(exec, &space, cause.clone(), config, &mut rng) {
+                        match generalize_cause(
+                            exec,
+                            &space,
+                            available,
+                            cause.clone(),
+                            config,
+                            &mut rng,
+                        ) {
                             Ok(c) => cause = c,
                             Err(()) => complete = false,
                         }
@@ -463,9 +480,13 @@ impl Iterator for PoolCombos<'_> {
     }
 }
 
+/// Verifies a suspect by executing instances that satisfy it. `available`
+/// is the replay pipeline's executable set, in
+/// [`Executor::available_instances`] order (`None` for ordinary pipelines).
 fn verify_suspect(
     exec: &Executor,
     space: &ParamSpace,
+    available: Option<&[Instance]>,
     suspect: &Conjunction,
     config: &DdtConfig,
     rng: &mut StdRng,
@@ -478,11 +499,12 @@ fn verify_suspect(
     // at satisfying instances that can actually be answered (the paper's
     // "testing the algorithms on unread data", §5.3). Ordinary pipelines
     // sample the suspect-filtered Cartesian product.
-    let batch: Vec<Instance> = match exec.available_instances() {
+    let batch: Vec<Instance> = match available {
         Some(available) => {
             let mut pool: Vec<Instance> = available
-                .into_iter()
+                .iter()
                 .filter(|inst| suspect.satisfied_by(inst))
+                .cloned()
                 .collect();
             // Unbiased pick of up to `verification_samples` probes.
             for i in (1..pool.len()).rev() {
@@ -539,6 +561,7 @@ fn verify_suspect(
 fn generalize_cause(
     exec: &Executor,
     space: &ParamSpace,
+    available: Option<&[Instance]>,
     cause: Conjunction,
     config: &DdtConfig,
     rng: &mut StdRng,
@@ -573,7 +596,7 @@ fn generalize_cause(
                     continue;
                 }
                 let delta_conj = delta.to_conjunction(space);
-                match verify_suspect(exec, space, &delta_conj, &delta_config, rng) {
+                match verify_suspect(exec, space, available, &delta_conj, &delta_config, rng) {
                     Verify::Confirmed => {
                         let mut widened = canon.masks().clone();
                         widened
@@ -599,6 +622,7 @@ fn generalize_cause(
 fn minimize_cause(
     exec: &Executor,
     space: &ParamSpace,
+    available: Option<&[Instance]>,
     mut cause: Conjunction,
     config: &DdtConfig,
     rng: &mut StdRng,
@@ -609,7 +633,7 @@ fn minimize_cause(
             .filter(|c| !c.is_empty())
             .collect();
         for candidate in candidates {
-            match verify_suspect(exec, space, &candidate, config, rng) {
+            match verify_suspect(exec, space, available, &candidate, config, rng) {
                 Verify::Confirmed => {
                     cause = candidate;
                     continue 'restart;
@@ -940,7 +964,7 @@ mod tests {
         ]);
         let mut rng = StdRng::seed_from_u64(6);
         let minimal =
-            minimize_cause(&exec, &s, bloated, &DdtConfig::default(), &mut rng).unwrap();
+            minimize_cause(&exec, &s, None, bloated, &DdtConfig::default(), &mut rng).unwrap();
         assert_eq!(
             minimal.canonicalize(&s),
             Conjunction::new(vec![Predicate::eq(n, 5)]).canonicalize(&s)
@@ -982,7 +1006,7 @@ mod generalize_tests {
         let narrow = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 2)]);
         let mut rng = StdRng::seed_from_u64(1);
         let wide =
-            generalize_cause(&exec, &s, narrow, &DdtConfig::default(), &mut rng).unwrap();
+            generalize_cause(&exec, &s, None, narrow, &DdtConfig::default(), &mut rng).unwrap();
         let expected = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 3)]);
         assert_eq!(wide.canonicalize(&s), expected.canonicalize(&s));
     }
@@ -996,7 +1020,8 @@ mod generalize_tests {
         let exec = exec_for(&s, move |i| i.get(n) != &Value::from(5));
         let point = Conjunction::new(vec![Predicate::eq(n, 2)]);
         let mut rng = StdRng::seed_from_u64(2);
-        let wide = generalize_cause(&exec, &s, point, &DdtConfig::default(), &mut rng).unwrap();
+        let wide =
+            generalize_cause(&exec, &s, None, point, &DdtConfig::default(), &mut rng).unwrap();
         let expected = Conjunction::new(vec![Predicate::new(n, Comparator::Neq, 5)]);
         assert_eq!(wide.canonicalize(&s), expected.canonicalize(&s));
     }
@@ -1015,8 +1040,15 @@ mod generalize_tests {
             Predicate::new(m, Comparator::Le, 2),
         ]);
         let mut rng = StdRng::seed_from_u64(3);
-        let wide =
-            generalize_cause(&exec, &s, exact.clone(), &DdtConfig::default(), &mut rng).unwrap();
+        let wide = generalize_cause(
+            &exec,
+            &s,
+            None,
+            exact.clone(),
+            &DdtConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(wide.canonicalize(&s), exact.canonicalize(&s));
     }
 

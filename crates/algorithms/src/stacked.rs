@@ -157,6 +157,10 @@ pub fn stacked_shortcut_from(
 /// good (best effort: parameters whose domains are too small to avoid all of
 /// them only avoid `cp_f`). Returns `None` for degenerate spaces where even
 /// avoiding `cp_f` is impossible on some parameter.
+///
+/// Works in domain indices: all instances come from one space, whose
+/// domains hold no two equal values, so two instances agree on a parameter
+/// exactly when their dense keys do.
 fn sample_disjoint(
     space: &ParamSpace,
     cp_f: &Instance,
@@ -164,23 +168,21 @@ fn sample_disjoint(
     rng: &mut StdRng,
 ) -> Option<Instance> {
     let mut indices: Vec<u32> = Vec::with_capacity(space.len());
+    // Domain indices avoiding CP_f and all picked goods, and those avoiding
+    // CP_f alone; refilled for each parameter.
+    let mut strict: Vec<u32> = Vec::new();
+    let mut relaxed: Vec<u32> = Vec::new();
     for p in space.ids() {
-        let domain = space.domain(p);
-        // Domain indices avoiding CP_f and all picked goods.
-        let strict: Vec<u32> = domain
-            .values()
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| *v != cp_f.get(p) && picked.iter().all(|g| *v != g.get(p)))
-            .map(|(i, _)| i as u32)
-            .collect();
-        let relaxed: Vec<u32> = domain
-            .values()
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| *v != cp_f.get(p))
-            .map(|(i, _)| i as u32)
-            .collect();
+        let k = p.index();
+        let avoid = cp_f.dense_key()[k];
+        strict.clear();
+        relaxed.clear();
+        for v in (0..space.domain(p).len() as u32).filter(|&v| v != avoid) {
+            relaxed.push(v);
+            if picked.iter().all(|g| g.dense_key()[k] != v) {
+                strict.push(v);
+            }
+        }
         let pool = if !strict.is_empty() { &strict } else { &relaxed };
         if pool.is_empty() {
             return None; // single-valued domain: disjointness unattainable

@@ -3,7 +3,9 @@
 //! Every hot query in the provenance store — the OR of a predicate's value
 //! rows, the AND across a conjunction's predicates, support popcounts —
 //! reduces to a handful of slice primitives over `&[u64]`. They live here so
-//! `RunSet` and `ProvenanceStore`'s value-index scans share one set of loops
+//! `RunSet`, `ProvenanceStore`'s value-index scans and the cube algebra of
+//! the multi-valued Quine–McCluskey minimizer (`bugdoc_qm::mv`: `and_not_any`
+//! is its subset test, `and_not_into` its split) share one set of loops
 //! tuned for the autovectorizer instead of ad-hoc copies.
 //!
 //! # Autovectorization contract
@@ -104,6 +106,45 @@ pub fn and_any(a: &[u64], b: &[u64]) -> bool {
         .any(|(x, y)| x & y != 0)
 }
 
+/// True if `a` has a set bit outside `b` (`a \ b ≠ ∅`; words of `b` past its
+/// length read as 0). `!and_not_any(a, b)` is the subset test `a ⊆ b`.
+#[inline]
+pub fn and_not_any(a: &[u64], b: &[u64]) -> bool {
+    let n = a.len().min(b.len());
+    let (head, tail) = a.split_at(n);
+    let mut ac = head.chunks_exact(CHUNK);
+    let mut bc = b[..n].chunks_exact(CHUNK);
+    for (a4, b4) in ac.by_ref().zip(bc.by_ref()) {
+        if (a4[0] & !b4[0]) | (a4[1] & !b4[1]) | (a4[2] & !b4[2]) | (a4[3] & !b4[3]) != 0 {
+            return true;
+        }
+    }
+    ac.remainder()
+        .iter()
+        .zip(bc.remainder())
+        .any(|(x, y)| x & !y != 0)
+        || !is_zero(tail)
+}
+
+/// `dst[i] &= !src[i]` over the common prefix: removes `src`'s bits from
+/// `dst`. Words of `dst` past `src`'s length are untouched (`src` reads as
+/// 0 there, and clearing nothing leaves them as they are).
+#[inline]
+pub fn and_not_into(dst: &mut [u64], src: &[u64]) {
+    let n = dst.len().min(src.len());
+    let mut d = dst[..n].chunks_exact_mut(CHUNK);
+    let mut s = src[..n].chunks_exact(CHUNK);
+    for (d4, s4) in d.by_ref().zip(s.by_ref()) {
+        d4[0] &= !s4[0];
+        d4[1] &= !s4[1];
+        d4[2] &= !s4[2];
+        d4[3] &= !s4[3];
+    }
+    for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
+        *d &= !s;
+    }
+}
+
 /// `dst = srcs[0] | srcs[1] | …`, overwriting `dst` in a single pass.
 /// Every source must be at least `dst.len()` words long; an empty source
 /// list clears `dst`.
@@ -201,6 +242,17 @@ mod tests {
         assert!(is_zero(&[0, 0, 0, 0, 0]));
         assert!(!is_zero(&[0, 0, 0, 0, 1]));
         assert!(is_zero(&[]));
+    }
+
+    #[test]
+    fn and_not_kernels_clamp_like_the_rest() {
+        assert!(!and_not_any(&[0b01, 0], &[0b11]), "short b, zero a tail");
+        assert!(and_not_any(&[0b01, 0b1], &[0b11]), "set bit past b's end");
+        assert!(and_not_any(&[0b100], &[0b011]));
+        assert!(!and_not_any(&[], &[1, 2, 3]));
+        let mut d = [0b111u64, 0b111];
+        and_not_into(&mut d, &[0b010]);
+        assert_eq!(d, [0b101, 0b111], "words past src untouched");
     }
 
     #[test]

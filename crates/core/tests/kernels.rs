@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 /// Deterministic word fill (xorshift64), biased so roughly half the words
 /// are all-zeros or all-ones — the patterns the early-exit predicates
-/// (`is_zero`, `and_any`) branch on.
+/// (`is_zero`, `and_any`, `and_not_any`) branch on.
 fn words(seed: u64, len: usize) -> Vec<u64> {
     let mut x = seed | 1;
     (0..len)
@@ -57,6 +57,18 @@ fn ref_and_any(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
+fn ref_and_not_any(a: &[u64], b: &[u64]) -> bool {
+    (0..a.len()).any(|i| a[i] & !b.get(i).copied().unwrap_or(0) != 0)
+}
+
+fn ref_and_not(dst: &[u64], src: &[u64]) -> Vec<u64> {
+    let mut out = dst.to_vec();
+    for (d, s) in out.iter_mut().zip(src) {
+        *d &= !s;
+    }
+    out // tail beyond src untouched, by the kernel contract
+}
+
 fn ref_or_multi(len: usize, srcs: &[&[u64]]) -> Vec<u64> {
     (0..len)
         .map(|i| srcs.iter().fold(0u64, |m, s| m | s[i]))
@@ -74,6 +86,17 @@ fn check_pair(a: &[u64], b: &[u64]) {
     );
     assert_eq!(kernels::is_zero(a), ref_popcount(a) == 0, "is_zero {ctx}");
     assert_eq!(kernels::and_any(a, b), ref_and_any(a, b), "and_any {ctx}");
+    // The asymmetric kernels, with the operands swapped too.
+    for (x, y, order) in [(a, b, ""), (b, a, " swapped")] {
+        assert_eq!(
+            kernels::and_not_any(x, y),
+            ref_and_not_any(x, y),
+            "and_not_any{order} {ctx}"
+        );
+        let mut d = x.to_vec();
+        kernels::and_not_into(&mut d, y);
+        assert_eq!(d, ref_and_not(x, y), "and_not_into{order} {ctx}");
+    }
 }
 
 /// Checks the multi-source fused kernels on `n_srcs` sources over `len`

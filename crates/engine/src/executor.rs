@@ -35,15 +35,18 @@
 //!
 //! Budget accounting stays exact under concurrency: a new execution
 //! *reserves* its budget slot with a compare-and-swap before running, releases
-//! it if the pipeline is unavailable, and reclassifies itself as a hit if
-//! another worker recorded the same instance first (the determinism
+//! it if the pipeline is unavailable or panics, and reclassifies itself as a
+//! hit if another worker recorded the same instance first (the determinism
 //! guarantee makes the two results interchangeable), so
 //! `new_executions == provenance.len() - seeded` always holds.
 
 use crate::pipeline::{Pipeline, PipelineError, SimTime};
-use bugdoc_core::{EvalResult, Instance, Outcome, ParamSpace, ProvenanceStore, RunRef};
+use bugdoc_core::{
+    EvalResult, FxBuildHasher, Instance, Outcome, ParamSpace, ProvenanceStore, RunRef,
+};
 use bugdoc_store::{DurableStore, PersistConfig, PersistError, Recovery};
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -209,6 +212,34 @@ impl AtomicStats {
                 self.sim_time_bits.load(Ordering::SeqCst),
             )),
             ..ExecStats::default()
+        }
+    }
+}
+
+/// Budget slots reserved for executions whose outcome is not yet settled.
+/// Each slot is settled once: kept as a recorded execution, or handed back
+/// by `release_slot` / `reclassify_as_hit`. Dropping the guard releases the
+/// slots still unsettled, so a pipeline that panics mid-execution gives its
+/// slots back on the unwind and `new_executions == provenance.len() -
+/// seeded` holds for an executor that keeps serving afterwards.
+struct Reserved<'a> {
+    stats: &'a AtomicStats,
+    slots: usize,
+}
+
+impl Reserved<'_> {
+    /// Marks one slot settled by its caller.
+    fn settle(&mut self) {
+        self.slots -= 1;
+    }
+}
+
+impl Drop for Reserved<'_> {
+    fn drop(&mut self) {
+        if self.slots > 0 {
+            self.stats
+                .new_executions
+                .fetch_sub(self.slots, Ordering::SeqCst);
         }
     }
 }
@@ -586,12 +617,17 @@ impl Executor {
             self.stats.budget_refusals.fetch_add(1, Ordering::Relaxed);
             return Err(ExecError::BudgetExhausted);
         }
+        let mut reserved = Reserved {
+            stats: &self.stats,
+            slots: 1,
+        };
         let (result, cost) = self.run_pipeline(instance);
         match result {
             Ok(eval) => {
                 let (fresh, sync_due) = {
                     let mut prov = self.provenance.write();
                     let fresh = prov.record(instance, eval);
+                    reserved.settle();
                     (fresh, fresh && self.persist_record(&prov, instance, eval))
                 };
                 self.persist_sync_if_due(sync_due);
@@ -603,6 +639,7 @@ impl Executor {
                 Ok(eval.outcome)
             }
             Err(PipelineError::Unavailable) => {
+                reserved.settle();
                 self.release_slot();
                 // Relaxed: telemetry-only counter.
                 self.stats.unavailable.fetch_add(1, Ordering::Relaxed);
@@ -618,22 +655,29 @@ impl Executor {
     /// execution time below thread start-up).
     ///
     /// Results are positionally aligned with the input. Duplicate instances
-    /// within the batch are executed once. The budget is applied in input
-    /// order: once exhausted, remaining *new* instances get
-    /// [`ExecError::BudgetExhausted`] (provenance hits are still answered).
+    /// within the batch, deduplicated by dense key, are executed once (a
+    /// duplicate of a budget-refused instance is refused with it). The
+    /// budget is applied in input order: once exhausted, remaining *new*
+    /// instances get [`ExecError::BudgetExhausted`] (provenance hits are
+    /// still answered).
     ///
     /// The virtual clock advances by the makespan of greedy list scheduling
     /// of the executed instances' costs on `workers` machines — the quantity
     /// the paper's Figure 6 tracks as core counts grow — wherever the batch
     /// actually ran.
-    // lint: allow(W003, reason = "results is sized to instances.len() and indexed by batch positions from the same enumerate (to_run holds such positions); first_occurrence is populated before any duplicate reads it", scope = "block")
+    // lint: allow(W003, reason = "results is sized to instances.len() and indexed by batch positions from the same enumerate (to_run holds such positions); first_occurrence is created at the first miss and holds every miss's key before any duplicate reads it", scope = "block")
     pub fn evaluate_batch(&self, instances: &[Instance]) -> Vec<Result<Outcome, ExecError>> {
         let mut results: Vec<Option<Result<Outcome, ExecError>>> = vec![None; instances.len()];
         // Positions in the batch that need execution, deduplicated: the first
         // occurrence executes; later duplicates copy its result.
         let mut to_run: Vec<usize> = Vec::new();
-        let mut first_occurrence: std::collections::HashMap<&Instance, usize> =
-            std::collections::HashMap::new();
+        // Each miss's dense key and batch position, created at the first
+        // miss: a batch of hits allocates no map.
+        let mut first_occurrence: Option<HashMap<&[u32], usize, FxBuildHasher>> = None;
+        let mut reserved = Reserved {
+            stats: &self.stats,
+            slots: 0,
+        };
 
         // Probe phase: provenance reads plus budget reservations, in input
         // order — no exclusive lock anywhere.
@@ -642,17 +686,18 @@ impl Executor {
                 results[i] = Some(Ok(outcome));
                 continue;
             }
-            if first_occurrence.contains_key(instance) {
+            let firsts = first_occurrence.get_or_insert_with(HashMap::default);
+            let Entry::Vacant(slot) = firsts.entry(instance.dense_key()) else {
                 continue; // duplicate of an earlier new instance
-            }
+            };
+            slot.insert(i);
             if self.try_reserve() {
-                first_occurrence.insert(instance, i);
+                reserved.slots += 1;
                 to_run.push(i);
             } else {
                 // Relaxed: telemetry-only counter.
                 self.stats.budget_refusals.fetch_add(1, Ordering::Relaxed);
                 results[i] = Some(Err(ExecError::BudgetExhausted));
-                first_occurrence.insert(instance, i);
             }
         }
 
@@ -702,7 +747,9 @@ impl Executor {
             for (pos, res, cost) in outcomes {
                 match res {
                     Ok(eval) => {
-                        if prov.record(&instances[pos], eval) {
+                        let fresh = prov.record(&instances[pos], eval);
+                        reserved.settle();
+                        if fresh {
                             sync_due |= self.persist_record(&prov, &instances[pos], eval);
                             executed_costs.push(cost);
                         } else {
@@ -711,6 +758,7 @@ impl Executor {
                         results[pos] = Some(Ok(eval.outcome));
                     }
                     Err(PipelineError::Unavailable) => {
+                        reserved.settle();
                         self.release_slot();
                         // Relaxed: telemetry-only counter.
                         self.stats.unavailable.fetch_add(1, Ordering::Relaxed);
@@ -726,7 +774,10 @@ impl Executor {
         // Duplicates copy their first occurrence's result.
         for (i, instance) in instances.iter().enumerate() {
             if results[i].is_none() {
-                let first = first_occurrence[instance];
+                let first = first_occurrence
+                    .as_ref()
+                    .and_then(|firsts| firsts.get(instance.dense_key()).copied())
+                    .expect("an unresolved position is a miss, and every miss is keyed");
                 results[i] = Some(
                     results[first]
                         .clone()
@@ -846,14 +897,63 @@ mod tests {
     #[test]
     fn batch_positions_and_dedup() {
         let s = space();
-        let exec = Executor::new(pipe(&s), ExecutorConfig::default());
-        let batch = vec![inst(&s, 1, 1), inst(&s, 3, 2), inst(&s, 1, 1)];
+        let exec = Executor::new(
+            pipe(&s),
+            ExecutorConfig {
+                budget: Some(3),
+                ..Default::default()
+            },
+        );
+        let batch = vec![
+            inst(&s, 1, 1),
+            inst(&s, 3, 2),
+            inst(&s, 1, 1),
+            // (2, 4) by value and by domain index: one instance.
+            inst(&s, 2, 4),
+            s.instance_from_indices(&[1, 3]),
+            // Past the budget, refused, and so is its duplicate.
+            inst(&s, 5, 5),
+            inst(&s, 5, 5),
+        ];
         let results = exec.evaluate_batch(&batch);
         assert_eq!(results[0], Ok(Outcome::Succeed));
         assert_eq!(results[1], Ok(Outcome::Fail));
         assert_eq!(results[2], Ok(Outcome::Succeed));
-        // The duplicate executed once.
-        assert_eq!(exec.stats().new_executions, 2);
+        assert_eq!(results[3], Ok(Outcome::Succeed));
+        assert_eq!(results[4], Ok(Outcome::Succeed));
+        assert_eq!(results[5], Err(ExecError::BudgetExhausted));
+        assert_eq!(results[6], Err(ExecError::BudgetExhausted));
+        // Each duplicate executed, or was refused, once.
+        let stats = exec.stats();
+        assert_eq!(stats.new_executions, 3);
+        assert_eq!(stats.budget_refusals, 1);
+        assert_eq!(exec.provenance().len(), 3);
+    }
+
+    #[test]
+    fn panicking_pipeline_gives_its_budget_slots_back() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let s = space();
+        let x = s.by_name("x").unwrap();
+        // Panics on x = 5.
+        let pipeline = Arc::new(FnPipeline::new(s.clone(), move |i: &Instance| {
+            assert!(i.get(x) != &Value::from(5), "pipeline crashed");
+            EvalResult::of(Outcome::Succeed)
+        }));
+        let exec = Executor::new(
+            pipeline,
+            ExecutorConfig {
+                budget: Some(10),
+                ..Default::default()
+            },
+        );
+        assert_eq!(exec.evaluate(&inst(&s, 1, 1)), Ok(Outcome::Succeed));
+        assert!(catch_unwind(AssertUnwindSafe(|| exec.evaluate(&inst(&s, 5, 1)))).is_err());
+        let batch = [inst(&s, 5, 2), inst(&s, 5, 3)];
+        assert!(catch_unwind(AssertUnwindSafe(|| exec.evaluate_batch(&batch))).is_err());
+        assert_eq!(exec.stats().new_executions, 1);
+        assert_eq!(exec.provenance().len(), 1);
+        assert_eq!(exec.remaining_budget(), Some(9));
     }
 
     #[test]

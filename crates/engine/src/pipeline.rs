@@ -182,6 +182,10 @@ where
 pub struct HistoricalPipeline {
     space: Arc<ParamSpace>,
     log: std::collections::HashMap<Instance, EvalResult>,
+    /// The logged instances sorted by value, the deterministic order
+    /// [`Pipeline::available_instances`] reports (map iteration order varies
+    /// across runs).
+    sorted: Vec<Instance>,
     name: String,
 }
 
@@ -191,9 +195,13 @@ impl HistoricalPipeline {
         space: Arc<ParamSpace>,
         records: impl IntoIterator<Item = (Instance, EvalResult)>,
     ) -> Self {
+        let log: std::collections::HashMap<Instance, EvalResult> = records.into_iter().collect();
+        let mut sorted: Vec<Instance> = log.keys().cloned().collect();
+        sorted.sort_by(|a, b| a.values().cmp(b.values()));
         HistoricalPipeline {
             space,
-            log: records.into_iter().collect(),
+            log,
+            sorted,
             name: "historical-replay".to_string(),
         }
     }
@@ -239,10 +247,7 @@ impl Pipeline for HistoricalPipeline {
     }
 
     fn available_instances(&self) -> Option<Vec<Instance>> {
-        // Deterministic order: HashMap iteration order varies across runs.
-        let mut keys: Vec<Instance> = self.log.keys().cloned().collect();
-        keys.sort_by(|a, b| a.values().cmp(b.values()));
-        Some(keys)
+        Some(self.sorted.clone())
     }
 
     fn name(&self) -> &str {

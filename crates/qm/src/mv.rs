@@ -18,104 +18,170 @@
 //! all of which preserve the denoted instance set exactly. Binary inputs
 //! reduce to classic Quine–McCluskey (see the differential test against
 //! [`crate::boolean`]).
+//!
+//! # Cube layout
+//!
+//! A cube is one flat block of `u64` words. Each parameter, in id order,
+//! owns `len.div_ceil(64)` consecutive words of it, one bit per domain value
+//! (value `v` is bit `v % 64` of the parameter's word `v / 64`), so a domain
+//! of any size fits the same layout. Bits past a domain's last value are
+//! clear in every cube, which makes cube equality plain word equality. The
+//! set algebra composes [`bugdoc_core::kernels`]: inclusion is
+//! `!and_not_any`, a per-parameter intersection test is `and_any`, an empty
+//! allowed set is `is_zero`, and merging and splitting a parameter's set are
+//! `or_multi_into`, `and_or_multi_into` and `and_not_into` on its words.
 
-use bugdoc_core::{CanonicalCause, Conjunction, Dnf, ParamSpace};
+use bugdoc_core::{kernels, CanonicalCause, Conjunction, Dnf, ParamId, ParamSpace};
+use std::ops::Range;
 
-/// A dense cube: one allowed-mask per parameter (full masks included, unlike
-/// [`CanonicalCause`] which drops them).
-type DenseCube = Vec<Vec<bool>>;
+/// A cube: every parameter's allowed set, in the [layout](self#cube-layout)
+/// of its space (full sets included, unlike [`CanonicalCause`], which drops
+/// them).
+type Cube = Vec<u64>;
 
-fn to_dense(space: &ParamSpace, canon: &CanonicalCause) -> DenseCube {
-    space
-        .ids()
-        .map(|p| match canon.mask(p) {
-            Some(m) => m.to_vec(),
-            None => vec![true; space.domain(p).len()],
-        })
-        .collect()
+/// Where each parameter's allowed set lives in a space's cubes.
+struct Layout {
+    /// Parameter `i` owns words `bounds[i]..bounds[i + 1]`.
+    bounds: Vec<usize>,
+    /// Domain size of each parameter.
+    lens: Vec<usize>,
+    /// The cube allowing every value of every parameter.
+    full: Cube,
 }
 
-fn from_dense(space: &ParamSpace, cube: &DenseCube) -> CanonicalCause {
-    let mut masks = std::collections::BTreeMap::new();
-    for (i, mask) in cube.iter().enumerate() {
-        masks.insert(bugdoc_core::ParamId(i as u32), mask.clone());
-    }
-    CanonicalCause::from_masks(space, masks)
-}
-
-fn is_empty_cube(cube: &DenseCube) -> bool {
-    cube.iter().any(|m| m.iter().all(|&b| !b))
-}
-
-fn is_full_cube(cube: &DenseCube) -> bool {
-    cube.iter().all(|m| m.iter().all(|&b| b))
-}
-
-/// `a ⊆ b` as product sets (per-parameter mask inclusion).
-fn cube_implies(a: &DenseCube, b: &DenseCube) -> bool {
-    a.iter()
-        .zip(b.iter())
-        .all(|(ma, mb)| ma.iter().zip(mb.iter()).all(|(&x, &y)| !x || y))
-}
-
-fn cubes_intersect(a: &DenseCube, b: &DenseCube) -> bool {
-    a.iter()
-        .zip(b.iter())
-        .all(|(ma, mb)| ma.iter().zip(mb.iter()).any(|(&x, &y)| x && y))
-}
-
-/// The parameter index where `a` and `b` differ, provided they are equal on
-/// every other parameter (the MV merge precondition).
-fn differs_in_exactly_one(a: &DenseCube, b: &DenseCube) -> Option<usize> {
-    let mut found = None;
-    for (p, (ma, mb)) in a.iter().zip(b.iter()).enumerate() {
-        if ma != mb {
-            if found.is_some() {
-                return None;
-            }
-            found = Some(p);
+impl Layout {
+    fn new(space: &ParamSpace) -> Self {
+        let lens: Vec<usize> = space.ids().map(|p| space.domain(p).len()).collect();
+        let mut bounds = vec![0];
+        let mut full = Vec::new();
+        for &len in &lens {
+            full.extend((0..len.div_ceil(64)).map(|w| {
+                let bits = (len - 64 * w).min(64);
+                u64::MAX >> (64 - bits)
+            }));
+            bounds.push(full.len());
         }
+        Layout { bounds, lens, full }
     }
-    found
+
+    /// Each parameter's word range, in id order.
+    fn blocks(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.bounds.windows(2).map(|b| b[0]..b[1])
+    }
+
+    fn block(&self, p: usize) -> Range<usize> {
+        self.bounds[p]..self.bounds[p + 1]
+    }
+
+    fn to_cube(&self, canon: &CanonicalCause) -> Cube {
+        let mut cube = self.full.clone();
+        for (p, mask) in canon.masks() {
+            let block = &mut cube[self.block(p.index())];
+            block.fill(0);
+            for v in (0..mask.len()).filter(|&v| mask[v]) {
+                set_value(block, v, true);
+            }
+        }
+        cube
+    }
+
+    fn to_canonical(&self, space: &ParamSpace, cube: &[u64]) -> CanonicalCause {
+        let masks = self
+            .blocks()
+            .zip(&self.lens)
+            .enumerate()
+            .map(|(i, (r, &len))| {
+                let block = &cube[r];
+                (
+                    ParamId(i as u32),
+                    (0..len).map(|v| has_value(block, v)).collect(),
+                )
+            })
+            .collect();
+        CanonicalCause::from_masks(space, masks)
+    }
+
+    /// Some parameter allows no value: the cube denotes no instance.
+    fn is_empty(&self, cube: &[u64]) -> bool {
+        self.blocks().any(|r| kernels::is_zero(&cube[r]))
+    }
+
+    /// `a ∩ b ≠ ∅`: the two allowed sets meet on every parameter.
+    fn intersect(&self, a: &[u64], b: &[u64]) -> bool {
+        self.blocks()
+            .all(|r| kernels::and_any(&a[r.clone()], &b[r]))
+    }
+
+    /// The parameter where `a` and `b` differ, provided they are equal on
+    /// every other parameter (the MV merge precondition).
+    fn differs_in_exactly_one(&self, a: &[u64], b: &[u64]) -> Option<Range<usize>> {
+        let mut found = None;
+        for r in self.blocks() {
+            if a[r.clone()] != b[r.clone()] {
+                if found.is_some() {
+                    return None;
+                }
+                found = Some(r);
+            }
+        }
+        found
+    }
+
+    /// Is `cube ⊆ ⋃ cover`? Decided by recursive splitting: pick a covering
+    /// cube `c` that intersects `cube`; if `cube ⊆ c` we are done, otherwise
+    /// split `cube` along one parameter into the part inside `c` and the part
+    /// outside, and recurse on both. Each split strictly shrinks the cube, so
+    /// the recursion terminates.
+    fn covered_by(&self, cube: &[u64], cover: &[Cube]) -> bool {
+        if self.is_empty(cube) {
+            return true;
+        }
+        let Some(c) = cover.iter().find(|c| self.intersect(cube, c)) else {
+            return false;
+        };
+        if !kernels::and_not_any(cube, c) {
+            return true;
+        }
+        // A parameter where cube sticks out of c must exist (cube ⊄ c).
+        let r = self
+            .blocks()
+            .find(|r| kernels::and_not_any(&cube[r.clone()], &c[r.clone()]))
+            .expect("cube not contained in c, so some parameter sticks out");
+        let mut part = cube.to_vec();
+        kernels::and_or_multi_into(&mut part[r.clone()], &[&c[r.clone()]]);
+        if !self.covered_by(&part, cover) {
+            return false;
+        }
+        part[r.clone()].copy_from_slice(&cube[r.clone()]);
+        kernels::and_not_into(&mut part[r.clone()], &c[r]);
+        self.covered_by(&part, cover)
+    }
 }
 
-/// Is `cube ⊆ ⋃ cover`? Decided by recursive splitting: pick a covering cube
-/// `c` that intersects `cube`; if `cube ⊆ c` we are done, otherwise split
-/// `cube` along one parameter into the part inside `c` and the part outside,
-/// and recurse on both. Each split strictly shrinks the cube, so the
-/// recursion terminates.
-fn covered_by(cube: &DenseCube, cover: &[DenseCube]) -> bool {
-    if is_empty_cube(cube) {
-        return true;
+/// Whether a parameter's words allow its value `v`.
+fn has_value(block: &[u64], v: usize) -> bool {
+    block[v / 64] >> (v % 64) & 1 == 1
+}
+
+/// Allows or forbids value `v` in a parameter's words.
+fn set_value(block: &mut [u64], v: usize, allowed: bool) {
+    let bit = 1u64 << (v % 64);
+    if allowed {
+        block[v / 64] |= bit;
+    } else {
+        block[v / 64] &= !bit;
     }
-    let candidate = cover.iter().find(|c| cubes_intersect(cube, c));
-    let Some(c) = candidate else {
-        return false;
-    };
-    if cube_implies(cube, c) {
-        return true;
-    }
-    // A parameter where cube sticks out of c must exist (cube ⊄ c).
-    let p = cube
-        .iter()
-        .zip(c.iter())
-        .position(|(ma, mb)| ma.iter().zip(mb.iter()).any(|(&x, &y)| x && !y))
-        .expect("cube not contained in c, so some mask sticks out");
-    let mut inside = cube.clone();
-    let mut outside = cube.clone();
-    for i in 0..cube[p].len() {
-        inside[p][i] = cube[p][i] && c[p][i];
-        outside[p][i] = cube[p][i] && !c[p][i];
-    }
-    covered_by(&inside, cover) && covered_by(&outside, cover)
 }
 
 /// Drops cubes implied by another cube (keeping the first of equal pairs).
-fn absorb(cubes: &mut Vec<DenseCube>) {
+fn absorb(cubes: &mut Vec<Cube>) {
     let mut i = 0;
     while i < cubes.len() {
-        let absorbed = (0..cubes.len())
-            .any(|j| j != i && cube_implies(&cubes[i], &cubes[j]) && !(j > i && cubes[i] == cubes[j]));
+        let absorbed = (0..cubes.len()).any(|j| {
+            j != i
+                && !kernels::and_not_any(&cubes[i], &cubes[j])
+                && !(j > i && cubes[i] == cubes[j])
+        });
         if absorbed {
             cubes.remove(i);
         } else {
@@ -125,16 +191,17 @@ fn absorb(cubes: &mut Vec<DenseCube>) {
 }
 
 /// Repeatedly merges cube pairs that differ in exactly one parameter.
-fn merge_pass(cubes: &mut Vec<DenseCube>) {
+fn merge_pass(layout: &Layout, cubes: &mut Vec<Cube>) {
     loop {
         let mut merged = None;
         'outer: for i in 0..cubes.len() {
             for j in (i + 1)..cubes.len() {
-                if let Some(p) = differs_in_exactly_one(&cubes[i], &cubes[j]) {
+                if let Some(r) = layout.differs_in_exactly_one(&cubes[i], &cubes[j]) {
                     let mut m = cubes[i].clone();
-                    for k in 0..m[p].len() {
-                        m[p][k] = cubes[i][p][k] || cubes[j][p][k];
-                    }
+                    kernels::or_multi_into(
+                        &mut m[r.clone()],
+                        &[&cubes[i][r.clone()], &cubes[j][r]],
+                    );
                     merged = Some((i, j, m));
                     break 'outer;
                 }
@@ -156,45 +223,42 @@ fn merge_pass(cubes: &mut Vec<DenseCube>) {
 /// every expansion that stays inside `⋃ f`. Freed parameters disappear from
 /// the final conjunction — this is what turns a verbose tree path into a
 /// minimal cause.
-fn expand_pass(cubes: &mut [DenseCube], f: &[DenseCube]) {
-    for idx in 0..cubes.len() {
-        let mut cube = cubes[idx].clone();
-        for p in 0..cube.len() {
+fn expand_pass(layout: &Layout, cubes: &mut [Cube], f: &[Cube]) {
+    let mut saved = Vec::new();
+    for cube in cubes.iter_mut() {
+        for (r, &len) in layout.blocks().zip(&layout.lens) {
+            if cube[r.clone()] == layout.full[r.clone()] {
+                continue;
+            }
             // Whole-parameter expansion.
-            let saved = cube[p].clone();
-            if saved.iter().any(|&b| !b) {
-                cube[p].iter_mut().for_each(|b| *b = true);
-                if !covered_by(&cube, f) {
-                    cube[p] = saved.clone();
-                    // Per-value expansion.
-                    for v in 0..cube[p].len() {
-                        if !cube[p][v] {
-                            cube[p][v] = true;
-                            if !covered_by(&cube, f) {
-                                cube[p][v] = false;
-                            }
-                        }
+            saved.clear();
+            saved.extend_from_slice(&cube[r.clone()]);
+            cube[r.clone()].copy_from_slice(&layout.full[r.clone()]);
+            if layout.covered_by(cube, f) {
+                continue;
+            }
+            cube[r.clone()].copy_from_slice(&saved);
+            // Per-value expansion.
+            for v in 0..len {
+                if !has_value(&cube[r.clone()], v) {
+                    set_value(&mut cube[r.clone()], v, true);
+                    if !layout.covered_by(cube, f) {
+                        set_value(&mut cube[r.clone()], v, false);
                     }
                 }
             }
         }
-        cubes[idx] = cube;
     }
 }
 
 /// Removes cubes covered by the union of the remaining cubes.
-fn irredundant_pass(cubes: &mut Vec<DenseCube>) {
+fn irredundant_pass(layout: &Layout, cubes: &mut Vec<Cube>) {
     let mut i = 0;
     while i < cubes.len() {
-        let rest: Vec<DenseCube> = cubes
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, c)| c.clone())
-            .collect();
-        if covered_by(&cubes[i], &rest) {
-            cubes.remove(i);
-        } else {
+        // The rest, in order, is the vector without cube i.
+        let cube = cubes.remove(i);
+        if !layout.covered_by(&cube, cubes) {
+            cubes.insert(i, cube);
             i += 1;
         }
     }
@@ -205,14 +269,15 @@ fn irredundant_pass(cubes: &mut Vec<DenseCube>) {
 /// with no redundant conjunct, no conjunct expressible more simply, and no
 /// pair of conjuncts mergeable into one.
 pub fn minimize_dnf(space: &ParamSpace, dnf: &Dnf) -> Dnf {
-    let mut cubes: Vec<DenseCube> = dnf
+    let layout = Layout::new(space);
+    let mut cubes: Vec<Cube> = dnf
         .conjuncts()
         .iter()
-        .map(|c| to_dense(space, &c.canonicalize(space)))
-        .filter(|c| !is_empty_cube(c))
+        .map(|c| layout.to_cube(&c.canonicalize(space)))
+        .filter(|c| !layout.is_empty(c))
         .collect();
 
-    if cubes.iter().any(is_full_cube) {
+    if cubes.contains(&layout.full) {
         // Some conjunct is a tautology: the whole DNF is ⊤.
         return Dnf::new(vec![Conjunction::top()]);
     }
@@ -222,19 +287,19 @@ pub fn minimize_dnf(space: &ParamSpace, dnf: &Dnf) -> Dnf {
 
     let f = cubes.clone(); // the reference function, fixed
     absorb(&mut cubes);
-    merge_pass(&mut cubes);
-    expand_pass(&mut cubes, &f);
-    if cubes.iter().any(is_full_cube) {
+    merge_pass(&layout, &mut cubes);
+    expand_pass(&layout, &mut cubes, &f);
+    if cubes.contains(&layout.full) {
         return Dnf::new(vec![Conjunction::top()]);
     }
     absorb(&mut cubes);
-    merge_pass(&mut cubes);
-    irredundant_pass(&mut cubes);
+    merge_pass(&layout, &mut cubes);
+    irredundant_pass(&layout, &mut cubes);
 
     Dnf::new(
         cubes
             .iter()
-            .map(|c| from_dense(space, c).to_conjunction(space))
+            .map(|c| layout.to_canonical(space, c).to_conjunction(space))
             .collect(),
     )
 }
@@ -248,9 +313,9 @@ pub fn cause_covered_by(
     cause: &CanonicalCause,
     cover: &[CanonicalCause],
 ) -> bool {
-    let cube = to_dense(space, cause);
-    let cover: Vec<DenseCube> = cover.iter().map(|c| to_dense(space, c)).collect();
-    covered_by(&cube, &cover)
+    let layout = Layout::new(space);
+    let cover: Vec<Cube> = cover.iter().map(|c| layout.to_cube(c)).collect();
+    layout.covered_by(&layout.to_cube(cause), &cover)
 }
 
 /// Simplifies a single conjunction to its shortest equivalent form over the
@@ -446,26 +511,42 @@ mod tests {
     #[test]
     fn covered_by_splitting_logic() {
         let s = space();
+        let layout = Layout::new(&s);
         let n = s.by_name("n").unwrap();
         // cube n∈{2,3,4} covered by {n≤3} ∪ {n>3}? yes.
-        let cube = to_dense(
-            &s,
+        let cube = layout.to_cube(
             &Conjunction::new(vec![
                 Predicate::new(n, Comparator::Gt, 1),
                 Predicate::new(n, Comparator::Le, 4),
             ])
             .canonicalize(&s),
         );
-        let a = to_dense(
-            &s,
+        let a = layout.to_cube(
             &Conjunction::new(vec![Predicate::new(n, Comparator::Le, 3)]).canonicalize(&s),
         );
-        let b = to_dense(
-            &s,
+        let b = layout.to_cube(
             &Conjunction::new(vec![Predicate::new(n, Comparator::Gt, 3)]).canonicalize(&s),
         );
-        assert!(covered_by(&cube, &[a.clone(), b]));
-        assert!(!covered_by(&cube, &[a]));
+        assert!(layout.covered_by(&cube, &[a.clone(), b]));
+        assert!(!layout.covered_by(&cube, &[a]));
+    }
+
+    #[test]
+    fn layout_gives_each_parameter_its_own_words() {
+        let s = ParamSpace::builder()
+            .ordinal("big", 0..130i64)
+            .boolean("flag")
+            .ordinal("wide", 0..64i64)
+            .build();
+        let layout = Layout::new(&s);
+        assert_eq!(layout.bounds, [0, 3, 4, 5]);
+        assert_eq!(layout.full, [u64::MAX, u64::MAX, 0b11, 0b11, u64::MAX]);
+        // A value past the first word lands in its parameter's second word.
+        let big = s.by_name("big").unwrap();
+        let canon = Conjunction::new(vec![Predicate::eq(big, 100i64)]).canonicalize(&s);
+        let cube = layout.to_cube(&canon);
+        assert_eq!(&cube[..3], &[0u64, 1 << 36, 0]);
+        assert_eq!(layout.to_canonical(&s, &cube), canon);
     }
 
     /// One instance from the paper's running theme: minimization of the DDT

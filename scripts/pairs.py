@@ -26,7 +26,11 @@ parent's, positive when worse by the metric's `better` direction, and
 
 Each side's peak resident set size per workload — the `peak RSS N MiB`
 an untraced e2ebench run prints on stderr — follows the table as both
-medians and q1-q3 ranges, with no verdict: it is printed, not gated.
+medians and q1-q3 ranges, with no verdict: it is printed, not gated. So
+does the work each run did in its fixed time, since a faster side keeps
+more generated cases and so reads as more memory: diagnoses per second
+from paper-synth's and deep-history's `N diagnoses in S s timed`, and the
+request count from served-warm's `N requests by C clients`.
 
 With --trace every run is traced (`--trace 1`), so it reports the
 per-layer metrics instead of the end-to-end ones. Per metric the script then
@@ -57,6 +61,8 @@ EXACT_METRICS = ("new_executions_per_diagnosis", "evaluations_per_diagnosis",
                  "precision", "recall")
 EXACT_WORKLOADS = ("paper-synth", "deep-history")
 PEAK_RSS = re.compile(r"peak RSS ([0-9.]+) MiB")
+DIAGNOSES = re.compile(r"(\d+) diagnoses in ([0-9.]+) s timed")
+REQUESTS = re.compile(r"(\d+) requests by \d+ clients")
 
 
 def parse_seeds(text):
@@ -81,9 +87,9 @@ def build(tree, target):
 
 
 def run_once(exe, tree, workload, seed, seconds, trace):
-    """The run's JSON result, with the peak RSS its stderr reports (MiB, or
-    None) under "peak_rss_mib"; None when the run failed. The run's stderr
-    is passed on."""
+    """The run's JSON result, with the figures its stderr reports but does
+    not gate under "unjudged" (see `unjudged`); None when the run failed.
+    The run's stderr is passed on."""
     out = subprocess.run(
         [exe, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "1" if trace else "0"],
@@ -93,19 +99,34 @@ def run_once(exe, tree, workload, seed, seconds, trace):
     if out.returncode != 0 or not lines:
         return None
     result = json.loads(lines[-1])
-    rss = PEAK_RSS.findall(out.stderr)
-    result["peak_rss_mib"] = float(rss[-1]) if rss else None
+    result["unjudged"] = unjudged(out.stderr)
     return result
 
 
-def report_rss(pairs, width):
-    """Prints each side's peak RSS as median (q1-q3), with no verdict."""
-    parent = [p["peak_rss_mib"] for p, _ in pairs]
-    change = [c["peak_rss_mib"] for _, c in pairs]
-    if None in parent or None in change:
-        return
-    print(f"  {'peak RSS MiB (not gated)':<{width}} {summary(parent)[2]:>32} "
-          f"{summary(change)[2]:>32}")
+def unjudged(stderr):
+    """The printed-only figures in a run's stderr, by label: its peak RSS
+    (MiB) and the work of its timed phase (diagnoses/s, or requests)."""
+    found = {}
+    if rss := PEAK_RSS.findall(stderr):
+        found["peak RSS MiB"] = float(rss[-1])
+    if done := DIAGNOSES.findall(stderr):
+        n, s = done[-1]
+        found["diagnoses/s"] = int(n) / float(s)
+    if done := REQUESTS.findall(stderr):
+        found["requests"] = int(done[-1])
+    return found
+
+
+def report_unjudged(pairs, width):
+    """Prints each side's printed-only figures as median (q1-q3), with no
+    verdict; a figure some run did not print is left out."""
+    for label in ("peak RSS MiB", "diagnoses/s", "requests"):
+        parent = [p["unjudged"].get(label) for p, _ in pairs]
+        change = [c["unjudged"].get(label) for _, c in pairs]
+        if None in parent or None in change:
+            continue
+        print(f"  {label + ' (not gated)':<{width}} {summary(parent)[2]:>32} "
+              f"{summary(change)[2]:>32}")
 
 
 def summary(values):
@@ -160,7 +181,7 @@ def report(workload, pairs, metrics):
                              f"past its bound {spec['bound']:.0%}")
         print(f"  {name:<30} {p_text:>32} {c_text:>32} "
               f"{f'{wins}/{len(pairs)}':>7} {gap:>8} {judged:>20}")
-    report_rss(pairs, 30)
+    report_unjudged(pairs, 30)
     return worse
 
 
@@ -174,7 +195,7 @@ def report_trace(workload, pairs):
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         print(f"  {name:<40} {summary(parent)[2]:>32} {summary(change)[2]:>32}")
-    report_rss(pairs, 40)
+    report_unjudged(pairs, 40)
 
 
 def main():
