@@ -208,9 +208,8 @@ pub fn debugging_decision_trees(
             if confirmed_canon.contains(&canon) {
                 continue;
             }
-            let suspect = canon.to_conjunction(&space);
 
-            match verify_suspect(exec, &space, available, &suspect, config, &mut rng) {
+            match verify_suspect(exec, &space, available, &canon, config, &mut rng) {
                 Verify::Refuted => {
                     // New counterexample is in the provenance; rebuild.
                     rebuilds += 1;
@@ -225,17 +224,25 @@ pub fn debugging_decision_trees(
                     break 'outer;
                 }
                 Verify::Confirmed => {
-                    let mut cause = suspect.clone();
+                    // Minimization drops triples of the suspect's shortest
+                    // conjunction (Def. 5) and its result is asserted as
+                    // written; a generalized cause is asserted as the
+                    // shortest conjunction of its set.
+                    let mut cause = canon;
+                    let mut minimized = None;
                     if config.minimize {
                         match minimize_cause(
                             exec,
                             &space,
                             available,
-                            cause.clone(),
+                            cause.to_conjunction(&space),
                             config,
                             &mut rng,
                         ) {
-                            Ok(c) => cause = c,
+                            Ok(c) => {
+                                cause = c.canonicalize(&space);
+                                minimized = Some(c);
+                            }
                             Err(()) => complete = false,
                         }
                     }
@@ -248,14 +255,16 @@ pub fn debugging_decision_trees(
                             config,
                             &mut rng,
                         ) {
-                            Ok(c) => cause = c,
+                            Ok(c) => {
+                                cause = c;
+                                minimized = None;
+                            }
                             Err(()) => complete = false,
                         }
                     }
-                    let cause_canon = cause.canonicalize(&space);
-                    if !confirmed_canon.contains(&cause_canon) {
-                        confirmed.push(cause);
-                        confirmed_canon.push(cause_canon);
+                    if !confirmed_canon.contains(&cause) {
+                        confirmed.push(minimized.unwrap_or_else(|| cause.to_conjunction(&space)));
+                        confirmed_canon.push(cause);
                     }
                     if config.mode == DdtMode::FindOne {
                         break 'outer;
@@ -341,7 +350,7 @@ fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> Instance {
     space.instance_from_indices(&indices)
 }
 
-/// Samples `n` instances from the Cartesian product filtered by `suspect`.
+/// Samples `n` instances from the product set `suspect` denotes.
 ///
 /// Works entirely in dense domain indices: per-parameter pools of satisfying
 /// indices are drawn from, deduplicated by index key, and materialized once
@@ -352,20 +361,19 @@ fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> Instance {
 /// fewer than `n` distinct instances always yields all of them.
 fn sample_satisfying(
     space: &ParamSpace,
-    suspect: &Conjunction,
+    suspect: &CanonicalCause,
     n: usize,
     strategy: PrototypeStrategy,
     rng: &mut StdRng,
 ) -> Vec<Instance> {
-    let canon = suspect.canonicalize(space);
-    if canon.is_unsatisfiable() {
+    if suspect.is_unsatisfiable() {
         return Vec::new();
     }
     // Per-parameter pools of satisfying domain indices. Under FixedPrototype,
     // constrained parameters are pinned to their first satisfying value.
     let pools: Vec<Vec<u32>> = space
         .ids()
-        .map(|p| match canon.mask(p) {
+        .map(|p| match suspect.mask(p) {
             Some(mask) => {
                 let satisfying = (0..mask.len()).filter(|&i| mask[i]).map(|i| i as u32);
                 match strategy {
@@ -487,7 +495,7 @@ fn verify_suspect(
     exec: &Executor,
     space: &ParamSpace,
     available: Option<&[Instance]>,
-    suspect: &Conjunction,
+    suspect: &CanonicalCause,
     config: &DdtConfig,
     rng: &mut StdRng,
 ) -> Verify {
@@ -503,7 +511,7 @@ fn verify_suspect(
         Some(available) => {
             let mut pool: Vec<Instance> = available
                 .iter()
-                .filter(|inst| suspect.satisfied_by(inst))
+                .filter(|inst| suspect.satisfied_by(inst, space))
                 .cloned()
                 .collect();
             // Unbiased pick of up to `verification_samples` probes.
@@ -562,16 +570,15 @@ fn generalize_cause(
     exec: &Executor,
     space: &ParamSpace,
     available: Option<&[Instance]>,
-    cause: Conjunction,
+    mut canon: CanonicalCause,
     config: &DdtConfig,
     rng: &mut StdRng,
-) -> Result<Conjunction, ()> {
+) -> Result<CanonicalCause, ()> {
     // Fewer samples per probe: each delta region is one pinned value.
     let delta_config = DdtConfig {
         verification_samples: (config.verification_samples / 2).max(2),
         ..config.clone()
     };
-    let mut canon = cause.canonicalize(space);
     loop {
         let mut changed = false;
         let params: Vec<_> = canon.masks().keys().copied().collect();
@@ -595,8 +602,7 @@ fn generalize_cause(
                 if delta.is_unsatisfiable() {
                     continue;
                 }
-                let delta_conj = delta.to_conjunction(space);
-                match verify_suspect(exec, space, available, &delta_conj, &delta_config, rng) {
+                match verify_suspect(exec, space, available, &delta, &delta_config, rng) {
                     Verify::Confirmed => {
                         let mut widened = canon.masks().clone();
                         widened
@@ -614,11 +620,12 @@ fn generalize_cause(
             break;
         }
     }
-    Ok(canon.to_conjunction(space))
+    Ok(canon)
 }
 
 /// Greedy minimization (Def. 5): repeatedly drop a predicate whose removal
-/// still verifies as definitive. `Err(())` signals budget exhaustion.
+/// still verifies as definitive. Each candidate is canonicalized once, for
+/// its verification. `Err(())` signals budget exhaustion.
 fn minimize_cause(
     exec: &Executor,
     space: &ParamSpace,
@@ -633,7 +640,8 @@ fn minimize_cause(
             .filter(|c| !c.is_empty())
             .collect();
         for candidate in candidates {
-            match verify_suspect(exec, space, available, &candidate, config, rng) {
+            let canon = candidate.canonicalize(space);
+            match verify_suspect(exec, space, available, &canon, config, rng) {
                 Verify::Confirmed => {
                     cause = candidate;
                     continue 'restart;
@@ -910,7 +918,8 @@ mod tests {
             Predicate::new(color, Comparator::Neq, "blue"),
         ]);
         let mut rng = StdRng::seed_from_u64(3);
-        let batch = sample_satisfying(&s, &suspect, 10, PrototypeStrategy::RandomSatisfying, &mut rng);
+        let canon = suspect.canonicalize(&s);
+        let batch = sample_satisfying(&s, &canon, 10, PrototypeStrategy::RandomSatisfying, &mut rng);
         assert!(!batch.is_empty());
         for inst in &batch {
             assert!(suspect.satisfied_by(inst));
@@ -926,7 +935,8 @@ mod tests {
         let n = s.by_name("n").unwrap();
         let suspect = Conjunction::new(vec![Predicate::new(n, Comparator::Gt, 3)]);
         let mut rng = StdRng::seed_from_u64(4);
-        let batch = sample_satisfying(&s, &suspect, 8, PrototypeStrategy::FixedPrototype, &mut rng);
+        let canon = suspect.canonicalize(&s);
+        let batch = sample_satisfying(&s, &canon, 8, PrototypeStrategy::FixedPrototype, &mut rng);
         // The prototype is the first satisfying value: n = 4.
         for inst in &batch {
             assert_eq!(inst.get(n), &Value::from(4));
@@ -940,7 +950,8 @@ mod tests {
         let unsat = Conjunction::new(vec![
             Predicate::new(n, Comparator::Le, 1),
             Predicate::new(n, Comparator::Gt, 2),
-        ]);
+        ])
+        .canonicalize(&s);
         let mut rng = StdRng::seed_from_u64(5);
         assert!(sample_satisfying(&s, &unsat, 5, PrototypeStrategy::RandomSatisfying, &mut rng)
             .is_empty());
@@ -1003,12 +1014,12 @@ mod generalize_tests {
         let s = space();
         let n = s.by_name("n").unwrap();
         let exec = exec_for(&s, move |i| i.get(n) <= &Value::from(3));
-        let narrow = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 2)]);
+        let narrow = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 2)]).canonicalize(&s);
         let mut rng = StdRng::seed_from_u64(1);
         let wide =
             generalize_cause(&exec, &s, None, narrow, &DdtConfig::default(), &mut rng).unwrap();
         let expected = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 3)]);
-        assert_eq!(wide.canonicalize(&s), expected.canonicalize(&s));
+        assert_eq!(wide, expected.canonicalize(&s));
     }
 
     /// True cause n ≠ 5; a pointwise suspect n = 2 must widen to the
@@ -1018,12 +1029,12 @@ mod generalize_tests {
         let s = space();
         let n = s.by_name("n").unwrap();
         let exec = exec_for(&s, move |i| i.get(n) != &Value::from(5));
-        let point = Conjunction::new(vec![Predicate::eq(n, 2)]);
+        let point = Conjunction::new(vec![Predicate::eq(n, 2)]).canonicalize(&s);
         let mut rng = StdRng::seed_from_u64(2);
         let wide =
             generalize_cause(&exec, &s, None, point, &DdtConfig::default(), &mut rng).unwrap();
         let expected = Conjunction::new(vec![Predicate::new(n, Comparator::Neq, 5)]);
-        assert_eq!(wide.canonicalize(&s), expected.canonicalize(&s));
+        assert_eq!(wide, expected.canonicalize(&s));
     }
 
     /// Generalization must not cross a boundary where instances succeed.
@@ -1038,7 +1049,8 @@ mod generalize_tests {
         let exact = Conjunction::new(vec![
             Predicate::eq(n, 5),
             Predicate::new(m, Comparator::Le, 2),
-        ]);
+        ])
+        .canonicalize(&s);
         let mut rng = StdRng::seed_from_u64(3);
         let wide = generalize_cause(
             &exec,
@@ -1049,7 +1061,7 @@ mod generalize_tests {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(wide.canonicalize(&s), exact.canonicalize(&s));
+        assert_eq!(wide, exact);
     }
 
     /// End-to-end: DDT with generalization recovers `n ≤ 3` even when the

@@ -128,8 +128,10 @@ pub fn shortcut(
 /// carries no information, and any succeeding execution containing the cause
 /// refutes it.
 fn cause_refuted(exec: &Executor, cause: &Conjunction) -> bool {
-    cause.is_empty()
-        || exec.with_provenance_ref(|prov| prov.succeeding_superset_exists(cause))
+    cause.is_empty() || {
+        let cause = cause.canonicalize(&exec.space());
+        exec.with_provenance_ref(|prov| prov.succeeding_superset_exists(&cause))
+    }
 }
 
 /// Speculative parallel Shortcut (paper §4.3).

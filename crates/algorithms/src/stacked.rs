@@ -133,7 +133,7 @@ pub fn stacked_shortcut_from(
     // (an instance satisfying the union satisfies every component). One
     // read lock covers every component's check.
     exec.with_provenance_ref(|prov| {
-        components.retain(|c| !prov.succeeding_superset_exists(c));
+        components.retain(|c| !prov.succeeding_superset_exists(&c.canonicalize(&space)));
     });
     let cause = if components.is_empty() {
         None

@@ -8,8 +8,8 @@
 
 use bugdoc_algorithms::{debugging_decision_trees, DdtConfig};
 use bugdoc_core::{
-    Comparator, Conjunction, EvalResult, Instance, Outcome, ParamSpace, Predicate, ProvenanceStore,
-    Value,
+    CanonicalCause, Comparator, Conjunction, EvalResult, Instance, Outcome, ParamSpace, Predicate,
+    ProvenanceStore, Value,
 };
 use bugdoc_dtree::{DecisionTree, TreeConfig};
 use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, Pipeline};
@@ -93,7 +93,8 @@ pub fn random_conjunctions(space: &ParamSpace, n: usize, seed: u64) -> Vec<Conju
 ///   contended hits on the store's read lock; the threads start once, so
 ///   thread start-up is not in the figure;
 /// * `perf/satisfied_by_1k` — support counts for 1 000 candidate conjunctions
-///   over the 10k-run log (reported per conjunction);
+///   over the 10k-run log, each canonicalized before the timed loop
+///   (reported per conjunction);
 /// * `perf/kernel_and_popcount_64k` — the raw fused AND+popcount kernel over
 ///   two 1 024-word operands.
 pub fn bench_hot_paths(c: &mut Criterion) {
@@ -272,11 +273,14 @@ pub fn bench_hot_paths(c: &mut Criterion) {
     });
 
     let prov = provenance_10k(&space);
-    let conjunctions = random_conjunctions(&space, 1_000, 17);
+    let causes: Vec<CanonicalCause> = random_conjunctions(&space, 1_000, 17)
+        .iter()
+        .map(|c| c.canonicalize(&space))
+        .collect();
     group.bench_function("satisfied_by_1k", move |b| {
         b.iter(|| {
             let mut acc = (0usize, 0usize);
-            for c in &conjunctions {
+            for c in &causes {
                 let (f, s) = prov.support(c);
                 acc.0 += f;
                 acc.1 += s;

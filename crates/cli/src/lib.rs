@@ -301,7 +301,13 @@ pub fn run(request: Request) -> Result<String, String> {
             let prov = load_provenance(&spec, provenance.as_deref())?;
             let exec = open_executor(&spec, prov)?;
             let config = BugDocConfig::front_end(strategy, mode, seed);
-            let diagnosis = diagnose(&exec, &config).map_err(|e| e.to_string())?;
+            let diagnosis = diagnose(&exec, &config);
+            // Nothing is evaluated past this point: sync the log's last
+            // appends and release the persist directory on every exit, a
+            // failed diagnosis included. A failed sync is the error to
+            // report, and `--metrics` below shows the final fsync.
+            exec.shutdown().map_err(|e| e.to_string())?;
+            let diagnosis = diagnosis.map_err(|e| e.to_string())?;
 
             let mut out = diagnosis.render_causes(&spec.space);
             let stats = exec.stats();

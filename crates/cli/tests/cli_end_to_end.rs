@@ -153,6 +153,44 @@ fn persist_dir_warm_starts_reruns() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A one-shot `diagnose` with durable provenance syncs its last appends
+/// before it exits, at the default cadence (every 512 appends) too:
+/// `--metrics`, rendered after that sync, counts at least one fsync. The
+/// binary runs in its own process, so no other test's store adds to its
+/// telemetry.
+#[test]
+fn one_shot_diagnose_syncs_its_last_appends() {
+    let dir = workdir("exit-sync");
+    let (spec_path, _) = write_fixture(&dir);
+    let mut spec_text = fs::read_to_string(&spec_path).unwrap();
+    spec_text.push_str(&format!("persist_dir {}\n", dir.join("prov").display()));
+    fs::write(&spec_path, spec_text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bugdoc"))
+        .args(["diagnose", "--spec", &spec_path, "--seed", "3", "--metrics"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let sample = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or(0)
+    };
+    let appends = sample("bugdoc_store_wal_append_ns_count");
+    assert!(appends > 0, "{stdout}");
+    assert!(
+        sample("bugdoc_store_wal_fsync_ns_count") >= 1,
+        "no fsync after {appends} appends:\n{stdout}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// `diagnose --metrics` on the verify skill's step-1 pipeline: the bridged
 /// `bugdoc_executor_new_executions_total` sample equals the new executions
 /// the report's summary line gives.

@@ -81,19 +81,6 @@ impl Conjunction {
         Conjunction { preds }
     }
 
-    /// A new conjunction extended with an extra triple.
-    pub fn and(&self, pred: Predicate) -> Conjunction {
-        let mut preds = self.preds.clone();
-        preds.push(pred);
-        Conjunction::new(preds)
-    }
-
-    /// True if `self`'s triple set is a subset of `other`'s (syntactic — for
-    /// the semantic version canonicalize both sides).
-    pub fn is_syntactic_subset_of(&self, other: &Conjunction) -> bool {
-        self.preds.iter().all(|p| other.preds.contains(p))
-    }
-
     /// The canonical product form over a concrete space.
     pub fn canonicalize(&self, space: &ParamSpace) -> CanonicalCause {
         let mut allowed: BTreeMap<ParamId, Vec<bool>> = BTreeMap::new();
@@ -314,19 +301,6 @@ impl CanonicalCause {
         })
     }
 
-    /// Number of instances in the product set, over the given space.
-    /// Saturates at `u128::MAX`.
-    pub fn count_instances(&self, space: &ParamSpace) -> u128 {
-        space
-            .ids()
-            .map(|p| match self.allowed.get(&p) {
-                Some(mask) => mask.iter().filter(|&&m| m).count() as u128,
-                None => space.domain(p).len() as u128,
-            })
-            .try_fold(1u128, |acc, n| acc.checked_mul(n))
-            .unwrap_or(u128::MAX)
-    }
-
     /// Converts back to the *shortest* predicate conjunction denoting the
     /// same product set. For each parameter the encoder tries, in order:
     /// nothing (full mask — cannot happen here), a single `=`, a single `≤`
@@ -524,16 +498,6 @@ mod tests {
         // Everything implies top; top implies nothing constrained.
         assert!(narrow.implies(&CanonicalCause::top()));
         assert!(!CanonicalCause::top().implies(&narrow));
-    }
-
-    #[test]
-    fn canonical_count_instances() {
-        let s = space();
-        let n = s.by_name("n").unwrap();
-        let c = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 2)]).canonicalize(&s);
-        // n ∈ {1,2} × 3 colors × 2 versions = 12.
-        assert_eq!(c.count_instances(&s), 12);
-        assert_eq!(CanonicalCause::top().count_instances(&s), 30);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `¬(=) is ≠` and `¬(≤) is >`.
 
 use crate::instance::Instance;
-use crate::param::{Domain, ParamId, ParamSpace};
+use crate::param::{ParamId, ParamSpace};
 use crate::value::Value;
 use std::fmt;
 
@@ -114,15 +114,6 @@ impl Predicate {
         }
     }
 
-    /// The subset of `domain` indices whose values satisfy the triple — the
-    /// predicate's extension over a finite universe, used by the canonical
-    /// root-cause form.
-    pub fn allowed_indices(&self, domain: &Domain) -> Vec<usize> {
-        (0..domain.len())
-            .filter(|&i| self.cmp.apply(domain.value(i), &self.value))
-            .collect()
-    }
-
     /// Renders the triple with the parameter's name.
     pub fn display<'a>(&'a self, space: &'a ParamSpace) -> PredicateDisplay<'a> {
         PredicateDisplay {
@@ -199,33 +190,30 @@ mod tests {
         assert!(Predicate::new(color, Comparator::Neq, "blue").satisfied_by(&inst));
     }
 
+    /// A triple's extension over a finite universe is the mask its
+    /// one-triple conjunction canonicalizes to.
     #[test]
     fn allowed_indices_extension() {
         let s = space();
         let n = s.by_name("n").unwrap();
-        let dom = s.domain(n);
+        let mask = |cmp, v: i64| {
+            crate::Conjunction::new(vec![Predicate::new(n, cmp, v)])
+                .canonicalize(&s)
+                .mask(n)
+                .map(<[bool]>::to_vec)
+        };
+        let (t, f) = (true, false);
         // n ≤ 3 over {1,2,3,4,5} -> indices {0,1,2}
-        assert_eq!(
-            Predicate::new(n, Comparator::Le, 3).allowed_indices(dom),
-            vec![0, 1, 2]
-        );
+        assert_eq!(mask(Comparator::Le, 3), Some(vec![t, t, t, f, f]));
         // n > 4 -> {4}
-        assert_eq!(
-            Predicate::new(n, Comparator::Gt, 4).allowed_indices(dom),
-            vec![4]
-        );
+        assert_eq!(mask(Comparator::Gt, 4), Some(vec![f, f, f, f, t]));
         // n ≠ 1 -> {1,2,3,4}
-        assert_eq!(
-            Predicate::new(n, Comparator::Neq, 1).allowed_indices(dom),
-            vec![1, 2, 3, 4]
-        );
+        assert_eq!(mask(Comparator::Neq, 1), Some(vec![f, t, t, t, t]));
         // Reference value outside the domain still has a well-defined extension:
-        // n ≤ 0 -> {} (unsatisfiable), n > 0 -> all.
-        assert!(Predicate::new(n, Comparator::Le, 0).allowed_indices(dom).is_empty());
-        assert_eq!(
-            Predicate::new(n, Comparator::Gt, 0).allowed_indices(dom).len(),
-            5
-        );
+        // n ≤ 0 -> {} (unsatisfiable), n > 0 -> all, which leaves n
+        // unconstrained.
+        assert_eq!(mask(Comparator::Le, 0), Some(vec![f; 5]));
+        assert_eq!(mask(Comparator::Gt, 0), None);
     }
 
     #[test]

@@ -45,11 +45,12 @@
 //! # Query paths
 //!
 //! Every query runs on the calling thread and is one exact scan over the
-//! filled words of the rows it reads. A conjunction is resolved once into a
-//! per-predicate plan of value ranges — `=`/`≤`/`>`/`≠` all reduce to at
-//! most two contiguous ranges of the domain order. Its satisfying runs are
-//! the OR of each predicate's allowed rows, ANDed across predicates by the
-//! fused [`kernels`], so [`support`](ProvenanceStore::support) and
+//! filled words of the rows it reads. A cause arrives canonical
+//! ([`CanonicalCause`]): for each constrained parameter, the mask of the
+//! domain values it allows. Its satisfying runs are, per constrained
+//! parameter, one OR of the value rows the mask allows, ANDed across
+//! parameters by the fused [`kernels`], so
+//! [`support`](ProvenanceStore::support) and
 //! [`succeeding_superset_exists`](ProvenanceStore::succeeding_superset_exists)
 //! are word-parallel bit operations over the log instead of per-run
 //! predicate interpretation. `support` popcounts that set against the
@@ -57,12 +58,11 @@
 //! runs.
 
 use crate::bitset::RunSet;
-use crate::cause::Conjunction;
+use crate::cause::{CanonicalCause, Conjunction};
 use crate::instance::Instance;
 use crate::kernels;
 use crate::outcome::{EvalResult, Outcome};
-use crate::param::{Domain, ParamSpace};
-use crate::predicate::{Comparator, Predicate};
+use crate::param::ParamSpace;
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -227,54 +227,6 @@ impl KeyIndex {
             self.slots[i] = slot;
         }
     }
-}
-
-/// A predicate's allowed value indices as maximal contiguous inclusive
-/// `[lo, hi]` ranges, ascending. Every comparator's extension over a domain
-/// is at most two ranges — equality is a point, its complement two pieces,
-/// `≤`/`>` a prefix/suffix of the sorted ordinal order — so the common case
-/// stores inline without allocating; only the degenerate fallback (an order
-/// comparator applied to an unordered domain) can spill.
-enum Ranges {
-    Inline(u8, [(u32, u32); 2]),
-    Spill(Vec<(u32, u32)>),
-}
-
-impl Ranges {
-    const EMPTY: Ranges = Ranges::Inline(0, [(0, 0); 2]);
-
-    fn push(&mut self, r: (u32, u32)) {
-        match self {
-            Ranges::Inline(n, arr) => {
-                if (*n as usize) < arr.len() {
-                    // lint: allow(W003, reason = "guarded by the bounds check on the line above")
-                    arr[*n as usize] = r;
-                    *n += 1;
-                } else {
-                    let mut v = arr.to_vec();
-                    v.push(r);
-                    *self = Ranges::Spill(v);
-                }
-            }
-            Ranges::Spill(v) => v.push(r),
-        }
-    }
-
-    fn as_slice(&self) -> &[(u32, u32)] {
-        match self {
-            // lint: allow(W003, reason = "push keeps n <= arr.len(), spilling to the Vec variant before it could exceed the inline capacity")
-            Ranges::Inline(n, arr) => &arr[..*n as usize],
-            Ranges::Spill(v) => v,
-        }
-    }
-}
-
-/// One predicate of a conjunction, resolved against the value index: the
-/// row of its parameter's first value and its allowed values as contiguous
-/// ranges, a range `[lo, hi]` standing for rows `base + lo ..= base + hi`.
-struct PredPlan {
-    base: usize,
-    ranges: Ranges,
 }
 
 /// One recorded execution, with its instance built: what [`Runs::iter`]
@@ -527,105 +479,31 @@ impl ProvenanceStore {
         &self.bits[at..at + words]
     }
 
-    /// A predicate's extension as contiguous ranges, without scanning the
-    /// domain: equality and its complement are one hash probe
-    /// ([`Domain::exact_index_of`] — the same `==` semantics
-    /// [`Predicate::allowed_indices`] applies), `≤`/`>` on an ordinal domain
-    /// are a `partition_point` over the values (sorted by the very order the
-    /// comparator uses). Only an order comparator on an unordered domain —
-    /// constructible but meaningless — falls back to the `O(len)` scan.
-    // lint: allow(W003, reason = "the contiguous-run walk only reads allowed[k] under k < allowed.len() checks on the enclosing loop conditions", scope = "block")
-    fn pred_ranges(pred: &Predicate, domain: &Domain) -> Ranges {
-        let len = domain.len() as u32;
-        let mut ranges = Ranges::EMPTY;
-        if len == 0 {
-            return ranges;
-        }
-        match pred.cmp {
-            Comparator::Eq => {
-                if let Some(i) = domain.exact_index_of(&pred.value) {
-                    ranges.push((i as u32, i as u32));
-                }
-            }
-            Comparator::Neq => match domain.exact_index_of(&pred.value) {
-                Some(i) => {
-                    let i = i as u32;
-                    if i > 0 {
-                        ranges.push((0, i - 1));
-                    }
-                    if i + 1 < len {
-                        ranges.push((i + 1, len - 1));
-                    }
-                }
-                None => ranges.push((0, len - 1)),
-            },
-            Comparator::Le | Comparator::Gt if domain.is_ordinal() => {
-                let k = domain.values().partition_point(|x| x <= &pred.value) as u32;
-                if pred.cmp == Comparator::Le {
-                    if k > 0 {
-                        ranges.push((0, k - 1));
-                    }
-                } else if k < len {
-                    ranges.push((k, len - 1));
-                }
-            }
-            _ => {
-                // Contiguous-run split of the interpretive extension.
-                let allowed = pred.allowed_indices(domain);
-                debug_assert!(allowed.windows(2).all(|w| w[0] < w[1]));
-                let mut k = 0;
-                while k < allowed.len() {
-                    let lo = allowed[k];
-                    let mut hi = lo;
-                    while k + 1 < allowed.len() && allowed[k + 1] == hi + 1 {
-                        k += 1;
-                        hi = allowed[k];
-                    }
-                    ranges.push((lo as u32, hi as u32));
-                    k += 1;
-                }
-            }
-        }
-        debug_assert_eq!(
-            ranges
-                .as_slice()
-                .iter()
-                .flat_map(|&(lo, hi)| lo as usize..=hi as usize)
-                .collect::<Vec<_>>(),
-            pred.allowed_indices(domain),
-            "range fast path diverged from the interpretive extension"
-        );
-        ranges
-    }
-
-    /// Resolves each predicate of a non-empty conjunction once against the
-    /// index layout — the plan the exact scans read.
-    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the predicate is drawn from", scope = "block")
-    fn plan_predicates(&self, cause: &Conjunction) -> Vec<PredPlan> {
-        cause
-            .predicates()
-            .iter()
-            .map(|pred| PredPlan {
-                base: self.offsets[pred.param.index()] as usize,
-                ranges: Self::pred_ranges(pred, self.space.domain(pred.param)),
-            })
-            .collect()
-    }
-
-    /// The runs satisfying a planned non-empty conjunction, as a bitset of
-    /// the log's filled words (`len().div_ceil(64)`): per predicate the
-    /// OR of the rows it allows, ANDed across predicates by the fused
-    /// [`kernels`]. `None` when no run satisfies; the AND stops at the
-    /// first predicate that empties it.
-    fn matching_runs(&self, preds: &[PredPlan]) -> Option<Vec<u64>> {
+    /// The runs in a cause's product set, as a bitset of the log's filled
+    /// words (`len().div_ceil(64)`): per constrained parameter the OR of the
+    /// value rows its mask allows, ANDed across parameters by the fused
+    /// [`kernels`]. `None` when no run lies in the set; the AND stops at the
+    /// first parameter that empties it. The cause must constrain some
+    /// parameter, with masks over this store's space.
+    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the cause's masks are drawn over", scope = "block")
+    fn matching_runs(&self, cause: &CanonicalCause) -> Option<Vec<u64>> {
         let words = self.len().div_ceil(64);
         let mut acc = vec![0u64; words];
         let mut rows: Vec<&[u64]> = Vec::new();
-        for (i, p) in preds.iter().enumerate() {
+        for (i, (p, mask)) in cause.masks().iter().enumerate() {
+            debug_assert_eq!(
+                mask.len(),
+                self.space.domain(*p).len(),
+                "mask over another space"
+            );
+            let base = self.offsets[p.index()] as usize;
             rows.clear();
-            for &(lo, hi) in p.ranges.as_slice() {
-                rows.extend((lo as usize..=hi as usize).map(|v| self.row(p.base + v, words)));
-            }
+            rows.extend(
+                mask.iter()
+                    .enumerate()
+                    .filter(|&(_, &allowed)| allowed)
+                    .map(|(v, _)| self.row(base + v, words)),
+            );
             if i == 0 {
                 kernels::or_multi_into(&mut acc, &rows);
             } else {
@@ -940,21 +818,21 @@ impl ProvenanceStore {
     /// *succeeding* run whose parameter-values are a superset of the
     /// hypothetical root cause `D`? If so, `D` is not definitive. The
     /// satisfying set is tested against the succeeding runs.
-    pub fn succeeding_superset_exists(&self, cause: &Conjunction) -> bool {
-        if cause.is_empty() {
+    pub fn succeeding_superset_exists(&self, cause: &CanonicalCause) -> bool {
+        if cause.is_top() {
             return !self.succeed_bits.is_empty();
         }
-        self.matching_runs(&self.plan_predicates(cause))
+        self.matching_runs(cause)
             .is_some_and(|acc| kernels::and_any(&acc, self.succeed_bits.words()))
     }
 
-    /// Counts `(failing, succeeding)` runs satisfying a conjunction — fused
+    /// Counts `(failing, succeeding)` runs satisfying a cause — fused
     /// AND+popcount of the satisfying set against the outcome bitsets.
-    pub fn support(&self, cause: &Conjunction) -> (usize, usize) {
-        if cause.is_empty() {
+    pub fn support(&self, cause: &CanonicalCause) -> (usize, usize) {
+        if cause.is_top() {
             return (self.num_failing(), self.num_succeeding());
         }
-        match self.matching_runs(&self.plan_predicates(cause)) {
+        match self.matching_runs(cause) {
             Some(acc) => (
                 kernels::and_popcount(&acc, self.fail_bits.words()),
                 kernels::and_popcount(&acc, self.succeed_bits.words()),
@@ -1142,15 +1020,16 @@ impl ProvenanceStore {
         self.by_key.reserve(additional);
     }
 
-    /// [`support`](Self::support): exact counts are admissible bounds.
+    /// [`support`](Self::support) of the conjunction's canonical form:
+    /// exact counts are admissible bounds.
     pub fn support_bounds(&self, cause: &Conjunction) -> (usize, usize) {
-        self.support(cause)
+        self.support(&cause.canonicalize(&self.space))
     }
 
-    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists):
-    /// the same scan.
+    /// [`succeeding_superset_exists`](Self::succeeding_superset_exists) of
+    /// the conjunction's canonical form: the same scan.
     pub fn succeeding_superset_exists_exact(&self, cause: &Conjunction) -> bool {
-        self.succeeding_superset_exists(cause)
+        self.succeeding_superset_exists(&cause.canonicalize(&self.space))
     }
 }
 
@@ -1438,10 +1317,10 @@ mod tests {
         let version = s.by_name("Version").unwrap();
         // D = {Version = 1}: (Iris,LR,1) succeeded and contains it.
         let d1 = Conjunction::new(vec![Predicate::eq(version, 1)]);
-        assert!(p.succeeding_superset_exists(&d1));
+        assert!(p.succeeding_superset_exists(&d1.canonicalize(&s)));
         // D = {Version = 2}: the only run with version 2 failed.
         let d2 = Conjunction::new(vec![Predicate::eq(version, 2)]);
-        assert!(!p.succeeding_superset_exists(&d2));
+        assert!(!p.succeeding_superset_exists(&d2.canonicalize(&s)));
     }
 
     #[test]
@@ -1450,8 +1329,8 @@ mod tests {
         let p = table1(&s);
         let ds = s.by_name("Dataset").unwrap();
         let c = Conjunction::new(vec![Predicate::eq(ds, Value::from("Iris"))]);
-        assert_eq!(p.support(&c), (1, 1));
-        assert_eq!(p.support(&Conjunction::top()), (1, 2));
+        assert_eq!(p.support(&c.canonicalize(&s)), (1, 1));
+        assert_eq!(p.support(&CanonicalCause::top()), (1, 2));
     }
 
     /// A 300-run log, which crosses the value index's capacity doublings at
@@ -1471,15 +1350,18 @@ mod tests {
         (s, p)
     }
 
-    /// `support` and `succeeding_superset_exists` against per-run
-    /// interpretation on a 300-run log, which crosses the value index's
-    /// capacity doublings at 64, 128 and 256 runs.
+    /// `support` and `succeeding_superset_exists` of each conjunction's
+    /// canonical form against per-run interpretation of the conjunction on
+    /// a 300-run log, which crosses the value index's capacity doublings at
+    /// 64, 128 and 256 runs. The causes include an unsatisfiable one and
+    /// predicates that allow a whole domain.
     #[test]
     fn queries_match_per_run_interpretation() {
         let (s, p) = log_300();
         let x = s.by_name("x").unwrap();
         let y = s.by_name("y").unwrap();
         let z = s.by_name("z").unwrap();
+        let whole_y = Predicate::new(y, crate::Comparator::Le, 7i64);
         let causes = (0..16)
             .map(|v| {
                 let mut preds = vec![Predicate::eq(x, v as i64)];
@@ -1494,15 +1376,22 @@ mod tests {
             .chain([
                 Conjunction::new(vec![Predicate::new(x, crate::Comparator::Le, 3i64)]),
                 Conjunction::top(),
+                Conjunction::new(vec![
+                    Predicate::new(x, crate::Comparator::Le, 2i64),
+                    Predicate::new(x, crate::Comparator::Gt, 5i64),
+                ]),
+                Conjunction::new(vec![whole_y.clone()]),
+                Conjunction::new(vec![whole_y, Predicate::eq(z, "c")]),
             ]);
         for cause in causes {
             let matching = || p.runs().iter().filter(|r| cause.satisfied_by(&r.instance));
             let failing = matching().filter(|r| r.outcome().is_fail()).count();
             let succeeding = matching().filter(|r| r.outcome().is_succeed()).count();
             let shown = cause.display(&s).to_string();
-            assert_eq!(p.support(&cause), (failing, succeeding), "{shown}");
+            let canon = cause.canonicalize(&s);
+            assert_eq!(p.support(&canon), (failing, succeeding), "{shown}");
             assert_eq!(
-                p.succeeding_superset_exists(&cause),
+                p.succeeding_superset_exists(&canon),
                 succeeding > 0,
                 "{shown}"
             );

@@ -69,7 +69,8 @@ pub fn score_assertions(
 /// Precision / recall / F-measure triple.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
-    /// Precision in [0, 1] (1.0 when nothing was asserted and nothing found).
+    /// Precision in [0, 1]; 0.0 when nothing was asserted, so a run that
+    /// asserts nothing earns no precision.
     pub precision: f64,
     /// Recall in [0, 1].
     pub recall: f64,

@@ -1,9 +1,10 @@
 //! Differential conformance suite: the provenance store's bitset /
 //! dense-key query paths against a naive interpretive oracle.
 //!
-//! The store answers `support` and `succeeding_superset_exists` with
+//! The store answers `support` and `succeeding_superset_exists` for a
+//! conjunction's canonical form (`Conjunction::canonicalize`) with
 //! word-parallel bit operations over one flat (parameter, value) bitset
-//! index.
+//! index; the oracle interprets the conjunction itself.
 //! Delta-debugging-style systems are only trustworthy when such fast paths
 //! are provably equivalent to exact per-run interpretation, so every case
 //! here replays a random parameter space and run log through both a
@@ -124,15 +125,16 @@ fn assert_conformance(
     causes.extend((0..20).map(|_| random_conjunction(space, rng)));
     for cause in &causes {
         let shown = cause.display(space).to_string();
+        let canon = cause.canonicalize(space);
         prop_assert_eq!(
-            store.support(cause),
+            store.support(&canon),
             oracle.support(cause),
             "support mismatch for {} ({})",
             shown,
             context
         );
         prop_assert_eq!(
-            store.succeeding_superset_exists(cause),
+            store.succeeding_superset_exists(&canon),
             oracle.succeeding_superset_exists(cause),
             "superset mismatch for {} ({})",
             shown,
@@ -191,6 +193,7 @@ proptest! {
         for _ in 0..20 {
             let cause = random_conjunction(&space, &mut rng);
             let shown = cause.display(&space).to_string();
+            let cause = cause.canonicalize(&space);
             prop_assert_eq!(
                 parsed.support(&cause),
                 store.support(&cause),

@@ -5,6 +5,7 @@
 
 // Selective import: `bugdoc::prelude::Strategy` (the driver enum) would
 // shadow proptest's `Strategy` trait under a glob.
+use bugdoc::core::CanonicalCause;
 use bugdoc::prelude::{
     shortcut, Comparator, Conjunction, Dnf, EvalResult, Executor, ExecutorConfig, FnPipeline,
     Instance, Outcome, ParamId, ParamSpace, Pipeline, Predicate, ShortcutConfig,
@@ -12,6 +13,7 @@ use bugdoc::prelude::{
 use bugdoc::qm;
 use bugdoc::synth::Truth;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A small random space: 2–4 parameters, 2–5 values, mixed kinds.
@@ -56,6 +58,59 @@ fn arb_dnf(space: Arc<ParamSpace>) -> impl Strategy<Value = Dnf> {
     let pred = arb_predicate(space);
     proptest::collection::vec(proptest::collection::vec(pred, 1..=3), 1..=3)
         .prop_map(|conjs| Dnf::new(conjs.into_iter().map(Conjunction::new).collect()))
+}
+
+/// One parameter's mask for [`canonical_masks_round_trip`], by `shape`:
+/// unconstrained, one pinned value, every value but one, or a scattered
+/// subset (the low bits of `bits`, which may allow none of the values or
+/// all of them).
+fn shaped_mask(n_values: usize, shape: u32, bits: u64) -> Option<Vec<bool>> {
+    let at = (bits % n_values as u64) as usize;
+    match shape {
+        0 => None,
+        1 => Some((0..n_values).map(|i| i == at).collect()),
+        2 => Some((0..n_values).map(|i| i != at).collect()),
+        _ => Some((0..n_values).map(|i| bits >> i & 1 == 1).collect()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `to_conjunction` is exact on masks drawn directly, not only on the
+    /// masks a few predicates over small domains can spell: single pins,
+    /// all-but-one and scattered subsets over ordinal and categorical
+    /// domains of 2–30 values come back unchanged through `canonicalize`.
+    #[test]
+    fn canonical_masks_round_trip(
+        params in proptest::collection::vec(
+            (2usize..=30, any::<bool>(), 0u32..4, any::<u64>()),
+            1..=4,
+        )
+    ) {
+        let mut builder = ParamSpace::builder();
+        for (i, &(n_values, ordinal, _, _)) in params.iter().enumerate() {
+            builder = if ordinal {
+                builder.ordinal(format!("p{i}"), (0..n_values as i64).collect::<Vec<_>>())
+            } else {
+                builder.categorical(
+                    format!("p{i}"),
+                    (0..n_values).map(|v| format!("v{v}")).collect::<Vec<_>>(),
+                )
+            };
+        }
+        let space = builder.build();
+        let masks: BTreeMap<ParamId, Vec<bool>> = params
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(n_values, _, shape, bits))| {
+                Some((ParamId(i as u32), shaped_mask(n_values, shape, bits)?))
+            })
+            .collect();
+        let cause = CanonicalCause::from_masks(&space, masks);
+        let round = cause.to_conjunction(&space);
+        prop_assert_eq!(round.canonicalize(&space), cause, "{}", round.display(&space));
+    }
 }
 
 proptest! {
@@ -268,7 +323,7 @@ mod stacked_properties {
                 if let Some(cause) = report.cause {
                     prop_assert!(cause.satisfied_by(&cp_f));
                     exec.with_provenance_ref(|p| {
-                        prop_assert!(!p.succeeding_superset_exists(&cause));
+                        prop_assert!(!p.succeeding_superset_exists(&cause.canonicalize(p.space())));
                         Ok(())
                     })?;
                 }
