@@ -13,7 +13,12 @@
 //!    parameter values from which new experiments will be sampled": satisfying
 //!    instances are executed (in parallel); if every one fails, the suspect is
 //!    asserted a definitive root cause; if any succeeds, the tree is rebuilt
-//!    over the enlarged history and a new suspect is tried.
+//!    over the enlarged history and a new suspect is tried. The tree is
+//!    fitted once, and a rebuild is a refit
+//!    ([`ProvenanceTree::refit`](bugdoc_dtree::ProvenanceTree::refit)): it
+//!    takes in only the runs recorded since the last fit and regrows only
+//!    the subtrees they change, and it grows the tree a fit over the whole
+//!    history would.
 //!
 //! The tree is "used in an unusual way": not to predict, but to surface
 //! short paths to failure; accordingly suspects are tried shortest-first and,
@@ -23,7 +28,7 @@
 
 use crate::error::AlgoError;
 use bugdoc_core::{CanonicalCause, Conjunction, Dnf, Instance, Outcome, ParamSpace, ProvenanceStore};
-use bugdoc_dtree::{DecisionTree, TreeConfig};
+use bugdoc_dtree::{ProvenanceTree, TreeConfig};
 use bugdoc_engine::{ExecError, Executor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,7 +140,9 @@ pub struct DdtReport {
     pub causes: Dnf,
     /// New pipeline executions consumed.
     pub new_executions: usize,
-    /// Tree rebuilds triggered by refuted suspects.
+    /// Tree rebuilds (refits, see step 3 of the module docs) triggered by
+    /// refuted suspects. The refits that follow a FindAll exploration round
+    /// that found a new failure are not counted.
     pub rebuilds: usize,
     /// False if the run stopped on budget exhaustion.
     pub complete: bool,
@@ -191,15 +198,18 @@ pub fn debugging_decision_trees(
     let mut confirmed_canon: Vec<CanonicalCause> = Vec::new();
     let mut rebuilds = 0;
     let mut exploration_left = config.exploration_rounds;
+    // Fit from the store's key arena and failing-runs bitset under its read
+    // lock. No row vector is built first, so the lock covers the fit alone.
+    let mut tree =
+        exec.with_provenance_ref(|prov| ProvenanceTree::fit(prov, &TreeConfig::default()));
 
     'outer: loop {
-        // Fit from the store's key arena and failing-runs bitset under its
-        // read lock. No row vector is built first, so the lock covers the
-        // fit alone.
-        let tree = exec
-            .with_provenance_ref(|prov| DecisionTree::fit_provenance(prov, &TreeConfig::default()));
+        // Rebuild over the enlarged history: refit with the runs recorded
+        // since the last fit (none on the first pass), this session's and
+        // any other's, under the same read lock.
+        exec.with_provenance_ref(|prov| tree.refit(prov));
 
-        for path in tree.fail_paths() {
+        for path in tree.tree().fail_paths() {
             // Simplify the raw tree path to its shortest equivalent form.
             let canon = path.conjunction.canonicalize(&space);
             if canon.is_unsatisfiable() || canon.is_top() {

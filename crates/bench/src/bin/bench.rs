@@ -32,6 +32,9 @@
 //!   deep-history-shaped log of 32,768 dense-keyed runs
 //! * `perf/dtree_fit_provenance_32k` — the same fit from that log recorded
 //!   in a provenance store (DDT's path: the store's key arena, no rows)
+//! * `perf/dtree_refit_32k` — one refit of that store's tree after 32 more
+//!   runs are recorded (DDT's rebuild after a refuted suspect; the fit and
+//!   the appends are untimed)
 
 use bugdoc_bench::perf;
 use criterion::Criterion;

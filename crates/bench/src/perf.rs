@@ -11,7 +11,7 @@ use bugdoc_core::{
     CanonicalCause, Comparator, Conjunction, EvalResult, Instance, Outcome, ParamSpace, Predicate,
     ProvenanceStore, Value,
 };
-use bugdoc_dtree::{DecisionTree, TreeConfig};
+use bugdoc_dtree::{DecisionTree, ProvenanceTree, TreeConfig};
 use bugdoc_engine::{Executor, ExecutorConfig, FnPipeline, Pipeline};
 use bugdoc_synth::{CauseScenario, SynthConfig, SyntheticPipeline};
 use criterion::Criterion;
@@ -439,12 +439,16 @@ pub fn bench_ddt_end_to_end(c: &mut Criterion) {
 /// `deep-history` e2ebench workload's log.
 const TREE_FIT_ROWS: usize = 32_768;
 
+/// Runs appended to the fitted log before `perf/dtree_refit_32k`'s refit.
+const REFIT_ROWS: usize = 32;
+
 /// A training log shaped like the `deep-history` workload's: a 10-parameter
 /// synthetic pipeline of 10–20 values per parameter whose failures are a
 /// two-conjunct disjunction (the first plant, in seed order, failing on
-/// 7–13% of the space), and [`TREE_FIT_ROWS`] dense-keyed instances drawn
-/// uniformly from its space, labelled fail = 1 / succeed = 0.
-fn deep_history_rows() -> (Arc<ParamSpace>, Vec<(Instance, f64)>) {
+/// 7–13% of the space), and `n` dense-keyed instances drawn uniformly from
+/// its space, labelled fail = 1 / succeed = 0. A longer log starts with the
+/// rows of a shorter one.
+fn deep_history_rows(n: usize) -> (Arc<ParamSpace>, Vec<(Instance, f64)>) {
     let config = SynthConfig {
         n_params: (10, 10),
         n_values: (10, 20),
@@ -459,7 +463,7 @@ fn deep_history_rows() -> (Arc<ParamSpace>, Vec<(Instance, f64)>) {
         .expect("an endless search finds a plant");
     let space = Pipeline::space(&pipe).clone();
     let mut rng = StdRng::seed_from_u64(29);
-    let rows = (0..TREE_FIT_ROWS)
+    let rows = (0..n)
         .map(|_| {
             let key: Vec<u32> = space
                 .ids()
@@ -478,14 +482,24 @@ fn deep_history_rows() -> (Arc<ParamSpace>, Vec<(Instance, f64)>) {
 /// * `perf/dtree_fit_32k` — one full (unpruned) `DecisionTree::fit` over a
 ///   deep-history-shaped log of 32,768 dense-keyed instances;
 /// * `perf/dtree_fit_provenance_32k` — the same log recorded into a
-///   provenance store, fitted with `DecisionTree::fit_provenance`: the fit
-///   DDT runs after every refuted suspect, at the log size the
-///   `deep-history` workload reaches.
+///   provenance store, fitted with `DecisionTree::fit_provenance`: the
+///   full fit DDT runs once per diagnosis, at the log size the
+///   `deep-history` workload reaches;
+/// * `perf/dtree_refit_32k` — one `ProvenanceTree::refit` of that store's
+///   tree after 32 more runs are recorded: the refit DDT runs after a
+///   refuted suspect. The fit and the appends happen before each timed
+///   refit, untimed.
 pub fn bench_tree_fit(c: &mut Criterion) {
-    let (space, rows) = deep_history_rows();
+    let (space, mut rows) = deep_history_rows(TREE_FIT_ROWS + REFIT_ROWS);
+    let appended = rows.split_off(TREE_FIT_ROWS);
     let mut prov = ProvenanceStore::new(space.clone());
     for (instance, y) in &rows {
         prov.record(instance.clone(), Outcome::from_check(*y == 0.0).into());
+    }
+    let fitted = ProvenanceTree::fit(&prov, &TreeConfig::default());
+    let mut grown = prov.clone();
+    for (instance, y) in &appended {
+        grown.record(instance.clone(), Outcome::from_check(*y == 0.0).into());
     }
     let mut group = c.benchmark_group("perf");
     group
@@ -497,6 +511,15 @@ pub fn bench_tree_fit(c: &mut Criterion) {
     });
     group.bench_function("dtree_fit_provenance_32k", move |b| {
         b.iter(|| DecisionTree::fit_provenance(&prov, &TreeConfig::default()))
+    });
+    group.bench_function("dtree_refit_32k", move |b| {
+        b.iter_with_setup(
+            || fitted.clone(),
+            |mut tree| {
+                tree.refit(&grown);
+                tree
+            },
+        )
     });
     group.finish();
 }

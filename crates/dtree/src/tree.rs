@@ -62,11 +62,52 @@
 //! equal row-by-row sums in any order, a child's statistics read off its
 //! parent's split equal its rows' sums, and the search picks the split that
 //! evaluating each test row by row would.
+//!
+//! # Refits
+//!
+//! DDT fits its tree once per diagnosis and refits it after the store
+//! grows, in the manner of incremental tree induction (Utgoff, Berkman and
+//! Clouse, "Decision Tree Induction Based on Efficient Tree Restructuring",
+//! *Machine Learning* 29, 1997). A [`ProvenanceTree`] keeps, beside the
+//! tree, every node's label statistics, every split node's histogram and
+//! test by domain index, the labels, and the row ids laid out so that every
+//! node's rows are one contiguous slice. (A plain [`DecisionTree::fit`], and
+//! with it the forest, hands each histogram on to the children instead.)
+//! Its first fit is [`DecisionTree::fit_provenance`]'s.
+//!
+//! A refit walks the tree top-down with the runs recorded since the last
+//! fit. At a split node it adds them to the histogram and statistics and
+//! runs the split search again; when the search picks the same (parameter,
+//! value), it routes them to the children by the rank test `grow`
+//! partitions with. A leaf adds them to its statistics and stays a leaf
+//! when `grow` would stop there before searching (too few rows, pure, at the
+//! depth cap). A split whose test changed, and a leaf that may split now,
+//! are regrown by `grow` over their old and new rows; a regrown split node
+//! starts from its updated histogram. A subtree no new run reaches is left
+//! as it is. The row ids are laid out anew on the way, in a new buffer.
+//!
+//! The refit grows the tree a fit over the whole store grows, node for node.
+//! A subtree depends only on its rows, its depth and the config. Where no
+//! new run arrives, the rows are the same. Where new runs arrive, the
+//! updated histogram holds the old rows' sums plus the new rows', and with
+//! 0/1 labels every bucket sum is an exact integer in `f64`, so it equals
+//! the histogram a fit scans. The search over it then picks the fit's test,
+//! and a kept test sends each row where the fit sends it. A leaf's purity is
+//! read off its statistics: its labels sum to 0 or to its count. Debug
+//! builds compare every refit with a fresh fit.
+//!
+//! For P parameters of at most V codes, a refit costs O(depth · P) per new
+//! run for the walk and the histogram updates, one O(P·V) split search per
+//! kept split node that new runs reach, and one copy of the row ids. A
+//! regrow costs what fitting the regrown node's rows costs: one histogram
+//! scan of them (none at a split node, which has its histogram), then the
+//! fit below. A succeeding run inside a pure-fail leaf regrows that leaf
+//! over its rows; a changed root test regrows the whole tree.
 
 use bugdoc_core::{
     Comparator, Conjunction, Domain, Instance, ParamId, ParamSpace, Predicate, ProvenanceStore,
 };
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 /// Training configuration.
@@ -202,45 +243,19 @@ impl DecisionTree {
             codes.extend_from_slice(key);
         }
         let labels: Vec<f64> = rows.iter().map(|(_, y)| *y).collect();
-        let ids: Vec<u32> = (0..rows.len() as u32).collect();
+        let mut ids: Vec<u32> = (0..rows.len() as u32).collect();
         let node = Stats::of(&labels, &ids);
-        Grower::fit(space, config, sampler, Cow::Owned(codes), labels, node, None)
+        let mut grower = Grower::new(space, config, sampler, &codes, &labels, false);
+        let (root, _) = grower.grow(&mut ids, 0, node, None);
+        DecisionTree { root }
     }
 
     /// Fits a tree over every run of a provenance store, labelled fail = 1 /
-    /// succeed = 0 — the tree DDT grows after each refuted suspect. The
-    /// store's key arena is the code matrix (see the module docs), borrowed
-    /// as it is, and the labels come from its failing-runs bitset, so no
-    /// run's instance is built. The root's statistics and histogram come
-    /// from the store's outcome counts and per-value support, so no key is
-    /// read until the root's children are split. The tree equals
-    /// [`fit`](Self::fit) over [`runs`](ProvenanceStore::runs) with those
-    /// labels.
+    /// succeed = 0: the first fit of a [`ProvenanceTree`], whose tree it
+    /// returns. The tree equals [`fit`](Self::fit) over
+    /// [`runs`](ProvenanceStore::runs) with those labels.
     pub fn fit_provenance(prov: &ProvenanceStore, config: &TreeConfig) -> Self {
-        assert!(!prov.is_empty(), "cannot fit a tree on zero rows");
-        let mut labels = vec![0.0; prov.len()];
-        for r in prov.failing_runs().ones() {
-            labels[r] = 1.0;
-        }
-        // A 0/1 label's square is itself, so Σy² = Σy = the failing count.
-        let failing = prov.num_failing() as f64;
-        let node = Stats {
-            n: prov.len(),
-            sum: failing,
-            sum_sq: failing,
-        };
-        let root = prov
-            .value_support()
-            .into_iter()
-            .map(|(f, s)| Stats {
-                n: f + s,
-                sum: f as f64,
-                sum_sq: f as f64,
-            })
-            .collect();
-        let codes = Cow::Borrowed(prov.key_arena());
-        let sampler = &mut AllFeatures;
-        Grower::fit(prov.space(), config, sampler, codes, labels, node, Some(root))
+        ProvenanceTree::fit(prov, config).tree
     }
 
     /// The root node.
@@ -329,6 +344,121 @@ impl DecisionTree {
         }
         walk(&self.root, space, 0, &mut out);
         out
+    }
+}
+
+/// A decision tree over a provenance store's runs, labelled fail = 1 /
+/// succeed = 0, that [`refit`](Self::refit) brings up to date with the runs
+/// recorded since its last fit instead of fitting the whole log again (see
+/// "Refits" in the module docs). Every node considers every parameter.
+#[derive(Clone)]
+pub struct ProvenanceTree {
+    tree: DecisionTree,
+    /// The statistics, tests and histograms behind `tree`'s nodes.
+    kept: Kept,
+    config: TreeConfig,
+    /// Run id → label, for every fitted run.
+    labels: Vec<f64>,
+    /// The fitted run ids, every node's rows one contiguous slice, in tree
+    /// order (a split's yes rows before its no rows).
+    ids: Vec<u32>,
+}
+
+impl ProvenanceTree {
+    /// Fits a tree over every run of `prov`. The store's key arena is the
+    /// code matrix (see the module docs), borrowed as it is, and the labels
+    /// come from its failing-runs bitset, so no run's instance is built. The
+    /// root's statistics and histogram come from the store's outcome counts
+    /// and per-value support, so no key is read until the root's children
+    /// are split.
+    pub fn fit(prov: &ProvenanceStore, config: &TreeConfig) -> Self {
+        assert!(!prov.is_empty(), "cannot fit a tree on zero rows");
+        let mut labels = vec![0.0; prov.len()];
+        for r in prov.failing_runs().ones() {
+            labels[r] = 1.0;
+        }
+        // A 0/1 label's square is itself, so Σy² = Σy = the failing count.
+        let failing = prov.num_failing() as f64;
+        let node = Stats {
+            n: prov.len(),
+            sum: failing,
+            sum_sq: failing,
+        };
+        let root = prov
+            .value_support()
+            .into_iter()
+            .map(|(f, s)| Stats {
+                n: f + s,
+                sum: f as f64,
+                sum_sq: f as f64,
+            })
+            .collect();
+        let mut ids: Vec<u32> = (0..prov.len() as u32).collect();
+        let sampler = &mut AllFeatures;
+        let mut grower = Grower::new(
+            prov.space(),
+            config,
+            sampler,
+            prov.key_arena(),
+            &labels,
+            true,
+        );
+        let (root, kept) = grower.grow(&mut ids, 0, node, Some(root));
+        ProvenanceTree {
+            tree: DecisionTree { root },
+            kept,
+            config: config.clone(),
+            labels,
+            ids,
+        }
+    }
+
+    /// Brings the tree up to date with the runs `prov` recorded since the
+    /// last fit: it becomes the tree [`fit`](Self::fit) grows over all of
+    /// `prov`. `prov` must be the store this tree was fitted on, grown
+    /// since; a store only appends, so the fitted runs are its first ones.
+    pub fn refit(&mut self, prov: &ProvenanceStore) {
+        let (fitted, len) = (self.labels.len(), prov.len());
+        debug_assert!(
+            fitted <= len,
+            "refit on a store shorter than the fitted log"
+        );
+        if fitted >= len {
+            return;
+        }
+        let failing = prov.failing_runs();
+        self.labels
+            .extend((fitted..len).map(|r| if failing.contains(r) { 1.0 } else { 0.0 }));
+        let mut fresh: Vec<u32> = (fitted as u32..len as u32).collect();
+        let mut out = Vec::with_capacity(len);
+        let sampler = &mut AllFeatures;
+        let mut grower = Grower::new(
+            prov.space(),
+            &self.config,
+            sampler,
+            prov.key_arena(),
+            &self.labels,
+            true,
+        );
+        grower.refit(
+            &mut self.tree.root,
+            &mut self.kept,
+            &self.ids,
+            &mut fresh,
+            &mut out,
+            0,
+        );
+        self.ids = out;
+        debug_assert_eq!(
+            format!("{:?}", self.tree.root),
+            format!("{:?}", Self::fit(prov, &self.config).tree.root),
+            "a refit grew another tree than a fit over the whole store"
+        );
+    }
+
+    /// The tree as of the last fit.
+    pub fn tree(&self) -> &DecisionTree {
+        &self.tree
     }
 }
 
@@ -487,6 +617,24 @@ struct Split {
 /// parameter's buckets starting at its [`ParamCodes::base`].
 type Histogram = Vec<Stats>;
 
+/// What a [`ProvenanceTree`] keeps of one node beside its [`Node`]: the
+/// label statistics of the node's rows and, at a split node, the split's
+/// test by index, the rows' histogram and the children's.
+#[derive(Clone)]
+struct Kept {
+    stats: Stats,
+    split: Option<Box<KeptSplit>>,
+}
+
+#[derive(Clone)]
+struct KeptSplit {
+    param: ParamId,
+    value: usize,
+    hist: Histogram,
+    yes: Kept,
+    no: Kept,
+}
+
 /// The state of one fit: the encoded rows and buffers reused across nodes.
 struct Grower<'a> {
     space: &'a ParamSpace,
@@ -496,36 +644,35 @@ struct Grower<'a> {
     params: Vec<ParamCodes>,
     /// The row-major code matrix: row `i`'s codes at
     /// `i * params.len()..`, one per parameter.
-    codes: Cow<'a, [u32]>,
+    codes: &'a [u32],
     /// Row id → label.
-    labels: Vec<f64>,
+    labels: &'a [f64],
     /// Buckets per histogram: every parameter's domain size, summed.
     n_buckets: usize,
+    /// Whether split nodes keep their histograms (a [`ProvenanceTree`]'s
+    /// fits) instead of handing them on to their children.
+    keep: bool,
     /// Histogram buffers no node holds, reused by the next scan.
     free: Vec<Histogram>,
     /// Per-rank prefix sums of an ordinal parameter.
     ranked: Vec<Stats>,
     /// The rows failing a split, copied back behind the ones passing it:
-    /// one slot per row, sized once.
+    /// one slot per row of the largest node partitioned so far.
     spill: Vec<u32>,
 }
 
 impl<'a> Grower<'a> {
-    /// Grows the tree over every row of `codes`, whose label statistics
-    /// are `node`; `root`, when given, is their histogram.
-    fn fit(
+    fn new(
         space: &'a ParamSpace,
         config: &'a TreeConfig,
         sampler: &'a mut dyn FeatureSampler,
-        codes: Cow<'a, [u32]>,
-        labels: Vec<f64>,
-        node: Stats,
-        root: Option<Histogram>,
-    ) -> DecisionTree {
+        codes: &'a [u32],
+        labels: &'a [f64],
+        keep: bool,
+    ) -> Self {
         debug_assert_eq!(codes.len(), labels.len() * space.len());
-        let mut ids: Vec<u32> = (0..labels.len() as u32).collect();
         let params = param_codes(space);
-        let mut grower = Grower {
+        Grower {
             space,
             config,
             sampler,
@@ -534,47 +681,44 @@ impl<'a> Grower<'a> {
             params,
             codes,
             labels,
+            keep,
             free: Vec::new(),
             ranked: Vec::new(),
-            spill: vec![0; ids.len()],
-        };
-        debug_assert!(root.as_ref().is_none_or(|h| h.len() == grower.n_buckets));
-        let root = grower.grow(&mut ids, 0, node, root);
-        DecisionTree { root }
+            spill: Vec::new(),
+        }
     }
 
     /// Grows the subtree over `ids`, whose label statistics are `node`.
-    /// `hist`, when given, is their histogram.
+    /// `hist`, when given, is their histogram. Returns the subtree and what
+    /// a [`ProvenanceTree`] keeps of it (its split nodes' histograms only
+    /// when `keep` is set).
     fn grow(
         &mut self,
         ids: &mut [u32],
         depth: usize,
         node: Stats,
         hist: Option<Histogram>,
-    ) -> Node {
+    ) -> (Node, Kept) {
         debug_assert_eq!(node.n, ids.len());
-        let pure = is_pure(&self.labels, ids);
-        let leaf = Node::Leaf(LeafInfo {
-            n: node.n,
-            mean: node.mean(),
-            pure,
-        });
-        if ids.len() < self.config.min_samples_split
-            || pure
-            || self.config.max_depth.is_some_and(|d| depth >= d)
-            || self.all_params.is_empty()
-        {
+        debug_assert!(hist.as_ref().is_none_or(|h| h.len() == self.n_buckets));
+        let pure = is_pure(self.labels, ids);
+        let leaf = (
+            Node::Leaf(LeafInfo {
+                n: node.n,
+                mean: node.mean(),
+                pure,
+            }),
+            Kept {
+                stats: node,
+                split: None,
+            },
+        );
+        if self.stops(ids.len(), pure, depth) {
             self.free.extend(hist);
             return leaf;
         }
 
-        let k = self
-            .config
-            .feature_subset
-            .unwrap_or(self.all_params.len())
-            .clamp(1, self.all_params.len());
-        let candidates = self.sampler.sample(&self.all_params, k);
-
+        let candidates = self.candidates();
         let hist = hist.unwrap_or_else(|| self.histogram(ids));
         // The node is impure, so any split is taken, even a zero-gain one: a
         // full tree must separate distinguishable rows (e.g. XOR patterns).
@@ -582,7 +726,7 @@ impl<'a> Grower<'a> {
             self.free.push(hist);
             return leaf;
         };
-        let n_yes = self.partition(ids, &split);
+        let n_yes = self.partition(ids, split.param, split.value);
         debug_assert!(n_yes > 0 && n_yes < ids.len());
         let codes = &self.params[split.param.index()];
         let pred = Predicate::new(
@@ -592,19 +736,122 @@ impl<'a> Grower<'a> {
         );
         let (yes, no) = ids.split_at_mut(n_yes);
         let (yes_node, no_node) = (split.yes, node.minus(&split.yes));
-        let (yes_hist, no_hist) =
-            if self.may_split(&yes_node, depth + 1) || self.may_split(&no_node, depth + 1) {
-                let (y, n) = self.child_histograms(hist, yes, no);
-                (Some(y), Some(n))
-            } else {
+        let children = self.may_split(&yes_node, depth + 1) || self.may_split(&no_node, depth + 1);
+        // A kept histogram stays with its node, so the children's are
+        // derived from a copy.
+        let (parent, kept) = match (children, self.keep) {
+            (true, true) => (Some(hist.clone()), Some(hist)),
+            (true, false) => (Some(hist), None),
+            (false, true) => (None, Some(hist)),
+            (false, false) => {
                 self.free.push(hist);
                 (None, None)
-            };
-        Node::Inner {
-            pred,
-            yes: Box::new(self.grow(yes, depth + 1, yes_node, yes_hist)),
-            no: Box::new(self.grow(no, depth + 1, no_node, no_hist)),
+            }
+        };
+        let (yes_hist, no_hist) = match parent {
+            Some(parent) => {
+                let (y, n) = self.child_histograms(parent, yes, no);
+                (Some(y), Some(n))
+            }
+            None => (None, None),
+        };
+        let (yes_tree, yes_kept) = self.grow(yes, depth + 1, yes_node, yes_hist);
+        let (no_tree, no_kept) = self.grow(no, depth + 1, no_node, no_hist);
+        let split = kept.map(|hist| {
+            Box::new(KeptSplit {
+                param: split.param,
+                value: split.value,
+                hist,
+                yes: yes_kept,
+                no: no_kept,
+            })
+        });
+        (
+            Node::Inner {
+                pred,
+                yes: Box::new(yes_tree),
+                no: Box::new(no_tree),
+            },
+            Kept { stats: node, split },
+        )
+    }
+
+    /// Brings the subtree `node`, of which `kept` is kept, up to date with
+    /// `fresh`, the new rows reaching it, and appends all its rows to `out`
+    /// in the updated subtree's order. `old` is the subtree's rows before
+    /// the refit, in its order. A split whose test the search still picks
+    /// is kept and its children refitted; a leaf stays a leaf when `grow`
+    /// would stop there before searching. Anything else is regrown from
+    /// all its rows.
+    fn refit(
+        &mut self,
+        node: &mut Node,
+        kept: &mut Kept,
+        old: &[u32],
+        fresh: &mut [u32],
+        out: &mut Vec<u32>,
+        depth: usize,
+    ) {
+        if fresh.is_empty() {
+            // The same rows grow the same subtree.
+            out.extend_from_slice(old);
+            return;
         }
+        kept.stats.add(&Stats::of(self.labels, fresh));
+        let stats = kept.stats;
+        // With 0/1 labels the rows are pure when they sum to 0 or to their
+        // count.
+        let pure = stats.sum == 0.0 || stats.sum == stats.n as f64;
+        let hist = match (&mut *node, kept.split.as_deref_mut()) {
+            (Node::Inner { yes, no, .. }, Some(split)) => {
+                self.add_rows(&mut split.hist, fresh);
+                let candidates = self.candidates();
+                let best = self.best_split(&split.hist, &candidates, &stats);
+                if best.is_some_and(|b| (b.param, b.value) == (split.param, split.value)) {
+                    let n_yes = self.partition(fresh, split.param, split.value);
+                    let (old_yes, old_no) = old.split_at(split.yes.stats.n);
+                    let (fresh_yes, fresh_no) = fresh.split_at_mut(n_yes);
+                    self.refit(yes, &mut split.yes, old_yes, fresh_yes, out, depth + 1);
+                    self.refit(no, &mut split.no, old_no, fresh_no, out, depth + 1);
+                    return;
+                }
+                Some(std::mem::take(&mut split.hist))
+            }
+            (Node::Leaf(info), None) if self.stops(stats.n, pure, depth) => {
+                *info = LeafInfo {
+                    n: stats.n,
+                    mean: stats.mean(),
+                    pure,
+                };
+                out.extend_from_slice(old);
+                out.extend_from_slice(fresh);
+                return;
+            }
+            _ => None,
+        };
+        let start = out.len();
+        out.extend_from_slice(old);
+        out.extend_from_slice(fresh);
+        (*node, *kept) = self.grow(&mut out[start..], depth, stats, hist);
+    }
+
+    /// Whether `grow` stops at a node of `n` rows at `depth`, pure or not,
+    /// without searching for a split.
+    fn stops(&self, n: usize, pure: bool, depth: usize) -> bool {
+        n < self.config.min_samples_split
+            || pure
+            || self.config.max_depth.is_some_and(|d| depth >= d)
+            || self.all_params.is_empty()
+    }
+
+    /// The parameters one node's split search considers.
+    fn candidates(&mut self) -> Vec<ParamId> {
+        let k = self
+            .config
+            .feature_subset
+            .unwrap_or(self.all_params.len())
+            .clamp(1, self.all_params.len());
+        self.sampler.sample(&self.all_params, k)
     }
 
     /// Whether a node with statistics `node` at `depth` may split. A guess:
@@ -641,6 +888,12 @@ impl<'a> Grower<'a> {
         let mut hist = self.free.pop().unwrap_or_default();
         hist.clear();
         hist.resize(self.n_buckets, Stats::default());
+        self.add_rows(&mut hist, ids);
+        hist
+    }
+
+    /// Adds the rows `ids` to the histogram `hist`.
+    fn add_rows(&self, hist: &mut [Stats], ids: &[u32]) {
         let width = self.params.len();
         for &i in ids {
             let i = i as usize;
@@ -650,7 +903,6 @@ impl<'a> Grower<'a> {
                 hist[codes.base + code as usize].push(y);
             }
         }
-        hist
     }
 
     /// Exhaustive split search: for each candidate parameter, enumerate `= v`
@@ -724,18 +976,21 @@ impl<'a> Grower<'a> {
         best
     }
 
-    /// Stable in-place partition of `ids` by the split's test: rows passing
-    /// it first, in their previous order, then the rest. Returns how many
-    /// pass. Branch-free: every id is written at both ends (`ids[n_yes]`,
-    /// which no unread id occupies, and `spill[n_no]`), and the test's bit
-    /// advances one of them.
-    fn partition(&mut self, ids: &mut [u32], split: &Split) -> usize {
-        let p = split.param.index();
+    /// Stable in-place partition of `ids` by the test `param` against its
+    /// domain index `value`: rows passing it first, in their previous order,
+    /// then the rest. Returns how many pass. Branch-free: every id is
+    /// written at both ends (`ids[n_yes]`, which no unread id occupies, and
+    /// `spill[n_no]`), and the test's bit advances one of them.
+    fn partition(&mut self, ids: &mut [u32], param: ParamId, value: usize) -> usize {
+        let p = param.index();
         let codes = &self.params[p];
         let passes: Vec<usize> = (0..codes.n_values)
-            .map(|c| usize::from(codes.holds(c, split.value)))
+            .map(|c| usize::from(codes.holds(c, value)))
             .collect();
         let width = self.params.len();
+        if self.spill.len() < ids.len() {
+            self.spill.resize(ids.len(), 0);
+        }
         let spill = &mut self.spill[..ids.len()];
         let (mut n_yes, mut n_no) = (0, 0);
         for k in 0..ids.len() {

@@ -3,7 +3,7 @@
 
     python3 scripts/pairs.py [--parent REV] [--seeds 701-710] \
         [--workload NAME ...] [--seconds S] [--work DIR] [--parent-tree DIR] \
-        [--trace]
+        [--trace] [--claim METRIC@WORKLOAD ...]
 
 Run from the repository root. The parent (default HEAD) is checked out with
 `git worktree add --detach` into the work directory (default `.bench_pairs`)
@@ -32,6 +32,13 @@ more generated cases and so reads as more memory: diagnoses per second
 from paper-synth's and deep-history's `N diagnoses in S s timed`, and the
 request count from served-warm's `N requests by C clients`.
 
+--claim METRIC@WORKLOAD (repeatable) tests a claimed gain the way the
+benchmark does. After that workload's table the script prints `claim met`
+or `claim not met: <reason>`. The claim holds when the change is better in
+at least 9/10 of the pairs run (a tie counts for neither side) and the
+medians differ by more than the parent's q1-q3 spread, in the direction of
+the metric's `better` field in BENCHMARK.json.
+
 With --trace every run is traced (`--trace 1`), so it reports the
 per-layer metrics instead of the end-to-end ones. Per metric the script then
 prints both medians and both q1-q3 ranges only: traced runs are not gated,
@@ -41,8 +48,9 @@ can fail it.
 
 Exit status 1 when any run reports `correct: false` or `failed > 0`, when
 new executions, evaluations, precision or recall differ within a pair on
-paper-synth or deep-history, or when any verdict is WORSE; 2 when a build
-fails.
+paper-synth or deep-history, when any verdict is WORSE, or when a claim is
+not met; 2 when a build fails or a claim names a workload the run leaves
+out.
 """
 
 import argparse
@@ -156,6 +164,40 @@ def verdict(parent, change, lower, bound):
     return rel, "ok"
 
 
+def claim_failure(parent, change, lower):
+    """Why a claimed gain on one metric does not hold by the benchmark's
+    rule, or None when it holds; see the module docs."""
+    n = len(parent)
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    p_med, p_iqr, _ = summary(parent)
+    c_med = statistics.median(change)
+    gain = (p_med - c_med) if lower else (c_med - p_med)
+    reasons = []
+    if 10 * wins < 9 * n:
+        reasons.append(f"better in {wins}/{n} pairs, fewer than 9/10")
+    if gain <= p_iqr:
+        reasons.append(f"the medians moved {gain:+.5g} the better way, not past "
+                       f"the parent's q1-q3 spread {p_iqr:.5g}")
+    return "; ".join(reasons) or None
+
+
+def report_claim(metric, pairs, metrics):
+    """Prints whether the claim on `metric` holds over `pairs`; returns the
+    failure line when it does not."""
+    if metric not in pairs[0][0]["metrics"]:
+        reason = f"{metric} is not among these runs' metrics"
+    else:
+        parent = [p["metrics"][metric]["value"] for p, _ in pairs]
+        change = [c["metrics"][metric]["value"] for _, c in pairs]
+        lower = metrics.get(metric, {}).get("better", "lower") == "lower"
+        reason = claim_failure(parent, change, lower)
+    if reason is None:
+        print(f"  claim {metric}: claim met")
+        return None
+    print(f"  claim {metric}: claim not met: {reason}")
+    return f"claim {metric}: {reason}"
+
+
 def report(workload, pairs, metrics):
     """Prints the workload's table; returns the metrics judged WORSE."""
     print(f"{workload}: {len(pairs)} pairs")
@@ -207,6 +249,8 @@ def main():
     ap.add_argument("--work", default=os.path.join(ROOT, ".bench_pairs"))
     ap.add_argument("--parent-tree")
     ap.add_argument("--trace", action="store_true")
+    ap.add_argument("--claim", action="append", default=[],
+                    metavar="METRIC@WORKLOAD")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -215,6 +259,14 @@ def main():
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     seeds = parse_seeds(args.seeds)
+    claims = []
+    for claim in args.claim:
+        metric, _, workload = claim.partition("@")
+        if workload not in workloads:
+            print(f"pairs: --claim {claim} names a workload this run leaves out",
+                  file=sys.stderr)
+            return 2
+        claims.append((metric, workload))
     work = os.path.abspath(args.work)
     os.makedirs(work, exist_ok=True)
 
@@ -266,6 +318,11 @@ def main():
                 report_trace(workload, pairs)
             elif pairs:
                 failures.extend(report(workload, pairs, metrics))
+            for metric in (m for m, w in claims if w == workload):
+                failed = (report_claim(metric, pairs, metrics) if pairs
+                          else f"claim {metric}: no pairs ran")
+                if failed:
+                    failures.append(f"{workload} {failed}")
     finally:
         if worktree is not None:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree])

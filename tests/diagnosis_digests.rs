@@ -15,11 +15,18 @@
 //!   front ends' Combined FindAll configuration;
 //! * a few of the same diagnosed by DDT alone in FindOne mode;
 //! * one historical replay, the DBSherlock pipeline, where only the
-//!   recorded logs can run.
+//!   recorded logs can run;
+//! * one large log: a pipeline shaped like the benchmark's deep-history
+//!   workload with 4,096 random runs of history, diagnosed with Combined
+//!   FindAll. DDT refits a tree of thousands of runs there three times (one
+//!   refit keeps every split, two move the root's test), a path the small
+//!   logs above barely reach.
 
 use bugdoc::pipelines::{DbSherlockConfig, DbSherlockDataset};
 use bugdoc::prelude::*;
 use bugdoc::synth::{CauseScenario, SynthConfig, SyntheticPipeline};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const SHAPES: [CauseScenario; 3] = [
@@ -108,6 +115,52 @@ fn replay_digest() -> u64 {
     digest(&exec, &BugDocConfig::default())
 }
 
+/// Runs of random history the large-log input is seeded with.
+const LARGE_LOG_RUNS: usize = 4_096;
+
+/// The large-log input: the first pipeline of 10 parameters of 10–20 values
+/// with a two-conjunct disjunctive cause failing on 7–13% of the space (as
+/// the benchmark's deep-history workload picks it), 4,096 runs drawn by
+/// domain index, and one Combined FindAll diagnosis.
+fn large_log_digest() -> u64 {
+    let config = SynthConfig {
+        n_params: (10, 10),
+        n_values: (10, 20),
+        scenario: CauseScenario::DisjunctionOfConjunctions,
+        max_conjunction_len: 2,
+        extra_disjunct_prob: 0.0,
+        ..SynthConfig::default()
+    };
+    let pipeline = (0..)
+        .map(|k| SyntheticPipeline::generate(&config, mix(SEED, 1_000 + k)))
+        .find(|p| (0.07..=0.13).contains(&p.truth().failure_fraction(p.space())))
+        .expect("an endless search finds a plant");
+    let space = pipeline.space().clone();
+    let mut prov = ProvenanceStore::new(space.clone());
+    let mut rng = StdRng::seed_from_u64(mix(SEED, 7));
+    let mut indices = vec![0u32; space.len()];
+    for _ in 0..LARGE_LOG_RUNS {
+        for (slot, p) in indices.iter_mut().zip(space.ids()) {
+            *slot = rng.gen_range(0..space.domain(p).len()) as u32;
+        }
+        let instance = space.instance_from_indices(&indices);
+        let eval = pipeline
+            .execute(&instance)
+            .expect("synthetic pipelines run every instance");
+        prov.record(instance, eval);
+    }
+    let exec = Executor::with_provenance(
+        Arc::new(pipeline) as Arc<dyn Pipeline>,
+        ExecutorConfig::default(),
+        prov,
+    );
+    let seed = mix(SEED, 100);
+    digest(
+        &exec,
+        &BugDocConfig::front_end(Strategy::Combined, DdtMode::FindAll, seed),
+    )
+}
+
 /// Combined FindAll digests of synthetic inputs `0..60`, by input. Inputs
 /// 8, 14, 17 and 32 (disjunctions over 12–15 parameters) are the slowest,
 /// 0.15–0.3 s each in the debug profile.
@@ -193,6 +246,9 @@ const DDT_FIND_ONE: [u64; 12] = [
 /// The DBSherlock replay's digest.
 const REPLAY: u64 = 0xb95957a6e59a5523;
 
+/// The large-log input's digest.
+const LARGE_LOG: u64 = 0x93b9e676276c1d43;
+
 #[test]
 fn diagnoses_match_their_golden_digests() {
     let mut got = Vec::new();
@@ -211,6 +267,7 @@ fn diagnoses_match_their_golden_digests() {
         ));
     }
     got.push(("dbsherlock replay".to_string(), replay_digest(), REPLAY));
+    got.push(("large log".to_string(), large_log_digest(), LARGE_LOG));
     let wrong: Vec<String> = got
         .iter()
         .filter(|(_, digest, want)| digest != want)
