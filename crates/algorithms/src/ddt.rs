@@ -212,7 +212,7 @@ pub fn debugging_decision_trees(
         for path in tree.tree().fail_paths() {
             // Simplify the raw tree path to its shortest equivalent form.
             let canon = path.conjunction.canonicalize(&space);
-            if canon.is_unsatisfiable() || canon.is_top() {
+            if canon.is_unsatisfiable(&space) || canon.is_top(&space) {
                 continue;
             }
             if confirmed_canon.contains(&canon) {
@@ -376,22 +376,22 @@ fn sample_satisfying(
     strategy: PrototypeStrategy,
     rng: &mut StdRng,
 ) -> Vec<Instance> {
-    if suspect.is_unsatisfiable() {
+    if suspect.is_unsatisfiable(space) {
         return Vec::new();
     }
     // Per-parameter pools of satisfying domain indices. Under FixedPrototype,
     // constrained parameters are pinned to their first satisfying value.
     let pools: Vec<Vec<u32>> = space
         .ids()
-        .map(|p| match suspect.mask(p) {
-            Some(mask) => {
-                let satisfying = (0..mask.len()).filter(|&i| mask[i]).map(|i| i as u32);
-                match strategy {
-                    PrototypeStrategy::FixedPrototype => satisfying.take(1).collect(),
-                    PrototypeStrategy::RandomSatisfying => satisfying.collect(),
-                }
+        .map(|p| {
+            if !suspect.constrains(space, p) {
+                return (0..space.domain(p).len() as u32).collect();
             }
-            None => (0..space.domain(p).len() as u32).collect(),
+            let satisfying = suspect.allowed(space, p).map(|i| i as u32);
+            match strategy {
+                PrototypeStrategy::FixedPrototype => satisfying.take(1).collect(),
+                PrototypeStrategy::RandomSatisfying => satisfying.collect(),
+            }
         })
         .collect();
     let product: u128 = pools
@@ -591,34 +591,27 @@ fn generalize_cause(
     };
     loop {
         let mut changed = false;
-        let params: Vec<_> = canon.masks().keys().copied().collect();
+        let params: Vec<_> = canon.constrained(space).collect();
         for p in params {
-            let n_values = space.domain(p).len();
-            for w in 0..n_values {
-                // Re-read each iteration: accepted widenings update the mask,
+            for w in 0..space.domain(p).len() {
+                // Re-read each iteration: accepted widenings update the set,
                 // and a fully widened parameter drops out of the cause.
-                let Some(cur_mask) = canon.mask(p).map(|m| m.to_vec()) else {
+                if !canon.constrains(space, p) {
                     break;
-                };
-                if cur_mask[w] {
+                }
+                if canon.allows(space, p, w) {
                     continue;
                 }
                 // Delta region: the cause with parameter p pinned to value w.
-                let mut delta_masks = canon.masks().clone();
-                let mut pin = vec![false; n_values];
-                pin[w] = true;
-                delta_masks.insert(p, pin);
-                let delta = CanonicalCause::from_masks(space, delta_masks);
-                if delta.is_unsatisfiable() {
+                let mut delta = canon.clone();
+                delta.block_mut(space, p).fill(0);
+                delta.set_allowed(space, p, w, true);
+                if delta.is_unsatisfiable(space) {
                     continue;
                 }
                 match verify_suspect(exec, space, available, &delta, &delta_config, rng) {
                     Verify::Confirmed => {
-                        let mut widened = canon.masks().clone();
-                        widened
-                            .get_mut(&p)
-                            .expect("parameter still constrained")[w] = true;
-                        canon = CanonicalCause::from_masks(space, widened);
+                        canon.set_allowed(space, p, w, true);
                         changed = true;
                     }
                     Verify::Budget => return Err(()),
@@ -701,14 +694,7 @@ mod tests {
     fn finds_inequality_cause() {
         let s = space();
         let n = s.by_name("n").unwrap();
-        let exec = seeded_exec(
-            &s,
-            {
-                let n = n;
-                move |i: &Instance| i.get(n) > &Value::from(3)
-            },
-            12,
-        );
+        let exec = seeded_exec(&s, move |i: &Instance| i.get(n) > &Value::from(3), 12);
         let report = debugging_decision_trees(&exec, &DdtConfig::default()).unwrap();
         assert_eq!(report.causes.len(), 1);
         let expected = Conjunction::new(vec![Predicate::new(n, Comparator::Gt, 3)]);
@@ -829,7 +815,7 @@ mod tests {
         let n = s.by_name("n").unwrap();
         let pipe: Arc<dyn Pipeline> = Arc::new(FnPipeline::new(s.clone(), {
             move |i: &Instance| {
-                EvalResult::of(Outcome::from_check(!(i.get(n) > &Value::from(3))))
+                EvalResult::of(Outcome::from_check(i.get(n) <= &Value::from(3)))
             }
         }));
         let exec = Executor::new(
@@ -937,6 +923,23 @@ mod tests {
         // Distinct instances only.
         let set: std::collections::HashSet<_> = batch.iter().collect();
         assert_eq!(set.len(), batch.len());
+
+        // A block spanning words: w's values 64–129 sit in its second and
+        // third words.
+        let wide = ParamSpace::builder()
+            .ordinal("w", 0..130i64)
+            .boolean("flag")
+            .build();
+        let w = wide.by_name("w").unwrap();
+        let suspect = Conjunction::new(vec![
+            Predicate::new(w, Comparator::Gt, 100i64),
+            Predicate::new(w, Comparator::Neq, 120i64),
+        ]);
+        let canon = suspect.canonicalize(&wide);
+        let strategy = PrototypeStrategy::RandomSatisfying;
+        let batch = sample_satisfying(&wide, &canon, 10, strategy, &mut rng);
+        assert_eq!(batch.len(), 10);
+        assert!(batch.iter().all(|inst| suspect.satisfied_by(inst)));
     }
 
     #[test]

@@ -180,7 +180,7 @@ pub fn diagnose(exec: &Executor, config: &BugDocConfig) -> Result<Diagnosis, Alg
     let mut unique: Vec<Conjunction> = Vec::new();
     for c in collected {
         let canon = c.canonicalize(&space);
-        if canon.is_unsatisfiable() {
+        if canon.is_unsatisfiable(&space) {
             continue;
         }
         if !seen.contains(&canon) {

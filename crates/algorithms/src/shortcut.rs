@@ -334,12 +334,9 @@ mod tests {
             .ordinal("c", [1, 2, 3])
             .build();
         let a = s.by_name("a").unwrap();
-        let pipe = {
-            let a = a;
-            Arc::new(FnPipeline::new(s.clone(), move |i: &Instance| {
-                EvalResult::of(Outcome::from_check(i.get(a) != &Value::from(2)))
-            })) as Arc<dyn Pipeline>
-        };
+        let pipe = Arc::new(FnPipeline::new(s.clone(), move |i: &Instance| {
+            EvalResult::of(Outcome::from_check(i.get(a) != &Value::from(2)))
+        })) as Arc<dyn Pipeline>;
         let exec = Executor::new(pipe, ExecutorConfig::default());
         let cp_f = Instance::from_pairs(&s, [("a", 2.into()), ("b", 2.into()), ("c", 2.into())]);
         let cp_g = Instance::from_pairs(&s, [("a", 1.into()), ("b", 1.into()), ("c", 1.into())]);

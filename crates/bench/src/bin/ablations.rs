@@ -226,7 +226,7 @@ fn ablate_qm(args: &BenchArgs) {
 }
 
 /// 5. Speculative parallel Shortcut (paper §4.3): wall-clock vs wasted
-/// executions at different worker counts, with 20-minute instances.
+///    executions at different worker counts, with 20-minute instances.
 fn ablate_speculation(args: &BenchArgs) {
     use bugdoc_algorithms::shortcut_speculative;
     use bugdoc_engine::SimTime;

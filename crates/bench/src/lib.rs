@@ -23,7 +23,7 @@ pub mod perf;
 
 use bugdoc_algorithms::{diagnose, BugDocConfig};
 use bugdoc_baselines::{dataxray, exptables};
-use bugdoc_core::{Conjunction, EvalResult, Outcome, ParamSpace, ProvenanceStore};
+use bugdoc_core::{Conjunction, ParamSpace, ProvenanceStore};
 use bugdoc_engine::{Executor, ExecutorConfig, Pipeline};
 use bugdoc_eval::{score_assertions, PipelineScore};
 use bugdoc_synth::Truth;
@@ -188,23 +188,6 @@ pub fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> bugdoc_core::Ins
         .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
         .collect();
     space.instance_from_owned_indices(indices)
-}
-
-/// Records `(instance, eval)` pairs into a fresh provenance store.
-pub fn provenance_from(
-    space: Arc<ParamSpace>,
-    runs: impl IntoIterator<Item = (bugdoc_core::Instance, EvalResult)>,
-) -> ProvenanceStore {
-    let mut prov = ProvenanceStore::new(space);
-    for (inst, eval) in runs {
-        prov.record(inst, eval);
-    }
-    prov
-}
-
-/// Formats an outcome for table cells.
-pub fn outcome_cell(outcome: Outcome) -> String {
-    outcome.to_string()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! spec file, provenance TSV round-trip included.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bugdoc-cli-test-{name}-{}", std::process::id()));
@@ -12,7 +12,7 @@ fn workdir(name: &str) -> PathBuf {
 }
 
 /// A pipeline that fails exactly when the feed is acme at weekly resolution.
-fn write_fixture(dir: &PathBuf) -> (String, String) {
+fn write_fixture(dir: &Path) -> (String, String) {
     let script = dir.join("run.sh");
     fs::write(
         &script,

@@ -56,19 +56,28 @@ impl RunSet {
 
     /// Iterates set members in increasing order.
     pub fn ones(&self) -> Ones<'_> {
-        Ones {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        Ones::new(&self.words)
     }
 }
 
-/// Iterator over the members of a [`RunSet`]; see [`RunSet::ones`].
+/// Iterator over the set bits of a word slice, in increasing order: the
+/// members of a [`RunSet`] ([`RunSet::ones`]) or the domain indices a
+/// cause's block allows.
 pub struct Ones<'a> {
     words: &'a [u64],
     word_idx: usize,
     current: u64,
+}
+
+impl<'a> Ones<'a> {
+    /// Bit `i` of the slice is bit `i % 64` of word `i / 64`.
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        Ones {
+            words,
+            word_idx: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for Ones<'_> {

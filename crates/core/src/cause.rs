@@ -11,14 +11,33 @@
 //! Over a finite parameter space, a conjunction denotes a *product set*: for
 //! each parameter, the subset of its domain the conjunction allows. Two
 //! conjunctions are semantically equal iff they denote the same product set.
-//! [`CanonicalCause`] materializes that form; the evaluation harness uses it
-//! to match asserted causes against ground truth exactly, and the
-//! Quine–McCluskey crate uses it as its cube representation.
+//! [`CanonicalCause`] materializes that form as a cube (below). The
+//! provenance store's queries, DDT's sampler and generalization, the
+//! Quine–McCluskey minimizer and the synthetic ground-truth solver all read
+//! and narrow it in place, and the evaluation harness matches asserted causes
+//! against ground truth by cube equality.
+//!
+//! # Cube layout
+//!
+//! A cube is one flat block of `u64` words over the whole space. Each
+//! parameter, in id order, owns `len.div_ceil(64)` consecutive words of it,
+//! one bit per domain value (value `v` is bit `v % 64` of the parameter's
+//! word `v / 64`), so a domain of any size fits the same layout. A parameter
+//! the cause does not constrain keeps its full set. Bits past a domain's last
+//! value are clear in every cube, which makes cube equality and hashing plain
+//! word equality. [`ParamSpace::new`] computes each parameter's words and the
+//! full cube once, with this module's `cube_layout`; no other code lays out a
+//! cube. The set
+//! algebra composes [`kernels`]: inclusion is `!and_not_any`, a
+//! per-parameter intersection test is `and_any`, an empty allowed set is
+//! `is_zero`, and merging and splitting a parameter's set are
+//! `or_multi_into`, `and_or_multi_into` and `and_not_into` on its words.
 
+use crate::bitset::Ones;
 use crate::instance::Instance;
+use crate::kernels;
 use crate::param::{Domain, DomainKind, ParamId, ParamSpace};
 use crate::predicate::{Comparator, Predicate};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A Boolean conjunction of predicate triples. The empty conjunction is
@@ -81,22 +100,19 @@ impl Conjunction {
         Conjunction { preds }
     }
 
-    /// The canonical product form over a concrete space.
+    /// The canonical product form over a concrete space: the full cube with
+    /// every value some triple rejects cleared.
     pub fn canonicalize(&self, space: &ParamSpace) -> CanonicalCause {
-        let mut allowed: BTreeMap<ParamId, Vec<bool>> = BTreeMap::new();
+        let mut cube = CanonicalCause::top(space);
         for pred in &self.preds {
-            let domain = space.domain(pred.param);
-            let mask = allowed
-                .entry(pred.param)
-                .or_insert_with(|| vec![true; domain.len()]);
-            for (i, m) in mask.iter_mut().enumerate() {
-                *m = *m && pred.cmp.apply(domain.value(i), &pred.value);
+            let block = cube.block_mut(space, pred.param);
+            for (v, value) in space.domain(pred.param).values().iter().enumerate() {
+                if !pred.cmp.apply(value, &pred.value) {
+                    set_value(block, v, false);
+                }
             }
         }
-        // Drop unconstrained parameters (full masks): they carry no
-        // information and their absence is what makes the form canonical.
-        allowed.retain(|_, mask| mask.iter().any(|&m| !m));
-        CanonicalCause { allowed }
+        cube
     }
 
     /// Renders the conjunction with parameter names, e.g.
@@ -212,120 +228,175 @@ impl fmt::Display for DnfDisplay<'_> {
     }
 }
 
-/// The canonical product form of a conjunction over a concrete space: for
-/// each *constrained* parameter, the boolean mask of allowed domain indices.
+/// The canonical product form of a conjunction over a concrete space: the
+/// cube of the domain values it allows, parameter by parameter (the module
+/// docs' *Cube layout*).
 ///
 /// Semantic facts read directly off this form:
-/// * equality of product sets ⇔ structural equality of `CanonicalCause`s,
-/// * implication (`self ⊨ other`) ⇔ per-parameter mask inclusion,
-/// * unsatisfiability ⇔ some mask is all-false.
+/// * equality of product sets ⇔ equality of cubes,
+/// * implication (`self ⊨ other`) ⇔ word-wise inclusion,
+/// * unsatisfiability ⇔ some parameter allows no value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CanonicalCause {
-    /// Constrained parameters only; each mask has the domain's length and at
-    /// least one `false` entry.
-    allowed: BTreeMap<ParamId, Vec<bool>>,
+    words: Box<[u64]>,
+}
+
+/// The cube layout of a space whose domains have these sizes: the word
+/// bounds (parameter `i` owns words `bounds[i]..bounds[i + 1]`) and the cube
+/// allowing every value.
+pub(crate) fn cube_layout(lens: impl Iterator<Item = usize>) -> (Vec<usize>, CanonicalCause) {
+    let mut bounds = vec![0];
+    let mut words = Vec::new();
+    for len in lens {
+        words.extend((0..len.div_ceil(64)).map(|w| u64::MAX >> (64 - (len - 64 * w).min(64))));
+        bounds.push(words.len());
+    }
+    let top = CanonicalCause {
+        words: words.into(),
+    };
+    (bounds, top)
+}
+
+/// Whether a parameter's words allow its value `v`.
+fn has_value(block: &[u64], v: usize) -> bool {
+    block[v / 64] >> (v % 64) & 1 == 1
+}
+
+/// Allows or forbids value `v` in a parameter's words.
+fn set_value(block: &mut [u64], v: usize, allowed: bool) {
+    let bit = 1u64 << (v % 64);
+    if allowed {
+        block[v / 64] |= bit;
+    } else {
+        block[v / 64] &= !bit;
+    }
 }
 
 impl CanonicalCause {
-    /// The canonical form of `true` (no constraints).
-    pub fn top() -> Self {
-        CanonicalCause {
-            allowed: BTreeMap::new(),
-        }
+    /// The canonical form of `true`: every parameter allows its whole domain.
+    pub fn top(space: &ParamSpace) -> Self {
+        space.top().clone()
     }
 
-    /// Builds directly from per-parameter masks (used by the minimizer).
-    /// Masks that allow everything are dropped; masks must match domain sizes.
-    pub fn from_masks(space: &ParamSpace, masks: BTreeMap<ParamId, Vec<bool>>) -> Self {
-        let mut allowed = masks;
-        for (p, mask) in &allowed {
-            assert_eq!(
-                mask.len(),
-                space.domain(*p).len(),
-                "mask length mismatch for {}",
-                space.param(*p).name()
-            );
-        }
-        allowed.retain(|_, mask| mask.iter().any(|&m| !m));
-        CanonicalCause { allowed }
+    /// The cube's words, in the layout of its space.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
-    /// The constrained parameters and their masks.
-    pub fn masks(&self) -> &BTreeMap<ParamId, Vec<bool>> {
-        &self.allowed
+    /// The words of parameter `p`'s allowed set.
+    pub fn block(&self, space: &ParamSpace, p: ParamId) -> &[u64] {
+        &self.words[space.block(p)]
     }
 
-    /// The mask for one parameter (`None` = unconstrained).
-    pub fn mask(&self, p: ParamId) -> Option<&[bool]> {
-        self.allowed.get(&p).map(|m| m.as_slice())
+    /// The words of parameter `p`'s allowed set, to narrow or widen in place
+    /// with the [`kernels`]. A write must keep the bits past `p`'s last value
+    /// clear, as ANDs, AND-NOTs and ORs with other cubes' words for `p` do.
+    pub fn block_mut(&mut self, space: &ParamSpace, p: ParamId) -> &mut [u64] {
+        &mut self.words[space.block(p)]
     }
 
-    /// True if no constrained parameter exists — the cause is a tautology.
-    pub fn is_top(&self) -> bool {
-        self.allowed.is_empty()
+    /// True if parameter `p` allows its value of domain index `v`.
+    pub fn allows(&self, space: &ParamSpace, p: ParamId, v: usize) -> bool {
+        has_value(self.block(space, p), v)
     }
 
-    /// True if some parameter has an all-false mask — no instance satisfies
-    /// the cause.
-    pub fn is_unsatisfiable(&self) -> bool {
-        self.allowed.values().any(|m| m.iter().all(|&x| !x))
+    /// Allows or forbids parameter `p`'s value of domain index `v`, which
+    /// must lie below `p`'s domain size.
+    pub fn set_allowed(&mut self, space: &ParamSpace, p: ParamId, v: usize, allowed: bool) {
+        debug_assert!(v < space.domain(p).len(), "value index past the domain");
+        set_value(self.block_mut(space, p), v, allowed);
+    }
+
+    /// Lets parameter `p` take every value of its domain.
+    pub fn unconstrain(&mut self, space: &ParamSpace, p: ParamId) {
+        let block = space.block(p);
+        self.words[block.clone()].copy_from_slice(&space.top().words[block]);
+    }
+
+    /// True if parameter `p` does not allow its whole domain.
+    pub fn constrains(&self, space: &ParamSpace, p: ParamId) -> bool {
+        let block = space.block(p);
+        self.words[block.clone()] != space.top().words[block]
+    }
+
+    /// The constrained parameters, in id order.
+    pub fn constrained<'a>(&'a self, space: &'a ParamSpace) -> impl Iterator<Item = ParamId> + 'a {
+        let top = &space.top().words;
+        space
+            .blocks()
+            .filter(move |(_, r)| self.words[r.clone()] != top[r.clone()])
+            .map(|(p, _)| p)
+    }
+
+    /// The domain indices parameter `p` allows, in index order.
+    pub fn allowed<'a>(
+        &'a self,
+        space: &'a ParamSpace,
+        p: ParamId,
+    ) -> impl Iterator<Item = usize> + 'a {
+        Ones::new(self.block(space, p))
+    }
+
+    /// True if no parameter is constrained — the cause is a tautology.
+    pub fn is_top(&self, space: &ParamSpace) -> bool {
+        self == space.top()
+    }
+
+    /// True if some parameter allows no value — no instance satisfies the
+    /// cause.
+    pub fn is_unsatisfiable(&self, space: &ParamSpace) -> bool {
+        space.blocks().any(|(_, r)| kernels::is_zero(&self.words[r]))
+    }
+
+    /// True if the two product sets share an instance: on every parameter
+    /// their allowed sets meet.
+    pub fn intersects(&self, other: &CanonicalCause, space: &ParamSpace) -> bool {
+        space
+            .blocks()
+            .all(|(_, r)| kernels::and_any(&self.words[r.clone()], &other.words[r]))
     }
 
     /// True if the instance lies in the product set.
     pub fn satisfied_by(&self, instance: &Instance, space: &ParamSpace) -> bool {
-        self.allowed.iter().all(|(p, mask)| {
+        self.constrained(space).all(|p| {
             space
-                .domain(*p)
-                .index_of(instance.get(*p))
-                .map(|i| mask[i])
-                .unwrap_or(false)
+                .domain(p)
+                .index_of(instance.get(p))
+                .is_some_and(|v| self.allows(space, p, v))
         })
     }
 
     /// Semantic implication: every instance satisfying `self` satisfies
     /// `other` (`self ⊨ other`). Unsatisfiable causes imply everything.
-    pub fn implies(&self, other: &CanonicalCause) -> bool {
-        if self.is_unsatisfiable() {
-            return true;
-        }
-        other.allowed.iter().all(|(p, other_mask)| {
-            match self.allowed.get(p) {
-                // `self` unconstrained on p: implication needs other's mask full,
-                // but full masks are dropped at construction, so it fails.
-                None => false,
-                Some(self_mask) => self_mask
-                    .iter()
-                    .zip(other_mask.iter())
-                    .all(|(&a, &b)| !a || b),
-            }
-        })
+    pub fn implies(&self, other: &CanonicalCause, space: &ParamSpace) -> bool {
+        self.is_unsatisfiable(space) || !kernels::and_not_any(&self.words, &other.words)
     }
 
     /// Converts back to the *shortest* predicate conjunction denoting the
-    /// same product set. For each parameter the encoder tries, in order:
-    /// nothing (full mask — cannot happen here), a single `=`, a single `≤`
-    /// (prefix) or `>` (suffix) on ordinal domains, a single `≠`
-    /// (complement-of-one), a two-triple range `> lo ∧ ≤ hi`, a range with
-    /// excluded points, and finally one `≠` per excluded value — which can
-    /// express any subset, so the encoding is total.
+    /// same product set. For each constrained parameter the encoder tries, in
+    /// order: a single `=`, a single `≠` (complement-of-one), on ordinal
+    /// domains a single `≤` (prefix) or `>` (suffix), a two-triple range
+    /// `> lo ∧ ≤ hi`, or a range with excluded points, and finally one `≠` per
+    /// excluded value — which can express any subset, so the encoding is
+    /// total.
     pub fn to_conjunction(&self, space: &ParamSpace) -> Conjunction {
         let mut preds = Vec::new();
-        for (&p, mask) in &self.allowed {
-            preds.extend(encode_mask(p, space.domain(p), mask));
+        for p in self.constrained(space) {
+            preds.extend(encode_block(p, space.domain(p), self.block(space, p)));
         }
         Conjunction::new(preds)
     }
 }
 
-/// Shortest predicate encoding of one parameter's allowed mask. See
-/// [`CanonicalCause::to_conjunction`].
-fn encode_mask(p: ParamId, domain: &Domain, mask: &[bool]) -> Vec<Predicate> {
-    let n = mask.len();
-    let allowed: Vec<usize> = (0..n).filter(|&i| mask[i]).collect();
-    let excluded: Vec<usize> = (0..n).filter(|&i| !mask[i]).collect();
-    debug_assert!(!excluded.is_empty(), "full masks are dropped at construction");
+/// Shortest predicate encoding of one constrained parameter's allowed set.
+/// See [`CanonicalCause::to_conjunction`].
+fn encode_block(p: ParamId, domain: &Domain, block: &[u64]) -> Vec<Predicate> {
+    let n = domain.len();
+    let allowed: Vec<usize> = Ones::new(block).collect();
+    let excluded: Vec<usize> = (0..n).filter(|&i| !has_value(block, i)).collect();
+    debug_assert!(!excluded.is_empty(), "full sets are not encoded");
 
-    // Unsatisfiable mask: denote with `= v ∧ ≠ v` on the first domain value —
+    // Unsatisfiable set: denote with `= v ∧ ≠ v` on the first domain value —
     // a two-triple contradiction (callers normally never emit these).
     if allowed.is_empty() {
         let v = domain.value(0).clone();
@@ -349,9 +420,15 @@ fn encode_mask(p: ParamId, domain: &Domain, mask: &[bool]) -> Vec<Predicate> {
         )];
     }
 
-    if domain.kind() == DomainKind::Ordinal {
-        let lo = allowed[0];
-        let hi = *allowed.last().unwrap();
+    let lo = allowed[0];
+    let hi = *allowed.last().unwrap();
+    // `> dom[lo-1]` and `≤ dom[hi]` are exact only where they fall between
+    // unequal neighbours: an ordinal domain may keep `Ord`-equal twins such
+    // as `Int(2)` and `Float(2.0)`, which `≤` and `>` cannot tell apart.
+    let values = domain.values();
+    let exact_bounds =
+        || (lo == 0 || values[lo - 1] < values[lo]) && (hi == n - 1 || values[hi] < values[hi + 1]);
+    if domain.kind() == DomainKind::Ordinal && exact_bounds() {
         let contiguous = allowed.len() == hi - lo + 1;
         if contiguous {
             if lo == 0 {
@@ -374,11 +451,6 @@ fn encode_mask(p: ParamId, domain: &Domain, mask: &[bool]) -> Vec<Predicate> {
         }
         // Non-contiguous ordinal set: range bounds plus interior exclusions,
         // if that is shorter than excluding everything.
-        let interior_excluded: Vec<usize> = excluded
-            .iter()
-            .copied()
-            .filter(|&i| i > lo && i < hi)
-            .collect();
         let mut ranged = Vec::new();
         if lo > 0 {
             ranged.push(Predicate::new(
@@ -390,8 +462,8 @@ fn encode_mask(p: ParamId, domain: &Domain, mask: &[bool]) -> Vec<Predicate> {
         if hi < n - 1 {
             ranged.push(Predicate::new(p, Comparator::Le, domain.value(hi).clone()));
         }
-        for i in &interior_excluded {
-            ranged.push(Predicate::new(p, Comparator::Neq, domain.value(*i).clone()));
+        for &i in excluded.iter().filter(|&&i| i > lo && i < hi) {
+            ranged.push(Predicate::new(p, Comparator::Neq, domain.value(i).clone()));
         }
         if ranged.len() < excluded.len() {
             return ranged;
@@ -468,7 +540,7 @@ mod tests {
         assert_eq!(a.canonicalize(&s), b.canonicalize(&s));
         // (n ≤ 5) ≡ ⊤.
         let t = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 5)]);
-        assert!(t.canonicalize(&s).is_top());
+        assert!(t.canonicalize(&s).is_top(&s));
     }
 
     #[test]
@@ -479,7 +551,7 @@ mod tests {
             Predicate::new(n, Comparator::Le, 2),
             Predicate::new(n, Comparator::Gt, 3),
         ]);
-        assert!(c.canonicalize(&s).is_unsatisfiable());
+        assert!(c.canonicalize(&s).is_unsatisfiable(&s));
     }
 
     #[test]
@@ -493,11 +565,12 @@ mod tests {
         ])
         .canonicalize(&s);
         let wide = Conjunction::new(vec![Predicate::new(n, Comparator::Gt, 3)]).canonicalize(&s);
-        assert!(narrow.implies(&wide));
-        assert!(!wide.implies(&narrow));
+        assert!(narrow.implies(&wide, &s));
+        assert!(!wide.implies(&narrow, &s));
         // Everything implies top; top implies nothing constrained.
-        assert!(narrow.implies(&CanonicalCause::top()));
-        assert!(!CanonicalCause::top().implies(&narrow));
+        let top = CanonicalCause::top(&s);
+        assert!(narrow.implies(&top, &s));
+        assert!(!top.implies(&narrow, &s));
     }
 
     #[test]
@@ -544,6 +617,19 @@ mod tests {
         let round = c.canonicalize(&s).to_conjunction(&s);
         assert_eq!(round.predicates().len(), 1);
         assert_eq!(round.predicates()[0].cmp, Comparator::Eq);
+
+        // A prefix ending between `Ord`-equal twins -> `≠` list: `≤ 2`
+        // would admit `2.0` too.
+        let twins = [1.into(), 2.into(), Value::float(2.0), 3.into()];
+        let s = ParamSpace::builder().ordinal("n", twins).build();
+        let n = s.by_name("n").unwrap();
+        let c = Conjunction::new(vec![
+            Predicate::new(n, Comparator::Le, 2),
+            Predicate::new(n, Comparator::Neq, Value::float(2.0)),
+        ]);
+        let canon = c.canonicalize(&s);
+        assert_eq!(canon.allowed(&s, n).count(), 2);
+        assert_eq!(canon.to_conjunction(&s).canonicalize(&s), canon);
     }
 
     #[test]
@@ -628,13 +714,19 @@ mod tests {
     }
 
     #[test]
-    fn from_masks_drops_full_and_checks_len() {
+    fn full_blocks_are_unconstrained_and_cubes_span_the_space() {
         let s = space();
         let n = s.by_name("n").unwrap();
-        let mut masks = BTreeMap::new();
-        masks.insert(n, vec![true; 5]);
-        let c = CanonicalCause::from_masks(&s, masks);
-        assert!(c.is_top());
+        // Forbidding a value and allowing it again leaves n unconstrained.
+        let mut c = CanonicalCause::top(&s);
+        c.set_allowed(&s, n, 3, false);
+        assert!(c.constrains(&s, n));
+        assert_eq!(c.constrained(&s).collect::<Vec<_>>(), [n]);
+        c.set_allowed(&s, n, 3, true);
+        assert!(c.is_top(&s));
+        assert_eq!(c.constrained(&s).count(), 0);
+        // One word per parameter of up to 64 values.
+        assert_eq!(c.words(), [0b11111, 0b111, 0b11]);
     }
 
     #[test]
@@ -644,6 +736,6 @@ mod tests {
         let v = s.by_name("v").unwrap();
         let c = Conjunction::new(vec![Predicate::new(v, Comparator::Eq, Value::float(2.0))]);
         let canon = c.canonicalize(&s);
-        assert_eq!(canon.mask(v), Some(&[false, true][..]));
+        assert_eq!(canon.allowed(&s, v).collect::<Vec<_>>(), [1]);
     }
 }

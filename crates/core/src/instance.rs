@@ -7,9 +7,8 @@
 //!
 //! Every instance is built against a [`ParamSpace`] and carries its dense
 //! key, one domain index per parameter, so it always lies inside its space:
-//! no constructor accepts a value outside a parameter's universe. A universe
-//! grows only before its space is built
-//! ([`Domain::observe`](crate::Domain::observe)).
+//! no constructor accepts a value outside a parameter's universe, and a
+//! universe is fixed once its space is built.
 
 use crate::param::{ParamId, ParamSpace};
 use crate::value::Value;

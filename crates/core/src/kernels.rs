@@ -4,9 +4,11 @@
 //! rows, the AND across a conjunction's predicates, support popcounts —
 //! reduces to a handful of slice primitives over `&[u64]`. They live here so
 //! `RunSet`, `ProvenanceStore`'s value-index scans and the cube algebra of
-//! the multi-valued Quine–McCluskey minimizer (`bugdoc_qm::mv`: `and_not_any`
-//! is its subset test, `and_not_into` its split) share one set of loops
-//! tuned for the autovectorizer instead of ad-hoc copies.
+//! root causes (`CanonicalCause`'s word cubes, which the multi-valued
+//! Quine–McCluskey minimizer `bugdoc_qm::mv` and the synthetic ground-truth
+//! solver narrow in place: `and_not_any` is the subset test, `and_not_into`
+//! the split) share one set of loops tuned for the autovectorizer instead of
+//! ad-hoc copies.
 //!
 //! # Autovectorization contract
 //!

@@ -7,11 +7,13 @@
 //! domain declaration ("parameter satisfaction can take integer values between
 //! 1 and 10").
 
+use crate::cause::{self, CanonicalCause};
 use crate::fx::FxBuildHasher;
 use crate::instance::Instance;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Index of a parameter within a [`ParamSpace`]. Stable for the lifetime of
@@ -157,36 +159,6 @@ impl Domain {
     pub fn contains(&self, v: &Value) -> bool {
         self.index_of(v).is_some()
     }
-
-    /// Extends the universe with a newly observed value (paper §3: `U_p` grows
-    /// as new instances assign new values). Returns the value's domain index.
-    /// Ordinal domains stay sorted (a middle insertion re-indexes the tail).
-    ///
-    /// **Freeze invariant:** domain indices are the currency of the dense
-    /// instance encoding — cached [`Instance::dense_key`]s and the
-    /// provenance store's key index and value bitsets all assume they never
-    /// change. Grow a domain only *before* building instances, stores,
-    /// or executors against its space (spaces shared via `Arc` are immutable
-    /// anyway; this only concerns pre-`build` mutation through
-    /// [`ParamDef::domain_mut`]).
-    pub fn observe(&mut self, v: Value) -> usize {
-        if let Some(i) = self.index_of(&v) {
-            return i;
-        }
-        if self.is_ordinal() {
-            let pos = self.values.partition_point(|x| x < &v);
-            self.values.insert(pos, v.clone());
-            for (i, shifted) in self.values[pos..].iter().enumerate().skip(1) {
-                self.index.insert(shifted.clone(), (pos + i) as u32);
-            }
-            self.index.insert(v, pos as u32);
-            pos
-        } else {
-            self.values.push(v.clone());
-            self.index.insert(v, (self.values.len() - 1) as u32);
-            self.values.len() - 1
-        }
-    }
 }
 
 /// One manipulable parameter: a name and a value universe.
@@ -214,20 +186,22 @@ impl ParamDef {
     pub fn domain(&self) -> &Domain {
         &self.domain
     }
-
-    /// Mutable access to the universe (for [`Domain::observe`]).
-    pub fn domain_mut(&mut self) -> &mut Domain {
-        &mut self.domain
-    }
 }
 
 /// The full parameter space of a pipeline: the universe `U = {(p, U_p)}`.
 ///
 /// Shared immutably (`Arc<ParamSpace>`) between the execution engine, the
-/// provenance store, and the debugging algorithms.
+/// provenance store, and the debugging algorithms. A space is never
+/// mutated once built, so the layout of [`CanonicalCause`] cubes it computes
+/// at construction holds for its whole life.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamSpace {
     params: Vec<ParamDef>,
+    /// Parameter `i` owns words `bounds[i]..bounds[i + 1]` of every cube
+    /// over this space.
+    bounds: Vec<usize>,
+    /// The cube allowing every value of every parameter.
+    top: CanonicalCause,
 }
 
 impl ParamSpace {
@@ -246,7 +220,30 @@ impl ParamSpace {
                 p.name()
             );
         }
-        ParamSpace { params }
+        let (bounds, top) = cause::cube_layout(params.iter().map(|p| p.domain().len()));
+        ParamSpace {
+            params,
+            bounds,
+            top,
+        }
+    }
+
+    /// The words parameter `p` owns in every cube over this space.
+    pub(crate) fn block(&self, p: ParamId) -> Range<usize> {
+        self.bounds[p.index()]..self.bounds[p.index() + 1]
+    }
+
+    /// Every parameter's words in a cube over this space, in id order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (ParamId, Range<usize>)> + '_ {
+        self.bounds
+            .windows(2)
+            .enumerate()
+            .map(|(i, b)| (ParamId(i as u32), b[0]..b[1]))
+    }
+
+    /// The cube allowing every value of every parameter.
+    pub(crate) fn top(&self) -> &CanonicalCause {
+        &self.top
     }
 
     /// A fluent builder.
@@ -471,20 +468,6 @@ mod tests {
         assert_eq!(d.values(), &["b".into(), "a".into()]);
         assert_eq!(d.index_of(&"a".into()), Some(1));
         assert!(!d.contains(&"c".into()));
-    }
-
-    #[test]
-    fn observe_grows_universe() {
-        let mut d = Domain::ordinal([1, 3].map(Value::from));
-        assert_eq!(d.observe(2.into()), 1);
-        assert_eq!(d.values(), &[1.into(), 2.into(), 3.into()]);
-        // Re-observing is idempotent.
-        assert_eq!(d.observe(2.into()), 1);
-        assert_eq!(d.len(), 3);
-
-        let mut c = Domain::categorical(["x"].map(Value::from));
-        assert_eq!(c.observe("y".into()), 1);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -190,30 +190,29 @@ mod tests {
         assert!(Predicate::new(color, Comparator::Neq, "blue").satisfied_by(&inst));
     }
 
-    /// A triple's extension over a finite universe is the mask its
+    /// A triple's extension over a finite universe is the allowed set its
     /// one-triple conjunction canonicalizes to.
     #[test]
     fn allowed_indices_extension() {
         let s = space();
         let n = s.by_name("n").unwrap();
-        let mask = |cmp, v: i64| {
-            crate::Conjunction::new(vec![Predicate::new(n, cmp, v)])
-                .canonicalize(&s)
-                .mask(n)
-                .map(<[bool]>::to_vec)
+        let allowed = |cmp, v: i64| {
+            let canon = crate::Conjunction::new(vec![Predicate::new(n, cmp, v)]).canonicalize(&s);
+            canon
+                .constrains(&s, n)
+                .then(|| canon.allowed(&s, n).collect::<Vec<_>>())
         };
-        let (t, f) = (true, false);
         // n ≤ 3 over {1,2,3,4,5} -> indices {0,1,2}
-        assert_eq!(mask(Comparator::Le, 3), Some(vec![t, t, t, f, f]));
+        assert_eq!(allowed(Comparator::Le, 3), Some(vec![0, 1, 2]));
         // n > 4 -> {4}
-        assert_eq!(mask(Comparator::Gt, 4), Some(vec![f, f, f, f, t]));
+        assert_eq!(allowed(Comparator::Gt, 4), Some(vec![4]));
         // n ≠ 1 -> {1,2,3,4}
-        assert_eq!(mask(Comparator::Neq, 1), Some(vec![f, t, t, t, t]));
+        assert_eq!(allowed(Comparator::Neq, 1), Some(vec![1, 2, 3, 4]));
         // Reference value outside the domain still has a well-defined extension:
         // n ≤ 0 -> {} (unsatisfiable), n > 0 -> all, which leaves n
         // unconstrained.
-        assert_eq!(mask(Comparator::Le, 0), Some(vec![f; 5]));
-        assert_eq!(mask(Comparator::Gt, 0), None);
+        assert_eq!(allowed(Comparator::Le, 0), Some(vec![]));
+        assert_eq!(allowed(Comparator::Gt, 0), None);
     }
 
     #[test]

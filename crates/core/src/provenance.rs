@@ -46,16 +46,18 @@
 //!
 //! Every query runs on the calling thread and is one exact scan over the
 //! filled words of the rows it reads. A cause arrives canonical
-//! ([`CanonicalCause`]): for each constrained parameter, the mask of the
-//! domain values it allows. Its satisfying runs are, per constrained
-//! parameter, one OR of the value rows the mask allows, ANDed across
-//! parameters by the fused [`kernels`], so
+//! ([`CanonicalCause`]): a cube of `u64` words over the whole space, one
+//! block per parameter with one bit per domain value, which the store reads
+//! in place. Its satisfying runs are, per constrained parameter (one whose
+//! block is not full), one OR of the value rows of the block's set bits,
+//! ANDed across parameters by the fused [`kernels`], so
 //! [`support`](ProvenanceStore::support) and
 //! [`succeeding_superset_exists`](ProvenanceStore::succeeding_superset_exists)
 //! are word-parallel bit operations over the log instead of per-run
 //! predicate interpretation. `support` popcounts that set against the
 //! outcome bitsets; the superset check tests it against the succeeding
-//! runs.
+//! runs. In debug builds the scan asserts that the cube has the length of a
+//! cube over the store's space.
 
 use crate::bitset::RunSet;
 use crate::cause::{CanonicalCause, Conjunction};
@@ -481,28 +483,27 @@ impl ProvenanceStore {
 
     /// The runs in a cause's product set, as a bitset of the log's filled
     /// words (`len().div_ceil(64)`): per constrained parameter the OR of the
-    /// value rows its mask allows, ANDed across parameters by the fused
-    /// [`kernels`]. `None` when no run lies in the set; the AND stops at the
-    /// first parameter that empties it. The cause must constrain some
-    /// parameter, with masks over this store's space.
-    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the cause's masks are drawn over", scope = "block")
+    /// value rows of its block's set bits, ANDed across parameters by the
+    /// fused [`kernels`]. `None` when no run lies in the set; the AND stops at
+    /// the first parameter that empties it. The cause must constrain some
+    /// parameter, and its cube must be one over this store's space.
+    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the cause's cube is laid out over, and each allowed index is below that parameter's domain length", scope = "block")
     fn matching_runs(&self, cause: &CanonicalCause) -> Option<Vec<u64>> {
+        debug_assert_eq!(
+            cause.words().len(),
+            self.space.top().words().len(),
+            "cube over another space"
+        );
         let words = self.len().div_ceil(64);
         let mut acc = vec![0u64; words];
         let mut rows: Vec<&[u64]> = Vec::new();
-        for (i, (p, mask)) in cause.masks().iter().enumerate() {
-            debug_assert_eq!(
-                mask.len(),
-                self.space.domain(*p).len(),
-                "mask over another space"
-            );
+        for (i, p) in cause.constrained(&self.space).enumerate() {
             let base = self.offsets[p.index()] as usize;
             rows.clear();
             rows.extend(
-                mask.iter()
-                    .enumerate()
-                    .filter(|&(_, &allowed)| allowed)
-                    .map(|(v, _)| self.row(base + v, words)),
+                cause
+                    .allowed(&self.space, p)
+                    .map(|v| self.row(base + v, words)),
             );
             if i == 0 {
                 kernels::or_multi_into(&mut acc, &rows);
@@ -819,7 +820,7 @@ impl ProvenanceStore {
     /// hypothetical root cause `D`? If so, `D` is not definitive. The
     /// satisfying set is tested against the succeeding runs.
     pub fn succeeding_superset_exists(&self, cause: &CanonicalCause) -> bool {
-        if cause.is_top() {
+        if cause.is_top(&self.space) {
             return !self.succeed_bits.is_empty();
         }
         self.matching_runs(cause)
@@ -829,7 +830,7 @@ impl ProvenanceStore {
     /// Counts `(failing, succeeding)` runs satisfying a cause — fused
     /// AND+popcount of the satisfying set against the outcome bitsets.
     pub fn support(&self, cause: &CanonicalCause) -> (usize, usize) {
-        if cause.is_top() {
+        if cause.is_top(&self.space) {
             return (self.num_failing(), self.num_succeeding());
         }
         match self.matching_runs(cause) {
@@ -1330,7 +1331,7 @@ mod tests {
         let ds = s.by_name("Dataset").unwrap();
         let c = Conjunction::new(vec![Predicate::eq(ds, Value::from("Iris"))]);
         assert_eq!(p.support(&c.canonicalize(&s)), (1, 1));
-        assert_eq!(p.support(&CanonicalCause::top()), (1, 2));
+        assert_eq!(p.support(&CanonicalCause::top(&s)), (1, 2));
     }
 
     /// A 300-run log, which crosses the value index's capacity doublings at

@@ -93,12 +93,6 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    /// True if this value is numeric (`Int` or `Float`) or boolean — i.e.,
-    /// naturally ordered.
-    pub fn is_ordinal_kind(&self) -> bool {
-        !matches!(self, Value::Str(_))
-    }
-
     /// Numeric view of the value, if it has one. Used by surrogate models
     /// (random forests) that need a coordinate embedding.
     pub fn as_f64(&self) -> Option<f64> {
@@ -219,7 +213,7 @@ mod tests {
 
     #[test]
     fn f64_total_order() {
-        let mut v = vec![
+        let mut v = [
             F64::new(f64::INFINITY).unwrap(),
             F64::new(-1.0).unwrap(),
             F64::new(0.0).unwrap(),

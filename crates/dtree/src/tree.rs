@@ -149,11 +149,6 @@ impl LeafInfo {
     pub fn is_pure_fail(&self) -> bool {
         self.pure && self.n > 0 && self.mean > 0.5
     }
-
-    /// True if this is a pure-`succeed` leaf (all labels 0).
-    pub fn is_pure_succeed(&self) -> bool {
-        self.pure && self.n > 0 && self.mean < 0.5
-    }
 }
 
 /// A tree node.
@@ -858,7 +853,7 @@ impl<'a> Grower<'a> {
     /// such a node can still find no test.
     fn may_split(&self, node: &Stats, depth: usize) -> bool {
         node.n >= self.config.min_samples_split.max(2)
-            && !self.config.max_depth.is_some_and(|d| depth >= d)
+            && self.config.max_depth.is_none_or(|d| depth < d)
             && node.sse() > 0.0
     }
 

@@ -48,7 +48,7 @@ pub fn score_assertions(
     let mut canon: Vec<CanonicalCause> = Vec::new();
     for cause in asserted {
         let c = cause.canonicalize(space);
-        if c.is_unsatisfiable() {
+        if c.is_unsatisfiable(space) {
             continue; // vacuous assertions explain nothing
         }
         if !canon.contains(&c) {
@@ -150,7 +150,7 @@ pub fn conciseness(
             // Count distinct *parameters*, not raw predicates (a range
             // `> lo ∧ ≤ hi` constrains one parameter).
             let canon = cause.canonicalize(space);
-            param_counts.push(canon.masks().len());
+            param_counts.push(canon.constrained(space).count());
         }
         if !asserted.is_empty() && *n_actual > 0 {
             ratios.push((asserted.len() as f64 / *n_actual as f64).log10());

@@ -287,13 +287,13 @@ fn plant_causes(
         // incomparable, each class separable from the others, and normal
         // logs possible. A bounded failure fraction keeps anomalies rare-ish.
         for c in &canon {
-            if c.is_unsatisfiable() || c.is_top() {
+            if c.is_unsatisfiable(space) || c.is_top(space) {
                 continue 'retry;
             }
         }
         for (i, a) in canon.iter().enumerate() {
             for (j, b) in canon.iter().enumerate() {
-                if i != j && a.implies(b) {
+                if i != j && a.implies(b, space) {
                     continue 'retry;
                 }
             }

@@ -19,167 +19,69 @@
 //! reduce to classic Quine–McCluskey (see the differential test against
 //! [`crate::boolean`]).
 //!
-//! # Cube layout
-//!
-//! A cube is one flat block of `u64` words. Each parameter, in id order,
-//! owns `len.div_ceil(64)` consecutive words of it, one bit per domain value
-//! (value `v` is bit `v % 64` of the parameter's word `v / 64`), so a domain
-//! of any size fits the same layout. Bits past a domain's last value are
-//! clear in every cube, which makes cube equality plain word equality. The
-//! set algebra composes [`bugdoc_core::kernels`]: inclusion is
-//! `!and_not_any`, a per-parameter intersection test is `and_any`, an empty
-//! allowed set is `is_zero`, and merging and splitting a parameter's set are
-//! `or_multi_into`, `and_or_multi_into` and `and_not_into` on its words.
+//! A cube is a [`CanonicalCause`] itself, in the word layout bugdoc-core's
+//! cause module documents ("Cube layout"); the passes read and rewrite its
+//! parameters' blocks in place with [`bugdoc_core::kernels`].
 
 use bugdoc_core::{kernels, CanonicalCause, Conjunction, Dnf, ParamId, ParamSpace};
-use std::ops::Range;
 
-/// A cube: every parameter's allowed set, in the [layout](self#cube-layout)
-/// of its space (full sets included, unlike [`CanonicalCause`], which drops
-/// them).
-type Cube = Vec<u64>;
-
-/// Where each parameter's allowed set lives in a space's cubes.
-struct Layout {
-    /// Parameter `i` owns words `bounds[i]..bounds[i + 1]`.
-    bounds: Vec<usize>,
-    /// Domain size of each parameter.
-    lens: Vec<usize>,
-    /// The cube allowing every value of every parameter.
-    full: Cube,
-}
-
-impl Layout {
-    fn new(space: &ParamSpace) -> Self {
-        let lens: Vec<usize> = space.ids().map(|p| space.domain(p).len()).collect();
-        let mut bounds = vec![0];
-        let mut full = Vec::new();
-        for &len in &lens {
-            full.extend((0..len.div_ceil(64)).map(|w| {
-                let bits = (len - 64 * w).min(64);
-                u64::MAX >> (64 - bits)
-            }));
-            bounds.push(full.len());
-        }
-        Layout { bounds, lens, full }
-    }
-
-    /// Each parameter's word range, in id order.
-    fn blocks(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        self.bounds.windows(2).map(|b| b[0]..b[1])
-    }
-
-    fn block(&self, p: usize) -> Range<usize> {
-        self.bounds[p]..self.bounds[p + 1]
-    }
-
-    fn to_cube(&self, canon: &CanonicalCause) -> Cube {
-        let mut cube = self.full.clone();
-        for (p, mask) in canon.masks() {
-            let block = &mut cube[self.block(p.index())];
-            block.fill(0);
-            for v in (0..mask.len()).filter(|&v| mask[v]) {
-                set_value(block, v, true);
+/// The parameter where `a` and `b` differ, provided they are equal on every
+/// other parameter (the MV merge precondition).
+fn differs_in_exactly_one(
+    space: &ParamSpace,
+    a: &CanonicalCause,
+    b: &CanonicalCause,
+) -> Option<ParamId> {
+    let mut found = None;
+    for p in space.ids() {
+        if a.block(space, p) != b.block(space, p) {
+            if found.is_some() {
+                return None;
             }
+            found = Some(p);
         }
-        cube
     }
-
-    fn to_canonical(&self, space: &ParamSpace, cube: &[u64]) -> CanonicalCause {
-        let masks = self
-            .blocks()
-            .zip(&self.lens)
-            .enumerate()
-            .map(|(i, (r, &len))| {
-                let block = &cube[r];
-                (
-                    ParamId(i as u32),
-                    (0..len).map(|v| has_value(block, v)).collect(),
-                )
-            })
-            .collect();
-        CanonicalCause::from_masks(space, masks)
-    }
-
-    /// Some parameter allows no value: the cube denotes no instance.
-    fn is_empty(&self, cube: &[u64]) -> bool {
-        self.blocks().any(|r| kernels::is_zero(&cube[r]))
-    }
-
-    /// `a ∩ b ≠ ∅`: the two allowed sets meet on every parameter.
-    fn intersect(&self, a: &[u64], b: &[u64]) -> bool {
-        self.blocks()
-            .all(|r| kernels::and_any(&a[r.clone()], &b[r]))
-    }
-
-    /// The parameter where `a` and `b` differ, provided they are equal on
-    /// every other parameter (the MV merge precondition).
-    fn differs_in_exactly_one(&self, a: &[u64], b: &[u64]) -> Option<Range<usize>> {
-        let mut found = None;
-        for r in self.blocks() {
-            if a[r.clone()] != b[r.clone()] {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(r);
-            }
-        }
-        found
-    }
-
-    /// Is `cube ⊆ ⋃ cover`? Decided by recursive splitting: pick a covering
-    /// cube `c` that intersects `cube`; if `cube ⊆ c` we are done, otherwise
-    /// split `cube` along one parameter into the part inside `c` and the part
-    /// outside, and recurse on both. Each split strictly shrinks the cube, so
-    /// the recursion terminates.
-    fn covered_by(&self, cube: &[u64], cover: &[Cube]) -> bool {
-        if self.is_empty(cube) {
-            return true;
-        }
-        let Some(c) = cover.iter().find(|c| self.intersect(cube, c)) else {
-            return false;
-        };
-        if !kernels::and_not_any(cube, c) {
-            return true;
-        }
-        // A parameter where cube sticks out of c must exist (cube ⊄ c).
-        let r = self
-            .blocks()
-            .find(|r| kernels::and_not_any(&cube[r.clone()], &c[r.clone()]))
-            .expect("cube not contained in c, so some parameter sticks out");
-        let mut part = cube.to_vec();
-        kernels::and_or_multi_into(&mut part[r.clone()], &[&c[r.clone()]]);
-        if !self.covered_by(&part, cover) {
-            return false;
-        }
-        part[r.clone()].copy_from_slice(&cube[r.clone()]);
-        kernels::and_not_into(&mut part[r.clone()], &c[r]);
-        self.covered_by(&part, cover)
-    }
+    found
 }
 
-/// Whether a parameter's words allow its value `v`.
-fn has_value(block: &[u64], v: usize) -> bool {
-    block[v / 64] >> (v % 64) & 1 == 1
-}
-
-/// Allows or forbids value `v` in a parameter's words.
-fn set_value(block: &mut [u64], v: usize, allowed: bool) {
-    let bit = 1u64 << (v % 64);
-    if allowed {
-        block[v / 64] |= bit;
-    } else {
-        block[v / 64] &= !bit;
+/// Is `cube ⊆ ⋃ cover`? Decided by recursive splitting: pick a covering
+/// cube `c` that intersects `cube`; if `cube ⊆ c` we are done, otherwise
+/// split `cube` along one parameter into the part inside `c` and the part
+/// outside, and recurse on both. Each split strictly shrinks the cube, so
+/// the recursion terminates.
+fn covered_by(space: &ParamSpace, cube: &CanonicalCause, cover: &[CanonicalCause]) -> bool {
+    if cube.is_unsatisfiable(space) {
+        return true;
     }
+    let Some(c) = cover.iter().find(|c| cube.intersects(c, space)) else {
+        return false;
+    };
+    if !kernels::and_not_any(cube.words(), c.words()) {
+        return true;
+    }
+    // A parameter where cube sticks out of c must exist (cube ⊄ c).
+    let p = space
+        .ids()
+        .find(|&p| kernels::and_not_any(cube.block(space, p), c.block(space, p)))
+        .expect("cube not contained in c, so some parameter sticks out");
+    let mut part = cube.clone();
+    kernels::and_or_multi_into(part.block_mut(space, p), &[c.block(space, p)]);
+    if !covered_by(space, &part, cover) {
+        return false;
+    }
+    part.block_mut(space, p)
+        .copy_from_slice(cube.block(space, p));
+    kernels::and_not_into(part.block_mut(space, p), c.block(space, p));
+    covered_by(space, &part, cover)
 }
 
 /// Drops cubes implied by another cube (keeping the first of equal pairs).
-fn absorb(cubes: &mut Vec<Cube>) {
+fn absorb(cubes: &mut Vec<CanonicalCause>) {
     let mut i = 0;
     while i < cubes.len() {
         let absorbed = (0..cubes.len()).any(|j| {
             j != i
-                && !kernels::and_not_any(&cubes[i], &cubes[j])
+                && !kernels::and_not_any(cubes[i].words(), cubes[j].words())
                 && !(j > i && cubes[i] == cubes[j])
         });
         if absorbed {
@@ -191,16 +93,16 @@ fn absorb(cubes: &mut Vec<Cube>) {
 }
 
 /// Repeatedly merges cube pairs that differ in exactly one parameter.
-fn merge_pass(layout: &Layout, cubes: &mut Vec<Cube>) {
+fn merge_pass(space: &ParamSpace, cubes: &mut Vec<CanonicalCause>) {
     loop {
         let mut merged = None;
         'outer: for i in 0..cubes.len() {
             for j in (i + 1)..cubes.len() {
-                if let Some(r) = layout.differs_in_exactly_one(&cubes[i], &cubes[j]) {
+                if let Some(p) = differs_in_exactly_one(space, &cubes[i], &cubes[j]) {
                     let mut m = cubes[i].clone();
                     kernels::or_multi_into(
-                        &mut m[r.clone()],
-                        &[&cubes[i][r.clone()], &cubes[j][r]],
+                        m.block_mut(space, p),
+                        &[cubes[i].block(space, p), cubes[j].block(space, p)],
                     );
                     merged = Some((i, j, m));
                     break 'outer;
@@ -219,31 +121,31 @@ fn merge_pass(layout: &Layout, cubes: &mut Vec<Cube>) {
 }
 
 /// Expands each cube against the reference function `f`: first tries to free
-/// whole parameters (set the mask full), then individual values, keeping
+/// whole parameters (allow the whole domain), then individual values, keeping
 /// every expansion that stays inside `⋃ f`. Freed parameters disappear from
 /// the final conjunction — this is what turns a verbose tree path into a
 /// minimal cause.
-fn expand_pass(layout: &Layout, cubes: &mut [Cube], f: &[Cube]) {
+fn expand_pass(space: &ParamSpace, cubes: &mut [CanonicalCause], f: &[CanonicalCause]) {
     let mut saved = Vec::new();
     for cube in cubes.iter_mut() {
-        for (r, &len) in layout.blocks().zip(&layout.lens) {
-            if cube[r.clone()] == layout.full[r.clone()] {
+        for p in space.ids() {
+            if !cube.constrains(space, p) {
                 continue;
             }
             // Whole-parameter expansion.
             saved.clear();
-            saved.extend_from_slice(&cube[r.clone()]);
-            cube[r.clone()].copy_from_slice(&layout.full[r.clone()]);
-            if layout.covered_by(cube, f) {
+            saved.extend_from_slice(cube.block(space, p));
+            cube.unconstrain(space, p);
+            if covered_by(space, cube, f) {
                 continue;
             }
-            cube[r.clone()].copy_from_slice(&saved);
+            cube.block_mut(space, p).copy_from_slice(&saved);
             // Per-value expansion.
-            for v in 0..len {
-                if !has_value(&cube[r.clone()], v) {
-                    set_value(&mut cube[r.clone()], v, true);
-                    if !layout.covered_by(cube, f) {
-                        set_value(&mut cube[r.clone()], v, false);
+            for v in 0..space.domain(p).len() {
+                if !cube.allows(space, p, v) {
+                    cube.set_allowed(space, p, v, true);
+                    if !covered_by(space, cube, f) {
+                        cube.set_allowed(space, p, v, false);
                     }
                 }
             }
@@ -252,12 +154,12 @@ fn expand_pass(layout: &Layout, cubes: &mut [Cube], f: &[Cube]) {
 }
 
 /// Removes cubes covered by the union of the remaining cubes.
-fn irredundant_pass(layout: &Layout, cubes: &mut Vec<Cube>) {
+fn irredundant_pass(space: &ParamSpace, cubes: &mut Vec<CanonicalCause>) {
     let mut i = 0;
     while i < cubes.len() {
         // The rest, in order, is the vector without cube i.
         let cube = cubes.remove(i);
-        if !layout.covered_by(&cube, cubes) {
+        if !covered_by(space, &cube, cubes) {
             cubes.insert(i, cube);
             i += 1;
         }
@@ -269,15 +171,14 @@ fn irredundant_pass(layout: &Layout, cubes: &mut Vec<Cube>) {
 /// with no redundant conjunct, no conjunct expressible more simply, and no
 /// pair of conjuncts mergeable into one.
 pub fn minimize_dnf(space: &ParamSpace, dnf: &Dnf) -> Dnf {
-    let layout = Layout::new(space);
-    let mut cubes: Vec<Cube> = dnf
+    let mut cubes: Vec<CanonicalCause> = dnf
         .conjuncts()
         .iter()
-        .map(|c| layout.to_cube(&c.canonicalize(space)))
-        .filter(|c| !layout.is_empty(c))
+        .map(|c| c.canonicalize(space))
+        .filter(|c| !c.is_unsatisfiable(space))
         .collect();
 
-    if cubes.contains(&layout.full) {
+    if cubes.iter().any(|c| c.is_top(space)) {
         // Some conjunct is a tautology: the whole DNF is ⊤.
         return Dnf::new(vec![Conjunction::top()]);
     }
@@ -287,21 +188,16 @@ pub fn minimize_dnf(space: &ParamSpace, dnf: &Dnf) -> Dnf {
 
     let f = cubes.clone(); // the reference function, fixed
     absorb(&mut cubes);
-    merge_pass(&layout, &mut cubes);
-    expand_pass(&layout, &mut cubes, &f);
-    if cubes.contains(&layout.full) {
+    merge_pass(space, &mut cubes);
+    expand_pass(space, &mut cubes, &f);
+    if cubes.iter().any(|c| c.is_top(space)) {
         return Dnf::new(vec![Conjunction::top()]);
     }
     absorb(&mut cubes);
-    merge_pass(&layout, &mut cubes);
-    irredundant_pass(&layout, &mut cubes);
+    merge_pass(space, &mut cubes);
+    irredundant_pass(space, &mut cubes);
 
-    Dnf::new(
-        cubes
-            .iter()
-            .map(|c| layout.to_canonical(space, c).to_conjunction(space))
-            .collect(),
-    )
+    Dnf::new(cubes.iter().map(|c| c.to_conjunction(space)).collect())
 }
 
 /// Semantic coverage check exposed for ground-truth computations: is every
@@ -313,9 +209,7 @@ pub fn cause_covered_by(
     cause: &CanonicalCause,
     cover: &[CanonicalCause],
 ) -> bool {
-    let layout = Layout::new(space);
-    let cover: Vec<Cube> = cover.iter().map(|c| layout.to_cube(c)).collect();
-    layout.covered_by(&layout.to_cube(cause), &cover)
+    covered_by(space, cause, cover)
 }
 
 /// Simplifies a single conjunction to its shortest equivalent form over the
@@ -323,7 +217,7 @@ pub fn cause_covered_by(
 /// if the conjunction is unsatisfiable over the space.
 pub fn simplify_conjunction(space: &ParamSpace, conj: &Conjunction) -> Option<Conjunction> {
     let canon = conj.canonicalize(space);
-    if canon.is_unsatisfiable() {
+    if canon.is_unsatisfiable(space) {
         return None;
     }
     Some(canon.to_conjunction(space))
@@ -511,24 +405,17 @@ mod tests {
     #[test]
     fn covered_by_splitting_logic() {
         let s = space();
-        let layout = Layout::new(&s);
         let n = s.by_name("n").unwrap();
         // cube n∈{2,3,4} covered by {n≤3} ∪ {n>3}? yes.
-        let cube = layout.to_cube(
-            &Conjunction::new(vec![
-                Predicate::new(n, Comparator::Gt, 1),
-                Predicate::new(n, Comparator::Le, 4),
-            ])
-            .canonicalize(&s),
-        );
-        let a = layout.to_cube(
-            &Conjunction::new(vec![Predicate::new(n, Comparator::Le, 3)]).canonicalize(&s),
-        );
-        let b = layout.to_cube(
-            &Conjunction::new(vec![Predicate::new(n, Comparator::Gt, 3)]).canonicalize(&s),
-        );
-        assert!(layout.covered_by(&cube, &[a.clone(), b]));
-        assert!(!layout.covered_by(&cube, &[a]));
+        let cube = Conjunction::new(vec![
+            Predicate::new(n, Comparator::Gt, 1),
+            Predicate::new(n, Comparator::Le, 4),
+        ])
+        .canonicalize(&s);
+        let a = Conjunction::new(vec![Predicate::new(n, Comparator::Le, 3)]).canonicalize(&s);
+        let b = Conjunction::new(vec![Predicate::new(n, Comparator::Gt, 3)]).canonicalize(&s);
+        assert!(covered_by(&s, &cube, &[a.clone(), b]));
+        assert!(!covered_by(&s, &cube, &[a]));
     }
 
     #[test]
@@ -538,15 +425,14 @@ mod tests {
             .boolean("flag")
             .ordinal("wide", 0..64i64)
             .build();
-        let layout = Layout::new(&s);
-        assert_eq!(layout.bounds, [0, 3, 4, 5]);
-        assert_eq!(layout.full, [u64::MAX, u64::MAX, 0b11, 0b11, u64::MAX]);
+        let full = CanonicalCause::top(&s);
+        assert_eq!(full.words(), [u64::MAX, u64::MAX, 0b11, 0b11, u64::MAX]);
         // A value past the first word lands in its parameter's second word.
         let big = s.by_name("big").unwrap();
         let canon = Conjunction::new(vec![Predicate::eq(big, 100i64)]).canonicalize(&s);
-        let cube = layout.to_cube(&canon);
-        assert_eq!(&cube[..3], &[0u64, 1 << 36, 0]);
-        assert_eq!(layout.to_canonical(&s, &cube), canon);
+        assert_eq!(&canon.words()[..3], &[0u64, 1 << 36, 0]);
+        assert_eq!(canon.block(&s, big), &canon.words()[..3]);
+        assert_eq!(canon.allowed(&s, big).collect::<Vec<_>>(), [100]);
     }
 
     /// One instance from the paper's running theme: minimization of the DDT

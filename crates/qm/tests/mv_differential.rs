@@ -12,29 +12,36 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The `Vec<Vec<bool>>` minimizer, verbatim.
+#[allow(
+    clippy::needless_range_loop,
+    reason = "the oracle is kept verbatim as the minimizer it replaced"
+)]
 mod oracle {
     use bugdoc_core::{CanonicalCause, Conjunction, Dnf, ParamSpace};
 
-    /// A dense cube: one allowed-mask per parameter (full masks included, unlike
-    /// [`CanonicalCause`] which drops them).
+    /// A dense cube: one allowed-mask per parameter (full masks included,
+    /// like the [`CanonicalCause`] cube it converts from and to).
     type DenseCube = Vec<Vec<bool>>;
 
     fn to_dense(space: &ParamSpace, canon: &CanonicalCause) -> DenseCube {
         space
             .ids()
-            .map(|p| match canon.mask(p) {
-                Some(m) => m.to_vec(),
-                None => vec![true; space.domain(p).len()],
+            .map(|p| {
+                (0..space.domain(p).len())
+                    .map(|v| canon.allows(space, p, v))
+                    .collect()
             })
             .collect()
     }
 
     fn from_dense(space: &ParamSpace, cube: &DenseCube) -> CanonicalCause {
-        let mut masks = std::collections::BTreeMap::new();
-        for (i, mask) in cube.iter().enumerate() {
-            masks.insert(bugdoc_core::ParamId(i as u32), mask.clone());
+        let mut canon = CanonicalCause::top(space);
+        for (p, mask) in space.ids().zip(cube) {
+            for (v, &allowed) in mask.iter().enumerate() {
+                canon.set_allowed(space, p, v, allowed);
+            }
         }
-        CanonicalCause::from_masks(space, masks)
+        canon
     }
 
     fn is_empty_cube(cube: &DenseCube) -> bool {

@@ -357,8 +357,10 @@ impl SessionManager {
         render_executor_counters(&mut out, executors.iter().map(|shared| shared.exec.stats()));
 
         // Per-executor gauges: the load signals an idle-eviction policy
-        // (ROADMAP follow-up) would act on.
-        let families: [(&str, &str, &dyn Fn(&SharedExecutor) -> f64); 3] = [
+        // (ROADMAP follow-up) would act on. Each is a name, a help line and
+        // the executor's reading.
+        type Gauge<'a> = (&'a str, &'a str, &'a dyn Fn(&SharedExecutor) -> f64);
+        let families: [Gauge; 3] = [
             (
                 "bugdoc_serve_executor_sessions",
                 "Sessions currently bound to this executor",
@@ -409,11 +411,6 @@ impl SessionManager {
         } else {
             Err(failures.join("; "))
         }
-    }
-
-    /// Number of live sessions (attached or detached).
-    pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
     }
 
     /// Number of distinct executors (distinct spec texts) resident.

@@ -245,7 +245,7 @@ fn sample_truth(config: &SynthConfig, space: &Arc<ParamSpace>, rng: &mut StdRng)
         if truth.len() != conjuncts.len() {
             continue;
         }
-        if truth.minimal_causes().iter().any(|c| c.is_top()) {
+        if truth.minimal_causes().iter().any(|c| c.is_top(space)) {
             continue;
         }
         let frac = truth.failure_fraction(space);

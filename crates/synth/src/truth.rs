@@ -14,7 +14,7 @@
 //!   to one planted conjunct — see the proof sketch in `DESIGN.md` §8 — so
 //!   `R(CP)` is simply their canonical forms.
 
-use bugdoc_core::{CanonicalCause, Conjunction, Dnf, Instance, ParamSpace};
+use bugdoc_core::{kernels, CanonicalCause, Conjunction, Dnf, Instance, ParamSpace};
 use bugdoc_qm::cause_covered_by;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -34,7 +34,7 @@ impl Truth {
             .conjuncts()
             .iter()
             .map(|c| c.canonicalize(space))
-            .filter(|c| !c.is_unsatisfiable())
+            .filter(|c| !c.is_unsatisfiable(space))
             .collect();
         Truth { failure, canon }
     }
@@ -70,7 +70,7 @@ impl Truth {
     /// (Every instance satisfying it fails.) Exact, via cube coverage.
     pub fn is_definitive(&self, space: &ParamSpace, cause: &Conjunction) -> bool {
         let canon = cause.canonicalize(space);
-        if canon.is_unsatisfiable() {
+        if canon.is_unsatisfiable(space) {
             return false; // vacuous causes explain nothing
         }
         cause_covered_by(space, &canon, &self.canon)
@@ -89,14 +89,11 @@ impl Truth {
     pub fn sample_succeeding(&self, space: &ParamSpace, rng: &mut StdRng) -> Option<Instance> {
         // Start unconstrained; for each conjunct pick one constrained
         // parameter and confine the instance to that predicate's complement.
-        let mut masks: Vec<Vec<bool>> = space
-            .ids()
-            .map(|p| vec![true; space.domain(p).len()])
-            .collect();
-        if !solve_avoid(space, &self.canon, 0, &mut masks, rng) {
+        let mut cube = CanonicalCause::top(space);
+        if !solve_avoid(space, &self.canon, 0, &mut cube, rng) {
             return None;
         }
-        Some(sample_from_masks(space, &masks, rng))
+        Some(sample_from_cube(space, &cube, rng))
     }
 
     /// Constructs an instance that *fails* by satisfying a uniformly chosen
@@ -120,15 +117,7 @@ impl Truth {
         if idx >= self.canon.len() {
             return None;
         }
-        let pick = &self.canon[idx];
-        let masks: Vec<Vec<bool>> = space
-            .ids()
-            .map(|p| match pick.mask(p) {
-                Some(m) => m.to_vec(),
-                None => vec![true; space.domain(p).len()],
-            })
-            .collect();
-        Some(sample_from_masks(space, &masks, rng))
+        Some(sample_from_cube(space, &self.canon[idx], rng))
     }
 
     /// Exact fraction of the space that fails, by inclusion–exclusion over
@@ -165,98 +154,78 @@ pub fn sample_instance(
     avoid: &[CanonicalCause],
     rng: &mut StdRng,
 ) -> Option<Instance> {
-    let mut masks: Vec<Vec<bool>> = space
-        .ids()
-        .map(|p| match require.and_then(|r| r.mask(p)) {
-            Some(m) => m.to_vec(),
-            None => vec![true; space.domain(p).len()],
-        })
-        .collect();
-    if masks.iter().any(|m| m.iter().all(|&b| !b)) {
+    let mut cube = require
+        .cloned()
+        .unwrap_or_else(|| CanonicalCause::top(space));
+    if cube.is_unsatisfiable(space) || !solve_avoid(space, avoid, 0, &mut cube, rng) {
         return None;
     }
-    if !solve_avoid(space, avoid, 0, &mut masks, rng) {
-        return None;
-    }
-    Some(sample_from_masks(space, &masks, rng))
+    Some(sample_from_cube(space, &cube, rng))
 }
 
-/// Number of instances satisfying *all* the given causes simultaneously.
+/// Number of instances satisfying *all* the given causes simultaneously:
+/// the size of their intersection cube.
 fn intersection_count(space: &ParamSpace, causes: &[&CanonicalCause]) -> u128 {
+    let mut cube = CanonicalCause::top(space);
+    for c in causes {
+        for p in space.ids() {
+            kernels::and_or_multi_into(cube.block_mut(space, p), &[c.block(space, p)]);
+        }
+    }
     space
         .ids()
-        .map(|p| {
-            let n = space.domain(p).len();
-            (0..n)
-                .filter(|&i| causes.iter().all(|c| c.mask(p).map(|m| m[i]).unwrap_or(true)))
-                .count() as u128
-        })
+        .map(|p| kernels::popcount(cube.block(space, p)) as u128)
         .try_fold(1u128, |acc, n| acc.checked_mul(n))
         .unwrap_or(u128::MAX)
 }
 
-/// Backtracking solver: confine `masks` so that every conjunct from index
-/// `at` onward is violated. Branch choices are shuffled for unbiased
-/// sampling.
+/// Backtracking solver: narrow `cube`, which allows some value of every
+/// parameter, so that every conjunct from index `at` onward is violated.
+/// Branch choices are shuffled for unbiased sampling.
 fn solve_avoid(
     space: &ParamSpace,
     conjuncts: &[CanonicalCause],
     at: usize,
-    masks: &mut [Vec<bool>],
+    cube: &mut CanonicalCause,
     rng: &mut StdRng,
 ) -> bool {
     let Some(conjunct) = conjuncts.get(at) else {
         return true; // all conjuncts handled
     };
-    // Already violated by the current masks? (No remaining value on some
-    // parameter can satisfy the conjunct's mask.)
-    let already = space.ids().any(|p| {
-        conjunct.mask(p).is_some_and(|cm| {
-            masks[p.index()]
-                .iter()
-                .zip(cm.iter())
-                .all(|(&alive, &ok)| !(alive && ok))
-        })
-    });
-    if already {
-        return solve_avoid(space, conjuncts, at + 1, masks, rng);
+    // Already violated: the cube shares no instance with the conjunct.
+    if !cube.intersects(conjunct, space) {
+        return solve_avoid(space, conjuncts, at + 1, cube, rng);
     }
     // Choose a constrained parameter and confine to the complement.
-    let mut params: Vec<_> = conjunct.masks().keys().copied().collect();
+    let mut params: Vec<_> = conjunct.constrained(space).collect();
     // Shuffle via Fisher–Yates on indices for sampling diversity.
     for i in (1..params.len()).rev() {
         params.swap(i, rng.gen_range(0..=i));
     }
+    let mut saved = Vec::new();
     for p in params {
-        let cm = conjunct.mask(p).expect("constrained parameter");
-        let saved = masks[p.index()].clone();
-        let mut feasible = false;
-        for (slot, (&alive, &ok)) in masks[p.index()]
-            .iter_mut()
-            .zip(saved.iter().zip(cm.iter()))
-            .map(|(slot, pair)| (slot, pair))
-        {
-            *slot = alive && !ok;
-            feasible |= *slot;
-        }
-        if feasible && solve_avoid(space, conjuncts, at + 1, masks, rng) {
+        saved.clear();
+        saved.extend_from_slice(cube.block(space, p));
+        kernels::and_not_into(cube.block_mut(space, p), conjunct.block(space, p));
+        let feasible = !kernels::is_zero(cube.block(space, p));
+        if feasible && solve_avoid(space, conjuncts, at + 1, cube, rng) {
             return true;
         }
-        masks[p.index()].copy_from_slice(&saved);
+        cube.block_mut(space, p).copy_from_slice(&saved);
     }
     false
 }
 
-fn sample_from_masks(space: &ParamSpace, masks: &[Vec<bool>], rng: &mut StdRng) -> Instance {
+/// Draws an instance from a satisfiable cube: per parameter, a uniform pick
+/// among the domain indices it allows.
+fn sample_from_cube(space: &ParamSpace, cube: &CanonicalCause, rng: &mut StdRng) -> Instance {
     let indices: Vec<u32> = space
         .ids()
         .map(|p| {
-            let pool: Vec<u32> = (0..masks[p.index()].len())
-                .filter(|&i| masks[p.index()][i])
-                .map(|i| i as u32)
-                .collect();
-            assert!(!pool.is_empty(), "solver produced an empty mask");
-            pool[rng.gen_range(0..pool.len())]
+            let n = kernels::popcount(cube.block(space, p));
+            assert!(n > 0, "solver produced an empty allowed set");
+            let k = rng.gen_range(0..n);
+            cube.allowed(space, p).nth(k).expect("k is below the count") as u32
         })
         .collect();
     space.instance_from_indices(&indices)

@@ -120,10 +120,12 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A zeroed ring, usable in statics.
     pub const fn new() -> Self {
-        // Interior-mutable const item, re-instantiated per slot (the same
-        // std idiom Histogram's bucket array uses).
-        const EMPTY: Slot = Slot::new();
-        FlightRecorder { head: AtomicU64::new(0), slots: [EMPTY; FLIGHT_CAPACITY] }
+        // An inline const block is evaluated afresh per slot (the same idiom
+        // Histogram's bucket array uses).
+        FlightRecorder {
+            head: AtomicU64::new(0),
+            slots: [const { Slot::new() }; FLIGHT_CAPACITY],
+        }
     }
 
     /// Records one event. Wait-free: one `fetch_add` to claim a slot, then

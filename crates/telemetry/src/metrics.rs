@@ -101,11 +101,10 @@ impl Default for Histogram {
 impl Histogram {
     /// A zeroed histogram, usable in statics.
     pub const fn new() -> Self {
-        // An interior-mutable const item is re-instantiated per array slot;
-        // this is the std-documented way to build an atomic array.
-        const ZERO: AtomicU64 = AtomicU64::new(0);
+        // An inline const block is evaluated afresh per array slot, so each
+        // bucket is its own atomic.
         Histogram {
-            buckets: [ZERO; BUCKETS],
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }

@@ -59,9 +59,15 @@ impl Oracle {
 
 fn random_space(rng: &mut StdRng) -> Arc<ParamSpace> {
     let n_params = rng.gen_range(2..=4usize);
+    let mut lens: Vec<usize> = (0..n_params).map(|_| rng.gen_range(2..=5usize)).collect();
+    // Sometimes one parameter of 65–140 values, whose block of a cause's
+    // cube spans two or three words.
+    if rng.gen_range(0..3u32) == 0 {
+        let at = rng.gen_range(0..=n_params);
+        lens.insert(at, rng.gen_range(65..=140usize));
+    }
     let mut b = ParamSpace::builder();
-    for p in 0..n_params {
-        let len = rng.gen_range(2..=5usize);
+    for (p, len) in lens.into_iter().enumerate() {
         b = if rng.gen_range(0..2u32) == 0 {
             b.ordinal(format!("p{p}"), (0..len as i64).collect::<Vec<_>>())
         } else {
@@ -80,7 +86,7 @@ fn outcome_of(inst: &Instance) -> Outcome {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     inst.hash(&mut h);
-    Outcome::from_check(h.finish() % 3 != 0)
+    Outcome::from_check(!h.finish().is_multiple_of(3))
 }
 
 /// A random instance of the space.

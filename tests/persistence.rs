@@ -59,7 +59,7 @@ fn outcome_of(inst: &Instance) -> Outcome {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     inst.hash(&mut h);
-    Outcome::from_check(h.finish() % 3 != 0)
+    Outcome::from_check(!h.finish().is_multiple_of(3))
 }
 
 fn random_instance(space: &Arc<ParamSpace>, rng: &mut StdRng) -> Instance {
@@ -377,7 +377,6 @@ fn ml_diagnosis(persist: Option<PersistConfig>, budget: Option<usize>) -> (Dnf, 
             workers: 5,
             budget,
             persist,
-            ..Default::default()
         },
         prov,
     );

@@ -1,19 +1,18 @@
 //! Property-based tests on the core invariants, spanning crates:
-//! Quine–McCluskey semantic equivalence, canonical-form round-trips,
-//! Shortcut's Theorem-2 guarantee, executor batch/sequential agreement,
-//! and metric formula consistency.
+//! Quine–McCluskey semantic equivalence, canonical-form round-trips, the
+//! ground-truth solver against enumeration, Shortcut's Theorem-2 guarantee,
+//! executor batch/sequential agreement, and metric formula consistency.
 
 // Selective import: `bugdoc::prelude::Strategy` (the driver enum) would
 // shadow proptest's `Strategy` trait under a glob.
-use bugdoc::core::CanonicalCause;
+use bugdoc::core::{CanonicalCause, Value};
 use bugdoc::prelude::{
     shortcut, Comparator, Conjunction, Dnf, EvalResult, Executor, ExecutorConfig, FnPipeline,
     Instance, Outcome, ParamId, ParamSpace, Pipeline, Predicate, ShortcutConfig,
 };
 use bugdoc::qm;
-use bugdoc::synth::Truth;
+use bugdoc::synth::{sample_instance, Truth};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A small random space: 2–4 parameters, 2–5 values, mixed kinds.
@@ -60,17 +59,23 @@ fn arb_dnf(space: Arc<ParamSpace>) -> impl Strategy<Value = Dnf> {
         .prop_map(|conjs| Dnf::new(conjs.into_iter().map(Conjunction::new).collect()))
 }
 
-/// One parameter's mask for [`canonical_masks_round_trip`], by `shape`:
-/// unconstrained, one pinned value, every value but one, or a scattered
-/// subset (the low bits of `bits`, which may allow none of the values or
-/// all of them).
-fn shaped_mask(n_values: usize, shape: u32, bits: u64) -> Option<Vec<bool>> {
-    let at = (bits % n_values as u64) as usize;
+/// One parameter's mask over `len` values for [`canonical_masks_round_trip`],
+/// by `shape`: unconstrained, the value at `at` pinned, every value but that
+/// one, a scattered subset (value `i` allowed iff bit `i % 64` of `bits` is
+/// set, which may allow none of the values or all of them), the prefix
+/// through `at`, or the suffix past `at`.
+fn shaped_mask(len: usize, shape: u32, at: usize, bits: u64) -> Option<Vec<bool>> {
     match shape {
         0 => None,
-        1 => Some((0..n_values).map(|i| i == at).collect()),
-        2 => Some((0..n_values).map(|i| i != at).collect()),
-        _ => Some((0..n_values).map(|i| bits >> i & 1 == 1).collect()),
+        1 => Some((0..len).map(|i| i == at).collect()),
+        2 => Some((0..len).map(|i| i != at).collect()),
+        3 => Some(
+            (0..len)
+                .map(|i| bits.rotate_right(i as u32) & 1 == 1)
+                .collect(),
+        ),
+        4 => Some((0..len).map(|i| i <= at).collect()),
+        _ => Some((0..len).map(|i| i > at).collect()),
     }
 }
 
@@ -79,35 +84,47 @@ proptest! {
 
     /// `to_conjunction` is exact on masks drawn directly, not only on the
     /// masks a few predicates over small domains can spell: single pins,
-    /// all-but-one and scattered subsets over ordinal and categorical
-    /// domains of 2–30 values come back unchanged through `canonicalize`.
+    /// all-but-one, prefixes, suffixes and scattered subsets over ordinal and
+    /// categorical domains of 2–140 values come back unchanged through
+    /// `canonicalize`. Domains past 64 values span several words of a cube.
+    /// `kind` 2 is an ordinal domain that also holds `Float(at)` beside
+    /// `Int(at)`: the two are `Ord`-equal, so no `≤` or `>` bound may fall
+    /// between them, and the prefix and suffix shapes end exactly there.
     #[test]
     fn canonical_masks_round_trip(
         params in proptest::collection::vec(
-            (2usize..=30, any::<bool>(), 0u32..4, any::<u64>()),
+            (2usize..=140, 0u32..3, 0u32..6, any::<u64>()),
             1..=4,
         )
     ) {
+        // Each parameter's `at`, below its count of `Int` values.
+        let at = |n_values: usize, bits: u64| (bits % n_values as u64) as usize;
         let mut builder = ParamSpace::builder();
-        for (i, &(n_values, ordinal, _, _)) in params.iter().enumerate() {
-            builder = if ordinal {
-                builder.ordinal(format!("p{i}"), (0..n_values as i64).collect::<Vec<_>>())
-            } else {
-                builder.categorical(
+        for (i, &(n_values, kind, _, bits)) in params.iter().enumerate() {
+            let ints = (0..n_values as i64).map(Value::from);
+            builder = match kind {
+                0 => builder.categorical(
                     format!("p{i}"),
                     (0..n_values).map(|v| format!("v{v}")).collect::<Vec<_>>(),
-                )
+                ),
+                1 => builder.ordinal(format!("p{i}"), ints.collect::<Vec<_>>()),
+                _ => {
+                    let twin = Value::float(at(n_values, bits) as f64);
+                    builder.ordinal(format!("p{i}"), ints.chain([twin]).collect::<Vec<_>>())
+                }
             };
         }
         let space = builder.build();
-        let masks: BTreeMap<ParamId, Vec<bool>> = params
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &(n_values, _, shape, bits))| {
-                Some((ParamId(i as u32), shaped_mask(n_values, shape, bits)?))
-            })
-            .collect();
-        let cause = CanonicalCause::from_masks(&space, masks);
+        let mut cause = CanonicalCause::top(&space);
+        for (p, &(n_values, _, shape, bits)) in space.ids().zip(&params) {
+            let len = space.domain(p).len();
+            let Some(mask) = shaped_mask(len, shape, at(n_values, bits), bits) else {
+                continue;
+            };
+            for (v, allowed) in mask.into_iter().enumerate() {
+                cause.set_allowed(&space, p, v, allowed);
+            }
+        }
         let round = cause.to_conjunction(&space);
         prop_assert_eq!(round.canonicalize(&space), cause, "{}", round.display(&space));
     }
@@ -174,7 +191,7 @@ proptest! {
         let brute = space
             .instances()
             .all(|i| !ca.satisfied_by(&i, &space) || cb.satisfied_by(&i, &space));
-        prop_assert_eq!(ca.implies(&cb), brute);
+        prop_assert_eq!(ca.implies(&cb, &space), brute);
     }
 
     /// Truth::is_definitive agrees with brute-force enumeration.
@@ -189,7 +206,7 @@ proptest! {
         let truth = Truth::new(&space, dnf);
         let cause = Conjunction::new(preds);
         let canon = cause.canonicalize(&space);
-        if canon.is_unsatisfiable() {
+        if canon.is_unsatisfiable(&space) {
             prop_assert!(!truth.is_definitive(&space, &cause));
         } else {
             let brute = space
@@ -197,6 +214,47 @@ proptest! {
                 .filter(|i| cause.satisfied_by(i))
                 .all(|i| truth.fails(&i));
             prop_assert_eq!(truth.is_definitive(&space, &cause), brute);
+        }
+    }
+
+    /// The ground-truth solver against enumeration: `failure_fraction` is
+    /// the failing share of the space, `sample_succeeding` is `None` exactly
+    /// when every instance fails and otherwise returns one that succeeds, and
+    /// `sample_instance` is `None` exactly when no instance satisfies
+    /// `require` while violating every `avoid`, and otherwise returns one
+    /// that does.
+    #[test]
+    fn truth_solver_agrees_with_enumeration(
+        (space, dnf, require, avoid) in arb_space().prop_flat_map(|s| {
+            let dnf = arb_dnf(s.clone());
+            let require = proptest::collection::vec(arb_predicate(s.clone()), 0..=2);
+            let avoid = arb_dnf(s.clone());
+            (Just(s), dnf, require, avoid)
+        }),
+        seed in any::<u64>(),
+    ) {
+        let truth = Truth::new(&space, dnf);
+        let total = space.total_configurations() as usize;
+        let failing = space.instances().filter(|i| truth.fails(i)).count();
+        let fraction = failing as f64 / total as f64;
+        prop_assert!((truth.failure_fraction(&space) - fraction).abs() < 1e-9);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        match truth.sample_succeeding(&space, &mut rng) {
+            None => prop_assert_eq!(failing, total),
+            Some(inst) => prop_assert!(!truth.fails(&inst), "{}", inst.display(&space)),
+        }
+
+        let require = (!require.is_empty()).then(|| Conjunction::new(require).canonicalize(&space));
+        let avoid: Vec<CanonicalCause> =
+            avoid.conjuncts().iter().map(|c| c.canonicalize(&space)).collect();
+        let qualifies = |i: &Instance| {
+            require.as_ref().is_none_or(|r| r.satisfied_by(i, &space))
+                && avoid.iter().all(|a| !a.satisfied_by(i, &space))
+        };
+        let exists = space.instances().any(|i| qualifies(&i));
+        match sample_instance(&space, require.as_ref(), &avoid, &mut rng) {
+            None => prop_assert!(!exists),
+            Some(inst) => prop_assert!(qualifies(&inst), "{}", inst.display(&space)),
         }
     }
 
