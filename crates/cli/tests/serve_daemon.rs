@@ -51,13 +51,16 @@ fn bugdoc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bugdoc"))
 }
 
+/// Waits until the daemon accepts a connection on `socket`. The file
+/// appears at `bind`, before the socket listens, so a connect made as soon
+/// as the file exists can be refused.
 fn wait_for_socket(socket: &Path, daemon: &mut Child) {
     let deadline = Instant::now() + Duration::from_secs(20);
-    while !socket.exists() {
+    while std::os::unix::net::UnixStream::connect(socket).is_err() {
         if let Some(status) = daemon.try_wait().unwrap() {
             panic!("daemon exited early: {status}");
         }
-        assert!(Instant::now() < deadline, "daemon never bound {socket:?}");
+        assert!(Instant::now() < deadline, "daemon never listened on {socket:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -107,6 +110,33 @@ fn scrape_metrics(socket: &Path) -> Vec<String> {
             line.trim_end().to_string()
         })
         .collect()
+}
+
+/// Sends `SIGTERM` and waits for the daemon to exit, at most 20 s.
+fn terminate(daemon: &mut Child) -> std::process::ExitStatus {
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(killed.success());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            return status;
+        }
+        assert!(Instant::now() < deadline, "daemon ignored SIGTERM");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The value of the unlabelled sample `name` in a `METRICS` scrape.
+fn sample(lines: &[String], name: &str) -> f64 {
+    lines
+        .iter()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name} sample in the scrape"))
+        .parse()
+        .unwrap()
 }
 
 /// `(name, value)` pairs of the monotone counter samples (`*_total` /
@@ -229,20 +259,7 @@ fn daemon_serves_shares_and_survives_sigterm() {
 
     // SIGTERM (not SIGKILL): the daemon must drain, sync the durable
     // store, release its lock, and exit cleanly.
-    let pid = daemon.id().to_string();
-    let killed = Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .unwrap();
-    assert!(killed.success());
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "daemon ignored SIGTERM");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = terminate(&mut daemon);
     assert!(status.success(), "daemon exited with {status}");
     assert!(!socket.exists(), "socket file not removed on exit");
 
@@ -343,19 +360,7 @@ fn second_serve_on_a_live_socket_fails_and_leaves_the_first_daemon_reachable() {
     BufReader::new(stream).read_line(&mut reply).unwrap();
     assert_eq!(reply, "OK pong\n");
 
-    let killed = Command::new("kill")
-        .args(["-TERM", &first.0.id().to_string()])
-        .status()
-        .unwrap();
-    assert!(killed.success());
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = first.0.try_wait().unwrap() {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "daemon ignored SIGTERM");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = terminate(&mut first.0);
     let mut stdout = String::new();
     let mut pipe = first.0.stdout.take().unwrap();
     pipe.read_to_string(&mut stdout).unwrap();
@@ -368,5 +373,124 @@ fn second_serve_on_a_live_socket_fails_and_leaves_the_first_daemon_reachable() {
     assert!(served >= 1, "{stdout}");
     assert!(!socket.exists(), "socket file not removed on exit");
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Sequential `bugdoc connect` runs reuse the daemon's connection
+/// handlers: twenty of them, each connecting after the last one exited,
+/// start at most two handler threads, where a thread per connection would
+/// start twenty. The count is the daemon process's own, so no other test
+/// shares it.
+#[test]
+fn sequential_connects_start_at_most_two_handler_threads() {
+    let dir = workdir("handlers");
+    let spec = write_fixture(&dir);
+    let socket = dir.join("bugdoc.sock");
+    let mut daemon = Reaped(
+        bugdoc()
+            .args(["serve", "--socket", &socket.display().to_string()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    wait_for_socket(&socket, &mut daemon.0);
+    for _ in 0..20 {
+        let report = connect_report(&socket, &spec, &[]);
+        assert!(report.contains("feed = acme"), "{report}");
+    }
+    let started = sample(
+        &scrape_metrics(&socket),
+        "bugdoc_serve_handlers_started_total",
+    );
+    let status = terminate(&mut daemon.0);
+    assert!(status.success(), "daemon exited with {status}");
+    assert!(
+        started <= 2.0,
+        "20 sequential connects started {started} handler threads"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A daemon out of file descriptors keeps serving: under `ulimit -n`, a
+/// failed `accept` is counted and retried instead of shutting the daemon
+/// down (which also unlinked its socket). Two adjacent limits, so that in
+/// one of them `accept` itself is the call that runs out, whatever a
+/// connection costs. Connections are held until one goes unanswered; once
+/// they close, a fresh connection is served, `METRICS` counts the failed
+/// accepts, and `SIGTERM` still ends the daemon cleanly.
+#[test]
+fn descriptor_exhaustion_leaves_the_daemon_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    /// `PING` over `stream`; whether `OK pong` came back within its read
+    /// timeout.
+    fn pong(stream: &UnixStream) -> bool {
+        let mut reply = String::new();
+        let answered = (&*stream)
+            .write_all(b"PING\n")
+            .and_then(|()| BufReader::new(stream).read_line(&mut reply));
+        answered.is_ok() && reply == "OK pong\n"
+    }
+
+    let dir = workdir("descriptors");
+    for limit in [11, 12] {
+        let socket = dir.join(format!("limit-{limit}.sock"));
+        let mut daemon = Reaped(
+            Command::new("sh")
+                .args([
+                    "-c",
+                    &format!("ulimit -n {limit}; exec \"$0\" serve --socket \"$1\""),
+                    env!("CARGO_BIN_EXE_bugdoc"),
+                    &socket.display().to_string(),
+                ])
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .unwrap(),
+        );
+        wait_for_socket(&socket, &mut daemon.0);
+
+        let mut held = Vec::new();
+        loop {
+            assert!(
+                held.len() < 64,
+                "64 connections answered under ulimit -n {limit}"
+            );
+            let stream = UnixStream::connect(&socket).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .unwrap();
+            let answered = pong(&stream);
+            held.push(stream);
+            if !answered {
+                break;
+            }
+        }
+        assert!(
+            daemon.0.try_wait().unwrap().is_none(),
+            "under ulimit -n {limit} the daemon exited when connection {} went unanswered",
+            held.len()
+        );
+        drop(held);
+
+        let fresh = UnixStream::connect(&socket).unwrap();
+        fresh
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            pong(&fresh),
+            "under ulimit -n {limit} a fresh connection went unanswered"
+        );
+        let errors = sample(&scrape_metrics(&socket), "bugdoc_serve_accept_errors_total");
+        assert!(errors >= 1.0, "under ulimit -n {limit} no accept failed");
+        let status = terminate(&mut daemon.0);
+        assert!(
+            status.success(),
+            "under ulimit -n {limit} the daemon exited with {status}"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -91,7 +91,8 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no blocking file/subprocess calls (File::/OpenOptions, \
                   fsync/sync_all/sync_data, .execute(), std::fs::, process::Command) \
                   in crates/serve non-test code — session handlers route work to the \
-                  shared executor; sockets, files, and signals belong to the CLI",
+                  shared executor; the CLI binds and unlinks the socket path and owns \
+                  files and signals, serve accepts and serves connections",
     },
     RuleInfo {
         id: "W008",
@@ -621,9 +622,10 @@ fn rule_w005(rel: &str, scan: &Scan, out: &mut Vec<Finding>) {
 /// W007 — session handlers in `crates/serve` never block on files or
 /// subprocesses. A handler thread that opens/fsyncs a file or shells out
 /// stalls every session multiplexed on the daemon; durable I/O belongs to
-/// the executor (whose own threads the factory configured), and sockets,
-/// files, and signal handling belong to the CLI front end. Scoped by
-/// directory, not a file list, so new serve modules are covered by default.
+/// the executor (whose own threads the factory configured). The CLI front
+/// end binds and unlinks the socket path and owns files and signal
+/// handling; serve accepts and serves connections. Scoped by directory,
+/// not a file list, so new serve modules are covered by default.
 fn rule_w007(rel: &str, scan: &Scan, out: &mut Vec<Finding>) {
     if !rel.starts_with("crates/serve/") || test_path(rel) {
         return;
@@ -651,8 +653,9 @@ fn rule_w007(rel: &str, scan: &Scan, out: &mut Vec<Finding>) {
                 format!(
                     "{tok} on a serve session-handler path — handlers must not block \
                      on files or subprocesses; route the work through the shared \
-                     executor or the injected factory (sockets, files, and signals \
-                     belong to the CLI)"
+                     executor or the injected factory (the CLI binds and unlinks the \
+                     socket path and owns files and signals; serve accepts and serves \
+                     connections)"
                 ),
             ));
         }

@@ -19,8 +19,10 @@ pub struct Reply {
 
 /// A connected protocol client.
 pub struct Client {
-    reader: BufReader<UnixStream>,
-    writer: UnixStream,
+    /// The connection, read through the buffer and written through
+    /// `get_ref`: `&UnixStream` implements `Write`, so one descriptor
+    /// serves both directions.
+    stream: BufReader<UnixStream>,
 }
 
 impl Client {
@@ -28,12 +30,8 @@ impl Client {
     pub fn connect(socket: &Path) -> Result<Client, String> {
         let stream = UnixStream::connect(socket)
             .map_err(|e| format!("cannot connect to {}: {e}", socket.display()))?;
-        let read_half = stream
-            .try_clone()
-            .map_err(|e| format!("cannot split the connection: {e}"))?;
         Ok(Client {
-            reader: BufReader::new(read_half),
-            writer: stream,
+            stream: BufReader::new(stream),
         })
     }
 
@@ -114,9 +112,10 @@ impl Client {
     }
 
     fn transact(&mut self, payload: &str) -> Result<Reply, String> {
-        self.writer
+        let mut writer = self.stream.get_ref();
+        writer
             .write_all(payload.as_bytes())
-            .and_then(|()| self.writer.flush())
+            .and_then(|()| writer.flush())
             .map_err(|e| format!("connection lost: {e}"))?;
         let head = self.read_line()?;
         if let Some(message) = head.strip_prefix("ERR ") {
@@ -146,7 +145,7 @@ impl Client {
 
     fn read_line(&mut self) -> Result<String, String> {
         let mut line = String::new();
-        match self.reader.read_line(&mut line) {
+        match self.stream.read_line(&mut line) {
             Ok(0) => Err("daemon closed the connection".to_string()),
             Ok(_) => Ok(line.trim_end_matches(['\n', '\r']).to_string()),
             Err(e) => Err(format!("connection lost: {e}")),

@@ -1,35 +1,48 @@
-//! The daemon: a Unix-domain-socket accept loop fanning connections out to
-//! per-connection handler threads over one shared [`SessionManager`].
+//! The daemon: connection handlers over one shared [`SessionManager`], each
+//! accepting a connection on the shared listener, serving it to its end and
+//! accepting the next.
 //!
-//! The loop is built for a clean, signal-driven exit: the accept loop
-//! blocks in `accept` under a receive timeout, so a connection is accepted
-//! the moment it arrives and an idle loop still wakes every [`POLL`] to
-//! check a caller-owned shutdown flag (the CLI flips it from a `SIGTERM`
-//! handler, a client can flip it with `SHUTDOWN`). Handlers read with the
-//! same timeout so they observe the flag between requests, and only after
+//! A served connection starts no thread. One count of waiting handlers
+//! sizes the pool: a handler that takes a connection while no other is
+//! waiting first starts one successor, so a new connection always finds a
+//! handler in `accept`, and a waiting handler whose [`POLL`] expires while
+//! another is also waiting retires. Threads start only when concurrency
+//! grows, never outnumber the peak count of concurrent connections plus
+//! one, and after a burst one waiting handler remains. The thread that
+//! calls [`Daemon::run`] is the first handler.
+//!
+//! The daemon is built for a clean, signal-driven exit: handlers block in
+//! `accept` and in reads under a receive timeout of [`POLL`], so a
+//! connection or request is served the moment it arrives and every
+//! handler still re-checks a caller-owned shutdown flag between waits (the
+//! CLI flips it from a `SIGTERM` handler, a client can flip it with
+//! `SHUTDOWN`). Only the flag ends the daemon: a failed `accept` (out of
+//! descriptors, say) is counted and retried after one [`POLL`]. Only after
 //! every handler has quiesced are the shared executors closed — durable
 //! ones sync their write-ahead log and release their directory lock, so a
 //! killed daemon warm-starts.
 //!
 //! Handler threads never touch files or spawn processes; everything
-//! blocking-but-bounded is a socket read with a timeout. Lint rule W007
-//! keeps it that way. A request that panics is contained in its
+//! blocking-but-bounded is a socket `accept` or read with a timeout. Lint
+//! rule W007 keeps it that way. A request that panics is contained in its
 //! connection: the peer gets an `ERR`, its session is closed, and the
 //! connection is dropped, so the daemon still reaches its shutdown.
 
 use crate::protocol::{self, Command, MAX_LINE_BYTES};
-use crate::session::SessionManager;
+use crate::session::{probes, SessionManager};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::Duration;
 
-/// How long the accept loop and a handler block waiting for a connection
-/// or for data before re-checking the shutdown flag. Arrivals wake them at
-/// once, so this bounds only how fast shutdown is noticed.
+/// How long a handler blocks in `accept` or in a read before re-checking
+/// the shutdown flag. Arrivals wake handlers at once, so this bounds only
+/// how fast shutdown is noticed, how long a surplus handler outlives the
+/// load that started it, and the back-off after a failed `accept`.
 const POLL: Duration = Duration::from_millis(20);
 
 /// A running `bugdoc serve` daemon (minus the socket binding and signal
@@ -74,33 +87,98 @@ impl Daemon {
             .try_clone()
             .and_then(|dup| UnixStream::from(OwnedFd::from(dup)).set_read_timeout(Some(POLL)))
             .map_err(|e| format!("cannot set the accept timeout: {e}"))?;
-        let connections = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            while !shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _addr)) => {
-                        connections.fetch_add(1, Ordering::SeqCst);
-                        let manager = Arc::clone(&self.manager);
-                        scope.spawn(move || serve_connection(stream, &manager, shutdown));
-                    }
-                    // The timeout expired: check the flag again.
-                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    // Listener torn down under us (socket unlinked): drain.
-                    Err(_) => break,
-                }
-            }
-            // Make handlers exit promptly even when the accept loop broke
-            // on a listener error rather than the flag.
-            shutdown.store(true, Ordering::SeqCst);
-            // `scope` joins every handler here: past this point no request
-            // is in flight, so closing the executors below is race-free.
-        });
+        // Registers the serve counters, so a scrape lists them from the
+        // start, at zero until something happens.
+        probes();
+        let handlers = Handlers {
+            daemon: self,
+            shutdown,
+            waiting: AtomicUsize::new(1),
+            connections: AtomicUsize::new(0),
+        };
+        // The calling thread is the first handler. `scope` joins every
+        // handler started since: past it no request is in flight, so
+        // closing the executors below is race-free.
+        std::thread::scope(|scope| handlers.handle(scope));
         let executors_closed = self.manager.shutdown_all()?;
         Ok(DaemonSummary {
-            connections: connections.load(Ordering::SeqCst),
+            connections: handlers.connections.into_inner(),
             executors_closed,
         })
+    }
+}
+
+/// The daemon's connection handlers, shared by every handler thread.
+struct Handlers<'d> {
+    daemon: &'d Daemon,
+    shutdown: &'d AtomicBool,
+    /// Handlers not serving a connection: in `accept`, or on their way to
+    /// it. Only a handler that finds another waiting retires, so this
+    /// stays at one or more except while the last waiting handler starts
+    /// its successor, or serves without one when no thread could start.
+    waiting: AtomicUsize,
+    /// Connections accepted so far.
+    connections: AtomicUsize,
+}
+
+impl Handlers<'_> {
+    /// One handler's life: accept a connection, serve it, and accept
+    /// again, until the shutdown flag is set or this handler retires.
+    fn handle<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        while !self.shutdown.load(Ordering::SeqCst) {
+            match self.daemon.listener.accept() {
+                Ok((stream, _addr)) => {
+                    self.connections.fetch_add(1, Ordering::SeqCst);
+                    if self.waiting.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        self.start_successor(scope);
+                    }
+                    serve_connection(&stream, &self.daemon.manager, self.shutdown);
+                    // Waiting again before `stream` drops: a peer that
+                    // reconnects once it sees the close finds this handler
+                    // counted, and starts no thread.
+                    self.waiting.fetch_add(1, Ordering::SeqCst);
+                }
+                // A whole POLL without a connection: retire if another
+                // handler is waiting, else check the flag again.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if self.retire() {
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // Out of descriptors, say. A pending connection stays
+                // queued, so back off and accept it once one is free.
+                Err(_) => {
+                    probes().accept_errors.inc();
+                    std::thread::sleep(POLL);
+                }
+            }
+        }
+    }
+
+    /// Starts a handler to wait in place of this one, which took a
+    /// connection as the last waiting handler. The successor counts as
+    /// waiting from the start.
+    fn start_successor<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        match std::thread::Builder::new().spawn_scoped(scope, move || self.handle(scope)) {
+            Ok(_) => probes().handlers_started.inc(),
+            // No thread to be had: new connections wait in the listen
+            // queue until this handler has served its own.
+            Err(_) => {
+                self.waiting.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Leaves the waiting handlers, unless this one is the last: the
+    /// compare-and-swap never takes the count below one.
+    fn retire(&self) -> bool {
+        self.waiting
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n > 1).then(|| n - 1)
+            })
+            .is_ok()
     }
 }
 
@@ -121,7 +199,7 @@ enum ReadLine {
 /// bytes: a peer that streams without a newline is dropped once it reaches
 /// the cap, however it paces its writes.
 fn read_wire_line(
-    reader: &mut BufReader<UnixStream>,
+    reader: &mut BufReader<&UnixStream>,
     buf: &mut Vec<u8>,
     shutdown: &AtomicBool,
 ) -> ReadLine {
@@ -143,13 +221,11 @@ fn read_wire_line(
     }
 }
 
-fn serve_connection(stream: UnixStream, manager: &SessionManager, shutdown: &AtomicBool) {
+fn serve_connection(stream: &UnixStream, manager: &SessionManager, shutdown: &AtomicBool) {
     // The timeout is what lets a parked handler notice shutdown.
     let _ = stream.set_read_timeout(Some(POLL));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+    // One descriptor both ways: `&UnixStream` implements `Read` and `Write`.
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     let mut session: Option<u64> = None;
 
@@ -172,9 +248,9 @@ fn serve_connection(stream: UnixStream, manager: &SessionManager, shutdown: &Ato
                     Ok(None) => break,
                     Err(_) => {
                         // A panic inside a request (a pipeline's `execute`,
-                        // say) stays in this connection: it must not reach
-                        // the accept loop's thread scope, which would skip
-                        // the shutdown sync. Close the session so its
+                        // say) stays in this connection: it must not end
+                        // this handler or reach the handlers' thread scope,
+                        // which would skip the shutdown sync. Close the session so its
                         // budget reservation is released, and drop the peer.
                         if let Some(id) = session.take() {
                             let _ = manager.close(id);
@@ -203,7 +279,7 @@ fn dispatch(
     command: Command,
     manager: &SessionManager,
     session: &mut Option<u64>,
-    reader: &mut BufReader<UnixStream>,
+    reader: &mut BufReader<&UnixStream>,
     shutdown: &AtomicBool,
 ) -> Option<String> {
     let reply = match command {
@@ -306,6 +382,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use bugdoc_engine::Executor;
+    use std::collections::HashSet;
 
     /// A peer that streams bytes without ever sending a newline is dropped
     /// once it passes the line cap, instead of growing the line buffer for
@@ -330,7 +407,7 @@ mod tests {
             let pong = Client::connect(&path).and_then(|mut client| client.request("PING"));
 
             // Stop the daemon before asserting, so a failure reports
-            // instead of leaving the scope waiting on the accept loop.
+            // instead of leaving the scope waiting on the daemon.
             shutdown.store(true, Ordering::SeqCst);
             daemon.join().unwrap().unwrap();
             (streamed, pong)
@@ -343,8 +420,8 @@ mod tests {
         assert_eq!(pong.unwrap().head, "pong");
     }
 
-    /// A connection is accepted as soon as it arrives, not at the accept
-    /// loop's next poll, and an idle daemon still notices its shutdown flag.
+    /// A connection is accepted as soon as it arrives, not at a handler's
+    /// next poll, and an idle daemon still notices its shutdown flag.
     /// The daemon reports over a channel and is joined only once it has, so
     /// an `accept` that ignored its timeout fails the test instead of
     /// hanging it.
@@ -451,5 +528,148 @@ mod tests {
         let summary = summary.expect("Daemon::run panicked").unwrap();
         assert_eq!(summary.executors_closed, 1);
         assert!(!lock_left, "shutdown left the directory lock behind");
+    }
+
+    /// A daemon on its own thread over a fresh socket, whose factory notes
+    /// the thread each bind runs on and builds no executor. Dropping it
+    /// sets the flag, so a failed assertion stops the daemon instead of
+    /// leaving it serving.
+    struct Running {
+        path: std::path::PathBuf,
+        shutdown: Arc<AtomicBool>,
+        finished: std::sync::mpsc::Receiver<Result<DaemonSummary, String>>,
+        daemon: Option<std::thread::JoinHandle<()>>,
+        binders: Arc<std::sync::Mutex<HashSet<std::thread::ThreadId>>>,
+    }
+
+    impl Running {
+        fn start(name: &str) -> Running {
+            let path = std::env::temp_dir()
+                .join(format!("bugdoc-daemon-{name}-{}.sock", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let listener = UnixListener::bind(&path).unwrap();
+            let binders = Arc::new(std::sync::Mutex::new(HashSet::new()));
+            let seen = Arc::clone(&binders);
+            let manager = Arc::new(SessionManager::new(Box::new(
+                move |_: &str| -> Result<Executor, String> {
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    Err("no executors here".to_string())
+                },
+            )));
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let (done, finished) = std::sync::mpsc::channel();
+            let flag = Arc::clone(&shutdown);
+            let daemon = std::thread::spawn(move || {
+                let _ = done.send(Daemon::over(listener, manager).run(&flag));
+            });
+            Running {
+                path,
+                shutdown,
+                finished,
+                daemon: Some(daemon),
+                binders,
+            }
+        }
+
+        /// Binds spec `n` on a fresh connection, then half-closes it and
+        /// reads to the daemon's end of it, so the handler that served it
+        /// is free again before the next connection.
+        fn bind_and_close(&self, n: usize) {
+            let mut stream = UnixStream::connect(&self.path).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            write!(stream, "SESSION NEW\nSPEC 1\nspec {n}\n").unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut replies = String::new();
+            stream.read_to_string(&mut replies).unwrap();
+            assert!(
+                replies.starts_with("OK session ") && replies.contains("no executors here"),
+                "{replies:?}"
+            );
+        }
+
+        /// How many distinct threads the factory ran on since the last call.
+        fn take_binders(&self) -> usize {
+            let mut binders = self.binders.lock().unwrap();
+            let threads = binders.len();
+            binders.clear();
+            threads
+        }
+
+        /// Sets the flag and returns `run`'s summary, which must arrive
+        /// within 1 s.
+        fn stop(mut self) -> DaemonSummary {
+            self.shutdown.store(true, Ordering::SeqCst);
+            let summary = self
+                .finished
+                .recv_timeout(Duration::from_secs(1))
+                .expect("run did not return within 1 s of its flag");
+            if let Some(daemon) = self.daemon.take() {
+                daemon.join().unwrap();
+            }
+            summary.unwrap()
+        }
+    }
+
+    impl Drop for Running {
+        fn drop(&mut self) {
+            self.shutdown.store(true, Ordering::SeqCst);
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+
+    /// Sequential connections reuse the daemon's handlers instead of
+    /// starting a thread each: forty binds, each closed before the next
+    /// connects, run the factory on at most two threads (the first handler
+    /// and the one successor it started).
+    #[test]
+    fn sequential_connections_are_served_by_at_most_two_handlers() {
+        let daemon = Running::start("sequential");
+        for n in 0..40 {
+            daemon.bind_and_close(n);
+        }
+        let threads = daemon.take_binders();
+        assert_eq!(daemon.stop().connections, 40);
+        assert!(threads <= 2, "40 sequential binds ran on {threads} threads");
+    }
+
+    /// Handlers start as concurrency grows and retire once the daemon is
+    /// idle: sixteen connections held open at once are each answered within
+    /// 2 s (the handler that took each started a successor first), twenty
+    /// sequential binds 100 ms after the burst closed run on at most two
+    /// threads, and `run` still returns within 1 s of its flag.
+    #[test]
+    fn a_burst_is_answered_at_once_and_its_idle_handlers_retire() {
+        let daemon = Running::start("burst");
+        let mut held = Vec::new();
+        while held.len() < 16 {
+            let stream = UnixStream::connect(&daemon.path).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .unwrap();
+            let mut reply = [0u8; 8];
+            let pong = (&stream)
+                .write_all(b"PING\n")
+                .and_then(|()| (&stream).read_exact(&mut reply));
+            assert!(
+                pong.is_ok() && &reply == b"OK pong\n",
+                "connection {} of 16 held open at once: {pong:?}, {:?}",
+                held.len() + 1,
+                String::from_utf8_lossy(&reply)
+            );
+            held.push(stream);
+        }
+        drop(held);
+        std::thread::sleep(Duration::from_millis(100));
+        for n in 0..20 {
+            daemon.bind_and_close(n);
+        }
+        let threads = daemon.take_binders();
+        assert_eq!(daemon.stop().connections, 36);
+        assert!(
+            threads <= 2,
+            "20 sequential binds after the burst ran on {threads} threads"
+        );
     }
 }

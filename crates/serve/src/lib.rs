@@ -13,9 +13,9 @@
 //! * [`session`] — the [`SessionManager`]: session lifecycle
 //!   (create/attach/detach/close), spec-keyed executor sharing, and
 //!   admission control via per-session budget reservations.
-//! * [`daemon`] — the Unix-domain-socket accept loop and per-connection
-//!   handlers, built around a caller-owned shutdown flag for clean
-//!   `SIGTERM` drains.
+//! * [`daemon`] — the Unix-domain-socket connection handlers, each
+//!   accepting a connection, serving it and accepting the next, built
+//!   around a caller-owned shutdown flag for clean `SIGTERM` drains.
 //! * [`client`] — a small blocking client (used by `bugdoc connect` and
 //!   the integration tests).
 //!

@@ -32,14 +32,16 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Serve-layer telemetry handles, registered once per process.
-struct ServeProbes {
+pub(crate) struct ServeProbes {
     sessions_created: &'static bugdoc_telemetry::Counter,
     sessions_closed: &'static bugdoc_telemetry::Counter,
     diagnoses: &'static bugdoc_telemetry::Counter,
     diagnose_ns: &'static bugdoc_telemetry::Histogram,
+    pub(crate) handlers_started: &'static bugdoc_telemetry::Counter,
+    pub(crate) accept_errors: &'static bugdoc_telemetry::Counter,
 }
 
-fn probes() -> &'static ServeProbes {
+pub(crate) fn probes() -> &'static ServeProbes {
     static P: OnceLock<ServeProbes> = OnceLock::new();
     P.get_or_init(|| ServeProbes {
         sessions_created: bugdoc_telemetry::counter(
@@ -57,6 +59,14 @@ fn probes() -> &'static ServeProbes {
         diagnose_ns: bugdoc_telemetry::histogram(
             "bugdoc_serve_diagnose_ns",
             "End-to-end latency of one DIAGNOSE request (ns)",
+        ),
+        handlers_started: bugdoc_telemetry::counter(
+            "bugdoc_serve_handlers_started_total",
+            "Connection handler threads started (each serves connections until it retires)",
+        ),
+        accept_errors: bugdoc_telemetry::counter(
+            "bugdoc_serve_accept_errors_total",
+            "Failed accepts other than timeouts and interrupts, each retried after a back-off",
         ),
     })
 }
