@@ -25,7 +25,10 @@
 //! * `perf/kernel_and_popcount_64k` — fused AND+popcount over 64k-bit words
 //! * `perf/telemetry_record` — one wait-free histogram sample (the unit cost
 //!   of an always-on instrumentation probe)
-//! * `perf/wal_append` — durable provenance: one record appended to the WAL
+//! * `perf/wal_append` — durable provenance: one record appended to the
+//!   WAL's pending buffer
+//! * `perf/wal_append_flush` — durable provenance: one append and its
+//!   flush, a single `evaluate`'s record phase
 //! * `perf/replay_10k` — durable provenance: full 10k-frame crash recovery
 //! * `perf/ddt_find_one` — DDT end-to-end on a synthetic pipeline
 //! * `perf/dtree_fit_32k` — one full decision-tree fit over a

@@ -337,9 +337,12 @@ pub fn bench_telemetry(c: &mut Criterion) {
 
 /// Registers the durable-provenance scenarios on `c`:
 ///
-/// * `perf/wal_append` — one run record appended to the write-ahead log
-///   (frame encode + CRC32 + buffered file write; the cost persistence adds
-///   to each *new* execution — cache hits never touch it);
+/// * `perf/wal_append` — one run record appended to the write-ahead log's
+///   pending buffer (frame encode + CRC32, plus a share of the one write
+///   each 64 KiB of frames costs): what persistence adds to each *new*
+///   execution of a batch's record phase — cache hits never touch it;
+/// * `perf/wal_append_flush` — one append and its flush, one `write(2)`:
+///   the record phase of a single `evaluate`;
 /// * `perf/replay_10k` — full crash recovery of a 10k-frame WAL into a
 ///   fresh `ProvenanceStore` (the warm-start latency of a 10k-run history:
 ///   recovery always replays the whole log).
@@ -369,6 +372,15 @@ pub fn bench_persistence(c: &mut Criterion) {
             b.iter(|| {
                 k = (k + 1) % runs.len();
                 durable.append(runs.get(k).expect("run k is recorded"), &space).expect("append")
+            })
+        });
+        group.bench_function("wal_append_flush", |b| {
+            b.iter(|| {
+                k = (k + 1) % runs.len();
+                durable
+                    .append(runs.get(k).expect("run k is recorded"), &space)
+                    .expect("append");
+                durable.flush().expect("flush")
             })
         });
     }

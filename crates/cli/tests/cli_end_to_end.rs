@@ -188,6 +188,11 @@ fn one_shot_diagnose_syncs_its_last_appends() {
         sample("bugdoc_store_wal_fsync_ns_count") >= 1,
         "no fsync after {appends} appends:\n{stdout}"
     );
+    let writes = sample("bugdoc_store_wal_write_ns_count");
+    assert!(
+        (1..=appends).contains(&writes),
+        "{writes} writes for {appends} appends:\n{stdout}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -252,11 +252,12 @@ pub struct Executor {
     stats: AtomicStats,
     /// The durable-provenance writer, when persistence is configured. Locked
     /// only on the new-execution record path (never on provenance hits):
-    /// appends lock it while the provenance write lock is held, so WAL frame
-    /// order equals run-log order, and the due sync after that lock is
-    /// released. The inner `Option` exists for [`Executor::shutdown`],
-    /// which takes the store out (from `&self`) to close it gracefully; it
-    /// is `Some` for the executor's whole serving life.
+    /// appends and each record phase's flush lock it while the provenance
+    /// write lock is held, so WAL frame order equals run-log order, and the
+    /// due sync after that lock is released. The inner `Option` exists for
+    /// [`Executor::shutdown`], which takes the store out (from `&self`) to
+    /// close it gracefully; it is `Some` for the executor's whole serving
+    /// life.
     persist: Option<Mutex<Option<DurableStore>>>,
     /// What recovery found at construction (persistence only).
     recovery: Option<Recovery>,
@@ -345,6 +346,7 @@ impl Executor {
                         durable.sync_if_due()?;
                     }
                 }
+                durable.flush()?;
                 (recovered, Some(Mutex::new(Some(durable))), Some(recovery))
             }
         };
@@ -365,39 +367,56 @@ impl Executor {
     }
 
     /// Tees a run `prov` just recorded, `instance` evaluated as `eval`, to
-    /// the write-ahead log: the frame is encoded from the instance's dense
-    /// key, so nothing is read back from the store. Called with the
-    /// provenance write lock held so frame order matches run-log order; a
-    /// no-op (one `None` check) when persistence is off. Returns whether a
-    /// WAL sync is due — the caller runs it via
-    /// [`Executor::persist_sync_if_due`] *after* releasing the write lock,
-    /// so the fsync never holds the provenance lock.
-    /// An I/O failure here panics: the executor cannot honor its durability
-    /// contract, and continuing would silently fork disk from memory.
-    // lint: allow(W003, reason = "the panics on WAL I/O failure and on a post-shutdown record are the documented durability contract -- continuing would silently fork disk from memory", scope = "block")
-    fn persist_record(
-        &self,
-        prov: &ProvenanceStore,
-        instance: &Instance,
-        eval: EvalResult,
-    ) -> bool {
-        match &self.persist {
-            None => false,
-            Some(persist) => {
-                let run = RunRef {
-                    key: instance.dense_key(),
-                    eval,
-                };
-                let mut slot = persist.lock();
-                let durable = slot
-                    .as_mut()
-                    .expect("record after Executor::shutdown closed the durable store");
-                durable
-                    .append(run, prov.space())
-                    .unwrap_or_else(|e| panic!("durable provenance write failed: {e}"));
-                durable.sync_due()
-            }
+    /// the write-ahead log's pending frames: the frame is encoded from the
+    /// instance's dense key, so nothing is read back from the store. Called
+    /// with the provenance write lock held so frame order matches run-log
+    /// order; the record phase then writes its frames with one
+    /// [`Executor::persist_flush`] before it drops that lock. A no-op (one
+    /// `None` check) when persistence is off.
+    /// A failure here panics — a record past the frame format's bounds, or
+    /// the write of an append that takes the pending frames past their
+    /// 64 KiB bound: the executor cannot honor its durability contract, and
+    /// continuing would silently fork disk from memory.
+    // lint: allow(W003, reason = "the panics on a frame the codec refuses, on the write at the pending-buffer bound and on a post-shutdown record are the documented durability contract -- continuing would silently fork disk from memory", scope = "block")
+    fn persist_record(&self, prov: &ProvenanceStore, instance: &Instance, eval: EvalResult) {
+        if let Some(persist) = &self.persist {
+            let run = RunRef {
+                key: instance.dense_key(),
+                eval,
+            };
+            persist
+                .lock()
+                .as_mut()
+                .expect("record after Executor::shutdown closed the durable store")
+                .append(run, prov.space())
+                .unwrap_or_else(|e| panic!("durable provenance write failed: {e}"));
         }
+    }
+
+    /// Ends a record phase: writes the frames its
+    /// [`Executor::persist_record`] calls appended with one `write(2)`.
+    /// Called before the phase drops the provenance write lock, so no run
+    /// is readable before its frame is in the OS page cache; a no-op (one
+    /// `None` check) when persistence is off. Returns whether a WAL sync is
+    /// due — the caller runs it via [`Executor::persist_sync_if_due`]
+    /// *after* releasing the write lock, so the fsync never holds the
+    /// provenance lock.
+    /// A failed write panics, after `record` has published the phase's
+    /// runs: the executor cannot honor its durability contract, and
+    /// continuing would silently fork disk from memory.
+    // lint: allow(W003, reason = "the panic on the record phase's failed WAL write is the documented durability contract -- continuing would silently fork disk from memory", scope = "block")
+    fn persist_flush(&self) -> bool {
+        let Some(persist) = &self.persist else {
+            return false;
+        };
+        let mut slot = persist.lock();
+        let Some(durable) = slot.as_mut() else {
+            return false;
+        };
+        durable
+            .flush()
+            .unwrap_or_else(|e| panic!("durable provenance write failed: {e}"));
+        durable.sync_due()
     }
 
     /// Runs the due WAL sync holding only the persist mutex, so probes keep
@@ -628,7 +647,10 @@ impl Executor {
                     let mut prov = self.provenance.write();
                     let fresh = prov.record(instance, eval);
                     reserved.settle();
-                    (fresh, fresh && self.persist_record(&prov, instance, eval))
+                    if fresh {
+                        self.persist_record(&prov, instance, eval);
+                    }
+                    (fresh, self.persist_flush())
                 };
                 self.persist_sync_if_due(sync_due);
                 if fresh {
@@ -742,7 +764,6 @@ impl Executor {
         if !outcomes.is_empty() {
             outcomes.sort_by_key(|(pos, _, _)| *pos);
             let mut executed_costs: Vec<SimTime> = Vec::with_capacity(outcomes.len());
-            let mut sync_due = false;
             let mut prov = self.provenance.write();
             for (pos, res, cost) in outcomes {
                 match res {
@@ -750,7 +771,7 @@ impl Executor {
                         let fresh = prov.record(&instances[pos], eval);
                         reserved.settle();
                         if fresh {
-                            sync_due |= self.persist_record(&prov, &instances[pos], eval);
+                            self.persist_record(&prov, &instances[pos], eval);
                             executed_costs.push(cost);
                         } else {
                             self.reclassify_as_hit();
@@ -766,6 +787,7 @@ impl Executor {
                     }
                 }
             }
+            let sync_due = self.persist_flush();
             drop(prov);
             self.persist_sync_if_due(sync_due);
             self.stats
@@ -1237,6 +1259,40 @@ mod tests {
         assert_eq!(recovery.runs, 5);
         assert_eq!(recovery.truncated_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every record phase writes its frames before it returns: a copy of
+    /// the log taken while the executor still holds the directory recovers
+    /// every run the executor's history holds.
+    #[test]
+    fn record_phases_write_their_frames_before_returning() {
+        let dir = persist_dir("phase");
+        let copy = persist_dir("phase-copy");
+        std::fs::create_dir_all(&copy).unwrap();
+        let s = space();
+        let exec = Executor::new(
+            pipe(&s),
+            ExecutorConfig {
+                workers: 3,
+                persist: Some(PersistConfig::new(&dir)),
+                ..Default::default()
+            },
+        );
+        let copy_recovers = || {
+            let log = "wal-00000001.seg";
+            std::fs::copy(dir.join(log), copy.join(log)).unwrap();
+            let (_, _, recovery) = DurableStore::open(&s, &PersistConfig::new(&copy)).unwrap();
+            recovery.runs
+        };
+        exec.evaluate(&inst(&s, 1, 1)).unwrap();
+        assert_eq!(copy_recovers(), exec.provenance().len());
+        let batch: Vec<_> = (1..=5).map(|x| inst(&s, x, 2)).collect();
+        exec.evaluate_batch(&batch);
+        assert_eq!(exec.provenance().len(), 6);
+        assert_eq!(copy_recovers(), 6);
+        drop(exec);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&copy);
     }
 
     /// `sync_every` fsyncs the WAL on its cadence: the store's fsync

@@ -22,9 +22,13 @@
 //! `u64` LE), then frames. Earlier versions split the log into numbered
 //! segments that rolled at 4 MiB; the file keeps the first segment's name
 //! and bytes, so a directory they wrote as one segment opens unchanged.
-//! Appends reach the OS page cache at once and disk at the next sync: every
-//! [`PersistConfig::sync_every`] appends when set, and at
-//! [`DurableStore::close`].
+//! Appends are group-committed: [`DurableStore::append`] encodes a frame
+//! into a pending buffer, and the buffer reaches the OS page cache in one
+//! write at a flush — [`DurableStore::flush`], a sync, close, the store's
+//! drop, or an append that takes it past 64 KiB. The engine flushes once
+//! per record phase, before any run it recorded is readable. Frames reach
+//! disk at a sync: every [`PersistConfig::sync_every`] appends when set,
+//! and at [`DurableStore::close`].
 //!
 //! **Frame** — `[payload_len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! CRC-32 is the IEEE/zlib polynomial, implemented in
@@ -90,11 +94,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Telemetry handles for the durable-store timings, registered once and
-/// cached so record paths never touch the registry lock. Append and fsync
-/// are the costs a serving deployment watches; replay is the rare
+/// cached so record paths never touch the registry lock. Append, write and
+/// fsync are the costs a serving deployment watches; replay is the rare
 /// heavyweight phase the flight recorder also captures.
-struct StoreProbes {
+pub(crate) struct StoreProbes {
     wal_append_ns: &'static bugdoc_telemetry::Histogram,
+    pub(crate) wal_write_ns: &'static bugdoc_telemetry::Histogram,
     wal_fsync_ns: &'static bugdoc_telemetry::Histogram,
     replay_ns: &'static bugdoc_telemetry::Histogram,
 }
@@ -106,12 +111,16 @@ fn elapsed_us(started: Instant) -> u64 {
     if us > u64::MAX as u128 { u64::MAX } else { us as u64 }
 }
 
-fn probes() -> &'static StoreProbes {
+pub(crate) fn probes() -> &'static StoreProbes {
     static P: OnceLock<StoreProbes> = OnceLock::new();
     P.get_or_init(|| StoreProbes {
         wal_append_ns: bugdoc_telemetry::histogram(
             "bugdoc_store_wal_append_ns",
-            "Latency of one WAL frame append, encode included (ns)",
+            "Latency of one WAL frame append into the pending buffer (ns)",
+        ),
+        wal_write_ns: bugdoc_telemetry::histogram(
+            "bugdoc_store_wal_write_ns",
+            "Latency of writing the WAL's pending frames to the file (ns)",
         ),
         wal_fsync_ns: bugdoc_telemetry::histogram(
             "bugdoc_store_wal_fsync_ns",
@@ -336,24 +345,36 @@ pub struct Recovery {
 /// The open, appendable durable store: a [`Wal`] tail plus its sync
 /// cadence. Obtained from [`DurableStore::open`], which performs recovery
 /// first; thereafter every newly recorded run is teed in via
-/// [`DurableStore::append`].
+/// [`DurableStore::append`] and written with [`DurableStore::flush`].
+///
+/// Dropping the store without [`close`](DurableStore::close) writes its
+/// pending frames and then removes the lock file, so an opener that takes
+/// the lock next reads every frame appended; nothing is synced.
 #[derive(Debug)]
 pub struct DurableStore {
+    /// Declared before `_lock`: fields drop in declaration order, so the
+    /// log's drop writes the pending frames before the lock's drop unlinks
+    /// the lock file.
     wal: Wal,
     sync_every: Option<u64>,
     appended_since_sync: u64,
     /// Runs the log holds: recovered plus appended since open.
     runs: usize,
-    /// The directory's lock file, removed on drop.
-    lock_path: PathBuf,
-    /// The open lock file whose OS lock this store holds; closing it (after
-    /// `drop` has removed the name) releases the lock.
-    _lock_file: File,
+    _lock: DirLock,
 }
 
-impl Drop for DurableStore {
+/// The persist directory's lock, held by an open store: the `lock` file
+/// and its OS file lock. Dropping it removes the name, then closes the
+/// file, which releases the lock.
+#[derive(Debug)]
+struct DirLock {
+    path: PathBuf,
+    _file: File,
+}
+
+impl Drop for DirLock {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.lock_path);
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -364,13 +385,14 @@ impl Drop for DurableStore {
 /// including another executor in this very process, since every open is
 /// its own lock owner — is [`PersistError::Locked`].
 ///
-/// A holder unlinks the file before it unlocks (see the `Drop` impl), so a
-/// contender can end up locking a file that no longer has the `lock` name.
+/// A holder unlinks the file before it unlocks (see [`DirLock`]'s `Drop`),
+/// so a contender can end up locking a file that no longer has the `lock`
+/// name.
 /// Acquire therefore checks that the file it locked is still the one the
 /// name points at, and retries on the name's current file when it is not.
 /// The lock never changes hands through a rename or a delete by a
 /// contender, so two writers can never both believe they hold it.
-fn acquire_lock(dir: &Path) -> Result<(PathBuf, File), PersistError> {
+fn acquire_lock(dir: &Path) -> Result<DirLock, PersistError> {
     use std::io::Write as _;
     use std::os::unix::fs::MetadataExt as _;
     let path = dir.join("lock");
@@ -401,7 +423,7 @@ fn acquire_lock(dir: &Path) -> Result<(PathBuf, File), PersistError> {
                 file.set_len(0)
                     .and_then(|()| write!(file, "{}", std::process::id()))
                     .map_err(|e| PersistError::io(&path, e))?;
-                return Ok((path, file));
+                return Ok(DirLock { path, _file: file });
             }
             // The previous holder unlinked the file after we opened it.
             Ok(_) => {}
@@ -422,28 +444,18 @@ impl DurableStore {
         config: &PersistConfig,
     ) -> Result<(ProvenanceStore, DurableStore, Recovery), PersistError> {
         std::fs::create_dir_all(&config.dir).map_err(|e| PersistError::io(&config.dir, e))?;
-        let (lock_path, lock_file) = acquire_lock(&config.dir)?;
-        match Self::open_locked(space, config) {
-            Ok((store, wal, recovery)) => Ok((
-                store,
-                DurableStore {
-                    wal,
-                    sync_every: config.sync_every,
-                    appended_since_sync: 0,
-                    runs: recovery.runs,
-                    lock_path,
-                    _lock_file: lock_file,
-                },
-                recovery,
-            )),
-            Err(e) => {
-                // A failed open must not leave the directory locked against
-                // a retry from this same (live) process. The name goes
-                // first; the lock is released when `lock_file` drops.
-                let _ = std::fs::remove_file(&lock_path);
-                Err(e)
-            }
-        }
+        // A failed open drops the lock, so it does not leave the directory
+        // locked against a retry from this same (live) process.
+        let lock = acquire_lock(&config.dir)?;
+        let (store, wal, recovery) = Self::open_locked(space, config)?;
+        let durable = DurableStore {
+            wal,
+            sync_every: config.sync_every,
+            appended_since_sync: 0,
+            runs: recovery.runs,
+            _lock: lock,
+        };
+        Ok((store, durable, recovery))
     }
 
     /// The recovery body of [`DurableStore::open`]; the caller holds the
@@ -481,14 +493,17 @@ impl DurableStore {
     }
 
     /// The log offset the next appended frame will start at (equally: the
-    /// end of everything appended so far).
+    /// end of everything appended so far, pending frames included).
     pub fn position(&self) -> u64 {
         self.wal.position()
     }
 
     /// Appends one newly recorded run to the WAL, encoding its frame from
-    /// the borrowed key. Call in recording order — the WAL's frame order is
-    /// the recovered store's run order. `space` is the store's space; debug
+    /// the borrowed key into the pending buffer: it reaches the file at the
+    /// next [`flush`](Self::flush), sync or close, when the store drops, or
+    /// at once when the buffer passes 64 KiB. Call in recording order — the
+    /// WAL's frame order is the recovered store's run order — and flush
+    /// before a reader can see the run. `space` is the store's space; debug
     /// builds assert that the run's key fits it.
     pub fn append(&mut self, run: RunRef<'_>, space: &ParamSpace) -> Result<(), PersistError> {
         let started = Instant::now();
@@ -503,6 +518,14 @@ impl DurableStore {
         Ok(())
     }
 
+    /// Writes the frames appended since the last write to the log with one
+    /// `write(2)`: they reach the OS page cache, so an open after this
+    /// process ends, however it ends, recovers them. They reach disk at the
+    /// next sync.
+    pub fn flush(&mut self) -> Result<(), PersistError> {
+        self.wal.flush()
+    }
+
     /// True when `sync_every` appends have accumulated since the last sync
     /// — callers that append under a lock poll this, then run
     /// [`sync_if_due`](Self::sync_if_due) after releasing it.
@@ -510,8 +533,8 @@ impl DurableStore {
         matches!(self.sync_every, Some(every) if self.appended_since_sync >= every)
     }
 
-    /// Fsyncs the WAL tail when [`sync_due`](Self::sync_due); a no-op
-    /// otherwise.
+    /// Writes the pending frames and fsyncs the WAL when
+    /// [`sync_due`](Self::sync_due); a no-op otherwise.
     pub fn sync_if_due(&mut self) -> Result<(), PersistError> {
         if self.sync_due() {
             self.sync()?;
@@ -520,6 +543,9 @@ impl DurableStore {
     }
 
     fn sync(&mut self) -> Result<(), PersistError> {
+        // The pending frames are written first, so the fsync histogram
+        // times the fsync alone.
+        self.wal.flush()?;
         let started = Instant::now();
         self.wal.sync()?;
         probes().wal_fsync_ns.record_elapsed(started);
@@ -527,10 +553,11 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Gracefully closes the store: fsyncs the WAL tail and releases the
-    /// directory lock, which is released even when the sync fails. `store`
-    /// is the history the caller kept in memory; debug builds assert it
-    /// holds exactly the runs the log does, so memory is never ahead of disk.
+    /// Gracefully closes the store: writes the pending frames, fsyncs the
+    /// WAL and releases the directory lock, which is released even when the
+    /// write or the sync fails. `store` is the history the caller kept in
+    /// memory; debug builds assert it holds exactly the runs the log does,
+    /// so memory is never ahead of disk.
     pub fn close(mut self, store: &ProvenanceStore) -> Result<(), PersistError> {
         debug_assert_eq!(
             store.len(),
@@ -538,7 +565,7 @@ impl DurableStore {
             "closing a history that differs from its log (recovered plus appended runs)"
         );
         self.sync()
-        // Drop removes the lock file.
+        // Dropping `_lock` removes the lock file.
     }
 }
 
@@ -832,6 +859,81 @@ mod tests {
         let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
         assert_eq!(recovery.runs, 5);
         assert_eq!(recovery.truncated_bytes, 0, "close left no torn bytes");
+        assert_eq!(recovered.runs(), live.runs());
+    }
+
+    /// Appends wait in the pending buffer: after three the log still holds
+    /// only its header while the position has moved on, and a flush writes
+    /// them all.
+    #[test]
+    fn appends_reach_the_file_at_a_flush() {
+        let dir = tmp("flush");
+        let s = space();
+        let config = PersistConfig::new(&dir);
+        let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
+        let log_len = || {
+            std::fs::metadata(dir.join("wal-00000001.seg"))
+                .unwrap()
+                .len()
+        };
+        let header = WAL_HEADER_BYTES as u64;
+        for xi in 0..3 {
+            let run = run_for(&s, xi, 0);
+            live.record(&run.instance, run.eval);
+            durable.append(RunRef::from(&run), &s).unwrap();
+        }
+        assert_eq!(log_len(), header);
+        assert!(durable.position() > header);
+        durable.flush().unwrap();
+        assert_eq!(log_len(), durable.position());
+        durable.close(&live).unwrap();
+    }
+
+    /// Records the run with dense key `key` in `live` and appends it.
+    fn append_key(live: &mut ProvenanceStore, durable: &mut DurableStore, key: [u32; 3]) {
+        let space = live.space().clone();
+        let eval = EvalResult::of(Outcome::from_check(key[0] != 7));
+        assert!(live.record_key(&key, eval));
+        durable.append(RunRef { key: &key, eval }, &space).unwrap();
+    }
+
+    /// The append that takes the pending buffer past its bound writes every
+    /// pending frame, before any flush, and a store dropped without `close`
+    /// writes the rest: a reopen recovers every run.
+    #[test]
+    fn pending_frames_past_the_bound_are_written_and_drop_writes_the_rest() {
+        let dir = tmp("bound");
+        let s = ParamSpace::builder()
+            .ordinal("x", (0..20).collect::<Vec<_>>())
+            .ordinal("y", (0..20).collect::<Vec<_>>())
+            .ordinal("z", (0..20).collect::<Vec<_>>())
+            .build();
+        let config = PersistConfig::new(&dir);
+        let (mut live, mut durable, _) = DurableStore::open(&s, &config).unwrap();
+        let log_len = || {
+            std::fs::metadata(dir.join("wal-00000001.seg"))
+                .unwrap()
+                .len()
+        };
+        let header = WAL_HEADER_BYTES as u64;
+        let mut keys = (0..8_000u32).map(|k| [k % 20, k / 20 % 20, k / 400]);
+        while durable.position() - header <= wal::PENDING_LIMIT_BYTES as u64 {
+            assert_eq!(log_len(), header, "written before passing the bound");
+            append_key(&mut live, &mut durable, keys.next().unwrap());
+        }
+        assert_eq!(
+            log_len(),
+            durable.position(),
+            "the append past the bound wrote"
+        );
+        for key in keys.take(10) {
+            append_key(&mut live, &mut durable, key);
+        }
+        assert!(log_len() < durable.position());
+        drop(durable);
+
+        let (recovered, _, recovery) = DurableStore::open(&s, &config).unwrap();
+        assert_eq!((recovery.runs, recovery.truncated_bytes), (live.len(), 0));
         assert_eq!(recovered.runs(), live.runs());
     }
 

@@ -7,16 +7,27 @@
 //! segments; the one file keeps the first segment's name and bytes, so a
 //! directory those versions wrote as one segment opens unchanged. A torn
 //! write can only damage the file's tail, which [`Wal::open`] cuts off.
+//!
+//! Appends are group-committed: each frame is encoded into one pending
+//! buffer, and the frames appended between two flushes reach the file with
+//! one `write_all`.
 
 use crate::frame::{append_frame, next_frame, read_u64_at, NextFrame};
-use crate::{u64_of, PersistError, WAL_MAGIC, WAL_HEADER_BYTES};
+use crate::{probes, u64_of, PersistError, WAL_MAGIC, WAL_HEADER_BYTES};
 use bugdoc_core::RunRef;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// The log's file name.
 const LOG_NAME: &str = "wal-00000001.seg";
+
+/// Pending bytes an append may leave unwritten: the append that takes the
+/// buffer past this writes it at once. It bounds the memory of a caller
+/// that appends many runs between flushes, such as a history loaded in one
+/// go; a record phase's few frames stay far below it.
+pub(crate) const PENDING_LIMIT_BYTES: usize = 64 * 1024;
 
 /// Flushes `dir`'s directory entries to disk, so the log created there
 /// survives power loss along with the frames later synced into it.
@@ -57,14 +68,22 @@ fn refuse_stray_segments(dir: &Path) -> Result<(), PersistError> {
 }
 
 /// The log's append handle, positioned at its tail by [`Wal::open`].
+///
+/// [`append`](Wal::append) encodes a frame into the pending buffer; the
+/// buffer reaches the file, and the OS page cache, with one `write_all` at
+/// [`flush`](Wal::flush), at [`sync`](Wal::sync), when the handle drops,
+/// and at an append that takes it past 64 KiB. Frames reach the file in
+/// the order they were appended, so the log's bytes are those one write per
+/// frame would leave.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    /// The file's length: where the next frame starts.
+    /// Where the next frame starts: the file's length plus the pending
+    /// bytes.
     len: u64,
     file: File,
-    /// Reusable frame-encoding scratch.
-    buf: Vec<u8>,
+    /// Frames appended since the last write, back to back.
+    pending: Vec<u8>,
 }
 
 impl Wal {
@@ -141,34 +160,66 @@ impl Wal {
             path,
             len: end.max(u64_of(WAL_HEADER_BYTES)),
             file,
-            buf: Vec::new(),
+            pending: Vec::new(),
         };
         Ok((wal, total - end))
     }
 
-    /// The byte offset the *next* appended frame will start at.
+    /// The byte offset the *next* appended frame will start at: the log's
+    /// length once the pending frames are written.
     pub fn position(&self) -> u64 {
         self.len
     }
 
-    /// Appends one run's record as a checksummed frame.
+    /// Appends one run's record as a checksummed frame to the pending
+    /// buffer. It reaches the file at the next [`flush`](Self::flush) or
+    /// [`sync`](Self::sync), or when the handle drops; an append that takes
+    /// the buffer past 64 KiB writes it at once. A record that cannot be
+    /// framed is [`PersistError::FrameOverflow`] and leaves the buffer as
+    /// it was.
     pub fn append(&mut self, run: RunRef<'_>) -> Result<(), PersistError> {
-        self.buf.clear();
-        append_frame(run, &mut self.buf)?;
-        self.file
-            .write_all(&self.buf)
-            .map_err(|e| PersistError::io(&self.path, e))?;
-        self.len += u64_of(self.buf.len());
+        let start = self.pending.len();
+        append_frame(run, &mut self.pending)?;
+        self.len += u64_of(self.pending.len() - start);
+        if self.pending.len() > PENDING_LIMIT_BYTES {
+            self.flush()?;
+        }
         Ok(())
     }
 
-    /// Flushes buffered OS state to disk (`fsync`). Called every
-    /// `sync_every` appends and at close; per-append fsync would dominate
-    /// the append cost.
+    /// Writes the pending frames to the file with one `write_all`: they
+    /// reach the OS page cache, so a later open reads them however this
+    /// process ends, and disk at the next [`sync`](Self::sync). A no-op
+    /// when nothing is pending. The buffer is emptied even when the write
+    /// fails: the file then ends in an unknown part of those frames, which
+    /// the next open cuts back to the last whole one.
+    pub fn flush(&mut self) -> Result<(), PersistError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let started = Instant::now();
+        let written = self.file.write_all(&self.pending);
+        probes().wal_write_ns.record_elapsed(started);
+        self.pending.clear();
+        written.map_err(|e| PersistError::io(&self.path, e))
+    }
+
+    /// Writes the pending frames, then flushes the file's data to disk
+    /// (`fsync`). Called every `sync_every` appends and at close;
+    /// per-append fsync would dominate the append cost.
     pub fn sync(&mut self) -> Result<(), PersistError> {
+        self.flush()?;
         self.file
             .sync_data()
             .map_err(|e| PersistError::io(&self.path, e))
+    }
+}
+
+/// Writes the pending frames; a failed write is dropped with them (call
+/// [`Wal::flush`] to see it). Nothing is synced.
+impl Drop for Wal {
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
