@@ -27,11 +27,14 @@
 //! simplifies the disjunction with Quine–McCluskey (§4).
 
 use crate::error::AlgoError;
-use bugdoc_core::{CanonicalCause, Conjunction, Dnf, Instance, Outcome, ParamSpace, ProvenanceStore};
+use bugdoc_core::{
+    CanonicalCause, Conjunction, Dnf, Instance, Outcome, ParamId, ParamSpace, ProvenanceStore,
+};
 use bugdoc_dtree::{ProvenanceTree, TreeConfig};
 use bugdoc_engine::{ExecError, Executor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
 
 /// Whether to stop at the first confirmed cause or collect all of them
 /// (the paper's FindOne / FindAll goals, §5).
@@ -357,18 +360,23 @@ fn random_instance(space: &ParamSpace, rng: &mut StdRng) -> Instance {
         .ids()
         .map(|p| rng.gen_range(0..space.domain(p).len()) as u32)
         .collect();
-    space.instance_from_indices(&indices)
+    space.instance_from_owned_indices(indices)
 }
 
 /// Samples `n` instances from the product set `suspect` denotes.
 ///
-/// Works entirely in dense domain indices: per-parameter pools of satisfying
-/// indices are drawn from, deduplicated by index key, and materialized once
-/// via [`ParamSpace::instance_from_indices`] — no `Value` vectors are built
-/// and re-validated per draw. When the filtered product is small (or
-/// rejection sampling stalls on a small remainder), the product is
-/// **enumerated deterministically** instead, so a suspect whose region holds
-/// fewer than `n` distinct instances always yields all of them.
+/// Works entirely in dense domain indices ([`Satisfying`]): each draw
+/// picks every parameter's index into a key buffer — an unconstrained
+/// parameter's straight from `0..len`, a constrained one's from the
+/// indices its block allows. A key already drawn is rejected by comparing
+/// it with the batch's instances, and its buffer serves the next draw; a
+/// kept key's buffer becomes its instance's key. So nothing is allocated
+/// per draw beyond the instances kept. The generator is called exactly as
+/// when each parameter had a list of its indices to draw from. When the
+/// filtered product is small (or rejection sampling stalls on a small
+/// remainder), the product is **enumerated deterministically** instead, so
+/// a suspect whose region holds fewer than `n` distinct instances always
+/// yields all of them.
 fn sample_satisfying(
     space: &ParamSpace,
     suspect: &CanonicalCause,
@@ -379,122 +387,153 @@ fn sample_satisfying(
     if suspect.is_unsatisfiable(space) {
         return Vec::new();
     }
-    // Per-parameter pools of satisfying domain indices. Under FixedPrototype,
-    // constrained parameters are pinned to their first satisfying value.
-    let pools: Vec<Vec<u32>> = space
+    let satisfying = Satisfying {
+        space,
+        suspect,
+        strategy,
+    };
+    let product: u128 = space
         .ids()
-        .map(|p| {
-            if !suspect.constrains(space, p) {
-                return (0..space.domain(p).len() as u32).collect();
-            }
-            let satisfying = suspect.allowed(space, p).map(|i| i as u32);
-            match strategy {
-                PrototypeStrategy::FixedPrototype => satisfying.take(1).collect(),
-                PrototypeStrategy::RandomSatisfying => satisfying.collect(),
-            }
-        })
-        .collect();
-    let product: u128 = pools
-        .iter()
-        .map(|pool| pool.len() as u128)
+        .map(|p| satisfying.len(p) as u128)
         .try_fold(1u128, u128::checked_mul)
         .unwrap_or(u128::MAX);
+    let mut key: Vec<u32> = Vec::new();
 
     // Small region: enumerate it exactly (shuffled for unbiased truncation).
     if product <= n as u128 {
         use rand::seq::SliceRandom as _;
-        let mut all: Vec<Instance> = PoolCombos::new(&pools)
-            .map(|indices| space.instance_from_indices(&indices))
-            .collect();
+        let mut all: Vec<Instance> = Vec::with_capacity(product as usize);
+        satisfying.for_each(&mut key, |key| {
+            all.push(space.instance_from_indices(key));
+            ControlFlow::Continue(())
+        });
         all.shuffle(rng);
         all.truncate(n);
         return all;
     }
 
-    let mut out = Vec::with_capacity(n);
-    let mut seen: std::collections::HashSet<Vec<u32>, bugdoc_core::FxBuildHasher> =
-        std::collections::HashSet::default();
-    // Rejection sampling with an attempt cap; duplicates are detected on the
-    // index key, so no instance is materialized twice.
+    let mut out: Vec<Instance> = Vec::with_capacity(n);
+    // Rejection sampling with an attempt cap.
     for _ in 0..(n * 4) {
         if out.len() == n {
             break;
         }
-        let indices: Vec<u32> = pools
-            .iter()
-            .map(|pool| pool[rng.gen_range(0..pool.len())])
-            .collect();
-        if !seen.contains(&indices) {
-            out.push(space.instance_from_indices(&indices));
-            seen.insert(indices);
+        key.clear();
+        key.reserve_exact(space.len());
+        key.extend(
+            space
+                .ids()
+                .map(|p| satisfying.index(p, rng.gen_range(0..satisfying.len(p)))),
+        );
+        if !drawn(&out, &key) {
+            out.push(space.instance_from_owned_indices(std::mem::take(&mut key)));
         }
     }
     // The cap can starve on moderately small products (most draws collide);
     // top up by deterministic enumeration rather than giving up short. The
-    // enumeration is lazy: it stops as soon as `n` is reached, materializing
-    // an `Instance` only for combinations not already drawn.
+    // enumeration stops as soon as `n` is reached, materializing an
+    // `Instance` only for combinations not already drawn.
     const ENUMERABLE: u128 = 4096;
     if out.len() < n && product <= ENUMERABLE {
-        for indices in PoolCombos::new(&pools) {
+        let sampled = out.len();
+        satisfying.for_each(&mut key, |key| {
             if out.len() == n {
-                break;
+                return ControlFlow::Break(());
             }
-            if !seen.contains(&indices) {
-                out.push(space.instance_from_indices(&indices));
+            if !drawn(&out[..sampled], key) {
+                out.push(space.instance_from_indices(key));
             }
-        }
+            ControlFlow::Continue(())
+        });
     }
     out
 }
 
-/// Lazily yields every combination of the per-parameter index pools as a
-/// dense index vector, in lexicographic pool order.
-struct PoolCombos<'a> {
-    pools: &'a [Vec<u32>],
-    cursor: Vec<usize>,
-    done: bool,
+/// Whether `key` is the dense key of one of `batch`'s instances: their
+/// fingerprints first, their keys on a match.
+fn drawn(batch: &[Instance], key: &[u32]) -> bool {
+    let fp = bugdoc_core::hash_dense_key(key);
+    batch
+        .iter()
+        .any(|i| i.dense_fingerprint() == fp && i.dense_key() == key)
 }
 
-impl<'a> PoolCombos<'a> {
-    fn new(pools: &'a [Vec<u32>]) -> Self {
-        PoolCombos {
-            pools,
-            cursor: vec![0; pools.len()],
-            done: pools.iter().any(Vec::is_empty),
+/// The domain indices each parameter may take in a suspect's product set,
+/// read off the suspect's cube without building a list: all of an
+/// unconstrained parameter's domain, the indices a constrained one's block
+/// allows, or, under [`PrototypeStrategy::FixedPrototype`], the first of
+/// them alone.
+struct Satisfying<'a> {
+    space: &'a ParamSpace,
+    suspect: &'a CanonicalCause,
+    strategy: PrototypeStrategy,
+}
+
+impl Satisfying<'_> {
+    /// How many indices `p` may take.
+    fn len(&self, p: ParamId) -> usize {
+        if !self.suspect.constrains(self.space, p) {
+            return self.space.domain(p).len();
+        }
+        match self.strategy {
+            PrototypeStrategy::FixedPrototype => 1,
+            PrototypeStrategy::RandomSatisfying => self.suspect.allowed(self.space, p).count(),
         }
     }
-}
 
-impl Iterator for PoolCombos<'_> {
-    type Item = Vec<u32>;
+    /// The `k`-th index `p` may take, in index order; `k` is below
+    /// [`len`](Self::len).
+    fn index(&self, p: ParamId, k: usize) -> u32 {
+        if !self.suspect.constrains(self.space, p) {
+            return k as u32;
+        }
+        let v = self.suspect.allowed(self.space, p).nth(k);
+        v.expect("k is below the allowed count") as u32
+    }
 
-    fn next(&mut self) -> Option<Vec<u32>> {
-        if self.done {
-            return None;
+    /// The index `p` may take after `v`, if any.
+    fn next(&self, p: ParamId, v: u32) -> Option<u32> {
+        if !self.suspect.constrains(self.space, p) {
+            return (v as usize + 1 < self.space.domain(p).len()).then_some(v + 1);
         }
-        let indices: Vec<u32> = self
-            .cursor
-            .iter()
-            .zip(self.pools)
-            .map(|(&c, pool)| pool[c])
-            .collect();
-        // Advance the mixed-radix counter over pool positions.
-        let mut carry = true;
-        for (c, pool) in self.cursor.iter_mut().zip(self.pools).rev() {
-            if !carry {
-                break;
+        match self.strategy {
+            PrototypeStrategy::FixedPrototype => None,
+            PrototypeStrategy::RandomSatisfying => self
+                .suspect
+                .allowed(self.space, p)
+                .find(|&w| w > v as usize)
+                .map(|w| w as u32),
+        }
+    }
+
+    /// Visits every key of the product set, in lexicographic index order,
+    /// in `key` (a mixed-radix counter over the parameters, the last one
+    /// fastest), until `visit` breaks. The suspect must be satisfiable.
+    fn for_each(&self, key: &mut Vec<u32>, mut visit: impl FnMut(&[u32]) -> ControlFlow<()>) {
+        key.clear();
+        key.extend(self.space.ids().map(|p| self.index(p, 0)));
+        loop {
+            if visit(key).is_break() {
+                return;
             }
-            *c += 1;
-            if *c == pool.len() {
-                *c = 0;
-            } else {
-                carry = false;
+            // Advance the counter; a carry out of the first parameter ends
+            // the product.
+            let mut carry = true;
+            for (i, slot) in key.iter_mut().enumerate().rev() {
+                let p = ParamId(i as u32);
+                match self.next(p, *slot) {
+                    Some(v) => {
+                        *slot = v;
+                        carry = false;
+                        break;
+                    }
+                    None => *slot = self.index(p, 0),
+                }
+            }
+            if carry {
+                return;
             }
         }
-        if carry {
-            self.done = true;
-        }
-        Some(indices)
     }
 }
 
@@ -1099,5 +1138,403 @@ mod generalize_tests {
             report.causes.conjuncts()[0].canonicalize(&s),
             expected.canonicalize(&s)
         );
+    }
+}
+
+/// The sampler against the one it replaced: d2dc5c0's `sample_satisfying`,
+/// kept verbatim in [`oracle`] (per-parameter index pools, a `HashSet` of
+/// drawn keys). For one seeded generator both must return the same
+/// instances in the same order and leave the generator in the same state,
+/// so every DDT probe is unchanged.
+#[cfg(test)]
+mod sampler_equivalence {
+    use super::*;
+    use bugdoc_core::{Domain, ParamDef, ParamId, Value};
+    use rand::RngCore;
+
+    /// d2dc5c0's sampler, verbatim.
+    mod oracle {
+        use super::super::PrototypeStrategy;
+        use bugdoc_core::{CanonicalCause, Instance, ParamSpace};
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        /// Samples `n` instances from the product set `suspect` denotes.
+        ///
+        /// Works entirely in dense domain indices: per-parameter pools of satisfying
+        /// indices are drawn from, deduplicated by index key, and materialized once
+        /// via [`ParamSpace::instance_from_indices`] — no `Value` vectors are built
+        /// and re-validated per draw. When the filtered product is small (or
+        /// rejection sampling stalls on a small remainder), the product is
+        /// **enumerated deterministically** instead, so a suspect whose region holds
+        /// fewer than `n` distinct instances always yields all of them.
+        pub(super) fn sample_satisfying(
+            space: &ParamSpace,
+            suspect: &CanonicalCause,
+            n: usize,
+            strategy: PrototypeStrategy,
+            rng: &mut StdRng,
+        ) -> Vec<Instance> {
+            if suspect.is_unsatisfiable(space) {
+                return Vec::new();
+            }
+            // Per-parameter pools of satisfying domain indices. Under FixedPrototype,
+            // constrained parameters are pinned to their first satisfying value.
+            let pools: Vec<Vec<u32>> = space
+                .ids()
+                .map(|p| {
+                    if !suspect.constrains(space, p) {
+                        return (0..space.domain(p).len() as u32).collect();
+                    }
+                    let satisfying = suspect.allowed(space, p).map(|i| i as u32);
+                    match strategy {
+                        PrototypeStrategy::FixedPrototype => satisfying.take(1).collect(),
+                        PrototypeStrategy::RandomSatisfying => satisfying.collect(),
+                    }
+                })
+                .collect();
+            let product: u128 = pools
+                .iter()
+                .map(|pool| pool.len() as u128)
+                .try_fold(1u128, u128::checked_mul)
+                .unwrap_or(u128::MAX);
+
+            // Small region: enumerate it exactly (shuffled for unbiased truncation).
+            if product <= n as u128 {
+                use rand::seq::SliceRandom as _;
+                let mut all: Vec<Instance> = PoolCombos::new(&pools)
+                    .map(|indices| space.instance_from_indices(&indices))
+                    .collect();
+                all.shuffle(rng);
+                all.truncate(n);
+                return all;
+            }
+
+            let mut out = Vec::with_capacity(n);
+            let mut seen: std::collections::HashSet<Vec<u32>, bugdoc_core::FxBuildHasher> =
+                std::collections::HashSet::default();
+            // Rejection sampling with an attempt cap; duplicates are detected on the
+            // index key, so no instance is materialized twice.
+            for _ in 0..(n * 4) {
+                if out.len() == n {
+                    break;
+                }
+                let indices: Vec<u32> = pools
+                    .iter()
+                    .map(|pool| pool[rng.gen_range(0..pool.len())])
+                    .collect();
+                if !seen.contains(&indices) {
+                    out.push(space.instance_from_indices(&indices));
+                    seen.insert(indices);
+                }
+            }
+            // The cap can starve on moderately small products (most draws collide);
+            // top up by deterministic enumeration rather than giving up short. The
+            // enumeration is lazy: it stops as soon as `n` is reached, materializing
+            // an `Instance` only for combinations not already drawn.
+            const ENUMERABLE: u128 = 4096;
+            if out.len() < n && product <= ENUMERABLE {
+                for indices in PoolCombos::new(&pools) {
+                    if out.len() == n {
+                        break;
+                    }
+                    if !seen.contains(&indices) {
+                        out.push(space.instance_from_indices(&indices));
+                    }
+                }
+            }
+            out
+        }
+
+        /// Lazily yields every combination of the per-parameter index pools as a
+        /// dense index vector, in lexicographic pool order.
+        struct PoolCombos<'a> {
+            pools: &'a [Vec<u32>],
+            cursor: Vec<usize>,
+            done: bool,
+        }
+
+        impl<'a> PoolCombos<'a> {
+            fn new(pools: &'a [Vec<u32>]) -> Self {
+                PoolCombos {
+                    pools,
+                    cursor: vec![0; pools.len()],
+                    done: pools.iter().any(Vec::is_empty),
+                }
+            }
+        }
+
+        impl Iterator for PoolCombos<'_> {
+            type Item = Vec<u32>;
+
+            fn next(&mut self) -> Option<Vec<u32>> {
+                if self.done {
+                    return None;
+                }
+                let indices: Vec<u32> = self
+                    .cursor
+                    .iter()
+                    .zip(self.pools)
+                    .map(|(&c, pool)| pool[c])
+                    .collect();
+                // Advance the mixed-radix counter over pool positions.
+                let mut carry = true;
+                for (c, pool) in self.cursor.iter_mut().zip(self.pools).rev() {
+                    if !carry {
+                        break;
+                    }
+                    *c += 1;
+                    if *c == pool.len() {
+                        *c = 0;
+                    } else {
+                        carry = false;
+                    }
+                }
+                if carry {
+                    self.done = true;
+                }
+                Some(indices)
+            }
+        }
+    }
+
+    const STRATEGIES: [PrototypeStrategy; 2] = [
+        PrototypeStrategy::RandomSatisfying,
+        PrototypeStrategy::FixedPrototype,
+    ];
+
+    /// A space of ordinal parameters with these domain sizes.
+    fn space_of(lens: &[usize]) -> ParamSpace {
+        ParamSpace::new(
+            lens.iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    ParamDef::new(
+                        format!("p{i}"),
+                        Domain::ordinal((0..len as i64).map(Value::from)),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// A random cube: each parameter is left whole with probability 1/3,
+    /// pinned to one value with probability 1/3, and otherwise allows a
+    /// random nonempty subset.
+    fn random_cube(space: &ParamSpace, rng: &mut StdRng) -> CanonicalCause {
+        let mut cube = CanonicalCause::top(space);
+        for p in space.ids() {
+            let len = space.domain(p).len();
+            match rng.gen_range(0..3) {
+                0 => {}
+                1 => {
+                    cube.block_mut(space, p).fill(0);
+                    cube.set_allowed(space, p, rng.gen_range(0..len), true);
+                }
+                _ => {
+                    let keep = rng.gen_range(0..len);
+                    for v in 0..len {
+                        if v != keep && rng.gen_bool(0.5) {
+                            cube.set_allowed(space, p, v, false);
+                        }
+                    }
+                }
+            }
+        }
+        cube
+    }
+
+    /// The product size of a cube's satisfying set under a strategy, as
+    /// the oracle computes it.
+    fn product(space: &ParamSpace, cube: &CanonicalCause, strategy: PrototypeStrategy) -> u128 {
+        space
+            .ids()
+            .map(|p| {
+                if !cube.constrains(space, p) {
+                    space.domain(p).len() as u128
+                } else if strategy == PrototypeStrategy::FixedPrototype {
+                    1
+                } else {
+                    cube.allowed(space, p).count() as u128
+                }
+            })
+            .product()
+    }
+
+    /// Whether `4n` draws from `seed` find fewer than `n` distinct keys, so
+    /// the sampler tops its batch up by enumeration: the draws the oracle
+    /// makes, counted.
+    fn falls_short(
+        space: &ParamSpace,
+        cube: &CanonicalCause,
+        n: usize,
+        strategy: PrototypeStrategy,
+        seed: u64,
+    ) -> bool {
+        let pools: Vec<Vec<u32>> = space
+            .ids()
+            .map(|p| {
+                let allowed: Vec<u32> = cube.allowed(space, p).map(|v| v as u32).collect();
+                match strategy {
+                    PrototypeStrategy::FixedPrototype if cube.constrains(space, p) => {
+                        allowed[..1].to_vec()
+                    }
+                    _ => allowed,
+                }
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..4 * n {
+            if seen.len() == n {
+                return false;
+            }
+            seen.insert(
+                pools
+                    .iter()
+                    .map(|pool| pool[rng.gen_range(0..pool.len())])
+                    .collect::<Vec<_>>(),
+            );
+        }
+        seen.len() < n
+    }
+
+    /// Runs both samplers from one seed and requires the same keys in the
+    /// same order and the same generator state after. Returns the number of
+    /// instances drawn.
+    fn check(
+        space: &ParamSpace,
+        cube: &CanonicalCause,
+        n: usize,
+        strategy: PrototypeStrategy,
+        seed: u64,
+    ) -> usize {
+        let mut want_rng = StdRng::seed_from_u64(seed);
+        let mut got_rng = StdRng::seed_from_u64(seed);
+        let want = oracle::sample_satisfying(space, cube, n, strategy, &mut want_rng);
+        let got = sample_satisfying(space, cube, n, strategy, &mut got_rng);
+        let keys = |batch: &[Instance]| {
+            batch
+                .iter()
+                .map(|i| i.dense_key().to_vec())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            keys(&got),
+            keys(&want),
+            "seed {seed}, n {n}, {strategy:?}, cube {:?}",
+            cube.words()
+        );
+        assert_eq!(got, want);
+        for _ in 0..4 {
+            assert_eq!(
+                got_rng.next_u64(),
+                want_rng.next_u64(),
+                "generator state, seed {seed}"
+            );
+        }
+        got.len()
+    }
+
+    /// Products of at most `n`: both enumerate the region and shuffle it.
+    #[test]
+    fn small_products_are_enumerated_alike() {
+        let space = space_of(&[2, 3, 2, 4]);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut enumerated = 0;
+        for seed in 0..300 {
+            let cube = random_cube(&space, &mut rng);
+            for strategy in STRATEGIES {
+                let size = product(&space, &cube, strategy);
+                for n in [size as usize, size as usize + 3, 8] {
+                    if size <= n as u128 && !cube.is_unsatisfiable(&space) {
+                        enumerated += 1;
+                    }
+                    check(&space, &cube, n, strategy, seed);
+                }
+            }
+        }
+        assert!(enumerated > 500, "only {enumerated} enumerated regions");
+    }
+
+    /// Products of at most 4,096 with `n` close to the product: most draws
+    /// collide, the attempt cap runs out, and both top up by enumeration.
+    #[test]
+    fn colliding_draws_top_up_alike() {
+        let space = space_of(&[5, 4, 6, 3, 7]);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut topped_up = 0;
+        for seed in 0..120 {
+            let cube = random_cube(&space, &mut rng);
+            for strategy in STRATEGIES {
+                let size = product(&space, &cube, strategy);
+                if !(2..=4096).contains(&size) {
+                    continue;
+                }
+                let n = size as usize - 1;
+                assert_eq!(check(&space, &cube, n, strategy, seed), n);
+                topped_up += usize::from(falls_short(&space, &cube, n, strategy, seed));
+            }
+        }
+        assert!(topped_up > 30, "only {topped_up} regions took the top-up");
+        // The top-up's largest case: a 4,096-instance product.
+        let wide = space_of(&[16, 16, 16]);
+        let top = CanonicalCause::top(&wide);
+        for strategy in STRATEGIES {
+            assert_eq!(check(&wide, &top, 4095, strategy, 7), 4095);
+        }
+    }
+
+    /// Large products: rejection sampling alone, at DDT's batch sizes.
+    #[test]
+    fn large_products_are_drawn_alike() {
+        let space = space_of(&[12, 30, 9, 25, 17, 5]);
+        let mut rng = StdRng::seed_from_u64(13);
+        for seed in 0..300 {
+            let cube = random_cube(&space, &mut rng);
+            for strategy in STRATEGIES {
+                for n in [1, 4, 8, 12] {
+                    check(&space, &cube, n, strategy, seed);
+                }
+            }
+        }
+    }
+
+    /// A 130-value domain, whose block spans three words, beside small
+    /// ones: allowed sets in every word, and pins past the first word.
+    #[test]
+    fn a_130_value_domain_is_drawn_alike() {
+        let space = space_of(&[130, 3, 2]);
+        let wide = ParamId(0);
+        let mut rng = StdRng::seed_from_u64(14);
+        for seed in 0..200 {
+            let mut cube = random_cube(&space, &mut rng);
+            if seed % 2 == 0 {
+                cube.block_mut(&space, wide).fill(0);
+                for v in [64 + seed as usize % 60, 128, 129, seed as usize % 64] {
+                    cube.set_allowed(&space, wide, v, true);
+                }
+            }
+            for strategy in STRATEGIES {
+                for n in [1, 8, 12] {
+                    check(&space, &cube, n, strategy, seed);
+                }
+            }
+        }
+    }
+
+    /// Unsatisfiable cubes: both return nothing and draw nothing.
+    #[test]
+    fn unsatisfiable_cubes_draw_nothing_alike() {
+        let space = space_of(&[4, 130, 3]);
+        let mut rng = StdRng::seed_from_u64(15);
+        for seed in 0..60 {
+            let mut cube = random_cube(&space, &mut rng);
+            let p = ParamId(seed as u32 % 3);
+            cube.block_mut(&space, p).fill(0);
+            for strategy in STRATEGIES {
+                assert_eq!(check(&space, &cube, 8, strategy, seed), 0);
+            }
+        }
     }
 }

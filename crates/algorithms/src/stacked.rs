@@ -189,7 +189,7 @@ fn sample_disjoint(
         }
         indices.push(pool[rng.gen_range(0..pool.len())]);
     }
-    Some(space.instance_from_indices(&indices))
+    Some(space.instance_from_owned_indices(indices))
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@
 //!
 //! Scenarios (see `bugdoc_bench::perf`):
 //! * `perf/evaluate_cold_32` — cold dispatch through a fresh executor
+//! * `perf/instance_from_indices` — one instance built from its dense key
+//!   and dropped
 //! * `perf/prov_lookup_10k` — one dense-key probe of a 10k-run history
 //! * `perf/prov_insert_10k` — 10,000 instances recorded into a fresh store
 //! * `perf/cache_hit_10k` — provenance hit against a 10k-run history
@@ -22,6 +24,9 @@
 //!   5-thread contention (threads started once, rounds released by a
 //!   barrier)
 //! * `perf/satisfied_by_1k` — per-conjunction log filtering, 1k candidates
+//!   (the streamed `support` scan)
+//! * `perf/superset_exists_1k` — per-conjunction succeeding-superset check
+//!   over the same log and candidates (stops at the first matching chunk)
 //! * `perf/kernel_and_popcount_64k` — fused AND+popcount over 64k-bit words
 //! * `perf/telemetry_record` — one wait-free histogram sample (the unit cost
 //!   of an always-on instrumentation probe)
@@ -73,7 +78,7 @@ fn main() {
     perf::normalize_contention_result(&mut results);
     // Per-conjunction figures: these scenarios time all 1k at once.
     for r in &mut results {
-        if r.id.ends_with("satisfied_by_1k") {
+        if r.id.ends_with("satisfied_by_1k") || r.id.ends_with("superset_exists_1k") {
             r.median_ns /= 1_000.0;
             for s in &mut r.samples_ns {
                 *s /= 1_000.0;

@@ -83,6 +83,8 @@ pub fn random_conjunctions(space: &ParamSpace, n: usize, seed: u64) -> Vec<Conju
 /// Registers the engine/core hot-path benchmarks on `c`:
 ///
 /// * `perf/evaluate_cold_32` — 32 fresh evaluations through a new executor;
+/// * `perf/instance_from_indices` — one instance of the perf space built
+///   from its dense key and dropped: a key copy and a table `Arc` clone;
 /// * `perf/cache_hit_10k` — one cache-hit `evaluate` against a 10k-run history;
 /// * `perf/batch_dispatch_128/5` — a 128-instance batch at the paper's 5 workers;
 /// * `perf/batch_dispatch_4_warm/5` — 4 new instances on a 5-worker executor
@@ -94,7 +96,10 @@ pub fn random_conjunctions(space: &ParamSpace, n: usize, seed: u64) -> Vec<Conju
 ///   thread start-up is not in the figure;
 /// * `perf/satisfied_by_1k` — support counts for 1 000 candidate conjunctions
 ///   over the 10k-run log, each canonicalized before the timed loop
-///   (reported per conjunction);
+///   (reported per conjunction): the streamed `support` scan;
+/// * `perf/superset_exists_1k` — the succeeding-superset check of the same
+///   1 000 conjunctions over the same log (reported per conjunction), which
+///   stops at the first chunk of the log holding a succeeding match;
 /// * `perf/kernel_and_popcount_64k` — the raw fused AND+popcount kernel over
 ///   two 1 024-word operands.
 pub fn bench_hot_paths(c: &mut Criterion) {
@@ -121,6 +126,14 @@ pub fn bench_hot_paths(c: &mut Criterion) {
                 },
             )
         }
+    });
+
+    // One instance built from its key and dropped: what every sampled probe,
+    // replayed run and enumerated instance costs.
+    group.bench_function("instance_from_indices", {
+        let space = space.clone();
+        let key = [17u32, 41, 2];
+        move |b| b.iter(|| space.instance_from_indices(&key))
     });
 
     // Store-level probe: the provenance map lookup itself, no executor around
@@ -277,7 +290,7 @@ pub fn bench_hot_paths(c: &mut Criterion) {
         .iter()
         .map(|c| c.canonicalize(&space))
         .collect();
-    group.bench_function("satisfied_by_1k", move |b| {
+    group.bench_function("satisfied_by_1k", |b| {
         b.iter(|| {
             let mut acc = (0usize, 0usize);
             for c in &causes {
@@ -286,6 +299,14 @@ pub fn bench_hot_paths(c: &mut Criterion) {
                 acc.1 += s;
             }
             acc
+        })
+    });
+    group.bench_function("superset_exists_1k", |b| {
+        b.iter(|| {
+            causes
+                .iter()
+                .filter(|c| prov.succeeding_superset_exists(c))
+                .count()
         })
     });
 

@@ -5,40 +5,58 @@
 //! cost measure is "the number of executed pipeline instances beyond any
 //! given, previously run, instances".
 //!
-//! Every instance is built against a [`ParamSpace`] and carries its dense
-//! key, one domain index per parameter, so it always lies inside its space:
-//! no constructor accepts a value outside a parameter's universe, and a
-//! universe is fixed once its space is built.
+//! An instance is its dense key, one domain index per parameter, plus the
+//! parameter table of the [`ParamSpace`] it was built against, which it
+//! shares with the space and every other instance of it: a value is read
+//! through the table ([`Instance::get`], [`Instance::values`]), never
+//! stored, so building an instance allocates its key alone and clones no
+//! value. Every instance lies inside its space: no constructor accepts a
+//! value outside a parameter's universe, and a universe is fixed once its
+//! space is built.
 
-use crate::param::{ParamId, ParamSpace};
+use crate::param::{ParamDef, ParamId, ParamSpace};
 use crate::value::Value;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// A complete assignment of values to parameters, stored densely by
-/// [`ParamId`] index.
+/// A complete assignment of values to parameters: its dense key and its
+/// space's parameter table.
 ///
 /// Every instance is built against a space ([`Instance::from_pairs`],
 /// [`Instance::with`], [`ParamSpace::instance_from_indices`],
-/// [`ParamSpace::instances`]) and carries its **dense key**: one domain index
-/// (`u32`) per parameter. The provenance store uses the key as its hash key
-/// and the instance comparisons below compare keys, not values. Equality and
-/// hashing are defined over the values; for two instances of one space they
-/// agree with the keys, since a domain holds no two equal values.
-#[derive(Debug, Clone)]
+/// [`ParamSpace::instances`]) and is its **dense key**: one domain index
+/// (`u32`) per parameter, in id order. The provenance store uses the key as
+/// its hash key, and the value of parameter `p` is entry `key[p]` of `p`'s
+/// domain in the table.
+///
+/// # `Eq` and `Hash`
+///
+/// Two instances are equal when they assign equal values. Instances that
+/// share a table (built against one space, or clones of such) compare
+/// keys, which is the same test, since a domain holds no two equal values;
+/// instances of separately built spaces compare values. `Hash` feeds the
+/// hasher the parameter count and then each value in id order, the
+/// sequence a `[Value]` slice feeds it, so equal instances hash equal
+/// whatever their tables.
+#[derive(Clone)]
 pub struct Instance {
-    values: Box<[Value]>,
-    /// Per-parameter domain indices w.r.t. the space the instance was built
-    /// against. Not part of `Eq`/`Hash` (it is derived data).
-    dense: Box<[u32]>,
-    /// `hash_dense_key(dense)`, precomputed at construction so hot-path
+    /// Per-parameter domain indices w.r.t. `params`.
+    key: Box<[u32]>,
+    /// `hash_dense_key(key)`, precomputed at construction so hot-path
     /// probes skip the hash chain.
     fingerprint: u64,
+    /// The parameter table of the space the instance was built against.
+    params: Arc<[ParamDef]>,
 }
 
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
-        self.values == other.values
+        if Arc::ptr_eq(&self.params, &other.params) {
+            self.key == other.key
+        } else {
+            self.len() == other.len() && self.values().eq(other.values())
+        }
     }
 }
 
@@ -46,21 +64,32 @@ impl Eq for Instance {}
 
 impl Hash for Instance {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.values.hash(state);
+        state.write_usize(self.len());
+        for v in self.values() {
+            v.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for Instance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instance")
+            .field("values", &self.values().collect::<Vec<_>>())
+            .field("key", &self.key)
+            .finish()
     }
 }
 
 impl Instance {
-    /// Creates an instance from its values and their domain indices
-    /// (crate-internal; the public space-aware entry point is
-    /// [`ParamSpace::instance_from_indices`]).
-    pub(crate) fn new_with_dense(values: Vec<Value>, dense: Vec<u32>) -> Self {
-        debug_assert_eq!(values.len(), dense.len());
-        let fingerprint = crate::fx::hash_dense_key(&dense);
+    /// Creates an instance from its dense key against a space's parameter
+    /// table (crate-internal; the public space-aware entry point is
+    /// [`ParamSpace::instance_from_indices`], which checks the key).
+    pub(crate) fn from_key(params: Arc<[ParamDef]>, key: Box<[u32]>) -> Self {
+        let fingerprint = crate::fx::hash_dense_key(&key);
         Instance {
-            values: values.into_boxed_slice(),
-            dense: dense.into_boxed_slice(),
+            key,
             fingerprint,
+            params,
         }
     }
 
@@ -68,7 +97,7 @@ impl Instance {
     /// parameter order.
     #[inline]
     pub fn dense_key(&self) -> &[u32] {
-        &self.dense
+        &self.key
     }
 
     /// The precomputed [`hash_dense_key`](crate::hash_dense_key) fingerprint
@@ -106,27 +135,33 @@ impl Instance {
             .enumerate()
             .map(|(i, s)| s.unwrap_or_else(|| panic!("parameter index {i} not assigned")))
             .collect();
-        space.instance_from_indices(&dense)
+        space.instance_from_owned_indices(dense)
     }
 
     /// Number of parameters assigned.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.key.len()
     }
 
     /// True for the zero-parameter instance.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.key.is_empty()
     }
 
-    /// The value assigned to a parameter: `CP_i[p]`.
+    /// The value assigned to a parameter: `CP_i[p]`, read through the
+    /// table.
     pub fn get(&self, p: ParamId) -> &Value {
-        &self.values[p.index()]
+        self.params[p.index()]
+            .domain()
+            .value(self.key[p.index()] as usize)
     }
 
-    /// All values in id order.
-    pub fn values(&self) -> &[Value] {
-        &self.values
+    /// All values in id order, read through the table.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> + '_ {
+        self.params
+            .iter()
+            .zip(self.key.iter())
+            .map(|(def, &i)| def.domain().value(i as usize))
     }
 
     /// Returns a copy with parameter `p` reassigned to `v` — the elementary
@@ -138,29 +173,24 @@ impl Instance {
     /// instance.
     pub fn with(&self, space: &ParamSpace, p: ParamId, v: Value) -> Self {
         debug_assert_eq!(self.len(), space.len());
-        let domain = space.domain(p);
-        let idx = domain.index_of(&v).unwrap_or_else(|| {
+        let idx = space.domain(p).index_of(&v).unwrap_or_else(|| {
             panic!(
                 "value {v} outside the universe of parameter {:?}",
                 space.param(p).name()
             )
         });
-        let mut values = self.values.to_vec();
-        values[p.index()] = domain.value(idx).clone();
-        let mut dense = self.dense.to_vec();
-        dense[p.index()] = idx as u32;
-        Instance::new_with_dense(values, dense)
+        let mut key = self.key.clone();
+        key[p.index()] = idx as u32;
+        Instance::from_key(self.params.clone(), key)
     }
 
     /// Returns a copy with parameter `p` reassigned to `donor`'s value for
     /// `p`, carrying over the donor's domain index — the zero-re-encoding
     /// form of the Shortcut substitution step.
     pub fn with_from(&self, p: ParamId, donor: &Instance) -> Self {
-        let mut values = self.values.to_vec();
-        values[p.index()] = donor.get(p).clone();
-        let mut dense = self.dense.to_vec();
-        dense[p.index()] = donor.dense[p.index()];
-        Instance::new_with_dense(values, dense)
+        let mut key = self.key.clone();
+        key[p.index()] = donor.key[p.index()];
+        Instance::from_key(self.params.clone(), key)
     }
 
     /// True if the two instances disagree on *every* parameter — the paper's
@@ -168,10 +198,7 @@ impl Instance {
     /// from one space, so the check compares domain indices.
     pub fn is_disjoint_from(&self, other: &Instance) -> bool {
         debug_assert_eq!(self.len(), other.len());
-        self.dense
-            .iter()
-            .zip(other.dense.iter())
-            .all(|(x, y)| x != y)
+        self.key.iter().zip(other.key.iter()).all(|(x, y)| x != y)
     }
 
     /// Number of parameters on which the two instances differ. The
@@ -179,9 +206,9 @@ impl Instance {
     /// be met, paper §4.1) maximizes this.
     pub fn hamming_distance(&self, other: &Instance) -> usize {
         debug_assert_eq!(self.len(), other.len());
-        self.dense
+        self.key
             .iter()
-            .zip(other.dense.iter())
+            .zip(other.key.iter())
             .filter(|(x, y)| x != y)
             .count()
     }
@@ -193,9 +220,8 @@ impl Instance {
         other: &'a Instance,
     ) -> impl Iterator<Item = (ParamId, &'a Value)> + 'a {
         debug_assert_eq!(self.len(), other.len());
-        self.values
-            .iter()
-            .zip(other.values.iter())
+        self.values()
+            .zip(other.values())
             .enumerate()
             .filter(|(_, (a, b))| a == b)
             .map(|(i, (a, _))| (ParamId(i as u32), a))
@@ -389,5 +415,91 @@ mod tests {
         let s = space3();
         let base = s.instance_from_indices(&[0, 0, 0]);
         let _ = base.with(&s, s.by_name("Version").unwrap(), 3.into());
+    }
+
+    fn std_hash(value: &(impl Hash + ?Sized)) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    /// Two spaces built separately share no table: their instances compare
+    /// values, so equal assignments are equal and hash equal, and the hash
+    /// is the one the values' slice has. Within one space, equality follows
+    /// the key.
+    #[test]
+    fn equality_and_hash_follow_the_values_across_spaces_and_the_key_within_one() {
+        let (a, b) = (space3(), space3());
+        for (x, y) in a.instances().zip(b.instances()) {
+            assert_eq!(x, y);
+            assert_eq!(std_hash(&x), std_hash(&y));
+            let values: Vec<Value> = x.values().cloned().collect();
+            assert_eq!(std_hash(&x), std_hash(&values[..]));
+        }
+        let left = a.instance_from_indices(&[0, 1, 1]);
+        assert_ne!(left, b.instance_from_indices(&[0, 1, 0]));
+        assert_ne!(left, b.instance_from_indices(&[2, 1, 1]));
+        for other in a.instances() {
+            assert_eq!(left == other, left.dense_key() == other.dense_key());
+        }
+        // A space whose domains differ: equal keys, other values.
+        let c = ParamSpace::builder()
+            .categorical("Dataset", ["Digits", "Iris", "Images"])
+            .categorical("Estimator", ["LR", "DT", "GB"])
+            .ordinal("Version", [1, 2])
+            .build();
+        assert_ne!(left, c.instance_from_indices(&[0, 1, 1]));
+        assert_eq!(left, c.instance_from_indices(&[1, 1, 1]));
+    }
+
+    /// `with` and `with_from` copies read their values through the table,
+    /// by `get` and by `values()` in id order.
+    #[test]
+    fn copies_read_their_values_through_the_table() {
+        let s = space3();
+        let (dataset, estimator, version) = (ParamId(0), ParamId(1), ParamId(2));
+        let base = s.instance_from_indices(&[0, 0, 0]);
+        let donor = s.instance_from_indices(&[2, 1, 1]);
+        let moved = base.with(&s, estimator, "GB".into());
+        assert_eq!(moved.get(estimator), &Value::from("GB"));
+        assert_eq!(
+            moved.values().cloned().collect::<Vec<_>>(),
+            [Value::from("Iris"), "GB".into(), 1.into()]
+        );
+        let given = moved.with_from(dataset, &donor).with_from(version, &donor);
+        assert_eq!(given.get(dataset), &Value::from("Images"));
+        assert_eq!(given.get(version), &Value::from(2));
+        assert_eq!(given.dense_key(), &[2, 2, 1]);
+        assert_eq!(
+            given.values().cloned().collect::<Vec<_>>(),
+            [Value::from("Images"), "GB".into(), 2.into()]
+        );
+        assert_eq!(given.values().len(), 3);
+        assert_eq!(
+            base.values().next(),
+            Some(&Value::from("Iris")),
+            "the original is unchanged"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn instance_from_indices_panics_on_an_index_past_the_domain() {
+        let _ = space3().instance_from_indices(&[0, 3, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn instance_from_indices_panics_on_an_arity_mismatch() {
+        let _ = space3().instance_from_indices(&[0, 1]);
+    }
+
+    #[test]
+    fn debug_shows_the_values() {
+        let shown = format!("{:?}", space3().instance_from_indices(&[1, 2, 0]));
+        assert!(
+            shown.contains(r#"values: [Str("Digits"), Str("GB"), Int(1)]"#),
+            "{shown}"
+        );
     }
 }

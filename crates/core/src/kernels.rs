@@ -147,6 +147,26 @@ pub fn and_not_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// `dst[i] |= src[i]` over the common prefix: adds `src`'s bits to `dst`.
+/// Words of `dst` past `src`'s length are untouched (`src` reads as 0
+/// there). The provenance store's streamed walk ORs a predicate's value
+/// rows into a stack chunk with it, one row at a time.
+#[inline]
+pub fn or_into(dst: &mut [u64], src: &[u64]) {
+    let n = dst.len().min(src.len());
+    let mut d = dst[..n].chunks_exact_mut(CHUNK);
+    let mut s = src[..n].chunks_exact(CHUNK);
+    for (d4, s4) in d.by_ref().zip(s.by_ref()) {
+        d4[0] |= s4[0];
+        d4[1] |= s4[1];
+        d4[2] |= s4[2];
+        d4[3] |= s4[3];
+    }
+    for (d, s) in d.into_remainder().iter_mut().zip(s.remainder()) {
+        *d |= s;
+    }
+}
+
 /// `dst = srcs[0] | srcs[1] | …`, overwriting `dst` in a single pass.
 /// Every source must be at least `dst.len()` words long; an empty source
 /// list clears `dst`.
@@ -255,6 +275,9 @@ mod tests {
         let mut d = [0b111u64, 0b111];
         and_not_into(&mut d, &[0b010]);
         assert_eq!(d, [0b101, 0b111], "words past src untouched");
+        let mut d = [0b001u64, 0b001];
+        or_into(&mut d, &[0b010]);
+        assert_eq!(d, [0b011, 0b001], "words past src untouched");
     }
 
     #[test]

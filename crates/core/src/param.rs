@@ -194,9 +194,13 @@ impl ParamDef {
 /// provenance store, and the debugging algorithms. A space is never
 /// mutated once built, so the layout of [`CanonicalCause`] cubes it computes
 /// at construction holds for its whole life.
+///
+/// The parameter table is shared too: every [`Instance`] the space builds
+/// holds a clone of the same `Arc`, reads its values through it, and
+/// compares keys with another instance holding it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamSpace {
-    params: Vec<ParamDef>,
+    params: Arc<[ParamDef]>,
     /// Parameter `i` owns words `bounds[i]..bounds[i + 1]` of every cube
     /// over this space.
     bounds: Vec<usize>,
@@ -222,7 +226,7 @@ impl ParamSpace {
         }
         let (bounds, top) = cause::cube_layout(params.iter().map(|p| p.domain().len()));
         ParamSpace {
-            params,
+            params: params.into(),
             bounds,
             top,
         }
@@ -292,25 +296,25 @@ impl ParamSpace {
             .map(|(i, p)| (ParamId(i as u32), p))
     }
 
-    /// The dense encoding of an instance: each parameter's value replaced by
-    /// its domain index. `None` if any value is not *identical* to a domain
-    /// value (or the arity differs). Identity is deliberate: a `Float(2.0)`
-    /// stored against an `Int` domain must not be indexed under `Int(2)`, or
-    /// bitset predicate evaluation would disagree with
-    /// `Conjunction::satisfied_by`'s `Eq` semantics.
+    /// True if the instance's dense key ([`Instance::dense_key`]) is this
+    /// space's encoding of its values: it has one index per parameter, and
+    /// each is the domain index of a domain value *identical* to the
+    /// instance's value. Identity is deliberate: a `Float(2.0)` stored
+    /// against an `Int` domain must not be indexed under `Int(2)`, or bitset
+    /// predicate evaluation would disagree with `Conjunction::satisfied_by`'s
+    /// `Eq` semantics.
     ///
-    /// Every instance carries its key ([`Instance::dense_key`]); this method
-    /// recomputes it, which the provenance store's debug assertions use to
-    /// check a carried key against the store's space.
-    pub fn encode(&self, instance: &Instance) -> Option<Box<[u32]>> {
-        if instance.len() != self.len() {
-            return None;
-        }
-        let mut key = Vec::with_capacity(self.len());
-        for (def, v) in self.params.iter().zip(instance.values()) {
-            key.push(def.domain().exact_index_of(v)? as u32);
-        }
-        Some(key.into_boxed_slice())
+    /// The provenance store's debug assertions check every carried key
+    /// against the store's space with it. It builds no encoding, so the
+    /// check allocates nothing.
+    pub fn encodes(&self, instance: &Instance) -> bool {
+        instance.len() == self.len()
+            && self
+                .params
+                .iter()
+                .zip(instance.values())
+                .zip(instance.dense_key())
+                .all(|((def, v), &k)| def.domain().exact_index_of(v) == Some(k as usize))
     }
 
     /// True if `key` is a dense key of this space: one index per parameter,
@@ -324,26 +328,33 @@ impl ParamSpace {
                 .all(|(def, &i)| (i as usize) < def.domain().len())
     }
 
-    /// Materializes the instance denoted by a dense encoding (inverse of
-    /// [`ParamSpace::encode`]); the result carries the encoding. Panics on
-    /// arity mismatch or out-of-range indices.
+    /// Materializes the instance denoted by a dense encoding: the encoding,
+    /// copied, and this space's parameter table. Panics on arity mismatch or
+    /// out-of-range indices.
     pub fn instance_from_indices(&self, indices: &[u32]) -> Instance {
-        self.instance_from_owned_indices(indices.to_vec())
+        self.instance_from_key(indices.into())
     }
 
     /// [`instance_from_indices`](Self::instance_from_indices) taking the
-    /// encoding by value, so the instance reuses the caller's buffer instead
-    /// of copying it — worth it on bulk paths (WAL replay materializes one
-    /// encoding per recovered run).
+    /// encoding by value, so the instance keeps the caller's buffer instead
+    /// of copying it (a buffer whose capacity exceeds its length is shrunk
+    /// to fit).
     pub fn instance_from_owned_indices(&self, indices: Vec<u32>) -> Instance {
-        assert_eq!(indices.len(), self.len(), "dense key arity mismatch");
-        let values: Vec<Value> = self
-            .params
-            .iter()
-            .zip(&indices)
-            .map(|(def, &i)| def.domain().value(i as usize).clone())
-            .collect();
-        Instance::new_with_dense(values, indices)
+        self.instance_from_key(indices.into_boxed_slice())
+    }
+
+    /// Checks a dense key against this space and builds its instance.
+    fn instance_from_key(&self, key: Box<[u32]>) -> Instance {
+        assert_eq!(key.len(), self.len(), "dense key arity mismatch");
+        for (def, &i) in self.params.iter().zip(key.iter()) {
+            assert!(
+                (i as usize) < def.domain().len(),
+                "domain index {i} out of range for parameter {:?} of {} values",
+                def.name(),
+                def.domain().len()
+            );
+        }
+        Instance::from_key(self.params.clone(), key)
     }
 
     /// Size of the Cartesian product of all domains: the number of distinct
@@ -386,7 +397,7 @@ impl Iterator for InstanceIter<'_> {
             return None;
         }
         let dense: Vec<u32> = self.indices.iter().map(|&i| i as u32).collect();
-        let instance = self.space.instance_from_indices(&dense);
+        let instance = self.space.instance_from_owned_indices(dense);
         // Advance the mixed-radix counter.
         let mut carry = true;
         for (p, idx) in self.indices.iter_mut().enumerate().rev() {
@@ -527,8 +538,14 @@ mod instance_iter_tests {
         let all: Vec<_> = space.instances().collect();
         assert_eq!(all.len(), 6);
         // Lexicographic by domain index: a=1 block first.
-        assert_eq!(all[0].values(), &[1.into(), "x".into()]);
-        assert_eq!(all[5].values(), &[2.into(), "z".into()]);
+        assert_eq!(
+            all[0].values().cloned().collect::<Vec<_>>(),
+            &[1.into(), "x".into()]
+        );
+        assert_eq!(
+            all[5].values().cloned().collect::<Vec<_>>(),
+            &[2.into(), "z".into()]
+        );
         // All distinct.
         let set: std::collections::HashSet<_> = all.iter().collect();
         assert_eq!(set.len(), 6);

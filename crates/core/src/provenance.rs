@@ -49,15 +49,22 @@
 //! ([`CanonicalCause`]): a cube of `u64` words over the whole space, one
 //! block per parameter with one bit per domain value, which the store reads
 //! in place. Its satisfying runs are, per constrained parameter (one whose
-//! block is not full), one OR of the value rows of the block's set bits,
-//! ANDed across parameters by the fused [`kernels`], so
+//! block is not full), the OR of the value rows of the block's set bits,
+//! ANDed across parameters by the [`kernels`], so
 //! [`support`](ProvenanceStore::support) and
 //! [`succeeding_superset_exists`](ProvenanceStore::succeeding_superset_exists)
 //! are word-parallel bit operations over the log instead of per-run
-//! predicate interpretation. `support` popcounts that set against the
-//! outcome bitsets; the superset check tests it against the succeeding
-//! runs. In debug builds the scan asserts that the cube has the length of a
-//! cube over the store's space.
+//! predicate interpretation.
+//!
+//! The scan streams: it walks the log's words in fixed-size chunks of
+//! `SCAN_WORDS` words (4,096 runs), building each chunk's satisfying runs
+//! in two arrays on the stack, so a query allocates nothing and no bitset
+//! of the whole log is built. Within a chunk the AND stops at the first
+//! parameter that empties it. `support` adds up each chunk's popcounts
+//! against the outcome bitsets; the superset check tests each chunk against
+//! the succeeding runs and stops at the first chunk with a match. In debug
+//! builds the scan asserts that the cube has the length of a cube over the
+//! store's space.
 
 use crate::bitset::RunSet;
 use crate::cause::{CanonicalCause, Conjunction};
@@ -67,7 +74,12 @@ use crate::outcome::{EvalResult, Outcome};
 use crate::param::ParamSpace;
 use std::borrow::Borrow;
 use std::fmt::Write as _;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
+
+/// Words per chunk of the streamed query scan (module docs, *Query paths*):
+/// 4,096 runs, two 512-byte arrays on the stack.
+const SCAN_WORDS: usize = 64;
 
 /// Open-addressing index from dense instance keys to run indices.
 ///
@@ -474,47 +486,62 @@ impl ProvenanceStore {
     }
 
     /// The first `words` words of value-index row `row`.
-    // lint: allow(W003, reason = "row = offsets[p] + v with v below p's domain length, so it is one of the block's rows; callers pass words = len().div_ceil(64), which record keeps <= cap by growing the block before run 64 * cap", scope = "block")
     #[inline]
     fn row(&self, row: usize, words: usize) -> &[u64] {
-        let at = row * self.cap;
-        &self.bits[at..at + words]
+        self.row_words(row, 0..words)
     }
 
-    /// The runs in a cause's product set, as a bitset of the log's filled
-    /// words (`len().div_ceil(64)`): per constrained parameter the OR of the
-    /// value rows of its block's set bits, ANDed across parameters by the
-    /// fused [`kernels`]. `None` when no run lies in the set; the AND stops at
-    /// the first parameter that empties it. The cause must constrain some
-    /// parameter, and its cube must be one over this store's space.
-    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the cause's cube is laid out over, and each allowed index is below that parameter's domain length", scope = "block")
-    fn matching_runs(&self, cause: &CanonicalCause) -> Option<Vec<u64>> {
+    /// Words `words` of value-index row `row`.
+    // lint: allow(W003, reason = "row = offsets[p] + v with v below p's domain length, so it is one of the block's rows; callers pass word ranges within len().div_ceil(64), which record keeps <= cap by growing the block before run 64 * cap", scope = "block")
+    #[inline]
+    fn row_words(&self, row: usize, words: Range<usize>) -> &[u64] {
+        let at = row * self.cap;
+        &self.bits[at + words.start..at + words.end]
+    }
+
+    /// Walks the runs in a cause's product set over the log's filled words
+    /// (`len().div_ceil(64)`), one chunk of at most [`SCAN_WORDS`] words at
+    /// a time: `visit(lo, runs)` sees each chunk that holds a satisfying
+    /// run, as the bits of words `lo..lo + runs.len()`, and a break from it
+    /// ends the walk and is returned. A chunk's runs are, per constrained
+    /// parameter, the OR of the value rows of its block's set bits, ANDed
+    /// across parameters; the AND stops at the first parameter that empties
+    /// the chunk. The cause must constrain some parameter, and its cube must
+    /// be one over this store's space.
+    // lint: allow(W003, reason = "offsets holds one entry per parameter of the space the cause's cube is laid out over, each allowed index is below that parameter's domain length, and hi - lo <= SCAN_WORDS sizes both chunk slices", scope = "block")
+    fn scan(
+        &self,
+        cause: &CanonicalCause,
+        mut visit: impl FnMut(usize, &[u64]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         debug_assert_eq!(
             cause.words().len(),
             self.space.top().words().len(),
             "cube over another space"
         );
         let words = self.len().div_ceil(64);
-        let mut acc = vec![0u64; words];
-        let mut rows: Vec<&[u64]> = Vec::new();
-        for (i, p) in cause.constrained(&self.space).enumerate() {
-            let base = self.offsets[p.index()] as usize;
-            rows.clear();
-            rows.extend(
-                cause
-                    .allowed(&self.space, p)
-                    .map(|v| self.row(base + v, words)),
-            );
-            if i == 0 {
-                kernels::or_multi_into(&mut acc, &rows);
-            } else {
-                kernels::and_or_multi_into(&mut acc, &rows);
+        let mut acc = [0u64; SCAN_WORDS];
+        let mut union = [0u64; SCAN_WORDS];
+        'chunks: for lo in (0..words).step_by(SCAN_WORDS) {
+            let hi = (lo + SCAN_WORDS).min(words);
+            let (acc, union) = (&mut acc[..hi - lo], &mut union[..hi - lo]);
+            for (i, p) in cause.constrained(&self.space).enumerate() {
+                let base = self.offsets[p.index()] as usize;
+                let into = if i == 0 { &mut *acc } else { &mut *union };
+                into.fill(0);
+                for v in cause.allowed(&self.space, p) {
+                    kernels::or_into(into, self.row_words(base + v, lo..hi));
+                }
+                if i > 0 {
+                    kernels::and_or_multi_into(acc, &[union]);
+                }
+                if kernels::is_zero(acc) {
+                    continue 'chunks;
+                }
             }
-            if kernels::is_zero(&acc) {
-                return None;
-            }
+            visit(lo, acc)?;
         }
-        Some(acc)
+        ControlFlow::Continue(())
     }
 
     /// A history pre-seeded with given runs (the paper's "previously run
@@ -544,9 +571,8 @@ impl ProvenanceStore {
     // lint: allow(W003, reason = "the determinism assert is the documented contract: a conflicting duplicate would silently corrupt every downstream guarantee", scope = "block")
     pub fn record(&mut self, instance: impl Borrow<Instance>, eval: EvalResult) -> bool {
         let instance = instance.borrow();
-        debug_assert_eq!(
-            Some(instance.dense_key()),
-            self.space.encode(instance).as_deref(),
+        debug_assert!(
+            self.space.encodes(instance),
             "instance carries a dense key inconsistent with this store's space"
         );
         let (fp, key) = (instance.dense_fingerprint(), instance.dense_key());
@@ -681,9 +707,8 @@ impl ProvenanceStore {
 
     /// The run recorded with `instance`'s dense key, if any.
     fn find(&self, instance: &Instance) -> Option<usize> {
-        debug_assert_eq!(
-            Some(instance.dense_key()),
-            self.space.encode(instance).as_deref(),
+        debug_assert!(
+            self.space.encodes(instance),
             "instance carries a dense key inconsistent with this store's space"
         );
         self.by_key
@@ -817,29 +842,39 @@ impl ProvenanceStore {
 
     /// The Shortcut sanity check (Algorithm 1, final loop): is there a
     /// *succeeding* run whose parameter-values are a superset of the
-    /// hypothetical root cause `D`? If so, `D` is not definitive. The
-    /// satisfying set is tested against the succeeding runs.
+    /// hypothetical root cause `D`? If so, `D` is not definitive. Each chunk
+    /// of the satisfying set is tested against the succeeding runs, and the
+    /// scan stops at the first chunk with a match.
     pub fn succeeding_superset_exists(&self, cause: &CanonicalCause) -> bool {
         if cause.is_top(&self.space) {
             return !self.succeed_bits.is_empty();
         }
-        self.matching_runs(cause)
-            .is_some_and(|acc| kernels::and_any(&acc, self.succeed_bits.words()))
+        let succeeding = self.succeed_bits.words();
+        self.scan(cause, |lo, runs| {
+            if kernels::and_any(runs, words_from(succeeding, lo)) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break()
     }
 
     /// Counts `(failing, succeeding)` runs satisfying a cause — fused
-    /// AND+popcount of the satisfying set against the outcome bitsets.
+    /// AND+popcount of each chunk of the satisfying set against the outcome
+    /// bitsets, summed.
     pub fn support(&self, cause: &CanonicalCause) -> (usize, usize) {
         if cause.is_top(&self.space) {
             return (self.num_failing(), self.num_succeeding());
         }
-        match self.matching_runs(cause) {
-            Some(acc) => (
-                kernels::and_popcount(&acc, self.fail_bits.words()),
-                kernels::and_popcount(&acc, self.succeed_bits.words()),
-            ),
-            None => (0, 0),
-        }
+        let (failing, succeeding) = (self.fail_bits.words(), self.succeed_bits.words());
+        let mut counts = (0, 0);
+        let _ = self.scan(cause, |lo, runs| {
+            counts.0 += kernels::and_popcount(runs, words_from(failing, lo));
+            counts.1 += kernels::and_popcount(runs, words_from(succeeding, lo));
+            ControlFlow::Continue(())
+        });
+        counts
     }
 
     /// Parses a history from the TSV layout produced by [`Self::to_tsv`]
@@ -987,6 +1022,12 @@ impl ProvenanceStore {
         }
         out
     }
+}
+
+/// An outcome bitset's words from word `lo` on: empty when the set ends
+/// before `lo` (its last runs are of the other outcome).
+fn words_from(words: &[u64], lo: usize) -> &[u64] {
+    words.get(lo..).unwrap_or(&[])
 }
 
 /// True if two keys of one space differ at every parameter (Def. 6).
@@ -1550,6 +1591,199 @@ mod tests {
         );
         assert_eq!(lines.next().unwrap(), "Iris\tLR\t1\t0.9\tsucceed");
         assert_eq!(tsv.lines().count(), 4);
+    }
+}
+
+/// The streamed scan against the materializing one it replaced: d2dc5c0's
+/// `matching_runs`, kept verbatim below, with `and_any` and `and_popcount`
+/// over its bitset. `succeeding_superset_exists` and `support` must agree
+/// with it on random stores whose lengths sit on and around the word and
+/// chunk boundaries.
+#[cfg(test)]
+mod scan_equivalence {
+    use super::*;
+    use crate::param::{Domain, ParamDef, ParamId};
+    use crate::value::Value;
+
+    /// Runs per chunk of the streamed walk.
+    const CHUNK_RUNS: usize = SCAN_WORDS * 64;
+
+    impl ProvenanceStore {
+        /// d2dc5c0's `matching_runs`, verbatim but for its name.
+        fn oracle_matching_runs(&self, cause: &CanonicalCause) -> Option<Vec<u64>> {
+            debug_assert_eq!(
+                cause.words().len(),
+                self.space.top().words().len(),
+                "cube over another space"
+            );
+            let words = self.len().div_ceil(64);
+            let mut acc = vec![0u64; words];
+            let mut rows: Vec<&[u64]> = Vec::new();
+            for (i, p) in cause.constrained(&self.space).enumerate() {
+                let base = self.offsets[p.index()] as usize;
+                rows.clear();
+                rows.extend(
+                    cause
+                        .allowed(&self.space, p)
+                        .map(|v| self.row(base + v, words)),
+                );
+                if i == 0 {
+                    kernels::or_multi_into(&mut acc, &rows);
+                } else {
+                    kernels::and_or_multi_into(&mut acc, &rows);
+                }
+                if kernels::is_zero(&acc) {
+                    return None;
+                }
+            }
+            Some(acc)
+        }
+
+        /// d2dc5c0's `succeeding_superset_exists`, over `matching_runs`.
+        fn oracle_superset(&self, cause: &CanonicalCause) -> bool {
+            if cause.is_top(&self.space) {
+                return !self.succeed_bits.is_empty();
+            }
+            self.oracle_matching_runs(cause)
+                .is_some_and(|acc| kernels::and_any(&acc, self.succeed_bits.words()))
+        }
+
+        /// d2dc5c0's `support`, over `matching_runs`.
+        fn oracle_support(&self, cause: &CanonicalCause) -> (usize, usize) {
+            if cause.is_top(&self.space) {
+                return (self.num_failing(), self.num_succeeding());
+            }
+            match self.oracle_matching_runs(cause) {
+                Some(acc) => (
+                    kernels::and_popcount(&acc, self.fail_bits.words()),
+                    kernels::and_popcount(&acc, self.succeed_bits.words()),
+                ),
+                None => (0, 0),
+            }
+        }
+    }
+
+    /// xorshift64: the test's own generator, so the stores do not depend
+    /// on another crate.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Four parameters, one of 130 values (a three-word block): 62,400
+    /// instances.
+    fn space() -> Arc<ParamSpace> {
+        let ordinal =
+            |name: &str, len: i64| ParamDef::new(name, Domain::ordinal((0..len).map(Value::from)));
+        Arc::new(ParamSpace::new(vec![
+            ordinal("a", 8),
+            ordinal("wide", 130),
+            ParamDef::new(
+                "c",
+                Domain::categorical(["u", "v", "w", "x", "y"].map(Value::from)),
+            ),
+            ordinal("d", 12),
+        ]))
+    }
+
+    /// A store of `len` distinct random runs, a third of them failing. The
+    /// first chunk's runs take only `a`'s lower half, so a pin on an upper
+    /// value of `a` matches later chunks alone.
+    fn store(space: &Arc<ParamSpace>, len: usize, seed: u64) -> ProvenanceStore {
+        let mut rng = XorShift(seed | 1);
+        let mut store = ProvenanceStore::new(space.clone());
+        let mut key = vec![0u32; space.len()];
+        while store.len() < len {
+            for (slot, p) in key.iter_mut().zip(space.ids()) {
+                let mut n = space.domain(p).len();
+                if p.index() == 0 && store.len() < CHUNK_RUNS {
+                    n /= 2;
+                }
+                *slot = rng.below(n) as u32;
+            }
+            let outcome = Outcome::from_check(rng.below(3) != 0);
+            store.record_key(&key, outcome.into());
+        }
+        store
+    }
+
+    /// The top, an unsatisfiable cube per parameter, every single pin, and
+    /// random cubes constraining one to four parameters.
+    fn cubes(space: &ParamSpace, seed: u64) -> Vec<CanonicalCause> {
+        let top = CanonicalCause::top(space);
+        let mut cubes = vec![top.clone()];
+        for p in space.ids() {
+            let mut none = top.clone();
+            none.block_mut(space, p).fill(0);
+            cubes.push(none);
+            for v in 0..space.domain(p).len() {
+                let mut pin = top.clone();
+                pin.block_mut(space, p).fill(0);
+                pin.set_allowed(space, p, v, true);
+                cubes.push(pin);
+            }
+        }
+        let mut rng = XorShift(seed ^ 0x5eed);
+        for _ in 0..60 {
+            let mut cube = top.clone();
+            for p in space.ids() {
+                let len = space.domain(p).len();
+                match rng.below(3) {
+                    0 => {}
+                    1 => {
+                        cube.block_mut(space, p).fill(0);
+                        cube.set_allowed(space, p, rng.below(len), true);
+                    }
+                    _ => {
+                        for v in 0..len {
+                            if rng.below(3) == 0 {
+                                cube.set_allowed(space, p, v, false);
+                            }
+                        }
+                    }
+                }
+            }
+            cubes.push(cube);
+        }
+        cubes
+    }
+
+    #[test]
+    fn streamed_scans_match_the_materializing_scan() {
+        let s = space();
+        let lengths = [
+            0,
+            1,
+            63,
+            64,
+            65,
+            CHUNK_RUNS - 1,
+            CHUNK_RUNS,
+            CHUNK_RUNS + 1,
+            3 * CHUNK_RUNS + 77,
+        ];
+        let mut later_only = 0;
+        for (k, &len) in lengths.iter().enumerate() {
+            let store = store(&s, len, k as u64 + 1);
+            assert_eq!(store.len(), len);
+            for cube in cubes(&s, k as u64) {
+                let shown = format!("{len} runs, cube {:?}", cube.words());
+                let superset = store.oracle_superset(&cube);
+                assert_eq!(store.succeeding_superset_exists(&cube), superset, "{shown}");
+                assert_eq!(store.support(&cube), store.oracle_support(&cube), "{shown}");
+                let first_chunk_a = cube.allowed(&s, ParamId(0)).all(|v| v >= 4);
+                if superset && len > CHUNK_RUNS && first_chunk_a {
+                    later_only += 1;
+                }
+            }
+        }
+        assert!(later_only > 0, "no cube matches past the first chunk alone");
     }
 }
 

@@ -69,6 +69,14 @@ fn ref_and_not(dst: &[u64], src: &[u64]) -> Vec<u64> {
     out // tail beyond src untouched, by the kernel contract
 }
 
+fn ref_or(dst: &[u64], src: &[u64]) -> Vec<u64> {
+    let mut out = dst.to_vec();
+    for (d, s) in out.iter_mut().zip(src) {
+        *d |= s;
+    }
+    out // tail beyond src untouched, by the kernel contract
+}
+
 fn ref_or_multi(len: usize, srcs: &[&[u64]]) -> Vec<u64> {
     (0..len)
         .map(|i| srcs.iter().fold(0u64, |m, s| m | s[i]))
@@ -96,6 +104,9 @@ fn check_pair(a: &[u64], b: &[u64]) {
         let mut d = x.to_vec();
         kernels::and_not_into(&mut d, y);
         assert_eq!(d, ref_and_not(x, y), "and_not_into{order} {ctx}");
+        let mut d = x.to_vec();
+        kernels::or_into(&mut d, y);
+        assert_eq!(d, ref_or(x, y), "or_into{order} {ctx}");
     }
 }
 

@@ -187,7 +187,9 @@ struct AtomicStats {
     sim_time_bits: AtomicU64,
     /// Wall-clock nanoseconds spent in `Pipeline::execute` and `cost`, and
     /// the executions they cover: their mean decides whether a batch runs
-    /// on threads. Not part of [`ExecStats`].
+    /// on threads. `evaluate` and a threaded batch's workers time each
+    /// execution; a batch on the calling thread times its whole loop once.
+    /// Not part of [`ExecStats`].
     execute_ns: AtomicU64,
     timed_executions: AtomicU64,
 }
@@ -588,19 +590,38 @@ impl Executor {
         hit
     }
 
-    /// Runs the pipeline on one instance and reads its cost, adding the
-    /// wall-clock time both took to the execution timing totals.
-    fn run_pipeline(&self, instance: &Instance) -> (Result<EvalResult, PipelineError>, SimTime) {
-        let start = Instant::now();
-        let result = self.pipeline.execute(instance);
-        let cost = self.pipeline.cost(instance);
+    /// Runs the pipeline on one instance and reads its cost, untimed: the
+    /// caller times it ([`Executor::run_pipeline`], or a batch on the
+    /// calling thread around its whole loop).
+    fn run_untimed(&self, instance: &Instance) -> (Result<EvalResult, PipelineError>, SimTime) {
+        (
+            self.pipeline.execute(instance),
+            self.pipeline.cost(instance),
+        )
+    }
+
+    /// Adds the wall-clock time since `start`, which `executions`
+    /// executions took, to the execution timing totals.
+    fn add_timing(&self, start: Instant, executions: usize) {
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Relaxed: the totals only steer the calling-thread-or-threads
         // choice, which is correct either way; nothing else reads them.
         self.stats.execute_ns.fetch_add(ns, Ordering::Relaxed);
         // Relaxed: as above.
-        self.stats.timed_executions.fetch_add(1, Ordering::Relaxed);
-        (result, cost)
+        self.stats
+            .timed_executions
+            .fetch_add(executions as u64, Ordering::Relaxed);
+    }
+
+    /// Runs the pipeline on one instance and reads its cost, adding the
+    /// wall-clock time both took to the execution timing totals: one
+    /// clock pair per execution, what [`Executor::evaluate`] and a
+    /// threaded batch's workers pay.
+    fn run_pipeline(&self, instance: &Instance) -> (Result<EvalResult, PipelineError>, SimTime) {
+        let start = Instant::now();
+        let executed = self.run_untimed(instance);
+        self.add_timing(start, 1);
+        executed
     }
 
     /// Whether a batch with `n` new instances runs on the calling thread:
@@ -609,7 +630,11 @@ impl Executor {
     /// would finish before their threads could start
     /// (`n × mean < min(workers, n) × THREAD_START`). Until something
     /// has been timed a batch uses threads, so a slow pipeline's first
-    /// batch is already parallel.
+    /// batch is already parallel. The mean is the timing totals' (total
+    /// time over executions timed): single evaluations and threaded
+    /// batches add each execution's time, and a batch on the calling
+    /// thread adds its loop's time and its execution count, so the mean
+    /// is the same however the executions were timed.
     fn runs_inline(&self, n: usize) -> bool {
         let workers = self.config.workers;
         if n <= 1 || workers <= 1 {
@@ -674,7 +699,10 @@ impl Executor {
     /// `workers` scoped threads when the pipeline is slow enough to pay for
     /// starting them, and on the calling thread otherwise (see
     /// `runs_inline`: a batch of one, `workers <= 1`, or a measured mean
-    /// execution time below thread start-up).
+    /// execution time below thread start-up). On the calling thread the
+    /// clock is read once before and once after the loop that executes the
+    /// new instances, not around each of them; on threads every execution
+    /// is timed.
     ///
     /// Results are positionally aligned with the input. Duplicate instances
     /// within the batch, deduplicated by dense key, are executed once (a
@@ -694,7 +722,8 @@ impl Executor {
         // occurrence executes; later duplicates copy its result.
         let mut to_run: Vec<usize> = Vec::new();
         // Each miss's dense key and batch position, created at the first
-        // miss: a batch of hits allocates no map.
+        // miss with room for every later position, so it never regrows: a
+        // batch of hits allocates no map.
         let mut first_occurrence: Option<HashMap<&[u32], usize, FxBuildHasher>> = None;
         let mut reserved = Reserved {
             stats: &self.stats,
@@ -708,7 +737,9 @@ impl Executor {
                 results[i] = Some(Ok(outcome));
                 continue;
             }
-            let firsts = first_occurrence.get_or_insert_with(HashMap::default);
+            let firsts = first_occurrence.get_or_insert_with(|| {
+                HashMap::with_capacity_and_hasher(instances.len() - i, FxBuildHasher::default())
+            });
             let Entry::Vacant(slot) = firsts.entry(instance.dense_key()) else {
                 continue; // duplicate of an earlier new instance
             };
@@ -725,14 +756,19 @@ impl Executor {
 
         // Execute the new instances.
         let mut outcomes: Vec<(usize, Result<EvalResult, PipelineError>, SimTime)> =
-            if self.runs_inline(to_run.len()) {
-                to_run
+            if to_run.is_empty() {
+                Vec::new()
+            } else if self.runs_inline(to_run.len()) {
+                let start = Instant::now();
+                let outcomes = to_run
                     .iter()
                     .map(|&pos| {
-                        let (res, cost) = self.run_pipeline(&instances[pos]);
+                        let (res, cost) = self.run_untimed(&instances[pos]);
                         (pos, res, cost)
                     })
-                    .collect()
+                    .collect();
+                self.add_timing(start, to_run.len());
+                outcomes
             } else {
                 let next = AtomicUsize::new(0);
                 let collected = Mutex::new(Vec::with_capacity(to_run.len()));

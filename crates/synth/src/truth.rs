@@ -228,7 +228,7 @@ fn sample_from_cube(space: &ParamSpace, cube: &CanonicalCause, rng: &mut StdRng)
             cube.allowed(space, p).nth(k).expect("k is below the count") as u32
         })
         .collect();
-    space.instance_from_indices(&indices)
+    space.instance_from_owned_indices(indices)
 }
 
 #[cfg(test)]
